@@ -40,11 +40,9 @@ def bundled_model_path(name: str):
 
 def _run_engine(engine: str, model, prop, args):
     if engine == "enum":
-        return check_family_enumerative(
-            model, prop, workers=args.workers, float_mode=args.float_values
-        )
+        return check_family_enumerative(model, prop, float_mode=args.float_values)
     if engine == "param":
-        return check_family_parametric(model, prop, workers=args.workers)
+        return check_family_parametric(model, prop)
     if engine == "bounded":
         return check_family_bounded(
             model,
@@ -78,7 +76,8 @@ def cmd_check(args) -> int:
                 emitted = True
         if not emitted:
             print(
-                "warning: --emit-expression needs the parametric engine",
+                "warning: --emit-expression needs the parametric engine "
+                "and a finite value on every product",
                 file=sys.stderr,
             )
     unknowns = any(result.unknown_products for result in results)
@@ -129,7 +128,6 @@ def _add_engine_options(parser):
     parser.add_argument(
         "--max-depth", type=int, default=100_000, help="bounded-engine depth ceiling"
     )
-    parser.add_argument("--workers", type=int, default=1, help="per-product parallelism")
     parser.add_argument(
         "--float",
         dest="float_values",

@@ -11,12 +11,10 @@ products that miss the target with positive probability.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..errors import ModelError, UnsupportedPropertyError
-from ..features import Product
+from ..errors import ConvergenceError, FeatmcError, ModelError, UnsupportedPropertyError
 from ..models import DTMC, FDTMC, project
 from ..properties import (
     Atom,
@@ -33,6 +31,7 @@ from ..properties import (
 )
 from ..rational import INFINITY, ONE, ZERO
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
+from .bounded import DEFAULT_MAX_DEPTH
 
 ENGINE_NAME = "enumerative"
 
@@ -164,13 +163,22 @@ def next_values(dtmc: DTMC, sat: set) -> dict:
 FLOAT_CONVERGENCE = 1e-9
 
 
+def _not_converged(residual: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"float value iteration did not converge in {DEFAULT_MAX_DEPTH} sweeps "
+        f"(last residual {residual:.3g})",
+        residual=residual,
+    )
+
+
 def until_values_float(dtmc: DTMC, sat1: set, sat2: set) -> dict:
     """Float64 value iteration; the certain-zero/one precomputation keeps
-    the fixpoint unique so plain iteration converges."""
+    the fixpoint unique so plain iteration converges.  Sweeps are capped at
+    the bounded engine's default depth."""
     zero, one, unknown = until_state_partition(dtmc, sat1, sat2)
     values = {s: (1.0 if s in one else 0.0) for s in dtmc.states}
     edges = {s: [(t, float(p)) for t, p in dtmc.out_edges(s)] for s in unknown}
-    while True:
+    for _ in range(DEFAULT_MAX_DEPTH):
         delta = 0.0
         for s in unknown:
             new = sum(p * values[t] for t, p in edges[s])
@@ -178,6 +186,7 @@ def until_values_float(dtmc: DTMC, sat1: set, sat2: set) -> dict:
             values[s] = new
         if delta < FLOAT_CONVERGENCE:
             return values
+    raise _not_converged(delta)
 
 
 def expected_reward_float(dtmc: DTMC, targets: set) -> dict:
@@ -189,7 +198,7 @@ def expected_reward_float(dtmc: DTMC, targets: set) -> dict:
             values[s] = INFINITY
     edges = {s: [(t, float(p)) for t, p in dtmc.out_edges(s)] for s in finite}
     rewards = {s: float(dtmc.rewards.get(s, ZERO)) for s in finite}
-    while True:
+    for _ in range(DEFAULT_MAX_DEPTH):
         delta = 0.0
         for s in finite:
             new = rewards[s] + sum(
@@ -199,6 +208,7 @@ def expected_reward_float(dtmc: DTMC, targets: set) -> dict:
             values[s] = new
         if delta < FLOAT_CONVERGENCE:
             return values
+    raise _not_converged(delta)
 
 
 def expected_reward(dtmc: DTMC, targets: set) -> dict:
@@ -331,38 +341,29 @@ def check_product(dtmc: DTMC, prop: Property, float_mode: bool = False) -> Produ
 def check_family_enumerative(
     model: FDTMC,
     prop: Property | str,
-    workers: int = 1,
     float_mode: bool = False,
 ) -> FamilyResult:
     """Project onto every valid product and check the chains independently.
 
     ``float_mode`` switches unbounded until and reward computations to
     float64 value iteration (residual below 1e-9) for large instances.
+    An error raised for one product keeps its type and fields; its message
+    is prefixed with the product.
     """
-    from ..errors import FeatmcError
     from ..properties import bind_check, parse_property
 
     if isinstance(prop, str):
         prop = parse_property(prop)
     bind_check(prop, model.ap)
     started = time.perf_counter()
-    products = model.diagram.valid_products()
-
-    def run(product: Product) -> ProductOutcome:
+    result = FamilyResult(ENGINE_NAME, print_property(prop))
+    for product in model.diagram.valid_products():
         try:
             outcome = check_product(project(model, product), prop, float_mode)
         except FeatmcError as exc:
-            raise type(exc)(f"product {product}: {exc}") from exc
+            exc.args = (f"product {product}: {exc}",)
+            raise
         outcome.product = product
-        return outcome
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, products))
-    else:
-        outcomes = [run(p) for p in products]
-    result = FamilyResult(ENGINE_NAME, print_property(prop))
-    for outcome in outcomes:
-        result.outcomes[outcome.product] = outcome
+        result.outcomes[product] = outcome
     result.elapsed = time.perf_counter() - started
     return result

@@ -14,8 +14,7 @@ never syntactically, and idempotent reduction already bounds growth.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import FeatmcError, ModelError, UnsupportedPropertyError
 from ..features import (
@@ -45,7 +44,7 @@ from ..properties import (
     StateFormula,
     print_property,
 )
-from ..rational import ONE, ZERO, rational
+from ..rational import INFINITY, ONE, ZERO, rational
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
 
 ENGINE_NAME = "parametric"
@@ -187,19 +186,6 @@ def poly_to_text(poly: MultilinearPolynomial) -> str:
     return head + ("" if len(parts) == 1 else " " + " ".join(parts[1:]))
 
 
-def epsilon(product: Product) -> MultilinearPolynomial:
-    """Point-mask polynomial: 1 exactly at this product's 0/1 assignment.
-
-    Enabled features contribute the factor f, absent ones the factor 1-f;
-    the product is expanded and reduced eagerly.
-    """
-    poly = POLY_ONE
-    for name, value in zip(product.names, product.values):
-        f = MultilinearPolynomial.variable(name)
-        poly = poly * (f if value else POLY_ONE - f)
-    return poly
-
-
 def indicator_polynomial(expr: FeatureExpression) -> MultilinearPolynomial:
     """Multilinear polynomial matching the guard's truth value at 0/1 points."""
     if isinstance(expr, FTrue):
@@ -227,8 +213,7 @@ def profile_to_polynomial(profile: Profile, diagram: FeatureDiagram) -> Multilin
     """Encode a profile as a polynomial agreeing with it on every valid product.
 
     Guard-list profiles use per-guard indicator polynomials over the
-    exclusive rewrite of their cases; dense profiles fall back to the full
-    point-mask sum over the product line.
+    exclusive rewrite of their cases; dense profiles are interpolated.
     """
     if isinstance(profile, GuardedProfile):
         poly = POLY_ZERO
@@ -236,11 +221,38 @@ def profile_to_polynomial(profile: Profile, diagram: FeatureDiagram) -> Multilin
             if value != 0:
                 poly = poly + indicator_polynomial(guard).scale(value)
         return poly
-    poly = POLY_ZERO
-    for product, value in zip(diagram.valid_products(), profile.dense_values()):
-        if value != 0:
-            poly = poly + epsilon(product).scale(value)
-    return poly
+    return interpolate_family(profile.dense_values(), diagram)
+
+
+def interpolate_family(values: Sequence, diagram: FeatureDiagram) -> MultilinearPolynomial:
+    """The unique multilinear interpolant of per-product values.
+
+    ``values`` follows the diagram's canonical product order; invalid
+    products count as 0.  The coefficient of monomial S is the Möbius
+    inverse sum over T ⊆ S of (-1)^|S-T| value(T), computed for all S at
+    once by the fast subset transform in O(n·2^n) operations.
+    """
+    names = diagram.signature
+    n = len(names)
+    cube = [ZERO] * (1 << n)
+    for product, value in zip(diagram.valid_products(), values):
+        index = 0
+        for bit in product.values:
+            index = (index << 1) | bit
+        cube[index] = value
+    for i in range(n):
+        step = 1 << i
+        for mask in range(1 << n):
+            if mask & step:
+                cube[mask] -= cube[mask ^ step]
+    # bit i of a mask, counted from the top, is feature names[i]
+    return MultilinearPolynomial(
+        {
+            frozenset(names[i] for i in range(n) if mask >> (n - 1 - i) & 1): coeff
+            for mask, coeff in enumerate(cube)
+            if coeff != 0
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -336,44 +348,36 @@ def rf_to_text(rf: RationalFunction) -> str:
 # ---------------------------------------------------------------------------
 
 _VIRTUAL_INIT = ("__init__",)
+#: Sink valued 1: reward edges carry r_s into it, so x = P·x + r becomes
+#: a reachability-shaped system over the same probability edges.
+_REWARD_SINK = ("__reward__",)
 
 
 class _EliminationGraph:
-    """Working graph for state elimination.
+    """Working graph for state elimination over probability functions.
 
-    ``f`` holds transition probability functions; ``h`` holds
-    probability-weighted accumulated-reward functions so that parallel
-    routes stay additive.  Removing a node reroutes mass through it,
-    multiplying by the geometric closure of its self-loop.
+    Removing a node reroutes the mass through it to its successors,
+    multiplied by the geometric closure of its self-loop.
     """
 
-    def __init__(self, with_rewards: bool):
+    def __init__(self):
         self.f: dict[tuple[State, State], RationalFunction] = {}
-        self.h: dict[tuple[State, State], RationalFunction] | None = (
-            {} if with_rewards else None
-        )
         self.succ: dict[State, set[State]] = {}
         self.pred: dict[State, set[State]] = {}
 
-    def add(self, s: State, t: State, f: RationalFunction, h: RationalFunction | None = None):
-        if f.is_zero() and (h is None or h.is_zero()):
+    def add(self, s: State, t: State, f: RationalFunction):
+        if f.is_zero():
             return
         key = (s, t)
         if key in self.f:
             self.f[key] = self.f[key] + f
-            if self.h is not None:
-                self.h[key] = self.h[key] + (h or RF_ZERO)
         else:
             self.f[key] = f
-            if self.h is not None:
-                self.h[key] = h or RF_ZERO
             self.succ.setdefault(s, set()).add(t)
             self.pred.setdefault(t, set()).add(s)
 
     def remove_edge(self, s: State, t: State):
         self.f.pop((s, t), None)
-        if self.h is not None:
-            self.h.pop((s, t), None)
         self.succ.get(s, set()).discard(t)
         self.pred.get(t, set()).discard(s)
 
@@ -381,32 +385,22 @@ class _EliminationGraph:
         return len(self.succ.get(v, ())) + len(self.pred.get(v, ()))
 
     def eliminate(self, v: State):
-        loop = self.f.get((v, v), RF_ZERO)
-        loop_h = self.h.get((v, v), RF_ZERO) if self.h is not None else RF_ZERO
-        out = [t for t in self.succ.get(v, ()) if t != v]
-        ins = [s for s in self.pred.get(v, ()) if s != v]
-        # geometric closure of the self-loop: 1 / (1 - loop); a self-loop
-        # that is identically 1 leaves no mass for the other outgoing edges
-        # on any valid product, so rerouting would add nothing
-        comp_num = loop.den - loop.num
-        if out and not comp_num.is_zero():
-            inv = RationalFunction(loop.den, comp_num)
-            inv2 = inv * inv
-            for s in ins:
+        out = [(t, self.f[(v, t)]) for t in self.succ.get(v, ()) if t != v]
+        loop = self.f.get((v, v))
+        if loop is not None and out:
+            comp_num = loop.den - loop.num
+            if comp_num.is_zero():
+                # a self-loop that is identically 1 leaves no mass for the
+                # other outgoing edges on any valid product
+                out = []
+            else:
+                inv = RationalFunction(loop.den, comp_num)  # 1 / (1 - loop)
+                out = [(t, inv * f_vt) for t, f_vt in out]
+        for s in self.pred.get(v, ()):
+            if s != v:
                 f_sv = self.f[(s, v)]
-                h_sv = self.h.get((s, v), RF_ZERO) if self.h is not None else None
-                for t in out:
-                    f_vt = self.f[(v, t)]
-                    f_route = f_sv * inv * f_vt
-                    h_route = None
-                    if self.h is not None:
-                        h_vt = self.h.get((v, t), RF_ZERO)
-                        h_route = (
-                            h_sv * inv * f_vt
-                            + f_sv * inv2 * loop_h * f_vt
-                            + f_sv * inv * h_vt
-                        )
-                    self.add(s, t, f_route, h_route)
+                for t, f_vt in out:
+                    self.add(s, t, f_sv * f_vt)
         for t in list(self.succ.get(v, ())):
             self.remove_edge(v, t)
         for s in list(self.pred.get(v, ())):
@@ -422,32 +416,17 @@ def _transition_polynomials(model: FDTMC) -> dict[tuple[State, State], Multiline
     }
 
 
-def _build_graph(
-    model: FDTMC,
-    targets: set,
-    constrained: set | None,
-    with_rewards: bool,
-) -> _EliminationGraph:
-    graph = _EliminationGraph(with_rewards)
-    reward_polys: dict[State, MultilinearPolynomial] = {}
-    if with_rewards:
-        for s in model.states:
-            reward_polys[s] = profile_to_polynomial(
-                model.reward_profile(s), model.diagram
-            )
+def _build_graph(model: FDTMC, targets: set, constrained: set | None) -> _EliminationGraph:
+    graph = _EliminationGraph()
     for (s, t), profile in model.transitions.items():
         if s in targets:
             continue  # targets absorb
         if constrained is not None and s not in constrained:
             continue  # states violating the constraint absorb with value 0
-        f = RationalFunction(profile_to_polynomial(profile, model.diagram))
-        h = None
-        if with_rewards:
-            h = f * RationalFunction(reward_polys[s])
-        graph.add(s, t, f, h)
+        graph.add(s, t, RationalFunction(profile_to_polynomial(profile, model.diagram)))
     for s, weight in model.init.items():
         if weight != 0:
-            graph.add(_VIRTUAL_INIT, s, RationalFunction.const(weight), RF_ZERO if with_rewards else None)
+            graph.add(_VIRTUAL_INIT, s, RationalFunction.const(weight))
     return graph
 
 
@@ -469,13 +448,37 @@ def eliminate_reachability(
     if not targets:
         raise ModelError("empty target set")
     graph = _build_graph(
-        model, targets, set(constrained) if constrained is not None else None, False
+        model, targets, set(constrained) if constrained is not None else None
     )
+    # every target stays a node of its own: merging them into one sink
+    # changes the min-degree order, which can blow up the elimination
     _run_elimination(model, graph, targets | {_VIRTUAL_INIT})
     total = RF_ZERO
     for t in targets:
         total = total + graph.f.get((_VIRTUAL_INIT, t), RF_ZERO)
     return total
+
+
+def _reward_function(model: FDTMC, targets: set) -> RationalFunction:
+    """Solution of x = P·x + r with x = 0 on the targets, at the initial
+    distribution.
+
+    Only meaningful on products that reach the target almost surely.
+    """
+    if not targets:
+        raise ModelError("empty target set")
+    if model.rewards is None:
+        raise ModelError("model has no rewards")
+    graph = _build_graph(model, targets, None)
+    for t in targets:
+        for s in list(graph.pred.get(t, ())):
+            graph.remove_edge(s, t)  # targets are valued 0
+    for s in model.states:
+        if s not in targets:
+            reward = profile_to_polynomial(model.reward_profile(s), model.diagram)
+            graph.add(s, _REWARD_SINK, RationalFunction(reward))
+    _run_elimination(model, graph, targets | {_VIRTUAL_INIT})
+    return graph.f.get((_VIRTUAL_INIT, _REWARD_SINK), RF_ZERO)
 
 
 def eliminate_expected_reward(model: FDTMC, targets: Iterable[State]) -> RationalFunction:
@@ -485,10 +488,6 @@ def eliminate_expected_reward(model: FDTMC, targets: Iterable[State]) -> Rationa
     products violating that are listed in the raised error.
     """
     targets = set(targets)
-    if not targets:
-        raise ModelError("empty target set")
-    if model.rewards is None:
-        raise ModelError("model has no rewards")
     reach = eliminate_reachability(model, targets)
     missing = []
     for product in model.diagram.valid_products():
@@ -504,36 +503,12 @@ def eliminate_expected_reward(model: FDTMC, targets: Iterable[State]) -> Rationa
             "expected reward undefined: target missed with positive probability "
             "for products " + ", ".join(str(p) for p in missing)
         )
-    graph = _build_graph(model, targets, None, True)
-    _run_elimination(model, graph, targets | {_VIRTUAL_INIT})
-    total = RF_ZERO
-    for t in targets:
-        total = total + (graph.h or {}).get((_VIRTUAL_INIT, t), RF_ZERO)
-    return total
+    return _reward_function(model, targets)
 
 
 def evaluate(rf: RationalFunction, product: Product):
     """Exact value at a product; raises ZeroDenominatorError when undefined."""
     return rf.evaluate(product)
-
-
-#: Interpolation cost grows as 3^n; beyond this many features the raw
-#: elimination output is emitted instead of the canonical form.
-_INTERPOLATION_LIMIT = 12
-
-
-def interpolate_family(values, diagram: FeatureDiagram) -> RationalFunction:
-    """The unique multilinear interpolant of per-product values.
-
-    Sums the point-mask polynomial of each product scaled by its value;
-    useful as a canonical, denominator-free form of a family function.
-    """
-    poly = POLY_ZERO
-    for product in diagram.valid_products():
-        value = values[product]
-        if value != 0:
-            poly = poly + epsilon(product).scale(value)
-    return RationalFunction(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +580,13 @@ def _next_function(model: FDTMC, sat: set) -> RationalFunction:
 
 
 def property_function(model: FDTMC, prop: Property) -> RationalFunction:
-    """The rational function whose per-product values answer the query."""
+    """The rational function whose per-product values answer the query.
+
+    A reward function holds only on products that reach the target almost
+    surely; :func:`check_family_parametric` reports the others as ``inf``.
+    """
     if isinstance(prop, RewardQuery):
-        targets = _propositional_sat(model, prop.target)
-        return eliminate_expected_reward(model, targets)
+        return _reward_function(model, _propositional_sat(model, prop.target))
     if isinstance(prop, Prob):
         path = prop.path
         if isinstance(path, Next):
@@ -623,15 +601,13 @@ def property_function(model: FDTMC, prop: Property) -> RationalFunction:
     )
 
 
-def check_family_parametric(
-    model: FDTMC,
-    prop: Property | str,
-    workers: int = 1,
-) -> FamilyResult:
+def check_family_parametric(model: FDTMC, prop: Property | str) -> FamilyResult:
     """One symbolic exploration, then an exact evaluation per product.
 
     Products where the function is undefined (vanishing denominator) are
     rerun through the enumerative engine and flagged in the warnings.
+    Expected rewards are ``inf`` on products that miss the target with
+    positive probability.
     """
     from ..properties import bind_check, parse_property
     from .enumerative import check_product as _enum_check_product
@@ -642,43 +618,41 @@ def check_family_parametric(
     bind_check(prop, model.ap)
     started = time.perf_counter()
     rf = property_function(model, prop)
+    reach = None
+    if isinstance(prop, RewardQuery):
+        reach = eliminate_reachability(model, _propositional_sat(model, prop.target))
     interval = prop.interval if isinstance(prop, Prob) else None
-    quantitative = isinstance(prop, RewardQuery) or (
-        isinstance(prop, Prob) and prop.interval is None
-    )
-
-    def run(product: Product) -> ProductOutcome:
+    result = FamilyResult(ENGINE_NAME, print_property(prop))
+    for product in model.diagram.valid_products():
+        fallback = False
         try:
-            value = rf.evaluate(product)
-            fallback = False
+            if reach is not None and reach.evaluate(product) != 1:
+                value = INFINITY
+            else:
+                value = rf.evaluate(product)
         except ZeroDenominatorError:
-            outcome = _enum_check_product(_project(model, product), prop)
-            value = outcome.value
+            value = _enum_check_product(_project(model, product), prop).value
             fallback = True
-        decision = None
-        if not quantitative:
-            decision = SAT if interval.contains(value) else VIOLATED
-        return ProductOutcome(product, value=value, decision=decision, fallback=fallback)
-
-    products = model.diagram.valid_products()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, products))
-    else:
-        outcomes = [run(p) for p in products]
-    result = FamilyResult(ENGINE_NAME, print_property(prop), function=rf)
-    for outcome in outcomes:
-        result.outcomes[outcome.product] = outcome
-        if outcome.fallback:
             result.warnings.append(
-                f"product {outcome.product}: undefined function value, "
+                f"product {product}: undefined function value, "
                 "fell back to the enumerative engine"
             )
-    if len(model.diagram.signature) <= _INTERPOLATION_LIMIT:
+        decision = None
+        if interval is not None:
+            decision = SAT if interval.contains(value) else VIOLATED
+        result.outcomes[product] = ProductOutcome(
+            product, value=value, decision=decision, fallback=fallback
+        )
+    diverging = [str(p) for p, o in result.outcomes.items() if o.value == INFINITY]
+    if diverging:
+        result.warnings.append(
+            "expected reward is infinite for products " + ", ".join(diverging)
+            + "; no closed form is emitted"
+        )
+    else:
         # canonical denominator-free form, total even where elimination's
         # raw quotient is undefined (fallback values fill the gaps)
-        result.function = interpolate_family(
-            {p: o.value for p, o in result.outcomes.items()}, model.diagram
-        )
+        values = [o.value for o in result.outcomes.values()]
+        result.function = RationalFunction(interpolate_family(values, model.diagram))
     result.elapsed = time.perf_counter() - started
     return result

@@ -58,8 +58,13 @@ class PropertyBindingError(FeatmcError):
 
 
 class ConvergenceError(FeatmcError):
-    """Bounded search hit the depth ceiling before reaching the precision."""
+    """An iteration hit its ceiling before reaching the precision.
 
-    def __init__(self, message: str, worst_undecided=None):
+    The bounded engine reports its widest undecided interval, the float64
+    value iteration its last residual.
+    """
+
+    def __init__(self, message: str, worst_undecided=None, residual=None):
         self.worst_undecided = worst_undecided
+        self.residual = residual
         super().__init__(message)

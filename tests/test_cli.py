@@ -78,6 +78,31 @@ class TestCheck:
         text = target.read_text()
         assert "/" in text and "spd2" in text
 
+    def test_diverging_reward_exits_0_with_all_engines(self, capsys, tmp_path):
+        model = tmp_path / "diverge.fdl"
+        model.write_text(
+            "features f;\n"
+            "fdtmc M {\n"
+            "  states a trap goal;\n"
+            "  init a;\n"
+            "  label goal: goal;\n"
+            "  a -> goal : [f] 0.5, 1;\n"
+            "  a -> trap : [f] 0.5, 0;\n"
+            "  trap -> trap : 1;\n"
+            "  goal -> goal : 1;\n"
+            "  reward a : 1;\n"
+            "}\n"
+            "system = M;\n"
+        )
+        code, out, err = run_cli(
+            capsys, "check", str(model), "--prop", "R=?[F goal]", "--engine", "all",
+            "--format", "csv", "--no-timings",
+        )
+        assert code == 0
+        assert "DISAGREE" not in out
+        assert "inf" in out
+        assert "{f}" in err
+
     def test_deterministic_output(self, capsys, wiper_path):
         args = (
             "check", wiper_path, "--prop", "energy", "--engine", "all",

@@ -2,15 +2,19 @@ import random
 
 import pytest
 
+from featmc.engines import enumerative
 from featmc.engines.enumerative import (
     bounded_until_values,
     check_dtmc,
     check_family_enumerative,
     expected_reward,
+    expected_reward_float,
     next_values,
     until_state_partition,
     until_values,
+    until_values_float,
 )
+from featmc.errors import ConvergenceError, UnboundFeatureError
 from featmc.features import FeatureDiagram, Product
 from featmc.models import FDTMC, project
 from featmc.profiles import constant
@@ -174,13 +178,16 @@ class TestFamily:
         )
         assert list(family.outcomes.values())[0].value == expected
 
-    def test_deterministic_across_worker_counts(self, wiper):
-        prop = "P=?(F end)"
-        serial = check_family_enumerative(wiper.system, prop, workers=1)
-        parallel = check_family_enumerative(wiper.system, prop, workers=4)
-        assert [o.value for o in serial.outcomes.values()] == [
-            o.value for o in parallel.outcomes.values()
-        ]
+    def test_product_error_keeps_type_and_fields(self, wiper, monkeypatch):
+        def raise_unbound(*args, **kwargs):
+            raise UnboundFeatureError("x")
+
+        monkeypatch.setattr(enumerative, "check_product", raise_unbound)
+        with pytest.raises(UnboundFeatureError) as info:
+            check_family_enumerative(wiper.system, "P=?(F end)")
+        assert info.value.name == "x"
+        first = wiper.diagram.valid_products()[0]
+        assert str(info.value).startswith(f"product {first}: ")
 
     def test_thresholds_decided_per_product(self, minepump):
         result = check_family_enumerative(
@@ -247,3 +254,53 @@ class TestFloatMode:
         )
         with pytest.raises(ModelError, match="product"):
             check_family_enumerative(no_rewards, "R=?[F end]")
+
+
+class TestFloatSweepCap:
+    """A self-loop of 1 - 1e-6 needs millions of sweeps to settle below the
+    residual threshold; the iteration stops at its cap instead."""
+
+    @staticmethod
+    def slow_family(leak=ZERO):
+        """s stays with 1 - 1e-6 - leak, reaches goal with 1e-6 and leaks
+        into an absorbing trap with ``leak``."""
+        d = FeatureDiagram(())
+        step = rational(1, 10**6)
+        transitions = {
+            ("s", "s"): constant(ONE - step - leak, d),
+            ("s", "goal"): constant(step, d),
+            ("goal", "goal"): constant(ONE, d),
+            ("trap", "trap"): constant(ONE, d),
+        }
+        if leak:
+            transitions[("s", "trap")] = constant(leak, d)
+        return FDTMC(
+            ("s", "goal", "trap"),
+            "s",
+            d,
+            transitions,
+            ("goal",),
+            {"goal": ("goal",)},
+            rewards={"s": constant(ONE, d)},
+        )
+
+    def slow_chain(self, leak=ZERO):
+        m = self.slow_family(leak)
+        return project(m, m.diagram.valid_products()[0])
+
+    def test_reward_iteration_is_capped(self):
+        with pytest.raises(ConvergenceError) as info:
+            expected_reward_float(self.slow_chain(), {"goal"})
+        assert 0 < info.value.residual < 1
+
+    def test_until_iteration_is_capped(self):
+        # the leak keeps s out of the certain-one set, so it is iterated
+        dtmc = self.slow_chain(leak=rational(1, 10**6))
+        with pytest.raises(ConvergenceError) as info:
+            until_values_float(dtmc, set(dtmc.states), {"goal"})
+        assert 0 < info.value.residual < 1e-6
+
+    def test_family_check_keeps_the_residual(self):
+        with pytest.raises(ConvergenceError, match=r"^product \{\}: ") as info:
+            check_family_enumerative(self.slow_family(), "R=?[F goal]", float_mode=True)
+        assert info.value.residual is not None

@@ -10,18 +10,20 @@ from featmc.engines.parametric import (
     check_family_parametric,
     eliminate_expected_reward,
     eliminate_reachability,
-    epsilon,
     evaluate,
     indicator_polynomial,
+    interpolate_family,
     poly_to_text,
     profile_to_polynomial,
     rf_to_text,
 )
+from featmc import dsl, generators
+from featmc.engines.bounded import check_family_bounded
 from featmc.errors import ModelError, UnsupportedPropertyError
 from featmc.features import FeatureDiagram, Product, parse_feature_expression
 from featmc.models import FDTMC
-from featmc.profiles import GuardedProfile, constant, eval_profile
-from featmc.rational import ONE, ZERO, rational
+from featmc.profiles import DenseProfile, GuardedProfile, constant, eval_profile
+from featmc.rational import INFINITY, ONE, ZERO, rational
 
 from conftest import random_fdtmc
 
@@ -59,36 +61,80 @@ class TestPolynomials:
         assert poly_to_text(p) == "- 15*a*b + 3*a + 2".replace("- ", "-", 1)
 
 
+def epsilon(product: Product) -> MultilinearPolynomial:
+    """Reference point-mask polynomial: 1 exactly at this product's 0/1
+    assignment (factor f for enabled features, 1-f for absent ones)."""
+    result = MultilinearPolynomial.const(1)
+    for name, value in zip(product.names, product.values):
+        f = MultilinearPolynomial.variable(name)
+        result = result * (f if value else MultilinearPolynomial.const(1) - f)
+    return result
+
+
+def point_mask_sum(values, diagram):
+    """Reference interpolant: the point-mask sum over the valid products."""
+    total = MultilinearPolynomial()
+    for product, value in zip(diagram.valid_products(), values):
+        total = total + epsilon(product).scale(value)
+    return total
+
+
+def one_hot(product, diagram):
+    return [ONE if q == product else ZERO for q in diagram.valid_products()]
+
+
 class TestEpsilon:
+    """Point-mask polynomials, obtained as interpolants of one-hot vectors,
+    and the transform checked against the point-mask sum."""
+
     def test_single_enabled_feature(self):
+        d = FeatureDiagram(("f",))
         p = Product(("f",), (True,))
-        assert epsilon(p) == MultilinearPolynomial.variable("f")
+        assert interpolate_family(one_hot(p, d), d) == MultilinearPolynomial.variable("f")
 
     def test_single_disabled_feature(self):
+        d = FeatureDiagram(("f",))
         p = Product(("f",), (False,))
         one = MultilinearPolynomial.const(1)
-        assert epsilon(p) == one - MultilinearPolynomial.variable("f")
+        assert interpolate_family(one_hot(p, d), d) == one - MultilinearPolynomial.variable("f")
 
     def test_three_feature_expansion(self):
+        d = FeatureDiagram(("W", "A", "V"))
         p = Product(("W", "A", "V"), (True, False, True))
         expected = poly({("W", "V"): 1, ("W", "A", "V"): -1})
-        assert epsilon(p) == expected
+        assert interpolate_family(one_hot(p, d), d) == expected
 
     def test_point_mask_property(self):
         d = FeatureDiagram(("a", "b"))
         products = d.valid_products()
         for p in products:
-            mask = epsilon(p)
+            mask = interpolate_family(one_hot(p, d), d)
             for q in products:
                 assert mask.evaluate(q) == (ONE if p == q else ZERO)
 
     def test_partition_of_unity(self):
         d = FeatureDiagram(("a", "b", "c"))
-        total = MultilinearPolynomial()
-        for p in d.valid_products():
-            total = total + epsilon(p)
-        # over an unconstrained diagram the sum collapses symbolically to 1
-        assert total == MultilinearPolynomial.const(1)
+        ones = [ONE] * len(d.valid_products())
+        # over an unconstrained diagram the interpolant of 1 is the constant 1
+        assert interpolate_family(ones, d) == MultilinearPolynomial.const(1)
+
+    def test_matches_point_mask_sum_on_constrained_diagram(self):
+        d = FeatureDiagram(("a", "b", "c"), parse_feature_expression("a -> (b | c)"))
+        assert len(d.valid_products()) < 8  # some products are invalid
+        values = [rational(i * i + 1, i + 2) for i in range(len(d.valid_products()))]
+        assert interpolate_family(values, d) == point_mask_sum(values, d)
+
+    def test_matches_point_mask_sum_on_dense_failure_profile(self):
+        built = dsl.parse_model(dsl.print_model_file(generators.gen_failure_recovery(4)))
+        dense = [
+            p for p in built.system.transitions.values() if isinstance(p, DenseProfile)
+        ]
+        assert dense
+        for profile in dense:
+            values = profile.dense_values()
+            encoded = profile_to_polynomial(profile, built.diagram)
+            assert encoded == point_mask_sum(values, built.diagram)
+            assert encoded == interpolate_family(values, built.diagram)
 
 
 class TestProfileEncoding:
@@ -215,6 +261,29 @@ class TestElimination:
         assert result.warnings
 
 
+def _diverging_reward_model():
+    """goal with probability 1 when f is off, 1/2 when f is on."""
+    d = FeatureDiagram(("f",))
+    return FDTMC(
+        ("a", "trap", "goal"),
+        "a",
+        d,
+        {
+            ("a", "trap"): GuardedProfile(
+                d, [(parse_feature_expression("f"), rational("0.5"))], ZERO
+            ),
+            ("a", "goal"): GuardedProfile(
+                d, [(parse_feature_expression("f"), rational("0.5"))], ONE
+            ),
+            ("trap", "trap"): constant(ONE, d),
+            ("goal", "goal"): constant(ONE, d),
+        },
+        ("goal",),
+        {"goal": ("goal",)},
+        rewards={"a": constant(ONE, d)},
+    )
+
+
 class TestExpectedReward:
     def test_wiper_expression_at_every_product(self, wiper):
         rf = eliminate_expected_reward(wiper.system, {"end"})
@@ -244,27 +313,8 @@ class TestExpectedReward:
             assert evaluate(rf, p) == 0
 
     def test_error_lists_products_missing_the_target(self):
-        d = FeatureDiagram(("f",))
-        m = FDTMC(
-            ("a", "trap", "goal"),
-            "a",
-            d,
-            {
-                ("a", "trap"): GuardedProfile(
-                    d, [(parse_feature_expression("f"), rational("0.5"))], ZERO
-                ),
-                ("a", "goal"): GuardedProfile(
-                    d, [(parse_feature_expression("f"), rational("0.5"))], ONE
-                ),
-                ("trap", "trap"): constant(ONE, d),
-                ("goal", "goal"): constant(ONE, d),
-            },
-            ("goal",),
-            {"goal": ("goal",)},
-            rewards={"a": constant(ONE, d)},
-        )
         with pytest.raises(ModelError, match=r"\{f\}"):
-            eliminate_expected_reward(m, {"goal"})
+            eliminate_expected_reward(_diverging_reward_model(), {"goal"})
 
 
 class TestFamilyParametric:
@@ -297,6 +347,22 @@ class TestFamilyParametric:
             for p in m.diagram.valid_products():
                 assert enum.outcomes[p].value == param.outcomes[p].value
                 assert enum.outcomes[p].decision == param.outcomes[p].decision
+
+
+def test_diverging_reward_is_infinite_in_every_engine():
+    m = _diverging_reward_model()
+    off = Product(("f",), (False,))
+    on = Product(("f",), (True,))
+    param = check_family_parametric(m, "R=?[F goal]")
+    assert param.outcomes[off].value == 1
+    assert param.outcomes[on].value == INFINITY
+    assert param.function is None
+    assert any("{f}" in w for w in param.warnings)
+    enum = check_family_enumerative(m, "R=?[F goal]")
+    bounded = check_family_bounded(m, "R=?[F goal]")
+    for p in m.diagram.valid_products():
+        assert enum.outcomes[p].value == param.outcomes[p].value
+        assert bounded.outcomes[p].value == param.outcomes[p].value
 
 
 def test_wiper_emission_is_the_canonical_interpolant(wiper):
