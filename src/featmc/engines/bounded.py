@@ -1,32 +1,28 @@
 """Feature-aware bounded search: all products checked in one exploration.
 
 Satisfaction of state formulae is tracked per (state, product) as 0/1
-indicator vectors over the canonical product order.  Path probabilities are
-approximated from below by iterating the one-step recurrence
+indicator vectors over the canonical product order.  An unbounded until is
+bracketed by interval iteration of the one-step recurrence
 
     x'(s) = sat2(s) + (1 - sat2(s)) * sat1(s) * sum_t P(s,t) * x(t)
 
-in breadth-first phases over a frontier of states that can still improve.
-A companion *undecided* vector tracks the mass of paths that neither
-satisfied nor falsified the until yet and can still reach a target, so the
-exact value always lies in ``[x, x + undecided]``; the search stops when the
-undecided mass falls below the requested precision.
-
-Mass absorbed where the target has become unreachable is decided (the until
-fails there), so it leaves the undecided account immediately.  Without that
-refinement the account would never drain on models with absorbing
-non-target states.
+from both sides at once: a lower bound ``lo`` starts at the target
+indicator and an upper bound ``hi`` starts at 1 on constraint states that
+can reach a target (0 where the target is unreachable, so such mass counts
+as decided from the start).  The exact value always lies in ``[lo, hi]``;
+``hi - lo`` is the undecided path mass, and a product stops being iterated
+once it is below the requested precision.  Threshold operators are decided
+three-valuedly on that interval.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping
 
 from ..errors import ConvergenceError, UnsupportedPropertyError
 from ..models import FDTMC, State
-from ..profiles import DenseProfile, to_dense
+from ..profiles import to_dense
 from ..properties import (
     Atom,
     Interval,
@@ -62,13 +58,11 @@ class DenseModel:
         self.products = model.diagram.valid_products()
         self.n = len(self.products)
         self.edges: dict[State, list[tuple[State, tuple]]] = {s: [] for s in self.states}
-        self.pred: dict[State, set[State]] = {s: set() for s in self.states}
         for (s, t), profile in model.transitions.items():
             vec = to_dense(profile).values
             if all(v == 0 for v in vec):
                 continue
             self.edges[s].append((t, vec))
-            self.pred[t].add(s)
         self.init = model.init
         self.labels = model.labels
 
@@ -88,14 +82,6 @@ class DenseModel:
         return {
             s: to_dense(self.model.reward_profile(s)).values for s in self.states
         }
-
-
-def _vec_max(vec):
-    out = vec[0]
-    for v in vec[1:]:
-        if v > out:
-            out = v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +152,10 @@ def _next_vectors(dense: DenseModel, sat) -> dict[State, list]:
     return out
 
 
-def _until_step(dense: DenseModel, sat1, sat2, x, states):
-    """One application of the recurrence, restricted to ``states``."""
+def _until_step(dense: DenseModel, sat1, sat2, x):
+    """One Jacobi application of the recurrence at every state."""
     out = {}
-    for s in states:
+    for s in dense.states:
         sat2_row = sat2[s]
         sat1_row = sat1[s]
         acc = dense.zeros()
@@ -191,158 +177,55 @@ def _until_step(dense: DenseModel, sat1, sat2, x, states):
 
 
 def bounded_until_vectors(
-    dense: DenseModel, sat1, sat2, bound: int, use_frontier: bool = True
+    dense: DenseModel, sat1, sat2, bound: int
 ) -> dict[State, list]:
-    """Exactly ``bound`` breadth-first phases of the recurrence."""
-    x = {s: [ONE if sat2[s][i] != 0 else ZERO for i in range(dense.n)] for s in dense.states}
-    if use_frontier:
-        changed = {s for s in dense.states if any(v != 0 for v in x[s])}
+    """Exact step-bounded until values: ``bound`` Jacobi steps from the
+    target indicator (the iterates never decrease)."""
+    x = {s: [ONE if v != 0 else ZERO for v in sat2[s]] for s in dense.states}
     for _ in range(bound):
-        if use_frontier:
-            frontier = set()
-            for t in changed:
-                frontier |= dense.pred[t]
-            if not frontier:
-                break
-        else:
-            frontier = set(dense.states)
-        updates = _until_step(dense, sat1, sat2, x, frontier)
-        if use_frontier:
-            changed = set()
-        for s, row in updates.items():
-            old = x[s]
-            new_row = [row[i] if row[i] > old[i] else old[i] for i in range(dense.n)]
-            if use_frontier and any(n != o for n, o in zip(new_row, old)):
-                changed.add(s)
-            x[s] = new_row
+        x = _until_step(dense, sat1, sat2, x)
     return x
-
-
-def until_lower_approx(
-    dense: DenseModel,
-    sat1,
-    sat2,
-    epsilon=None,
-    bound: int | None = None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    use_frontier: bool = True,
-    observer=None,
-):
-    """Iterate the until recurrence until the undecided mass is small.
-
-    Returns ``(x, undecided, k_used)``.  ``x`` is a per-state lower bound
-    vector, nondecreasing in the iteration count and at least the k-bounded
-    value; ``undecided`` bounds the distance to the exact value from above.
-    Exactly one of ``epsilon`` (residual mode) and ``bound`` (fixed depth)
-    must be given.
-    """
-    if (epsilon is None) == (bound is None):
-        raise ValueError("give either epsilon or bound")
-    can = can_reach_vectors(dense, sat1, sat2)
-    x = {s: [ONE if sat2[s][i] != 0 else ZERO for i in range(dense.n)] for s in dense.states}
-    u = {
-        s: [
-            ONE if (sat1[s][i] != 0 and sat2[s][i] == 0 and can[s][i]) else ZERO
-            for i in range(dense.n)
-        ]
-        for s in dense.states
-    }
-    conform = {
-        s: [1 if (sat1[s][i] != 0 and sat2[s][i] == 0) else 0 for i in range(dense.n)]
-        for s in dense.states
-    }
-    changed = {s for s in dense.states if any(v != 0 for v in x[s])}
-    active = {s for s in dense.states if any(v != 0 for v in u[s])}
-    k = 0
-    limit = bound if bound is not None else max_depth
-    while True:
-        if epsilon is not None:
-            worst = ZERO
-            for s in active:
-                m = _vec_max(u[s])
-                if m > worst:
-                    worst = m
-            if worst < epsilon:
-                break
-            if k >= limit:
-                raise ConvergenceError(
-                    f"no convergence after {k} phases; worst undecided mass is "
-                    f"{worst} (a constrained cycle retains mass for some product)",
-                    worst_undecided=worst,
-                )
-        elif k >= limit:
-            break
-        k += 1
-        # x update on the frontier
-        if use_frontier:
-            frontier = set()
-            for t in changed:
-                frontier |= dense.pred[t]
-        else:
-            frontier = set(dense.states)
-        updates = _until_step(dense, sat1, sat2, x, frontier)
-        changed = set()
-        for s, row in updates.items():
-            old = x[s]
-            new_row = [row[i] if row[i] > old[i] else old[i] for i in range(dense.n)]
-            if any(n != o for n, o in zip(new_row, old)):
-                changed.add(s)
-            x[s] = new_row
-        # undecided update on its support
-        new_u = {}
-        candidates = set(dense.states) if not use_frontier else {
-            s for s in dense.states if any(conform[s]) and
-            (s in active or any(t in active for t, _ in dense.edges[s]))
-        }
-        for s in candidates:
-            conf = conform[s]
-            acc = dense.zeros()
-            for t, vec in dense.edges[s]:
-                if t not in active:
-                    continue
-                ut = u[t]
-                for i in range(dense.n):
-                    if vec[i] != 0 and ut[i] != 0:
-                        acc[i] += vec[i] * ut[i]
-            new_u[s] = [acc[i] if conf[i] else ZERO for i in range(dense.n)]
-        u = {s: new_u.get(s, dense.zeros()) for s in dense.states}
-        active = {s for s in dense.states if any(v != 0 for v in u[s])}
-        if observer is not None:
-            observer(k, x, u)
-    return x, u, k
 
 
 def _family_until_run(
     dense: DenseModel,
     sat1,
     sat2,
-    epsilon,
-    max_depth: int,
+    epsilon=None,
+    bound: int | None = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    weights=None,
+    observer=None,
 ):
-    """Specialized family-query iteration: two-sided and in place.
+    """Two-sided interval iteration of the unbounded until, in place.
 
-    Tracks the lower bound x and the upper bound hi of the until value per
-    (state, product); both sides are iterates of the same one-step operator
-    started below respectively above the fixpoint, so the exact value stays
-    inside [x, hi] under any update order.  States are swept with successors
-    first so mass propagates across whole chains per sweep, and products
-    whose initial-state interval reached the requested width stop being
-    updated.
+    Tracks a lower bound lo and an upper bound hi of the until value per
+    (state, product); both are iterates of the same monotone one-step
+    operator started below respectively above the fixpoint, so the exact
+    value stays inside [lo, hi] under any update order, lo never decreases
+    and hi never increases.  States are swept with successors first so mass
+    propagates across whole chains per sweep.
 
-    Returns (lo, hi) aggregated at the initial distribution, per product.
+    With ``bound`` exactly that many sweeps run.  Otherwise a product stops
+    being updated once its interval is narrower than ``epsilon``: the
+    interval aggregated under ``weights`` (state -> weight, the initial
+    distribution of a top-level query), or at every state when ``weights``
+    is None.  A product still wider after ``max_depth`` sweeps raises
+    ConvergenceError.  ``observer(sweep, lo, hi)`` sees the live vectors
+    after every sweep.
+
+    Returns per-state (lo, hi).
     """
     n = dense.n
     states = list(dense.states)
     index = {s: i for i, s in enumerate(states)}
     can = can_reach_vectors(dense, sat1, sat2)
-    x = {}
+    lo = {}
     hi = {}
     conform = {}
     for s in states:
-        conform[s] = [
-            sat1[s][i] != 0 and sat2[s][i] == 0 for i in range(n)
-        ]
-        x[s] = [ONE if sat2[s][i] != 0 else ZERO for i in range(n)]
+        conform[s] = [sat1[s][i] != 0 and sat2[s][i] == 0 for i in range(n)]
+        lo[s] = [ONE if sat2[s][i] != 0 else ZERO for i in range(n)]
         hi[s] = [
             ONE if (sat2[s][i] != 0 or (conform[s][i] and can[s][i])) else ZERO
             for i in range(n)
@@ -372,95 +255,72 @@ def _family_until_run(
                 post_order.append(node)
                 stack.pop()
     rank = {s: i for i, s in enumerate(post_order)}
+    # only states conforming for some product ever change
     order = sorted(
         (s for s in states if any(conform[s])),
         key=lambda s: (rank[s], index[s]),
     )
-    edges = {
-        s: [(t, vec) for t, vec in dense.edges[s]] for s in order
-    }
-    init_items = list(dense.init.items())
+    weight_items = None if weights is None else list(weights.items())
 
-    def init_bounds(i):
+    def width(i):
+        if weight_items is None:
+            return max((hi[s][i] - lo[s][i] for s in order), default=ZERO)
         lo_total = ZERO
         hi_total = ZERO
-        for s, weight in init_items:
-            lo_total += weight * x[s][i]
+        for s, weight in weight_items:
+            lo_total += weight * lo[s][i]
             hi_total += weight * hi[s][i]
-        return lo_total, hi_total
+        return hi_total - lo_total
 
     active = list(range(n))
-    for sweep in range(max_depth):
+    for sweep in range(1, (max_depth if bound is None else bound) + 1):
         for s in order:
             conf = conform[s]
-            x_row = x[s]
+            lo_row = lo[s]
             hi_row = hi[s]
-            acc_x = [ZERO] * n
+            acc_lo = [ZERO] * n
             acc_hi = [ZERO] * n
-            for t, vec in edges[s]:
-                xt = x[t]
+            for t, vec in dense.edges[s]:
+                lt = lo[t]
                 ht = hi[t]
                 for i in active:
                     v = vec[i]
                     if v != 0:
-                        if xt[i] != 0:
-                            acc_x[i] += v * xt[i]
+                        if lt[i] != 0:
+                            acc_lo[i] += v * lt[i]
                         if ht[i] != 0:
                             acc_hi[i] += v * ht[i]
             for i in active:
                 if not conf[i]:
                     continue
-                if acc_x[i] > x_row[i]:
-                    x_row[i] = acc_x[i]
+                if acc_lo[i] > lo_row[i]:
+                    lo_row[i] = acc_lo[i]
                 if acc_hi[i] < hi_row[i]:
                     hi_row[i] = acc_hi[i]
-        still = []
-        for i in active:
-            lo_total, hi_total = init_bounds(i)
-            if hi_total - lo_total < epsilon:
-                continue
-            still.append(i)
-        active = still
-        if not active:
-            break
+        if observer is not None:
+            observer(sweep, lo, hi)
+        if bound is None:
+            active = [i for i in active if width(i) >= epsilon]
+            if not active:
+                break
     else:
-        worst = max(init_bounds(i)[1] - init_bounds(i)[0] for i in active)
-        raise ConvergenceError(
-            f"no convergence after {max_depth} sweeps; worst undecided mass is "
-            f"{worst}",
-            worst_undecided=worst,
-        )
-    lo_out = []
-    hi_out = []
-    for i in range(n):
-        lo_total, hi_total = init_bounds(i)
-        lo_out.append(lo_total)
-        hi_out.append(hi_total)
-    return lo_out, hi_out
+        if bound is None:
+            worst = max(width(i) for i in active)
+            raise ConvergenceError(
+                f"no convergence after {max_depth} sweeps; worst undecided mass is "
+                f"{worst}",
+                worst_undecided=worst,
+            )
+    return lo, hi
 
 
-def threshold_vectors(x, u, interval: Interval, states, n):
-    """Three-valued thresholding of ``[x, x+u]`` against the bound."""
-    sat = {}
-    unknown = {}
-    for s in states:
-        sat_row = []
-        unk_row = []
-        for i in range(n):
-            lo = x[s][i]
-            hi = lo + u[s][i]
-            if interval.contains_range(lo, hi):
-                sat_row.append(ONE)
-                unk_row.append(ZERO)
-            elif interval.disjoint_from_range(lo, hi):
-                sat_row.append(ZERO)
-                unk_row.append(ZERO)
-            else:
-                sat_row.append(ZERO)
-                unk_row.append(ONE)
-        sat[s] = sat_row
-        unknown[s] = unk_row
-    return sat, unknown
+def _decide(interval: Interval, lo, hi) -> str:
+    """Three-valued threshold of a value known to lie in [lo, hi]."""
+    if interval.contains_range(lo, hi):
+        return SAT
+    if interval.disjoint_from_range(lo, hi):
+        return VIOLATED
+    return UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -479,46 +339,35 @@ class SatEntry:
         return all(self.lo[s] == self.hi[s] for s in self.lo)
 
 
-def _path_interval(dense: DenseModel, path, sat_of, epsilon, max_depth, depth_cap=None):
-    """Per-state value intervals [lo, hi] for a path formula."""
+def _path_interval(
+    dense: DenseModel, path, sat_of, epsilon, max_depth, bound=None, weights=None
+):
+    """Per-state value intervals [lo, hi] for a path formula.
+
+    ``bound`` and ``weights`` apply to an unbounded until, as in
+    _family_until_run.  Undecided operands bracket the value between a run
+    on their definite and one on their possible satisfaction sets.
+    """
     if isinstance(path, Next):
         entry = sat_of(path.operand)
-        lo = _next_vectors(dense, entry.lo)
-        hi = _next_vectors(dense, entry.hi)
-        return lo, hi, 0
-    if isinstance(path, Until):
-        e1 = sat_of(path.left)
-        e2 = sat_of(path.right)
-        if path.bound is not None:
-            lo = bounded_until_vectors(dense, e1.lo, e2.lo, path.bound)
-            if e1.decided() and e2.decided():
-                hi = lo
-            else:
-                hi = bounded_until_vectors(dense, e1.hi, e2.hi, path.bound)
-            return lo, hi, path.bound
-    if isinstance(path, Until):
-        e1 = sat_of(path.left)
-        e2 = sat_of(path.right)
-        kwargs = (
-            {"bound": depth_cap} if depth_cap is not None else {"epsilon": epsilon}
+        return _next_vectors(dense, entry.lo), _next_vectors(dense, entry.hi)
+    if not isinstance(path, Until):
+        raise UnsupportedPropertyError(f"unknown path formula {path!r}")
+    e1 = sat_of(path.left)
+    e2 = sat_of(path.right)
+    decided = e1.decided() and e2.decided()
+    if path.bound is not None:
+        lo = bounded_until_vectors(dense, e1.lo, e2.lo, path.bound)
+        hi = lo if decided else bounded_until_vectors(dense, e1.hi, e2.hi, path.bound)
+        return lo, hi
+    lo, hi = _family_until_run(
+        dense, e1.lo, e2.lo, epsilon, bound, max_depth, weights
+    )
+    if not decided:
+        _, hi = _family_until_run(
+            dense, e1.hi, e2.hi, epsilon, bound, max_depth, weights
         )
-        x_lo, u_lo, k1 = until_lower_approx(
-            dense, e1.lo, e2.lo, max_depth=max_depth, **kwargs
-        )
-        if e1.decided() and e2.decided():
-            hi = {
-                s: [x_lo[s][i] + u_lo[s][i] for i in range(dense.n)]
-                for s in dense.states
-            }
-            return x_lo, hi, k1
-        x_hi, u_hi, _ = until_lower_approx(
-            dense, e1.hi, e2.hi, max_depth=max_depth, **kwargs
-        )
-        hi = {
-            s: [x_hi[s][i] + u_hi[s][i] for i in range(dense.n)] for s in dense.states
-        }
-        return x_lo, hi, k1
-    raise UnsupportedPropertyError(f"unknown path formula {path!r}")
+    return lo, hi
 
 
 def sat_states(
@@ -569,25 +418,21 @@ def sat_states(
                 raise UnsupportedPropertyError(
                     "quantitative operator is only allowed at the top level"
                 )
-            lo, hi, _ = _path_interval(dense, node.path, sat_of, epsilon, max_depth)
-            sat_lo = {}
-            sat_hi = {}
-            for s in dense.states:
-                lo_row = []
-                hi_row = []
-                for i in range(dense.n):
-                    if node.interval.contains_range(lo[s][i], hi[s][i]):
-                        lo_row.append(ONE)
-                        hi_row.append(ONE)
-                    elif node.interval.disjoint_from_range(lo[s][i], hi[s][i]):
-                        lo_row.append(ZERO)
-                        hi_row.append(ZERO)
-                    else:
-                        lo_row.append(ZERO)
-                        hi_row.append(ONE)
-                sat_lo[s] = lo_row
-                sat_hi[s] = hi_row
-            entry = SatEntry(sat_lo, sat_hi)
+            lo, hi = _path_interval(dense, node.path, sat_of, epsilon, max_depth)
+            decisions = {
+                s: [_decide(node.interval, a, b) for a, b in zip(lo[s], hi[s])]
+                for s in dense.states
+            }
+            entry = SatEntry(
+                {
+                    s: [ONE if d == SAT else ZERO for d in row]
+                    for s, row in decisions.items()
+                },
+                {
+                    s: [ZERO if d == VIOLATED else ONE for d in row]
+                    for s, row in decisions.items()
+                },
+            )
         else:
             raise UnsupportedPropertyError(f"unknown state formula {node!r}")
         entries[node] = entry
@@ -595,86 +440,6 @@ def sat_states(
 
     sat_of(formula)
     return entries
-
-
-# ---------------------------------------------------------------------------
-# Profile-facing wrappers
-# ---------------------------------------------------------------------------
-
-
-def _as_dense_model(model) -> DenseModel:
-    return model if isinstance(model, DenseModel) else DenseModel(model)
-
-
-def _decided_indicators(dense: DenseModel, formula: StateFormula, epsilon=None):
-    entry = sat_states(dense, formula, epsilon)[formula]
-    if not entry.decided():
-        raise UnsupportedPropertyError(
-            f"operand {formula} stayed undecided at this precision"
-        )
-    return entry.lo
-
-
-def _wrap_profiles(dense: DenseModel, vectors) -> dict[State, DenseProfile]:
-    return {
-        s: DenseProfile(dense.model.diagram, vectors[s]) for s in dense.states
-    }
-
-
-def next_profiles(model, formula: StateFormula, epsilon=None) -> dict[State, DenseProfile]:
-    """Per-state profiles of the one-step probability of reaching the
-    operand's satisfaction set."""
-    dense = _as_dense_model(model)
-    sat = _decided_indicators(dense, formula, epsilon)
-    return _wrap_profiles(dense, _next_vectors(dense, sat))
-
-
-def bounded_until_profiles(
-    model, left: StateFormula, right: StateFormula, bound: int, epsilon=None
-) -> dict[State, DenseProfile]:
-    """Per-state profiles after exactly ``bound`` recurrence phases."""
-    dense = _as_dense_model(model)
-    sat1 = _decided_indicators(dense, left, epsilon)
-    sat2 = _decided_indicators(dense, right, epsilon)
-    return _wrap_profiles(dense, bounded_until_vectors(dense, sat1, sat2, bound))
-
-
-def until_approx_profiles(
-    model,
-    left: StateFormula,
-    right: StateFormula,
-    epsilon=None,
-    bound: int | None = None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-):
-    """Lower approximation plus undecided mass as per-state profiles."""
-    dense = _as_dense_model(model)
-    sat1 = _decided_indicators(dense, left)
-    sat2 = _decided_indicators(dense, right)
-    x, u, k = until_lower_approx(
-        dense, sat1, sat2, epsilon=epsilon, bound=bound, max_depth=max_depth
-    )
-    return _wrap_profiles(dense, x), _wrap_profiles(dense, u), k
-
-
-def threshold(x: Mapping, undecided: Mapping, interval: Interval):
-    """Three-valued threshold decision over per-state profiles.
-
-    Returns (satisfied, unknown) indicator profiles per state: satisfied
-    where the whole interval [x, x+undecided] sits inside the bound,
-    unknown where it straddles the boundary.
-    """
-    states = list(x)
-    some = x[states[0]]
-    diagram = some.diagram
-    n = len(some.dense_values())
-    x_vec = {s: list(x[s].dense_values()) for s in states}
-    u_vec = {s: list(undecided[s].dense_values()) for s in states}
-    sat, unk = threshold_vectors(x_vec, u_vec, interval, states, n)
-    return (
-        {s: DenseProfile(diagram, sat[s]) for s in states},
-        {s: DenseProfile(diagram, unk[s]) for s in states},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -860,22 +625,9 @@ def check_family_bounded(
                     sat_cache.update(sat_states(dense, node, eps, max_depth))
                 return sat_cache[node]
 
-            path = prop.path
-            if (
-                isinstance(path, Until)
-                and path.bound is None
-                and bound is None
-                and sat_of(path.left).decided()
-                and sat_of(path.right).decided()
-            ):
-                return _family_until_run(
-                    dense,
-                    sat_of(path.left).lo,
-                    sat_of(path.right).lo,
-                    eps,
-                    max_depth,
-                )
-            lo, hi, _ = _path_interval(dense, path, sat_of, eps, max_depth, bound)
+            lo, hi = _path_interval(
+                dense, prop.path, sat_of, eps, max_depth, bound, dense.init
+            )
             return _aggregate_init(dense, lo), _aggregate_init(dense, hi)
 
         lo, hi = compute(epsilon)
@@ -890,12 +642,8 @@ def check_family_bounded(
         while True:
             unknowns = []
             for i, product in enumerate(products):
-                if prop.interval.contains_range(lo[i], hi[i]):
-                    decision = SAT
-                elif prop.interval.disjoint_from_range(lo[i], hi[i]):
-                    decision = VIOLATED
-                else:
-                    decision = UNKNOWN
+                decision = _decide(prop.interval, lo[i], hi[i])
+                if decision == UNKNOWN:
                     unknowns.append(product)
                 half = (hi[i] - lo[i]) / 2
                 result.outcomes[product] = ProductOutcome(
@@ -905,7 +653,7 @@ def check_family_bounded(
                 if unknowns:
                     result.warnings.append(
                         f"{len(unknowns)} products stayed unknown at precision "
-                        f"{epsilon}/10"
+                        f"{epsilon / 10}"
                     )
                 return finish()
             deepened = True

@@ -10,9 +10,9 @@ from featmc import bundled_model_path, load_model
 from featmc.dsl import build_model, parse_model_file, print_model_file
 from featmc.engines.bounded import (
     DenseModel,
+    _family_until_run,
     check_family_bounded,
     sat_states,
-    until_lower_approx,
 )
 from featmc.engines.enumerative import (
     check_family_enumerative,
@@ -203,10 +203,11 @@ def _values(m):
 
 
 def test_criterion_5_bounded_search_soundness():
-    """On the criterion-3 corpus: the lower approximation is monotone in the
-    depth and the exact value stays inside [x, x+undecided] at every depth."""
+    """On the criterion-3 corpus: the exact value stays inside [lo, hi] after
+    every sweep, lo never decreases and hi never increases."""
     violations = 0
     models = 0
+    sweeps = 0
     for seed, model, prop_text in _corpus(200):
         if "U" not in prop_text and "F" not in prop_text:
             continue
@@ -225,26 +226,34 @@ def test_criterion_5_bounded_search_soundness():
             exact[idx] = until_values(dtmc, s1, s2)
         snapshots = []
 
-        def record(k, x, u):
+        def record(sweep, lo, hi):
             snapshots.append(
                 (
-                    {s: list(r) for s, r in x.items()},
-                    {s: list(r) for s, r in u.items()},
+                    {s: list(r) for s, r in lo.items()},
+                    {s: list(r) for s, r in hi.items()},
                 )
             )
 
-        until_lower_approx(dense, sat1, sat2, epsilon=EPS, observer=record)
+        _family_until_run(dense, sat1, sat2, epsilon=EPS, observer=record)
+        sweeps += len(snapshots)
         previous = None
-        for x, u in snapshots:
+        for lo, hi in snapshots:
             for s in model.states:
                 for idx in exact:
                     value = exact[idx][s]
-                    if not (x[s][idx] <= value <= x[s][idx] + u[s][idx]):
+                    if not (lo[s][idx] <= value <= hi[s][idx]):
                         violations += 1
-                    if previous is not None and previous[s][idx] > x[s][idx]:
+                    if previous is not None and (
+                        previous[0][s][idx] > lo[s][idx]
+                        or previous[1][s][idx] < hi[s][idx]
+                    ):
                         violations += 1
-            previous = x
-    _report(5, violations == 0, f"{models} until runs, {violations} violations")
+            previous = (lo, hi)
+    _report(
+        5,
+        violations == 0,
+        f"{models} until runs, {sweeps} sweeps, {violations} violations",
+    )
 
 
 def test_criterion_6_scaling_trend():

@@ -4,14 +4,12 @@ import pytest
 
 from featmc.engines.bounded import (
     DenseModel,
-    bounded_until_profiles,
+    _decide,
+    _family_until_run,
+    _next_vectors,
     bounded_until_vectors,
     check_family_bounded,
-    next_profiles,
     sat_states,
-    threshold,
-    until_approx_profiles,
-    until_lower_approx,
 )
 from featmc.engines.enumerative import (
     bounded_until_values,
@@ -31,6 +29,25 @@ from conftest import random_fdtmc
 
 def _indicators(dense, formula):
     return sat_states(dense, formula)[formula].lo
+
+
+def _next(model, formula):
+    dense = DenseModel(model)
+    return _next_vectors(dense, _indicators(dense, formula))
+
+
+def _bounded_until(model, left, right, bound):
+    dense = DenseModel(model)
+    return bounded_until_vectors(
+        dense, _indicators(dense, left), _indicators(dense, right), bound
+    )
+
+
+def _until(model, left, right, **kwargs):
+    dense = DenseModel(model)
+    return _family_until_run(
+        dense, _indicators(dense, left), _indicators(dense, right), **kwargs
+    )
 
 
 class TestSatStates:
@@ -61,19 +78,17 @@ class TestSatStates:
 
 class TestNext:
     def test_true_gives_one_by_the_axiom(self, wiper):
-        dense = DenseModel(wiper.system)
-        profiles = next_profiles(wiper.system, TRUE_F)
-        for s in dense.states:
-            assert all(v == 1 for v in profiles[s].dense_values())
+        vectors = _next(wiper.system, TRUE_F)
+        for s in wiper.system.states:
+            assert all(v == 1 for v in vectors[s])
 
     def test_minepump_methane_step(self, minepump):
-        profiles = next_profiles(minepump.system, Atom("methane"))
+        vectors = _next(minepump.system, Atom("methane"))
         init = next(iter(minepump.system.init))
-        assert set(profiles[init].dense_values()) == {rational("0.125")}
+        assert set(vectors[init]) == {rational("0.125")}
 
     def test_wiper_fast_profile(self, wiper):
-        profiles = next_profiles(wiper.system, Atom("fastmode"))
-        values = profiles["off"].dense_values()
+        values = _next(wiper.system, Atom("fastmode"))["off"]
         products = wiper.diagram.valid_products()
         for p, v in zip(products, values):
             if not p["spd2"]:
@@ -86,17 +101,17 @@ class TestNext:
 
 class TestBoundedUntil:
     def test_zero_steps_is_target_indicator(self, wiper):
-        profiles = bounded_until_profiles(wiper.system, TRUE_F, Atom("end"), 0)
+        vectors = _bounded_until(wiper.system, TRUE_F, Atom("end"), 0)
         for s in wiper.system.states:
             expected = ONE if s == "end" else ZERO
-            assert all(v == expected for v in profiles[s].dense_values())
+            assert all(v == expected for v in vectors[s])
 
     def test_wiper_two_steps_from_on_is_constant(self, wiper):
-        profiles = bounded_until_profiles(wiper.system, TRUE_F, Atom("end"), 2)
+        vectors = _bounded_until(wiper.system, TRUE_F, Atom("end"), 2)
         # one step out of a wiping state ends with 0.2; two steps add
         # (alpha+beta) * 0.2 = 0.8 * 0.2 for every product
-        assert set(profiles["on"].dense_values()) == {rational("0.36")}
-        assert set(profiles["off"].dense_values()) == {rational("0.16")}
+        assert set(vectors["on"]) == {rational("0.36")}
+        assert set(vectors["off"]) == {rational("0.16")}
 
     def test_matches_per_product_iteration(self):
         rng = random.Random(21)
@@ -113,18 +128,6 @@ class TestBoundedUntil:
                 )
                 for s in m.states:
                     assert x[s][idx] == expected[s]
-
-    def test_frontier_pruning_is_pure_optimization(self):
-        rng = random.Random(22)
-        for _ in range(10):
-            m = random_fdtmc(rng, max_states=6, max_features=2)
-            dense = DenseModel(m)
-            sat1 = _indicators(dense, TRUE_F)
-            sat2 = _indicators(dense, Atom("a"))
-            for bound in (1, 3, 6):
-                with_frontier = bounded_until_vectors(dense, sat1, sat2, bound, True)
-                without = bounded_until_vectors(dense, sat1, sat2, bound, False)
-                assert with_frontier == without
 
 
 class TestLowerApprox:
@@ -148,17 +151,11 @@ class TestLowerApprox:
             ("goal",),
             {"goal": ("goal",)},
         )
-        dense = DenseModel(m)
-        x, u, k = until_lower_approx(
-            dense,
-            _indicators(dense, TRUE_F),
-            _indicators(dense, Atom("goal")),
-            epsilon=rational("1e-6"),
-        )
+        lo, hi = _until(m, TRUE_F, Atom("goal"), epsilon=rational("1e-6"))
         off = m.diagram.valid_products()[0]
         idx = m.diagram.product_index(off)
-        assert x["s"][idx] == 0
-        assert u["s"][idx] == 0
+        assert lo["s"][idx] == 0
+        assert hi["s"][idx] == 0
 
     def test_acyclic_model_is_exact_at_depth(self):
         d = FeatureDiagram(("f",))
@@ -181,22 +178,17 @@ class TestLowerApprox:
             ("goal",),
             {"goal": ("goal",)},
         )
-        x, u, k = until_approx_profiles(m, TRUE_F, Atom("goal"), epsilon=rational("1e-9"))
+        lo, hi = _until(m, TRUE_F, Atom("goal"), epsilon=rational("1e-9"))
         enum = check_family_enumerative(m, "P=?(F goal)")
-        for p in m.diagram.valid_products():
+        for idx, p in enumerate(m.diagram.valid_products()):
             exact = enum.outcomes[p].value
-            lo = x["a"].evaluate(p)
-            hi = lo + u["a"].evaluate(p)
-            assert lo <= exact <= hi
-            assert hi - lo < rational("1e-8")
+            assert lo["a"][idx] <= exact <= hi["a"][idx]
+            assert hi["a"][idx] - lo["a"][idx] < rational("1e-8")
 
     def test_monotone_and_sound_at_every_depth(self):
         rng = random.Random(31)
         for _ in range(15):
             m = random_fdtmc(rng, max_states=6, max_features=3)
-            dense = DenseModel(m)
-            sat1 = _indicators(dense, TRUE_F)
-            sat2 = _indicators(dense, Atom("a"))
             exact_by_product = {}
             for idx, p in enumerate(m.diagram.valid_products()):
                 dtmc = project(m, p)
@@ -205,24 +197,24 @@ class TestLowerApprox:
                 )
             history = []
 
-            def record(k, x, u):
+            def record(sweep, lo, hi):
                 history.append(
-                    ({s: list(row) for s, row in x.items()},
-                     {s: list(row) for s, row in u.items()})
+                    ({s: list(row) for s, row in lo.items()},
+                     {s: list(row) for s, row in hi.items()})
                 )
 
-            until_lower_approx(
-                dense, sat1, sat2, epsilon=rational("1e-4"), observer=record
-            )
+            _until(m, TRUE_F, Atom("a"), epsilon=rational("1e-4"), observer=record)
+            assert history
             previous = None
-            for x, u in history:
+            for lo, hi in history:
                 for s in m.states:
                     for idx in exact_by_product:
                         exact = exact_by_product[idx][s]
-                        assert x[s][idx] <= exact <= x[s][idx] + u[s][idx]
+                        assert lo[s][idx] <= exact <= hi[s][idx]
                         if previous is not None:
-                            assert previous[0][s][idx] <= x[s][idx]
-                previous = (x, u)
+                            assert previous[0][s][idx] <= lo[s][idx]
+                            assert hi[s][idx] <= previous[1][s][idx]
+                previous = (lo, hi)
 
     def test_single_product_equals_classical_iteration(self):
         rng = random.Random(41)
@@ -238,60 +230,45 @@ class TestLowerApprox:
             m.ap,
             m.labels,
         )
-        dense = DenseModel(frozen)
-        sat1 = _indicators(dense, TRUE_F)
-        sat2 = _indicators(dense, Atom("a"))
         dtmc = project(frozen, d0.valid_products()[0])
         steps = {}
 
-        def record(k, x, u):
-            steps[k] = {s: x[s][0] for s in frozen.states}
+        def record(sweep, lo, hi):
+            steps[sweep] = {s: lo[s][0] for s in frozen.states}
 
-        until_lower_approx(dense, sat1, sat2, bound=5, observer=record)
+        _until(frozen, TRUE_F, Atom("a"), bound=5, observer=record)
+        assert sorted(steps) == [1, 2, 3, 4, 5]
         for k, snapshot in steps.items():
             classical = bounded_until_values(
                 dtmc, set(dtmc.states), dtmc.states_with("a"), k
             )
             for s in frozen.states:
+                # a successors-first sweep is at least one classical step
                 assert snapshot[s] >= classical[s]
-                # with synchronous phases the frontier never lags behind
-                assert snapshot[s] == classical[s]
 
 
 class TestThreshold:
     def test_no_undecided_reduces_to_two_valued(self, wiper):
-        x, u, _ = until_approx_profiles(
-            wiper.system, TRUE_F, Atom("end"), epsilon=rational("1e-4")
-        )
-        zero_u = {s: constant(ZERO, wiper.diagram) for s in wiper.system.states}
-        sat, unknown = threshold(x, zero_u, Interval(ZERO, rational("0.5")))
+        lo, _ = _until(wiper.system, TRUE_F, Atom("end"), epsilon=rational("1e-4"))
+        interval = Interval(ZERO, rational("0.5"))
         for s in wiper.system.states:
-            assert all(v == 0 for v in unknown[s].dense_values())
+            assert all(_decide(interval, v, v) != UNKNOWN for v in lo[s])
 
     def test_full_interval_always_satisfied(self, wiper):
-        x, u, _ = until_approx_profiles(
-            wiper.system, TRUE_F, Atom("end"), epsilon=rational("1e-4")
-        )
-        sat, unknown = threshold(x, u, Interval(ZERO, ONE))
+        lo, hi = _until(wiper.system, TRUE_F, Atom("end"), epsilon=rational("1e-4"))
         for s in wiper.system.states:
-            assert all(v == 1 for v in sat[s].dense_values())
-            assert all(v == 0 for v in unknown[s].dense_values())
+            assert all(
+                _decide(Interval(ZERO, ONE), a, b) == SAT for a, b in zip(lo[s], hi[s])
+            )
 
     def test_interval_containment_decides(self):
-        d = FeatureDiagram(())
-        x = {"s": constant(rational("0.095"), d)}
-        u = {"s": constant(rational("0.002"), d)}
-        sat, unknown = threshold(x, u, Interval(ZERO, rational("0.1"), upper_strict=True))
-        assert sat["s"].dense_values() == (ONE,)
-        assert unknown["s"].dense_values() == (ZERO,)
+        interval = Interval(ZERO, rational("0.1"), upper_strict=True)
+        assert _decide(interval, rational("0.095"), rational("0.097")) == SAT
+        assert _decide(interval, rational("0.1"), rational("0.2")) == VIOLATED
 
     def test_straddling_interval_is_unknown(self):
-        d = FeatureDiagram(())
-        x = {"s": constant(rational("0.099"), d)}
-        u = {"s": constant(rational("0.002"), d)}
-        sat, unknown = threshold(x, u, Interval(ZERO, rational("0.1"), upper_strict=True))
-        assert sat["s"].dense_values() == (ZERO,)
-        assert unknown["s"].dense_values() == (ONE,)
+        interval = Interval(ZERO, rational("0.1"), upper_strict=True)
+        assert _decide(interval, rational("0.099"), rational("0.101")) == UNKNOWN
 
 
 class TestFamilyBounded:
@@ -340,6 +317,15 @@ class TestFamilyBounded:
         decisions = {str(p): o.decision for p, o in result.outcomes.items()}
         assert decisions == {"{f}": SAT, "{}": VIOLATED}
 
+    def test_deepening_warning_names_the_precision_used(self, wiper):
+        # one sweep cannot separate F end (value 1) from the bound, so the
+        # retry at a tenth of the precision leaves every product unknown
+        result = check_family_bounded(
+            wiper.system, "P[>=0.8](F end)", epsilon=rational("1/1000"), bound=1
+        )
+        assert len(result.unknown_products) == 8
+        assert result.warnings == ["8 products stayed unknown at precision 1/10000"]
+
     def test_binding_error_on_unknown_atom(self, wiper):
         with pytest.raises(PropertyBindingError):
             check_family_bounded(wiper.system, "P=?(F nonsense)")
@@ -384,6 +370,29 @@ class TestFamilyBounded:
         assert result.outcomes[without].value == 1
 
 
+class TestNestedOperators:
+    PROPERTIES = (
+        "P[>=0.5](F P[<0.3](X a))",
+        "P[<0.5](b U P[>0.2](F a))",
+        "P=?(F P[>=0.5](a U<=2 b))",
+        "P[>0.1](X !P[<0.5](F a))",
+    )
+
+    def test_agree_with_enumerative(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            m = random_fdtmc(rng, max_states=6, max_features=3)
+            for prop in self.PROPERTIES:
+                enum = check_family_enumerative(m, prop)
+                bounded = check_family_bounded(m, prop, epsilon=rational("1e-3"))
+                for p, expected in enum.outcomes.items():
+                    o = bounded.outcomes[p]
+                    assert o.value - o.error_bound <= expected.value
+                    assert expected.value <= o.value + o.error_bound
+                    if o.decision != UNKNOWN:
+                        assert o.decision == expected.decision, (prop, str(p))
+
+
 class TestConvergenceCeiling:
     def test_depth_ceiling_reports_worst_mass(self):
         from featmc.errors import ConvergenceError
@@ -402,11 +411,6 @@ class TestConvergenceCeiling:
             ("goal",),
             {"goal": ("goal",)},
         )
-        dense = DenseModel(m)
-        sat1 = _indicators(dense, TRUE_F)
-        sat2 = _indicators(dense, Atom("goal"))
         with pytest.raises(ConvergenceError) as err:
-            until_lower_approx(
-                dense, sat1, sat2, epsilon=rational("1e-9"), max_depth=10
-            )
+            _until(m, TRUE_F, Atom("goal"), epsilon=rational("1e-9"), max_depth=10)
         assert err.value.worst_undecided > 0
