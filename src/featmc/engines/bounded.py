@@ -13,10 +13,17 @@ as decided from the start).  The exact value always lies in ``[lo, hi]``;
 ``hi - lo`` is the undecided path mass, and a product stops being iterated
 once it is below the requested precision.  Threshold operators are decided
 three-valuedly on that interval.
+
+The iteration runs on Python integers over a common denominator ``2**bits``
+whose size follows from the precision, with outward rounding: probabilities
+and sums are rounded down for ``lo`` and up for ``hi``, so the certificate
+is as sound as an exact-rational iteration and the bounds handed back are
+exact rationals.  Step-bounded until, next and expected reward stay exact.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -35,6 +42,7 @@ from ..properties import (
     RewardQuery,
     StateFormula,
     Until,
+    parse_tree,
     print_property,
 )
 from ..rational import INFINITY, ONE, ZERO, rational
@@ -206,13 +214,18 @@ def _family_until_run(
     and hi never increases.  States are swept with successors first so mass
     propagates across whole chains per sweep.
 
+    Values are integers over ``2**bits`` (``bits`` from ``epsilon``, 64
+    without one) rounded outward, down for lo and up for hi, so each stays
+    on its side of the exact operator applied to the old value.
+
     With ``bound`` exactly that many sweeps run.  Otherwise a product stops
     being updated once its interval is narrower than ``epsilon``: the
     interval aggregated under ``weights`` (state -> weight, the initial
     distribution of a top-level query), or at every state when ``weights``
-    is None.  A product still wider after ``max_depth`` sweeps raises
-    ConvergenceError.  ``observer(sweep, lo, hi)`` sees the live vectors
-    after every sweep.
+    is None.  A product still wider after ``max_depth`` sweeps, or after a
+    sweep that moved none of its bounds (rounding has stalled), raises
+    ConvergenceError.  ``observer(sweep, lo, hi)`` sees the vectors as
+    rationals after every sweep.
 
     Returns per-state (lo, hi).
     """
@@ -220,16 +233,21 @@ def _family_until_run(
     states = list(dense.states)
     index = {s: i for i, s in enumerate(states)}
     can = can_reach_vectors(dense, sat1, sat2)
-    lo = {}
-    hi = {}
-    conform = {}
-    for s in states:
-        conform[s] = [sat1[s][i] != 0 and sat2[s][i] == 0 for i in range(n)]
-        lo[s] = [ONE if sat2[s][i] != 0 else ZERO for i in range(n)]
-        hi[s] = [
-            ONE if (sat2[s][i] != 0 or (conform[s][i] and can[s][i])) else ZERO
-            for i in range(n)
+    if epsilon is None:
+        bits = 64
+    else:
+        eps_num, eps_den = int(epsilon.numerator), int(epsilon.denominator)
+        bits = 2 * ((eps_den // eps_num).bit_length() + 1) + 32
+    full = 1 << bits
+    # lo[i][k], hi[i][k]: product i at state states[k], scaled by 2**bits
+    lo = [[full if sat2[s][i] != 0 else 0 for s in states] for i in range(n)]
+    hi = [
+        [
+            full if sat2[s][i] != 0 or (sat1[s][i] != 0 and can[s][i]) else 0
+            for s in states
         ]
+        for i in range(n)
+    ]
     # sweep order: successors before predecessors (DFS post-order over the
     # edge graph, cycles broken at back edges) so one sweep pushes values
     # across whole chains instead of one step
@@ -255,63 +273,79 @@ def _family_until_run(
                 post_order.append(node)
                 stack.pop()
     rank = {s: i for i, s in enumerate(post_order)}
-    # only states conforming for some product ever change
-    order = sorted(
-        (s for s in states if any(conform[s])),
-        key=lambda s: (rank[s], index[s]),
-    )
-    weight_items = None if weights is None else list(weights.items())
+    # per product, the states that conform for it (the only ones that ever
+    # change) in sweep order, each with its nonzero out-edges as (successor,
+    # probability rounded down, probability rounded up)
+    rows = [[] for _ in range(n)]
+    for s in sorted(states, key=lambda s: (rank[s], index[s])):
+        edges = []
+        for t, vec in dense.edges[s]:
+            pairs = [divmod(int(v.numerator) << bits, int(v.denominator)) for v in vec]
+            edges.append((index[t], [(q, q + (r > 0)) for q, r in pairs]))
+        for i in range(n):
+            if sat1[s][i] != 0 and sat2[s][i] == 0:
+                succ = [(t, *rounded[i]) for t, rounded in edges if rounded[i][1]]
+                rows[i].append((index[s], succ))
+    # width of product i is gap(i) / denom
+    if weights is None:
+        denom = full
 
-    def width(i):
-        if weight_items is None:
-            return max((hi[s][i] - lo[s][i] for s in order), default=ZERO)
-        lo_total = ZERO
-        hi_total = ZERO
-        for s, weight in weight_items:
-            lo_total += weight * lo[s][i]
-            hi_total += weight * hi[s][i]
-        return hi_total - lo_total
+        def gap(i):
+            return max((hi[i][k] - lo[i][k] for k, _ in rows[i]), default=0)
+
+    else:
+        denom = math.lcm(*(int(w.denominator) for w in weights.values()))
+        weight_items = [(index[s], int(w * denom)) for s, w in weights.items()]
+        denom <<= bits
+
+        def gap(i):
+            return sum(w * (hi[i][k] - lo[i][k]) for k, w in weight_items)
+
+    def as_rationals(values):
+        return {
+            s: [rational(values[i][k], full) for i in range(n)]
+            for k, s in enumerate(states)
+        }
 
     active = list(range(n))
     for sweep in range(1, (max_depth if bound is None else bound) + 1):
-        for s in order:
-            conf = conform[s]
-            lo_row = lo[s]
-            hi_row = hi[s]
-            acc_lo = [ZERO] * n
-            acc_hi = [ZERO] * n
-            for t, vec in dense.edges[s]:
-                lt = lo[t]
-                ht = hi[t]
-                for i in active:
-                    v = vec[i]
-                    if v != 0:
-                        if lt[i] != 0:
-                            acc_lo[i] += v * lt[i]
-                        if ht[i] != 0:
-                            acc_hi[i] += v * ht[i]
-            for i in active:
-                if not conf[i]:
-                    continue
-                if acc_lo[i] > lo_row[i]:
-                    lo_row[i] = acc_lo[i]
-                if acc_hi[i] < hi_row[i]:
-                    hi_row[i] = acc_hi[i]
+        stalled = set()
+        for i in active:
+            lo_i = lo[i]
+            hi_i = hi[i]
+            moved = False
+            for k, succ in rows[i]:
+                acc_lo = 0
+                acc_hi = 0
+                for t, down, up in succ:
+                    acc_lo += down * lo_i[t]
+                    acc_hi += up * hi_i[t]
+                acc_lo >>= bits
+                acc_hi = -(-acc_hi >> bits)
+                if acc_lo > lo_i[k]:
+                    lo_i[k] = acc_lo
+                    moved = True
+                if acc_hi < hi_i[k]:
+                    hi_i[k] = acc_hi
+                    moved = True
+            if not moved:
+                stalled.add(i)
         if observer is not None:
-            observer(sweep, lo, hi)
+            observer(sweep, as_rationals(lo), as_rationals(hi))
         if bound is None:
-            active = [i for i in active if width(i) >= epsilon]
+            active = [i for i in active if gap(i) * eps_den >= eps_num * denom]
             if not active:
                 break
-    else:
-        if bound is None:
-            worst = max(width(i) for i in active)
-            raise ConvergenceError(
-                f"no convergence after {max_depth} sweeps; worst undecided mass is "
-                f"{worst}",
-                worst_undecided=worst,
-            )
-    return lo, hi
+            # a sweep that moves nothing would move nothing ever after
+            stuck = [i for i in active if i in stalled]
+            if stuck or sweep == max_depth:
+                worst = rational(max(map(gap, stuck or active)), denom)
+                raise ConvergenceError(
+                    f"{'rounding stalled' if stuck else 'no convergence'} after "
+                    f"{sweep} sweeps at {bits} bits; worst undecided mass is {worst}",
+                    worst_undecided=worst,
+                )
+    return as_rationals(lo), as_rationals(hi)
 
 
 def _decide(interval: Interval, lo, hi) -> str:
@@ -587,6 +621,8 @@ def check_family_bounded(
         prop = parse_property(prop)
     bind_check(prop, model.ap)
     epsilon = rational("1/1000") if epsilon is None else epsilon
+    if epsilon <= 0:
+        raise ValueError(f"precision must be positive, got {epsilon}")
     started = time.perf_counter()
     dense = DenseModel(model)
     products = dense.products
@@ -638,7 +674,10 @@ def check_family_bounded(
                     product, value=lo[i] + half, error_bound=half
                 )
             return finish()
-        deepened = False
+        # under a fixed sweep count a finer precision only helps nested
+        # operators; without one the retry would repeat the same interval
+        retry = bound is None or any(isinstance(f, Prob) for f in parse_tree(prop)[:-1])
+        used = epsilon
         while True:
             unknowns = []
             for i, product in enumerate(products):
@@ -649,15 +688,14 @@ def check_family_bounded(
                 result.outcomes[product] = ProductOutcome(
                     product, value=lo[i] + half, decision=decision, error_bound=half
                 )
-            if not unknowns or deepened:
+            if not unknowns or not retry or used != epsilon:
                 if unknowns:
                     result.warnings.append(
-                        f"{len(unknowns)} products stayed unknown at precision "
-                        f"{epsilon / 10}"
+                        f"{len(unknowns)} products stayed unknown at precision {used}"
                     )
                 return finish()
-            deepened = True
-            lo, hi = compute(epsilon / 10)
+            used = epsilon / 10
+            lo, hi = compute(used)
 
     # state formula without a top probability operator: decide per product
     # at the initial states (every support state must satisfy it)

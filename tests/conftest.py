@@ -59,8 +59,10 @@ def random_fdtmc(
     max_features: int = 4,
     with_rewards: bool = False,
     propositions=("a", "b", "c"),
+    grain: int = 8,
 ) -> FDTMC:
-    """A random product-consistent FDTMC with guard-list profiles."""
+    """A random product-consistent FDTMC with guard-list profiles whose
+    probabilities are multiples of ``1/grain``."""
     n_states = rng.randint(2, max_states)
     n_features = rng.randint(1, max_features)
     features = [f"f{i}" for i in range(1, n_features + 1)]
@@ -72,7 +74,7 @@ def random_fdtmc(
         successors = rng.sample(states, rng.randint(1, min(3, n_states)))
         case_values = {t: [] for t in successors}
         for guard in classes:
-            dist = _random_distribution(rng, len(successors))
+            dist = _random_distribution(rng, len(successors), grain)
             for t, p in zip(successors, dist):
                 case_values[t].append((guard, p))
         for t, cases in case_values.items():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from featmc.dsl import build_model
 from featmc.engines.bounded import (
     DenseModel,
     _decide,
@@ -18,6 +19,7 @@ from featmc.engines.enumerative import (
 )
 from featmc.errors import PropertyBindingError
 from featmc.features import FeatureDiagram, Product, parse_feature_expression
+from featmc.generators import gen_failure_recovery, gen_service_provider
 from featmc.models import FDTMC, project
 from featmc.profiles import GuardedProfile, constant
 from featmc.properties import Atom, Interval, PAnd, PNot, TRUE_F, parse_property
@@ -318,13 +320,30 @@ class TestFamilyBounded:
         assert decisions == {"{f}": SAT, "{}": VIOLATED}
 
     def test_deepening_warning_names_the_precision_used(self, wiper):
-        # one sweep cannot separate F end (value 1) from the bound, so the
-        # retry at a tenth of the precision leaves every product unknown
+        # one sweep cannot separate F end (value 1) from the bound; with the
+        # sweep count fixed and no nested operator a finer precision changes
+        # nothing, so there is no retry
         result = check_family_bounded(
             wiper.system, "P[>=0.8](F end)", epsilon=rational("1/1000"), bound=1
         )
         assert len(result.unknown_products) == 8
+        assert result.warnings == ["8 products stayed unknown at precision 1/1000"]
+
+    def test_fixed_sweeps_still_retry_nested_operators(self, wiper):
+        # the nested operator runs to its precision whatever the bound, so a
+        # tenth of it can still decide more and the retry goes ahead
+        result = check_family_bounded(
+            wiper.system,
+            "P[>=0.8](F P[>=0.9](X end))",
+            epsilon=rational("1/1000"),
+            bound=1,
+        )
+        assert len(result.unknown_products) == 8
         assert result.warnings == ["8 products stayed unknown at precision 1/10000"]
+
+    def test_precision_must_be_positive(self, wiper):
+        with pytest.raises(ValueError):
+            check_family_bounded(wiper.system, "P=?(F end)", epsilon=ZERO)
 
     def test_binding_error_on_unknown_atom(self, wiper):
         with pytest.raises(PropertyBindingError):
@@ -391,6 +410,131 @@ class TestNestedOperators:
                     assert expected.value <= o.value + o.error_bound
                     if o.decision != UNKNOWN:
                         assert o.decision == expected.decision, (prop, str(p))
+
+
+class TestRounding:
+    """The kernel works on integers over 2**bits with outward rounding."""
+
+    def test_sound_after_every_sweep_with_non_dyadic_probabilities(self):
+        rng = random.Random(71)
+        checked = 0
+        for grain in (3, 7, 9, 21) * 5:
+            m = random_fdtmc(rng, max_states=6, max_features=3, grain=grain)
+            exact = {}
+            for idx, p in enumerate(m.diagram.valid_products()):
+                dtmc = project(m, p)
+                exact[idx] = until_values(dtmc, set(dtmc.states), dtmc.states_with("a"))
+            history = []
+            _until(
+                m,
+                TRUE_F,
+                Atom("a"),
+                epsilon=rational("1e-6"),
+                observer=lambda sweep, lo, hi: history.append((lo, hi)),
+            )
+            for lo, hi in history:
+                for s in m.states:
+                    for idx, values in exact.items():
+                        assert lo[s][idx] <= values[s] <= hi[s][idx]
+                        checked += 1
+        assert checked > 1000
+
+    def test_width_below_float_resolution(self):
+        d = FeatureDiagram(("f",))
+        third = rational(1, 3)
+        m = FDTMC(
+            ("a", "b", "goal", "sink"),
+            "a",
+            d,
+            {
+                ("a", "b"): constant(third, d),
+                ("a", "goal"): constant(1 - third, d),
+                ("b", "goal"): GuardedProfile(
+                    d, [(parse_feature_expression("f"), rational(1, 7))], rational(2, 9)
+                ),
+                ("b", "sink"): GuardedProfile(
+                    d, [(parse_feature_expression("f"), rational(6, 7))], rational(7, 9)
+                ),
+                ("goal", "goal"): constant(ONE, d),
+                ("sink", "sink"): constant(ONE, d),
+            },
+            ("goal",),
+            {"goal": ("goal",)},
+        )
+        epsilon = rational("1e-40")
+        lo, hi = _until(m, TRUE_F, Atom("goal"), epsilon=epsilon)
+        enum = check_family_enumerative(m, "P=?(F goal)")
+        for idx, p in enumerate(m.diagram.valid_products()):
+            exact = enum.outcomes[p].value
+            assert lo["a"][idx] <= exact <= hi["a"][idx]
+            assert hi["a"][idx] - lo["a"][idx] < epsilon
+
+    def test_bounds_are_backend_rationals(self, wiper):
+        for kwargs in ({"epsilon": rational("1e-4")}, {"bound": 3}):
+            lo, hi = _until(wiper.system, TRUE_F, Atom("end"), **kwargs)
+            for rows in (lo, hi):
+                for row in rows.values():
+                    assert all(type(v) is type(ONE) for v in row)
+
+    def test_stalled_rounding_raises_at_once(self):
+        from featmc.errors import ConvergenceError
+
+        d = FeatureDiagram(("f",))
+        # at epsilon 1/2 the escape probability rounds to 0 for lo and the
+        # loop to 1 for hi, so neither bound can move
+        escape = rational(1, 2**60)
+        m = FDTMC(
+            ("s", "goal"),
+            "s",
+            d,
+            {
+                ("s", "s"): constant(1 - escape, d),
+                ("s", "goal"): constant(escape, d),
+                ("goal", "goal"): constant(ONE, d),
+            },
+            ("goal",),
+            {"goal": ("goal",)},
+        )
+        sweeps = []
+        with pytest.raises(ConvergenceError) as err:
+            _until(
+                m,
+                TRUE_F,
+                Atom("goal"),
+                epsilon=rational(1, 2),
+                observer=lambda sweep, lo, hi: sweeps.append(sweep),
+            )
+        assert sweeps == [1]
+        assert err.value.worst_undecided == 1
+
+
+class TestCorpus:
+    """Every property of the bundled and of small generated models."""
+
+    @pytest.mark.parametrize("epsilon", ["1/1000", "1e-12"])
+    def test_bounded_brackets_enumerative(self, wiper, minepump, epsilon):
+        models = [
+            wiper,
+            minepump,
+            build_model(gen_service_provider(4)),
+            build_model(gen_failure_recovery(4)),
+        ]
+        checked = 0
+        for built in models:
+            for text in built.properties.values():
+                enum = check_family_enumerative(built.system, text)
+                bounded = check_family_bounded(
+                    built.system, text, epsilon=rational(epsilon)
+                )
+                for p, expected in enum.outcomes.items():
+                    o = bounded.outcomes[p]
+                    if expected.value is not None:
+                        assert o.value - o.error_bound <= expected.value
+                        assert expected.value <= o.value + o.error_bound
+                    if o.decision != UNKNOWN:
+                        assert o.decision == expected.decision, (text, str(p))
+                    checked += 1
+        assert checked > 100
 
 
 class TestConvergenceCeiling:
