@@ -2,10 +2,13 @@
 
 One exploration per product.  Each projected DTMC is checked with standard
 algorithms: graph precomputation of the certain-zero and certain-one state
-sets followed by an exact rational linear solve for unbounded until, plain
-iteration for bounded until, a single matrix-vector product for next.
-Expected rewards use the same precomputation and diverge to infinity on
-products that miss the target with positive probability.
+sets, then an exact solve of the remaining sparse system ``x = P·x + b`` by
+the state elimination the parametric engine also runs, with values
+back-substituted at every state; plain iteration for bounded until, a single
+matrix-vector product for next.  Expected rewards use the same
+precomputation, solve ``x = P·x + r`` the same way, and diverge to infinity
+on products that miss the target with positive probability.  Float mode runs
+the same systems by capped float64 Gauss-Seidel sweeps.
 """
 
 from __future__ import annotations
@@ -32,43 +35,9 @@ from ..properties import (
 from ..rational import INFINITY, ONE, ZERO
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
 from .bounded import DEFAULT_MAX_DEPTH
+from .elimination import EliminationGraph
 
 ENGINE_NAME = "enumerative"
-
-
-# ---------------------------------------------------------------------------
-# Exact linear algebra
-# ---------------------------------------------------------------------------
-
-
-def _pivot_weight(value) -> int:
-    """Smaller is better: prefer pivots with short numerator/denominator."""
-    num, den = value.numerator, value.denominator
-    return num.bit_length() + den.bit_length()
-
-
-def solve_linear(matrix: list[list], rhs: list) -> list:
-    """Gaussian elimination over exact rationals with pivot selection.
-
-    Raises ModelError on a singular system; for properly precomputed until
-    systems this cannot happen and acts as a guard assertion.
-    """
-    n = len(rhs)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        candidates = [r for r in range(col, n) if aug[r][col] != 0]
-        if not candidates:
-            raise ModelError("singular linear system in until/reward computation")
-        pivot_row = min(candidates, key=lambda r: _pivot_weight(aug[r][col]))
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        if pivot != 1:
-            aug[col] = [x / pivot for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -115,28 +84,6 @@ def until_state_partition(dtmc: DTMC, sat1: set, sat2: set):
     return zero, one, unknown
 
 
-def until_values(dtmc: DTMC, sat1: set, sat2: set) -> dict:
-    """Exact per-state probabilities of ``sat1 U sat2``."""
-    zero, one, unknown = until_state_partition(dtmc, sat1, sat2)
-    values = {s: ONE if s in one else ZERO for s in dtmc.states}
-    if unknown:
-        index = {s: i for i, s in enumerate(unknown)}
-        n = len(unknown)
-        matrix = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        rhs = [ZERO] * n
-        for s in unknown:
-            i = index[s]
-            for t, p in dtmc.out_edges(s):
-                if t in index:
-                    matrix[i][index[t]] -= p
-                elif t in one:
-                    rhs[i] += p
-        solution = solve_linear(matrix, rhs)
-        for s, i in index.items():
-            values[s] = solution[i]
-    return values
-
-
 def bounded_until_values(dtmc: DTMC, sat1: set, sat2: set, bound: int) -> dict:
     values = {s: ONE if s in sat2 else ZERO for s in dtmc.states}
     for _ in range(bound):
@@ -159,56 +106,77 @@ def next_values(dtmc: DTMC, sat: set) -> dict:
     }
 
 
-#: Residual threshold for the float64 value-iteration mode.
-FLOAT_CONVERGENCE = 1e-9
+# ---------------------------------------------------------------------------
+# Sink-shaped systems x = P·x + b
+# ---------------------------------------------------------------------------
+
+#: Node valued 1: the edges into it from a state carry that state's b.
+SINK = ("__sink__",)
 
 
-def _not_converged(residual: float) -> ConvergenceError:
-    return ConvergenceError(
-        f"float value iteration did not converge in {DEFAULT_MAX_DEPTH} sweeps "
-        f"(last residual {residual:.3g})",
-        residual=residual,
-    )
+def _closure(loop):
+    """1 / (1 - loop).  A loop of 1 with mass left to reroute makes the
+    system singular, which the precomputation rules out: a guard assertion."""
+    if loop == 1:
+        raise ModelError("singular linear system in until/reward computation")
+    return ONE / (ONE - loop)
 
 
-def until_values_float(dtmc: DTMC, sat1: set, sat2: set) -> dict:
-    """Float64 value iteration; the certain-zero/one precomputation keeps
-    the fixpoint unique so plain iteration converges.  Sweeps are capped at
-    the bounded engine's default depth."""
+def solve_linear(unknowns: list, rows: list) -> dict:
+    """Exact solution of ``x = P·x + b`` over ``unknowns``.
+
+    ``rows[i]`` lists the edges ``(state, value)`` of ``unknowns[i]``; its
+    edges into :data:`SINK` carry b.  Every unknown is eliminated and the
+    successor lists are back-substituted in reverse order.
+    """
+    graph = EliminationGraph(_closure)
+    for s, row in zip(unknowns, rows):
+        for t, p in row:
+            graph.add(s, t, p)
+    values = {SINK: ONE}
+    for v, out in reversed(list(graph.run(unknowns))):
+        values[v] = sum((p * values[t] for t, p in out), ZERO)
+    del values[SINK]
+    return values
+
+
+def _until_system(dtmc: DTMC, sat1: set, sat2: set):
+    """Values fixed by the partition (unknowns at 0), the unknown states,
+    and their rows: edges into certain-one states go to the sink."""
     zero, one, unknown = until_state_partition(dtmc, sat1, sat2)
-    values = {s: (1.0 if s in one else 0.0) for s in dtmc.states}
-    edges = {s: [(t, float(p)) for t, p in dtmc.out_edges(s)] for s in unknown}
-    for _ in range(DEFAULT_MAX_DEPTH):
-        delta = 0.0
-        for s in unknown:
-            new = sum(p * values[t] for t, p in edges[s])
-            delta = max(delta, abs(new - values[s]))
-            values[s] = new
-        if delta < FLOAT_CONVERGENCE:
-            return values
-    raise _not_converged(delta)
+    rows = [
+        [(SINK if t in one else t, p) for t, p in dtmc.out_edges(s) if t not in zero]
+        for s in unknown
+    ]
+    return {s: ONE if s in one else ZERO for s in dtmc.states}, unknown, rows
 
 
-def expected_reward_float(dtmc: DTMC, targets: set) -> dict:
+def _reward_system(dtmc: DTMC, targets: set):
+    """Like :func:`_until_system`; the unknowns are the non-target states
+    that reach the target almost surely, and the sink edge carries their
+    reward."""
+    if dtmc.rewards is None:
+        raise ModelError("model has no rewards")
     zero, one, unknown = until_state_partition(dtmc, set(dtmc.states), targets)
     finite = [s for s in dtmc.states if s in one and s not in targets]
-    values = {s: 0.0 for s in dtmc.states}
-    for s in dtmc.states:
-        if s not in one and s not in targets:
-            values[s] = INFINITY
-    edges = {s: [(t, float(p)) for t, p in dtmc.out_edges(s)] for s in finite}
-    rewards = {s: float(dtmc.rewards.get(s, ZERO)) for s in finite}
-    for _ in range(DEFAULT_MAX_DEPTH):
-        delta = 0.0
-        for s in finite:
-            new = rewards[s] + sum(
-                p * values[t] for t, p in edges[s] if values[t] != INFINITY
-            )
-            delta = max(delta, abs(new - values[s]))
-            values[s] = new
-        if delta < FLOAT_CONVERGENCE:
-            return values
-    raise _not_converged(delta)
+    inside = set(finite)
+    rows = [
+        [(t, p) for t, p in dtmc.out_edges(s) if t in inside]
+        + [(SINK, dtmc.rewards.get(s, ZERO))]
+        for s in finite
+    ]
+    return {s: ZERO if s in one else INFINITY for s in dtmc.states}, finite, rows
+
+
+def _solve_exact(values: dict, unknowns: list, rows: list) -> dict:
+    if unknowns:
+        values.update(solve_linear(unknowns, rows))
+    return values
+
+
+def until_values(dtmc: DTMC, sat1: set, sat2: set) -> dict:
+    """Exact per-state probabilities of ``sat1 U sat2``."""
+    return _solve_exact(*_until_system(dtmc, sat1, sat2))
 
 
 def expected_reward(dtmc: DTMC, targets: set) -> dict:
@@ -218,30 +186,42 @@ def expected_reward(dtmc: DTMC, targets: set) -> dict:
     target states earn nothing and stop accumulation.  States that miss the
     target with positive probability get infinity.
     """
-    if dtmc.rewards is None:
-        raise ModelError("model has no rewards")
-    zero, one, unknown = until_state_partition(dtmc, set(dtmc.states), targets)
-    finite = [s for s in dtmc.states if s in one and s not in targets]
-    values: dict = {}
-    for s in dtmc.states:
-        if s in targets:
-            values[s] = ZERO
-        elif s not in one:
-            values[s] = INFINITY
-    if finite:
-        index = {s: i for i, s in enumerate(finite)}
-        n = len(finite)
-        matrix = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        rhs = [dtmc.rewards.get(s, ZERO) for s in finite]
-        for s in finite:
-            i = index[s]
-            for t, p in dtmc.out_edges(s):
-                if t in index:
-                    matrix[i][index[t]] -= p
-        solution = solve_linear(matrix, rhs)
-        for s, i in index.items():
-            values[s] = solution[i]
-    return values
+    return _solve_exact(*_reward_system(dtmc, targets))
+
+
+#: Residual threshold for the float64 value-iteration mode.
+FLOAT_CONVERGENCE = 1e-9
+
+
+def _gauss_seidel(values: dict, unknowns: list, rows: list) -> dict:
+    """Float64 Gauss-Seidel sweeps over ``x = P·x + b`` in state order,
+    capped at the bounded engine's default depth.  The partition keeps the
+    fixpoint unique, so plain iteration converges."""
+    x = {s: float(v) for s, v in values.items()}
+    x[SINK] = 1.0
+    rows = [[(t, float(p)) for t, p in row if p] for row in rows]
+    for _ in range(DEFAULT_MAX_DEPTH):
+        delta = 0.0
+        for s, row in zip(unknowns, rows):
+            new = sum(p * x[t] for t, p in row)
+            delta = max(delta, abs(new - x[s]))
+            x[s] = new
+        if delta < FLOAT_CONVERGENCE:
+            del x[SINK]
+            return x
+    raise ConvergenceError(
+        f"float value iteration did not converge in {DEFAULT_MAX_DEPTH} sweeps "
+        f"(last residual {delta:.3g})",
+        residual=delta,
+    )
+
+
+def until_values_float(dtmc: DTMC, sat1: set, sat2: set) -> dict:
+    return _gauss_seidel(*_until_system(dtmc, sat1, sat2))
+
+
+def expected_reward_float(dtmc: DTMC, targets: set) -> dict:
+    return _gauss_seidel(*_reward_system(dtmc, targets))
 
 
 # ---------------------------------------------------------------------------

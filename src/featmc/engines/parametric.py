@@ -46,6 +46,7 @@ from ..properties import (
 )
 from ..rational import INFINITY, ONE, ZERO, rational
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
+from .elimination import EliminationGraph
 
 ENGINE_NAME = "parametric"
 
@@ -271,16 +272,8 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def const(cls, value) -> "RationalFunction":
-        return cls(MultilinearPolynomial.const(value))
-
-    @classmethod
-    def from_poly(cls, poly: MultilinearPolynomial) -> "RationalFunction":
-        return cls(poly)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         if self.num.is_zero():
@@ -353,60 +346,13 @@ _VIRTUAL_INIT = ("__init__",)
 _REWARD_SINK = ("__reward__",)
 
 
-class _EliminationGraph:
-    """Working graph for state elimination over probability functions.
-
-    Removing a node reroutes the mass through it to its successors,
-    multiplied by the geometric closure of its self-loop.
-    """
-
-    def __init__(self):
-        self.f: dict[tuple[State, State], RationalFunction] = {}
-        self.succ: dict[State, set[State]] = {}
-        self.pred: dict[State, set[State]] = {}
-
-    def add(self, s: State, t: State, f: RationalFunction):
-        if f.is_zero():
-            return
-        key = (s, t)
-        if key in self.f:
-            self.f[key] = self.f[key] + f
-        else:
-            self.f[key] = f
-            self.succ.setdefault(s, set()).add(t)
-            self.pred.setdefault(t, set()).add(s)
-
-    def remove_edge(self, s: State, t: State):
-        self.f.pop((s, t), None)
-        self.succ.get(s, set()).discard(t)
-        self.pred.get(t, set()).discard(s)
-
-    def degree(self, v: State) -> int:
-        return len(self.succ.get(v, ())) + len(self.pred.get(v, ()))
-
-    def eliminate(self, v: State):
-        out = [(t, self.f[(v, t)]) for t in self.succ.get(v, ()) if t != v]
-        loop = self.f.get((v, v))
-        if loop is not None and out:
-            comp_num = loop.den - loop.num
-            if comp_num.is_zero():
-                # a self-loop that is identically 1 leaves no mass for the
-                # other outgoing edges on any valid product
-                out = []
-            else:
-                inv = RationalFunction(loop.den, comp_num)  # 1 / (1 - loop)
-                out = [(t, inv * f_vt) for t, f_vt in out]
-        for s in self.pred.get(v, ()):
-            if s != v:
-                f_sv = self.f[(s, v)]
-                for t, f_vt in out:
-                    self.add(s, t, f_sv * f_vt)
-        for t in list(self.succ.get(v, ())):
-            self.remove_edge(v, t)
-        for s in list(self.pred.get(v, ())):
-            self.remove_edge(s, v)
-        self.succ.pop(v, None)
-        self.pred.pop(v, None)
+def _loop_closure(loop: RationalFunction) -> RationalFunction | None:
+    """1 / (1 - loop); None for a self-loop that is identically 1, which
+    leaves no mass for the other outgoing edges on any valid product."""
+    comp_num = loop.den - loop.num
+    if comp_num.is_zero():
+        return None
+    return RationalFunction(loop.den, comp_num)
 
 
 def _transition_polynomials(model: FDTMC) -> dict[tuple[State, State], MultilinearPolynomial]:
@@ -416,8 +362,8 @@ def _transition_polynomials(model: FDTMC) -> dict[tuple[State, State], Multiline
     }
 
 
-def _build_graph(model: FDTMC, targets: set, constrained: set | None) -> _EliminationGraph:
-    graph = _EliminationGraph()
+def _build_graph(model: FDTMC, targets: set, constrained: set | None) -> EliminationGraph:
+    graph = EliminationGraph(_loop_closure)
     for (s, t), profile in model.transitions.items():
         if s in targets:
             continue  # targets absorb
@@ -425,18 +371,8 @@ def _build_graph(model: FDTMC, targets: set, constrained: set | None) -> _Elimin
             continue  # states violating the constraint absorb with value 0
         graph.add(s, t, RationalFunction(profile_to_polynomial(profile, model.diagram)))
     for s, weight in model.init.items():
-        if weight != 0:
-            graph.add(_VIRTUAL_INIT, s, RationalFunction.const(weight))
+        graph.add(_VIRTUAL_INIT, s, RationalFunction(MultilinearPolynomial.const(weight)))
     return graph
-
-
-def _run_elimination(model: FDTMC, graph: _EliminationGraph, protected: set):
-    order_index = {s: i for i, s in enumerate(model.states)}
-    remaining = set(order_index) - protected
-    while remaining:
-        v = min(remaining, key=lambda s: (graph.degree(s), order_index[s]))
-        graph.eliminate(v)
-        remaining.discard(v)
 
 
 def eliminate_reachability(
@@ -452,7 +388,8 @@ def eliminate_reachability(
     )
     # every target stays a node of its own: merging them into one sink
     # changes the min-degree order, which can blow up the elimination
-    _run_elimination(model, graph, targets | {_VIRTUAL_INIT})
+    for _ in graph.run(model.states, targets):
+        pass  # only the edges left into the targets are needed
     total = RF_ZERO
     for t in targets:
         total = total + graph.f.get((_VIRTUAL_INIT, t), RF_ZERO)
@@ -477,7 +414,8 @@ def _reward_function(model: FDTMC, targets: set) -> RationalFunction:
         if s not in targets:
             reward = profile_to_polynomial(model.reward_profile(s), model.diagram)
             graph.add(s, _REWARD_SINK, RationalFunction(reward))
-    _run_elimination(model, graph, targets | {_VIRTUAL_INIT})
+    for _ in graph.run(model.states, targets):
+        pass
     return graph.f.get((_VIRTUAL_INIT, _REWARD_SINK), RF_ZERO)
 
 

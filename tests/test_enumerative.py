@@ -3,18 +3,21 @@ import random
 import pytest
 
 from featmc.engines import enumerative
+from featmc.engines.elimination import EliminationGraph
 from featmc.engines.enumerative import (
+    SINK,
     bounded_until_values,
     check_dtmc,
     check_family_enumerative,
     expected_reward,
     expected_reward_float,
     next_values,
+    solve_linear,
     until_state_partition,
     until_values,
     until_values_float,
 )
-from featmc.errors import ConvergenceError, UnboundFeatureError
+from featmc.errors import ConvergenceError, ModelError, UnboundFeatureError
 from featmc.features import FeatureDiagram, Product
 from featmc.models import FDTMC, project
 from featmc.profiles import constant
@@ -23,6 +26,84 @@ from featmc.rational import INFINITY, ONE, ZERO, rational
 from featmc.result import SAT, VIOLATED
 
 from conftest import path_enumeration_until, random_fdtmc, value_iteration_until
+
+
+# ---------------------------------------------------------------------------
+# Reference: dense Gauss-Jordan over exact rationals
+# ---------------------------------------------------------------------------
+
+
+def _pivot_weight(value) -> int:
+    """Smaller is better: prefer pivots with short numerator/denominator."""
+    return value.numerator.bit_length() + value.denominator.bit_length()
+
+
+def dense_solve(matrix: list[list], rhs: list) -> list:
+    """Gaussian elimination with pivot selection; ModelError when singular."""
+    n = len(rhs)
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        candidates = [r for r in range(col, n) if aug[r][col] != 0]
+        if not candidates:
+            raise ModelError("singular linear system")
+        pivot_row = min(candidates, key=lambda r: _pivot_weight(aug[r][col]))
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pivot = aug[col][col]
+        if pivot != 1:
+            aug[col] = [x / pivot for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def _dense_system(dtmc, unknowns, rhs):
+    """(I - P restricted to unknowns) x = rhs, solved densely."""
+    index = {s: i for i, s in enumerate(unknowns)}
+    n = len(unknowns)
+    matrix = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for s in unknowns:
+        for t, p in dtmc.out_edges(s):
+            if t in index:
+                matrix[index[s]][index[t]] -= p
+    return dict(zip(unknowns, dense_solve(matrix, rhs))) if unknowns else {}
+
+
+def reference_until_values(dtmc, sat1, sat2):
+    zero, one, unknown = until_state_partition(dtmc, sat1, sat2)
+    values = {s: ONE if s in one else ZERO for s in dtmc.states}
+    rhs = [
+        sum((p for t, p in dtmc.out_edges(s) if t in one), ZERO) for s in unknown
+    ]
+    values.update(_dense_system(dtmc, unknown, rhs))
+    return values
+
+
+def reference_expected_reward(dtmc, targets):
+    zero, one, unknown = until_state_partition(dtmc, set(dtmc.states), targets)
+    values = {s: ZERO if s in one else INFINITY for s in dtmc.states}
+    finite = [s for s in dtmc.states if s in one and s not in targets]
+    rhs = [dtmc.rewards.get(s, ZERO) for s in finite]
+    values.update(_dense_system(dtmc, finite, rhs))
+    return values
+
+
+def random_products(seed, count, **kwargs):
+    """``count`` projected chains of random FDTMCs, a few products each."""
+    rng = random.Random(seed)
+    chains = []
+    while len(chains) < count:
+        m = random_fdtmc(rng, max_states=8, max_features=3, **kwargs)
+        products = m.diagram.valid_products()
+        for p in rng.sample(products, min(3, len(products))):
+            chains.append(project(m, p))
+    return chains
+
+
+def operand_sets(chains):
+    """Every chain with the states of each proposition as a target set."""
+    return [(dtmc, dtmc.states_with(a)) for dtmc in chains for a in "abc"]
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +181,79 @@ class TestCheckDtmc:
             methane_base, parse_property("P[>=1](X !methane)")
         )
         assert result.sat == set()
+
+
+class TestEliminationKernel:
+    """The sparse elimination with back-substitution against the dense
+    reference, at every state."""
+
+    def test_until_values_match_dense_reference(self):
+        self_loops = smaller_sat1 = 0
+        for dtmc, sat2 in operand_sets(random_products(21, 60)):
+            for sat1 in (set(dtmc.states), set(dtmc.states) - dtmc.states_with("c") | sat2):
+                unknown = until_state_partition(dtmc, sat1, sat2)[2]
+                self_loops += any((s, s) in dtmc.transitions for s in unknown)
+                smaller_sat1 += len(sat1) < len(dtmc.states) and bool(unknown)
+                assert until_values(dtmc, sat1, sat2) == \
+                    reference_until_values(dtmc, sat1, sat2)
+        assert self_loops >= 10 and smaller_sat1 >= 10
+
+    def test_expected_reward_matches_dense_reference(self):
+        zero_rewards = 0
+        for dtmc, targets in operand_sets(random_products(22, 60, with_rewards=True)):
+            finite = [
+                s
+                for s in until_state_partition(dtmc, set(dtmc.states), targets)[1]
+                if s not in targets
+            ]
+            zero_rewards += any(dtmc.rewards.get(s, ZERO) == 0 for s in finite)
+            assert expected_reward(dtmc, targets) == \
+                reference_expected_reward(dtmc, targets)
+        assert zero_rewards >= 10
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "P[>=0.5](F P[>=0.9](X a))",
+            "P[>=0.5](!c U P[>=0.5](X a))",
+            "P=?(F P[<0.5](!c U a))",
+        ],
+    )
+    def test_nested_operator_matches_dense_reference(self, text, monkeypatch):
+        prop = parse_property(text)
+        chains = random_products(23, 80)
+        results = [check_dtmc(dtmc, prop) for dtmc in chains]
+        fractional = sum(
+            any(0 < v < 1 for v in result.values.values()) for result in results
+        )
+        assert fractional >= 4
+        monkeypatch.setattr(enumerative, "until_values", reference_until_values)
+        for dtmc, result in zip(chains, results):
+            expected = check_dtmc(dtmc, prop)
+            assert result.sat == expected.sat
+            assert result.values == expected.values
+
+    def test_loop_of_one_with_outgoing_mass_is_singular(self):
+        graph = EliminationGraph(enumerative._closure)
+        graph.add("s", "s", ONE)
+        graph.add("s", "t", rational(1, 2))
+        with pytest.raises(ModelError, match="singular"):
+            graph.eliminate("s")
+        with pytest.raises(ModelError, match="singular"):
+            solve_linear(["s"], [[("s", ONE), (SINK, rational(1, 2))]])
+
+    def test_loop_of_one_without_outgoing_mass_is_zero(self):
+        # s -> u -> s with probability 1: eliminating u leaves s a loop of 1
+        values = solve_linear(["s", "u"], [[("u", ONE)], [("s", ONE)]])
+        assert values == {"s": ZERO, "u": ZERO}
+
+    def test_undefined_closure_drops_the_outgoing_edges(self):
+        graph = EliminationGraph(lambda loop: None)
+        graph.add("p", "s", ONE)
+        graph.add("s", "s", ONE)
+        graph.add("s", "t", rational(1, 2))
+        assert graph.eliminate("s") == []
+        assert graph.f == {}
 
 
 class TestExpectedReward:
