@@ -1,7 +1,8 @@
 """Sparse state elimination over any value domain, the one exact solver of
 the enumerative and the parametric engine (Daws, ICTAC 2004; Hahn, Hermanns
 & Zhang, STTT 2011).  Edge values need only ``+``, ``*`` and truthiness:
-exact rationals for one projected chain, rational functions for the family.
+exact rationals for one projected chain, per-product support tables for the
+family.
 """
 
 from __future__ import annotations

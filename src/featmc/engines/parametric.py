@@ -1,35 +1,35 @@
-"""Parametric engine: one symbolic exploration, one evaluation per product.
+"""Parametric engine: one family-wide elimination, one closed form.
 
-Profiles become multilinear polynomials over Boolean feature variables
-(idempotent reduction keeps every variable at power one, which is exact at
-0/1 points).  Reachability and reward queries are turned into a closed-form
-rational function by state elimination; bounded queries unroll over
-polynomial vectors and need no division at all.  The function is finally
-evaluated once per valid product with exact arithmetic.
+The paper's parametric route eliminates states over rational functions of
+the feature variables and evaluates the resulting function once per
+product.  Symbolic elimination blows up on chains with back edges and
+leaves 0/0 at products where a state turns absorbing, so this engine
+departs from it in two ways:
 
-No GCD cancellation is attempted: functions are compared by evaluation,
-never syntactically, and idempotent reduction already bounds growth.
+* The one state elimination for the whole family runs over *support
+  tables* instead of rational functions.  A table holds one exact value per
+  assignment of only the features it depends on, and ``+``, ``*`` and the
+  loop closure act pointwise: variable elimination over factors, the ADD
+  encoding of ProFeat (Chrszon, Dubslaff, Klüppelholz & Baier, FAOC 2018)
+  and of Bahar et al. (ICCAD 1993).  Every product gets its exact value.
+* The closed form is the canonical multilinear interpolant of those values
+  (a Möbius transform over the feature cube), emitted as a rational
+  function over 1.  It agrees with the symbolic quotient wherever that is
+  defined and needs no division.
+
+Step-bounded until and next reuse the bounded engine's exact per-product
+vectors, which need no division either.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from ..errors import FeatmcError, ModelError, UnsupportedPropertyError
-from ..features import (
-    FAnd,
-    FeatureDiagram,
-    FeatureExpression,
-    FFalse,
-    FImplies,
-    FNot,
-    FOr,
-    FTrue,
-    FVar,
-    FXor,
-    Product,
-)
+from ..errors import ModelError, UnboundFeatureError, UnsupportedPropertyError
+from ..features import FeatureDiagram, Product
 from ..models import FDTMC, State
 from ..profiles import GuardedProfile, Profile
 from ..properties import (
@@ -46,19 +46,12 @@ from ..properties import (
 )
 from ..rational import INFINITY, ONE, ZERO, rational
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
+from .bounded import DenseModel, _aggregate_init, _next_vectors, bounded_until_vectors
 from .elimination import EliminationGraph
 
 ENGINE_NAME = "parametric"
 
 Monomial = frozenset
-
-
-class ZeroDenominatorError(FeatmcError):
-    """Evaluation hit a vanishing denominator for this product."""
-
-    def __init__(self, product: Product):
-        self.product = product
-        super().__init__(f"denominator vanishes at product {product}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +153,6 @@ class MultilinearPolynomial:
         return f"Poly({poly_to_text(self)})"
 
 
-POLY_ZERO = MultilinearPolynomial()
 POLY_ONE = MultilinearPolynomial.const(ONE)
 
 
@@ -187,42 +179,19 @@ def poly_to_text(poly: MultilinearPolynomial) -> str:
     return head + ("" if len(parts) == 1 else " " + " ".join(parts[1:]))
 
 
-def indicator_polynomial(expr: FeatureExpression) -> MultilinearPolynomial:
-    """Multilinear polynomial matching the guard's truth value at 0/1 points."""
-    if isinstance(expr, FTrue):
-        return POLY_ONE
-    if isinstance(expr, FFalse):
-        return POLY_ZERO
-    if isinstance(expr, FVar):
-        return MultilinearPolynomial.variable(expr.name)
-    if isinstance(expr, FNot):
-        return POLY_ONE - indicator_polynomial(expr.operand)
-    left = indicator_polynomial(expr.left)
-    right = indicator_polynomial(expr.right)
-    if isinstance(expr, FAnd):
-        return left * right
-    if isinstance(expr, FOr):
-        return left + right - left * right
-    if isinstance(expr, FXor):
-        return left + right - (left * right).scale(rational(2))
-    if isinstance(expr, FImplies):
-        return POLY_ONE - left + left * right
-    raise TypeError(f"unknown feature expression {expr!r}")
-
-
-def profile_to_polynomial(profile: Profile, diagram: FeatureDiagram) -> MultilinearPolynomial:
-    """Encode a profile as a polynomial agreeing with it on every valid product.
-
-    Guard-list profiles use per-guard indicator polynomials over the
-    exclusive rewrite of their cases; dense profiles are interpolated.
-    """
-    if isinstance(profile, GuardedProfile):
-        poly = POLY_ZERO
-        for guard, value in profile.exclusive_cases():
-            if value != 0:
-                poly = poly + indicator_polynomial(guard).scale(value)
-        return poly
-    return interpolate_family(profile.dense_values(), diagram)
+def _cube(values: Sequence, diagram: FeatureDiagram) -> list:
+    """Per-product values spread over the whole feature cube, the first
+    feature the most significant bit; invalid products are 0."""
+    products = diagram.valid_products()
+    if len(products) == 1 << len(diagram.signature):
+        return list(values)  # unconstrained: canonical order is cube order
+    cube = [ZERO] * (1 << len(diagram.signature))
+    for product, value in zip(products, values):
+        index = 0
+        for bit in product.values:
+            index = (index << 1) | bit
+        cube[index] = value
+    return cube
 
 
 def interpolate_family(values: Sequence, diagram: FeatureDiagram) -> MultilinearPolynomial:
@@ -235,12 +204,7 @@ def interpolate_family(values: Sequence, diagram: FeatureDiagram) -> Multilinear
     """
     names = diagram.signature
     n = len(names)
-    cube = [ZERO] * (1 << n)
-    for product, value in zip(diagram.valid_products(), values):
-        index = 0
-        for bit in product.values:
-            index = (index << 1) | bit
-        cube[index] = value
+    cube = _cube(values, diagram)
     for i in range(n):
         step = 1 << i
         for mask in range(1 << n):
@@ -272,44 +236,11 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    def __bool__(self) -> bool:
-        return not self.num.is_zero()
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.num.is_zero():
-            return other
-        if other.num.is_zero():
-            return self
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.num.is_zero() or other.num.is_zero():
-            return RF_ZERO
-        num = self.num * other.num
-        if self.den == POLY_ONE:
-            den = other.den
-        elif other.den == POLY_ONE:
-            den = self.den
-        else:
-            den = self.den * other.den
-        return RationalFunction(num, den)
-
     def evaluate(self, product: Product):
-        den = self.den.evaluate(product)
-        if den == 0:
-            raise ZeroDenominatorError(product)
-        return self.num.evaluate(product) / den
+        return self.num.evaluate(product) / self.den.evaluate(product)
 
     def __repr__(self):
         return f"RF(({poly_to_text(self.num)}) / ({poly_to_text(self.den)}))"
-
-
-RF_ZERO = RationalFunction(POLY_ZERO)
-RF_ONE = RationalFunction(POLY_ONE)
 
 
 def rf_to_text(rf: RationalFunction) -> str:
@@ -337,6 +268,141 @@ def rf_to_text(rf: RationalFunction) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Support tables
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=4096)
+def _union_maps(sa: tuple, sb: tuple) -> tuple:
+    """Union of two supports, and for each of its assignments the index of
+    the matching assignment in either operand."""
+    support = tuple(sorted(set(sa) | set(sb)))
+    width = len(support)
+
+    def index_map(sub):
+        shifts = [width - 1 - support.index(p) for p in sub]
+        out = []
+        for u in range(1 << width):
+            index = 0
+            for shift in shifts:
+                index = (index << 1) | (u >> shift & 1)
+            out.append(index)
+        return tuple(out)
+
+    return support, index_map(sa), index_map(sb)
+
+
+class SupportTable:
+    """Exact values over the assignments of a few features.
+
+    ``support`` is a sorted tuple of feature positions in the signature and
+    ``values`` holds one value per assignment of them, the first position
+    the most significant bit.  A product reads the entry of its own
+    assignment.  ``+`` and ``*`` act pointwise over the union of the
+    supports; tables are never changed in place, so operands may be shared.
+    """
+
+    __slots__ = ("support", "values")
+
+    def __init__(self, support: tuple, values: Sequence):
+        self.support = support
+        self.values = values
+
+    def __bool__(self) -> bool:
+        return any(self.values)
+
+    def _is_one(self) -> bool:
+        return not self.support and self.values[0] == 1
+
+    def _aligned(self, other: "SupportTable") -> tuple:
+        """The union support and both operands' values spread over it."""
+        if self.support == other.support:
+            return self.support, self.values, other.values
+        support, ia, ib = _union_maps(self.support, other.support)
+        a, b = self.values, other.values
+        return support, [a[i] for i in ia], [b[j] for j in ib]
+
+    # both operators skip zero entries: the rational arithmetic dominates
+
+    def __add__(self, other: "SupportTable") -> "SupportTable":
+        if not other:
+            return self
+        if not self:
+            return other
+        support, a, b = self._aligned(other)
+        return SupportTable(support, [x + y if x and y else x or y for x, y in zip(a, b)])
+
+    def __mul__(self, other: "SupportTable") -> "SupportTable":
+        if not self or other._is_one():
+            return self
+        if not other or self._is_one():
+            return other
+        support, a, b = self._aligned(other)
+        return SupportTable(support, [x and y and x * y for x, y in zip(a, b)])
+
+    def at(self, product: Product):
+        """The value at a product of the table's diagram."""
+        values = product.values
+        index = 0
+        for position in self.support:
+            index = (index << 1) | values[position]
+        return self.values[index]
+
+
+def _scalar(value) -> SupportTable:
+    return SupportTable((), (value,))
+
+
+TABLE_ZERO = _scalar(ZERO)
+
+
+def _closure(loop: SupportTable) -> SupportTable | None:
+    """Pointwise 1 / (1 - loop), and 0 where the loop is 1: that state is
+    absorbing there and reroutes no mass.  None for a scalar loop of 1,
+    which leaves no mass for the other outgoing edges on any product."""
+    if loop._is_one():
+        return None
+    return SupportTable(
+        loop.support, [ZERO if x == 1 else ONE / (ONE - x) for x in loop.values]
+    )
+
+
+def profile_table(profile: Profile, diagram: FeatureDiagram) -> SupportTable:
+    """Encode a profile as a table agreeing with it on every valid product.
+
+    A guard list is evaluated on every assignment of its guard variables.
+    A dense profile fills the whole cube, invalid products 0, and then
+    drops every feature whose two halves agree.
+    """
+    names = diagram.signature
+    if isinstance(profile, GuardedProfile) and not profile.cases:
+        return _scalar(profile.default)
+    if isinstance(profile, GuardedProfile):
+        variables = set().union(*(guard.variables() for guard, _ in profile.cases))
+        if not variables <= set(names):
+            raise UnboundFeatureError(sorted(variables - set(names))[0])
+        support = tuple(sorted(names.index(v) for v in variables))
+        values = []
+        for bits in itertools.product((False, True), repeat=len(support)):
+            assignment = {names[p]: bit for p, bit in zip(support, bits)}
+            values.append(
+                next(
+                    (v for guard, v in profile.cases if guard.evaluate(assignment)),
+                    profile.default,
+                )
+            )
+        return SupportTable(support, values)
+    support = list(range(len(names)))
+    values = _cube(profile.dense_values(), diagram)
+    for j in reversed(range(len(names))):
+        step = 1 << (len(support) - 1 - j)
+        if all(values[i] == values[i | step] for i in range(len(values)) if not i & step):
+            del support[j]
+            values = [v for i, v in enumerate(values) if not i & step]
+    return SupportTable(tuple(support), values)
+
+
+# ---------------------------------------------------------------------------
 # State elimination
 # ---------------------------------------------------------------------------
 
@@ -346,57 +412,39 @@ _VIRTUAL_INIT = ("__init__",)
 _REWARD_SINK = ("__reward__",)
 
 
-def _loop_closure(loop: RationalFunction) -> RationalFunction | None:
-    """1 / (1 - loop); None for a self-loop that is identically 1, which
-    leaves no mass for the other outgoing edges on any valid product."""
-    comp_num = loop.den - loop.num
-    if comp_num.is_zero():
-        return None
-    return RationalFunction(loop.den, comp_num)
-
-
-def _transition_polynomials(model: FDTMC) -> dict[tuple[State, State], MultilinearPolynomial]:
-    return {
-        key: profile_to_polynomial(profile, model.diagram)
-        for key, profile in model.transitions.items()
-    }
-
-
 def _build_graph(model: FDTMC, targets: set, constrained: set | None) -> EliminationGraph:
-    graph = EliminationGraph(_loop_closure)
+    graph = EliminationGraph(_closure)
     for (s, t), profile in model.transitions.items():
         if s in targets:
             continue  # targets absorb
         if constrained is not None and s not in constrained:
             continue  # states violating the constraint absorb with value 0
-        graph.add(s, t, RationalFunction(profile_to_polynomial(profile, model.diagram)))
+        graph.add(s, t, profile_table(profile, model.diagram))
     for s, weight in model.init.items():
-        graph.add(_VIRTUAL_INIT, s, RationalFunction(MultilinearPolynomial.const(weight)))
+        graph.add(_VIRTUAL_INIT, s, _scalar(weight))
     return graph
 
 
 def eliminate_reachability(
     model: FDTMC, targets: Iterable[State], constrained: Iterable[State] | None = None
-) -> RationalFunction:
-    """Closed form of the probability of reaching ``targets`` from the
-    initial distribution, optionally through ``constrained`` states only."""
+) -> SupportTable:
+    """Probability of reaching ``targets`` from the initial distribution,
+    optionally through ``constrained`` states only, for every product."""
     targets = set(targets)
     if not targets:
         raise ModelError("empty target set")
     graph = _build_graph(
         model, targets, set(constrained) if constrained is not None else None
     )
-    # every target stays a node of its own: merging them into one sink
-    # changes the min-degree order, which can blow up the elimination
     for _ in graph.run(model.states, targets):
         pass  # only the edges left into the targets are needed
-    total = RF_ZERO
+    total = TABLE_ZERO
     for t in targets:
-        total = total + graph.f.get((_VIRTUAL_INIT, t), RF_ZERO)
+        total = total + graph.f.get((_VIRTUAL_INIT, t), TABLE_ZERO)
     return total
 
 
-def _reward_function(model: FDTMC, targets: set) -> RationalFunction:
+def _reward_table(model: FDTMC, targets: set) -> SupportTable:
     """Solution of x = P·x + r with x = 0 on the targets, at the initial
     distribution.
 
@@ -412,41 +460,27 @@ def _reward_function(model: FDTMC, targets: set) -> RationalFunction:
             graph.remove_edge(s, t)  # targets are valued 0
     for s in model.states:
         if s not in targets:
-            reward = profile_to_polynomial(model.reward_profile(s), model.diagram)
-            graph.add(s, _REWARD_SINK, RationalFunction(reward))
+            graph.add(s, _REWARD_SINK, profile_table(model.reward_profile(s), model.diagram))
     for _ in graph.run(model.states, targets):
         pass
-    return graph.f.get((_VIRTUAL_INIT, _REWARD_SINK), RF_ZERO)
+    return graph.f.get((_VIRTUAL_INIT, _REWARD_SINK), TABLE_ZERO)
 
 
-def eliminate_expected_reward(model: FDTMC, targets: Iterable[State]) -> RationalFunction:
-    """Closed form of the expected accumulated reward until the target set.
+def eliminate_expected_reward(model: FDTMC, targets: Iterable[State]) -> SupportTable:
+    """Expected accumulated reward until the target set, for every product.
 
     Requires the target to be reached almost surely in every product;
     products violating that are listed in the raised error.
     """
     targets = set(targets)
     reach = eliminate_reachability(model, targets)
-    missing = []
-    for product in model.diagram.valid_products():
-        try:
-            value = reach.evaluate(product)
-        except ZeroDenominatorError:
-            missing.append(product)
-            continue
-        if value != 1:
-            missing.append(product)
+    missing = [p for p in model.diagram.valid_products() if reach.at(p) != 1]
     if missing:
         raise ModelError(
             "expected reward undefined: target missed with positive probability "
             "for products " + ", ".join(str(p) for p in missing)
         )
-    return _reward_function(model, targets)
-
-
-def evaluate(rf: RationalFunction, product: Product):
-    """Exact value at a product; raises ZeroDenominatorError when undefined."""
-    return rf.evaluate(product)
+    return _reward_table(model, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -472,125 +506,84 @@ def _propositional_sat(model: FDTMC, formula: StateFormula) -> set:
     )
 
 
-def _bounded_until_function(
-    model: FDTMC, sat1: set, sat2: set, bound: int
-) -> RationalFunction:
-    polys = _transition_polynomials(model)
-    out: dict[State, list[tuple[State, MultilinearPolynomial]]] = {
-        s: [] for s in model.states
-    }
-    for (s, t), poly in polys.items():
-        out[s].append((t, poly))
-    x = {s: (POLY_ONE if s in sat2 else POLY_ZERO) for s in model.states}
-    for _ in range(bound):
-        nxt = {}
-        for s in model.states:
-            if s in sat2:
-                nxt[s] = POLY_ONE
-            elif s not in sat1:
-                nxt[s] = POLY_ZERO
+def _query_values(model: FDTMC, prop: Property) -> list:
+    """Exact per-product values in canonical product order.
+
+    A reward value holds only on products that reach the target almost
+    surely; :func:`check_family_parametric` reports the others as ``inf``.
+    """
+    if isinstance(prop, RewardQuery):
+        table = _reward_table(model, _propositional_sat(model, prop.target))
+    elif isinstance(prop, Prob):
+        path = prop.path
+        if isinstance(path, Next) or path.bound is not None:
+            dense = DenseModel(model)
+
+            def indicator(formula):
+                sat = _propositional_sat(model, formula)
+                return {s: dense.ones() if s in sat else dense.zeros() for s in dense.states}
+
+            if isinstance(path, Next):
+                vectors = _next_vectors(dense, indicator(path.operand))
             else:
-                acc = POLY_ZERO
-                for t, poly in out[s]:
-                    if not x[t].is_zero():
-                        acc = acc + poly * x[t]
-                nxt[s] = acc
-        x = nxt
-    total = POLY_ZERO
-    for s, weight in model.init.items():
-        if weight != 0:
-            total = total + x[s].scale(weight)
-    return RationalFunction(total)
-
-
-def _next_function(model: FDTMC, sat: set) -> RationalFunction:
-    polys = _transition_polynomials(model)
-    total = POLY_ZERO
-    for s, weight in model.init.items():
-        if weight == 0:
-            continue
-        acc = POLY_ZERO
-        for (src, t), poly in polys.items():
-            if src == s and t in sat:
-                acc = acc + poly
-        total = total + acc.scale(weight)
-    return RationalFunction(total)
+                vectors = bounded_until_vectors(
+                    dense, indicator(path.left), indicator(path.right), path.bound
+                )
+            return _aggregate_init(dense, vectors)
+        table = eliminate_reachability(
+            model,
+            _propositional_sat(model, path.right),
+            constrained=_propositional_sat(model, path.left),
+        )
+    else:
+        raise UnsupportedPropertyError(
+            "the parametric engine needs a probability or reward operator at the top"
+        )
+    return [table.at(p) for p in model.diagram.valid_products()]
 
 
 def property_function(model: FDTMC, prop: Property) -> RationalFunction:
-    """The rational function whose per-product values answer the query.
+    """The closed form whose per-product values answer the query: the
+    multilinear interpolant of the exact values, over 1.
 
     A reward function holds only on products that reach the target almost
     surely; :func:`check_family_parametric` reports the others as ``inf``.
     """
-    if isinstance(prop, RewardQuery):
-        return _reward_function(model, _propositional_sat(model, prop.target))
-    if isinstance(prop, Prob):
-        path = prop.path
-        if isinstance(path, Next):
-            return _next_function(model, _propositional_sat(model, path.operand))
-        sat1 = _propositional_sat(model, path.left)
-        sat2 = _propositional_sat(model, path.right)
-        if path.bound is not None:
-            return _bounded_until_function(model, sat1, sat2, path.bound)
-        return eliminate_reachability(model, sat2, constrained=sat1)
-    raise UnsupportedPropertyError(
-        "the parametric engine needs a probability or reward operator at the top"
-    )
+    return RationalFunction(interpolate_family(_query_values(model, prop), model.diagram))
 
 
 def check_family_parametric(model: FDTMC, prop: Property | str) -> FamilyResult:
-    """One symbolic exploration, then an exact evaluation per product.
+    """One family-wide elimination, an exact value for every product, and
+    the closed form interpolating them.
 
-    Products where the function is undefined (vanishing denominator) are
-    rerun through the enumerative engine and flagged in the warnings.
     Expected rewards are ``inf`` on products that miss the target with
-    positive probability.
+    positive probability; no closed form is emitted then.
     """
     from ..properties import bind_check, parse_property
-    from .enumerative import check_product as _enum_check_product
-    from ..models import project as _project
 
     if isinstance(prop, str):
         prop = parse_property(prop)
     bind_check(prop, model.ap)
     started = time.perf_counter()
-    rf = property_function(model, prop)
-    reach = None
+    products = model.diagram.valid_products()
+    values = _query_values(model, prop)
     if isinstance(prop, RewardQuery):
         reach = eliminate_reachability(model, _propositional_sat(model, prop.target))
+        values = [v if reach.at(p) == 1 else INFINITY for p, v in zip(products, values)]
     interval = prop.interval if isinstance(prop, Prob) else None
     result = FamilyResult(ENGINE_NAME, print_property(prop))
-    for product in model.diagram.valid_products():
-        fallback = False
-        try:
-            if reach is not None and reach.evaluate(product) != 1:
-                value = INFINITY
-            else:
-                value = rf.evaluate(product)
-        except ZeroDenominatorError:
-            value = _enum_check_product(_project(model, product), prop).value
-            fallback = True
-            result.warnings.append(
-                f"product {product}: undefined function value, "
-                "fell back to the enumerative engine"
-            )
+    for product, value in zip(products, values):
         decision = None
         if interval is not None:
             decision = SAT if interval.contains(value) else VIOLATED
-        result.outcomes[product] = ProductOutcome(
-            product, value=value, decision=decision, fallback=fallback
-        )
-    diverging = [str(p) for p, o in result.outcomes.items() if o.value == INFINITY]
+        result.outcomes[product] = ProductOutcome(product, value=value, decision=decision)
+    diverging = [str(p) for p, v in zip(products, values) if v == INFINITY]
     if diverging:
         result.warnings.append(
             "expected reward is infinite for products " + ", ".join(diverging)
             + "; no closed form is emitted"
         )
     else:
-        # canonical denominator-free form, total even where elimination's
-        # raw quotient is undefined (fallback values fill the gaps)
-        values = [o.value for o in result.outcomes.values()]
         result.function = RationalFunction(interpolate_family(values, model.diagram))
     result.elapsed = time.perf_counter() - started
     return result

@@ -5,24 +5,29 @@ import pytest
 from featmc.engines.enumerative import check_family_enumerative
 from featmc.engines.parametric import (
     MultilinearPolynomial,
-    RationalFunction,
-    ZeroDenominatorError,
+    SupportTable,
+    _closure,
     check_family_parametric,
     eliminate_expected_reward,
     eliminate_reachability,
-    evaluate,
-    indicator_polynomial,
     interpolate_family,
     poly_to_text,
-    profile_to_polynomial,
+    profile_table,
     rf_to_text,
 )
 from featmc import dsl, generators
+from featmc.cli import bundled_model_path, main
 from featmc.engines.bounded import check_family_bounded
 from featmc.errors import ModelError, UnsupportedPropertyError
 from featmc.features import FeatureDiagram, Product, parse_feature_expression
 from featmc.models import FDTMC
-from featmc.profiles import DenseProfile, GuardedProfile, constant, eval_profile
+from featmc.profiles import (
+    DenseProfile,
+    GuardedProfile,
+    constant,
+    eval_profile,
+    indicator,
+)
 from featmc.rational import INFINITY, ONE, ZERO, rational
 
 from conftest import random_fdtmc
@@ -132,9 +137,29 @@ class TestEpsilon:
         assert dense
         for profile in dense:
             values = profile.dense_values()
-            encoded = profile_to_polynomial(profile, built.diagram)
-            assert encoded == point_mask_sum(values, built.diagram)
-            assert encoded == interpolate_family(values, built.diagram)
+            assert interpolate_family(values, built.diagram) == point_mask_sum(
+                values, built.diagram
+            )
+            encoded = profile_table(profile, built.diagram)
+            # a dense profile keeps only the features its values depend on
+            assert len(encoded.support) < len(built.diagram.signature)
+            for p, value in zip(built.diagram.valid_products(), values):
+                assert encoded.at(p) == value
+
+
+def table(support, values):
+    return SupportTable(tuple(support), [rational(v) for v in values])
+
+
+def same_table(a, b):
+    return a.support == b.support and list(a.values) == list(b.values)
+
+
+def assert_encodes(profile, diagram):
+    """The table encoding agrees with the profile at every valid product."""
+    encoded = profile_table(profile, diagram)
+    for p in diagram.valid_products():
+        assert encoded.at(p) == eval_profile(profile, p), (profile, p)
 
 
 class TestProfileEncoding:
@@ -145,16 +170,12 @@ class TestProfileEncoding:
             [(parse_feature_expression("f"), rational("0.3"))],
             rational("0.9"),
         )
-        f = MultilinearPolynomial.variable("f")
-        expected = f.scale(rational("0.3")) + (
-            MultilinearPolynomial.const(1) - f
-        ).scale(rational("0.9"))
-        assert profile_to_polynomial(profile, d) == expected
+        assert same_table(profile_table(profile, d), table((0,), ("0.9", "0.3")))
 
     def test_constant(self):
         d = FeatureDiagram(("f",))
-        assert profile_to_polynomial(constant(rational("0.5"), d), d) == \
-            MultilinearPolynomial.const(rational("0.5"))
+        encoded = profile_table(constant(rational("0.5"), d), d)
+        assert same_table(encoded, table((), ("0.5",)))
 
     def test_wiper_alpha_closed_form(self):
         profile = GuardedProfile(
@@ -165,30 +186,150 @@ class TestProfileEncoding:
                 (parse_feature_expression("spd2 & very"), rational("0.2")),
             ],
         )
-        expected = poly({(): "0.8", ("spd2",): "-0.3", ("spd2", "very"): "-0.3"})
-        encoded = profile_to_polynomial(profile, WIPER)
-        assert encoded == expected
-        for p in WIPER.valid_products():
-            assert encoded.evaluate(p) == eval_profile(profile, p)
+        # support {spd2, very}; eco never read
+        expected = table((0, 1), ("0.8", "0.8", "0.5", "0.2"))
+        assert same_table(profile_table(profile, WIPER), expected)
+        assert_encodes(profile, WIPER)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_random_profiles_agree_everywhere(self, seed):
         rng = random.Random(seed)
         m = random_fdtmc(rng, max_states=4, max_features=4)
         for profile in m.transitions.values():
-            encoded = profile_to_polynomial(profile, m.diagram)
-            for p in m.diagram.valid_products():
-                assert encoded.evaluate(p) == eval_profile(profile, p)
+            assert_encodes(profile, m.diagram)
 
-    def test_indicator_polynomial_matches_guard(self):
+    def test_indicator_table_matches_guard(self):
         d = FeatureDiagram(("a", "b", "c"))
         for text in ("a & !b", "a | b", "a ^ c", "a -> b", "!(a & (b | c))"):
             guard = parse_feature_expression(text)
-            encoded = indicator_polynomial(guard)
+            encoded = profile_table(indicator(guard, d), d)
+            assert len(encoded.support) == len(guard.variables())
             for p in d.valid_products():
-                assert encoded.evaluate(p) == (
-                    ONE if guard.evaluate(p.as_dict()) else ZERO
-                )
+                assert encoded.at(p) == (ONE if guard.evaluate(p.as_dict()) else ZERO)
+
+    @pytest.mark.parametrize("name", ["wiper", "minepump"])
+    def test_bundled_profiles_agree_everywhere(self, name, request):
+        built = request.getfixturevalue(name)
+        system = built.system
+        for profile in system.transitions.values():
+            assert_encodes(profile, system.diagram)
+        for s in system.states:
+            assert_encodes(system.reward_profile(s), system.diagram)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_constrained_diagram_agrees_at_valid_products(self, seed):
+        m = constrained_fdtmc(random.Random(seed))
+        assert len(m.diagram.valid_products()) < 2 ** len(m.diagram.signature)
+        for profile in m.transitions.values():
+            assert_encodes(profile, m.diagram)
+        for s in m.states:
+            assert_encodes(m.reward_profile(s), m.diagram)
+
+
+CONSTRAINT = parse_feature_expression("f1 -> f2")
+
+
+def constrained_fdtmc(rng):
+    """A ``random_fdtmc`` moved onto a diagram constrained by ``f1 -> f2``.
+
+    Each profile keeps its values on the valid products; about half of them
+    become dense profiles, the rest keep their guard lists.
+    """
+    m = random_fdtmc(rng, max_states=8, max_features=4, with_rewards=True)
+    signature = m.diagram.signature + (() if "f2" in m.diagram.signature else ("f2",))
+    diagram = FeatureDiagram(signature, CONSTRAINT)
+
+    def move(profile):
+        if rng.random() < 0.5:
+            return DenseProfile(
+                diagram, [eval_profile(profile, p) for p in diagram.valid_products()]
+            )
+        return GuardedProfile(diagram, profile.cases, profile.default)
+
+    return FDTMC(
+        m.states,
+        m.init,
+        diagram,
+        {key: move(profile) for key, profile in m.transitions.items()},
+        m.ap,
+        m.labels,
+        {s: move(m.reward_profile(s)) for s in m.states},
+    )
+
+
+class TestSupportTable:
+    """Pointwise algebra on operands with disjoint, nested and equal supports."""
+
+    SIGNATURE = ("a", "b", "c")
+    OPERANDS = {
+        "disjoint": (table((0,), ("1/2", "1/3")), table((1, 2), ("0", "2", "1/5", "7"))),
+        "nested": (table((1,), ("3/4", "0")), table((0, 1, 2), range(8))),
+        "equal": (table((0, 2), ("1/7", "0", "1", "-2")), table((0, 2), ("1", "0", "2", "1/9"))),
+        "scalar": (table((), ("5/3",)), table((1,), ("1/8", "0"))),
+        "one": (table((), ("1",)), table((2,), ("1/8", "3"))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OPERANDS))
+    def test_add_and_mul_are_pointwise(self, case):
+        a, b = self.OPERANDS[case]
+        for x, y in ((a, b), (b, a)):
+            total, prod = x + y, x * y
+            union = set(x.support) | set(y.support)
+            assert set(total.support) <= union and set(prod.support) <= union
+            for p in FeatureDiagram(self.SIGNATURE).valid_products():
+                assert total.at(p) == x.at(p) + y.at(p)
+                assert prod.at(p) == x.at(p) * y.at(p)
+
+    @pytest.mark.parametrize("case", sorted(OPERANDS))
+    def test_closure_is_pointwise(self, case):
+        for loop in self.OPERANDS[case]:
+            closed = _closure(loop)
+            if loop.support == () and loop.values[0] == 1:
+                assert closed is None
+                continue
+            for p in FeatureDiagram(self.SIGNATURE).valid_products():
+                x = loop.at(p)
+                assert closed.at(p) == (ZERO if x == 1 else ONE / (ONE - x))
+
+    def test_zero_operands_and_unit_factor(self):
+        zero = table((0, 1), ("0", "0", "0", "0"))
+        x = table((2,), ("1/3", "2/3"))
+        assert not zero and x
+        assert (zero + x) is x and (x + zero) is x
+        assert not (zero * x) and not (x * zero)
+        one = table((), ("1",))
+        assert (one * x) is x and (x * one) is x
+
+    def test_loop_of_one_only_at_an_invalid_assignment(self):
+        # the loop is 1 exactly where a & !b, which the constraint rules out
+        d = FeatureDiagram(("a", "b"), parse_feature_expression("a -> b"))
+        half = rational("0.5")
+        m = FDTMC(
+            ("s", "t", "u"),
+            "s",
+            d,
+            {
+                ("s", "s"): GuardedProfile(
+                    d, [(parse_feature_expression("a & !b"), ONE)], half
+                ),
+                ("s", "t"): GuardedProfile(
+                    d, [(parse_feature_expression("a & !b"), ZERO)], rational("0.25")
+                ),
+                ("s", "u"): GuardedProfile(
+                    d, [(parse_feature_expression("a & !b"), ZERO)], rational("0.25")
+                ),
+                ("t", "t"): constant(ONE, d),
+                ("u", "u"): constant(ONE, d),
+            },
+            ("goal",),
+            {"t": ("goal",)},
+        )
+        closed = _closure(profile_table(m.transitions[("s", "s")], d))
+        assert list(closed.values) == [2, 2, 0, 2]
+        result = check_family_parametric(m, "P=?(F goal)")
+        assert not result.warnings
+        for p in d.valid_products():
+            assert result.outcomes[p].value == half
 
 
 class TestElimination:
@@ -212,13 +353,13 @@ class TestElimination:
         )
         rf = eliminate_reachability(m, {"t"})
         for p in d.valid_products():
-            assert evaluate(rf, p) == 1
+            assert rf.at(p) == 1
 
     def test_minepump_methane_reached_almost_surely(self, minepump):
         methane = minepump.components["Methane"]
         rf = eliminate_reachability(methane, {"methane"})
         for p in methane.diagram.valid_products():
-            assert evaluate(rf, p) == 1
+            assert rf.at(p) == 1
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_enumerative_on_random_models(self, seed):
@@ -229,9 +370,9 @@ class TestElimination:
         for p in m.diagram.valid_products():
             assert enum.outcomes[p].value == param.outcomes[p].value
 
-    def test_zero_denominator_falls_back(self):
+    def test_absorbing_at_one_product_is_exact(self):
         # state m is absorbing exactly when f is enabled, so the loop
-        # complement vanishes at that product
+        # complement vanishes at that product: its closure is 0 there
         d = FeatureDiagram(("f",))
         half = rational("0.5")
         m = FDTMC(
@@ -257,8 +398,52 @@ class TestElimination:
         off = Product(("f",), (False,))
         assert result.outcomes[off].value == 1
         assert result.outcomes[on].value == rational("0.5")
-        assert result.outcomes[on].fallback
-        assert result.warnings
+        assert not any(o.fallback for o in result.outcomes.values())
+        assert not result.warnings
+
+    @pytest.mark.parametrize("prop", ["risk_value", "pump_risk"])
+    def test_minepump_is_exact_without_fallback(self, minepump, prop):
+        text = minepump.property_of(prop)
+        param = check_family_parametric(minepump.system, text)
+        enum = check_family_enumerative(minepump.system, text)
+        assert not param.warnings
+        for p in minepump.diagram.valid_products():
+            assert param.outcomes[p].value == enum.outcomes[p].value
+            assert param.outcomes[p].decision == enum.outcomes[p].decision
+            assert not param.outcomes[p].fallback
+
+    def test_minepump_risk_agrees_through_the_cli(self, capsys):
+        path = str(bundled_model_path("minepump"))
+        code = main(["check", path, "--prop", "risk_value", "--engine", "all"])
+        captured = capsys.readouterr()
+        assert code == 0
+        rows = [line for line in captured.out.splitlines() if line.startswith("{")]
+        assert len(rows) == 8
+        assert all(row.split()[-1] == "yes" for row in rows)
+        assert "parametric" not in captured.err
+
+
+class TestConstrainedCorpus:
+    """Parametric equals enumerative exactly on random chains over a
+    constrained diagram, with guarded and dense profiles mixed."""
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_matches_enumerative(self, block):
+        props = ("P=?(F a)", "P=?(b U a)", "R=?[F a]", "P[<0.5](F c)")
+        dense_profiles = 0
+        for seed in range(block * 30, block * 30 + 30):
+            m = constrained_fdtmc(random.Random(seed))
+            dense_profiles += sum(
+                isinstance(p, DenseProfile) for p in m.transitions.values()
+            )
+            for prop in props:
+                enum = check_family_enumerative(m, prop)
+                param = check_family_parametric(m, prop)
+                assert not any(o.fallback for o in param.outcomes.values())
+                for p in m.diagram.valid_products():
+                    assert param.outcomes[p].value == enum.outcomes[p].value, (seed, prop, p)
+                    assert param.outcomes[p].decision == enum.outcomes[p].decision
+        assert dense_profiles >= 30
 
 
 def _diverging_reward_model():
@@ -295,7 +480,7 @@ class TestExpectedReward:
             )
 
         for p in wiper.diagram.valid_products():
-            assert evaluate(rf, p) == closed_form(p)
+            assert rf.at(p) == closed_form(p)
 
     def test_zero_rewards(self):
         d = FeatureDiagram(("f",))
@@ -310,7 +495,7 @@ class TestExpectedReward:
         )
         rf = eliminate_expected_reward(m, {"b"})
         for p in d.valid_products():
-            assert evaluate(rf, p) == 0
+            assert rf.at(p) == 0
 
     def test_error_lists_products_missing_the_target(self):
         with pytest.raises(ModelError, match=r"\{f\}"):
