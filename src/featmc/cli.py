@@ -132,7 +132,7 @@ def _add_engine_options(parser):
         "--float",
         dest="float_values",
         action="store_true",
-        help="float64 value iteration in the enumerative engine",
+        help="float64 state elimination in the enumerative engine",
     )
 
 

@@ -8,7 +8,9 @@ back-substituted at every state; plain iteration for bounded until, a single
 matrix-vector product for next.  Expected rewards use the same
 precomputation, solve ``x = P·x + r`` the same way, and diverge to infinity
 on products that miss the target with positive probability.  Float mode runs
-the same systems by capped float64 Gauss-Seidel sweeps.
+the same elimination on float64 rows: one direct solve with no stopping
+criterion, whose only error is rounding.  It raises where rounding makes a
+self-loop 1.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..errors import ConvergenceError, FeatmcError, ModelError, UnsupportedPropertyError
+from ..errors import FeatmcError, ModelError, UnsupportedPropertyError
 from ..models import DTMC, FDTMC, project
 from ..properties import (
     Atom,
@@ -34,7 +36,6 @@ from ..properties import (
 )
 from ..rational import INFINITY, ONE, ZERO
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
-from .bounded import DEFAULT_MAX_DEPTH
 from .elimination import EliminationGraph
 
 ENGINE_NAME = "enumerative"
@@ -122,20 +123,33 @@ def _closure(loop):
     return ONE / (ONE - loop)
 
 
-def solve_linear(unknowns: list, rows: list) -> dict:
-    """Exact solution of ``x = P·x + b`` over ``unknowns``.
+def _float_closure(loop: float) -> float:
+    """1 / (1 - loop) in float64.  The exact loop is below 1, but rounding
+    can push it to 1, where no float answer is meaningful."""
+    if loop >= 1.0:
+        raise ModelError(
+            "float64 rounding made the linear system singular (a self-loop "
+            "rounded to 1); use exact mode"
+        )
+    return 1.0 / (1.0 - loop)
+
+
+def solve_linear(unknowns: list, rows: list, closure=_closure, one=ONE) -> dict:
+    """Solution of ``x = P·x + b`` over ``unknowns`` in the value domain of
+    ``closure`` and its unit ``one``: exact rationals by default.
 
     ``rows[i]`` lists the edges ``(state, value)`` of ``unknowns[i]``; its
     edges into :data:`SINK` carry b.  Every unknown is eliminated and the
     successor lists are back-substituted in reverse order.
     """
-    graph = EliminationGraph(_closure)
+    graph = EliminationGraph(closure)
     for s, row in zip(unknowns, rows):
         for t, p in row:
             graph.add(s, t, p)
-    values = {SINK: ONE}
+    zero = one - one
+    values = {SINK: one}
     for v, out in reversed(list(graph.run(unknowns))):
-        values[v] = sum((p * values[t] for t, p in out), ZERO)
+        values[v] = sum((p * values[t] for t, p in out), zero)
     del values[SINK]
     return values
 
@@ -168,15 +182,20 @@ def _reward_system(dtmc: DTMC, targets: set):
     return {s: ZERO if s in one else INFINITY for s in dtmc.states}, finite, rows
 
 
-def _solve_exact(values: dict, unknowns: list, rows: list) -> dict:
+def _solve(values: dict, unknowns: list, rows: list, float_mode: bool = False) -> dict:
+    domain = ()
+    if float_mode:
+        values = {s: float(v) for s, v in values.items()}
+        rows = [[(t, float(p)) for t, p in row] for row in rows]
+        domain = (_float_closure, 1.0)
     if unknowns:
-        values.update(solve_linear(unknowns, rows))
+        values.update(solve_linear(unknowns, rows, *domain))
     return values
 
 
 def until_values(dtmc: DTMC, sat1: set, sat2: set) -> dict:
     """Exact per-state probabilities of ``sat1 U sat2``."""
-    return _solve_exact(*_until_system(dtmc, sat1, sat2))
+    return _solve(*_until_system(dtmc, sat1, sat2))
 
 
 def expected_reward(dtmc: DTMC, targets: set) -> dict:
@@ -186,42 +205,17 @@ def expected_reward(dtmc: DTMC, targets: set) -> dict:
     target states earn nothing and stop accumulation.  States that miss the
     target with positive probability get infinity.
     """
-    return _solve_exact(*_reward_system(dtmc, targets))
-
-
-#: Residual threshold for the float64 value-iteration mode.
-FLOAT_CONVERGENCE = 1e-9
-
-
-def _gauss_seidel(values: dict, unknowns: list, rows: list) -> dict:
-    """Float64 Gauss-Seidel sweeps over ``x = P·x + b`` in state order,
-    capped at the bounded engine's default depth.  The partition keeps the
-    fixpoint unique, so plain iteration converges."""
-    x = {s: float(v) for s, v in values.items()}
-    x[SINK] = 1.0
-    rows = [[(t, float(p)) for t, p in row if p] for row in rows]
-    for _ in range(DEFAULT_MAX_DEPTH):
-        delta = 0.0
-        for s, row in zip(unknowns, rows):
-            new = sum(p * x[t] for t, p in row)
-            delta = max(delta, abs(new - x[s]))
-            x[s] = new
-        if delta < FLOAT_CONVERGENCE:
-            del x[SINK]
-            return x
-    raise ConvergenceError(
-        f"float value iteration did not converge in {DEFAULT_MAX_DEPTH} sweeps "
-        f"(last residual {delta:.3g})",
-        residual=delta,
-    )
+    return _solve(*_reward_system(dtmc, targets))
 
 
 def until_values_float(dtmc: DTMC, sat1: set, sat2: set) -> dict:
-    return _gauss_seidel(*_until_system(dtmc, sat1, sat2))
+    """:func:`until_values` in float64."""
+    return _solve(*_until_system(dtmc, sat1, sat2), float_mode=True)
 
 
 def expected_reward_float(dtmc: DTMC, targets: set) -> dict:
-    return _gauss_seidel(*_reward_system(dtmc, targets))
+    """:func:`expected_reward` in float64."""
+    return _solve(*_reward_system(dtmc, targets), float_mode=True)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +319,9 @@ def check_family_enumerative(
 ) -> FamilyResult:
     """Project onto every valid product and check the chains independently.
 
-    ``float_mode`` switches unbounded until and reward computations to
-    float64 value iteration (residual below 1e-9) for large instances.
+    ``float_mode`` runs unbounded until and reward computations as the same
+    state elimination in float64: no stopping criterion, only rounding
+    error, and a :class:`ModelError` where rounding makes a self-loop 1.
     An error raised for one product keeps its type and fields; its message
     is prefixed with the product.
     """

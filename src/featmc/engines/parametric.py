@@ -425,6 +425,17 @@ def _build_graph(model: FDTMC, targets: set, constrained: set | None) -> Elimina
     return graph
 
 
+def _target_mass(graph: EliminationGraph, model: FDTMC, targets: set) -> SupportTable:
+    """Eliminate every state outside the targets; the mass then left on the
+    edges from the initial distribution into the targets."""
+    for _ in graph.run(model.states, targets):
+        pass
+    total = TABLE_ZERO
+    for t in targets:
+        total = total + graph.f.get((_VIRTUAL_INIT, t), TABLE_ZERO)
+    return total
+
+
 def eliminate_reachability(
     model: FDTMC, targets: Iterable[State], constrained: Iterable[State] | None = None
 ) -> SupportTable:
@@ -436,34 +447,28 @@ def eliminate_reachability(
     graph = _build_graph(
         model, targets, set(constrained) if constrained is not None else None
     )
-    for _ in graph.run(model.states, targets):
-        pass  # only the edges left into the targets are needed
-    total = TABLE_ZERO
-    for t in targets:
-        total = total + graph.f.get((_VIRTUAL_INIT, t), TABLE_ZERO)
-    return total
+    return _target_mass(graph, model, targets)
 
 
-def _reward_table(model: FDTMC, targets: set) -> SupportTable:
-    """Solution of x = P·x + r with x = 0 on the targets, at the initial
-    distribution.
+def _reward_tables(model: FDTMC, targets: set) -> tuple:
+    """Reachability of the targets and the solution of x = P·x + r with
+    x = 0 on the targets, both at the initial distribution, from one
+    elimination: the targets (valued 1 for reachability) and the reward
+    sink (valued 1 for the reward) are two right-hand sides of the same
+    system.
 
-    Only meaningful on products that reach the target almost surely.
+    The reward is only meaningful on products whose reachability is 1.
     """
     if not targets:
         raise ModelError("empty target set")
     if model.rewards is None:
         raise ModelError("model has no rewards")
     graph = _build_graph(model, targets, None)
-    for t in targets:
-        for s in list(graph.pred.get(t, ())):
-            graph.remove_edge(s, t)  # targets are valued 0
     for s in model.states:
         if s not in targets:
             graph.add(s, _REWARD_SINK, profile_table(model.reward_profile(s), model.diagram))
-    for _ in graph.run(model.states, targets):
-        pass
-    return graph.f.get((_VIRTUAL_INIT, _REWARD_SINK), TABLE_ZERO)
+    reach = _target_mass(graph, model, targets)
+    return reach, graph.f.get((_VIRTUAL_INIT, _REWARD_SINK), TABLE_ZERO)
 
 
 def eliminate_expected_reward(model: FDTMC, targets: Iterable[State]) -> SupportTable:
@@ -472,15 +477,14 @@ def eliminate_expected_reward(model: FDTMC, targets: Iterable[State]) -> Support
     Requires the target to be reached almost surely in every product;
     products violating that are listed in the raised error.
     """
-    targets = set(targets)
-    reach = eliminate_reachability(model, targets)
+    reach, reward = _reward_tables(model, set(targets))
     missing = [p for p in model.diagram.valid_products() if reach.at(p) != 1]
     if missing:
         raise ModelError(
             "expected reward undefined: target missed with positive probability "
             "for products " + ", ".join(str(p) for p in missing)
         )
-    return _reward_table(model, targets)
+    return reward
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +513,16 @@ def _propositional_sat(model: FDTMC, formula: StateFormula) -> set:
 def _query_values(model: FDTMC, prop: Property) -> list:
     """Exact per-product values in canonical product order.
 
-    A reward value holds only on products that reach the target almost
-    surely; :func:`check_family_parametric` reports the others as ``inf``.
+    Expected rewards are ``inf`` on products that miss the target with
+    positive probability.
     """
     if isinstance(prop, RewardQuery):
-        table = _reward_table(model, _propositional_sat(model, prop.target))
-    elif isinstance(prop, Prob):
+        reach, reward = _reward_tables(model, _propositional_sat(model, prop.target))
+        return [
+            reward.at(p) if reach.at(p) == 1 else INFINITY
+            for p in model.diagram.valid_products()
+        ]
+    if isinstance(prop, Prob):
         path = prop.path
         if isinstance(path, Next) or path.bound is not None:
             dense = DenseModel(model)
@@ -546,8 +554,8 @@ def property_function(model: FDTMC, prop: Property) -> RationalFunction:
     """The closed form whose per-product values answer the query: the
     multilinear interpolant of the exact values, over 1.
 
-    A reward function holds only on products that reach the target almost
-    surely; :func:`check_family_parametric` reports the others as ``inf``.
+    A reward function is meaningless when the reward is ``inf`` on some
+    product; :func:`check_family_parametric` emits no closed form then.
     """
     return RationalFunction(interpolate_family(_query_values(model, prop), model.diagram))
 
@@ -567,9 +575,6 @@ def check_family_parametric(model: FDTMC, prop: Property | str) -> FamilyResult:
     started = time.perf_counter()
     products = model.diagram.valid_products()
     values = _query_values(model, prop)
-    if isinstance(prop, RewardQuery):
-        reach = eliminate_reachability(model, _propositional_sat(model, prop.target))
-        values = [v if reach.at(p) == 1 else INFINITY for p, v in zip(products, values)]
     interval = prop.interval if isinstance(prop, Prob) else None
     result = FamilyResult(ENGINE_NAME, print_property(prop))
     for product, value in zip(products, values):

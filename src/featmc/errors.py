@@ -60,11 +60,9 @@ class PropertyBindingError(FeatmcError):
 class ConvergenceError(FeatmcError):
     """An iteration hit its ceiling before reaching the precision.
 
-    The bounded engine reports its widest undecided interval, the float64
-    value iteration its last residual.
+    The bounded engine reports its widest undecided interval.
     """
 
-    def __init__(self, message: str, worst_undecided=None, residual=None):
+    def __init__(self, message: str, worst_undecided=None):
         self.worst_undecided = worst_undecided
-        self.residual = residual
         super().__init__(message)

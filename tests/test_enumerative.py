@@ -17,7 +17,7 @@ from featmc.engines.enumerative import (
     until_values,
     until_values_float,
 )
-from featmc.errors import ConvergenceError, ModelError, UnboundFeatureError
+from featmc.errors import ModelError, UnboundFeatureError
 from featmc.features import FeatureDiagram, Product
 from featmc.models import FDTMC, project
 from featmc.profiles import constant
@@ -152,8 +152,10 @@ class TestCheckDtmc:
                 sat2 = dtmc.states_with("a")
                 exact = until_values(dtmc, sat1, sat2)
                 approx = value_iteration_until(dtmc, sat1, sat2, steps=4000)
+                eliminated = until_values_float(dtmc, sat1, sat2)
                 for s in dtmc.states:
                     assert abs(float(exact[s]) - approx[s]) < 1e-9
+                    assert abs(float(exact[s]) - eliminated[s]) < 1e-9
 
     def test_prob_zero_states_stay_zero_under_long_iteration(self):
         rng = random.Random(11)
@@ -384,7 +386,7 @@ class TestFloatMode:
             wiper.system, "R=?[F end]", float_mode=True
         )
         for p in wiper.diagram.valid_products():
-            assert abs(float(exact.outcomes[p].value) - approx.outcomes[p].value) < 1e-6
+            assert abs(float(exact.outcomes[p].value) - approx.outcomes[p].value) < 1e-12
 
     def test_until_float_iteration(self, minepump):
         exact = check_family_enumerative(minepump.system, "P=?(F (pumpOn & methane))")
@@ -392,7 +394,7 @@ class TestFloatMode:
             minepump.system, "P=?(F (pumpOn & methane))", float_mode=True
         )
         for p in minepump.diagram.valid_products():
-            assert abs(float(exact.outcomes[p].value) - approx.outcomes[p].value) < 1e-6
+            assert abs(float(exact.outcomes[p].value) - approx.outcomes[p].value) < 1e-12
 
     def test_errors_carry_the_product(self, wiper):
         from featmc.errors import ModelError
@@ -410,16 +412,16 @@ class TestFloatMode:
             check_family_enumerative(no_rewards, "R=?[F end]")
 
 
-class TestFloatSweepCap:
-    """A self-loop of 1 - 1e-6 needs millions of sweeps to settle below the
-    residual threshold; the iteration stops at its cap instead."""
+class TestFloatSlowChains:
+    """A self-loop of 1 - 1e-6 would take millions of value-iteration sweeps;
+    float mode eliminates it directly.  A loop that rounds to 1 in float64
+    has no float answer and raises."""
 
     @staticmethod
-    def slow_family(leak=ZERO):
-        """s stays with 1 - 1e-6 - leak, reaches goal with 1e-6 and leaks
+    def slow_family(leak=ZERO, step=rational(1, 10**6)):
+        """s stays with 1 - step - leak, reaches goal with ``step`` and leaks
         into an absorbing trap with ``leak``."""
         d = FeatureDiagram(())
-        step = rational(1, 10**6)
         transitions = {
             ("s", "s"): constant(ONE - step - leak, d),
             ("s", "goal"): constant(step, d),
@@ -438,23 +440,31 @@ class TestFloatSweepCap:
             rewards={"s": constant(ONE, d)},
         )
 
-    def slow_chain(self, leak=ZERO):
-        m = self.slow_family(leak)
+    def slow_chain(self, **kwargs):
+        m = self.slow_family(**kwargs)
         return project(m, m.diagram.valid_products()[0])
 
-    def test_reward_iteration_is_capped(self):
-        with pytest.raises(ConvergenceError) as info:
-            expected_reward_float(self.slow_chain(), {"goal"})
-        assert 0 < info.value.residual < 1
+    def test_reward(self):
+        values = expected_reward_float(self.slow_chain(), {"goal"})
+        assert values["s"] == pytest.approx(1e6, rel=1e-9)
 
-    def test_until_iteration_is_capped(self):
-        # the leak keeps s out of the certain-one set, so it is iterated
+    def test_leaking_until(self):
+        # the leak keeps s out of the certain-one set, so it is solved for
         dtmc = self.slow_chain(leak=rational(1, 10**6))
-        with pytest.raises(ConvergenceError) as info:
-            until_values_float(dtmc, set(dtmc.states), {"goal"})
-        assert 0 < info.value.residual < 1e-6
+        values = until_values_float(dtmc, set(dtmc.states), {"goal"})
+        assert values["s"] == pytest.approx(0.5, rel=1e-9)
 
-    def test_family_check_keeps_the_residual(self):
-        with pytest.raises(ConvergenceError, match=r"^product \{\}: ") as info:
-            check_family_enumerative(self.slow_family(), "R=?[F goal]", float_mode=True)
-        assert info.value.residual is not None
+    #: exact value 1/2, but the loop 1 - 2**-59 rounds to 1.0 in float64
+    ROUNDED = {"leak": rational(1, 2**60), "step": rational(1, 2**60)}
+
+    def test_loop_rounded_to_one_raises(self):
+        dtmc = self.slow_chain(**self.ROUNDED)
+        assert until_values(dtmc, set(dtmc.states), {"goal"})["s"] == rational(1, 2)
+        with pytest.raises(ModelError, match="float64 rounding"):
+            until_values_float(dtmc, set(dtmc.states), {"goal"})
+
+    def test_family_check_keeps_the_product(self):
+        with pytest.raises(ModelError, match=r"^product \{\}: float64 rounding"):
+            check_family_enumerative(
+                self.slow_family(**self.ROUNDED), "P=?(F goal)", float_mode=True
+            )
