@@ -6,13 +6,15 @@ bracketed by interval iteration of the one-step recurrence
 
     x'(s) = sat2(s) + (1 - sat2(s)) * sat1(s) * sum_t P(s,t) * x(t)
 
-from both sides at once: a lower bound ``lo`` starts at the target
-indicator and an upper bound ``hi`` starts at 1 on constraint states that
-can reach a target (0 where the target is unreachable, so such mass counts
-as decided from the start).  The exact value always lies in ``[lo, hi]``;
-``hi - lo`` is the undecided path mass, and a product stops being iterated
-once it is below the requested precision.  Threshold operators are decided
-three-valuedly on that interval.
+from both sides at once, after the qualitative precomputation of the
+shared reachability closure (``engines/elimination.py``) has split every
+(state, product) into prob0, prob1 and undecided: a lower bound ``lo``
+starts at 1 on prob1 and 0 elsewhere, an upper bound ``hi`` starts at 0 on
+prob0 and 1 elsewhere, and only undecided (state, product) pairs are
+iterated.  The exact value always lies in ``[lo, hi]``; ``hi - lo`` is the
+undecided path mass, and a product stops being iterated once it is below
+the requested precision.  Threshold operators are decided three-valuedly
+on that interval.
 
 The iteration runs on Python integers over a common denominator ``2**bits``
 whose size follows from the precision, with outward rounding: probabilities
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import ConvergenceError, UnsupportedPropertyError
 from ..models import FDTMC, State
@@ -47,6 +50,7 @@ from ..properties import (
 )
 from ..rational import INFINITY, ONE, ZERO, rational
 from ..result import SAT, UNKNOWN, VIOLATED, FamilyResult, ProductOutcome
+from .elimination import closure, until_partition
 
 ENGINE_NAME = "bounded"
 
@@ -57,14 +61,29 @@ DEFAULT_MAX_DEPTH = 100_000
 # ---------------------------------------------------------------------------
 
 
+def _mask(row) -> int:
+    """Bitset of the products whose entry in ``row`` is nonzero."""
+    return sum(1 << i for i, v in enumerate(row) if v)
+
+
+def _masks(vectors) -> dict[State, int]:
+    return {s: _mask(row) for s, row in vectors.items()}
+
+
 class DenseModel:
-    """FDTMC with every profile flattened to a per-product vector."""
+    """FDTMC with every profile flattened to a per-product vector.
+
+    ``succ`` and ``pred`` list each state's successors and predecessors
+    with the bitset of products whose edge is positive; they are built on
+    first use, for the reachability closure.
+    """
 
     def __init__(self, model: FDTMC):
         self.model = model
         self.states = model.states
         self.products = model.diagram.valid_products()
         self.n = len(self.products)
+        self.full = (1 << self.n) - 1  # bitset of every product
         self.edges: dict[State, list[tuple[State, tuple]]] = {s: [] for s in self.states}
         for (s, t), profile in model.transitions.items():
             vec = to_dense(profile).values
@@ -91,55 +110,17 @@ class DenseModel:
             s: to_dense(self.model.reward_profile(s)).values for s in self.states
         }
 
+    @cached_property
+    def succ(self) -> dict[State, list[tuple[State, int]]]:
+        return {s: [(t, _mask(vec)) for t, vec in self.edges[s]] for s in self.states}
 
-# ---------------------------------------------------------------------------
-# Boolean reachability over products
-# ---------------------------------------------------------------------------
-
-
-def can_reach_vectors(dense: DenseModel, sat1, sat2) -> dict[State, list[bool]]:
-    """Per (state, product): can a target be reached along constraint states.
-
-    Backward fixpoint over Booleans; a target state counts as reaching.
-    """
-    can = {s: [bool(sat2[s][i]) for i in range(dense.n)] for s in dense.states}
-    conform = {
-        s: [bool(sat1[s][i]) and not sat2[s][i] for i in range(dense.n)]
-        for s in dense.states
-    }
-    changed = True
-    while changed:
-        changed = False
-        for s in dense.states:
-            row = can[s]
-            conf = conform[s]
-            for t, vec in dense.edges[s]:
-                target_row = can[t]
-                for i in range(dense.n):
-                    if conf[i] and not row[i] and vec[i] > 0 and target_row[i]:
-                        row[i] = True
-                        changed = True
-    return can
-
-
-def forward_reachable_vectors(dense: DenseModel) -> dict[State, list[bool]]:
-    """Per (state, product): reachable with positive probability from init."""
-    reach = {
-        s: [(s in dense.init and dense.init[s] > 0)] * dense.n for s in dense.states
-    }
-    reach = {s: list(row) for s, row in reach.items()}
-    changed = True
-    while changed:
-        changed = False
-        for s in dense.states:
-            row = reach[s]
-            for t, vec in dense.edges[s]:
-                target_row = reach[t]
-                for i in range(dense.n):
-                    if row[i] and vec[i] > 0 and not target_row[i]:
-                        target_row[i] = True
-                        changed = True
-    return reach
+    @cached_property
+    def pred(self) -> dict[State, list[tuple[State, int]]]:
+        pred: dict = {s: [] for s in self.states}
+        for s, out in self.succ.items():
+            for t, mask in out:
+                pred[t].append((s, mask))
+        return pred
 
 
 # ---------------------------------------------------------------------------
@@ -160,27 +141,23 @@ def _next_vectors(dense: DenseModel, sat) -> dict[State, list]:
     return out
 
 
-def _until_step(dense: DenseModel, sat1, sat2, x):
-    """One Jacobi application of the recurrence at every state."""
+def _until_step(dense: DenseModel, sat1, sat2, x, reward=None):
+    """One Jacobi application of the recurrence at every state, with
+    ``reward[s]`` added on constraint states that are not targets."""
     out = {}
     for s in dense.states:
         sat2_row = sat2[s]
         sat1_row = sat1[s]
-        acc = dense.zeros()
+        acc = dense.zeros() if reward is None else list(reward[s])
         for t, vec in dense.edges[s]:
             xt = x[t]
             for i in range(dense.n):
-                if vec[i] != 0 and xt[i] != 0:
+                if vec[i] and xt[i]:
                     acc[i] += vec[i] * xt[i]
-        row = []
-        for i in range(dense.n):
-            if sat2_row[i] != 0:
-                row.append(ONE)
-            elif sat1_row[i] != 0:
-                row.append(acc[i])
-            else:
-                row.append(ZERO)
-        out[s] = row
+        out[s] = [
+            ONE if sat2_row[i] else acc[i] if sat1_row[i] else ZERO
+            for i in range(dense.n)
+        ]
     return out
 
 
@@ -211,7 +188,9 @@ def _family_until_run(
     (state, product); both are iterates of the same monotone one-step
     operator started below respectively above the fixpoint, so the exact
     value stays inside [lo, hi] under any update order, lo never decreases
-    and hi never increases.  States are swept with successors first so mass
+    and hi never increases.  lo starts at 1 on prob1 and hi at 0 on prob0
+    (:func:`until_partition`); only the undecided (state, product) pairs
+    are updated.  States are swept with successors first so mass
     propagates across whole chains per sweep.
 
     Values are integers over ``2**bits`` (``bits`` from ``epsilon``, 64
@@ -232,7 +211,7 @@ def _family_until_run(
     n = dense.n
     states = list(dense.states)
     index = {s: i for i, s in enumerate(states)}
-    can = can_reach_vectors(dense, sat1, sat2)
+    zero, one = until_partition(dense.pred, _masks(sat1), _masks(sat2), dense.full)
     if epsilon is None:
         bits = 64
     else:
@@ -240,14 +219,8 @@ def _family_until_run(
         bits = 2 * ((eps_den // eps_num).bit_length() + 1) + 32
     full = 1 << bits
     # lo[i][k], hi[i][k]: product i at state states[k], scaled by 2**bits
-    lo = [[full if sat2[s][i] != 0 else 0 for s in states] for i in range(n)]
-    hi = [
-        [
-            full if sat2[s][i] != 0 or (sat1[s][i] != 0 and can[s][i]) else 0
-            for s in states
-        ]
-        for i in range(n)
-    ]
+    lo = [[full if one[s] >> i & 1 else 0 for s in states] for i in range(n)]
+    hi = [[0 if zero[s] >> i & 1 else full for s in states] for i in range(n)]
     # sweep order: successors before predecessors (DFS post-order over the
     # edge graph, cycles broken at back edges) so one sweep pushes values
     # across whole chains instead of one step
@@ -273,17 +246,20 @@ def _family_until_run(
                 post_order.append(node)
                 stack.pop()
     rank = {s: i for i, s in enumerate(post_order)}
-    # per product, the states that conform for it (the only ones that ever
-    # change) in sweep order, each with its nonzero out-edges as (successor,
+    # per product, the undecided states (the only ones that ever change) in
+    # sweep order, each with its nonzero out-edges as (successor,
     # probability rounded down, probability rounded up)
     rows = [[] for _ in range(n)]
     for s in sorted(states, key=lambda s: (rank[s], index[s])):
+        undecided = dense.full & ~(zero[s] | one[s])
+        if not undecided:
+            continue
         edges = []
         for t, vec in dense.edges[s]:
             pairs = [divmod(int(v.numerator) << bits, int(v.denominator)) for v in vec]
             edges.append((index[t], [(q, q + (r > 0)) for q, r in pairs]))
         for i in range(n):
-            if sat1[s][i] != 0 and sat2[s][i] == 0:
+            if undecided >> i & 1:
                 succ = [(t, *rounded[i]) for t, rounded in edges if rounded[i][1]]
                 rows[i].append((index[s], succ))
     # width of product i is gap(i) / denom
@@ -490,101 +466,70 @@ def bounded_expected_reward(
     """Iterative lower bounds on expected reward-to-target with a sound
     truncation-error certificate.
 
-    Products where some forward-reachable state cannot reach the target get
-    an infinite value.  For the rest the alive mass decays geometrically;
-    the decay factor observed over one model-size window turns the residual
-    alive mass into a rigorous tail bound.
+    Products where some state reachable from init before the target lies
+    outside prob1 of ``true U target`` get an infinite value.  For the rest
+    the alive mass decays geometrically; the decay factor observed over one
+    model-size window, at the states reachable before the target, turns the
+    residual alive mass into a rigorous tail bound.
     """
     n = dense.n
-    all_one = {s: dense.ones() for s in dense.states}
-    target_vec = targets
-    can = can_reach_vectors(dense, all_one, target_vec)
-    fwd = forward_reachable_vectors(dense)
-    infinite = [False] * n
-    for s in dense.states:
-        for i in range(n):
-            if fwd[s][i] and not can[s][i] and target_vec[s][i] == 0:
-                infinite[i] = True
+    full = dense.full
+    target_bits = _masks(targets)
+    _, one = until_partition(
+        dense.pred, dict.fromkeys(dense.states, full), target_bits, full
+    )
+    # per state, the products for which it is reachable before the target
+    outside = {s: full & ~bits for s, bits in target_bits.items()}
+    before = closure(
+        {s: outside[s] if dense.init.get(s, 0) > 0 else 0 for s in dense.states},
+        dense.succ,
+        outside,
+    )
+    missed = 0
+    for s, bits in before.items():
+        missed |= bits & ~one[s]
+    infinite = [bool(missed >> i & 1) for i in range(n)]
+
+    def peak(vectors):
+        """Per product, the largest entry at a state reachable before the target."""
+        return [
+            max((vectors[s][i] for s in dense.states if before[s] >> i & 1), default=ZERO)
+            for i in range(n)
+        ]
+
     rewards = dense.reward_vectors()
-    rmax = [ZERO] * n
-    for s in dense.states:
-        for i in range(n):
-            if fwd[s][i] and rewards[s][i] > rmax[i]:
-                rmax[i] = rewards[s][i]
+    rmax = peak(rewards)
+    nontarget = {s: [ONE - v for v in targets[s]] for s in dense.states}
+    never = {s: dense.zeros() for s in dense.states}
     E = {s: dense.zeros() for s in dense.states}
-    m = {
-        s: [ONE if target_vec[s][i] == 0 else ZERO for i in range(n)]
-        for s in dense.states
-    }
-
-    def step(values, add_reward):
-        out = {}
-        for s in dense.states:
-            tgt = target_vec[s]
-            acc = dense.zeros()
-            for t, vec in dense.edges[s]:
-                val = values[t]
-                for i in range(n):
-                    if vec[i] != 0 and val[i] != 0:
-                        acc[i] += vec[i] * val[i]
-            if add_reward:
-                rew = rewards[s]
-                row = [
-                    (rew[i] + acc[i]) if tgt[i] == 0 else ZERO for i in range(n)
-                ]
-            else:
-                row = [acc[i] if tgt[i] == 0 else ZERO for i in range(n)]
-            out[s] = row
-        return out
-
+    m = nontarget
     window = max(len(dense.states), 1)
     for _ in range(window):
-        E = step(E, True)
-        m = step(m, False)
-    # decay of the alive mass over one window, per product
-    decay = [ZERO] * n
-    for s in dense.states:
-        for i in range(n):
-            if fwd[s][i] and m[s][i] > decay[i]:
-                decay[i] = m[s][i]
+        E = _until_step(dense, nontarget, never, E, rewards)
+        m = _until_step(dense, nontarget, never, m)
+    # decay of the alive mass over one window, per product: below 1 on
+    # finite products, whose states before the target all reach it
+    decay = peak(m)
+
+    def tails():
+        alive = _aggregate_init(dense, m)
+        return [
+            rmax[i] * alive[i] * window / (1 - decay[i])
+            if not infinite[i] and rmax[i] and alive[i]
+            else ZERO
+            for i in range(n)
+        ]
+
     k = window
-    while True:
-        done = True
-        for i in range(n):
-            if infinite[i] or rmax[i] == 0:
-                continue
-            alive = ZERO
-            for s, weight in dense.init.items():
-                alive += weight * m[s][i]
-            if alive == 0:
-                continue
-            tail = rmax[i] * alive * window / (1 - decay[i]) if decay[i] < 1 else None
-            if tail is None or tail >= epsilon:
-                done = False
-                break
-        if done:
-            break
+    while max(tails(), default=ZERO) >= epsilon:
         if k >= max_depth:
             raise ConvergenceError(
                 f"reward iteration did not converge within {k} phases"
             )
-        E = step(E, True)
-        m = step(m, False)
+        E = _until_step(dense, nontarget, never, E, rewards)
+        m = _until_step(dense, nontarget, never, m)
         k += 1
-    tails = [ZERO] * n
-    for i in range(n):
-        if infinite[i]:
-            continue
-        alive = ZERO
-        for s, weight in dense.init.items():
-            alive += weight * m[s][i]
-        if rmax[i] != 0 and decay[i] < 1:
-            tails[i] = rmax[i] * alive * window / (1 - decay[i])
-    init_lower = [ZERO] * n
-    for s, weight in dense.init.items():
-        for i in range(n):
-            init_lower[i] += weight * E[s][i]
-    return init_lower, tails, infinite, k
+    return _aggregate_init(dense, E), tails(), infinite, k
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,21 @@
-"""Sparse state elimination over any value domain, the one exact solver of
+"""Kernels the engines share.
+
+Sparse state elimination over any value domain, the one exact solver of
 the enumerative and the parametric engine (Daws, ICTAC 2004; Hahn, Hermanns
 & Zhang, STTT 2011).  Edge values need only ``+``, ``*`` and truthiness:
 exact rationals for one projected chain, per-product support tables for the
 family.
+
+Per-product reachability closure, the one qualitative precomputation of the
+enumerative and the bounded engine (Baier & Katoen, *Principles of Model
+Checking*, Alg. 45/46, run over feature-set-labelled edges as in Classen et
+al., ICSE 2010).  Sets of products are bitsets: bit i of an int stands for
+product i, so a single chain is the one-product case with masks 0 and 1.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class EliminationGraph:
@@ -75,3 +83,36 @@ class EliminationGraph:
             v = min(remaining, key=lambda s: (self.degree(s), index[s]))
             yield v, self.eliminate(v)
             remaining.discard(v)
+
+
+def closure(seeds: Mapping, edges: Mapping, allowed: Mapping) -> dict:
+    """Per state, the products for which it is a seed or is reached from
+    one along ``edges`` (state -> ``(neighbour, product mask)`` pairs)
+    through states where it is ``allowed``.  ``seeds`` and ``allowed`` map
+    every state to a bitset."""
+    reached = dict(seeds)
+    work = [(s, bits) for s, bits in seeds.items() if bits]
+    while work:
+        s, bits = work.pop()
+        for t, mask in edges[s]:
+            new = bits & mask & allowed[t] & ~reached[t]
+            if new:
+                reached[t] |= new
+                work.append((t, new))
+    return reached
+
+
+def until_partition(pred: Mapping, sat1: Mapping, sat2: Mapping, full: int):
+    """Per-state product bitsets ``(prob0, prob1)`` of ``sat1 U sat2``.
+
+    prob0: no path to a target through constraint states.  prob1: no path
+    to a prob0 state through constraint-but-not-target states, hence
+    absorbed into targets almost surely.  ``pred`` lists each state's
+    predecessors with the products whose edge is positive; ``full`` has a
+    bit for every product.
+    """
+    maybe = {s: sat1[s] & ~sat2[s] for s in sat1}
+    can_reach = closure(sat2, pred, maybe)
+    zero = {s: full & ~bits for s, bits in can_reach.items()}
+    tainted = closure(zero, pred, maybe)
+    return zero, {s: full & ~bits for s, bits in tainted.items()}

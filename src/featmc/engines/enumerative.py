@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping
 
 from ..errors import FeatmcError, ModelError, UnsupportedPropertyError
 from ..models import DTMC, FDTMC, project
@@ -36,7 +35,7 @@ from ..properties import (
 )
 from ..rational import INFINITY, ONE, ZERO
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
-from .elimination import EliminationGraph
+from .elimination import EliminationGraph, until_partition
 
 ENGINE_NAME = "enumerative"
 
@@ -46,42 +45,23 @@ ENGINE_NAME = "enumerative"
 # ---------------------------------------------------------------------------
 
 
-def _predecessors(dtmc: DTMC) -> dict:
-    pred: dict = {s: [] for s in dtmc.states}
-    for (s, t), p in dtmc.transitions.items():
-        if p != 0:
-            pred[t].append(s)
-    return pred
-
-
-def _backward_closure(seeds: set, allowed: set, pred: Mapping) -> set:
-    """Seeds plus everything that reaches them through allowed states."""
-    reached = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        t = frontier.pop()
-        for s in pred[t]:
-            if s not in reached and s in allowed:
-                reached.add(s)
-                frontier.append(s)
-    return reached
-
-
 def until_state_partition(dtmc: DTMC, sat1: set, sat2: set):
-    """Split states into certain-zero, certain-one and genuinely unknown.
-
-    Certain-zero: no path to a target through constraint states.
-    Certain-one: cannot reach a certain-zero state while staying in
-    constraint-but-not-target states, hence absorbed into targets almost
-    surely.
-    """
-    pred = _predecessors(dtmc)
-    maybe = sat1 - sat2
-    can_reach = _backward_closure(sat2, maybe, pred)
-    zero = set(dtmc.states) - can_reach
-    tainted = _backward_closure(zero, maybe, pred)
-    one = set(dtmc.states) - tainted
-    unknown = [s for s in dtmc.states if s not in zero and s not in one]
+    """Split states into certain-zero, certain-one and genuinely unknown:
+    :func:`until_partition` on one product, so every mask is 0 or 1."""
+    states = dtmc.states
+    pred: dict = {s: [] for s in states}
+    for (s, t), p in dtmc.transitions.items():
+        if p:
+            pred[t].append((s, 1))
+    zero, one = until_partition(
+        pred,
+        {s: 1 if s in sat1 else 0 for s in states},
+        {s: 1 if s in sat2 else 0 for s in states},
+        1,
+    )
+    zero = {s for s, bit in zero.items() if bit}
+    one = {s for s, bit in one.items() if bit}
+    unknown = [s for s in states if s not in zero and s not in one]
     return zero, one, unknown
 
 

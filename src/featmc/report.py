@@ -17,6 +17,9 @@ from .result import FamilyResult, UNKNOWN
 
 JSON_SCHEMA_VERSION = 1
 
+#: Relative distance within which a float value agrees with an exact one.
+FLOAT_RTOL = 1e-9
+
 
 def product_label(product: Product) -> str:
     on = [name for name in product.names if product[name]]
@@ -62,17 +65,29 @@ def _rows(products: Sequence[Product], results: Sequence[FamilyResult], timings:
     return rows
 
 
+def _is_float_mode(value) -> bool:
+    """A float-mode value: a float other than the INFINITY sentinel."""
+    return isinstance(value, float) and value != INFINITY
+
+
 def _agree(outcomes) -> bool:
     """Engines agree when decisions match up to unknowns and the numeric
-    values fit inside every reported error bound."""
+    values fit inside every reported error bound.  A float value (float
+    mode) only has to match the exact reference to :data:`FLOAT_RTOL`."""
     decisions = {o.decision for o in outcomes if o.decision not in (None, UNKNOWN)}
     if len(decisions) > 1:
         return False
     exact = [o for o in outcomes if o.value is not None and o.error_bound in (None, 0)]
     if exact:
-        reference = exact[0].value
-        for o in exact[1:]:
-            if o.value != reference:
+        reference = next(
+            (o.value for o in exact if not _is_float_mode(o.value)), exact[0].value
+        )
+        for o in exact:
+            if o.value == reference:
+                continue
+            if not _is_float_mode(o.value) or reference == INFINITY:
+                return False
+            if abs(o.value - reference) > FLOAT_RTOL * abs(reference):
                 return False
         for o in outcomes:
             if o.value is None or o.error_bound in (None, 0):

@@ -2,28 +2,35 @@ import random
 
 import pytest
 
-from featmc.dsl import build_model
+from featmc import bundled_model_path
+from featmc.dsl import build_model, parse_model
 from featmc.engines.bounded import (
     DenseModel,
     _decide,
     _family_until_run,
+    _masks,
     _next_vectors,
+    bounded_expected_reward,
     bounded_until_vectors,
     check_family_bounded,
     sat_states,
 )
+from featmc.engines.elimination import until_partition
 from featmc.engines.enumerative import (
     bounded_until_values,
+    check_dtmc,
     check_family_enumerative,
+    until_state_partition,
     until_values,
 )
+from featmc.engines.parametric import check_family_parametric
 from featmc.errors import PropertyBindingError
 from featmc.features import FeatureDiagram, Product, parse_feature_expression
 from featmc.generators import gen_failure_recovery, gen_service_provider
 from featmc.models import FDTMC, project
 from featmc.profiles import GuardedProfile, constant
 from featmc.properties import Atom, Interval, PAnd, PNot, TRUE_F, parse_property
-from featmc.rational import ONE, ZERO, rational
+from featmc.rational import INFINITY, ONE, ZERO, rational
 from featmc.result import SAT, UNKNOWN, VIOLATED
 
 from conftest import random_fdtmc
@@ -43,6 +50,18 @@ def _bounded_until(model, left, right, bound):
     return bounded_until_vectors(
         dense, _indicators(dense, left), _indicators(dense, right), bound
     )
+
+
+@pytest.fixture(scope="module")
+def leaky_wiper():
+    """Wiper whose wiping states fall into an absorbing sink as often as
+    they end, so ``F end`` has value 1/2 instead of 1 on every product."""
+    text = bundled_model_path("wiper").read_text()
+    text = text.replace("on   -> end  : 0.2;", "on -> end : 0.1; on -> sink : 0.1;")
+    text = text.replace("fast -> end  : 0.2;", "fast -> end : 0.1; fast -> sink : 0.1;")
+    text = text.replace("states off on fast end;", "states off on fast end sink;")
+    text = text.replace("end  -> end  : 1;", "end -> end : 1; sink -> sink : 1;")
+    return parse_model(text)
 
 
 def _until(model, left, right, **kwargs):
@@ -319,21 +338,21 @@ class TestFamilyBounded:
         decisions = {str(p): o.decision for p, o in result.outcomes.items()}
         assert decisions == {"{f}": SAT, "{}": VIOLATED}
 
-    def test_deepening_warning_names_the_precision_used(self, wiper):
-        # one sweep cannot separate F end (value 1) from the bound; with the
+    def test_deepening_warning_names_the_precision_used(self, leaky_wiper):
+        # one sweep cannot separate F end (value 1/2) from the bound; with the
         # sweep count fixed and no nested operator a finer precision changes
         # nothing, so there is no retry
         result = check_family_bounded(
-            wiper.system, "P[>=0.8](F end)", epsilon=rational("1/1000"), bound=1
+            leaky_wiper.system, "P[>=0.8](F end)", epsilon=rational("1/1000"), bound=1
         )
         assert len(result.unknown_products) == 8
         assert result.warnings == ["8 products stayed unknown at precision 1/1000"]
 
-    def test_fixed_sweeps_still_retry_nested_operators(self, wiper):
+    def test_fixed_sweeps_still_retry_nested_operators(self, leaky_wiper):
         # the nested operator runs to its precision whatever the bound, so a
         # tenth of it can still decide more and the retry goes ahead
         result = check_family_bounded(
-            wiper.system,
+            leaky_wiper.system,
             "P[>=0.8](F P[>=0.9](X end))",
             epsilon=rational("1/1000"),
             bound=1,
@@ -381,12 +400,89 @@ class TestFamilyBounded:
             rewards={"a": constant(ONE, d)},
         )
         result = check_family_bounded(m, "R=?[F goal]", epsilon=rational("1e-3"))
-        from featmc.rational import INFINITY
-
         with_f = Product(("f",), (True,))
         without = Product(("f",), (False,))
         assert result.outcomes[with_f].value == INFINITY
         assert result.outcomes[without].value == 1
+
+
+    def test_reward_ignores_states_after_the_target(self):
+        # a -> t -> dead: dead cannot reach the target, but it is only
+        # reachable after the target, so the reward stays finite
+        d = FeatureDiagram(("f",))
+        m = FDTMC(
+            ("a", "t", "dead"),
+            "a",
+            d,
+            {
+                ("a", "t"): constant(ONE, d),
+                ("t", "dead"): constant(ONE, d),
+                ("dead", "dead"): constant(ONE, d),
+            },
+            ("goal",),
+            {"t": ("goal",)},
+            rewards={"a": constant(rational(5), d)},
+        )
+        for check in (check_family_enumerative, check_family_parametric):
+            assert [o.value for o in check(m, "R=?[F goal]").outcomes.values()] == [5, 5]
+        result = check_family_bounded(m, "R=?[F goal]", epsilon=rational("1e-3"))
+        assert len(result.outcomes) == 2
+        for o in result.outcomes.values():
+            assert o.value - o.error_bound <= 5 <= o.value + o.error_bound
+
+    def test_prob1_decides_almost_sure_reachability(self, wiper):
+        result = check_family_bounded(
+            wiper.system, "P[>=1](F end)", epsilon=rational("1/1000")
+        )
+        assert [o.decision for o in result.outcomes.values()] == [SAT] * 8
+        assert result.warnings == []
+
+
+class TestReachabilityClosure:
+    OPERANDS = (
+        (TRUE_F, Atom("a")),
+        (Atom("b"), Atom("a")),
+        (PNot(Atom("c")), Atom("b")),
+        (PAnd(Atom("a"), Atom("b")), PNot(Atom("a"))),
+    )
+
+    def test_family_partition_matches_each_projection(self):
+        rng = random.Random(81)
+        for _ in range(40):
+            m = random_fdtmc(rng, max_states=6, max_features=3)
+            dense = DenseModel(m)
+            projections = [project(m, p) for p in dense.products]
+            for left, right in self.OPERANDS:
+                zero, one = until_partition(
+                    dense.pred,
+                    _masks(_indicators(dense, left)),
+                    _masks(_indicators(dense, right)),
+                    dense.full,
+                )
+                for i, dtmc in enumerate(projections):
+                    expected_zero, expected_one, _ = until_state_partition(
+                        dtmc, check_dtmc(dtmc, left).sat, check_dtmc(dtmc, right).sat
+                    )
+                    assert {s for s in m.states if zero[s] >> i & 1} == expected_zero
+                    assert {s for s in m.states if one[s] >> i & 1} == expected_one
+
+
+class TestRewardSoundness:
+    @pytest.mark.parametrize("epsilon", ["1/10", "1/1000", "1e-6", "1e-9"])
+    def test_certified_tail_contains_exact(self, epsilon):
+        rng = random.Random(91)
+        for _ in range(30):
+            m = random_fdtmc(rng, max_states=6, max_features=3, with_rewards=True)
+            enum = check_family_enumerative(m, "R=?[F a]")
+            dense = DenseModel(m)
+            lower, tails, infinite, _ = bounded_expected_reward(
+                dense, _indicators(dense, Atom("a")), rational(epsilon)
+            )
+            for i, p in enumerate(dense.products):
+                exact = enum.outcomes[p].value
+                assert infinite[i] == (exact == INFINITY)
+                if not infinite[i]:
+                    assert lower[i] <= exact <= lower[i] + tails[i]
 
 
 class TestNestedOperators:
@@ -480,17 +576,19 @@ class TestRounding:
         from featmc.errors import ConvergenceError
 
         d = FeatureDiagram(("f",))
-        # at epsilon 1/2 the escape probability rounds to 0 for lo and the
-        # loop to 1 for hi, so neither bound can move
+        # at epsilon 1/2 the escape probabilities round to 0 for lo and the
+        # loop to 1 for hi, so neither bound can move; the value is 1/2
         escape = rational(1, 2**60)
         m = FDTMC(
-            ("s", "goal"),
+            ("s", "goal", "sink"),
             "s",
             d,
             {
-                ("s", "s"): constant(1 - escape, d),
+                ("s", "s"): constant(1 - 2 * escape, d),
                 ("s", "goal"): constant(escape, d),
+                ("s", "sink"): constant(escape, d),
                 ("goal", "goal"): constant(ONE, d),
+                ("sink", "sink"): constant(ONE, d),
             },
             ("goal",),
             {"goal": ("goal",)},
@@ -542,15 +640,18 @@ class TestConvergenceCeiling:
         from featmc.errors import ConvergenceError
 
         d = FeatureDiagram(("f",))
-        # slow mixing: tiny escape probability out of the constrained cycle
+        # slow mixing: tiny escape probabilities out of the constrained
+        # cycle, to the goal and to a sink alike (value 1/2)
         m = FDTMC(
-            ("s", "goal"),
+            ("s", "goal", "sink"),
             "s",
             d,
             {
-                ("s", "s"): constant(rational("0.999"), d),
+                ("s", "s"): constant(rational("0.998"), d),
                 ("s", "goal"): constant(rational("0.001"), d),
+                ("s", "sink"): constant(rational("0.001"), d),
                 ("goal", "goal"): constant(ONE, d),
+                ("sink", "sink"): constant(ONE, d),
             },
             ("goal",),
             {"goal": ("goal",)},

@@ -31,6 +31,33 @@ class TestCheck:
         assert "26.25" in out.replace("105/4", "26.25")
         assert "DISAGREE" not in out
 
+    def test_float_values_agree_within_rounding(self, capsys, wiper_path):
+        # float elimination gives e.g. 15.000000000000004 where the exact
+        # value is 15; that is agreement, not a disagreement
+        code, out, _ = run_cli(
+            capsys, "check", wiper_path, "--prop", "energy", "--engine", "all",
+            "--float", "--format", "csv", "--no-timings",
+        )
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0
+        assert [row[-1] for row in rows[1:]] == ["yes"] * 8
+
+    def test_float_agreement_is_relative_and_exact_stays_exact(self):
+        from featmc.rational import INFINITY, rational
+        from featmc.report import FLOAT_RTOL, _agree
+        from featmc.result import ProductOutcome
+
+        def agree(*values):
+            return _agree([ProductOutcome(None, value=v) for v in values])
+
+        exact = rational(15)
+        assert agree(15.000000000000004, exact)
+        assert agree(exact, 15 * (1 + FLOAT_RTOL / 2))
+        assert not agree(exact, 15 * (1 + 2 * FLOAT_RTOL))
+        assert not agree(exact, rational(15) + rational(1, 10**12))
+        assert not agree(INFINITY, 1e300)
+        assert agree(INFINITY, INFINITY)
+
     def test_json_schema_versioned(self, capsys, wiper_path):
         code, out, _ = run_cli(
             capsys, "check", wiper_path, "--prop", "energy", "--engine", "enum",
