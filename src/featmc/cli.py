@@ -47,7 +47,7 @@ def _run_engine(engine: str, model, prop, args):
         return check_family_bounded(
             model,
             prop,
-            epsilon=rational(args.epsilon),
+            epsilon=args.epsilon,
             bound=args.bound,
             max_depth=args.max_depth,
         )
@@ -120,13 +120,41 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _positive_rational(text: str):
+    try:
+        value = rational(text)
+    except (ValueError, ArithmeticError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _int_at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)  # a ValueError becomes argparse's usage error
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def _add_engine_options(parser):
-    parser.add_argument("--epsilon", default="1e-3", help="bounded-engine precision")
     parser.add_argument(
-        "--bound", type=int, default=None, help="fixed exploration depth instead of epsilon"
+        "--epsilon", type=_positive_rational, default="1e-3", help="bounded-engine precision"
     )
     parser.add_argument(
-        "--max-depth", type=int, default=100_000, help="bounded-engine depth ceiling"
+        "--bound",
+        type=_int_at_least(0),
+        default=None,
+        help="fixed exploration depth instead of epsilon",
+    )
+    parser.add_argument(
+        "--max-depth",
+        type=_int_at_least(1),
+        default=100_000,
+        help="bounded-engine depth ceiling",
     )
     parser.add_argument(
         "--float",

@@ -1,8 +1,9 @@
 """Feature-aware bounded search: all products checked in one exploration.
 
-Satisfaction of state formulae is tracked per (state, product) as 0/1
-indicator vectors over the canonical product order.  An unbounded until is
-bracketed by interval iteration of the one-step recurrence
+Satisfaction of state formulae is tracked per state as a bitset of
+products (bit i stands for product i of the canonical product order), a
+lower and an upper one for definitely and possibly satisfied.  An unbounded
+until is bracketed by interval iteration of the one-step recurrence
 
     x'(s) = sat2(s) + (1 - sat2(s)) * sat1(s) * sum_t P(s,t) * x(t)
 
@@ -66,8 +67,9 @@ def _mask(row) -> int:
     return sum(1 << i for i, v in enumerate(row) if v)
 
 
-def _masks(vectors) -> dict[State, int]:
-    return {s: _mask(row) for s, row in vectors.items()}
+def _indicator(bits: int, n: int) -> list:
+    """0/1 value vector of the ``n`` products, 1 where ``bits`` is set."""
+    return [ONE if bits >> i & 1 else ZERO for i in range(n)]
 
 
 class DenseModel:
@@ -96,14 +98,8 @@ class DenseModel:
     def zeros(self):
         return [ZERO] * self.n
 
-    def ones(self):
-        return [ONE] * self.n
-
-    def label_vector(self, proposition: str) -> dict[State, list]:
-        return {
-            s: (self.ones() if proposition in self.labels[s] else self.zeros())
-            for s in self.states
-        }
+    def label_bits(self, proposition: str) -> dict[State, int]:
+        return {s: self.full if proposition in self.labels[s] else 0 for s in self.states}
 
     def reward_vectors(self) -> dict[State, tuple]:
         return {
@@ -129,25 +125,28 @@ class DenseModel:
 
 
 def _next_vectors(dense: DenseModel, sat) -> dict[State, list]:
+    """Per state and product, the probability of stepping into ``sat``
+    (state -> product bitset)."""
     out = {}
     for s in dense.states:
         acc = dense.zeros()
         for t, vec in dense.edges[s]:
-            ind = sat[t]
+            bits = sat[t]
             for i in range(dense.n):
-                if ind[i] != 0:
-                    acc[i] += vec[i] * ind[i]
+                if bits >> i & 1:
+                    acc[i] += vec[i]
         out[s] = acc
     return out
 
 
 def _until_step(dense: DenseModel, sat1, sat2, x, reward=None):
     """One Jacobi application of the recurrence at every state, with
-    ``reward[s]`` added on constraint states that are not targets."""
+    ``reward[s]`` added on constraint states that are not targets.
+    ``sat1`` and ``sat2`` map states to product bitsets."""
     out = {}
     for s in dense.states:
-        sat2_row = sat2[s]
-        sat1_row = sat1[s]
+        sat2_bits = sat2[s]
+        sat1_bits = sat1[s]
         acc = dense.zeros() if reward is None else list(reward[s])
         for t, vec in dense.edges[s]:
             xt = x[t]
@@ -155,7 +154,7 @@ def _until_step(dense: DenseModel, sat1, sat2, x, reward=None):
                 if vec[i] and xt[i]:
                     acc[i] += vec[i] * xt[i]
         out[s] = [
-            ONE if sat2_row[i] else acc[i] if sat1_row[i] else ZERO
+            ONE if sat2_bits >> i & 1 else acc[i] if sat1_bits >> i & 1 else ZERO
             for i in range(dense.n)
         ]
     return out
@@ -166,7 +165,7 @@ def bounded_until_vectors(
 ) -> dict[State, list]:
     """Exact step-bounded until values: ``bound`` Jacobi steps from the
     target indicator (the iterates never decrease)."""
-    x = {s: [ONE if v != 0 else ZERO for v in sat2[s]] for s in dense.states}
+    x = {s: _indicator(sat2[s], dense.n) for s in dense.states}
     for _ in range(bound):
         x = _until_step(dense, sat1, sat2, x)
     return x
@@ -211,7 +210,7 @@ def _family_until_run(
     n = dense.n
     states = list(dense.states)
     index = {s: i for i, s in enumerate(states)}
-    zero, one = until_partition(dense.pred, _masks(sat1), _masks(sat2), dense.full)
+    zero, one = until_partition(dense.pred, sat1, sat2, dense.full)
     if epsilon is None:
         bits = 64
     else:
@@ -340,13 +339,14 @@ def _decide(interval: Interval, lo, hi) -> str:
 
 @dataclass
 class SatEntry:
-    """Lower and upper indicator vectors: lo=definitely, hi=possibly."""
+    """Per state, the bitsets of products that definitely (``lo``) and
+    possibly (``hi``) satisfy a state formula; ``lo`` is a subset of ``hi``."""
 
-    lo: dict
-    hi: dict
+    lo: dict[State, int]
+    hi: dict[State, int]
 
     def decided(self) -> bool:
-        return all(self.lo[s] == self.hi[s] for s in self.lo)
+        return self.lo == self.hi
 
 
 def _path_interval(
@@ -386,42 +386,38 @@ def sat_states(
     epsilon=None,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> dict[StateFormula, SatEntry]:
-    """Bottom-up satisfaction map over the parse tree.
+    """Bottom-up satisfaction map over the parse tree: per subformula, a
+    SatEntry of per-state product bitsets.
 
     Nested probability operators are thresholded three-valuedly; whatever
     stays unresolved at precision ``epsilon`` is retried once at
     ``epsilon/10`` by the caller (see check_family_bounded).
     """
     epsilon = rational("1/1000") if epsilon is None else epsilon
+    full = dense.full
     entries: dict[StateFormula, SatEntry] = {}
 
     def sat_of(node: StateFormula) -> SatEntry:
         if node in entries:
             return entries[node]
         if isinstance(node, PTrue):
-            vec = {s: dense.ones() for s in dense.states}
-            entry = SatEntry(vec, dict(vec))
+            bits = dict.fromkeys(dense.states, full)
+            entry = SatEntry(bits, bits)
         elif isinstance(node, Atom):
-            vec = dense.label_vector(node.name)
-            entry = SatEntry(vec, dict(vec))
+            bits = dense.label_bits(node.name)
+            entry = SatEntry(bits, bits)
         elif isinstance(node, PNot):
             inner = sat_of(node.operand)
             entry = SatEntry(
-                {s: [ONE - v for v in inner.hi[s]] for s in dense.states},
-                {s: [ONE - v for v in inner.lo[s]] for s in dense.states},
+                {s: full & ~inner.hi[s] for s in dense.states},
+                {s: full & ~inner.lo[s] for s in dense.states},
             )
         elif isinstance(node, PAnd):
             left = sat_of(node.left)
             right = sat_of(node.right)
             entry = SatEntry(
-                {
-                    s: [a * b for a, b in zip(left.lo[s], right.lo[s])]
-                    for s in dense.states
-                },
-                {
-                    s: [a * b for a, b in zip(left.hi[s], right.hi[s])]
-                    for s in dense.states
-                },
+                {s: left.lo[s] & right.lo[s] for s in dense.states},
+                {s: left.hi[s] & right.hi[s] for s in dense.states},
             )
         elif isinstance(node, Prob):
             if node.interval is None:
@@ -429,20 +425,11 @@ def sat_states(
                     "quantitative operator is only allowed at the top level"
                 )
             lo, hi = _path_interval(dense, node.path, sat_of, epsilon, max_depth)
-            decisions = {
-                s: [_decide(node.interval, a, b) for a, b in zip(lo[s], hi[s])]
-                for s in dense.states
-            }
-            entry = SatEntry(
-                {
-                    s: [ONE if d == SAT else ZERO for d in row]
-                    for s, row in decisions.items()
-                },
-                {
-                    s: [ZERO if d == VIOLATED else ONE for d in row]
-                    for s, row in decisions.items()
-                },
-            )
+            entry = SatEntry({}, {})
+            for s in dense.states:
+                decisions = [_decide(node.interval, a, b) for a, b in zip(lo[s], hi[s])]
+                entry.lo[s] = _mask(d == SAT for d in decisions)
+                entry.hi[s] = _mask(d != VIOLATED for d in decisions)
         else:
             raise UnsupportedPropertyError(f"unknown state formula {node!r}")
         entries[node] = entry
@@ -464,7 +451,8 @@ def bounded_expected_reward(
     max_depth: int = DEFAULT_MAX_DEPTH,
 ):
     """Iterative lower bounds on expected reward-to-target with a sound
-    truncation-error certificate.
+    truncation-error certificate.  ``targets`` maps every state to the
+    bitset of products for which it is a target.
 
     Products where some state reachable from init before the target lies
     outside prob1 of ``true U target`` get an infinite value.  For the rest
@@ -474,12 +462,11 @@ def bounded_expected_reward(
     """
     n = dense.n
     full = dense.full
-    target_bits = _masks(targets)
     _, one = until_partition(
-        dense.pred, dict.fromkeys(dense.states, full), target_bits, full
+        dense.pred, dict.fromkeys(dense.states, full), targets, full
     )
     # per state, the products for which it is reachable before the target
-    outside = {s: full & ~bits for s, bits in target_bits.items()}
+    outside = {s: full & ~bits for s, bits in targets.items()}
     before = closure(
         {s: outside[s] if dense.init.get(s, 0) > 0 else 0 for s in dense.states},
         dense.succ,
@@ -499,14 +486,13 @@ def bounded_expected_reward(
 
     rewards = dense.reward_vectors()
     rmax = peak(rewards)
-    nontarget = {s: [ONE - v for v in targets[s]] for s in dense.states}
-    never = {s: dense.zeros() for s in dense.states}
+    never = dict.fromkeys(dense.states, 0)
     E = {s: dense.zeros() for s in dense.states}
-    m = nontarget
+    m = {s: _indicator(outside[s], n) for s in dense.states}
     window = max(len(dense.states), 1)
     for _ in range(window):
-        E = _until_step(dense, nontarget, never, E, rewards)
-        m = _until_step(dense, nontarget, never, m)
+        E = _until_step(dense, outside, never, E, rewards)
+        m = _until_step(dense, outside, never, m)
     # decay of the alive mass over one window, per product: below 1 on
     # finite products, whose states before the target all reach it
     decay = peak(m)
@@ -526,8 +512,8 @@ def bounded_expected_reward(
             raise ConvergenceError(
                 f"reward iteration did not converge within {k} phases"
             )
-        E = _until_step(dense, nontarget, never, E, rewards)
-        m = _until_step(dense, nontarget, never, m)
+        E = _until_step(dense, outside, never, E, rewards)
+        m = _until_step(dense, outside, never, m)
         k += 1
     return _aggregate_init(dense, E), tails(), infinite, k
 
@@ -556,9 +542,10 @@ def check_family_bounded(
     """Check every product in a single exploration of the featured model.
 
     Quantitative queries report the midpoint of the certified interval with
-    half its width as the error bound.  Threshold queries are three-valued;
-    an unknown verdict triggers one automatic retry at a tenth of the
-    precision before being surfaced.
+    half its width as the error bound.  Threshold queries and plain state
+    formulae (decided at every initial state) are three-valued; an unknown
+    verdict triggers one automatic retry at a tenth of the precision before
+    being surfaced.
     """
     from ..properties import bind_check, parse_property
 
@@ -568,6 +555,10 @@ def check_family_bounded(
     epsilon = rational("1/1000") if epsilon is None else epsilon
     if epsilon <= 0:
         raise ValueError(f"precision must be positive, got {epsilon}")
+    if bound is not None and bound < 0:
+        raise ValueError(f"sweep bound must not be negative, got {bound}")
+    if max_depth < 1:
+        raise ValueError(f"depth ceiling must be at least 1, got {max_depth}")
     started = time.perf_counter()
     dense = DenseModel(model)
     products = dense.products
@@ -597,72 +588,48 @@ def check_family_bounded(
             result.outcomes[product] = outcome
         return finish()
 
-    if isinstance(prop, Prob):
-        def compute(eps):
-            sat_cache = {}
+    def outcomes(eps) -> dict:
+        if not isinstance(prop, Prob):
+            # every initial state must satisfy the formula
+            entry = sat_states(dense, prop, eps, max_depth)[prop]
+            sat = possible = dense.full
+            for s, weight in dense.init.items():
+                if weight > 0:
+                    sat &= entry.lo[s]
+                    possible &= entry.hi[s]
+            return {
+                p: ProductOutcome(
+                    p,
+                    decision=(
+                        SAT if sat >> i & 1 else UNKNOWN if possible >> i & 1 else VIOLATED
+                    ),
+                )
+                for i, p in enumerate(products)
+            }
+        sat_cache = {}
 
-            def sat_of(node):
-                if node not in sat_cache:
-                    sat_cache.update(sat_states(dense, node, eps, max_depth))
-                return sat_cache[node]
+        def sat_of(node):
+            if node not in sat_cache:
+                sat_cache.update(sat_states(dense, node, eps, max_depth))
+            return sat_cache[node]
 
-            lo, hi = _path_interval(
-                dense, prop.path, sat_of, eps, max_depth, bound, dense.init
+        lo, hi = _path_interval(dense, prop.path, sat_of, eps, max_depth, bound, dense.init)
+        out = {}
+        for p, a, b in zip(products, _aggregate_init(dense, lo), _aggregate_init(dense, hi)):
+            decision = None if prop.interval is None else _decide(prop.interval, a, b)
+            out[p] = ProductOutcome(
+                p, value=(a + b) / 2, decision=decision, error_bound=(b - a) / 2
             )
-            return _aggregate_init(dense, lo), _aggregate_init(dense, hi)
+        return out
 
-        lo, hi = compute(epsilon)
-        if prop.interval is None:
-            for i, product in enumerate(products):
-                half = (hi[i] - lo[i]) / 2
-                result.outcomes[product] = ProductOutcome(
-                    product, value=lo[i] + half, error_bound=half
-                )
-            return finish()
-        # under a fixed sweep count a finer precision only helps nested
-        # operators; without one the retry would repeat the same interval
-        retry = bound is None or any(isinstance(f, Prob) for f in parse_tree(prop)[:-1])
-        used = epsilon
-        while True:
-            unknowns = []
-            for i, product in enumerate(products):
-                decision = _decide(prop.interval, lo[i], hi[i])
-                if decision == UNKNOWN:
-                    unknowns.append(product)
-                half = (hi[i] - lo[i]) / 2
-                result.outcomes[product] = ProductOutcome(
-                    product, value=lo[i] + half, decision=decision, error_bound=half
-                )
-            if not unknowns or not retry or used != epsilon:
-                if unknowns:
-                    result.warnings.append(
-                        f"{len(unknowns)} products stayed unknown at precision {used}"
-                    )
-                return finish()
-            used = epsilon / 10
-            lo, hi = compute(used)
-
-    # state formula without a top probability operator: decide per product
-    # at the initial states (every support state must satisfy it)
-    init_total = sum(model.init.values(), ZERO)
-    for attempt_eps in (epsilon, epsilon / 10):
-        entry = sat_states(dense, prop, attempt_eps, max_depth)[prop]
-        init_lo = _aggregate_init(dense, entry.lo)
-        init_hi = _aggregate_init(dense, entry.hi)
-        unknowns = 0
-        for i, product in enumerate(products):
-            if init_lo[i] == init_total:
-                decision = SAT
-            elif init_hi[i] < init_total:
-                decision = VIOLATED
-            else:
-                decision = UNKNOWN
-                unknowns += 1
-            result.outcomes[product] = ProductOutcome(product, decision=decision)
-        if not unknowns:
+    # under a fixed sweep count a finer precision only helps nested
+    # operators; without one the retry would repeat the same interval
+    retry = bound is None or any(isinstance(f, Prob) for f in parse_tree(prop)[:-1])
+    for used in (epsilon, epsilon / 10):
+        result.outcomes = outcomes(used)
+        unknowns = len(result.unknown_products)
+        if not unknowns or not retry:
             break
-    if result.unknown_products:
-        result.warnings.append(
-            f"{len(result.unknown_products)} products stayed unknown after deepening"
-        )
+    if unknowns:
+        result.warnings.append(f"{unknowns} products stayed unknown at precision {used}")
     return finish()

@@ -529,7 +529,7 @@ def _query_values(model: FDTMC, prop: Property) -> list:
 
             def indicator(formula):
                 sat = _propositional_sat(model, formula)
-                return {s: dense.ones() if s in sat else dense.zeros() for s in dense.states}
+                return {s: dense.full if s in sat else 0 for s in dense.states}
 
             if isinstance(path, Next):
                 vectors = _next_vectors(dense, indicator(path.operand))

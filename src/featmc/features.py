@@ -132,10 +132,6 @@ TRUE = FTrue()
 FALSE = FFalse()
 
 
-def var(name: str) -> FVar:
-    return FVar(name)
-
-
 def conj(*exprs: FeatureExpression) -> FeatureExpression:
     """Right-folded conjunction; empty conjunction is true."""
     terms = [e for e in exprs if not isinstance(e, FTrue)]
@@ -364,14 +360,6 @@ class Product:
         self._names = tuple(names)
         self._values = tuple(bool(v) for v in values)
         self._map = dict(zip(self._names, self._values))
-
-    @classmethod
-    def from_dict(cls, assignment: Mapping[str, bool], order: Sequence[str] | None = None):
-        names = tuple(order) if order is not None else tuple(assignment)
-        missing = [n for n in names if n not in assignment]
-        if missing:
-            raise UnboundFeatureError(missing[0])
-        return cls(names, tuple(assignment[n] for n in names))
 
     @property
     def names(self) -> tuple[str, ...]:

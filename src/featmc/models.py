@@ -288,11 +288,6 @@ class FMDP:
         self.labels = {s: frozenset(labels.get(s, ())) if labels else frozenset() for s in self.states}
         self.action_names = frozenset(label.name for (_, label, _) in self.transitions)
 
-    def transitions_from(self, state: State, name: str | None = None):
-        for (s, label, t), profile in self.transitions.items():
-            if s == state and (name is None or label.name == name):
-                yield label, t, profile
-
     def obs_variables(self) -> frozenset[str]:
         out: set[str] = set()
         for (_, label, _) in self.transitions:

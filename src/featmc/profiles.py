@@ -302,13 +302,6 @@ def exceeds(p1: Profile, p2, tolerance=ZERO) -> bool:
     )
 
 
-def profile_sum(profiles: Iterable[Profile], diagram: FeatureDiagram) -> Profile:
-    out: Profile = constant(ZERO, diagram)
-    for p in profiles:
-        out = add(out, p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ try:
             raise TypeError("pass floats as strings to keep them exact")
         return _mpq(value)
 
-    _RAT_TYPES = (type(_mpq(0)), int)
-
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as _Fraction
 
@@ -47,8 +45,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
             return _Fraction(int(value))
         return _Fraction(value)
 
-    _RAT_TYPES = (_Fraction, int)
-
 
 Rat = Union[int, object]  # concrete type depends on the backend
 
@@ -58,15 +54,6 @@ ONE = rational(1)
 #: Sentinel for diverging expected rewards (target missed with positive
 #: probability).  Compares greater than every rational.
 INFINITY = float("inf")
-
-
-def is_rational(value) -> bool:
-    return isinstance(value, _RAT_TYPES)
-
-
-def parse_rational(text: str):
-    """Parse ``1/8``, ``0.125`` or ``3`` into an exact rational."""
-    return rational(text.strip())
 
 
 def rat_str(value) -> str:

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .features import Product
-from .rational import INFINITY, as_float, rat_str
+from .rational import INFINITY, rat_str
 
 #: Three-valued decision per product; None marks quantitative queries where
 #: no threshold was asked.
@@ -49,10 +49,3 @@ class FamilyResult:
     @property
     def unknown_products(self) -> list[Product]:
         return [p for p, o in self.outcomes.items() if o.decision == UNKNOWN]
-
-    def values_float(self) -> Mapping[Product, float]:
-        return {
-            p: as_float(o.value)
-            for p, o in self.outcomes.items()
-            if o.value is not None
-        }

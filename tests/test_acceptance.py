@@ -221,8 +221,8 @@ def test_criterion_5_bounded_search_soundness():
         exact = {}
         for idx, p in enumerate(model.diagram.valid_products()):
             dtmc = project(model, p)
-            s1 = {s for s in model.states if sat1[s][idx] != 0}
-            s2 = {s for s in model.states if sat2[s][idx] != 0}
+            s1 = {s for s in model.states if sat1[s] >> idx & 1}
+            s2 = {s for s in model.states if sat2[s] >> idx & 1}
             exact[idx] = until_values(dtmc, s1, s2)
         snapshots = []
 

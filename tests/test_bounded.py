@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from featmc.engines.bounded import (
     DenseModel,
     _decide,
     _family_until_run,
-    _masks,
     _next_vectors,
     bounded_expected_reward,
     bounded_until_vectors,
@@ -29,7 +29,16 @@ from featmc.features import FeatureDiagram, Product, parse_feature_expression
 from featmc.generators import gen_failure_recovery, gen_service_provider
 from featmc.models import FDTMC, project
 from featmc.profiles import GuardedProfile, constant
-from featmc.properties import Atom, Interval, PAnd, PNot, TRUE_F, parse_property
+from featmc.properties import (
+    Atom,
+    Interval,
+    PAnd,
+    PNot,
+    Prob,
+    TRUE_F,
+    parse_property,
+    parse_tree,
+)
 from featmc.rational import INFINITY, ONE, ZERO, rational
 from featmc.result import SAT, UNKNOWN, VIOLATED
 
@@ -75,14 +84,14 @@ class TestSatStates:
     def test_true_is_constant_one(self, wiper):
         dense = DenseModel(wiper.system)
         vec = _indicators(dense, TRUE_F)
-        assert all(all(v == 1 for v in vec[s]) for s in dense.states)
+        assert all(vec[s] == dense.full for s in dense.states)
 
     def test_atom_matches_labels(self, wiper):
         dense = DenseModel(wiper.system)
         vec = _indicators(dense, Atom("wiping"))
         for s in dense.states:
-            expected = ONE if "wiping" in dense.labels[s] else ZERO
-            assert all(v == expected for v in vec[s])
+            expected = dense.full if "wiping" in dense.labels[s] else 0
+            assert vec[s] == expected
 
     def test_composed_label_conjunction(self, minepump):
         dense = DenseModel(minepump.system)
@@ -90,11 +99,11 @@ class TestSatStates:
         vec = _indicators(dense, formula)
         for s in dense.states:
             expected = (
-                ONE
+                dense.full
                 if "methane" in dense.labels[s] and "pumpOn" not in dense.labels[s]
-                else ZERO
+                else 0
             )
-            assert all(v == expected for v in vec[s])
+            assert vec[s] == expected
 
 
 class TestNext:
@@ -364,6 +373,14 @@ class TestFamilyBounded:
         with pytest.raises(ValueError):
             check_family_bounded(wiper.system, "P=?(F end)", epsilon=ZERO)
 
+    @pytest.mark.parametrize("limits", [{"max_depth": 0}, {"bound": -1}])
+    def test_limits_that_skip_the_iteration_are_rejected(self, limits):
+        # with no sweep allowed the interval stays at [0, 1] and would be
+        # reported as 1/2 +- 1/2 without a warning
+        system = build_model(gen_failure_recovery(2)).system
+        with pytest.raises(ValueError):
+            check_family_bounded(system, "P=?(F failure)", **limits)
+
     def test_binding_error_on_unknown_atom(self, wiper):
         with pytest.raises(PropertyBindingError):
             check_family_bounded(wiper.system, "P=?(F nonsense)")
@@ -455,8 +472,8 @@ class TestReachabilityClosure:
             for left, right in self.OPERANDS:
                 zero, one = until_partition(
                     dense.pred,
-                    _masks(_indicators(dense, left)),
-                    _masks(_indicators(dense, right)),
+                    _indicators(dense, left),
+                    _indicators(dense, right),
                     dense.full,
                 )
                 for i, dtmc in enumerate(projections):
@@ -506,6 +523,89 @@ class TestNestedOperators:
                     assert expected.value <= o.value + o.error_bound
                     if o.decision != UNKNOWN:
                         assert o.decision == expected.decision, (prop, str(p))
+
+
+class TestThreeValuedSatMaps:
+    PROPERTIES = TestNestedOperators.PROPERTIES + ("!P[<0.5](F a)",)
+
+    def test_bitsets_bracket_the_exact_sat_set_at_every_state(self):
+        rng = random.Random(63)
+        undecided = 0
+        for _ in range(40):
+            m = random_fdtmc(rng, max_states=6, max_features=3)
+            dense = DenseModel(m)
+            projections = [project(m, p) for p in dense.products]
+            for text in self.PROPERTIES:
+                prop = parse_property(text)
+                # a quantitative root has no satisfaction set; its operands do
+                quantitative = isinstance(prop, Prob) and prop.interval is None
+                roots = parse_tree(prop)[:-1] if quantitative else [prop]
+                for root, epsilon in itertools.product(roots, ("1/2", "1/1000")):
+                    for f, entry in sat_states(dense, root, rational(epsilon)).items():
+                        for i, dtmc in enumerate(projections):
+                            exact = check_dtmc(dtmc, f).sat
+                            for s in m.states:
+                                lo, hi = entry.lo[s] >> i & 1, entry.hi[s] >> i & 1
+                                assert not lo or s in exact, (text, f, s)
+                                assert s not in exact or hi, (text, f, s)
+                                undecided += lo != hi
+        # some maps stay undecided, so both implications are exercised
+        assert undecided
+
+
+class TestPlainStateFormulae:
+    PROPERTIES = ("!P[<0.5](F a)", "a | P[>=0.2](b U a)")
+
+    def _assert_agrees(self, m, prop):
+        enum = check_family_enumerative(m, prop)
+        bounded = check_family_bounded(m, prop, epsilon=rational("1e-3"))
+        decided = 0
+        for p, expected in enum.outcomes.items():
+            o = bounded.outcomes[p]
+            assert o.value is None and o.error_bound is None
+            if o.decision != UNKNOWN:
+                assert o.decision == expected.decision, (prop, str(p))
+                decided += 1
+        return decided
+
+    def test_agree_with_enumerative(self):
+        rng = random.Random(65)
+        decided = 0
+        for _ in range(30):
+            m = random_fdtmc(rng, max_states=6, max_features=3)
+            for prop in self.PROPERTIES:
+                decided += self._assert_agrees(m, prop)
+        assert decided
+
+    def test_every_initial_state_must_satisfy(self):
+        d = FeatureDiagram(("f",))
+        # from u, a is reached with probability 1 when f holds and 0
+        # otherwise; v is labelled a, so every formula here holds there
+        m = FDTMC(
+            ("u", "v", "goal", "sink"),
+            {"u": rational(1, 2), "v": rational(1, 2)},
+            d,
+            {
+                ("u", "goal"): GuardedProfile(d, [(parse_feature_expression("f"), ONE)], ZERO),
+                ("u", "sink"): GuardedProfile(d, [(parse_feature_expression("f"), ZERO)], ONE),
+                ("v", "v"): constant(ONE, d),
+                ("goal", "goal"): constant(ONE, d),
+                ("sink", "sink"): constant(ONE, d),
+            },
+            ("a", "b"),
+            {"v": ("a",), "goal": ("a",)},
+        )
+        for prop in self.PROPERTIES:
+            assert self._assert_agrees(m, prop) == 2
+        result = check_family_bounded(m, "!P[<0.5](F a)")
+        decisions = {str(p): o.decision for p, o in result.outcomes.items()}
+        assert decisions == {"{f}": SAT, "{}": VIOLATED}
+
+    def test_undecided_formula_warns_with_the_precision_used(self, leaky_wiper):
+        # F end is exactly 1/2, so no precision separates it from the bound
+        result = check_family_bounded(leaky_wiper.system, "!P[>=0.5](F end)")
+        assert [o.decision for o in result.outcomes.values()] == [UNKNOWN] * 8
+        assert result.warnings == ["8 products stayed unknown at precision 1/10000"]
 
 
 class TestRounding:

@@ -91,6 +91,24 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ("--epsilon", "0"),
+            ("--epsilon", "abc"),
+            ("--bound", "-1"),
+            ("--max-depth", "0"),
+        ],
+    )
+    def test_invalid_engine_limit_is_a_usage_error(self, capsys, wiper_path, option):
+        code, out, err = run_cli(
+            capsys, "check", wiper_path, "--prop", "finishes", "--engine", "bounded", *option
+        )
+        assert code == 2
+        assert out == ""
+        assert f"argument {option[0]}" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "check", "/nonexistent.fdl", "--prop", "x")
         assert code == 2
