@@ -85,7 +85,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
     engines = (
         ["enum", "param", "bounded"]
         if args.engines == "all"
@@ -98,7 +97,7 @@ def cmd_bench(args) -> int:
     generate = _FAMILIES[args.family]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["family", "n", "engine", "seconds"])
-    for n in sizes:
+    for n in args.sizes:
         built = parse_model(print_model_file(generate(n)))
         prop = built.property_of(args.prop)
         for engine in engines:
@@ -138,6 +137,15 @@ def _int_at_least(minimum: int):
         return value
 
     return integer
+
+
+def _sizes(text: str) -> list[int]:
+    """Comma-separated feature counts, each at least 0."""
+    parse = _int_at_least(0)
+    try:
+        return [parse(size) for size in text.split(",") if size]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
 
 
 def _add_engine_options(parser):
@@ -183,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser("bench", help="time the engines on generated models")
     bench.add_argument("--family", choices=sorted(_FAMILIES), required=True)
-    bench.add_argument("--sizes", default="2,4,6", help="comma-separated feature counts")
+    bench.add_argument(
+        "--sizes", type=_sizes, default="2,4,6", help="comma-separated feature counts"
+    )
     bench.add_argument("--engines", default="all", help="comma-separated engine list")
     bench.add_argument("--prop", default="fail_risk")
     _add_engine_options(bench)
@@ -191,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = commands.add_parser("gen", help="emit a generated model file")
     gen.add_argument("--family", choices=sorted(_FAMILIES), required=True)
-    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--n", type=_int_at_least(0), required=True, help="feature count")
     gen.add_argument("-o", "--output", default=None)
     gen.set_defaults(func=cmd_gen)
     return parser

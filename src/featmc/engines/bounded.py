@@ -15,13 +15,23 @@ prob0 and 1 elsewhere, and only undecided (state, product) pairs are
 iterated.  The exact value always lies in ``[lo, hi]``; ``hi - lo`` is the
 undecided path mass, and a product stops being iterated once it is below
 the requested precision.  Threshold operators are decided three-valuedly
-on that interval.
+on that interval.  A top-level query reads only the initial states, so it
+iterates only their cone: per product, the undecided states reachable from
+an initial state of positive weight through undecided states (one more
+run of the reachability closure).  The initial states' values depend only
+on the states they reach, so they are those of an iteration of every
+undecided state, sweep by sweep.  Nested operators need every state's
+bounds and iterate every undecided pair.
 
 The iteration runs on Python integers over a common denominator ``2**bits``
 whose size follows from the precision, with outward rounding: probabilities
 and sums are rounded down for ``lo`` and up for ``hi``, so the certificate
 is as sound as an exact-rational iteration and the bounds handed back are
-exact rationals.  Step-bounded until, next and expected reward stay exact.
+exact rationals.  The rounded edges are built once per state and ``bits``
+and kept on the :class:`DenseModel`, scaling each value object once (an
+edge carries two or three distinct values, not one per product).  Only
+the bounds a caller reads are turned back into rationals.  Step-bounded
+until, next and expected reward stay exact.
 """
 
 from __future__ import annotations
@@ -77,7 +87,9 @@ class DenseModel:
 
     ``succ`` and ``pred`` list each state's successors and predecessors
     with the bitset of products whose edge is positive; they are built on
-    first use, for the reachability closure.
+    first use, for the reachability closure, as are the interval kernel's
+    sweep order and, once per state and ``bits``, its fixed-point edges
+    (``scaled``).
     """
 
     def __init__(self, model: FDTMC):
@@ -94,6 +106,7 @@ class DenseModel:
             self.edges[s].append((t, vec))
         self.init = model.init
         self.labels = model.labels
+        self._scaled: dict[int, tuple[dict, dict]] = {}
 
     def zeros(self):
         return [ZERO] * self.n
@@ -117,6 +130,64 @@ class DenseModel:
             for t, mask in out:
                 pred[t].append((s, mask))
         return pred
+
+    @cached_property
+    def index(self) -> dict[State, int]:
+        return {s: k for k, s in enumerate(self.states)}
+
+    @cached_property
+    def sweep_order(self) -> list[State]:
+        """Every state, successors before predecessors: DFS post-order over
+        the edge graph with cycles broken at back edges, so one sweep pushes
+        values across whole chains instead of one step."""
+        order = []
+        visited = set()
+        for root in self.states:
+            if root in visited:
+                continue
+            visited.add(root)
+            stack = [(root, iter([t for t, _ in self.edges[root]]))]
+            while stack:
+                node, children = stack[-1]
+                for child in children:
+                    if child not in visited:
+                        visited.add(child)
+                        stack.append((child, iter([t for t, _ in self.edges[child]])))
+                        break
+                else:
+                    order.append(node)
+                    stack.pop()
+        return order
+
+    def scaled(self, s: State, bits: int) -> list[list[tuple]]:
+        """Per product, the positive out-edges of ``s`` as ``(successor
+        position, p * 2**bits rounded down, rounded up)``.
+
+        Built on the first call for ``(s, bits)`` and kept.  An edge value
+        is scaled once per value object and ``bits``: a guarded profile
+        hands the same few objects to every product, so an edge has two or
+        three of them, not one per product.
+        """
+        # rounded: id of a value -> (down, up); self.edges keeps every value
+        # alive, so no id is reused
+        table, rounded = self._scaled.setdefault(bits, ({}, {}))
+        out = table.get(s)
+        if out is None:
+            edges = []
+            for t, vec in self.edges[s]:
+                pairs = []
+                for v in vec:
+                    pair = rounded.get(id(v))
+                    if pair is None:
+                        q, r = divmod(int(v.numerator) << bits, int(v.denominator))
+                        pair = rounded[id(v)] = (q, q + (r > 0))
+                    pairs.append(pair)
+                edges.append((self.index[t], pairs))
+            out = table[s] = [
+                [(k, *pairs[i]) for k, pairs in edges if pairs[i][1]]
+                for i in range(self.n)
+            ]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +242,14 @@ def bounded_until_vectors(
     return x
 
 
+def _bits(epsilon) -> int:
+    """Fixed-point precision of the interval kernel: 64 bits without a
+    precision, otherwise twice the bits of ``1/epsilon`` plus 34."""
+    if epsilon is None:
+        return 64
+    return 2 * ((int(epsilon.denominator) // int(epsilon.numerator)).bit_length() + 1) + 32
+
+
 def _family_until_run(
     dense: DenseModel,
     sat1,
@@ -189,78 +268,55 @@ def _family_until_run(
     value stays inside [lo, hi] under any update order, lo never decreases
     and hi never increases.  lo starts at 1 on prob1 and hi at 0 on prob0
     (:func:`until_partition`); only the undecided (state, product) pairs
-    are updated.  States are swept with successors first so mass
-    propagates across whole chains per sweep.
+    are updated, in :attr:`DenseModel.sweep_order`, so mass propagates
+    across whole chains per sweep.
 
-    Values are integers over ``2**bits`` (``bits`` from ``epsilon``, 64
-    without one) rounded outward, down for lo and up for hi, so each stays
-    on its side of the exact operator applied to the old value.
+    Values are integers over ``2**bits`` (:func:`_bits` of ``epsilon``)
+    rounded outward, down for lo and up for hi, so each stays on its side
+    of the exact operator applied to the old value.
 
     With ``bound`` exactly that many sweeps run.  Otherwise a product stops
     being updated once its interval is narrower than ``epsilon``: the
     interval aggregated under ``weights`` (state -> weight, the initial
     distribution of a top-level query), or at every state when ``weights``
-    is None.  A product still wider after ``max_depth`` sweeps, or after a
-    sweep that moved none of its bounds (rounding has stalled), raises
-    ConvergenceError.  ``observer(sweep, lo, hi)`` sees the vectors as
-    rationals after every sweep.
+    is None.  With ``weights`` only the cone is swept: per product, the
+    undecided states reachable from an initial state of positive weight
+    through undecided states.  The initial states' values depend only on
+    the states they reach, so they, and the sweep at which a product
+    stops, are those of a sweep over every undecided state; the states
+    outside the cone keep their starting bounds.  A product still wider after
+    ``max_depth`` sweeps, or after a sweep that moved none of its bounds
+    (rounding has stalled), raises ConvergenceError.  ``observer(sweep,
+    lo, hi)`` sees the vectors of every state as rationals after every
+    sweep.
 
-    Returns per-state (lo, hi).
+    Returns per-state (lo, hi): of every state, or of the states of
+    ``weights`` when it is given.
     """
     n = dense.n
-    states = list(dense.states)
-    index = {s: i for i, s in enumerate(states)}
+    states = dense.states
+    index = dense.index
     zero, one = until_partition(dense.pred, sat1, sat2, dense.full)
-    if epsilon is None:
-        bits = 64
-    else:
-        eps_num, eps_den = int(epsilon.numerator), int(epsilon.denominator)
-        bits = 2 * ((eps_den // eps_num).bit_length() + 1) + 32
+    bits = _bits(epsilon)
     full = 1 << bits
     # lo[i][k], hi[i][k]: product i at state states[k], scaled by 2**bits
     lo = [[full if one[s] >> i & 1 else 0 for s in states] for i in range(n)]
     hi = [[0 if zero[s] >> i & 1 else full for s in states] for i in range(n)]
-    # sweep order: successors before predecessors (DFS post-order over the
-    # edge graph, cycles broken at back edges) so one sweep pushes values
-    # across whole chains instead of one step
-    post_order = []
-    visited = set()
-    for root in states:
-        if root in visited:
-            continue
-        stack = [(root, iter([t for t, _ in dense.edges[root]]))]
-        visited.add(root)
-        while stack:
-            node, children = stack[-1]
-            advanced = False
-            for child in children:
-                if child not in visited:
-                    visited.add(child)
-                    stack.append(
-                        (child, iter([t for t, _ in dense.edges[child]]))
-                    )
-                    advanced = True
-                    break
-            if not advanced:
-                post_order.append(node)
-                stack.pop()
-    rank = {s: i for i, s in enumerate(post_order)}
-    # per product, the undecided states (the only ones that ever change) in
-    # sweep order, each with its nonzero out-edges as (successor,
-    # probability rounded down, probability rounded up)
+    undecided = {s: dense.full & ~(zero[s] | one[s]) for s in states}
+    if weights is not None:
+        seeds = {s: undecided[s] if weights.get(s, 0) > 0 else 0 for s in states}
+        undecided = closure(seeds, dense.succ, undecided)
+    # per product, the states it updates, in sweep order, each with its
+    # positive out-edges as (successor, probability rounded down, rounded up)
     rows = [[] for _ in range(n)]
-    for s in sorted(states, key=lambda s: (rank[s], index[s])):
-        undecided = dense.full & ~(zero[s] | one[s])
-        if not undecided:
-            continue
-        edges = []
-        for t, vec in dense.edges[s]:
-            pairs = [divmod(int(v.numerator) << bits, int(v.denominator)) for v in vec]
-            edges.append((index[t], [(q, q + (r > 0)) for q, r in pairs]))
-        for i in range(n):
-            if undecided >> i & 1:
-                succ = [(t, *rounded[i]) for t, rounded in edges if rounded[i][1]]
-                rows[i].append((index[s], succ))
+    for s in dense.sweep_order:
+        live = undecided[s]
+        if live:
+            k = index[s]
+            out = dense.scaled(s, bits)
+            for i in range(n):
+                if live >> i & 1:
+                    rows[i].append((k, out[i]))
     # width of product i is gap(i) / denom
     if weights is None:
         denom = full
@@ -276,12 +332,11 @@ def _family_until_run(
         def gap(i):
             return sum(w * (hi[i][k] - lo[i][k]) for k, w in weight_items)
 
-    def as_rationals(values):
-        return {
-            s: [rational(values[i][k], full) for i in range(n)]
-            for k, s in enumerate(states)
-        }
+    def as_rationals(values, keys=states):
+        return {s: [rational(values[i][index[s]], full) for i in range(n)] for s in keys}
 
+    if epsilon is not None:
+        eps_num, eps_den = int(epsilon.numerator), int(epsilon.denominator)
     active = list(range(n))
     for sweep in range(1, (max_depth if bound is None else bound) + 1):
         stalled = set()
@@ -320,7 +375,8 @@ def _family_until_run(
                     f"{sweep} sweeps at {bits} bits; worst undecided mass is {worst}",
                     worst_undecided=worst,
                 )
-    return as_rationals(lo), as_rationals(hi)
+    read = states if weights is None else list(weights)
+    return as_rationals(lo, read), as_rationals(hi, read)
 
 
 def _decide(interval: Interval, lo, hi) -> str:

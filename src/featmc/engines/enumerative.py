@@ -49,12 +49,8 @@ def until_state_partition(dtmc: DTMC, sat1: set, sat2: set):
     """Split states into certain-zero, certain-one and genuinely unknown:
     :func:`until_partition` on one product, so every mask is 0 or 1."""
     states = dtmc.states
-    pred: dict = {s: [] for s in states}
-    for (s, t), p in dtmc.transitions.items():
-        if p:
-            pred[t].append((s, 1))
     zero, one = until_partition(
-        pred,
+        dtmc.pred,
         {s: 1 if s in sat1 else 0 for s in states},
         {s: 1 if s in sat2 else 0 for s in states},
         1,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InvalidProductError, ModelError, NondeterminismError
@@ -179,6 +180,15 @@ class DTMC:
 
     def out_edges(self, state: State):
         return self._out[state]
+
+    @cached_property
+    def pred(self) -> dict[State, list[tuple[State, int]]]:
+        """Per state, its predecessors, each with the product mask of the
+        reachability closure: 1, the one product of a concrete chain."""
+        pred: dict[State, list[tuple[State, int]]] = {s: [] for s in self.states}
+        for (s, t) in self.transitions:
+            pred[t].append((s, 1))
+        return pred
 
     def states_with(self, proposition: str) -> set[State]:
         return {s for s in self.states if proposition in self.labels[s]}

@@ -7,6 +7,7 @@ from featmc import bundled_model_path
 from featmc.dsl import build_model, parse_model
 from featmc.engines.bounded import (
     DenseModel,
+    _bits,
     _decide,
     _family_until_run,
     _next_vectors,
@@ -704,6 +705,135 @@ class TestRounding:
             )
         assert sweeps == [1]
         assert err.value.worst_undecided == 1
+
+
+def _criterion3_corpus():
+    """The random chains of acceptance criterion 3."""
+    for seed in range(200):
+        yield random_fdtmc(random.Random(seed), max_states=8, max_features=4)
+
+
+class TestCone:
+    """A top-level run (``weights`` given) sweeps only the undecided states
+    its initial states reach; its initial bounds must be those of a sweep
+    over every undecided state, bit for bit."""
+
+    EPSILON = rational("1/1000")
+
+    @staticmethod
+    def _operands(model):
+        atoms = [Atom(a) for a in sorted(model.ap)]
+        return [(TRUE_F, a) for a in atoms] + [
+            (PNot(b), a) for a, b in zip(atoms, atoms[1:])
+        ]
+
+    def _assert_cone_matches_full_sweep(self, model):
+        dense = DenseModel(model)
+        weights = dense.init
+        init = [s for s, w in weights.items() if w > 0]
+        for left, right in self._operands(model):
+            sat1 = _indicators(dense, left)
+            sat2 = _indicators(dense, right)
+            history = []
+            _family_until_run(
+                dense,
+                sat1,
+                sat2,
+                self.EPSILON,
+                observer=lambda sweep, lo, hi: history.append((lo, hi)),
+            )
+            lo, hi = _family_until_run(dense, sat1, sat2, self.EPSILON, weights=weights)
+            fixed = _family_until_run(dense, sat1, sat2, self.EPSILON, bound=2, weights=weights)
+            fixed_full = _family_until_run(dense, sat1, sat2, self.EPSILON, bound=2)
+            for i in range(dense.n):
+                # the full sweep at the first sweep where the product's
+                # aggregated interval is narrower than epsilon
+                full_lo, full_hi = next(
+                    (a, b)
+                    for a, b in history
+                    if sum(w * (b[s][i] - a[s][i]) for s, w in weights.items())
+                    < self.EPSILON
+                )
+                for s in init:
+                    assert (lo[s][i], hi[s][i]) == (full_lo[s][i], full_hi[s][i])
+                    assert fixed[0][s][i] == fixed_full[0][s][i]
+                    assert fixed[1][s][i] == fixed_full[1][s][i]
+
+    def test_generated_and_bundled_models(self, wiper, minepump):
+        for model in (
+            wiper.system,
+            minepump.system,
+            build_model(gen_service_provider(4)).system,
+            build_model(gen_failure_recovery(4)).system,
+        ):
+            self._assert_cone_matches_full_sweep(model)
+
+    def test_criterion3_corpus(self):
+        for model in _criterion3_corpus():
+            self._assert_cone_matches_full_sweep(model)
+            # the same chain entered from two states, plus a third of weight 0
+            first, *_, last = model.states
+            init = {first: rational(1, 2), last: rational(1, 2)}
+            if len(model.states) > 2:
+                init[model.states[1]] = ZERO
+            self._assert_cone_matches_full_sweep(
+                FDTMC(model.states, init, model.diagram, model.transitions, model.ap, model.labels)
+            )
+
+    def test_only_the_read_states_are_returned(self, leaky_wiper):
+        dense = DenseModel(leaky_wiper.system)
+        sat1 = _indicators(dense, TRUE_F)
+        sat2 = _indicators(dense, Atom("end"))
+        lo, hi = _family_until_run(dense, sat1, sat2, self.EPSILON, weights=dense.init)
+        assert set(lo) == set(hi) == set(dense.init)
+        lo, hi = _family_until_run(dense, sat1, sat2, self.EPSILON)
+        assert set(lo) == set(hi) == set(dense.states)
+
+
+class TestScaledEdges:
+    """The interval kernel's fixed-point edges, built once per state and
+    ``bits``."""
+
+    def test_equals_per_product_divmod(self, wiper, minepump):
+        rng = random.Random(17)
+        models = [wiper.system, minepump.system, build_model(gen_failure_recovery(3)).system]
+        models += [random_fdtmc(rng, max_states=6, max_features=3, grain=g) for g in (3, 7, 9)]
+        inexact = 0
+        for model in models:
+            dense = DenseModel(model)
+            for epsilon in (rational("1/1000"), rational("1e-9"), None):
+                bits = _bits(epsilon)
+                for s in dense.states:
+                    scaled = dense.scaled(s, bits)
+                    for i in range(dense.n):
+                        expected = []
+                        for t, vec in dense.edges[s]:
+                            q, r = divmod(
+                                int(vec[i].numerator) << bits, int(vec[i].denominator)
+                            )
+                            if q + (r > 0):
+                                expected.append((dense.index[t], q, q + (r > 0)))
+                            inexact += r > 0
+                        assert scaled[i] == expected
+        assert inexact  # some edge rounds down and up to different integers
+
+    def test_second_run_reuses_the_table(self, leaky_wiper):
+        dense = DenseModel(leaky_wiper.system)
+        sat1 = _indicators(dense, TRUE_F)
+        sat2 = _indicators(dense, Atom("end"))
+        epsilon = rational("1e-4")
+        first = _family_until_run(dense, sat1, sat2, epsilon, weights=dense.init)
+        assert list(dense._scaled) == [_bits(epsilon)]
+        table, rounded = dense._scaled[_bits(epsilon)]
+        built = dict(table)
+        scaled_values = len(rounded)
+        assert built and scaled_values
+        second = _family_until_run(dense, sat1, sat2, epsilon, weights=dense.init)
+        assert list(dense._scaled) == [_bits(epsilon)]
+        assert table.keys() == built.keys()
+        assert all(table[s] is edges for s, edges in built.items())
+        assert len(rounded) == scaled_values
+        assert first == second
 
 
 class TestCorpus:

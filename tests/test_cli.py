@@ -173,6 +173,14 @@ class TestGen:
         assert code == 0
         assert "DISAGREE" not in out
 
+    @pytest.mark.parametrize("n", ["-1", "x"])
+    def test_invalid_feature_count_is_a_usage_error(self, capsys, n):
+        code, out, err = run_cli(capsys, "gen", "--family", "service", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "argument --n" in err
+        assert "Traceback" not in err
+
 
 class TestBench:
     def test_bench_csv_shape(self, capsys):
@@ -186,6 +194,16 @@ class TestBench:
         assert [r[2] for r in rows[1:]] == ["enum", "param", "bounded"]
         for row in rows[1:]:
             float(row[3])
+
+    @pytest.mark.parametrize("sizes", ["2,x", "2,-1"])
+    def test_invalid_sizes_are_a_usage_error(self, capsys, sizes):
+        code, out, err = run_cli(
+            capsys, "bench", "--family", "service", "--sizes", sizes, "--engines", "bounded"
+        )
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "argument --sizes" in err
+        assert "Traceback" not in err
 
 
 class TestUnknownExitCode:
