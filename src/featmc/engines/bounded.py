@@ -271,9 +271,10 @@ def _family_until_run(
     are updated, in :attr:`DenseModel.sweep_order`, so mass propagates
     across whole chains per sweep.
 
-    Values are integers over ``2**bits`` (:func:`_bits` of ``epsilon``)
-    rounded outward, down for lo and up for hi, so each stays on its side
-    of the exact operator applied to the old value.
+    Values are integers over ``2**bits`` (:func:`_bits` of ``epsilon``, 64
+    bits when only ``bound`` is given) rounded outward, down for lo and up
+    for hi, so each stays on its side of the exact operator applied to the
+    old value.
 
     With ``bound`` exactly that many sweeps run.  Otherwise a product stops
     being updated once its interval is narrower than ``epsilon``: the
@@ -291,8 +292,11 @@ def _family_until_run(
     sweep.
 
     Returns per-state (lo, hi): of every state, or of the states of
-    ``weights`` when it is given.
+    ``weights`` when it is given.  One of ``epsilon`` and ``bound`` is
+    required.
     """
+    if epsilon is None and bound is None:
+        raise ValueError("_family_until_run needs epsilon or bound, got neither")
     n = dense.n
     states = dense.states
     index = dense.index

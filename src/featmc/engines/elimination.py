@@ -4,7 +4,7 @@ Sparse state elimination over any value domain, the one exact solver of
 the enumerative and the parametric engine (Daws, ICTAC 2004; Hahn, Hermanns
 & Zhang, STTT 2011).  Edge values need only ``+``, ``*`` and truthiness:
 exact rationals for one projected chain, per-product support tables for the
-family.
+family.  Nodes go least degree first, picked from a lazy min-degree heap.
 
 Per-product reachability closure, the one qualitative precomputation of the
 enumerative and the bounded engine (Baier & Katoen, *Principles of Model
@@ -15,6 +15,7 @@ product i, so a single chain is the one-product case with masks 0 and 1.
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -76,13 +77,28 @@ class EliminationGraph:
     def run(self, order: Sequence, protected: Iterable = ()) -> Iterator[tuple]:
         """Eliminate every node of ``order`` outside ``protected``, least
         degree first with ties broken by position in ``order``, yielding
-        each node with its rerouted successor list."""
+        each node with its rerouted successor list.
+
+        The order comes from a lazy min-degree heap of ``(degree, position,
+        node)`` entries (George & Liu, SIAM Review 1989).  Eliminating a
+        node changes only its neighbours' degrees, so each of them is pushed
+        again with its new degree; a popped entry whose node is gone or
+        whose degree is stale is skipped.
+        """
         index = {s: i for i, s in enumerate(order)}
         remaining = set(index) - set(protected)
-        while remaining:
-            v = min(remaining, key=lambda s: (self.degree(s), index[s]))
+        heap = [(self.degree(s), index[s], s) for s in remaining]
+        heapq.heapify(heap)
+        while heap:
+            d, _, v = heapq.heappop(heap)
+            if v not in remaining or d != self.degree(v):
+                continue
+            touched = (self.succ.get(v, set()) | self.pred.get(v, set())) & remaining
+            touched.discard(v)
             yield v, self.eliminate(v)
             remaining.discard(v)
+            for s in touched:
+                heapq.heappush(heap, (self.degree(s), index[s], s))
 
 
 def closure(seeds: Mapping, edges: Mapping, allowed: Mapping) -> dict:

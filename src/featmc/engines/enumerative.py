@@ -1,16 +1,18 @@
 """Enumerative engine: project every product, check each chain on its own.
 
-One exploration per product.  Each projected DTMC is checked with standard
-algorithms: graph precomputation of the certain-zero and certain-one state
-sets, then an exact solve of the remaining sparse system ``x = P·x + b`` by
-the state elimination the parametric engine also runs, with values
-back-substituted at every state; plain iteration for bounded until, a single
-matrix-vector product for next.  Expected rewards use the same
-precomputation, solve ``x = P·x + r`` the same way, and diverge to infinity
-on products that miss the target with positive probability.  Float mode runs
-the same elimination on float64 rows: one direct solve with no stopping
-criterion, whose only error is rounding.  It raises where rounding makes a
-self-loop 1.
+One solve per product, columns taken once: every profile gives its dense
+column once per family (:func:`~featmc.models.projections`), and a top-level
+threshold decides its states from the values it solved for.  Each projected
+DTMC is checked with standard algorithms: graph precomputation of the
+certain-zero and certain-one state sets, then an exact solve of the
+remaining sparse system ``x = P·x + b`` by the state elimination the
+parametric engine also runs, with values back-substituted at every state;
+plain iteration for bounded until, a single matrix-vector product for next.
+Expected rewards use the same precomputation, solve ``x = P·x + r`` the same
+way, and diverge to infinity on products that miss the target with positive
+probability.  Float mode runs the same elimination on float64 rows: one
+direct solve with no stopping criterion, whose only error is rounding.  It
+raises where rounding makes a self-loop 1.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from ..errors import FeatmcError, ModelError, UnsupportedPropertyError
-from ..models import DTMC, FDTMC, project
+from ..models import DTMC, FDTMC, projections
 from ..properties import (
     Atom,
     Next,
@@ -226,6 +228,9 @@ def check_dtmc(dtmc: DTMC, formula: StateFormula, float_mode: bool = False) -> D
     """Evaluate a state formula on every state of one concrete chain."""
     memo: dict[StateFormula, set] = {}
 
+    def within(node: Prob, values: dict) -> set:
+        return {s for s in dtmc.states if node.interval.contains(values[s])}
+
     def sat(node: StateFormula) -> set:
         if node in memo:
             return memo[node]
@@ -242,19 +247,19 @@ def check_dtmc(dtmc: DTMC, formula: StateFormula, float_mode: bool = False) -> D
                 raise UnsupportedPropertyError(
                     "quantitative operator is only allowed at the top level"
                 )
-            values = path_values(dtmc, node.path, sat, float_mode)
-            result = {s for s in dtmc.states if node.interval.contains(values[s])}
+            result = within(node, path_values(dtmc, node.path, sat, float_mode))
         else:
             raise UnsupportedPropertyError(f"unknown state formula {node!r}")
         memo[node] = result
         return result
 
-    top_values = None
     if isinstance(formula, Prob):
-        top_values = path_values(dtmc, formula.path, sat, float_mode)
+        # one solve: the top values also give the satisfying states
+        values = path_values(dtmc, formula.path, sat, float_mode)
         if formula.interval is None:
-            return DtmcCheckResult(set(), top_values)
-    return DtmcCheckResult(sat(formula), top_values)
+            return DtmcCheckResult(set(), values)
+        return DtmcCheckResult(within(formula, values), values)
+    return DtmcCheckResult(sat(formula))
 
 
 def _initial_value(dtmc: DTMC, values: dict):
@@ -308,9 +313,9 @@ def check_family_enumerative(
     bind_check(prop, model.ap)
     started = time.perf_counter()
     result = FamilyResult(ENGINE_NAME, print_property(prop))
-    for product in model.diagram.valid_products():
+    for product, dtmc in projections(model):
         try:
-            outcome = check_product(project(model, product), prop, float_mode)
+            outcome = check_product(dtmc, prop, float_mode)
         except FeatmcError as exc:
             exc.args = (f"product {product}: {exc}",)
             raise

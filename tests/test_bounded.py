@@ -889,3 +889,15 @@ class TestConvergenceCeiling:
         with pytest.raises(ConvergenceError) as err:
             _until(m, TRUE_F, Atom("goal"), epsilon=rational("1e-9"), max_depth=10)
         assert err.value.worst_undecided > 0
+
+
+class TestRunArguments:
+    def test_neither_epsilon_nor_bound_is_a_value_error(self, minepump):
+        with pytest.raises(ValueError, match="epsilon or bound"):
+            _until(minepump.system, TRUE_F, Atom("methane"))
+
+    def test_bound_alone_runs_at_64_bits(self, minepump):
+        lo, hi = _until(minepump.system, TRUE_F, Atom("methane"), bound=3)
+        for s in lo:
+            assert all(a <= b for a, b in zip(lo[s], hi[s]))
+            assert all((a * 2**64).denominator == 1 for a in lo[s])

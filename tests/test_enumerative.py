@@ -17,8 +17,10 @@ from featmc.engines.enumerative import (
     until_values,
     until_values_float,
 )
+from featmc.dsl import build_model
 from featmc.errors import ModelError, UnboundFeatureError
 from featmc.features import FeatureDiagram, Product
+from featmc.generators import gen_service_provider
 from featmc.models import FDTMC, project
 from featmc.profiles import constant
 from featmc.properties import parse_property
@@ -256,6 +258,116 @@ class TestEliminationKernel:
         graph.add("s", "t", rational(1, 2))
         assert graph.eliminate("s") == []
         assert graph.f == {}
+
+
+def min_degree_reference(graph, order, protected=()):
+    """The selection the heap replaces: a ``min`` over every remaining node
+    by (degree, position in ``order``)."""
+    index = {s: i for i, s in enumerate(order)}
+    remaining = set(index) - set(protected)
+    while remaining:
+        v = min(remaining, key=lambda s: (graph.degree(s), index[s]))
+        yield v, graph.eliminate(v)
+        remaining.discard(v)
+
+
+class TestEliminationOrder:
+    """The lazy min-degree heap eliminates in exactly the order of a ``min``
+    over the remaining nodes and reroutes the same successor lists."""
+
+    @staticmethod
+    def _graphs(edges, closure):
+        graphs = []
+        for _ in range(2):
+            graph = EliminationGraph(closure)
+            for s, t, f in edges:
+                graph.add(s, t, f)
+            graphs.append(graph)
+        return graphs
+
+    def test_random_graphs(self):
+        rng = random.Random(11)
+        protected_runs = loops = 0
+        for _ in range(500):
+            nodes = list(range(rng.randint(1, 12)))
+            density = rng.choice((0.15, 0.3, 0.6))
+            edges = [
+                (s, t, rational(rng.randint(1, 4), 9))
+                for s in nodes
+                for t in nodes + ["sink"]
+                if rng.random() < density
+            ]
+            protected = rng.sample(nodes, rng.randint(0, len(nodes) // 3))
+            order = rng.sample(nodes, len(nodes))
+            protected_runs += bool(protected)
+            loops += any(s == t for s, t, _ in edges)
+            # 1/(1+loop) never divides by zero on positive edge values
+            heap_graph, min_graph = self._graphs(edges, lambda loop: ONE / (ONE + loop))
+            assert list(heap_graph.run(order, protected)) == list(
+                min_degree_reference(min_graph, order, protected)
+            )
+            assert heap_graph.f == min_graph.f
+        assert protected_runs > 100 and loops > 100
+
+    def test_service_until_system(self):
+        model = build_model(gen_service_provider(4)).system
+        dtmc = project(model, model.diagram.valid_products()[-1])
+        _, unknowns, rows = enumerative._until_system(
+            dtmc, set(dtmc.states), dtmc.states_with("failure")
+        )
+        assert len(unknowns) > 10
+        edges = [(s, t, p) for s, row in zip(unknowns, rows) for t, p in row]
+        heap_graph, min_graph = self._graphs(edges, enumerative._closure)
+        assert list(heap_graph.run(unknowns)) == list(
+            min_degree_reference(min_graph, unknowns)
+        )
+
+
+class TestSingleSolve:
+    """A top-level threshold solves its path formula once per product."""
+
+    @pytest.fixture(scope="class")
+    def service4(self):
+        return build_model(gen_service_provider(4)).system
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"until_values": 0, "until_values_float": 0}
+        for name in calls:
+            original = getattr(enumerative, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(enumerative, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("float_mode", [False, True])
+    def test_threshold(self, service4, monkeypatch, float_mode):
+        calls = self._count_calls(monkeypatch)
+        result = check_family_enumerative(service4, "P[<0.1](F failure)", float_mode)
+        products = len(service4.diagram.valid_products())
+        solver = "until_values_float" if float_mode else "until_values"
+        assert calls == {**{name: 0 for name in calls}, solver: products}
+        decisions = {o.decision for o in result.outcomes.values()}
+        assert decisions == {SAT, VIOLATED}
+
+    def test_nested_threshold(self, service4, monkeypatch):
+        products = service4.diagram.valid_products()
+        expected = {}
+        for product in products:
+            dtmc = project(service4, product)
+            inner = until_values(dtmc, set(dtmc.states), dtmc.states_with("failure"))
+            sat = {s for s, v in inner.items() if v > rational(1, 10)}
+            step = next_values(dtmc, sat)
+            value = sum((w * step[s] for s, w in dtmc.init.items()), ZERO)
+            expected[product] = SAT if value < rational(1, 2) else VIOLATED
+        assert set(expected.values()) == {SAT, VIOLATED}
+        calls = self._count_calls(monkeypatch)
+        result = check_family_enumerative(service4, "P[<0.5](X P[>0.1](F failure))")
+        assert calls["until_values"] == len(products)
+        assert {p: o.decision for p, o in result.outcomes.items()} == expected
 
 
 class TestExpectedReward:
