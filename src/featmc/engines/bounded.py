@@ -27,11 +27,16 @@ The iteration runs on Python integers over a common denominator ``2**bits``
 whose size follows from the precision, with outward rounding: probabilities
 and sums are rounded down for ``lo`` and up for ``hi``, so the certificate
 is as sound as an exact-rational iteration and the bounds handed back are
-exact rationals.  The rounded edges are built once per state and ``bits``
-and kept on the :class:`DenseModel`, scaling each value object once (an
-edge carries two or three distinct values, not one per product).  Only
-the bounds a caller reads are turned back into rationals.  Step-bounded
-until, next and expected reward stay exact.
+exact rationals.  Every product is iterated at once, bit-parallel: a
+state's ``lo`` and ``hi`` are one integer each, with one fixed-width lane
+per product (SWAR, "SIMD within a register"; Warren, *Hacker's Delight*,
+ch. 2), which extends the 1-bit product bitsets of Classen et al. (ICSE
+2010) to fixed-point lanes.  An edge carries a few distinct values, not
+one per product, so a state's update is one multiply-add per (successor,
+distinct rounded value) on the lanes of the products that share it.  The
+rounded edges are built once per run, and each edge's dense vector is read
+once per model.  Only the bounds a caller reads are turned back into
+rationals.  Step-bounded until, next and expected reward stay exact.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from ..errors import ConvergenceError, UnsupportedPropertyError
 from ..models import FDTMC, State
@@ -71,10 +77,47 @@ DEFAULT_MAX_DEPTH = 100_000
 # Dense model form
 # ---------------------------------------------------------------------------
 
+#: bytes.translate tables between 0/1 flag bytes and ASCII binary digits
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+#: a rational's (numerator, denominator), the key equal values share
+_RATIO = attrgetter("numerator", "denominator")
+
+
+def _bitset(flags: bytes) -> int:
+    """Bitset of the positions whose byte in ``flags`` (0 or 1 each) is 1."""
+    return int(flags[::-1].translate(_TO_DIGITS) or b"0", 2)
+
+
+def _flags(bits: int, n: int) -> bytes:
+    """The first ``n`` bits of ``bits`` as 0/1 bytes, bit 0 first."""
+    return bin(bits)[:1:-1].ljust(n, "0")[:n].encode().translate(_FROM_DIGITS)
+
 
 def _mask(row) -> int:
     """Bitset of the products whose entry in ``row`` is nonzero."""
-    return sum(1 << i for i, v in enumerate(row) if v)
+    return _bitset(bytes(map(bool, row)))
+
+
+def _value_groups(vec) -> list[tuple[object, bytes]]:
+    """The distinct positive values of ``vec``, each with the 0/1 flag
+    bytes of the products that carry it.
+
+    Values are told apart by object first: a guarded profile hands the
+    same few objects to every product, so their numerator and denominator
+    are read once per object (a Fraction's own hash costs a modular
+    inverse), while a computed profile may give each product its own.
+    """
+    ids = [*map(id, vec)]
+    objects = dict(zip(ids, vec))
+    if len(objects) > 1:
+        keys = [*map(_RATIO, objects.values())]
+        values = dict(zip(keys, objects.values()))
+        if len(values) > 1:
+            if len(objects) < len(vec):
+                keys = [*map(dict(zip(objects, keys)).__getitem__, ids)]
+            return [(v, bytes(map(key.__eq__, keys))) for key, v in values.items() if v]
+    return [(vec[0], b"\x01" * len(vec))] if vec and vec[0] else []
 
 
 def _indicator(bits: int, n: int) -> list:
@@ -85,11 +128,14 @@ def _indicator(bits: int, n: int) -> list:
 class DenseModel:
     """FDTMC with every profile flattened to a per-product vector.
 
-    ``succ`` and ``pred`` list each state's successors and predecessors
-    with the bitset of products whose edge is positive; they are built on
-    first use, for the reachability closure, as are the interval kernel's
-    sweep order and, once per state and ``bits``, its fixed-point edges
-    (``scaled``).
+    ``edges`` lists each state's out-edges with their vectors.  ``groups``
+    reads each vector once, on first use, for the reachability closure and
+    the interval kernel: per state, its positive out-edges with their
+    distinct positive values and the products carrying each
+    (:func:`_value_groups`).  ``succ`` and ``pred`` list each state's
+    successors and predecessors with the bitset of products whose edge is
+    positive, and ``sweep_order`` is the interval kernel's update order;
+    they are built from the groups on first use.
     """
 
     def __init__(self, model: FDTMC):
@@ -100,13 +146,9 @@ class DenseModel:
         self.full = (1 << self.n) - 1  # bitset of every product
         self.edges: dict[State, list[tuple[State, tuple]]] = {s: [] for s in self.states}
         for (s, t), profile in model.transitions.items():
-            vec = to_dense(profile).values
-            if all(v == 0 for v in vec):
-                continue
-            self.edges[s].append((t, vec))
+            self.edges[s].append((t, to_dense(profile).values))
         self.init = model.init
         self.labels = model.labels
-        self._scaled: dict[int, tuple[dict, dict]] = {}
 
     def zeros(self):
         return [ZERO] * self.n
@@ -120,8 +162,19 @@ class DenseModel:
         }
 
     @cached_property
+    def groups(self) -> dict[State, list[tuple[State, list[tuple[object, bytes]]]]]:
+        return {
+            s: [(t, groups) for t, vec in out if (groups := _value_groups(vec))]
+            for s, out in self.edges.items()
+        }
+
+    @cached_property
     def succ(self) -> dict[State, list[tuple[State, int]]]:
-        return {s: [(t, _mask(vec)) for t, vec in self.edges[s]] for s in self.states}
+        # an edge's value groups are disjoint, so their sum is their union
+        return {
+            s: [(t, sum(_bitset(flags) for _, flags in groups)) for t, groups in out]
+            for s, out in self.groups.items()
+        }
 
     @cached_property
     def pred(self) -> dict[State, list[tuple[State, int]]]:
@@ -146,48 +199,18 @@ class DenseModel:
             if root in visited:
                 continue
             visited.add(root)
-            stack = [(root, iter([t for t, _ in self.edges[root]]))]
+            stack = [(root, iter([t for t, _ in self.succ[root]]))]
             while stack:
                 node, children = stack[-1]
                 for child in children:
                     if child not in visited:
                         visited.add(child)
-                        stack.append((child, iter([t for t, _ in self.edges[child]])))
+                        stack.append((child, iter([t for t, _ in self.succ[child]])))
                         break
                 else:
                     order.append(node)
                     stack.pop()
         return order
-
-    def scaled(self, s: State, bits: int) -> list[list[tuple]]:
-        """Per product, the positive out-edges of ``s`` as ``(successor
-        position, p * 2**bits rounded down, rounded up)``.
-
-        Built on the first call for ``(s, bits)`` and kept.  An edge value
-        is scaled once per value object and ``bits``: a guarded profile
-        hands the same few objects to every product, so an edge has two or
-        three of them, not one per product.
-        """
-        # rounded: id of a value -> (down, up); self.edges keeps every value
-        # alive, so no id is reused
-        table, rounded = self._scaled.setdefault(bits, ({}, {}))
-        out = table.get(s)
-        if out is None:
-            edges = []
-            for t, vec in self.edges[s]:
-                pairs = []
-                for v in vec:
-                    pair = rounded.get(id(v))
-                    if pair is None:
-                        q, r = divmod(int(v.numerator) << bits, int(v.denominator))
-                        pair = rounded[id(v)] = (q, q + (r > 0))
-                    pairs.append(pair)
-                edges.append((self.index[t], pairs))
-            out = table[s] = [
-                [(k, *pairs[i]) for k, pairs in edges if pairs[i][1]]
-                for i in range(self.n)
-            ]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +227,7 @@ def _next_vectors(dense: DenseModel, sat) -> dict[State, list]:
         for t, vec in dense.edges[s]:
             bits = sat[t]
             for i in range(dense.n):
-                if bits >> i & 1:
+                if bits >> i & 1 and vec[i]:
                     acc[i] += vec[i]
         out[s] = acc
     return out
@@ -250,6 +273,83 @@ def _bits(epsilon) -> int:
     return 2 * ((int(epsilon.denominator) // int(epsilon.numerator)).bit_length() + 1) + 32
 
 
+class _Lanes:
+    """``n`` unsigned lanes of ``width`` bits (a multiple of 8) packed into
+    one int, lane i at bits ``[i*width, (i+1)*width)``: SWAR, "SIMD within a
+    register" (Warren, *Hacker's Delight*, ch. 2).  A packed sum or
+    difference is lane-wise as long as no lane leaves ``[0, 2**width)``;
+    the comparisons keep their operands below the top bit of a lane."""
+
+    def __init__(self, n: int, width: int):
+        self.n = n
+        self.width = width
+        self.stride = width // 8
+        self.ones = self.spread_flags(b"\x01" * n)  # 1 in every lane
+        self.high = self.ones << (width - 1)  # the top bit of every lane
+
+    def spread_flags(self, flags: bytes) -> int:
+        """1 in lane i wherever ``flags[i]`` is 1, 0 elsewhere."""
+        buf = bytearray(self.n * self.stride)
+        buf[:: self.stride] = flags
+        return int.from_bytes(buf, "little")
+
+    def spread(self, bits: int) -> int:
+        """1 in lane i wherever bit i of the product bitset is set."""
+        return self.spread_flags(_flags(bits, self.n))
+
+    def widen(self, x: int) -> int:
+        """Every lane that holds 1 in ``x`` all ones, the rest 0."""
+        return x * ((1 << self.width) - 1)
+
+    def fill(self, tops: int) -> int:
+        """Every lane whose top bit is set in ``tops`` all ones, the rest 0."""
+        return (tops - (tops >> (self.width - 1))) | tops
+
+    def at_least(self, x: int, threshold: int) -> int:
+        """Top bits of the lanes of ``x`` that are at least those of
+        ``threshold``; both must be below ``2**(width-1)`` lane-wise."""
+        return ((x | self.high) - threshold) & self.high
+
+    def nonzero(self, x: int) -> int:
+        """Top bits of the lanes of ``x`` that are not 0."""
+        low = self.high - self.ones
+        return (((x & low) + low) | x) & self.high
+
+    def unpack(self, x: int) -> list[int]:
+        """The lanes of ``x`` as ints, lane 0 first."""
+        raw = x.to_bytes(self.n * self.stride, "little")
+        step = self.stride
+        return [int.from_bytes(raw[j : j + step], "little") for j in range(0, len(raw), step)]
+
+
+def _edge_table(dense: DenseModel, cone, bits: int, lanes: _Lanes) -> list[tuple]:
+    """The interval kernel's packed edges: per state with a lane in
+    ``cone`` (state -> product bitset), in sweep order, ``(position, lanes
+    of cone, entries)``.  Each entry is ``(successor position, probability
+    times 2**bits rounded down, rounded up, lanes of the products whose
+    edge has that value)``, one per successor and distinct rounded pair;
+    a lane mask is all ones in its lanes."""
+    index = dense.index
+    rounded = {}  # id of a value -> (down, up); dense.groups keeps it alive
+    table = []
+    for s in dense.sweep_order:
+        if not cone[s]:
+            continue
+        merged: dict[tuple, int] = {}
+        for t, groups in dense.groups[s]:
+            k = index[t]
+            for v, flags in groups:
+                pair = rounded.get(id(v))
+                if pair is None:
+                    q, r = divmod(int(v.numerator) << bits, int(v.denominator))
+                    pair = rounded[id(v)] = (q, q + (r > 0))
+                key = (k, *pair)
+                merged[key] = merged.get(key, 0) | lanes.spread_flags(flags)
+        entries = [(k, down, up, lanes.widen(m)) for (k, down, up), m in merged.items()]
+        table.append((index[s], lanes.widen(lanes.spread(cone[s])), entries))
+    return table
+
+
 def _family_until_run(
     dense: DenseModel,
     sat1,
@@ -260,7 +360,8 @@ def _family_until_run(
     weights=None,
     observer=None,
 ):
-    """Two-sided interval iteration of the unbounded until, in place.
+    """Two-sided interval iteration of the unbounded until, every product
+    at once.
 
     Tracks a lower bound lo and an upper bound hi of the until value per
     (state, product); both are iterates of the same monotone one-step
@@ -274,22 +375,39 @@ def _family_until_run(
     Values are integers over ``2**bits`` (:func:`_bits` of ``epsilon``, 64
     bits when only ``bound`` is given) rounded outward, down for lo and up
     for hi, so each stays on its side of the exact operator applied to the
-    old value.
+    old value.  Each state's lo and hi are one int each, with one lane per
+    product (:class:`_Lanes`).  An edge is one ``(successor, down, up,
+    lanes)`` entry per distinct rounded value, ``lanes`` masking the
+    products whose edge has that value, so a state's update is one
+    multiply-add per entry for every product at once; the floor and the
+    ceiling are one shift each.  A lane holds at most ``2**bits`` per
+    state, so a rounded sum stays below ``2**(2*bits+1)`` and the lane
+    width of at least ``2*bits + 16`` bits never carries.
+
+    A new bound overwrites the old one, except that hi is clamped
+    lane-wise to ``2**bits``: the rounded-up sum can exceed 1.  This gives
+    the iterates of keeping the better of the old and the new bound.  The
+    operator is monotone, lo only rises and hi only falls, so a new lower
+    sum is at least the one that set the old lo (or the start value 0),
+    and a new upper sum at most the one that set the old hi, which was
+    clamped the same way (or the start value ``2**bits``).  Decided pairs,
+    pairs outside the cone and products that have stopped keep their lanes
+    through a masked select.
 
     With ``bound`` exactly that many sweeps run.  Otherwise a product stops
     being updated once its interval is narrower than ``epsilon``: the
     interval aggregated under ``weights`` (state -> weight, the initial
     distribution of a top-level query), or at every state when ``weights``
-    is None.  With ``weights`` only the cone is swept: per product, the
-    undecided states reachable from an initial state of positive weight
-    through undecided states.  The initial states' values depend only on
-    the states they reach, so they, and the sweep at which a product
-    stops, are those of a sweep over every undecided state; the states
-    outside the cone keep their starting bounds.  A product still wider after
-    ``max_depth`` sweeps, or after a sweep that moved none of its bounds
-    (rounding has stalled), raises ConvergenceError.  ``observer(sweep,
-    lo, hi)`` sees the vectors of every state as rationals after every
-    sweep.
+    is None; either is read with lane-wise comparisons.  With
+    ``weights`` only the cone is swept: per product, the undecided states
+    reachable from an initial state of positive weight through undecided
+    states.  The initial states' values depend only on the states they
+    reach, so they, and the sweep at which a product stops, are those of a
+    sweep over every undecided state; the states outside the cone keep
+    their starting bounds.  A product still wider after ``max_depth``
+    sweeps, or after a sweep that moved none of its bounds (rounding has
+    stalled), raises ConvergenceError.  ``observer(sweep, lo, hi)`` sees
+    the vectors of every state as rationals after every sweep.
 
     Returns per-state (lo, hi): of every state, or of the states of
     ``weights`` when it is given.  One of ``epsilon`` and ``bound`` is
@@ -297,83 +415,93 @@ def _family_until_run(
     """
     if epsilon is None and bound is None:
         raise ValueError("_family_until_run needs epsilon or bound, got neither")
-    n = dense.n
     states = dense.states
     index = dense.index
     zero, one = until_partition(dense.pred, sat1, sat2, dense.full)
     bits = _bits(epsilon)
     full = 1 << bits
-    # lo[i][k], hi[i][k]: product i at state states[k], scaled by 2**bits
-    lo = [[full if one[s] >> i & 1 else 0 for s in states] for i in range(n)]
-    hi = [[0 if zero[s] >> i & 1 else full for s in states] for i in range(n)]
     undecided = {s: dense.full & ~(zero[s] | one[s]) for s in states}
-    if weights is not None:
-        seeds = {s: undecided[s] if weights.get(s, 0) > 0 else 0 for s in states}
-        undecided = closure(seeds, dense.succ, undecided)
-    # per product, the states it updates, in sweep order, each with its
-    # positive out-edges as (successor, probability rounded down, rounded up)
-    rows = [[] for _ in range(n)]
-    for s in dense.sweep_order:
-        live = undecided[s]
-        if live:
-            k = index[s]
-            out = dense.scaled(s, bits)
-            for i in range(n):
-                if live >> i & 1:
-                    rows[i].append((k, out[i]))
-    # width of product i is gap(i) / denom
+    width = 2 * bits + 16
     if weights is None:
         denom = full
+    else:
+        seeds = {s: undecided[s] if weights.get(s, 0) > 0 else 0 for s in states}
+        undecided = closure(seeds, dense.succ, undecided)
+        denom = math.lcm(*(int(w.denominator) for w in weights.values()))
+        weight_items = [(index[s], int(w * denom)) for s, w in weights.items() if w]
+        # the weighted gap is at most 2**bits times the weight sum per lane
+        width = max(width, bits + sum(w for _, w in weight_items).bit_length() + 4)
+        denom <<= bits
+    lanes = _Lanes(dense.n, -(-width // 8) * 8)
+    width = lanes.width
+    ones = lanes.ones
+    # lo[k], hi[k]: every product's bound at state states[k], scaled by 2**bits
+    lo = [lanes.spread(one[s]) << bits for s in states]
+    hi = [(ones ^ lanes.spread(zero[s])) << bits for s in states]
+    table = _edge_table(dense, undecided, bits, lanes)
+    # the width of product i is over denom, and the largest lane i of gap()
+    if weights is None:
 
-        def gap(i):
-            return max((hi[i][k] - lo[i][k] for k, _ in rows[i]), default=0)
+        def gap():
+            return [hi[k] - lo[k] for k, _, _ in table]  # decided lanes are 0
 
     else:
-        denom = math.lcm(*(int(w.denominator) for w in weights.values()))
-        weight_items = [(index[s], int(w * denom)) for s, w in weights.items()]
-        denom <<= bits
 
-        def gap(i):
-            return sum(w * (hi[i][k] - lo[i][k]) for k, w in weight_items)
+        def gap():
+            return [sum(w * (hi[k] - lo[k]) for k, w in weight_items)]
 
     def as_rationals(values, keys=states):
-        return {s: [rational(values[i][index[s]], full) for i in range(n)] for s in keys}
+        return {s: [rational(v, full) for v in lanes.unpack(values[index[s]])] for s in keys}
 
     if epsilon is not None:
         eps_num, eps_den = int(epsilon.numerator), int(epsilon.denominator)
-    active = list(range(n))
+        # a product is still wide while gap >= eps * denom; the threshold is
+        # capped above every gap a lane can hold, below the top bit
+        threshold = ones * min(-(-eps_num * denom // eps_den), 1 << (width - 2))
+    low = ones * ((1 << (width - bits)) - 1)  # a lane after the shift
+    round_up = ones * (full - 1)
+    cap = ones << bits
+    above_cap = cap + ones
+    high = lanes.high
+    active = lanes.widen(ones)  # lanes of the products still iterated
     for sweep in range(1, (max_depth if bound is None else bound) + 1):
-        stalled = set()
-        for i in active:
-            lo_i = lo[i]
-            hi_i = hi[i]
-            moved = False
-            for k, succ in rows[i]:
-                acc_lo = 0
-                acc_hi = 0
-                for t, down, up in succ:
-                    acc_lo += down * lo_i[t]
-                    acc_hi += up * hi_i[t]
-                acc_lo >>= bits
-                acc_hi = -(-acc_hi >> bits)
-                if acc_lo > lo_i[k]:
-                    lo_i[k] = acc_lo
-                    moved = True
-                if acc_hi < hi_i[k]:
-                    hi_i[k] = acc_hi
-                    moved = True
-            if not moved:
-                stalled.add(i)
+        moved = 0
+        for k, cone, entries in table:
+            upd = cone & active
+            if not upd:
+                continue
+            acc_lo = 0
+            acc_hi = 0
+            for t, down, up, mask in entries:
+                acc_lo += down * (lo[t] & mask)
+                acc_hi += up * (hi[t] & mask)
+            new_lo = (acc_lo >> bits) & low
+            new_hi = ((acc_hi + round_up) >> bits) & low
+            over = ((new_hi | high) - above_cap) & high  # lanes above 2**bits
+            if over:
+                new_hi ^= (new_hi ^ cap) & lanes.fill(over)
+            old = lo[k]
+            diff_lo = (new_lo ^ old) & upd
+            lo[k] = old ^ diff_lo
+            old = hi[k]
+            diff_hi = (new_hi ^ old) & upd
+            hi[k] = old ^ diff_hi
+            moved |= diff_lo | diff_hi
         if observer is not None:
             observer(sweep, as_rationals(lo), as_rationals(hi))
         if bound is None:
-            active = [i for i in active if gap(i) * eps_den >= eps_num * denom]
+            wide = 0
+            for g in gap():
+                wide |= lanes.at_least(g, threshold)
+            active &= lanes.fill(wide)
             if not active:
                 break
             # a sweep that moves nothing would move nothing ever after
-            stuck = [i for i in active if i in stalled]
+            stuck = active & ~lanes.fill(lanes.nonzero(moved))
             if stuck or sweep == max_depth:
-                worst = rational(max(map(gap, stuck or active)), denom)
+                chosen = lanes.unpack(stuck or active)
+                widths = zip(*map(lanes.unpack, gap()))
+                worst = rational(max(max(g) for g, c in zip(widths, chosen) if c), denom)
                 raise ConvergenceError(
                     f"{'rounding stalled' if stuck else 'no convergence'} after "
                     f"{sweep} sweeps at {bits} bits; worst undecided mass is {worst}",

@@ -200,20 +200,25 @@ def interpolate_family(values: Sequence, diagram: FeatureDiagram) -> Multilinear
     ``values`` follows the diagram's canonical product order; invalid
     products count as 0.  The coefficient of monomial S is the Möbius
     inverse sum over T ⊆ S of (-1)^|S-T| value(T), computed for all S at
-    once by the fast subset transform in O(n·2^n) operations.
+    once by the fast subset transform in O(n·2^n) steps; a step whose
+    partner cell is 0 subtracts nothing and is skipped.
     """
     names = diagram.signature
     n = len(names)
+    size = 1 << n
     cube = _cube(values, diagram)
     for i in range(n):
         step = 1 << i
-        for mask in range(1 << n):
-            if mask & step:
-                cube[mask] -= cube[mask ^ step]
+        for block in range(step, size, 2 * step):
+            for mask in range(block, block + step):
+                partner = cube[mask - step]
+                if partner:
+                    cube[mask] -= partner
     # bit i of a mask, counted from the top, is feature names[i]
+    digits = f"0{n}b"
     return MultilinearPolynomial(
         {
-            frozenset(names[i] for i in range(n) if mask >> (n - 1 - i) & 1): coeff
+            frozenset(itertools.compress(names, map("1".__eq__, format(mask, digits)))): coeff
             for mask, coeff in enumerate(cube)
             if coeff != 0
         }

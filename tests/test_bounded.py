@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,17 +7,21 @@ import pytest
 from featmc import bundled_model_path
 from featmc.dsl import build_model, parse_model
 from featmc.engines.bounded import (
+    DEFAULT_MAX_DEPTH,
     DenseModel,
     _bits,
     _decide,
+    _edge_table,
     _family_until_run,
+    _Lanes,
+    _mask,
     _next_vectors,
     bounded_expected_reward,
     bounded_until_vectors,
     check_family_bounded,
     sat_states,
 )
-from featmc.engines.elimination import until_partition
+from featmc.engines.elimination import closure, until_partition
 from featmc.engines.enumerative import (
     bounded_until_values,
     check_dtmc,
@@ -25,7 +30,7 @@ from featmc.engines.enumerative import (
     until_values,
 )
 from featmc.engines.parametric import check_family_parametric
-from featmc.errors import PropertyBindingError
+from featmc.errors import ConvergenceError, PropertyBindingError
 from featmc.features import FeatureDiagram, Product, parse_feature_expression
 from featmc.generators import gen_failure_recovery, gen_service_provider
 from featmc.models import FDTMC, project
@@ -79,6 +84,102 @@ def _until(model, left, right, **kwargs):
     return _family_until_run(
         dense, _indicators(dense, left), _indicators(dense, right), **kwargs
     )
+
+
+def _reference_until_run(
+    dense,
+    sat1,
+    sat2,
+    epsilon=None,
+    bound=None,
+    max_depth=DEFAULT_MAX_DEPTH,
+    weights=None,
+    observer=None,
+):
+    """Test oracle for :func:`_family_until_run`: the same iteration with
+    one Python loop per product over per-product rows of fixed-point edges,
+    and the ``acc_lo > lo`` / ``acc_hi < hi`` guards in place of the packed
+    kernel's clamp and masked select."""
+    n = dense.n
+    states = dense.states
+    index = dense.index
+    zero, one = until_partition(dense.pred, sat1, sat2, dense.full)
+    bits = _bits(epsilon)
+    full = 1 << bits
+    lo = [[full if one[s] >> i & 1 else 0 for s in states] for i in range(n)]
+    hi = [[0 if zero[s] >> i & 1 else full for s in states] for i in range(n)]
+    undecided = {s: dense.full & ~(zero[s] | one[s]) for s in states}
+    if weights is not None:
+        seeds = {s: undecided[s] if weights.get(s, 0) > 0 else 0 for s in states}
+        undecided = closure(seeds, dense.succ, undecided)
+    rows = [[] for _ in range(n)]
+    for s in dense.sweep_order:
+        for i in range(n):
+            if undecided[s] >> i & 1:
+                succ = []
+                for t, vec in dense.edges[s]:
+                    q, r = divmod(int(vec[i].numerator) << bits, int(vec[i].denominator))
+                    if q + (r > 0):
+                        succ.append((index[t], q, q + (r > 0)))
+                rows[i].append((index[s], succ))
+    if weights is None:
+        denom = full
+
+        def gap(i):
+            return max((hi[i][k] - lo[i][k] for k, _ in rows[i]), default=0)
+
+    else:
+        denom = math.lcm(*(int(w.denominator) for w in weights.values()))
+        weight_items = [(index[s], int(w * denom)) for s, w in weights.items()]
+        denom <<= bits
+
+        def gap(i):
+            return sum(w * (hi[i][k] - lo[i][k]) for k, w in weight_items)
+
+    def as_rationals(values, keys=states):
+        return {s: [rational(values[i][index[s]], full) for i in range(n)] for s in keys}
+
+    if epsilon is not None:
+        eps_num, eps_den = int(epsilon.numerator), int(epsilon.denominator)
+    active = list(range(n))
+    for sweep in range(1, (max_depth if bound is None else bound) + 1):
+        stalled = set()
+        for i in active:
+            lo_i = lo[i]
+            hi_i = hi[i]
+            moved = False
+            for k, succ in rows[i]:
+                acc_lo = 0
+                acc_hi = 0
+                for t, down, up in succ:
+                    acc_lo += down * lo_i[t]
+                    acc_hi += up * hi_i[t]
+                acc_lo >>= bits
+                acc_hi = -(-acc_hi >> bits)
+                if acc_lo > lo_i[k]:
+                    lo_i[k] = acc_lo
+                    moved = True
+                if acc_hi < hi_i[k]:
+                    hi_i[k] = acc_hi
+                    moved = True
+            if not moved:
+                stalled.add(i)
+        if observer is not None:
+            observer(sweep, as_rationals(lo), as_rationals(hi))
+        if bound is None:
+            active = [i for i in active if gap(i) * eps_den >= eps_num * denom]
+            if not active:
+                break
+            stuck = [i for i in active if i in stalled]
+            if stuck or sweep == max_depth:
+                worst = rational(max(map(gap, stuck or active)), denom)
+                raise ConvergenceError(
+                    f"{'rounding stalled' if stuck else 'no convergence'} after "
+                    f"{sweep} sweeps at {bits} bits; worst undecided mass is {worst}",
+                    worst_undecided=worst,
+                )
+    read = states if weights is None else list(weights)
+    return as_rationals(lo, read), as_rationals(hi, read)
 
 
 class TestSatStates:
@@ -674,8 +775,6 @@ class TestRounding:
                     assert all(type(v) is type(ONE) for v in row)
 
     def test_stalled_rounding_raises_at_once(self):
-        from featmc.errors import ConvergenceError
-
         d = FeatureDiagram(("f",))
         # at epsilon 1/2 the escape probabilities round to 0 for lo and the
         # loop to 1 for hi, so neither bound can move; the value is 1/2
@@ -791,8 +890,7 @@ class TestCone:
 
 
 class TestScaledEdges:
-    """The interval kernel's fixed-point edges, built once per state and
-    ``bits``."""
+    """The interval kernel's fixed-point edge table, built once per run."""
 
     def test_equals_per_product_divmod(self, wiper, minepump):
         rng = random.Random(17)
@@ -801,10 +899,16 @@ class TestScaledEdges:
         inexact = 0
         for model in models:
             dense = DenseModel(model)
+            cone = dict.fromkeys(dense.states, dense.full)
             for epsilon in (rational("1/1000"), rational("1e-9"), None):
                 bits = _bits(epsilon)
-                for s in dense.states:
-                    scaled = dense.scaled(s, bits)
+                lanes = _Lanes(dense.n, -(-(2 * bits + 16) // 8) * 8)
+                table = _edge_table(dense, cone, bits, lanes)
+                assert [k for k, _, _ in table] == [dense.index[s] for s in dense.sweep_order]
+                for k, cone_lanes, entries in table:
+                    assert lanes.unpack(cone_lanes) == [(1 << lanes.width) - 1] * dense.n
+                    s = dense.states[k]
+                    per_lane = [lanes.unpack(mask) for _, _, _, mask in entries]
                     for i in range(dense.n):
                         expected = []
                         for t, vec in dense.edges[s]:
@@ -814,26 +918,215 @@ class TestScaledEdges:
                             if q + (r > 0):
                                 expected.append((dense.index[t], q, q + (r > 0)))
                             inexact += r > 0
-                        assert scaled[i] == expected
+                        got = [entry[:3] for entry, m in zip(entries, per_lane) if m[i]]
+                        assert got == expected
+                        # a lane is all ones or all zeros
+                        assert {m[i] for m in per_lane} <= {0, (1 << lanes.width) - 1}
         assert inexact  # some edge rounds down and up to different integers
 
-    def test_second_run_reuses_the_table(self, leaky_wiper):
-        dense = DenseModel(leaky_wiper.system)
+    def test_one_entry_per_successor_and_rounded_value(self):
+        # failure_recovery computes a value object per product, yet an edge
+        # carries at most two distinct values
+        dense = DenseModel(build_model(gen_failure_recovery(6)).system)
+        bits = _bits(rational("1/1000"))
+        lanes = _Lanes(dense.n, 128)
+        table = _edge_table(dense, dict.fromkeys(dense.states, dense.full), bits, lanes)
+        for _, _, entries in table:
+            keys = [entry[:3] for entry in entries]
+            assert len(keys) == len(set(keys))
+            assert len(keys) <= 2 * len({k for k, _, _ in keys})
+
+    def test_value_groups_and_masks_match_each_product(self, minepump):
+        rng = random.Random(5)
+        models = [minepump.system, build_model(gen_service_provider(4)).system]
+        models += [random_fdtmc(rng, max_states=5, max_features=3) for _ in range(10)]
+        for model in models:
+            dense = DenseModel(model)
+            for s in dense.states:
+                positive = [(t, vec) for t, vec in dense.edges[s] if any(vec)]
+                assert [t for t, _ in dense.groups[s]] == [t for t, _ in positive]
+                assert dense.succ[s] == [
+                    (t, sum(1 << i for i, v in enumerate(vec) if v)) for t, vec in positive
+                ]
+                for (_, groups), (_, vec) in zip(dense.groups[s], positive):
+                    for i, v in enumerate(vec):
+                        carried = [w for w, flags in groups if flags[i]]
+                        assert carried == ([v] if v else [])
+        assert _mask([ZERO, ONE, ZERO, rational(1, 3)]) == 0b1010
+        assert _mask([]) == 0
+
+
+def _run_or_error(run, *args, observe=True, **kwargs):
+    """A run's result and observer history, or its ConvergenceError's
+    message and worst undecided mass."""
+    history = []
+    if observe:
+        kwargs["observer"] = lambda sweep, lo, hi: history.append((sweep, lo, hi))
+    try:
+        out = run(*args, **kwargs)
+    except ConvergenceError as err:
+        out = (str(err), err.worst_undecided)
+    return out, history
+
+
+class TestPackedKernel:
+    """The packed interval kernel against the per-product loop it replaced
+    (:func:`_reference_until_run`): equal bounds, observer histories and
+    errors, bit for bit."""
+
+    def _assert_matches_reference(self, model, max_depth=DEFAULT_MAX_DEPTH):
+        dense = DenseModel(model)
+        errors = 0
+        for left, right in TestCone._operands(model):
+            sat1 = _indicators(dense, left)
+            sat2 = _indicators(dense, right)
+            for epsilon in (rational("1/1000"), rational("1e-9")):
+                for weights in (None, dense.init):
+                    for bound in (None, 2):
+                        args = (dense, sat1, sat2, epsilon, bound, max_depth, weights)
+                        observe = epsilon == rational("1/1000")
+                        packed = _run_or_error(_family_until_run, *args, observe=observe)
+                        reference = _run_or_error(_reference_until_run, *args, observe=observe)
+                        assert packed == reference, (left, right, epsilon, weights, bound)
+                        errors += isinstance(packed[0][0], str)
+        return errors
+
+    def test_generated_and_bundled_models(self, wiper, minepump):
+        for model in (
+            wiper.system,
+            minepump.system,
+            build_model(gen_service_provider(4)).system,
+            build_model(gen_failure_recovery(4)).system,
+        ):
+            self._assert_matches_reference(model)
+
+    def test_criterion3_corpus(self):
+        for model in itertools.islice(_criterion3_corpus(), 40):
+            self._assert_matches_reference(model)
+
+    def test_convergence_errors(self, wiper):
+        # too few sweeps for 1e-9: "no convergence" with the worst mass
+        for model in (wiper.system, build_model(gen_failure_recovery(3)).system):
+            assert self._assert_matches_reference(model, max_depth=2)
+        dense = DenseModel(build_model(gen_failure_recovery(3)).system)
         sat1 = _indicators(dense, TRUE_F)
-        sat2 = _indicators(dense, Atom("end"))
-        epsilon = rational("1e-4")
-        first = _family_until_run(dense, sat1, sat2, epsilon, weights=dense.init)
-        assert list(dense._scaled) == [_bits(epsilon)]
-        table, rounded = dense._scaled[_bits(epsilon)]
-        built = dict(table)
-        scaled_values = len(rounded)
-        assert built and scaled_values
-        second = _family_until_run(dense, sat1, sat2, epsilon, weights=dense.init)
-        assert list(dense._scaled) == [_bits(epsilon)]
-        assert table.keys() == built.keys()
-        assert all(table[s] is edges for s, edges in built.items())
-        assert len(rounded) == scaled_values
-        assert first == second
+        sat2 = _indicators(dense, Atom("failure"))
+        out, _ = _run_or_error(
+            _family_until_run, dense, sat1, sat2, rational("1e-9"), max_depth=2
+        )
+        assert out[0].startswith("no convergence after 2 sweeps") and out[1] > 0
+        # rounding that cannot move a bound: "rounding stalled" at once
+        escape = rational(1, 2**60)
+        model = _chain(
+            {("s", "s"): 1 - 2 * escape, ("s", "goal"): escape, ("s", "sink"): escape}
+        )
+        dense = DenseModel(model)
+        args = (dense, _indicators(dense, TRUE_F), _indicators(dense, Atom("goal")))
+        for weights in (None, dense.init):
+            packed = _run_or_error(_family_until_run, *args, rational(1, 2), weights=weights)
+            reference = _run_or_error(
+                _reference_until_run, *args, rational(1, 2), weights=weights
+            )
+            assert packed == reference
+            assert packed[0][0].startswith("rounding stalled after 1 sweeps")
+
+
+def _chain(edges, init="s", guarded=None):
+    """FDTMC over one feature f with absorbing ``goal`` and ``sink``:
+    ``edges`` maps (state, successor) to a probability for every product,
+    ``guarded`` to a (probability with f, without f) pair."""
+    d = FeatureDiagram(("f",))
+    transitions = {key: constant(p, d) for key, p in edges.items()}
+    for key, (with_f, without_f) in (guarded or {}).items():
+        transitions[key] = GuardedProfile(
+            d, [(parse_feature_expression("f"), with_f)], without_f
+        )
+    transitions[("goal", "goal")] = constant(ONE, d)
+    transitions[("sink", "sink")] = constant(ONE, d)
+    states = tuple(dict.fromkeys([s for key in transitions for s in key]))
+    return FDTMC(states, init, d, transitions, ("goal",), {"goal": ("goal",)})
+
+
+class TestLaneEdges:
+    """Cases at the edge of a lane's range."""
+
+    @pytest.mark.parametrize("exponent", [70, 90])
+    def test_tiny_init_weight_widens_the_lanes(self, exponent):
+        # weights 1 - 2**-e and 2**-e are 2**e - 1 and 1 over 2**e, so the
+        # weighted gap needs bits + e + 1 bits: past 2*bits + 16 for both at
+        # 54 bits, and past the 128 bits that would otherwise be used at 90
+        tiny = rational(1, 2**exponent)
+        half = rational(1, 2)
+        model = _chain(
+            {("s", "s"): half, ("u", "goal"): half, ("u", "sink"): half},
+            init={"s": 1 - tiny, "u": tiny},
+            guarded={
+                ("s", "goal"): (rational(1, 4), rational(3, 8)),
+                ("s", "sink"): (rational(1, 4), rational(1, 8)),
+            },
+        )
+        dense = DenseModel(model)
+        args = (dense, _indicators(dense, TRUE_F), _indicators(dense, Atom("goal")))
+        epsilon = rational("1/1000")
+        assert 2 * _bits(epsilon) + 16 < _bits(epsilon) + exponent + 1
+        packed = _run_or_error(_family_until_run, *args, epsilon, weights=dense.init)
+        reference = _run_or_error(_reference_until_run, *args, epsilon, weights=dense.init)
+        assert packed == reference
+        (lo, hi), history = packed
+        assert [hi["s"][i] - lo["s"][i] < epsilon for i in range(2)] == [True, True]
+        assert len(history) > 1
+
+    def test_no_valid_products(self):
+        model = _chain({("s", "s"): rational(1, 2), ("s", "goal"): rational(1, 2)})
+        empty = FeatureDiagram(("f",), parse_feature_expression("f & !f"))
+        model = FDTMC(
+            model.states,
+            model.init,
+            empty,
+            {key: constant(p.default, empty) for key, p in model.transitions.items()},
+            model.ap,
+            model.labels,
+        )
+        dense = DenseModel(model)
+        args = (dense, _indicators(dense, TRUE_F), _indicators(dense, Atom("goal")))
+        for weights in (None, dense.init):
+            packed = _run_or_error(_family_until_run, *args, rational("1/1000"), weights=weights)
+            reference = _run_or_error(
+                _reference_until_run, *args, rational("1/1000"), weights=weights
+            )
+            assert packed == reference
+            assert packed[0][0]["s"] == []
+        assert check_family_bounded(model, "P=?(F goal)").outcomes == {}
+
+    def test_upper_bound_stays_at_most_one_and_never_grows(self):
+        # three 1/3 edges round up to more than 2**bits in total
+        third = rational(1, 3)
+        model = _chain(
+            {("s", "s"): third, ("s", "u"): third, ("s", "goal"): third},
+            guarded={
+                ("u", "s"): (rational(1, 2), rational(1, 4)),
+                ("u", "sink"): (rational(1, 2), rational(3, 4)),
+            },
+        )
+        dense = DenseModel(model)
+        bits = _bits(rational("1e-9"))
+        assert 3 * -(-(1 << bits) // 3) > 1 << bits
+        args = (dense, _indicators(dense, TRUE_F), _indicators(dense, Atom("goal")))
+        for weights in (None, dense.init):
+            packed = _run_or_error(_family_until_run, *args, rational("1e-9"), weights=weights)
+            reference = _run_or_error(
+                _reference_until_run, *args, rational("1e-9"), weights=weights
+            )
+            assert packed == reference
+            _, history = packed
+            previous = None
+            for _, _, hi in history:
+                for s in dense.states:
+                    assert all(v <= 1 for v in hi[s])
+                    if previous is not None:
+                        assert all(a <= b for a, b in zip(hi[s], previous[s]))
+                previous = hi
+            assert len(history) > 2
 
 
 class TestCorpus:
@@ -867,8 +1160,6 @@ class TestCorpus:
 
 class TestConvergenceCeiling:
     def test_depth_ceiling_reports_worst_mass(self):
-        from featmc.errors import ConvergenceError
-
         d = FeatureDiagram(("f",))
         # slow mixing: tiny escape probabilities out of the constrained
         # cycle, to the goal and to a sink alike (value 1/2)
