@@ -60,10 +60,12 @@ from .models import (
     fdtmc_as_fmdp,
     fts_to_fmdp,
     observer_product,
+    row_sums,
     sync_product,
     validate_fdtmc,
 )
-from .profiles import DenseProfile, GuardedProfile, Profile, add, to_dense
+# to_dense stays bound here for perfbench/tracing.py, which wraps featmc.dsl.to_dense
+from .profiles import GuardedProfile, Profile, add, interned, to_dense
 from .properties import parse_property
 from .rational import ONE, ZERO, rat_str, rational
 
@@ -438,24 +440,18 @@ def _cases_to_profile(diagram: FeatureDiagram, cases: Sequence[CaseDef]) -> Guar
     return GuardedProfile(diagram, guarded, default)
 
 
-def _complete_rows(diagram, keyed_profiles, describe):
+def _complete_rows(diagram, rows, describe):
     """Top up each row with an implicit self-loop carrying the missing mass.
 
-    ``keyed_profiles`` maps (row key, target) -> profile where the row key
-    identifies one probability distribution (state, or state/action/class).
-    Returns the self-loop profiles to add, keyed by row key.  Raises when
-    a row already exceeds probability one for some product.
+    ``rows`` maps a row key, which identifies one probability distribution
+    (state, or state/action/class), to the profiles of its edges.  Returns
+    the self-loop profiles to add, keyed by row key.  Raises when a row
+    already exceeds probability one for some product.
     """
     products = diagram.valid_products()
-    sums: dict = {}
-    for (row, target), profile in keyed_profiles.items():
-        vec = to_dense(profile).values
-        acc = sums.setdefault(row, [ZERO] * len(products))
-        for i, v in enumerate(vec):
-            acc[i] += v
     loops = {}
-    for row, acc in sums.items():
-        residual = [ONE - v for v in acc]
+    for row, profiles in rows.items():
+        residual = [ONE - v for v in row_sums(diagram, profiles)]
         negative = [products[i] for i, v in enumerate(residual) if v < 0]
         if negative:
             raise ModelError(
@@ -463,7 +459,7 @@ def _complete_rows(diagram, keyed_profiles, describe):
                 + ", ".join(str(p) for p in negative)
             )
         if any(v != 0 for v in residual):
-            loops[row] = DenseProfile(diagram, residual)
+            loops[row] = interned(diagram, residual)
     return loops
 
 
@@ -475,12 +471,11 @@ def _build_fdtmc(comp: ComponentDef, diagram: FeatureDiagram) -> FDTMC:
         profile = _cases_to_profile(diagram, tr.cases)
         key = (tr.source, tr.target)
         transitions[key] = add(transitions[key], profile) if key in transitions else profile
-    loops = _complete_rows(
-        diagram,
-        {((s,), t): p for (s, t), p in transitions.items()},
-        lambda row: f"component {comp.name}, state {row[0]}",
-    )
-    for (s,), residual in loops.items():
+    rows: dict = {}
+    for (s, _), profile in transitions.items():
+        rows.setdefault(s, []).append(profile)
+    loops = _complete_rows(diagram, rows, lambda s: f"component {comp.name}, state {s}")
+    for s, residual in loops.items():
         key = (s, s)
         transitions[key] = add(transitions[key], residual) if key in transitions else residual
     init = _build_init(comp)
@@ -522,18 +517,14 @@ def _build_fmdp(comp: ComponentDef, diagram: FeatureDiagram) -> FMDP:
     probe = FMDP(comp.states, _build_init(comp), diagram, transitions,
                  sorted({p for _, props in comp.labels for p in props}), dict(comp.labels))
     authored = {(s, label.name) for (s, label, _) in transitions}
-    keyed = {}
-    for s, name, assignment, edges in _row_groups(probe):
-        if (s, name) not in authored:
-            continue
-        row = (s, name, tuple(sorted(assignment.items())))
-        if not edges:
-            keyed[(row, (0, None))] = GuardedProfile(diagram, (), ZERO)
-        for j, (label, t, profile) in enumerate(edges):
-            keyed[(row, (j, t))] = profile
+    rows = {
+        (s, name, tuple(sorted(assignment.items()))): [profile for _, _, profile in edges]
+        for s, name, assignment, edges in _row_groups(probe)
+        if (s, name) in authored
+    }
     loops = _complete_rows(
         diagram,
-        keyed,
+        rows,
         lambda row: f"component {comp.name}, state {row[0]}, action {row[1]}"
         + (f", observation {dict(row[2])}" if row[2] else ""),
     )

@@ -42,9 +42,9 @@ from .profiles import (
     add,
     constant,
     indicator,
+    interned,
     probability_range_findings,
     reward_range_findings,
-    sub,
     to_dense,
 )
 from .rational import ONE, ZERO, rational
@@ -91,6 +91,31 @@ def render_state(state: State) -> str:
     return str(state)
 
 
+def _states_and_init(states, init) -> tuple[tuple, dict]:
+    """The state tuple and the initial distribution, checked: no state
+    twice, and every initial state is a state.  A bare state is the
+    distribution that puts all mass on it."""
+    states = tuple(states)
+    state_set = set(states)
+    if len(state_set) != len(states):
+        raise ModelError("duplicate states")
+    if not isinstance(init, Mapping):
+        init = {init: ONE}
+    init = {s: rational(v) if not isinstance(v, float) else v for s, v in init.items()}
+    for s in init:
+        if s not in state_set:
+            raise ModelError(f"initial state {render_state(s)} not in state set")
+    return states, init
+
+
+def row_sums(diagram: FeatureDiagram, profiles: Iterable[Profile]) -> list:
+    """Per-product totals of ``profiles``, in canonical product order."""
+    totals = [ZERO] * len(diagram.valid_products())
+    for profile in profiles:
+        totals = [a + b for a, b in zip(totals, to_dense(profile).values)]
+    return totals
+
+
 # ---------------------------------------------------------------------------
 # FDTMC
 # ---------------------------------------------------------------------------
@@ -109,16 +134,8 @@ class FDTMC:
         labels: Mapping[State, Iterable[str]] | None = None,
         rewards: Mapping[State, Profile] | None = None,
     ):
-        self.states = tuple(states)
+        self.states, self.init = _states_and_init(states, init)
         state_set = set(self.states)
-        if len(state_set) != len(self.states):
-            raise ModelError("duplicate states")
-        if not isinstance(init, Mapping):
-            init = {init: ONE}
-        self.init = {s: rational(v) if not isinstance(v, float) else v for s, v in init.items()}
-        for s in self.init:
-            if s not in state_set:
-                raise ModelError(f"initial state {render_state(s)} not in state set")
         self.diagram = diagram
         self.transitions = dict(transitions)
         for (s, t), profile in self.transitions.items():
@@ -132,6 +149,11 @@ class FDTMC:
             if not props <= self.ap:
                 raise ModelError(f"state {render_state(s)} labeled with undeclared propositions")
         self.rewards = dict(rewards) if rewards is not None else None
+        for s, profile in (self.rewards or {}).items():
+            if s not in state_set:
+                raise ModelError(f"reward on unknown state {render_state(s)}")
+            if profile.diagram != diagram:
+                raise ModelError("reward profile has a foreign diagram")
         self._out: dict[State, list[tuple[State, Profile]]] | None = None
 
     def out_edges(self, state: State) -> list[tuple[State, Profile]]:
@@ -218,12 +240,10 @@ def validate_fdtmc(model: FDTMC) -> ValidationReport:
     products = model.diagram.valid_products()
     for s in model.states:
         edges = model.out_edges(s)
-        row = [ZERO] * len(products)
         for _, profile in edges:
-            for i, v in enumerate(to_dense(profile).values):
-                row[i] += v
             for finding in probability_range_findings(profile):
                 report.findings.append(f"state {render_state(s)}: {finding}")
+        row = row_sums(model.diagram, (profile for _, profile in edges))
         for i, total in enumerate(row):
             if total != 1:
                 report.violations.append((s, products[i], total))
@@ -302,11 +322,8 @@ class FMDP:
         ap: Iterable[str] = (),
         labels: Mapping[State, Iterable[str]] | None = None,
     ):
-        self.states = tuple(states)
+        self.states, self.init = _states_and_init(states, init)
         state_set = set(self.states)
-        if not isinstance(init, Mapping):
-            init = {init: ONE}
-        self.init = {s: rational(v) if not isinstance(v, float) else v for s, v in init.items()}
         self.diagram = diagram
         self.transitions = dict(transitions)
         for (s, label, t), profile in self.transitions.items():
@@ -368,10 +385,7 @@ def validate_fmdp(model: FMDP) -> ValidationReport:
     report = ValidationReport()
     products = model.diagram.valid_products()
     for s, name, assignment, edges in _row_groups(model):
-        row = [ZERO] * len(products)
-        for _, _, profile in edges:
-            for i, v in enumerate(to_dense(profile).values):
-                row[i] += v
+        row = row_sums(model.diagram, (profile for _, _, profile in edges))
         for i, total in enumerate(row):
             if total != 0 and total != 1:
                 report.violations.append((s, name, dict(assignment), products[i], total))
@@ -380,15 +394,10 @@ def validate_fmdp(model: FMDP) -> ValidationReport:
 
 def is_complete(model: FMDP) -> bool:
     """True iff every action is enabled in every state for every product."""
-    products = model.diagram.valid_products()
-    for s, name, assignment, edges in _row_groups(model):
-        row = [ZERO] * len(products)
-        for _, _, profile in edges:
-            for i, v in enumerate(to_dense(profile).values):
-                row[i] += v
-        if any(total != 1 for total in row):
-            return False
-    return True
+    return all(
+        all(total == 1 for total in row_sums(model.diagram, (p for _, _, p in edges)))
+        for _, _, _, edges in _row_groups(model)
+    )
 
 
 def project_fmdp(model: FMDP, product: Product) -> FMDP:
@@ -497,19 +506,16 @@ def complete_deterministic(model: FMDP) -> FMDP:
     """
     transitions = dict(model.transitions)
     for s, name, assignment, edges in _row_groups(model):
-        row_sum: Profile = constant(ZERO, model.diagram)
-        for _, _, profile in edges:
-            row_sum = add(row_sum, profile)
-        residual = sub(constant(ONE, model.diagram), row_sum)
-        residual_values = to_dense(residual).values
-        if any(v not in (0, 1) for v in residual_values):
-            bad = next(v for v in residual_values if v not in (0, 1))
+        row = row_sums(model.diagram, (profile for _, _, profile in edges))
+        bad = next((total for total in row if total not in (0, 1)), None)
+        if bad is not None:
             raise ModelError(
-                f"state {render_state(s)}, action {name}: row sums to {1 - bad}, "
+                f"state {render_state(s)}, action {name}: row sums to {bad}, "
                 "cannot complete a non-deterministic-profile row"
             )
-        if all(v == 0 for v in residual_values):
+        if all(total == 1 for total in row):
             continue
+        residual = interned(model.diagram, [ONE - total for total in row])
         literals = [
             FVar(n) if v else FNot(FVar(n)) for n, v in sorted(assignment.items())
         ]
@@ -534,46 +540,42 @@ def _substitute_partner(guard: FeatureExpression, partner_ap: frozenset, partner
     return substitute(guard, binding)
 
 
-def _prune_unreachable(
-    states, init, transitions, labels, diagram
-):
-    """Keep states reachable with positive probability for some product.
+def _compose(
+    m1: FMDP, m2: FMDP, diagram: FeatureDiagram, edges: Iterable[tuple[tuple, Profile]], prune: bool
+) -> FMDP:
+    """The FMDP over the state pairs of ``m1`` and ``m2`` with the
+    ``(key, profile)`` pairs of ``edges``, summing repeated keys.
 
-    Reachability is per product: a kept state has, for at least one single
-    product, a positive-probability path from the initial distribution.
+    The initial distribution is the product of the operands', and a pair
+    carries both its states' labels.  With ``prune`` only the states some
+    single product reaches with positive probability from the initial
+    distribution are kept (the per-product reachability closure over
+    product bitsets).
     """
-    n = len(diagram.valid_products())
-    succ: dict[State, list[tuple[State, tuple]]] = {s: [] for s in states}
-    for key, profile in transitions.items():
-        s, t = key[0], key[-1]
-        succ[s].append((t, to_dense(profile).values))
-    reach: dict[State, list[bool]] = {s: [False] * n for s in states}
-    frontier = []
-    for s, w in init.items():
-        if w != 0:
-            reach[s] = [True] * n
-            frontier.append(s)
-    while frontier:
-        s = frontier.pop()
-        row = reach[s]
-        for t, vec in succ[s]:
-            target = reach[t]
-            changed = False
-            for i in range(n):
-                if row[i] and vec[i] > 0 and not target[i]:
-                    target[i] = True
-                    changed = True
-            if changed:
-                frontier.append(t)
-    reachable = {s for s in states if any(reach[s])}
-    kept_states = tuple(s for s in states if s in reachable)
-    kept_transitions = {
-        key: profile
-        for key, profile in transitions.items()
-        if key[0] in reachable and key[-1] in reachable
-    }
-    kept_labels = {s: labels[s] for s in kept_states}
-    return kept_states, kept_transitions, kept_labels
+    from .engines.elimination import closure
+
+    transitions: dict[tuple[State, ActionLabel, State], Profile] = {}
+    for key, profile in edges:
+        transitions[key] = add(transitions[key], profile) if key in transitions else profile
+    states = tuple((a, b) for a in m1.states for b in m2.states)
+    init = {(a, b): wa * wb for a, wa in m1.init.items() for b, wb in m2.init.items()}
+    labels = {(a, b): m1.labels[a] | m2.labels[b] for (a, b) in states}
+    if prune:
+        full = (1 << len(diagram.valid_products())) - 1
+        succ: dict[State, list[tuple[State, int]]] = {s: [] for s in states}
+        for (s, _, t), profile in transitions.items():
+            mask = sum(1 << i for i, v in enumerate(to_dense(profile).values) if v > 0)
+            succ[s].append((t, mask))
+        seeds = {s: full if init.get(s, 0) != 0 else 0 for s in states}
+        reached = closure(seeds, succ, dict.fromkeys(states, full))
+        states = tuple(s for s in states if reached[s])
+        init = {s: w for s, w in init.items() if reached[s]}
+        transitions = {
+            (s, label, t): profile
+            for (s, label, t), profile in transitions.items()
+            if reached[s] and reached[t]
+        }
+    return FMDP(states, init, diagram, transitions, m1.ap | m2.ap, labels)
 
 
 def sync_product(m1: FMDP, m2: FMDP, prune: bool = True) -> FMDP:
@@ -587,14 +589,6 @@ def sync_product(m1: FMDP, m2: FMDP, prune: bool = True) -> FMDP:
         raise ModelError(f"overlapping atomic propositions: {sorted(m1.ap & m2.ap)}")
     diagram = conjoin(m1.diagram, m2.diagram)
     shared = m1.action_names & m2.action_names
-    transitions: dict[tuple[State, ActionLabel, State], Profile] = {}
-
-    def accumulate(key, profile):
-        if key in transitions:
-            transitions[key] = add(transitions[key], profile)
-        else:
-            transitions[key] = profile
-
     edges1: dict[str, list] = {}
     for (s, label, t), profile in m1.transitions.items():
         edges1.setdefault(label.name, []).append((s, label, t, profile.lift(diagram)))
@@ -602,6 +596,7 @@ def sync_product(m1: FMDP, m2: FMDP, prune: bool = True) -> FMDP:
     for (s, label, t), profile in m2.transitions.items():
         edges2.setdefault(label.name, []).append((s, label, t, profile.lift(diagram)))
 
+    edges = []
     for name in shared:
         for s1, label1, t1, p1 in edges1.get(name, ()):
             for s2, label2, t2, p2 in edges2.get(name, ()):
@@ -610,34 +605,22 @@ def sync_product(m1: FMDP, m2: FMDP, prune: bool = True) -> FMDP:
                 guard = conj(g1, g2)
                 if isinstance(guard, FFalse):
                     continue
-                accumulate(((s1, s2), ActionLabel(name, guard), (t1, t2)), p1 * p2)
+                edges.append((((s1, s2), ActionLabel(name, guard), (t1, t2)), p1 * p2))
     for name in m1.action_names - shared:
         for s1, label1, t1, p1 in edges1.get(name, ()):
             for s2 in m2.states:
                 guard = _substitute_partner(label1.obs, m2.ap, m2.labels[s2])
                 if isinstance(guard, FFalse):
                     continue
-                accumulate(((s1, s2), ActionLabel(name, guard), (t1, s2)), p1)
+                edges.append((((s1, s2), ActionLabel(name, guard), (t1, s2)), p1))
     for name in m2.action_names - shared:
         for s2, label2, t2, p2 in edges2.get(name, ()):
             for s1 in m1.states:
                 guard = _substitute_partner(label2.obs, m1.ap, m1.labels[s1])
                 if isinstance(guard, FFalse):
                     continue
-                accumulate(((s1, s2), ActionLabel(name, guard), (s1, t2)), p2)
-
-    states = tuple((a, b) for a in m1.states for b in m2.states)
-    init = {
-        (a, b): wa * wb
-        for a, wa in m1.init.items()
-        for b, wb in m2.init.items()
-    }
-    labels = {(a, b): m1.labels[a] | m2.labels[b] for (a, b) in states}
-    if prune:
-        states, transitions, labels = _prune_unreachable(
-            states, init, transitions, labels, diagram
-        )
-    return FMDP(states, init, diagram, transitions, m1.ap | m2.ap, labels)
+                edges.append((((s1, s2), ActionLabel(name, guard), (s1, t2)), p2))
+    return _compose(m1, m2, diagram, edges, prune)
 
 
 def observer_product(m1: FMDP, m2: FMDP, prune: bool = True) -> FMDP:
@@ -662,18 +645,11 @@ def observer_product(m1: FMDP, m2: FMDP, prune: bool = True) -> FMDP:
     if not is_complete(m2):
         raise ModelError("observer must be a complete FMDP")
     diagram = conjoin(m1.diagram, m2.diagram)
-    transitions: dict[tuple[State, ActionLabel, State], Profile] = {}
-
-    def accumulate(key, profile):
-        if key in transitions:
-            transitions[key] = add(transitions[key], profile)
-        else:
-            transitions[key] = profile
-
     observer_edges: dict[State, list] = {}
     for (s, label, t), profile in m2.transitions.items():
         observer_edges.setdefault(s, []).append((label, t, profile.lift(diagram)))
 
+    edges = []
     for (s1, label1, t1), p1 in m1.transitions.items():
         p1l = p1.lift(diagram)
         observed = {p: (p in m1.labels[t1]) for p in m1.ap}
@@ -684,19 +660,5 @@ def observer_product(m1: FMDP, m2: FMDP, prune: bool = True) -> FMDP:
             for label2, t2, p2 in observer_edges.get(s2, ()):
                 if not label2.obs.evaluate(observed):
                     continue
-                accumulate(
-                    ((s1, s2), ActionLabel(label1.name, g1), (t1, t2)), p1l * p2
-                )
-
-    states = tuple((a, b) for a in m1.states for b in m2.states)
-    init = {
-        (a, b): wa * wb
-        for a, wa in m1.init.items()
-        for b, wb in m2.init.items()
-    }
-    labels = {(a, b): m1.labels[a] | m2.labels[b] for (a, b) in states}
-    if prune:
-        states, transitions, labels = _prune_unreachable(
-            states, init, transitions, labels, diagram
-        )
-    return FMDP(states, init, diagram, transitions, m1.ap | m2.ap, labels)
+                edges.append((((s1, s2), ActionLabel(label1.name, g1), (t1, t2)), p1l * p2))
+    return _compose(m1, m2, diagram, edges, prune)

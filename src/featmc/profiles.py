@@ -5,15 +5,16 @@ profiles.  Two representations exist:
 
 * :class:`GuardedProfile` is the authoring form: an ordered list of
   ``(guard, value)`` cases with first-match semantics plus a default value.
-* :class:`DenseProfile` is the evaluation form used inside engines: one
-  value per valid product, indexed by the diagram's canonical product order.
-
-All operations are pointwise on the underlying function; representation is
-an implementation detail and mixed-representation arithmetic is supported.
+  Authored profiles (model files, constants, indicators) are guarded.
+* :class:`DenseProfile` is the evaluation form: one value per valid
+  product, indexed by the diagram's canonical product order.  Every
+  computed profile is dense: arithmetic reads both operands' dense values
+  and combines them product by product, whatever their representation.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Iterable, Sequence
 
 from .errors import DiagramMismatchError, InvalidProductError
@@ -25,8 +26,6 @@ from .features import (
     FVar,
     Product,
     conj,
-    negate,
-    satisfiable,
 )
 from .rational import ONE, ZERO, rational
 
@@ -48,14 +47,14 @@ class Profile:
 
     # pointwise arithmetic -------------------------------------------------
 
-    def __mul__(self, other):
-        return _binary(self, other, lambda a, b: a * b)
+    def __mul__(self, other) -> "DenseProfile":
+        return _binary(self, other, operator.mul)
 
-    def __add__(self, other):
-        return _binary(self, other, lambda a, b: a + b)
+    def __add__(self, other) -> "DenseProfile":
+        return _binary(self, other, operator.add)
 
-    def __sub__(self, other):
-        return _binary(self, other, lambda a, b: a - b)
+    def __sub__(self, other) -> "DenseProfile":
+        return _binary(self, other, operator.sub)
 
     def lift(self, diagram: FeatureDiagram) -> "Profile":
         """Reinterpret over a wider diagram containing this one's signature."""
@@ -113,24 +112,6 @@ class GuardedProfile(Profile):
             else:
                 values.append(self.default)
         return tuple(values)
-
-    def exclusive_cases(self) -> list[tuple[FeatureExpression, object]]:
-        """Rewrite first-match cases into disjoint guards covering everything.
-
-        The default becomes the final case guarded by the negation of all
-        explicit guards.
-        """
-        out = []
-        seen: list[FeatureExpression] = []
-        for guard, value in self.cases:
-            exclusive = conj(*[negate(g) for g in seen], guard)
-            if satisfiable(exclusive):
-                out.append((exclusive, value))
-            seen.append(guard)
-        rest = conj(*[negate(g) for g in seen])
-        if satisfiable(rest):
-            out.append((rest, self.default))
-        return out
 
     def lift(self, diagram: FeatureDiagram) -> "GuardedProfile":
         if diagram == self.diagram:
@@ -235,53 +216,36 @@ def _coerce(value, diagram: FeatureDiagram) -> Profile:
     return constant(value, diagram)
 
 
-def _binary(p1: Profile, other, op: Callable) -> Profile:
+def interned(diagram: FeatureDiagram, values: Iterable) -> DenseProfile:
+    """Dense profile of ``values`` holding one object per distinct value.
+
+    Equal rationals are told apart by their (numerator, denominator), which
+    costs less than a Fraction's own hash; passes that group products by
+    value object then see each value once.
+    """
+    pool: dict = {}
+    return DenseProfile(
+        diagram,
+        [
+            pool.setdefault(v if isinstance(v, float) else (v.numerator, v.denominator), v)
+            for v in values
+        ],
+    )
+
+
+def _binary(p1: Profile, other, op: Callable) -> DenseProfile:
     p2 = _coerce(other, p1.diagram)
     _check_same_diagram(p1, p2)
-    # constant fast path keeps authored structure intact
-    if isinstance(p2, GuardedProfile) and not p2.cases:
-        if isinstance(p1, GuardedProfile):
-            return GuardedProfile(
-                p1.diagram,
-                [(g, op(v, p2.default)) for g, v in p1.cases],
-                op(p1.default, p2.default),
-            )
-        return DenseProfile(p1.diagram, [op(v, p2.default) for v in p1.dense_values()])
-    if isinstance(p1, GuardedProfile) and not p1.cases:
-        if isinstance(p2, GuardedProfile):
-            return GuardedProfile(
-                p1.diagram,
-                [(g, op(p1.default, v)) for g, v in p2.cases],
-                op(p1.default, p2.default),
-            )
-        return DenseProfile(p1.diagram, [op(p1.default, v) for v in p2.dense_values()])
-    if isinstance(p1, GuardedProfile) and isinstance(p2, GuardedProfile):
-        cases = []
-        for g1, v1 in p1.exclusive_cases():
-            for g2, v2 in p2.exclusive_cases():
-                guard = conj(g1, g2)
-                if satisfiable(guard):
-                    cases.append((guard, op(v1, v2)))
-        return GuardedProfile(p1.diagram, cases, op(p1.default, p2.default))
-    return DenseProfile(
-        p1.diagram, [op(a, b) for a, b in zip(p1.dense_values(), p2.dense_values())]
-    )
+    return interned(p1.diagram, map(op, p1.dense_values(), p2.dense_values()))
 
 
 def eval_profile(profile: Profile, product: Product):
     return profile.evaluate(product)
 
 
-def mul(p1: Profile, p2) -> Profile:
-    return _binary(p1, p2, lambda a, b: a * b)
-
-
-def add(p1: Profile, p2) -> Profile:
-    return _binary(p1, p2, lambda a, b: a + b)
-
-
-def sub(p1: Profile, p2) -> Profile:
-    return _binary(p1, p2, lambda a, b: a - b)
+mul = Profile.__mul__
+add = Profile.__add__
+sub = Profile.__sub__
 
 
 def complement(profile: Profile) -> Profile:

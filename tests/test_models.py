@@ -315,6 +315,123 @@ class TestSyncProduct:
             sync_product(m1, m2)
 
 
+def _reached_by_some_product(m: FMDP) -> set:
+    """Brute force: the states some product's projection reaches with
+    positive probability, by a depth-first search per product."""
+    reached = set()
+    for product in m.diagram.valid_products():
+        chain = project_fmdp(m, product)
+        succ = {}
+        for (s, _, t), profile in chain.transitions.items():
+            if profile.evaluate(Product((), ())) > 0:
+                succ.setdefault(s, set()).add(t)
+        seen = {s for s, w in chain.init.items() if w > 0}
+        stack = list(seen)
+        while stack:
+            for t in succ.get(stack.pop(), ()):
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        reached |= seen
+    return reached
+
+
+class TestPruning:
+    @pytest.mark.parametrize("compose", [sync_product, observer_product])
+    def test_keeps_exactly_the_states_some_product_reaches(self, compose):
+        rng = random.Random(12)
+        pruned_any = False
+        for _ in range(30):
+            m1 = random_complete_fmdp(rng, "x", ("a1", "a2"), max_states=4)
+            m2 = random_complete_fmdp(
+                rng, "y", ("b1",), foreign_propositions=("a1", "a2"),
+                max_states=4, single_action=compose is observer_product,
+            )
+            full = compose(m1, m2, prune=False)
+            pruned = compose(m1, m2)
+            expected = _reached_by_some_product(full)
+            assert set(pruned.states) == expected
+            assert {k: p.dense_values() for k, p in pruned.transitions.items()} == {
+                (s, label, t): profile.dense_values()
+                for (s, label, t), profile in full.transitions.items()
+                if s in expected and t in expected
+            }
+            pruned_any |= len(expected) < len(full.states)
+        assert pruned_any
+
+    @pytest.mark.parametrize("compose", [sync_product, observer_product])
+    def test_reachability_is_per_product(self, compose):
+        # b is reached only with f and leaves for c only without f, so no
+        # single product reaches c, though the union of the edges does
+        tick = ActionLabel("tick")
+        m1 = FMDP(("a", "b", "c"), "a", D1, {
+            ("a", tick, "b"): _profile(D1, ("f", "1")),
+            ("a", tick, "a"): _profile(D1, ("f", "0"), default=ONE),
+            ("b", tick, "c"): _profile(D1, ("f", "0"), default=ONE),
+            ("b", tick, "b"): _profile(D1, ("f", "1")),
+            ("c", tick, "c"): constant(ONE, D1),
+        })
+        d0 = FeatureDiagram(())
+        unit = FMDP(("u",), "u", d0, {("u", ActionLabel("r"), "u"): constant(ONE, d0)})
+        assert compose(m1, unit).states == (("a", "u"), ("b", "u"))
+
+    def test_zero_weight_initial_state_is_pruned_from_init(self):
+        d0 = FeatureDiagram(())
+        loop = constant(ONE, d0)
+        m1 = FMDP(
+            ("a", "b"), {"a": ONE, "b": ZERO}, d0,
+            {("a", ActionLabel("tick"), "a"): loop, ("b", ActionLabel("tick"), "b"): loop},
+        )
+        m2 = FMDP(("u",), "u", d0, {("u", ActionLabel("tick"), "u"): loop})
+        composed = sync_product(m1, m2)
+        assert composed.states == (("a", "u"),)
+        assert composed.init == {("a", "u"): ONE}
+
+
+class TestConstructorChecks:
+    def test_fdtmc_rejects_reward_on_unknown_state(self):
+        m = simple_chain()
+        with pytest.raises(ModelError, match="unknown state"):
+            FDTMC(m.states, "a", D1, m.transitions, m.ap, m.labels,
+                  {"c": constant(ONE, D1)})
+
+    def test_fdtmc_rejects_reward_over_foreign_diagram(self):
+        # read by position, the foreign column would give both products 0
+        m = simple_chain()
+        foreign = FeatureDiagram(("g", "h"))
+        with pytest.raises(ModelError, match="foreign diagram"):
+            FDTMC(m.states, "a", D1, m.transitions, m.ap, m.labels,
+                  {"a": _profile(foreign, ("g", "5"))})
+
+    def test_fmdp_rejects_duplicate_states(self):
+        d0 = FeatureDiagram(())
+        with pytest.raises(ModelError, match="duplicate states"):
+            FMDP(("s", "s"), "s", d0, {})
+
+    def test_fmdp_rejects_initial_state_outside_its_states(self):
+        d0 = FeatureDiagram(())
+        with pytest.raises(ModelError, match="not in state set"):
+            FMDP(("s",), "t", d0, {})
+
+
+class TestSharedValues:
+    @pytest.mark.parametrize("name", ["minepump", "failure"])
+    def test_computed_profiles_hold_one_object_per_value(self, name, minepump):
+        # composition and row completion compute dense profiles; each must
+        # hand the same object to every product that carries a value
+        if name == "minepump":
+            system = minepump.system
+        else:
+            system = build_model(gen_failure_recovery(4)).system
+        computed = [
+            to_dense(p) for p in system.transitions.values()
+            if not isinstance(p, GuardedProfile)
+        ]
+        assert computed
+        for profile in computed:
+            assert len(set(map(id, profile.values))) == len(set(profile.values))
+
+
 class TestObserverProduct:
     def test_requires_complete_observer(self):
         rng = random.Random(3)
