@@ -474,6 +474,8 @@ def _build_fdtmc(comp: ComponentDef, diagram: FeatureDiagram) -> FDTMC:
     rows: dict = {}
     for (s, _), profile in transitions.items():
         rows.setdefault(s, []).append(profile)
+    for s in comp.states:
+        rows.setdefault(s, [])  # a bare state keeps all its mass on a self-loop
     loops = _complete_rows(diagram, rows, lambda s: f"component {comp.name}, state {s}")
     for s, residual in loops.items():
         key = (s, s)

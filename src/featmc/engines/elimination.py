@@ -4,7 +4,9 @@ Sparse state elimination over any value domain, the one exact solver of
 the enumerative and the parametric engine (Daws, ICTAC 2004; Hahn, Hermanns
 & Zhang, STTT 2011).  Edge values need only ``+``, ``*`` and truthiness:
 exact rationals for one projected chain, per-product support tables for the
-family.  Nodes go least degree first, picked from a lazy min-degree heap.
+family.  The working graph is a pair of adjacency dicts (successor rows
+with edge values, predecessor sets), and nodes go least degree first, picked
+from a lazy min-degree heap.
 
 Per-product reachability closure, the one qualitative precomputation of the
 enumerative and the bounded engine (Baier & Katoen, *Principles of Model
@@ -20,7 +22,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class EliminationGraph:
-    """Working graph for state elimination.
+    """Working graph for state elimination, as adjacency dicts: ``succ[s]``
+    maps each successor ``t`` to the edge value and ``pred[t]`` holds the
+    states with an edge into ``t``.
 
     Removing a node reroutes the mass through it to its successors,
     multiplied by the geometric closure of its self-loop: ``closure(loop)``
@@ -30,25 +34,20 @@ class EliminationGraph:
 
     def __init__(self, closure: Callable):
         self.closure = closure
-        self.f: dict = {}
         self.succ: dict = {}
         self.pred: dict = {}
 
     def add(self, s, t, f):
         if not f:
             return
-        key = (s, t)
-        if key in self.f:
-            self.f[key] = self.f[key] + f
+        row = self.succ.get(s)
+        if row is None:
+            row = self.succ[s] = {}
+        if t in row:
+            row[t] = row[t] + f
         else:
-            self.f[key] = f
-            self.succ.setdefault(s, set()).add(t)
+            row[t] = f
             self.pred.setdefault(t, set()).add(s)
-
-    def remove_edge(self, s, t):
-        self.f.pop((s, t), None)
-        self.succ.get(s, set()).discard(t)
-        self.pred.get(t, set()).discard(s)
 
     def degree(self, v) -> int:
         return len(self.succ.get(v, ())) + len(self.pred.get(v, ()))
@@ -56,22 +55,20 @@ class EliminationGraph:
     def eliminate(self, v) -> list:
         """Remove ``v`` and return its rerouted successor list: the value
         of ``v`` is the sum of ``f * value(t)`` over its ``(t, f)`` pairs."""
-        out = [(t, self.f[(v, t)]) for t in self.succ.get(v, ()) if t != v]
-        loop = self.f.get((v, v))
+        row = self.succ.pop(v, {})
+        preds = self.pred.pop(v, set())
+        loop = row.pop(v, None)
+        preds.discard(v)
+        out = list(row.items())
         if loop is not None and out:
             inv = self.closure(loop)
             out = [] if inv is None else [(t, inv * f_vt) for t, f_vt in out]
-        for s in self.pred.get(v, ()):
-            if s != v:
-                f_sv = self.f[(s, v)]
-                for t, f_vt in out:
-                    self.add(s, t, f_sv * f_vt)
-        for t in list(self.succ.get(v, ())):
-            self.remove_edge(v, t)
-        for s in list(self.pred.get(v, ())):
-            self.remove_edge(s, v)
-        self.succ.pop(v, None)
-        self.pred.pop(v, None)
+        for t in row:
+            self.pred[t].discard(v)
+        for s in preds:
+            f_sv = self.succ[s].pop(v)
+            for t, f_vt in out:
+                self.add(s, t, f_sv * f_vt)
         return out
 
     def run(self, order: Sequence, protected: Iterable = ()) -> Iterator[tuple]:
@@ -93,7 +90,7 @@ class EliminationGraph:
             d, _, v = heapq.heappop(heap)
             if v not in remaining or d != self.degree(v):
                 continue
-            touched = (self.succ.get(v, set()) | self.pred.get(v, set())) & remaining
+            touched = (self.succ.get(v, {}).keys() | self.pred.get(v, set())) & remaining
             touched.discard(v)
             yield v, self.eliminate(v)
             remaining.discard(v)

@@ -1,18 +1,23 @@
 """Enumerative engine: project every product, check each chain on its own.
 
 One solve per product, columns taken once: every profile gives its dense
-column once per family (:func:`~featmc.models.projections`), and a top-level
-threshold decides its states from the values it solved for.  Each projected
+column once per family (:func:`~featmc.models.projections`).  Each projected
 DTMC is checked with standard algorithms: graph precomputation of the
 certain-zero and certain-one state sets, then an exact solve of the
 remaining sparse system ``x = P·x + b`` by the state elimination the
-parametric engine also runs, with values back-substituted at every state;
-plain iteration for bounded until, a single matrix-vector product for next.
-Expected rewards use the same precomputation, solve ``x = P·x + r`` the same
-way, and diverge to infinity on products that miss the target with positive
-probability.  Float mode runs the same elimination on float64 rows: one
-direct solve with no stopping criterion, whose only error is rounding.  It
-raises where rounding makes a self-loop 1.
+parametric engine also runs; plain iteration for bounded until, a single
+matrix-vector product for next.  Expected rewards use the same
+precomputation, solve ``x = P·x + r`` the same way, and diverge to infinity
+on products that miss the target with positive probability.
+
+A top-level unbounded until or reward query reads only the value at the
+initial distribution: its system holds only the unknowns reachable from the
+positive-weight initial states, only those are back-substituted, and a
+threshold is decided from their value.  Nested operators, next, bounded
+until and :func:`check_dtmc` get values at every state.  Float mode runs the
+same elimination on float64 rows: one direct solve with no stopping
+criterion, whose only error is rounding.  It raises where rounding makes a
+self-loop 1.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from ..properties import (
 )
 from ..rational import INFINITY, ONE, ZERO
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
-from .elimination import EliminationGraph, until_partition
+from .elimination import EliminationGraph, closure as reachable, until_partition
 
 ENGINE_NAME = "enumerative"
 
@@ -112,38 +117,69 @@ def _float_closure(loop: float) -> float:
     return 1.0 / (1.0 - loop)
 
 
-def solve_linear(unknowns: list, rows: list, closure=_closure, one=ONE) -> dict:
+def solve_linear(
+    unknowns: list, rows: list, closure=_closure, one=ONE, wanted: list | None = None
+) -> dict:
     """Solution of ``x = P·x + b`` over ``unknowns`` in the value domain of
     ``closure`` and its unit ``one``: exact rationals by default.
 
     ``rows[i]`` lists the edges ``(state, value)`` of ``unknowns[i]``; its
-    edges into :data:`SINK` carry b.  Every unknown is eliminated and the
-    successor lists are back-substituted in reverse order.
+    edges into :data:`SINK` carry b.  Without ``wanted`` every unknown is
+    eliminated and the successor lists are back-substituted in reverse
+    order.  With ``wanted`` (a subset of ``unknowns``) the other unknowns
+    are eliminated first, with the wanted ones protected, and then only the
+    wanted ones are eliminated and back-substituted: the result holds their
+    values alone.  Rows not reachable from ``wanted`` add work, not values,
+    so callers pass the rows of the wanted states' cone only.
     """
     graph = EliminationGraph(closure)
     for s, row in zip(unknowns, rows):
         for t, p in row:
             graph.add(s, t, p)
+    if wanted is None:
+        wanted = unknowns
+    else:
+        keep = set(wanted)
+        wanted = [s for s in unknowns if s in keep]
+        for _ in graph.run(unknowns, keep):
+            pass
     zero = one - one
     values = {SINK: one}
-    for v, out in reversed(list(graph.run(unknowns))):
+    for v, out in reversed(list(graph.run(wanted))):
         values[v] = sum((p * values[t] for t, p in out), zero)
     del values[SINK]
     return values
 
 
-def _until_system(dtmc: DTMC, sat1: set, sat2: set):
+def _cone(dtmc: DTMC, candidates: list, wanted) -> list:
+    """The candidates reachable from the wanted ones through candidates
+    only, in the order of ``candidates``."""
+    inside = set(candidates)
+    reached = reachable(
+        {s: 1 if s in wanted and s in inside else 0 for s in dtmc.states},
+        {s: [(t, 1) for t, _ in dtmc.out_edges(s)] for s in candidates},
+        {s: 1 if s in inside else 0 for s in dtmc.states},
+    )
+    return [s for s in candidates if reached[s]]
+
+
+def _until_system(dtmc: DTMC, sat1: set, sat2: set, wanted=None):
     """Values fixed by the partition (unknowns at 0), the unknown states,
-    and their rows: edges into certain-one states go to the sink."""
+    and their rows: edges into certain-one states go to the sink.  With
+    ``wanted`` states, the fixed values are theirs and the unknowns are
+    those reachable from them."""
     zero, one, unknown = until_state_partition(dtmc, sat1, sat2)
+    if wanted is not None:
+        unknown = _cone(dtmc, unknown, wanted)
     rows = [
         [(SINK if t in one else t, p) for t, p in dtmc.out_edges(s) if t not in zero]
         for s in unknown
     ]
-    return {s: ONE if s in one else ZERO for s in dtmc.states}, unknown, rows
+    states = dtmc.states if wanted is None else wanted
+    return {s: ONE if s in one else ZERO for s in states}, unknown, rows
 
 
-def _reward_system(dtmc: DTMC, targets: set):
+def _reward_system(dtmc: DTMC, targets: set, wanted=None):
     """Like :func:`_until_system`; the unknowns are the non-target states
     that reach the target almost surely, and the sink edge carries their
     reward."""
@@ -151,49 +187,56 @@ def _reward_system(dtmc: DTMC, targets: set):
         raise ModelError("model has no rewards")
     zero, one, unknown = until_state_partition(dtmc, set(dtmc.states), targets)
     finite = [s for s in dtmc.states if s in one and s not in targets]
+    if wanted is not None:
+        finite = _cone(dtmc, finite, wanted)
     inside = set(finite)
     rows = [
         [(t, p) for t, p in dtmc.out_edges(s) if t in inside]
         + [(SINK, dtmc.rewards.get(s, ZERO))]
         for s in finite
     ]
-    return {s: ZERO if s in one else INFINITY for s in dtmc.states}, finite, rows
+    states = dtmc.states if wanted is None else wanted
+    return {s: ZERO if s in one else INFINITY for s in states}, finite, rows
 
 
-def _solve(values: dict, unknowns: list, rows: list, float_mode: bool = False) -> dict:
+def _solve(
+    values: dict, unknowns: list, rows: list, wanted=None, float_mode: bool = False
+) -> dict:
     domain = ()
     if float_mode:
         values = {s: float(v) for s, v in values.items()}
         rows = [[(t, float(p)) for t, p in row] for row in rows]
         domain = (_float_closure, 1.0)
     if unknowns:
-        values.update(solve_linear(unknowns, rows, *domain))
+        values.update(solve_linear(unknowns, rows, *domain, wanted=wanted))
     return values
 
 
-def until_values(dtmc: DTMC, sat1: set, sat2: set) -> dict:
-    """Exact per-state probabilities of ``sat1 U sat2``."""
-    return _solve(*_until_system(dtmc, sat1, sat2))
+def until_values(dtmc: DTMC, sat1: set, sat2: set, wanted=None) -> dict:
+    """Exact probabilities of ``sat1 U sat2`` at every state, or at the
+    ``wanted`` states only."""
+    return _solve(*_until_system(dtmc, sat1, sat2, wanted), wanted)
 
 
-def expected_reward(dtmc: DTMC, targets: set) -> dict:
-    """Expected accumulated state reward until the first target visit.
+def expected_reward(dtmc: DTMC, targets: set, wanted=None) -> dict:
+    """Expected accumulated state reward until the first target visit, at
+    every state or at the ``wanted`` states only.
 
     The reward of the current state is earned at every step taken from it;
     target states earn nothing and stop accumulation.  States that miss the
     target with positive probability get infinity.
     """
-    return _solve(*_reward_system(dtmc, targets))
+    return _solve(*_reward_system(dtmc, targets, wanted), wanted)
 
 
-def until_values_float(dtmc: DTMC, sat1: set, sat2: set) -> dict:
+def until_values_float(dtmc: DTMC, sat1: set, sat2: set, wanted=None) -> dict:
     """:func:`until_values` in float64."""
-    return _solve(*_until_system(dtmc, sat1, sat2), float_mode=True)
+    return _solve(*_until_system(dtmc, sat1, sat2, wanted), wanted, float_mode=True)
 
 
-def expected_reward_float(dtmc: DTMC, targets: set) -> dict:
+def expected_reward_float(dtmc: DTMC, targets: set, wanted=None) -> dict:
     """:func:`expected_reward` in float64."""
-    return _solve(*_reward_system(dtmc, targets), float_mode=True)
+    return _solve(*_reward_system(dtmc, targets, wanted), wanted, float_mode=True)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +253,9 @@ class DtmcCheckResult:
     values: dict | None = None
 
 
-def path_values(dtmc: DTMC, path, sat_cache, float_mode: bool = False) -> dict:
+def path_values(dtmc: DTMC, path, sat_cache, float_mode: bool = False, wanted=None) -> dict:
+    """Per-state values of a path formula; unbounded until solves only for
+    the ``wanted`` states when they are given."""
     if isinstance(path, Next):
         return next_values(dtmc, sat_cache(path.operand))
     if isinstance(path, Until):
@@ -218,18 +263,15 @@ def path_values(dtmc: DTMC, path, sat_cache, float_mode: bool = False) -> dict:
         sat2 = sat_cache(path.right)
         if path.bound is None:
             if float_mode:
-                return until_values_float(dtmc, sat1, sat2)
-            return until_values(dtmc, sat1, sat2)
+                return until_values_float(dtmc, sat1, sat2, wanted)
+            return until_values(dtmc, sat1, sat2, wanted)
         return bounded_until_values(dtmc, sat1, sat2, path.bound)
     raise UnsupportedPropertyError(f"unknown path formula {path!r}")
 
 
-def check_dtmc(dtmc: DTMC, formula: StateFormula, float_mode: bool = False) -> DtmcCheckResult:
-    """Evaluate a state formula on every state of one concrete chain."""
+def _satisfaction(dtmc: DTMC, float_mode: bool = False):
+    """The memoised satisfying-state sets of state formulas on one chain."""
     memo: dict[StateFormula, set] = {}
-
-    def within(node: Prob, values: dict) -> set:
-        return {s for s in dtmc.states if node.interval.contains(values[s])}
 
     def sat(node: StateFormula) -> set:
         if node in memo:
@@ -247,24 +289,38 @@ def check_dtmc(dtmc: DTMC, formula: StateFormula, float_mode: bool = False) -> D
                 raise UnsupportedPropertyError(
                     "quantitative operator is only allowed at the top level"
                 )
-            result = within(node, path_values(dtmc, node.path, sat, float_mode))
+            result = _within(dtmc, node, path_values(dtmc, node.path, sat, float_mode))
         else:
             raise UnsupportedPropertyError(f"unknown state formula {node!r}")
         memo[node] = result
         return result
 
+    return sat
+
+
+def _within(dtmc: DTMC, node: Prob, values: dict) -> set:
+    return {s for s in dtmc.states if node.interval.contains(values[s])}
+
+
+def check_dtmc(dtmc: DTMC, formula: StateFormula, float_mode: bool = False) -> DtmcCheckResult:
+    """Evaluate a state formula on every state of one concrete chain."""
+    sat = _satisfaction(dtmc, float_mode)
     if isinstance(formula, Prob):
         # one solve: the top values also give the satisfying states
         values = path_values(dtmc, formula.path, sat, float_mode)
         if formula.interval is None:
             return DtmcCheckResult(set(), values)
-        return DtmcCheckResult(within(formula, values), values)
+        return DtmcCheckResult(_within(dtmc, formula, values), values)
     return DtmcCheckResult(sat(formula))
 
 
 def _initial_value(dtmc: DTMC, values: dict):
+    """The value at the initial distribution; weight-0 states count for
+    nothing, even where their value is infinite."""
     total = ZERO
     for s, weight in dtmc.init.items():
+        if not weight:
+            continue
         v = values[s]
         if v == INFINITY:
             return INFINITY
@@ -274,22 +330,22 @@ def _initial_value(dtmc: DTMC, values: dict):
 
 def check_product(dtmc: DTMC, prop: Property, float_mode: bool = False) -> ProductOutcome:
     """Check one projected chain; the verdict is taken at the initial
-    distribution."""
+    distribution.  A top-level probability or reward operator solves for the
+    positive-weight initial states only and decides from their value."""
+    sat = _satisfaction(dtmc, float_mode)
+    starts = [s for s, weight in dtmc.init.items() if weight]
     if isinstance(prop, RewardQuery):
-        targets = check_dtmc(dtmc, prop.target, float_mode).sat
         reward_fn = expected_reward_float if float_mode else expected_reward
-        values = reward_fn(dtmc, targets)
+        values = reward_fn(dtmc, sat(prop.target), starts)
         return ProductOutcome(None, value=_initial_value(dtmc, values))
     if isinstance(prop, Prob):
-        result = check_dtmc(dtmc, prop, float_mode)
-        value = _initial_value(dtmc, result.values)
+        value = _initial_value(dtmc, path_values(dtmc, prop.path, sat, float_mode, starts))
         if prop.interval is None:
             return ProductOutcome(None, value=value)
         decision = SAT if prop.interval.contains(value) else VIOLATED
         return ProductOutcome(None, value=value, decision=decision)
     # plain state formula: decide at the initial states
-    result = check_dtmc(dtmc, prop, float_mode)
-    holds = all(s in result.sat for s, w in dtmc.init.items() if w != 0)
+    holds = all(s in sat(prop) for s in starts)
     return ProductOutcome(None, decision=SAT if holds else VIOLATED)
 
 

@@ -435,9 +435,10 @@ def _target_mass(graph: EliminationGraph, model: FDTMC, targets: set) -> Support
     edges from the initial distribution into the targets."""
     for _ in graph.run(model.states, targets):
         pass
+    row = graph.succ.get(_VIRTUAL_INIT, {})
     total = TABLE_ZERO
     for t in targets:
-        total = total + graph.f.get((_VIRTUAL_INIT, t), TABLE_ZERO)
+        total = total + row.get(t, TABLE_ZERO)
     return total
 
 
@@ -473,7 +474,7 @@ def _reward_tables(model: FDTMC, targets: set) -> tuple:
         if s not in targets:
             graph.add(s, _REWARD_SINK, profile_table(model.reward_profile(s), model.diagram))
     reach = _target_mass(graph, model, targets)
-    return reach, graph.f.get((_VIRTUAL_INIT, _REWARD_SINK), TABLE_ZERO)
+    return reach, graph.succ.get(_VIRTUAL_INIT, {}).get(_REWARD_SINK, TABLE_ZERO)
 
 
 def eliminate_expected_reward(model: FDTMC, targets: Iterable[State]) -> SupportTable:

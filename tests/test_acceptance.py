@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line.  Run with ``pytest tests/test_acceptance.py -v -s``."""
 
+import gc
 import random
 import time
 
@@ -256,6 +257,19 @@ def test_criterion_5_bounded_search_soundness():
     )
 
 
+def _timed(call) -> float:
+    """Seconds one call takes with the cyclic collector paused, as timeit
+    does: in a full test run one collection of other tests' garbage takes
+    tens of milliseconds, more than a whole check at n=2 or n=4."""
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        call()
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
+
+
 def test_criterion_6_scaling_trend():
     """Enumerative cost grows with the family size and loses to both
     family-wide engines at n=10."""
@@ -265,16 +279,12 @@ def test_criterion_6_scaling_trend():
     param_time = bounded_time = None
     for n in (2, 4, 6, 8, 10):
         built = build_model(gen_service_provider(n))
-        t0 = time.perf_counter()
-        check_family_enumerative(built.system, prop)
-        enum_times.append(time.perf_counter() - t0)
+        enum_times.append(_timed(lambda: check_family_enumerative(built.system, prop)))
         if n == 10:
-            t0 = time.perf_counter()
-            check_family_parametric(built.system, prop)
-            param_time = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            check_family_bounded(built.system, prop, epsilon=EPS)
-            bounded_time = time.perf_counter() - t0
+            param_time = _timed(lambda: check_family_parametric(built.system, prop))
+            bounded_time = _timed(
+                lambda: check_family_bounded(built.system, prop, epsilon=EPS)
+            )
     increasing = all(a < b for a, b in zip(enum_times, enum_times[1:]))
     dominated = enum_times[-1] > param_time and enum_times[-1] > bounded_time
     elapsed = time.perf_counter() - started

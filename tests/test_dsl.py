@@ -44,6 +44,22 @@ class TestParsing:
         assert profile.evaluate(with_f) == rational("0.5")
         assert profile.evaluate(without) == rational("0.75")
 
+    def test_bare_state_gets_a_self_loop(self):
+        text = """
+fdtmc M {
+  states a b;
+  init a;
+  label b: goal;
+  a -> b : 0.5;
+}
+
+system = M;
+"""
+        transitions = parse_model(text).system.transitions
+        assert set(transitions) == {("a", "b"), ("a", "a"), ("b", "b")}
+        assert to_dense(transitions[("a", "a")]).values == (rational("0.5"),)
+        assert to_dense(transitions[("b", "b")]).values == (ONE,)
+
     def test_completion_leaves_exact_rows_alone(self):
         text = MINIMAL.replace("a -> b : [f] 0.5, 0.25;", "a -> b : 1;")
         built = parse_model(text)

@@ -6,9 +6,11 @@ from featmc.engines import enumerative
 from featmc.engines.elimination import EliminationGraph
 from featmc.engines.enumerative import (
     SINK,
+    _initial_value,
     bounded_until_values,
     check_dtmc,
     check_family_enumerative,
+    check_product,
     expected_reward,
     expected_reward_float,
     next_values,
@@ -17,11 +19,13 @@ from featmc.engines.enumerative import (
     until_values,
     until_values_float,
 )
-from featmc.dsl import build_model
+from featmc.dsl import build_model, parse_model
+from featmc.engines.bounded import check_family_bounded
+from featmc.engines.parametric import check_family_parametric
 from featmc.errors import ModelError, UnboundFeatureError
 from featmc.features import FeatureDiagram, Product
 from featmc.generators import gen_service_provider
-from featmc.models import FDTMC, project
+from featmc.models import DTMC, FDTMC, project
 from featmc.profiles import constant
 from featmc.properties import parse_property
 from featmc.rational import INFINITY, ONE, ZERO, rational
@@ -72,7 +76,8 @@ def _dense_system(dtmc, unknowns, rhs):
     return dict(zip(unknowns, dense_solve(matrix, rhs))) if unknowns else {}
 
 
-def reference_until_values(dtmc, sat1, sat2):
+def reference_until_values(dtmc, sat1, sat2, wanted=None):
+    """Values at every state, which covers any ``wanted`` states."""
     zero, one, unknown = until_state_partition(dtmc, sat1, sat2)
     values = {s: ONE if s in one else ZERO for s in dtmc.states}
     rhs = [
@@ -257,7 +262,16 @@ class TestEliminationKernel:
         graph.add("s", "s", ONE)
         graph.add("s", "t", rational(1, 2))
         assert graph.eliminate("s") == []
-        assert graph.f == {}
+        assert edge_values(graph) == {}
+
+
+def edge_values(graph):
+    """The graph's edges keyed by ``(s, t)``, after checking that every
+    predecessor set lists exactly the states with an edge into its node."""
+    pairs = {(s, t): f for s, row in graph.succ.items() for t, f in row.items()}
+    pred = {t: {s for (s, u) in pairs if u == t} for (_, t) in pairs}
+    assert {t: preds for t, preds in graph.pred.items() if preds} == pred
+    return pairs
 
 
 def min_degree_reference(graph, order, protected=()):
@@ -306,7 +320,7 @@ class TestEliminationOrder:
             assert list(heap_graph.run(order, protected)) == list(
                 min_degree_reference(min_graph, order, protected)
             )
-            assert heap_graph.f == min_graph.f
+            assert edge_values(heap_graph) == edge_values(min_graph)
         assert protected_runs > 100 and loops > 100
 
     def test_service_until_system(self):
@@ -368,6 +382,145 @@ class TestSingleSolve:
         result = check_family_enumerative(service4, "P[<0.5](X P[>0.1](F failure))")
         assert calls["until_values"] == len(products)
         assert {p: o.decision for p, o in result.outcomes.items()} == expected
+
+
+def with_split_init(chains, seed):
+    """Each chain, then the same chain started from up to three random
+    states: the first with weight 0, the others sharing weight 1."""
+    rng = random.Random(seed)
+    out = []
+    for dtmc in chains:
+        starts = rng.sample(dtmc.states, min(3, len(dtmc.states)))
+        weight = ONE / (len(starts) - 1)
+        init = {starts[0]: ZERO, **{s: weight for s in starts[1:]}}
+        out.append(dtmc)
+        out.append(DTMC(dtmc.states, init, dtmc.transitions, dtmc.labels, dtmc.rewards))
+    return out
+
+
+def forward_cone(dtmc, states, starts):
+    """The states reachable from ``starts`` through ``states`` only."""
+    reached = set(starts) & set(states)
+    work = list(reached)
+    while work:
+        for t, _ in dtmc.out_edges(work.pop()):
+            if t in states and t not in reached:
+                reached.add(t)
+                work.append(t)
+    return reached
+
+
+class TestInitOnly:
+    """A top-level query solves at the positive-weight initial states only
+    and gets the value an every-state solve gives there."""
+
+    #: (property, proposition its constraint excludes, target proposition)
+    UNTIL = [
+        ("P=?(F a)", None, "a"),
+        ("P=?(!c U a)", "c", "a"),
+        ("P[>=0.3](F b)", None, "b"),
+        ("P[<0.6](!c U a)", "c", "a"),
+    ]
+
+    @staticmethod
+    def _close(value, expected):
+        return value == expected or abs(value - expected) <= 1e-12
+
+    @pytest.mark.parametrize("with_rewards", [False, True])
+    def test_until_equals_every_state(self, with_rewards):
+        chains = with_split_init(random_products(41, 60, with_rewards=with_rewards), 42)
+        smaller = 0
+        for text, excluded, target in self.UNTIL:
+            prop = parse_property(text)
+            for dtmc in chains:
+                sat1 = set(dtmc.states) - (dtmc.states_with(excluded) if excluded else set())
+                sat2 = dtmc.states_with(target)
+                unknown = until_state_partition(dtmc, sat1, sat2)[2]
+                starts = [s for s, w in dtmc.init.items() if w]
+                smaller += len(forward_cone(dtmc, unknown, starts)) < len(unknown)
+                exact = _initial_value(dtmc, until_values(dtmc, sat1, sat2))
+                approx = _initial_value(dtmc, until_values_float(dtmc, sat1, sat2))
+                outcome = check_product(dtmc, prop)
+                float_outcome = check_product(dtmc, prop, float_mode=True)
+                assert outcome.value == exact
+                assert self._close(float_outcome.value, approx)
+                if prop.interval is not None:
+                    assert outcome.decision == (SAT if prop.interval.contains(exact) else VIOLATED)
+                    assert float_outcome.decision == (
+                        SAT if prop.interval.contains(approx) else VIOLATED
+                    )
+        assert smaller >= 20
+
+    def test_reward_equals_every_state(self):
+        chains = with_split_init(random_products(43, 100, with_rewards=True), 44)
+        prop = parse_property("R=?[F a]")
+        infinite = zero_weight_infinite = 0
+        for dtmc in chains:
+            targets = dtmc.states_with("a")
+            every = expected_reward(dtmc, targets)
+            exact = _initial_value(dtmc, every)
+            assert check_product(dtmc, prop).value == exact
+            value = check_product(dtmc, prop, float_mode=True).value
+            assert self._close(value, _initial_value(dtmc, expected_reward_float(dtmc, targets)))
+            infinite += exact == INFINITY
+            zero_weight_infinite += exact != INFINITY and any(
+                every[s] == INFINITY for s, w in dtmc.init.items() if not w
+            )
+        assert infinite >= 10 and zero_weight_infinite >= 3
+
+    def test_service_graph_holds_only_the_init_cone(self, monkeypatch):
+        model = build_model(gen_service_provider(4)).system
+        sources = []
+
+        class Recording(EliminationGraph):
+            def add(self, s, t, f):
+                sources.append(s)
+                super().add(s, t, f)
+
+        monkeypatch.setattr(enumerative, "EliminationGraph", Recording)
+        smaller = 0
+        for product in model.diagram.valid_products():
+            dtmc = project(model, product)
+            sat1, sat2 = set(dtmc.states), dtmc.states_with("failure")
+            unknown = until_state_partition(dtmc, sat1, sat2)[2]
+            cone = forward_cone(dtmc, unknown, list(dtmc.init))
+            sources.clear()
+            values = until_values(dtmc, sat1, sat2, list(dtmc.init))
+            assert set(values) == set(dtmc.init)
+            assert set(sources) == cone
+            smaller += len(cone) < len(unknown)
+        assert smaller >= 10
+
+
+class TestWeightZeroInit:
+    """A weight-0 initial state with an infinite reward adds nothing."""
+
+    MODEL = """
+fdtmc M {
+  states a b t;
+  init a [1], b [0];
+  label t: done;
+  a -> t : 1;
+  b -> b : 1;
+  t -> t : 1;
+  reward a : 2;
+}
+
+system = M;
+"""
+
+    def test_engines_agree(self):
+        model = parse_model(self.MODEL).system
+        prop = "R=?[F done]"
+        for result in (
+            check_family_enumerative(model, prop),
+            check_family_enumerative(model, prop, float_mode=True),
+            check_family_parametric(model, prop),
+        ):
+            assert [o.value for o in result.outcomes.values()] == [2]
+        bounded = check_family_bounded(model, prop)
+        for outcome in bounded.outcomes.values():
+            assert abs(outcome.value - 2) <= outcome.error_bound
 
 
 class TestExpectedReward:
