@@ -36,7 +36,14 @@ one per product, so a state's update is one multiply-add per (successor,
 distinct rounded value) on the lanes of the products that share it.  The
 rounded edges are built once per run, and each edge's dense vector is read
 once per model.  Only the bounds a caller reads are turned back into
-rationals.  Step-bounded until, next and expected reward stay exact.
+rationals.
+
+An expected reward ``R=?[F target]`` runs on the same kernel, iterating
+``x = r + P·x`` on the non-target states of the products whose value is
+finite, where lo rises from 0 and hi falls from an upper bound derived
+from the largest reward and the slowest chance of reaching the target
+(:func:`bounded_expected_reward`); a state's reward is one more edge,
+into a sink valued 1.  Step-bounded until and next stay exact.
 """
 
 from __future__ import annotations
@@ -45,9 +52,9 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import and_, attrgetter
 
-from ..errors import ConvergenceError, UnsupportedPropertyError
+from ..errors import ConvergenceError, ModelError, UnsupportedPropertyError
 from ..models import FDTMC, State
 from ..profiles import to_dense
 from ..properties import (
@@ -156,11 +163,6 @@ class DenseModel:
     def label_bits(self, proposition: str) -> dict[State, int]:
         return {s: self.full if proposition in self.labels[s] else 0 for s in self.states}
 
-    def reward_vectors(self) -> dict[State, tuple]:
-        return {
-            s: to_dense(self.model.reward_profile(s)).values for s in self.states
-        }
-
     @cached_property
     def groups(self) -> dict[State, list[tuple[State, list[tuple[object, bytes]]]]]:
         return {
@@ -233,15 +235,14 @@ def _next_vectors(dense: DenseModel, sat) -> dict[State, list]:
     return out
 
 
-def _until_step(dense: DenseModel, sat1, sat2, x, reward=None):
-    """One Jacobi application of the recurrence at every state, with
-    ``reward[s]`` added on constraint states that are not targets.
-    ``sat1`` and ``sat2`` map states to product bitsets."""
+def _until_step(dense: DenseModel, sat1, sat2, x):
+    """One Jacobi application of the recurrence at every state.  ``sat1``
+    and ``sat2`` map states to product bitsets."""
     out = {}
     for s in dense.states:
         sat2_bits = sat2[s]
         sat1_bits = sat1[s]
-        acc = dense.zeros() if reward is None else list(reward[s])
+        acc = dense.zeros()
         for t, vec in dense.edges[s]:
             xt = x[t]
             for i in range(dense.n):
@@ -315,6 +316,12 @@ class _Lanes:
         low = self.high - self.ones
         return (((x & low) + low) | x) & self.high
 
+    def pack(self, values) -> int:
+        """Lane i holds ``values[i]``; each must fit its lane."""
+        return int.from_bytes(
+            b"".join(v.to_bytes(self.stride, "little") for v in values), "little"
+        )
+
     def unpack(self, x: int) -> list[int]:
         """The lanes of ``x`` as ints, lane 0 first."""
         raw = x.to_bytes(self.n * self.stride, "little")
@@ -322,22 +329,30 @@ class _Lanes:
         return [int.from_bytes(raw[j : j + step], "little") for j in range(0, len(raw), step)]
 
 
-def _edge_table(dense: DenseModel, cone, bits: int, lanes: _Lanes) -> list[tuple]:
+def _edge_table(dense: DenseModel, cone, bits: int, lanes: _Lanes, rewards=None) -> list[tuple]:
     """The interval kernel's packed edges: per state with a lane in
     ``cone`` (state -> product bitset), in sweep order, ``(position, lanes
     of cone, entries)``.  Each entry is ``(successor position, probability
     times 2**bits rounded down, rounded up, lanes of the products whose
     edge has that value)``, one per successor and distinct rounded pair;
-    a lane mask is all ones in its lanes."""
+    a lane mask is all ones in its lanes.  With ``rewards`` (state ->
+    per-product vector) a state's reward, on the lanes of cone, is one
+    more edge, into the reward sink at position ``len(dense.states)``."""
     index = dense.index
-    rounded = {}  # id of a value -> (down, up); dense.groups keeps it alive
+    sink = len(dense.states)
+    rounded = {}  # id of a value -> (down, up); dense.groups and rewards keep it alive
     table = []
     for s in dense.sweep_order:
         if not cone[s]:
             continue
+        out = [(index[t], groups) for t, groups in dense.groups[s]]
+        if rewards is not None:
+            # a lane outside the cone may hold a reward too large for it
+            inside = _flags(cone[s], dense.n)
+            groups = _value_groups(rewards[s])
+            out.append((sink, [(v, bytes(map(and_, f, inside))) for v, f in groups]))
         merged: dict[tuple, int] = {}
-        for t, groups in dense.groups[s]:
-            k = index[t]
+        for k, groups in out:
             for v, flags in groups:
                 pair = rounded.get(id(v))
                 if pair is None:
@@ -359,6 +374,8 @@ def _family_until_run(
     max_depth: int = DEFAULT_MAX_DEPTH,
     weights=None,
     observer=None,
+    rewards=None,
+    top=None,
 ):
     """Two-sided interval iteration of the unbounded until, every product
     at once.
@@ -372,6 +389,13 @@ def _family_until_run(
     are updated, in :attr:`DenseModel.sweep_order`, so mass propagates
     across whole chains per sweep.
 
+    With ``rewards`` (state -> per-product vector) the operator is instead
+    the expected reward's ``x = r + P·x`` on the pairs where sat1 holds
+    and sat2 does not; every other pair is 0.  lo starts at 0 and hi at
+    ``top[i]``, which must bound product i's value at every pair that is
+    iterated.  A state's reward is an edge into a sink whose bounds are 1,
+    as in the parametric engine.
+
     Values are integers over ``2**bits`` (:func:`_bits` of ``epsilon``, 64
     bits when only ``bound`` is given) rounded outward, down for lo and up
     for hi, so each stays on its side of the exact operator applied to the
@@ -380,17 +404,18 @@ def _family_until_run(
     lanes)`` entry per distinct rounded value, ``lanes`` masking the
     products whose edge has that value, so a state's update is one
     multiply-add per entry for every product at once; the floor and the
-    ceiling are one shift each.  A lane holds at most ``2**bits`` per
-    state, so a rounded sum stays below ``2**(2*bits+1)`` and the lane
-    width of at least ``2*bits + 16`` bits never carries.
+    ceiling are one shift each.  Lane i holds at most its top T
+    (``2**bits`` for an until) per state, and a rounded reward is at most
+    T, so a rounded sum stays below ``2**(bits+2) * T`` and a lane width
+    of at least ``bits + bitlen(T) + 15`` bits never carries.
 
     A new bound overwrites the old one, except that hi is clamped
-    lane-wise to ``2**bits``: the rounded-up sum can exceed 1.  This gives
+    lane-wise to its top: the rounded-up sum can exceed it.  This gives
     the iterates of keeping the better of the old and the new bound.  The
     operator is monotone, lo only rises and hi only falls, so a new lower
     sum is at least the one that set the old lo (or the start value 0),
     and a new upper sum at most the one that set the old hi, which was
-    clamped the same way (or the start value ``2**bits``).  Decided pairs,
+    clamped the same way (or the start value, the top).  Decided pairs,
     pairs outside the cone and products that have stopped keep their lanes
     through a masked select.
 
@@ -417,11 +442,18 @@ def _family_until_run(
         raise ValueError("_family_until_run needs epsilon or bound, got neither")
     states = dense.states
     index = dense.index
-    zero, one = until_partition(dense.pred, sat1, sat2, dense.full)
     bits = _bits(epsilon)
     full = 1 << bits
+    if rewards is None:
+        zero, one = until_partition(dense.pred, sat1, sat2, dense.full)
+        tops = [full] * dense.n
+    else:
+        zero = {s: dense.full & ~(sat1[s] & ~sat2[s]) for s in states}
+        one = dict.fromkeys(states, 0)
+        tops = [-(-(int(u.numerator) << bits) // int(u.denominator)) for u in top]
     undecided = {s: dense.full & ~(zero[s] | one[s]) for s in states}
-    width = 2 * bits + 16
+    top_bits = max(tops, default=full).bit_length()
+    width = bits + top_bits + 15
     if weights is None:
         denom = full
     else:
@@ -429,16 +461,18 @@ def _family_until_run(
         undecided = closure(seeds, dense.succ, undecided)
         denom = math.lcm(*(int(w.denominator) for w in weights.values()))
         weight_items = [(index[s], int(w * denom)) for s, w in weights.items() if w]
-        # the weighted gap is at most 2**bits times the weight sum per lane
-        width = max(width, bits + sum(w for _, w in weight_items).bit_length() + 4)
+        # the weighted gap is at most the top times the weight sum per lane
+        width = max(width, top_bits + sum(w for _, w in weight_items).bit_length() + 3)
         denom <<= bits
     lanes = _Lanes(dense.n, -(-width // 8) * 8)
     width = lanes.width
     ones = lanes.ones
-    # lo[k], hi[k]: every product's bound at state states[k], scaled by 2**bits
-    lo = [lanes.spread(one[s]) << bits for s in states]
-    hi = [(ones ^ lanes.spread(zero[s])) << bits for s in states]
-    table = _edge_table(dense, undecided, bits, lanes)
+    cap = lanes.pack(tops)
+    # lo[k], hi[k]: every product's bound at state states[k], scaled by
+    # 2**bits; the last entry is the reward sink, 1 in every lane
+    lo = [lanes.spread(one[s]) << bits for s in states] + [ones << bits]
+    hi = [cap & ~lanes.widen(lanes.spread(zero[s])) for s in states] + [ones << bits]
+    table = _edge_table(dense, undecided, bits, lanes, rewards)
     # the width of product i is over denom, and the largest lane i of gap()
     if weights is None:
 
@@ -460,7 +494,6 @@ def _family_until_run(
         threshold = ones * min(-(-eps_num * denom // eps_den), 1 << (width - 2))
     low = ones * ((1 << (width - bits)) - 1)  # a lane after the shift
     round_up = ones * (full - 1)
-    cap = ones << bits
     above_cap = cap + ones
     high = lanes.high
     active = lanes.widen(ones)  # lanes of the products still iterated
@@ -477,7 +510,7 @@ def _family_until_run(
                 acc_hi += up * (hi[t] & mask)
             new_lo = (acc_lo >> bits) & low
             new_hi = ((acc_hi + round_up) >> bits) & low
-            over = ((new_hi | high) - above_cap) & high  # lanes above 2**bits
+            over = ((new_hi | high) - above_cap) & high  # lanes above their top
             if over:
                 new_hi ^= (new_hi ^ cap) & lanes.fill(over)
             old = lo[k]
@@ -638,21 +671,27 @@ def bounded_expected_reward(
     epsilon,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ):
-    """Iterative lower bounds on expected reward-to-target with a sound
-    truncation-error certificate.  ``targets`` maps every state to the
-    bitset of products for which it is a target.
+    """Certified bounds on every product's expected reward-to-target, by
+    the interval kernel on ``x = r + P·x``.  ``targets`` maps every state to
+    the bitset of products for which it is a target.  Returns per product
+    ``(lower, upper, infinite)``, with ``upper - lower < epsilon``.
 
     Products where some state reachable from init before the target lies
-    outside prob1 of ``true U target`` get an infinite value.  For the rest
-    the alive mass decays geometrically; the decay factor observed over one
-    model-size window, at the states reachable before the target, turns the
-    residual alive mass into a rigorous tail bound.
+    outside prob1 of ``true U target`` get an infinite value (and bounds 0).
+    For the rest, with ``window`` the number of states, every window of
+    steps before the target earns at most ``rmax * window`` and is survived
+    with probability at most ``1 - q``: ``rmax`` is the largest reward and
+    ``q`` the smallest probability of reaching the target within
+    ``window`` steps, over the states reachable before the target.  So
+    ``rmax * window / q`` bounds the value at each of them, and the upper
+    iterate starts there.
     """
+    if dense.model.rewards is None:
+        raise ModelError("model has no rewards")
     n = dense.n
     full = dense.full
-    _, one = until_partition(
-        dense.pred, dict.fromkeys(dense.states, full), targets, full
-    )
+    everywhere = dict.fromkeys(dense.states, full)
+    _, one = until_partition(dense.pred, everywhere, targets, full)
     # per state, the products for which it is reachable before the target
     outside = {s: full & ~bits for s, bits in targets.items()}
     before = closure(
@@ -663,47 +702,28 @@ def bounded_expected_reward(
     missed = 0
     for s, bits in before.items():
         missed |= bits & ~one[s]
+    rewards = {s: to_dense(dense.model.reward_profile(s)).values for s in dense.states}
+    window = len(dense.states)
+    # a finite product reaches the target from each state within window steps
+    reach = bounded_until_vectors(dense, everywhere, targets, window)
+    top = [ZERO] * n
+    for i in range(n):
+        seen = [s for s in dense.states if before[s] >> i & 1]
+        if seen and not missed >> i & 1:
+            rmax = max(rewards[s][i] for s in seen)
+            top[i] = rmax * window / min(reach[s][i] for s in seen)
+    lo, hi = _family_until_run(
+        dense,
+        dict.fromkeys(dense.states, full & ~missed),
+        targets,
+        epsilon,
+        max_depth=max_depth,
+        weights=dense.init,
+        rewards=rewards,
+        top=top,
+    )
     infinite = [bool(missed >> i & 1) for i in range(n)]
-
-    def peak(vectors):
-        """Per product, the largest entry at a state reachable before the target."""
-        return [
-            max((vectors[s][i] for s in dense.states if before[s] >> i & 1), default=ZERO)
-            for i in range(n)
-        ]
-
-    rewards = dense.reward_vectors()
-    rmax = peak(rewards)
-    never = dict.fromkeys(dense.states, 0)
-    E = {s: dense.zeros() for s in dense.states}
-    m = {s: _indicator(outside[s], n) for s in dense.states}
-    window = max(len(dense.states), 1)
-    for _ in range(window):
-        E = _until_step(dense, outside, never, E, rewards)
-        m = _until_step(dense, outside, never, m)
-    # decay of the alive mass over one window, per product: below 1 on
-    # finite products, whose states before the target all reach it
-    decay = peak(m)
-
-    def tails():
-        alive = _aggregate_init(dense, m)
-        return [
-            rmax[i] * alive[i] * window / (1 - decay[i])
-            if not infinite[i] and rmax[i] and alive[i]
-            else ZERO
-            for i in range(n)
-        ]
-
-    k = window
-    while max(tails(), default=ZERO) >= epsilon:
-        if k >= max_depth:
-            raise ConvergenceError(
-                f"reward iteration did not converge within {k} phases"
-            )
-        E = _until_step(dense, outside, never, E, rewards)
-        m = _until_step(dense, outside, never, m)
-        k += 1
-    return _aggregate_init(dense, E), tails(), infinite, k
+    return _aggregate_init(dense, lo), _aggregate_init(dense, hi), infinite
 
 
 # ---------------------------------------------------------------------------
@@ -762,17 +782,12 @@ def check_family_bounded(
             raise UnsupportedPropertyError(
                 "reward target could not be decided at this precision"
             )
-        lower, tails, infinite, _ = bounded_expected_reward(
-            dense, target_entry.lo, epsilon, max_depth
-        )
-        for i, product in enumerate(products):
-            if infinite[i]:
+        bounds = bounded_expected_reward(dense, target_entry.lo, epsilon, max_depth)
+        for product, a, b, infinite in zip(products, *bounds):
+            if infinite:
                 outcome = ProductOutcome(product, value=INFINITY, error_bound=ZERO)
             else:
-                half = tails[i] / 2
-                outcome = ProductOutcome(
-                    product, value=lower[i] + half, error_bound=half
-                )
+                outcome = ProductOutcome(product, value=(a + b) / 2, error_bound=(b - a) / 2)
             result.outcomes[product] = outcome
         return finish()
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -30,7 +31,7 @@ from featmc.engines.enumerative import (
     until_values,
 )
 from featmc.engines.parametric import check_family_parametric
-from featmc.errors import ConvergenceError, PropertyBindingError
+from featmc.errors import ConvergenceError, ModelError, PropertyBindingError
 from featmc.features import FeatureDiagram, Product, parse_feature_expression
 from featmc.generators import gen_failure_recovery, gen_service_provider
 from featmc.models import FDTMC, project
@@ -46,6 +47,7 @@ from featmc.properties import (
     parse_tree,
 )
 from featmc.rational import INFINITY, ONE, ZERO, rational
+from featmc.report import render_json
 from featmc.result import SAT, UNKNOWN, VIOLATED
 
 from conftest import random_fdtmc
@@ -549,6 +551,37 @@ class TestFamilyBounded:
         for o in result.outcomes.values():
             assert o.value - o.error_bound <= 5 <= o.value + o.error_bound
 
+    def test_reward_fine_precision_stays_fast_and_renders(self):
+        # exact-rational reward iterates grew without limit on this model:
+        # about a minute at 1e-9, and a value too long to print
+        rng = random.Random(5)
+        for _ in range(47):
+            m = random_fdtmc(rng, max_states=6, max_features=3, with_rewards=True)
+        epsilon = rational("1e-9")
+        started = time.perf_counter()
+        result = check_family_bounded(m, "R=?[F a]", epsilon=epsilon)
+        assert time.perf_counter() - started < 2
+        enum = check_family_enumerative(m, "R=?[F a]")
+        for p, o in result.outcomes.items():
+            exact = enum.outcomes[p].value
+            assert exact != INFINITY
+            assert o.value - o.error_bound <= exact <= o.value + o.error_bound
+            assert 2 * o.error_bound < epsilon
+        render_json(m.diagram.valid_products(), [result])
+
+    def test_reward_without_rewards_is_a_model_error(self):
+        system = build_model(gen_failure_recovery(3)).system
+        for check in (check_family_enumerative, check_family_parametric, check_family_bounded):
+            with pytest.raises(ModelError, match="model has no rewards"):
+                check(system, "R=?[F failure]")
+
+    @pytest.mark.parametrize("max_depth", [1, 3])
+    def test_reward_depth_ceiling(self, wiper, max_depth):
+        with pytest.raises(ConvergenceError) as err:
+            check_family_bounded(wiper.system, "R=?[F end]", max_depth=max_depth)
+        assert f"after {max_depth} sweeps" in str(err.value)
+        assert err.value.worst_undecided > 0
+
     def test_prob1_decides_almost_sure_reachability(self, wiper):
         result = check_family_bounded(
             wiper.system, "P[>=1](F end)", epsilon=rational("1/1000")
@@ -594,14 +627,15 @@ class TestRewardSoundness:
             m = random_fdtmc(rng, max_states=6, max_features=3, with_rewards=True)
             enum = check_family_enumerative(m, "R=?[F a]")
             dense = DenseModel(m)
-            lower, tails, infinite, _ = bounded_expected_reward(
+            lower, upper, infinite = bounded_expected_reward(
                 dense, _indicators(dense, Atom("a")), rational(epsilon)
             )
             for i, p in enumerate(dense.products):
                 exact = enum.outcomes[p].value
                 assert infinite[i] == (exact == INFINITY)
                 if not infinite[i]:
-                    assert lower[i] <= exact <= lower[i] + tails[i]
+                    assert lower[i] <= exact <= upper[i]
+                    assert upper[i] - lower[i] < rational(epsilon)
 
 
 class TestNestedOperators:
