@@ -43,7 +43,9 @@ An expected reward ``R=?[F target]`` runs on the same kernel, iterating
 finite, where lo rises from 0 and hi falls from an upper bound derived
 from the largest reward and the slowest chance of reaching the target
 (:func:`bounded_expected_reward`); a state's reward is one more edge,
-into a sink valued 1.  Step-bounded until and next stay exact.
+into a sink valued 1.  Step-bounded until and next stay exact, on the
+per-product vectors of ``engines/dense.py``, whose dense model form all
+three engines share.
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
-from operator import and_, attrgetter
+from operator import and_
 
 from ..errors import ConvergenceError, ModelError, UnsupportedPropertyError
 from ..models import FDTMC, State
@@ -72,8 +73,17 @@ from ..properties import (
     parse_tree,
     print_property,
 )
-from ..rational import INFINITY, ONE, ZERO, rational
+from ..rational import INFINITY, ZERO, rational
 from ..result import SAT, UNKNOWN, VIOLATED, FamilyResult, ProductOutcome
+from .dense import (
+    DenseModel,
+    aggregate_init,
+    bounded_until_vectors,
+    flag_bytes,
+    next_vectors,
+    nonzero_bits,
+    value_groups,
+)
 from .elimination import closure, until_partition
 
 ENGINE_NAME = "bounded"
@@ -81,189 +91,8 @@ ENGINE_NAME = "bounded"
 DEFAULT_MAX_DEPTH = 100_000
 
 # ---------------------------------------------------------------------------
-# Dense model form
+# Interval kernel
 # ---------------------------------------------------------------------------
-
-#: bytes.translate tables between 0/1 flag bytes and ASCII binary digits
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-#: a rational's (numerator, denominator), the key equal values share
-_RATIO = attrgetter("numerator", "denominator")
-
-
-def _bitset(flags: bytes) -> int:
-    """Bitset of the positions whose byte in ``flags`` (0 or 1 each) is 1."""
-    return int(flags[::-1].translate(_TO_DIGITS) or b"0", 2)
-
-
-def _flags(bits: int, n: int) -> bytes:
-    """The first ``n`` bits of ``bits`` as 0/1 bytes, bit 0 first."""
-    return bin(bits)[:1:-1].ljust(n, "0")[:n].encode().translate(_FROM_DIGITS)
-
-
-def _mask(row) -> int:
-    """Bitset of the products whose entry in ``row`` is nonzero."""
-    return _bitset(bytes(map(bool, row)))
-
-
-def _value_groups(vec) -> list[tuple[object, bytes]]:
-    """The distinct positive values of ``vec``, each with the 0/1 flag
-    bytes of the products that carry it.
-
-    Values are told apart by object first: a guarded profile hands the
-    same few objects to every product, so their numerator and denominator
-    are read once per object (a Fraction's own hash costs a modular
-    inverse), while a computed profile may give each product its own.
-    """
-    ids = [*map(id, vec)]
-    objects = dict(zip(ids, vec))
-    if len(objects) > 1:
-        keys = [*map(_RATIO, objects.values())]
-        values = dict(zip(keys, objects.values()))
-        if len(values) > 1:
-            if len(objects) < len(vec):
-                keys = [*map(dict(zip(objects, keys)).__getitem__, ids)]
-            return [(v, bytes(map(key.__eq__, keys))) for key, v in values.items() if v]
-    return [(vec[0], b"\x01" * len(vec))] if vec and vec[0] else []
-
-
-def _indicator(bits: int, n: int) -> list:
-    """0/1 value vector of the ``n`` products, 1 where ``bits`` is set."""
-    return [ONE if bits >> i & 1 else ZERO for i in range(n)]
-
-
-class DenseModel:
-    """FDTMC with every profile flattened to a per-product vector.
-
-    ``edges`` lists each state's out-edges with their vectors.  ``groups``
-    reads each vector once, on first use, for the reachability closure and
-    the interval kernel: per state, its positive out-edges with their
-    distinct positive values and the products carrying each
-    (:func:`_value_groups`).  ``succ`` and ``pred`` list each state's
-    successors and predecessors with the bitset of products whose edge is
-    positive, and ``sweep_order`` is the interval kernel's update order;
-    they are built from the groups on first use.
-    """
-
-    def __init__(self, model: FDTMC):
-        self.model = model
-        self.states = model.states
-        self.products = model.diagram.valid_products()
-        self.n = len(self.products)
-        self.full = (1 << self.n) - 1  # bitset of every product
-        self.edges: dict[State, list[tuple[State, tuple]]] = {s: [] for s in self.states}
-        for (s, t), profile in model.transitions.items():
-            self.edges[s].append((t, to_dense(profile).values))
-        self.init = model.init
-        self.labels = model.labels
-
-    def zeros(self):
-        return [ZERO] * self.n
-
-    def label_bits(self, proposition: str) -> dict[State, int]:
-        return {s: self.full if proposition in self.labels[s] else 0 for s in self.states}
-
-    @cached_property
-    def groups(self) -> dict[State, list[tuple[State, list[tuple[object, bytes]]]]]:
-        return {
-            s: [(t, groups) for t, vec in out if (groups := _value_groups(vec))]
-            for s, out in self.edges.items()
-        }
-
-    @cached_property
-    def succ(self) -> dict[State, list[tuple[State, int]]]:
-        # an edge's value groups are disjoint, so their sum is their union
-        return {
-            s: [(t, sum(_bitset(flags) for _, flags in groups)) for t, groups in out]
-            for s, out in self.groups.items()
-        }
-
-    @cached_property
-    def pred(self) -> dict[State, list[tuple[State, int]]]:
-        pred: dict = {s: [] for s in self.states}
-        for s, out in self.succ.items():
-            for t, mask in out:
-                pred[t].append((s, mask))
-        return pred
-
-    @cached_property
-    def index(self) -> dict[State, int]:
-        return {s: k for k, s in enumerate(self.states)}
-
-    @cached_property
-    def sweep_order(self) -> list[State]:
-        """Every state, successors before predecessors: DFS post-order over
-        the edge graph with cycles broken at back edges, so one sweep pushes
-        values across whole chains instead of one step."""
-        order = []
-        visited = set()
-        for root in self.states:
-            if root in visited:
-                continue
-            visited.add(root)
-            stack = [(root, iter([t for t, _ in self.succ[root]]))]
-            while stack:
-                node, children = stack[-1]
-                for child in children:
-                    if child not in visited:
-                        visited.add(child)
-                        stack.append((child, iter([t for t, _ in self.succ[child]])))
-                        break
-                else:
-                    order.append(node)
-                    stack.pop()
-        return order
-
-
-# ---------------------------------------------------------------------------
-# Path operators
-# ---------------------------------------------------------------------------
-
-
-def _next_vectors(dense: DenseModel, sat) -> dict[State, list]:
-    """Per state and product, the probability of stepping into ``sat``
-    (state -> product bitset)."""
-    out = {}
-    for s in dense.states:
-        acc = dense.zeros()
-        for t, vec in dense.edges[s]:
-            bits = sat[t]
-            for i in range(dense.n):
-                if bits >> i & 1 and vec[i]:
-                    acc[i] += vec[i]
-        out[s] = acc
-    return out
-
-
-def _until_step(dense: DenseModel, sat1, sat2, x):
-    """One Jacobi application of the recurrence at every state.  ``sat1``
-    and ``sat2`` map states to product bitsets."""
-    out = {}
-    for s in dense.states:
-        sat2_bits = sat2[s]
-        sat1_bits = sat1[s]
-        acc = dense.zeros()
-        for t, vec in dense.edges[s]:
-            xt = x[t]
-            for i in range(dense.n):
-                if vec[i] and xt[i]:
-                    acc[i] += vec[i] * xt[i]
-        out[s] = [
-            ONE if sat2_bits >> i & 1 else acc[i] if sat1_bits >> i & 1 else ZERO
-            for i in range(dense.n)
-        ]
-    return out
-
-
-def bounded_until_vectors(
-    dense: DenseModel, sat1, sat2, bound: int
-) -> dict[State, list]:
-    """Exact step-bounded until values: ``bound`` Jacobi steps from the
-    target indicator (the iterates never decrease)."""
-    x = {s: _indicator(sat2[s], dense.n) for s in dense.states}
-    for _ in range(bound):
-        x = _until_step(dense, sat1, sat2, x)
-    return x
 
 
 def _bits(epsilon) -> int:
@@ -296,7 +125,7 @@ class _Lanes:
 
     def spread(self, bits: int) -> int:
         """1 in lane i wherever bit i of the product bitset is set."""
-        return self.spread_flags(_flags(bits, self.n))
+        return self.spread_flags(flag_bytes(bits, self.n))
 
     def widen(self, x: int) -> int:
         """Every lane that holds 1 in ``x`` all ones, the rest 0."""
@@ -348,8 +177,8 @@ def _edge_table(dense: DenseModel, cone, bits: int, lanes: _Lanes, rewards=None)
         out = [(index[t], groups) for t, groups in dense.groups[s]]
         if rewards is not None:
             # a lane outside the cone may hold a reward too large for it
-            inside = _flags(cone[s], dense.n)
-            groups = _value_groups(rewards[s])
+            inside = flag_bytes(cone[s], dense.n)
+            groups = value_groups(rewards[s])
             out.append((sink, [(v, bytes(map(and_, f, inside))) for v, f in groups]))
         merged: dict[tuple, int] = {}
         for k, groups in out:
@@ -581,7 +410,7 @@ def _path_interval(
     """
     if isinstance(path, Next):
         entry = sat_of(path.operand)
-        return _next_vectors(dense, entry.lo), _next_vectors(dense, entry.hi)
+        return next_vectors(dense, entry.lo), next_vectors(dense, entry.hi)
     if not isinstance(path, Until):
         raise UnsupportedPropertyError(f"unknown path formula {path!r}")
     e1 = sat_of(path.left)
@@ -649,8 +478,8 @@ def sat_states(
             entry = SatEntry({}, {})
             for s in dense.states:
                 decisions = [_decide(node.interval, a, b) for a, b in zip(lo[s], hi[s])]
-                entry.lo[s] = _mask(d == SAT for d in decisions)
-                entry.hi[s] = _mask(d != VIOLATED for d in decisions)
+                entry.lo[s] = nonzero_bits([d == SAT for d in decisions])
+                entry.hi[s] = nonzero_bits([d != VIOLATED for d in decisions])
         else:
             raise UnsupportedPropertyError(f"unknown state formula {node!r}")
         entries[node] = entry
@@ -723,21 +552,12 @@ def bounded_expected_reward(
         top=top,
     )
     infinite = [bool(missed >> i & 1) for i in range(n)]
-    return _aggregate_init(dense, lo), _aggregate_init(dense, hi), infinite
+    return aggregate_init(dense, lo), aggregate_init(dense, hi), infinite
 
 
 # ---------------------------------------------------------------------------
 # Family checking
 # ---------------------------------------------------------------------------
-
-
-def _aggregate_init(dense: DenseModel, vectors) -> list:
-    out = [ZERO] * dense.n
-    for s, weight in dense.init.items():
-        row = vectors[s]
-        for i in range(dense.n):
-            out[i] += weight * row[i]
-    return out
 
 
 def check_family_bounded(
@@ -818,7 +638,7 @@ def check_family_bounded(
 
         lo, hi = _path_interval(dense, prop.path, sat_of, eps, max_depth, bound, dense.init)
         out = {}
-        for p, a, b in zip(products, _aggregate_init(dense, lo), _aggregate_init(dense, hi)):
+        for p, a, b in zip(products, aggregate_init(dense, lo), aggregate_init(dense, hi)):
             decision = None if prop.interval is None else _decide(prop.interval, a, b)
             out[p] = ProductOutcome(
                 p, value=(a + b) / 2, decision=decision, error_bound=(b - a) / 2

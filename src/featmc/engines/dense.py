@@ -1,0 +1,224 @@
+"""The dense family form every engine reads, and its exact vector kernels.
+
+An FDTMC's profiles are flattened once into one value per product, in the
+diagram's canonical product order (:class:`DenseModel`).  Sets of products
+are bitsets: bit i of an int stands for product i, as in the per-product
+reachability closure of ``engines/elimination.py``; 0/1 flag bytes are the
+same sets with one byte per product, for reads by index.
+
+Next and step-bounded until have exact per-product vectors on this form
+(:func:`next_vectors`, :func:`bounded_until_vectors`), which the
+enumerative, parametric and bounded engines share, as they share the
+initial aggregation :func:`aggregate_init`.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from itertools import repeat
+from operator import attrgetter, is_
+from typing import Sequence
+
+from ..models import FDTMC, State
+from ..rational import ONE, ZERO
+
+#: bytes.translate tables between 0/1 flag bytes and ASCII binary digits
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+#: a rational's (numerator, denominator), the key equal values share
+_RATIO = attrgetter("numerator", "denominator")
+
+
+def bitset(flags: bytes) -> int:
+    """Bitset of the positions whose byte in ``flags`` (0 or 1 each) is 1."""
+    return int(flags[::-1].translate(_TO_DIGITS) or b"0", 2)
+
+
+def flag_bytes(bits: int, n: int) -> bytes:
+    """The first ``n`` bits of ``bits`` as 0/1 bytes, bit 0 first."""
+    return bin(bits)[:1:-1].ljust(n, "0")[:n].encode().translate(_FROM_DIGITS)
+
+
+def _one_object(row: Sequence) -> bool:
+    """Whether ``row`` holds one object for every product, as a constant
+    guarded profile gives; told by identity alone."""
+    return bool(row) and all(map(is_, row, repeat(row[0])))
+
+
+def nonzero_bits(row: Sequence) -> int:
+    """Bitset of the products whose entry in ``row`` is nonzero."""
+    if _one_object(row):
+        return (1 << len(row)) - 1 if row[0] else 0
+    return bitset(bytes(map(bool, row)))
+
+
+def value_groups(vec: Sequence) -> list[tuple[object, bytes]]:
+    """The distinct nonzero values of ``vec``, each with the 0/1 flag
+    bytes of the products that carry it.
+
+    Values are told apart by object first: a guarded profile hands the
+    same few objects to every product, so their numerator and denominator
+    are read once per object (a Fraction's own hash costs a modular
+    inverse), and a vector of one object is recognised by identity alone.
+    A computed profile holds one object per distinct value, so its
+    products are told apart by object id; a vector with several objects
+    of one value is grouped by value.
+    """
+    if _one_object(vec):
+        return [(vec[0], b"\x01" * len(vec))] if vec[0] else []
+    ids = [*map(id, vec)]
+    objects = dict(zip(ids, vec))
+    keys = [*map(_RATIO, objects.values())]
+    values = dict(zip(keys, objects.values()))
+    if len(values) == len(objects):
+        return [(v, bytes(map(k.__eq__, ids))) for k, v in objects.items() if v]
+    if len(values) == 1:
+        return [(vec[0], b"\x01" * len(vec))] if vec[0] else []
+    keys = [*map(dict(zip(objects, keys)).__getitem__, ids)]
+    return [(v, bytes(map(key.__eq__, keys))) for key, v in values.items() if v]
+
+
+class DenseModel:
+    """FDTMC with every profile flattened to a per-product vector.
+
+    ``edges`` lists each state's out-edges with their vectors.  ``succ`` and
+    ``pred`` list each state's successors and predecessors with the bitset
+    of products whose edge is nonzero, for the reachability closure.  The
+    bounded engine's interval kernel also reads ``groups``: per state, its
+    nonzero out-edges with their distinct values and the products carrying
+    each (:func:`value_groups`), and its update order ``sweep_order``.
+    Each is built on first use; the masks take one cheap pass of their own
+    (a ``bool`` per entry, or one identity test per entry for a constant
+    vector), because grouping values costs the enumerative engine, which
+    needs no groups, more than the pass costs the bounded one.
+    """
+
+    def __init__(self, model: FDTMC):
+        self.model = model
+        self.states = model.states
+        self.products = model.diagram.valid_products()
+        self.n = len(self.products)
+        self.full = (1 << self.n) - 1  # bitset of every product
+        self.edges: dict[State, list[tuple[State, tuple]]] = {s: [] for s in self.states}
+        for (s, t), profile in model.transitions.items():
+            self.edges[s].append((t, profile.dense_values()))
+        self.init = model.init
+        self.labels = model.labels
+
+    def zeros(self):
+        return [ZERO] * self.n
+
+    def label_bits(self, proposition: str) -> dict[State, int]:
+        return {s: self.full if proposition in self.labels[s] else 0 for s in self.states}
+
+    @cached_property
+    def groups(self) -> dict[State, list[tuple[State, list[tuple[object, bytes]]]]]:
+        return {
+            s: [(t, groups) for t, vec in out if (groups := value_groups(vec))]
+            for s, out in self.edges.items()
+        }
+
+    @cached_property
+    def succ(self) -> dict[State, list[tuple[State, int]]]:
+        return {
+            s: [(t, bits) for t, vec in out if (bits := nonzero_bits(vec))]
+            for s, out in self.edges.items()
+        }
+
+    @cached_property
+    def pred(self) -> dict[State, list[tuple[State, int]]]:
+        pred: dict = {s: [] for s in self.states}
+        for s, out in self.succ.items():
+            for t, mask in out:
+                pred[t].append((s, mask))
+        return pred
+
+    @cached_property
+    def index(self) -> dict[State, int]:
+        return {s: k for k, s in enumerate(self.states)}
+
+    @cached_property
+    def sweep_order(self) -> list[State]:
+        """Every state, successors before predecessors: DFS post-order over
+        the edge graph with cycles broken at back edges, so one sweep pushes
+        values across whole chains instead of one step."""
+        order = []
+        visited = set()
+        for root in self.states:
+            if root in visited:
+                continue
+            visited.add(root)
+            stack = [(root, iter([t for t, _ in self.succ[root]]))]
+            while stack:
+                node, children = stack[-1]
+                for child in children:
+                    if child not in visited:
+                        visited.add(child)
+                        stack.append((child, iter([t for t, _ in self.succ[child]])))
+                        break
+                else:
+                    order.append(node)
+                    stack.pop()
+        return order
+
+
+# ---------------------------------------------------------------------------
+# Exact per-product vectors
+# ---------------------------------------------------------------------------
+
+
+def next_vectors(dense: DenseModel, sat) -> dict[State, list]:
+    """Per state and product, the probability of stepping into ``sat``
+    (state -> product bitset)."""
+    out = {}
+    for s in dense.states:
+        acc = dense.zeros()
+        for t, vec in dense.edges[s]:
+            bits = sat[t]
+            for i in range(dense.n):
+                if bits >> i & 1 and vec[i]:
+                    acc[i] += vec[i]
+        out[s] = acc
+    return out
+
+
+def _until_step(dense: DenseModel, sat1, sat2, x):
+    """One Jacobi application of the until recurrence at every state.
+    ``sat1`` and ``sat2`` map states to product bitsets."""
+    out = {}
+    for s in dense.states:
+        sat2_bits = sat2[s]
+        sat1_bits = sat1[s]
+        acc = dense.zeros()
+        for t, vec in dense.edges[s]:
+            xt = x[t]
+            for i in range(dense.n):
+                if vec[i] and xt[i]:
+                    acc[i] += vec[i] * xt[i]
+        out[s] = [
+            ONE if sat2_bits >> i & 1 else acc[i] if sat1_bits >> i & 1 else ZERO
+            for i in range(dense.n)
+        ]
+    return out
+
+
+def bounded_until_vectors(
+    dense: DenseModel, sat1, sat2, bound: int
+) -> dict[State, list]:
+    """Exact step-bounded until values: ``bound`` Jacobi steps from the
+    target indicator (the iterates never decrease)."""
+    x = {s: [ONE if sat2[s] >> i & 1 else ZERO for i in range(dense.n)] for s in dense.states}
+    for _ in range(bound):
+        x = _until_step(dense, sat1, sat2, x)
+    return x
+
+
+def aggregate_init(dense: DenseModel, vectors) -> list:
+    """Per product, the value of ``vectors`` (state -> per-product values)
+    at the initial distribution."""
+    out = [ZERO] * dense.n
+    for s, weight in dense.init.items():
+        row = vectors[s]
+        for i in range(dense.n):
+            out[i] += weight * row[i]
+    return out

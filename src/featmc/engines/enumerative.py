@@ -1,23 +1,32 @@
-"""Enumerative engine: project every product, check each chain on its own.
+"""Enumerative engine: one exact Markov-chain solve per product.
 
-One solve per product, columns taken once: every profile gives its dense
-column once per family (:func:`~featmc.models.projections`).  Each projected
-DTMC is checked with standard algorithms: graph precomputation of the
-certain-zero and certain-one state sets, then an exact solve of the
-remaining sparse system ``x = P·x + b`` by the state elimination the
-parametric engine also runs; plain iteration for bounded until, a single
-matrix-vector product for next.  Expected rewards use the same
-precomputation, solve ``x = P·x + r`` the same way, and diverge to infinity
-on products that miss the target with positive probability.
+The family check works on the dense model form (``engines/dense.py``) and
+does everything that does not depend on a product's probabilities once,
+on per-state product bitsets (bit i stands for product i): the
+satisfaction sets of state formulas, the prob0/prob1 partition of an
+unbounded until or reward by the shared reachability closure
+(``engines/elimination.py``), and for a top-level query the init cone,
+the unknowns reachable from the positive-weight initial states.  Each
+product then reads entry i of every edge vector into the rows of its own
+unknowns (edges into prob0 dropped, edges into prob1 onto the sink) and
+solves ``x = P·x + b`` exactly by the state elimination the parametric
+engine also runs.  Expected rewards solve ``x = P·x + r`` the same way and
+diverge to infinity on products that miss the target with positive
+probability.  Next and step-bounded until use the exact per-product
+vectors of the dense form.
 
-A top-level unbounded until or reward query reads only the value at the
-initial distribution: its system holds only the unknowns reachable from the
-positive-weight initial states, only those are back-substituted, and a
-threshold is decided from their value.  Nested operators, next, bounded
-until and :func:`check_dtmc` get values at every state.  Float mode runs the
-same elimination on float64 rows: one direct solve with no stopping
-criterion, whose only error is rounding.  It raises where rounding makes a
-self-loop 1.
+A top-level unbounded until or reward reads only the value at the initial
+distribution: its system holds only the init cone, only the initial states
+are back-substituted, and a threshold is decided from their value.  A
+nested operator solves every undecided state and thresholds the values
+into a product bitset per state.  Float mode runs the same elimination on
+float64 rows: one direct solve with no stopping criterion, whose only
+error is rounding.  It raises where rounding makes a self-loop 1.
+
+The per-chain functions (:func:`check_dtmc`, :func:`check_product`,
+:func:`until_values` and the rest) check one projected DTMC the same way
+and are the reference the family check is tested against: for every
+product both make the same solve on the same rows.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import time
 from dataclasses import dataclass
 
 from ..errors import FeatmcError, ModelError, UnsupportedPropertyError
-from ..models import DTMC, FDTMC, projections
+from ..models import DTMC, FDTMC
 from ..properties import (
     Atom,
     Next,
@@ -42,6 +51,14 @@ from ..properties import (
 )
 from ..rational import INFINITY, ONE, ZERO
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
+from .dense import (
+    DenseModel,
+    aggregate_init,
+    bounded_until_vectors,
+    flag_bytes,
+    next_vectors,
+    nonzero_bits,
+)
 from .elimination import EliminationGraph, closure as reachable, until_partition
 
 ENGINE_NAME = "enumerative"
@@ -349,18 +366,263 @@ def check_product(dtmc: DTMC, prop: Property, float_mode: bool = False) -> Produ
     return ProductOutcome(None, decision=SAT if holds else VIOLATED)
 
 
+# ---------------------------------------------------------------------------
+# Family checking on the dense form
+# ---------------------------------------------------------------------------
+
+
+def _each_product(products, solve) -> list:
+    """``solve(i)`` for every product index i, in order.  An error keeps
+    its type and fields; its message is prefixed with the product."""
+    out = []
+    for i, product in enumerate(products):
+        try:
+            out.append(solve(i))
+        except FeatmcError as exc:
+            exc.args = (f"product {product}: {exc}",)
+            raise
+    return out
+
+
+def _as_floats(vectors) -> list:
+    """float64 copies of ``vectors``, each distinct value object converted
+    once; the vectors stay alive meanwhile, so no object id is reused."""
+    floats: dict[int, float] = {}
+    out = []
+    for vec in vectors:
+        ids = [*map(id, vec)]
+        objects = dict(zip(ids, vec))
+        floats.update({k: float(v) for k, v in objects.items() if k not in floats})
+        out.append([*map(floats.__getitem__, ids)])
+    return out
+
+
+class _FamilyCheck:
+    """One property on every product of a dense model.
+
+    Satisfaction sets are per-state product bitsets, computed once.  An
+    unbounded until or reward gets its prob0/prob1 partition, and a
+    top-level one its init cone, from the shared reachability closure once
+    for the family; each product then builds the rows of the states it
+    leaves unknown, reading entry i of every edge vector, and solves them.
+    Unknowns and rows come in the order the per-chain functions above give
+    them, so every solve is the one :func:`check_product` makes on the
+    projected chain.  Float mode solves on float64 edges, each distinct
+    value object converted once per family.  Next and step-bounded until
+    stay exact, as on one chain.
+    """
+
+    def __init__(self, dense: DenseModel, float_mode: bool):
+        self.dense = dense
+        self.float_mode = float_mode
+        self.starts = [s for s, weight in dense.init.items() if weight]
+        self.memo: dict[StateFormula, dict] = {}
+        # per state, its out-edges with their vectors and the bitset of the
+        # products whose edge is nonzero
+        self.out = {}
+        for s in dense.states:
+            masks = dict(dense.succ[s])
+            self.out[s] = [(t, vec, masks[t]) for t, vec in dense.edges[s] if t in masks]
+        self.one, self.zero, self.domain = ONE, ZERO, ()
+        if float_mode:
+            floats = iter(_as_floats([vec for out in self.out.values() for _, vec, _ in out]))
+            self.out = {
+                s: [(t, next(floats), mask) for t, _, mask in out] for s, out in self.out.items()
+            }
+            self.one, self.zero, self.domain = 1.0, 0.0, (_float_closure, 1.0)
+
+    def flags(self, bits: dict) -> dict:
+        return {s: flag_bytes(b, self.dense.n) for s, b in bits.items()}
+
+    def init_cone(self, allowed: dict) -> dict:
+        """Per state, the products for which it is reached from a
+        positive-weight initial state through ``allowed`` states."""
+        starts = set(self.starts)
+        seeds = {s: allowed[s] if s in starts else 0 for s in self.dense.states}
+        return reachable(seeds, self.dense.succ, allowed)
+
+    def edges(self, kept: dict, to_sink: dict) -> dict:
+        """Per state, its out-edges with the flags of the products for which
+        the edge stays (its successor's bit in ``kept``) and of those for
+        which it goes to the sink instead (``to_sink``, flag bytes)."""
+        n = self.dense.n
+        return {
+            s: [(t, vec, flag_bytes(mask & kept[t], n), to_sink[t]) for t, vec, mask in out]
+            for s, out in self.out.items()
+        }
+
+    def solve(self, i: int, unknown: dict, edges: dict, rewards=None, wanted=None) -> dict:
+        """Product i's values at its ``unknown`` states (state -> flag bytes),
+        or at the ``wanted`` ones, over rows taken from ``edges``; with
+        ``rewards`` each row ends in its state's reward on the sink."""
+        unknowns = [s for s, flags in unknown.items() if flags[i]]
+        if not unknowns:
+            return {}
+        rows = [
+            [(SINK if to_sink[i] else t, vec[i]) for t, vec, kept, to_sink in edges[s] if kept[i]]
+            for s in unknowns
+        ]
+        if rewards is not None:
+            for s, row in zip(unknowns, rows):
+                row.append((SINK, rewards[s][i]))
+        return solve_linear(unknowns, rows, *self.domain, wanted=wanted)
+
+    def sat(self, node: StateFormula) -> dict:
+        """Per state, the bitset of products whose chain satisfies ``node``
+        there."""
+        if node in self.memo:
+            return self.memo[node]
+        dense = self.dense
+        full = dense.full
+        if isinstance(node, PTrue):
+            result = dict.fromkeys(dense.states, full)
+        elif isinstance(node, Atom):
+            result = dense.label_bits(node.name)
+        elif isinstance(node, PNot):
+            inner = self.sat(node.operand)
+            result = {s: full & ~bits for s, bits in inner.items()}
+        elif isinstance(node, PAnd):
+            left, right = self.sat(node.left), self.sat(node.right)
+            result = {s: left[s] & right[s] for s in dense.states}
+        elif isinstance(node, Prob):
+            if node.interval is None:
+                raise UnsupportedPropertyError(
+                    "quantitative operator is only allowed at the top level"
+                )
+            values = self.state_values(node.path)
+            contains = node.interval.contains
+            result = {s: nonzero_bits([*map(contains, values[s])]) for s in dense.states}
+        else:
+            raise UnsupportedPropertyError(f"unknown state formula {node!r}")
+        self.memo[node] = result
+        return result
+
+    def exact_vectors(self, path) -> dict | None:
+        """Per state and product, the exact values of a next or step-bounded
+        until; None for an unbounded until."""
+        if isinstance(path, Next):
+            return next_vectors(self.dense, self.sat(path.operand))
+        if not isinstance(path, Until):
+            raise UnsupportedPropertyError(f"unknown path formula {path!r}")
+        if path.bound is None:
+            return None
+        return bounded_until_vectors(
+            self.dense, self.sat(path.left), self.sat(path.right), path.bound
+        )
+
+    def partition(self, path: Until):
+        """The prob1 flags of an unbounded until, the bitsets of its
+        undecided products per state, and the edges its rows read: into
+        prob0 dropped, into prob1 to the sink."""
+        dense = self.dense
+        zero, one = until_partition(
+            dense.pred, self.sat(path.left), self.sat(path.right), dense.full
+        )
+        undecided = {s: dense.full & ~(zero[s] | one[s]) for s in dense.states}
+        kept = {s: dense.full & ~bits for s, bits in zero.items()}
+        one = self.flags(one)
+        return one, undecided, self.edges(kept, one)
+
+    def state_values(self, path) -> dict:
+        """Per state and product, the values of a nested path formula."""
+        values = self.exact_vectors(path)
+        if values is not None:
+            return values
+        one, undecided, edges = self.partition(path)
+        unknown = self.flags(undecided)
+        solved = _each_product(self.dense.products, lambda i: self.solve(i, unknown, edges))
+        values = {s: [self.one if f else self.zero for f in flags] for s, flags in one.items()}
+        for i, solution in enumerate(solved):
+            for s, v in solution.items():
+                values[s][i] = v
+        return values
+
+    def initial_values(self, path) -> list:
+        """Per product, a top-level path formula's value at the initial
+        distribution; an unbounded until solves the init cone only."""
+        vectors = self.exact_vectors(path)
+        if vectors is not None:
+            return aggregate_init(self.dense, vectors)
+        one, undecided, edges = self.partition(path)
+        cone = self.flags(self.init_cone(undecided))
+
+        def value(i):
+            values = {s: self.one if one[s][i] else self.zero for s in self.starts}
+            values.update(self.solve(i, cone, edges, wanted=self.starts))
+            return _initial_value(self.dense, values)
+
+        return _each_product(self.dense.products, value)
+
+    def initial_rewards(self, target: StateFormula) -> list:
+        """Per product, the expected reward until ``target`` at the initial
+        distribution, solved on the init cone of the non-target states that
+        reach the target almost surely."""
+        dense = self.dense
+        model = dense.model
+        targets = self.sat(target)
+        _, one = until_partition(
+            dense.pred, dict.fromkeys(dense.states, dense.full), targets, dense.full
+        )
+        inside = self.init_cone({s: one[s] & ~targets[s] for s in dense.states})
+        edges = self.edges(inside, dict.fromkeys(dense.states, bytes(dense.n)))
+        cone = self.flags(inside)
+        one = self.flags(one)
+        rewards = None
+        if model.rewards is not None:
+            rewards = [model.reward_profile(s).dense_values() for s in dense.states]
+            if self.float_mode:
+                rewards = _as_floats(rewards)
+            rewards = dict(zip(dense.states, rewards))
+
+        def value(i):
+            if rewards is None:
+                raise ModelError("model has no rewards")
+            values = {s: self.zero if one[s][i] else INFINITY for s in self.starts}
+            values.update(self.solve(i, cone, edges, rewards, self.starts))
+            return _initial_value(dense, values)
+
+        return _each_product(dense.products, value)
+
+    def outcomes(self, prop: Property) -> list[ProductOutcome]:
+        """Every product's outcome, in canonical product order."""
+        products = self.dense.products
+        if isinstance(prop, RewardQuery):
+            values = self.initial_rewards(prop.target)
+            return [ProductOutcome(p, value=v) for p, v in zip(products, values)]
+        if isinstance(prop, Prob):
+            values = self.initial_values(prop.path)
+            if prop.interval is None:
+                return [ProductOutcome(p, value=v) for p, v in zip(products, values)]
+            return [
+                ProductOutcome(p, value=v, decision=SAT if prop.interval.contains(v) else VIOLATED)
+                for p, v in zip(products, values)
+            ]
+        # plain state formula: decide at the positive-weight initial states
+        bits = self.sat(prop)
+        holds = self.dense.full
+        for s in self.starts:
+            holds &= bits[s]
+        return [
+            ProductOutcome(p, decision=SAT if holds >> i & 1 else VIOLATED)
+            for i, p in enumerate(products)
+        ]
+
+
 def check_family_enumerative(
     model: FDTMC,
     prop: Property | str,
     float_mode: bool = False,
 ) -> FamilyResult:
-    """Project onto every valid product and check the chains independently.
+    """Check every valid product's chain, each with its own exact solve.
 
-    ``float_mode`` runs unbounded until and reward computations as the same
-    state elimination in float64: no stopping criterion, only rounding
-    error, and a :class:`ModelError` where rounding makes a self-loop 1.
-    An error raised for one product keeps its type and fields; its message
-    is prefixed with the product.
+    The work that does not depend on a product's probabilities runs once
+    on the dense form (:class:`_FamilyCheck`); every outcome equals that of
+    :func:`check_product` on the projected chain.  ``float_mode`` runs
+    unbounded until and reward computations as the same state elimination
+    in float64: no stopping criterion, only rounding error, and a
+    :class:`ModelError` where rounding makes a self-loop 1.  An error
+    raised for one product keeps its type and fields; its message is
+    prefixed with the product.
     """
     from ..properties import bind_check, parse_property
 
@@ -369,13 +631,7 @@ def check_family_enumerative(
     bind_check(prop, model.ap)
     started = time.perf_counter()
     result = FamilyResult(ENGINE_NAME, print_property(prop))
-    for product, dtmc in projections(model):
-        try:
-            outcome = check_product(dtmc, prop, float_mode)
-        except FeatmcError as exc:
-            exc.args = (f"product {product}: {exc}",)
-            raise
-        outcome.product = product
-        result.outcomes[product] = outcome
+    for outcome in _FamilyCheck(DenseModel(model), float_mode).outcomes(prop):
+        result.outcomes[outcome.product] = outcome
     result.elapsed = time.perf_counter() - started
     return result

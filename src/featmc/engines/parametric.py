@@ -17,8 +17,8 @@ departs from it in two ways:
   function over 1.  It agrees with the symbolic quotient wherever that is
   defined and needs no division.
 
-Step-bounded until and next reuse the bounded engine's exact per-product
-vectors, which need no division either.
+Step-bounded until and next reuse the exact per-product vectors of
+``engines/dense.py``, which need no division either.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from ..properties import (
 )
 from ..rational import INFINITY, ONE, ZERO, rational
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
-from .bounded import DenseModel, _aggregate_init, _next_vectors, bounded_until_vectors
+from .dense import DenseModel, aggregate_init, bounded_until_vectors, next_vectors
 from .elimination import EliminationGraph
 
 ENGINE_NAME = "parametric"
@@ -538,12 +538,12 @@ def _query_values(model: FDTMC, prop: Property) -> list:
                 return {s: dense.full if s in sat else 0 for s in dense.states}
 
             if isinstance(path, Next):
-                vectors = _next_vectors(dense, indicator(path.operand))
+                vectors = next_vectors(dense, indicator(path.operand))
             else:
                 vectors = bounded_until_vectors(
                     dense, indicator(path.left), indicator(path.right), path.bound
                 )
-            return _aggregate_init(dense, vectors)
+            return aggregate_init(dense, vectors)
         table = eliminate_reachability(
             model,
             _propositional_sat(model, path.right),

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InvalidProductError, ModelError, NondeterminismError
 from .features import (
@@ -265,26 +265,6 @@ def project(model: FDTMC, product: Product) -> DTMC:
     if model.rewards is not None:
         rewards = {s: model.reward_profile(s).evaluate(product) for s in model.states}
     return DTMC(model.states, model.init, transitions, model.labels, rewards)
-
-
-def projections(model: FDTMC) -> Iterator[tuple[Product, DTMC]]:
-    """Every valid product with its chain, in canonical order.
-
-    Each transition and reward profile gives its dense column once; the
-    i-th chain reads entry i of every column, which is what :func:`project`
-    evaluates at the i-th product.
-    """
-    keys = list(model.transitions)
-    columns = [profile.dense_values() for profile in model.transitions.values()]
-    reward_columns = None
-    if model.rewards is not None:
-        reward_columns = [model.reward_profile(s).dense_values() for s in model.states]
-    for i, product in enumerate(model.diagram.valid_products()):
-        transitions = {key: column[i] for key, column in zip(keys, columns)}
-        rewards = None
-        if reward_columns is not None:
-            rewards = {s: column[i] for s, column in zip(model.states, reward_columns)}
-        yield product, DTMC(model.states, model.init, transitions, model.labels, rewards)
 
 
 def path_probability(model: FDTMC, path: Sequence[State]) -> Profile:

@@ -15,13 +15,12 @@ from featmc.engines.bounded import (
     _edge_table,
     _family_until_run,
     _Lanes,
-    _mask,
-    _next_vectors,
     bounded_expected_reward,
     bounded_until_vectors,
     check_family_bounded,
     sat_states,
 )
+from featmc.engines.dense import next_vectors, nonzero_bits
 from featmc.engines.elimination import closure, until_partition
 from featmc.engines.enumerative import (
     bounded_until_values,
@@ -59,7 +58,7 @@ def _indicators(dense, formula):
 
 def _next(model, formula):
     dense = DenseModel(model)
-    return _next_vectors(dense, _indicators(dense, formula))
+    return next_vectors(dense, _indicators(dense, formula))
 
 
 def _bounded_until(model, left, right, bound):
@@ -986,8 +985,8 @@ class TestScaledEdges:
                     for i, v in enumerate(vec):
                         carried = [w for w, flags in groups if flags[i]]
                         assert carried == ([v] if v else [])
-        assert _mask([ZERO, ONE, ZERO, rational(1, 3)]) == 0b1010
-        assert _mask([]) == 0
+        assert nonzero_bits([ZERO, ONE, ZERO, rational(1, 3)]) == 0b1010
+        assert nonzero_bits([]) == 0
 
 
 def _run_or_error(run, *args, observe=True, **kwargs):

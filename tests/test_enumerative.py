@@ -27,7 +27,7 @@ from featmc.features import FeatureDiagram, Product
 from featmc.generators import gen_service_provider
 from featmc.models import DTMC, FDTMC, project
 from featmc.profiles import constant
-from featmc.properties import parse_property
+from featmc.properties import RewardQuery, parse_property
 from featmc.rational import INFINITY, ONE, ZERO, rational
 from featmc.result import SAT, VIOLATED
 
@@ -338,32 +338,39 @@ class TestEliminationOrder:
 
 
 class TestSingleSolve:
-    """A top-level threshold solves its path formula once per product."""
+    """A threshold solves one system per product: at the top level, per
+    product whose initial state is undecided."""
 
     @pytest.fixture(scope="class")
     def service4(self):
         return build_model(gen_service_provider(4)).system
 
     @staticmethod
-    def _count_calls(monkeypatch):
-        calls = {"until_values": 0, "until_values_float": 0}
-        for name in calls:
-            original = getattr(enumerative, name)
+    def _count_solves(monkeypatch):
+        """The value domain (``closure``, ``one``) of every solve_linear call."""
+        domains = []
+        original = enumerative.solve_linear
 
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
+        def counted(unknowns, rows, *domain, **kwargs):
+            domains.append(domain)
+            return original(unknowns, rows, *domain, **kwargs)
 
-            monkeypatch.setattr(enumerative, name, counted)
-        return calls
+        monkeypatch.setattr(enumerative, "solve_linear", counted)
+        return domains
 
     @pytest.mark.parametrize("float_mode", [False, True])
     def test_threshold(self, service4, monkeypatch, float_mode):
-        calls = self._count_calls(monkeypatch)
+        domains = self._count_solves(monkeypatch)
         result = check_family_enumerative(service4, "P[<0.1](F failure)", float_mode)
-        products = len(service4.diagram.valid_products())
-        solver = "until_values_float" if float_mode else "until_values"
-        assert calls == {**{name: 0 for name in calls}, solver: products}
+        products = service4.diagram.valid_products()
+        undecided = 0
+        for product in products:
+            dtmc = project(service4, product)
+            unknown = until_state_partition(dtmc, set(dtmc.states), dtmc.states_with("failure"))[2]
+            undecided += any(s in unknown for s in dtmc.init)
+        assert undecided >= len(products) - 1
+        domain = (enumerative._float_closure, 1.0) if float_mode else ()
+        assert domains == [domain] * undecided
         decisions = {o.decision for o in result.outcomes.values()}
         assert decisions == {SAT, VIOLATED}
 
@@ -378,9 +385,9 @@ class TestSingleSolve:
             value = sum((w * step[s] for s, w in dtmc.init.items()), ZERO)
             expected[product] = SAT if value < rational(1, 2) else VIOLATED
         assert set(expected.values()) == {SAT, VIOLATED}
-        calls = self._count_calls(monkeypatch)
+        domains = self._count_solves(monkeypatch)
         result = check_family_enumerative(service4, "P[<0.5](X P[>0.1](F failure))")
-        assert calls["until_values"] == len(products)
+        assert len(domains) == len(products)
         assert {p: o.decision for p, o in result.outcomes.items()} == expected
 
 
@@ -470,25 +477,29 @@ class TestInitOnly:
 
     def test_service_graph_holds_only_the_init_cone(self, monkeypatch):
         model = build_model(gen_service_provider(4)).system
-        sources = []
+        graphs = []
 
         class Recording(EliminationGraph):
+            def __init__(self, closure):
+                super().__init__(closure)
+                graphs.append(set())
+
             def add(self, s, t, f):
-                sources.append(s)
+                graphs[-1].add(s)
                 super().add(s, t, f)
 
         monkeypatch.setattr(enumerative, "EliminationGraph", Recording)
+        check_family_enumerative(model, "P=?(F failure)")
+        cones = []
         smaller = 0
         for product in model.diagram.valid_products():
             dtmc = project(model, product)
-            sat1, sat2 = set(dtmc.states), dtmc.states_with("failure")
-            unknown = until_state_partition(dtmc, sat1, sat2)[2]
+            unknown = until_state_partition(dtmc, set(dtmc.states), dtmc.states_with("failure"))[2]
             cone = forward_cone(dtmc, unknown, list(dtmc.init))
-            sources.clear()
-            values = until_values(dtmc, sat1, sat2, list(dtmc.init))
-            assert set(values) == set(dtmc.init)
-            assert set(sources) == cone
+            if cone:
+                cones.append(cone)
             smaller += len(cone) < len(unknown)
+        assert graphs == cones
         assert smaller >= 10
 
 
@@ -521,6 +532,102 @@ system = M;
         bounded = check_family_bounded(model, prop)
         for outcome in bounded.outcomes.values():
             assert abs(outcome.value - 2) <= outcome.error_bound
+
+
+def split_init(model, seed):
+    """``model`` started from up to three random states: the first with
+    weight 0, the others sharing weight 1."""
+    rng = random.Random(seed)
+    starts = rng.sample(model.states, min(3, len(model.states)))
+    weight = ONE / (len(starts) - 1)
+    init = {starts[0]: ZERO, **{s: weight for s in starts[1:]}}
+    return FDTMC(
+        model.states, init, model.diagram, model.transitions, model.ap, model.labels,
+        model.rewards,
+    )
+
+
+class TestFamilyAgreement:
+    """The family path gives every product the outcome that check_product
+    gives its projected chain: the same value, exact or float64 bit for
+    bit, of the same type, and the same decision."""
+
+    RANDOM = [
+        "P=?(F a)",
+        "P[>=0.3](!c U a)",
+        "R=?[F a]",
+        "P=?(X a)",
+        "P[<0.5](b U<=3 a)",
+        "P[<0.5](X P[>0.1](F a))",
+        "P=?(F P[<0.5](!c U a))",
+        "P=?(b U<=2 P[>0.2](F c))",
+        "!a & P[>=0.5](F P[>=0.9](X c))",
+    ]
+    BUNDLED = {
+        "wiper": [
+            "R=?[F end]",
+            "P[>=1](F end)",
+            "P=?(X fastmode)",
+            "P=?(true U<=4 end)",
+            "P[<0.5](X P[>0.9](!wiping U end))",
+        ],
+        "minepump": [
+            "P=?(X methane)",
+            "P[<0.1](F (pumpOn & methane))",
+            "P=?(true U<=5 methane)",
+            "P[>0.5](X P[>0.01](F (pumpOn & methane)))",
+        ],
+        "service4": [
+            "P=?(F failure)",
+            "P[<0.1](F failure)",
+            "P=?(true U<=10 failure)",
+            "P[<0.5](X P[>0.1](F failure))",
+        ],
+    }
+
+    @staticmethod
+    def agree(model, prop) -> list:
+        """Assert agreement in exact and float mode; the exact outcomes."""
+        for float_mode in (True, False):
+            family = check_family_enumerative(model, prop, float_mode)
+            assert list(family.outcomes) == list(model.diagram.valid_products())
+            for product, outcome in family.outcomes.items():
+                expected = check_product(project(model, product), prop, float_mode)
+                assert type(outcome.value) is type(expected.value)
+                assert repr(outcome.value) == repr(expected.value)
+                assert outcome.decision == expected.decision
+        return list(family.outcomes.values())
+
+    def test_random_models(self):
+        rng = random.Random(61)
+        models = []
+        for k in range(30):
+            model = random_fdtmc(rng, max_states=7, max_features=3, with_rewards=True)
+            models += [model, split_init(model, k)]
+        infinite = finite = fractional = 0
+        for text in self.RANDOM:
+            prop = parse_property(text)
+            for model in models:
+                values = [o.value for o in self.agree(model, prop)]
+                if isinstance(prop, RewardQuery):
+                    infinite += values.count(INFINITY)
+                    finite += len(values) - values.count(INFINITY)
+                fractional += sum(v is not None and 0 < v < 1 for v in values)
+        assert infinite >= 20 and finite >= 20 and fractional >= 100
+
+    def test_weight_zero_init_with_infinite_reward(self):
+        model = parse_model(TestWeightZeroInit.MODEL).system
+        assert [o.value for o in self.agree(model, parse_property("R=?[F done]"))] == [2]
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_bundled_models(self, name, wiper, minepump):
+        model = {
+            "wiper": wiper.system,
+            "minepump": minepump.system,
+            "service4": build_model(gen_service_provider(4)).system,
+        }[name]
+        for text in self.BUNDLED[name]:
+            self.agree(model, parse_property(text))
 
 
 class TestExpectedReward:
@@ -603,9 +710,9 @@ class TestFamily:
         def raise_unbound(*args, **kwargs):
             raise UnboundFeatureError("x")
 
-        monkeypatch.setattr(enumerative, "check_product", raise_unbound)
+        monkeypatch.setattr(enumerative, "solve_linear", raise_unbound)
         with pytest.raises(UnboundFeatureError) as info:
-            check_family_enumerative(wiper.system, "P=?(F end)")
+            check_family_enumerative(wiper.system, "R=?[F end]")
         assert info.value.name == "x"
         first = wiper.diagram.valid_products()[0]
         assert str(info.value).startswith(f"product {first}: ")

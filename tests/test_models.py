@@ -5,7 +5,7 @@ import pytest
 from featmc.errors import ModelError, NondeterminismError
 from featmc.dsl import build_model
 from featmc.features import FeatureDiagram, Product, TRUE, parse_feature_expression
-from featmc.generators import gen_failure_recovery, gen_service_provider
+from featmc.generators import gen_failure_recovery
 from featmc.models import (
     FDTMC,
     FMDP,
@@ -20,7 +20,6 @@ from featmc.models import (
     path_probability,
     project,
     project_fmdp,
-    projections,
     sync_product,
     validate_fdtmc,
     validate_fmdp,
@@ -28,7 +27,7 @@ from featmc.models import (
 from featmc.profiles import GuardedProfile, constant, to_dense
 from featmc.rational import ONE, ZERO, rational
 
-from conftest import random_complete_fmdp, random_fdtmc
+from conftest import random_complete_fmdp
 
 
 D1 = FeatureDiagram(("f",))
@@ -106,29 +105,6 @@ class TestProjection:
         )
         dtmc = project(methane, ventilated.restrict(("W", "A", "V")))
         assert dtmc.transitions[("methane", "no_methane")] == rational("0.9")
-
-
-    def test_projections_equal_project(self, wiper, minepump):
-        rng = random.Random(3)
-        models = [
-            wiper.system,
-            minepump.system,
-            build_model(gen_service_provider(4)).system,
-            build_model(gen_failure_recovery(4)).system,
-        ] + [random_fdtmc(rng, max_features=3, with_rewards=True) for _ in range(10)]
-        # wiper and the random models carry rewards; composed minepump has none
-        assert wiper.system.rewards and minepump.system.rewards is None
-        for model in models:
-            pairs = list(projections(model))
-            assert [p for p, _ in pairs] == list(model.diagram.valid_products())
-            for product, dtmc in pairs:
-                expected = project(model, product)
-                assert dtmc.states == expected.states
-                assert dtmc.transitions == expected.transitions
-                assert list(dtmc.transitions) == list(expected.transitions)
-                assert dtmc.init == expected.init
-                assert dtmc.labels == expected.labels
-                assert dtmc.rewards == expected.rewards
 
 
 class TestPathProbability:
