@@ -1,9 +1,9 @@
 """Feature-aware bounded search: all products checked in one exploration.
 
-Satisfaction of state formulae is tracked per state as a bitset of
-products (bit i stands for product i of the canonical product order), a
-lower and an upper one for definitely and possibly satisfied.  An unbounded
-until is bracketed by interval iteration of the one-step recurrence
+Satisfaction of state formulae comes from the walker all engines share
+(``engines/dense.py``): per state, a lower and an upper product bitset for
+definitely and possibly satisfied.  An unbounded until is bracketed by
+interval iteration of the one-step recurrence
 
     x'(s) = sat2(s) + (1 - sat2(s)) * sat1(s) * sum_t P(s,t) * x(t)
 
@@ -16,12 +16,10 @@ iterated.  The exact value always lies in ``[lo, hi]``; ``hi - lo`` is the
 undecided path mass, and a product stops being iterated once it is below
 the requested precision.  Threshold operators are decided three-valuedly
 on that interval.  A top-level query reads only the initial states, so it
-iterates only their cone: per product, the undecided states reachable from
-an initial state of positive weight through undecided states (one more
-run of the reachability closure).  The initial states' values depend only
-on the states they reach, so they are those of an iteration of every
-undecided state, sweep by sweep.  Nested operators need every state's
-bounds and iterate every undecided pair.
+iterates only their cone of undecided states (the shared init cone).  The
+initial states' values depend only on the states they reach, so they are
+those of an iteration of every undecided state, sweep by sweep.  Nested
+operators need every state's bounds and iterate every undecided pair.
 
 The iteration runs on Python integers over a common denominator ``2**bits``
 whose size follows from the precision, with outward rounding: probabilities
@@ -44,32 +42,26 @@ finite, where lo rises from 0 and hi falls from an upper bound derived
 from the largest reward and the slowest chance of reaching the target
 (:func:`bounded_expected_reward`); a state's reward is one more edge,
 into a sink valued 1.  Step-bounded until and next stay exact, on the
-per-product vectors of ``engines/dense.py``, whose dense model form all
-three engines share.
+shared per-product vectors of ``engines/dense.py``.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from operator import and_
 
-from ..errors import ConvergenceError, ModelError, UnsupportedPropertyError
-from ..models import FDTMC, State
-from ..profiles import to_dense
+from ..errors import ConvergenceError, UnsupportedPropertyError
+from ..models import FDTMC
 from ..properties import (
-    Atom,
     Interval,
     Next,
-    PAnd,
-    PNot,
     Prob,
     Property,
-    PTrue,
     RewardQuery,
     StateFormula,
     Until,
+    bind_check,
     parse_tree,
     print_property,
 )
@@ -77,14 +69,18 @@ from ..rational import INFINITY, ZERO, rational
 from ..result import SAT, UNKNOWN, VIOLATED, FamilyResult, ProductOutcome
 from .dense import (
     DenseModel,
+    SatEntry,
     aggregate_init,
     bounded_until_vectors,
     flag_bytes,
+    init_decisions,
     next_vectors,
     nonzero_bits,
+    reward_cone,
+    satisfaction,
     value_groups,
 )
-from .elimination import closure, until_partition
+from .elimination import until_partition
 
 ENGINE_NAME = "bounded"
 
@@ -255,13 +251,14 @@ def _family_until_run(
     is None; either is read with lane-wise comparisons.  With
     ``weights`` only the cone is swept: per product, the undecided states
     reachable from an initial state of positive weight through undecided
-    states.  The initial states' values depend only on the states they
-    reach, so they, and the sweep at which a product stops, are those of a
-    sweep over every undecided state; the states outside the cone keep
-    their starting bounds.  A product still wider after ``max_depth``
-    sweeps, or after a sweep that moved none of its bounds (rounding has
-    stalled), raises ConvergenceError.  ``observer(sweep, lo, hi)`` sees
-    the vectors of every state as rationals after every sweep.
+    states (:meth:`DenseModel.init_cone`).  The initial states' values
+    depend only on the states they reach, so they, and the sweep at which a
+    product stops, are those of a sweep over every undecided state; the
+    states outside the cone keep their starting bounds.  A product still
+    wider after ``max_depth`` sweeps, or after a sweep that moved none of
+    its bounds (rounding has stalled), raises ConvergenceError.
+    ``observer(sweep, lo, hi)`` sees the vectors of every state as
+    rationals after every sweep.
 
     Returns per-state (lo, hi): of every state, or of the states of
     ``weights`` when it is given.  One of ``epsilon`` and ``bound`` is
@@ -286,8 +283,7 @@ def _family_until_run(
     if weights is None:
         denom = full
     else:
-        seeds = {s: undecided[s] if weights.get(s, 0) > 0 else 0 for s in states}
-        undecided = closure(seeds, dense.succ, undecided)
+        undecided = dense.init_cone(undecided)
         denom = math.lcm(*(int(w.denominator) for w in weights.values()))
         weight_items = [(index[s], int(w * denom)) for s, w in weights.items() if w]
         # the weighted gap is at most the top times the weight sum per lane
@@ -387,18 +383,6 @@ def _decide(interval: Interval, lo, hi) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SatEntry:
-    """Per state, the bitsets of products that definitely (``lo``) and
-    possibly (``hi``) satisfy a state formula; ``lo`` is a subset of ``hi``."""
-
-    lo: dict[State, int]
-    hi: dict[State, int]
-
-    def decided(self) -> bool:
-        return self.lo == self.hi
-
-
 def _path_interval(
     dense: DenseModel, path, sat_of, epsilon, max_depth, bound=None, weights=None
 ):
@@ -420,13 +404,9 @@ def _path_interval(
         lo = bounded_until_vectors(dense, e1.lo, e2.lo, path.bound)
         hi = lo if decided else bounded_until_vectors(dense, e1.hi, e2.hi, path.bound)
         return lo, hi
-    lo, hi = _family_until_run(
-        dense, e1.lo, e2.lo, epsilon, bound, max_depth, weights
-    )
+    lo, hi = _family_until_run(dense, e1.lo, e2.lo, epsilon, bound, max_depth, weights)
     if not decided:
-        _, hi = _family_until_run(
-            dense, e1.hi, e2.hi, epsilon, bound, max_depth, weights
-        )
+        _, hi = _family_until_run(dense, e1.hi, e2.hi, epsilon, bound, max_depth, weights)
     return lo, hi
 
 
@@ -444,48 +424,18 @@ def sat_states(
     ``epsilon/10`` by the caller (see check_family_bounded).
     """
     epsilon = rational("1/1000") if epsilon is None else epsilon
-    full = dense.full
-    entries: dict[StateFormula, SatEntry] = {}
 
-    def sat_of(node: StateFormula) -> SatEntry:
-        if node in entries:
-            return entries[node]
-        if isinstance(node, PTrue):
-            bits = dict.fromkeys(dense.states, full)
-            entry = SatEntry(bits, bits)
-        elif isinstance(node, Atom):
-            bits = dense.label_bits(node.name)
-            entry = SatEntry(bits, bits)
-        elif isinstance(node, PNot):
-            inner = sat_of(node.operand)
-            entry = SatEntry(
-                {s: full & ~inner.hi[s] for s in dense.states},
-                {s: full & ~inner.lo[s] for s in dense.states},
-            )
-        elif isinstance(node, PAnd):
-            left = sat_of(node.left)
-            right = sat_of(node.right)
-            entry = SatEntry(
-                {s: left.lo[s] & right.lo[s] for s in dense.states},
-                {s: left.hi[s] & right.hi[s] for s in dense.states},
-            )
-        elif isinstance(node, Prob):
-            if node.interval is None:
-                raise UnsupportedPropertyError(
-                    "quantitative operator is only allowed at the top level"
-                )
-            lo, hi = _path_interval(dense, node.path, sat_of, epsilon, max_depth)
-            entry = SatEntry({}, {})
-            for s in dense.states:
-                decisions = [_decide(node.interval, a, b) for a, b in zip(lo[s], hi[s])]
-                entry.lo[s] = nonzero_bits([d == SAT for d in decisions])
-                entry.hi[s] = nonzero_bits([d != VIOLATED for d in decisions])
-        else:
-            raise UnsupportedPropertyError(f"unknown state formula {node!r}")
-        entries[node] = entry
+    def nested(node: Prob, sat_of) -> SatEntry:
+        lo, hi = _path_interval(dense, node.path, sat_of, epsilon, max_depth)
+        entry = SatEntry({}, {})
+        for s in dense.states:
+            decisions = [_decide(node.interval, a, b) for a, b in zip(lo[s], hi[s])]
+            entry.lo[s] = nonzero_bits([d == SAT for d in decisions])
+            entry.hi[s] = nonzero_bits([d != VIOLATED for d in decisions])
         return entry
 
-    sat_of(formula)
+    entries: dict[StateFormula, SatEntry] = {}
+    satisfaction(dense, formula, nested, entries)
     return entries
 
 
@@ -506,7 +456,8 @@ def bounded_expected_reward(
     ``(lower, upper, infinite)``, with ``upper - lower < epsilon``.
 
     Products where some state reachable from init before the target lies
-    outside prob1 of ``true U target`` get an infinite value (and bounds 0).
+    outside prob1 of ``true U target`` get an infinite value (and bounds 0;
+    :func:`reward_cone`).
     For the rest, with ``window`` the number of states, every window of
     steps before the target earns at most ``rmax * window`` and is survived
     with probability at most ``1 - q``: ``rmax`` is the largest reward and
@@ -515,35 +466,22 @@ def bounded_expected_reward(
     ``rmax * window / q`` bounds the value at each of them, and the upper
     iterate starts there.
     """
-    if dense.model.rewards is None:
-        raise ModelError("model has no rewards")
+    rewards = dense.rewards
     n = dense.n
-    full = dense.full
-    everywhere = dict.fromkeys(dense.states, full)
-    _, one = until_partition(dense.pred, everywhere, targets, full)
-    # per state, the products for which it is reachable before the target
-    outside = {s: full & ~bits for s, bits in targets.items()}
-    before = closure(
-        {s: outside[s] if dense.init.get(s, 0) > 0 else 0 for s in dense.states},
-        dense.succ,
-        outside,
-    )
-    missed = 0
-    for s, bits in before.items():
-        missed |= bits & ~one[s]
-    rewards = {s: to_dense(dense.model.reward_profile(s)).values for s in dense.states}
+    cone, infinite = reward_cone(dense, targets)
     window = len(dense.states)
+    everywhere = dict.fromkeys(dense.states, dense.full)
     # a finite product reaches the target from each state within window steps
     reach = bounded_until_vectors(dense, everywhere, targets, window)
     top = [ZERO] * n
     for i in range(n):
-        seen = [s for s in dense.states if before[s] >> i & 1]
-        if seen and not missed >> i & 1:
+        seen = [s for s in dense.states if cone[s] >> i & 1]
+        if seen and not infinite >> i & 1:
             rmax = max(rewards[s][i] for s in seen)
             top[i] = rmax * window / min(reach[s][i] for s in seen)
     lo, hi = _family_until_run(
         dense,
-        dict.fromkeys(dense.states, full & ~missed),
+        dict.fromkeys(dense.states, dense.full & ~infinite),
         targets,
         epsilon,
         max_depth=max_depth,
@@ -551,8 +489,8 @@ def bounded_expected_reward(
         rewards=rewards,
         top=top,
     )
-    infinite = [bool(missed >> i & 1) for i in range(n)]
-    return aggregate_init(dense, lo), aggregate_init(dense, hi), infinite
+    flags = [bool(infinite >> i & 1) for i in range(n)]
+    return aggregate_init(dense, lo), aggregate_init(dense, hi), flags
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +513,7 @@ def check_family_bounded(
     verdict triggers one automatic retry at a tenth of the precision before
     being surfaced.
     """
-    from ..properties import bind_check, parse_property
-
-    if isinstance(prop, str):
-        prop = parse_property(prop)
-    bind_check(prop, model.ap)
+    prop = bind_check(prop, model.ap)
     epsilon = rational("1/1000") if epsilon is None else epsilon
     if epsilon <= 0:
         raise ValueError(f"precision must be positive, got {epsilon}")
@@ -613,22 +547,8 @@ def check_family_bounded(
 
     def outcomes(eps) -> dict:
         if not isinstance(prop, Prob):
-            # every initial state must satisfy the formula
-            entry = sat_states(dense, prop, eps, max_depth)[prop]
-            sat = possible = dense.full
-            for s, weight in dense.init.items():
-                if weight > 0:
-                    sat &= entry.lo[s]
-                    possible &= entry.hi[s]
-            return {
-                p: ProductOutcome(
-                    p,
-                    decision=(
-                        SAT if sat >> i & 1 else UNKNOWN if possible >> i & 1 else VIOLATED
-                    ),
-                )
-                for i, p in enumerate(products)
-            }
+            decisions = init_decisions(dense, sat_states(dense, prop, eps, max_depth)[prop])
+            return {p: ProductOutcome(p, decision=d) for p, d in zip(products, decisions)}
         sat_cache = {}
 
         def sat_of(node):

@@ -1,26 +1,35 @@
-"""The dense family form every engine reads, and its exact vector kernels.
+"""The dense family form every engine reads, and what the engines share on it.
 
-An FDTMC's profiles are flattened once into one value per product, in the
-diagram's canonical product order (:class:`DenseModel`).  Sets of products
-are bitsets: bit i of an int stands for product i, as in the per-product
+An FDTMC's profiles are flattened on first use into one value per product,
+in the diagram's canonical product order (:class:`DenseModel`).  Sets of
+products are bitsets: bit i of an int stands for product i, as in the
 reachability closure of ``engines/elimination.py``; 0/1 flag bytes are the
 same sets with one byte per product, for reads by index.
 
-Next and step-bounded until have exact per-product vectors on this form
-(:func:`next_vectors`, :func:`bounded_until_vectors`), which the
-enumerative, parametric and bounded engines share, as they share the
-initial aggregation :func:`aggregate_init`.
+The qualitative layer runs once for the family (Classen et al., ICSE 2010):
+satisfaction sets of state formulas (:func:`satisfaction`, which hands a
+threshold operator back to the engine's own solver), the init cone
+(:meth:`DenseModel.init_cone`), the cone and the infinite products of an
+expected reward (:func:`reward_cone`) and the verdicts of a plain state
+formula (:func:`init_decisions`).  Next and step-bounded until have exact
+per-product vectors (:func:`next_vectors`, :func:`bounded_until_vectors`),
+aggregated at the initial distribution by :func:`aggregate_init`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import attrgetter, is_
-from typing import Sequence
+from typing import Callable, Sequence
 
+from ..errors import ModelError, UnsupportedPropertyError
 from ..models import FDTMC, State
+from ..properties import Atom, PAnd, PNot, Prob, PTrue, StateFormula
 from ..rational import ONE, ZERO
+from ..result import SAT, UNKNOWN, VIOLATED
+from .elimination import closure, until_partition
 
 #: bytes.translate tables between 0/1 flag bytes and ASCII binary digits
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -81,16 +90,17 @@ def value_groups(vec: Sequence) -> list[tuple[object, bytes]]:
 class DenseModel:
     """FDTMC with every profile flattened to a per-product vector.
 
-    ``edges`` lists each state's out-edges with their vectors.  ``succ`` and
-    ``pred`` list each state's successors and predecessors with the bitset
-    of products whose edge is nonzero, for the reachability closure.  The
-    bounded engine's interval kernel also reads ``groups``: per state, its
-    nonzero out-edges with their distinct values and the products carrying
-    each (:func:`value_groups`), and its update order ``sweep_order``.
-    Each is built on first use; the masks take one cheap pass of their own
-    (a ``bool`` per entry, or one identity test per entry for a constant
-    vector), because grouping values costs the enumerative engine, which
-    needs no groups, more than the pass costs the bounded one.
+    ``edges`` lists each state's out-edges with their vectors and
+    ``rewards`` each state's reward vector.  ``succ`` and ``pred`` list each
+    state's successors and predecessors with the bitset of products whose
+    edge is nonzero, for the reachability closure.  The bounded engine's
+    interval kernel also reads ``groups``: per state, its nonzero out-edges
+    with their distinct values and the products carrying each
+    (:func:`value_groups`), and its update order ``sweep_order``.  Each is
+    built on first use, so walking propositional formulas reads no profile.
+    The masks take one cheap pass of their own (a ``bool`` per entry, or
+    one identity test per entry for a constant vector): grouping values
+    would cost the enumerative engine, which needs no groups, more.
     """
 
     def __init__(self, model: FDTMC):
@@ -99,17 +109,21 @@ class DenseModel:
         self.products = model.diagram.valid_products()
         self.n = len(self.products)
         self.full = (1 << self.n) - 1  # bitset of every product
-        self.edges: dict[State, list[tuple[State, tuple]]] = {s: [] for s in self.states}
-        for (s, t), profile in model.transitions.items():
-            self.edges[s].append((t, profile.dense_values()))
         self.init = model.init
         self.labels = model.labels
 
-    def zeros(self):
-        return [ZERO] * self.n
+    @cached_property
+    def edges(self) -> dict[State, list[tuple[State, tuple]]]:
+        edges: dict = {s: [] for s in self.states}
+        for (s, t), profile in self.model.transitions.items():
+            edges[s].append((t, profile.dense_values()))
+        return edges
 
-    def label_bits(self, proposition: str) -> dict[State, int]:
-        return {s: self.full if proposition in self.labels[s] else 0 for s in self.states}
+    @cached_property
+    def rewards(self) -> dict[State, tuple]:
+        if self.model.rewards is None:
+            raise ModelError("model has no rewards")
+        return {s: self.model.reward_profile(s).dense_values() for s in self.states}
 
     @cached_property
     def groups(self) -> dict[State, list[tuple[State, list[tuple[object, bytes]]]]]:
@@ -132,6 +146,13 @@ class DenseModel:
             for t, mask in out:
                 pred[t].append((s, mask))
         return pred
+
+    def init_cone(self, allowed: dict[State, int]) -> dict[State, int]:
+        """Per state, the products for which it is reached from an initial
+        state of positive weight through states where it is ``allowed``
+        (state -> product bitset), the initial state included."""
+        seeds = {s: allowed[s] if self.init.get(s, 0) > 0 else 0 for s in self.states}
+        return closure(seeds, self.succ, allowed)
 
     @cached_property
     def index(self) -> dict[State, int]:
@@ -163,6 +184,111 @@ class DenseModel:
 
 
 # ---------------------------------------------------------------------------
+# Qualitative layer: product bitsets
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class SatEntry:
+    """Per state, the bitsets of products that definitely (``lo``) and
+    possibly (``hi``) satisfy a state formula; ``lo`` is a subset of ``hi``,
+    and equal to it where the values behind the formula are exact."""
+
+    lo: dict[State, int]
+    hi: dict[State, int]
+
+    def decided(self) -> bool:
+        return self.lo == self.hi
+
+
+def satisfaction(
+    dense: DenseModel,
+    formula: StateFormula,
+    nested: Callable[[Prob, Callable], SatEntry],
+    entries: dict[StateFormula, SatEntry],
+) -> SatEntry:
+    """The :class:`SatEntry` of a state formula, built bottom-up over its
+    parse tree and memoised in ``entries``.
+
+    ``true``, atoms, ``!`` and ``&`` are bit operations on every product at
+    once (``!`` swaps the definite and the possible set).  A threshold
+    operator is the engine's: ``nested(node, sat_of)`` returns its entry,
+    with ``sat_of`` this walk for the operands of its path formula.
+    """
+    full = dense.full
+    states = dense.states
+
+    def sat_of(node: StateFormula) -> SatEntry:
+        entry = entries.get(node)
+        if entry is not None:
+            return entry
+        if isinstance(node, PTrue):
+            bits = dict.fromkeys(states, full)
+            entry = SatEntry(bits, bits)
+        elif isinstance(node, Atom):
+            bits = {s: full if node.name in dense.labels[s] else 0 for s in states}
+            entry = SatEntry(bits, bits)
+        elif isinstance(node, PNot):
+            inner = sat_of(node.operand)
+            entry = SatEntry(
+                {s: full & ~inner.hi[s] for s in states},
+                {s: full & ~inner.lo[s] for s in states},
+            )
+        elif isinstance(node, PAnd):
+            left, right = sat_of(node.left), sat_of(node.right)
+            entry = SatEntry(
+                {s: left.lo[s] & right.lo[s] for s in states},
+                {s: left.hi[s] & right.hi[s] for s in states},
+            )
+        elif isinstance(node, Prob):
+            if node.interval is None:
+                raise UnsupportedPropertyError(
+                    "quantitative operator is only allowed at the top level"
+                )
+            entry = nested(node, sat_of)
+        else:
+            raise UnsupportedPropertyError(f"unknown state formula {node!r}")
+        entries[node] = entry
+        return entry
+
+    return sat_of(formula)
+
+
+def init_decisions(dense: DenseModel, entry: SatEntry) -> list[str]:
+    """Per product, the verdict of a plain state formula, which must hold at
+    every initial state of positive weight: SAT where it definitely does,
+    VIOLATED where it definitely fails at one, UNKNOWN otherwise."""
+    sat = possible = dense.full
+    for s, weight in dense.init.items():
+        if weight > 0:
+            sat &= entry.lo[s]
+            possible &= entry.hi[s]
+    return [
+        SAT if sat >> i & 1 else UNKNOWN if possible >> i & 1 else VIOLATED
+        for i in range(dense.n)
+    ]
+
+
+def reward_cone(dense: DenseModel, targets: dict[State, int]) -> tuple[dict, int]:
+    """Where an expected reward until ``targets`` (state -> product bitset)
+    accumulates, and where it is infinite.
+
+    ``cone`` maps each state to the products for which it is reached from
+    an initial state of positive weight before the target.  ``infinite`` is
+    the bitset of the products for which a state of the cone lies outside
+    prob1 of ``true U target``, so the target is missed with positive
+    probability; for every other product the cone lies inside prob1.
+    """
+    full = dense.full
+    _, one = until_partition(dense.pred, dict.fromkeys(dense.states, full), targets, full)
+    cone = dense.init_cone({s: full & ~bits for s, bits in targets.items()})
+    infinite = 0
+    for s, bits in cone.items():
+        infinite |= bits & ~one[s]
+    return cone, infinite
+
+
+# ---------------------------------------------------------------------------
 # Exact per-product vectors
 # ---------------------------------------------------------------------------
 
@@ -172,7 +298,7 @@ def next_vectors(dense: DenseModel, sat) -> dict[State, list]:
     (state -> product bitset)."""
     out = {}
     for s in dense.states:
-        acc = dense.zeros()
+        acc = [ZERO] * dense.n
         for t, vec in dense.edges[s]:
             bits = sat[t]
             for i in range(dense.n):
@@ -189,7 +315,7 @@ def _until_step(dense: DenseModel, sat1, sat2, x):
     for s in dense.states:
         sat2_bits = sat2[s]
         sat1_bits = sat1[s]
-        acc = dense.zeros()
+        acc = [ZERO] * dense.n
         for t, vec in dense.edges[s]:
             xt = x[t]
             for i in range(dense.n):

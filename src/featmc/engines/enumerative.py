@@ -1,18 +1,17 @@
 """Enumerative engine: one exact Markov-chain solve per product.
 
-The family check works on the dense model form (``engines/dense.py``) and
-does everything that does not depend on a product's probabilities once,
-on per-state product bitsets (bit i stands for product i): the
-satisfaction sets of state formulas, the prob0/prob1 partition of an
-unbounded until or reward by the shared reachability closure
-(``engines/elimination.py``), and for a top-level query the init cone,
-the unknowns reachable from the positive-weight initial states.  Each
+The family check works on the dense model form (``engines/dense.py``),
+whose shared qualitative layer does what does not depend on a product's
+probabilities once, on per-state product bitsets (bit i stands for
+product i): satisfaction sets of state formulas, the init cone of an
+unbounded until (the unknowns reachable from the positive-weight initial
+states, after its prob0/prob1 partition) and the reward cone.  Each
 product then reads entry i of every edge vector into the rows of its own
 unknowns (edges into prob0 dropped, edges into prob1 onto the sink) and
 solves ``x = P·x + b`` exactly by the state elimination the parametric
-engine also runs.  Expected rewards solve ``x = P·x + r`` the same way and
-diverge to infinity on products that miss the target with positive
-probability.  Next and step-bounded until use the exact per-product
+engine also runs.  Expected rewards solve ``x = P·x + r`` the same way; a
+product that misses the target with positive probability is infinite and
+solves nothing.  Next and step-bounded until use the exact per-product
 vectors of the dense form.
 
 A top-level unbounded until or reward reads only the value at the initial
@@ -47,17 +46,22 @@ from ..properties import (
     RewardQuery,
     StateFormula,
     Until,
+    bind_check,
     print_property,
 )
 from ..rational import INFINITY, ONE, ZERO
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
 from .dense import (
     DenseModel,
+    SatEntry,
     aggregate_init,
     bounded_until_vectors,
     flag_bytes,
+    init_decisions,
     next_vectors,
     nonzero_bits,
+    reward_cone,
+    satisfaction,
 )
 from .elimination import EliminationGraph, closure as reachable, until_partition
 
@@ -400,10 +404,9 @@ def _as_floats(vectors) -> list:
 class _FamilyCheck:
     """One property on every product of a dense model.
 
-    Satisfaction sets are per-state product bitsets, computed once.  An
-    unbounded until or reward gets its prob0/prob1 partition, and a
-    top-level one its init cone, from the shared reachability closure once
-    for the family; each product then builds the rows of the states it
+    Satisfaction sets, the prob0/prob1 partition and the cones are
+    per-state product bitsets, computed once for the family by the shared
+    qualitative layer; each product then builds the rows of the states it
     leaves unknown, reading entry i of every edge vector, and solves them.
     Unknowns and rows come in the order the per-chain functions above give
     them, so every solve is the one :func:`check_product` makes on the
@@ -416,7 +419,7 @@ class _FamilyCheck:
         self.dense = dense
         self.float_mode = float_mode
         self.starts = [s for s, weight in dense.init.items() if weight]
-        self.memo: dict[StateFormula, dict] = {}
+        self.entries: dict[StateFormula, SatEntry] = {}
         # per state, its out-edges with their vectors and the bitset of the
         # products whose edge is nonzero
         self.out = {}
@@ -433,13 +436,6 @@ class _FamilyCheck:
 
     def flags(self, bits: dict) -> dict:
         return {s: flag_bytes(b, self.dense.n) for s, b in bits.items()}
-
-    def init_cone(self, allowed: dict) -> dict:
-        """Per state, the products for which it is reached from a
-        positive-weight initial state through ``allowed`` states."""
-        starts = set(self.starts)
-        seeds = {s: allowed[s] if s in starts else 0 for s in self.dense.states}
-        return reachable(seeds, self.dense.succ, allowed)
 
     def edges(self, kept: dict, to_sink: dict) -> dict:
         """Per state, its out-edges with the flags of the products for which
@@ -470,32 +466,24 @@ class _FamilyCheck:
     def sat(self, node: StateFormula) -> dict:
         """Per state, the bitset of products whose chain satisfies ``node``
         there."""
-        if node in self.memo:
-            return self.memo[node]
-        dense = self.dense
-        full = dense.full
-        if isinstance(node, PTrue):
-            result = dict.fromkeys(dense.states, full)
-        elif isinstance(node, Atom):
-            result = dense.label_bits(node.name)
-        elif isinstance(node, PNot):
-            inner = self.sat(node.operand)
-            result = {s: full & ~bits for s, bits in inner.items()}
-        elif isinstance(node, PAnd):
-            left, right = self.sat(node.left), self.sat(node.right)
-            result = {s: left[s] & right[s] for s in dense.states}
-        elif isinstance(node, Prob):
-            if node.interval is None:
-                raise UnsupportedPropertyError(
-                    "quantitative operator is only allowed at the top level"
-                )
-            values = self.state_values(node.path)
-            contains = node.interval.contains
-            result = {s: nonzero_bits([*map(contains, values[s])]) for s in dense.states}
-        else:
-            raise UnsupportedPropertyError(f"unknown state formula {node!r}")
-        self.memo[node] = result
-        return result
+        return satisfaction(self.dense, node, self.nested, self.entries).lo
+
+    def nested(self, node: Prob, sat_of) -> SatEntry:
+        """A threshold operator's satisfaction sets, from its exact values
+        at every state (an unbounded until solves every undecided state):
+        definite and possible are the same."""
+        values = self.exact_vectors(node.path)
+        if values is None:
+            one, undecided, edges = self.partition(node.path)
+            unknown = self.flags(undecided)
+            solved = _each_product(self.dense.products, lambda i: self.solve(i, unknown, edges))
+            values = {s: [self.one if f else self.zero for f in flags] for s, flags in one.items()}
+            for i, solution in enumerate(solved):
+                for s, v in solution.items():
+                    values[s][i] = v
+        contains = node.interval.contains
+        bits = {s: nonzero_bits([*map(contains, values[s])]) for s in self.dense.states}
+        return SatEntry(bits, bits)
 
     def exact_vectors(self, path) -> dict | None:
         """Per state and product, the exact values of a next or step-bounded
@@ -523,20 +511,6 @@ class _FamilyCheck:
         one = self.flags(one)
         return one, undecided, self.edges(kept, one)
 
-    def state_values(self, path) -> dict:
-        """Per state and product, the values of a nested path formula."""
-        values = self.exact_vectors(path)
-        if values is not None:
-            return values
-        one, undecided, edges = self.partition(path)
-        unknown = self.flags(undecided)
-        solved = _each_product(self.dense.products, lambda i: self.solve(i, unknown, edges))
-        values = {s: [self.one if f else self.zero for f in flags] for s, flags in one.items()}
-        for i, solution in enumerate(solved):
-            for s, v in solution.items():
-                values[s][i] = v
-        return values
-
     def initial_values(self, path) -> list:
         """Per product, a top-level path formula's value at the initial
         distribution; an unbounded until solves the init cone only."""
@@ -544,7 +518,7 @@ class _FamilyCheck:
         if vectors is not None:
             return aggregate_init(self.dense, vectors)
         one, undecided, edges = self.partition(path)
-        cone = self.flags(self.init_cone(undecided))
+        cone = self.flags(self.dense.init_cone(undecided))
 
         def value(i):
             values = {s: self.one if one[s][i] else self.zero for s in self.starts}
@@ -555,29 +529,20 @@ class _FamilyCheck:
 
     def initial_rewards(self, target: StateFormula) -> list:
         """Per product, the expected reward until ``target`` at the initial
-        distribution, solved on the init cone of the non-target states that
-        reach the target almost surely."""
+        distribution: infinite on the products :func:`reward_cone` finds,
+        otherwise solved on the states of the cone."""
         dense = self.dense
-        model = dense.model
-        targets = self.sat(target)
-        _, one = until_partition(
-            dense.pred, dict.fromkeys(dense.states, dense.full), targets, dense.full
-        )
-        inside = self.init_cone({s: one[s] & ~targets[s] for s in dense.states})
-        edges = self.edges(inside, dict.fromkeys(dense.states, bytes(dense.n)))
-        cone = self.flags(inside)
-        one = self.flags(one)
-        rewards = None
-        if model.rewards is not None:
-            rewards = [model.reward_profile(s).dense_values() for s in dense.states]
-            if self.float_mode:
-                rewards = _as_floats(rewards)
-            rewards = dict(zip(dense.states, rewards))
+        rewards = dense.rewards
+        if self.float_mode:
+            rewards = dict(zip(rewards, _as_floats(rewards.values())))
+        cone, infinite = reward_cone(dense, self.sat(target))
+        edges = self.edges(cone, dict.fromkeys(dense.states, bytes(dense.n)))
+        cone = self.flags(cone)
 
         def value(i):
-            if rewards is None:
-                raise ModelError("model has no rewards")
-            values = {s: self.zero if one[s][i] else INFINITY for s in self.starts}
+            if infinite >> i & 1:
+                return INFINITY
+            values = dict.fromkeys(self.starts, self.zero)
             values.update(self.solve(i, cone, edges, rewards, self.starts))
             return _initial_value(dense, values)
 
@@ -597,15 +562,9 @@ class _FamilyCheck:
                 ProductOutcome(p, value=v, decision=SAT if prop.interval.contains(v) else VIOLATED)
                 for p, v in zip(products, values)
             ]
-        # plain state formula: decide at the positive-weight initial states
-        bits = self.sat(prop)
-        holds = self.dense.full
-        for s in self.starts:
-            holds &= bits[s]
-        return [
-            ProductOutcome(p, decision=SAT if holds >> i & 1 else VIOLATED)
-            for i, p in enumerate(products)
-        ]
+        entry = satisfaction(self.dense, prop, self.nested, self.entries)
+        decisions = init_decisions(self.dense, entry)
+        return [ProductOutcome(p, decision=d) for p, d in zip(products, decisions)]
 
 
 def check_family_enumerative(
@@ -624,11 +583,7 @@ def check_family_enumerative(
     raised for one product keeps its type and fields; its message is
     prefixed with the product.
     """
-    from ..properties import bind_check, parse_property
-
-    if isinstance(prop, str):
-        prop = parse_property(prop)
-    bind_check(prop, model.ap)
+    prop = bind_check(prop, model.ap)
     started = time.perf_counter()
     result = FamilyResult(ENGINE_NAME, print_property(prop))
     for outcome in _FamilyCheck(DenseModel(model), float_mode).outcomes(prop):

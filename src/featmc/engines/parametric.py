@@ -18,7 +18,9 @@ departs from it in two ways:
   defined and needs no division.
 
 Step-bounded until and next reuse the exact per-product vectors of
-``engines/dense.py``, which need no division either.
+``engines/dense.py``, which need no division either, and its walker gives
+the propositional operands and decides a plain state formula at the
+initial states.  A nested probability operator is not supported.
 """
 
 from __future__ import annotations
@@ -33,20 +35,24 @@ from ..features import FeatureDiagram, Product
 from ..models import FDTMC, State
 from ..profiles import GuardedProfile, Profile
 from ..properties import (
-    Atom,
     Next,
-    PAnd,
-    PNot,
     Prob,
     Property,
-    PTrue,
     RewardQuery,
     StateFormula,
+    bind_check,
     print_property,
 )
 from ..rational import INFINITY, ONE, ZERO, rational
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
-from .dense import DenseModel, aggregate_init, bounded_until_vectors, next_vectors
+from .dense import (
+    DenseModel,
+    aggregate_init,
+    bounded_until_vectors,
+    init_decisions,
+    next_vectors,
+    satisfaction,
+)
 from .elimination import EliminationGraph
 
 ENGINE_NAME = "parametric"
@@ -446,10 +452,11 @@ def eliminate_reachability(
     model: FDTMC, targets: Iterable[State], constrained: Iterable[State] | None = None
 ) -> SupportTable:
     """Probability of reaching ``targets`` from the initial distribution,
-    optionally through ``constrained`` states only, for every product."""
+    optionally through ``constrained`` states only, for every product; 0
+    for an empty target set."""
     targets = set(targets)
     if not targets:
-        raise ModelError("empty target set")
+        return TABLE_ZERO
     graph = _build_graph(
         model, targets, set(constrained) if constrained is not None else None
     )
@@ -463,12 +470,13 @@ def _reward_tables(model: FDTMC, targets: set) -> tuple:
     sink (valued 1 for the reward) are two right-hand sides of the same
     system.
 
-    The reward is only meaningful on products whose reachability is 1.
+    The reward is only meaningful on products whose reachability is 1; no
+    product reaches an empty target set.
     """
-    if not targets:
-        raise ModelError("empty target set")
     if model.rewards is None:
         raise ModelError("model has no rewards")
+    if not targets:
+        return TABLE_ZERO, TABLE_ZERO
     graph = _build_graph(model, targets, None)
     for s in model.states:
         if s not in targets:
@@ -498,17 +506,7 @@ def eliminate_expected_reward(model: FDTMC, targets: Iterable[State]) -> Support
 # ---------------------------------------------------------------------------
 
 
-def _propositional_sat(model: FDTMC, formula: StateFormula) -> set:
-    if isinstance(formula, PTrue):
-        return set(model.states)
-    if isinstance(formula, Atom):
-        return model.states_with(formula.name)
-    if isinstance(formula, PNot):
-        return set(model.states) - _propositional_sat(model, formula.operand)
-    if isinstance(formula, PAnd):
-        return _propositional_sat(model, formula.left) & _propositional_sat(
-            model, formula.right
-        )
+def _no_nested(node: Prob, sat_of):
     raise UnsupportedPropertyError(
         "the parametric engine handles a single probability or reward operator "
         "over propositional operands; use the enumerative or bounded engine "
@@ -516,44 +514,37 @@ def _propositional_sat(model: FDTMC, formula: StateFormula) -> set:
     )
 
 
-def _query_values(model: FDTMC, prop: Property) -> list:
+def _query_values(dense: DenseModel, prop: Property) -> list:
     """Exact per-product values in canonical product order.
 
     Expected rewards are ``inf`` on products that miss the target with
-    positive probability.
+    positive probability.  Operands are propositional, so each state
+    satisfies one for every product or for none.
     """
+    entries: dict = {}
+
+    def sat(formula: StateFormula) -> dict:
+        return satisfaction(dense, formula, _no_nested, entries).lo
+
+    def states(formula: StateFormula) -> set:
+        return {s for s, bits in sat(formula).items() if bits}
+
+    model = dense.model
     if isinstance(prop, RewardQuery):
-        reach, reward = _reward_tables(model, _propositional_sat(model, prop.target))
-        return [
-            reward.at(p) if reach.at(p) == 1 else INFINITY
-            for p in model.diagram.valid_products()
-        ]
-    if isinstance(prop, Prob):
-        path = prop.path
-        if isinstance(path, Next) or path.bound is not None:
-            dense = DenseModel(model)
-
-            def indicator(formula):
-                sat = _propositional_sat(model, formula)
-                return {s: dense.full if s in sat else 0 for s in dense.states}
-
-            if isinstance(path, Next):
-                vectors = next_vectors(dense, indicator(path.operand))
-            else:
-                vectors = bounded_until_vectors(
-                    dense, indicator(path.left), indicator(path.right), path.bound
-                )
-            return aggregate_init(dense, vectors)
-        table = eliminate_reachability(
-            model,
-            _propositional_sat(model, path.right),
-            constrained=_propositional_sat(model, path.left),
-        )
-    else:
+        reach, reward = _reward_tables(model, states(prop.target))
+        return [reward.at(p) if reach.at(p) == 1 else INFINITY for p in dense.products]
+    if not isinstance(prop, Prob):
         raise UnsupportedPropertyError(
             "the parametric engine needs a probability or reward operator at the top"
         )
-    return [table.at(p) for p in model.diagram.valid_products()]
+    path = prop.path
+    if isinstance(path, Next):
+        return aggregate_init(dense, next_vectors(dense, sat(path.operand)))
+    if path.bound is not None:
+        vectors = bounded_until_vectors(dense, sat(path.left), sat(path.right), path.bound)
+        return aggregate_init(dense, vectors)
+    table = eliminate_reachability(model, states(path.right), constrained=states(path.left))
+    return [table.at(p) for p in dense.products]
 
 
 def property_function(model: FDTMC, prop: Property) -> RationalFunction:
@@ -563,7 +554,8 @@ def property_function(model: FDTMC, prop: Property) -> RationalFunction:
     A reward function is meaningless when the reward is ``inf`` on some
     product; :func:`check_family_parametric` emits no closed form then.
     """
-    return RationalFunction(interpolate_family(_query_values(model, prop), model.diagram))
+    values = _query_values(DenseModel(model), prop)
+    return RationalFunction(interpolate_family(values, model.diagram))
 
 
 def check_family_parametric(model: FDTMC, prop: Property | str) -> FamilyResult:
@@ -573,16 +565,20 @@ def check_family_parametric(model: FDTMC, prop: Property | str) -> FamilyResult:
     Expected rewards are ``inf`` on products that miss the target with
     positive probability; no closed form is emitted then.
     """
-    from ..properties import bind_check, parse_property
-
-    if isinstance(prop, str):
-        prop = parse_property(prop)
-    bind_check(prop, model.ap)
+    prop = bind_check(prop, model.ap)
     started = time.perf_counter()
-    products = model.diagram.valid_products()
-    values = _query_values(model, prop)
-    interval = prop.interval if isinstance(prop, Prob) else None
+    dense = DenseModel(model)
+    products = dense.products
     result = FamilyResult(ENGINE_NAME, print_property(prop))
+    if not isinstance(prop, (Prob, RewardQuery)):
+        # plain state formula: decided at the initial states, no closed form
+        decisions = init_decisions(dense, satisfaction(dense, prop, _no_nested, {}))
+        for product, decision in zip(products, decisions):
+            result.outcomes[product] = ProductOutcome(product, decision=decision)
+        result.elapsed = time.perf_counter() - started
+        return result
+    values = _query_values(dense, prop)
+    interval = prop.interval if isinstance(prop, Prob) else None
     for product, value in zip(products, values):
         decision = None
         if interval is not None:

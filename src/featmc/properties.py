@@ -213,16 +213,20 @@ def quantitative_mode(prop: Property) -> bool:
     return isinstance(prop, Prob) and prop.interval is None
 
 
-def bind_check(prop: Property, declared: frozenset[str]):
-    """Verify every atomic proposition exists in the checked model."""
+def bind_check(prop: Property | str, declared: frozenset[str]) -> Property:
+    """``prop``, parsed if it is text, once every atomic proposition in it
+    is verified to exist in the checked model."""
     from .errors import PropertyBindingError
 
+    if isinstance(prop, str):
+        prop = parse_property(prop)
     target = prop.target if isinstance(prop, RewardQuery) else prop
     for sub in parse_tree(target):
         if isinstance(sub, Atom) and sub.name not in declared:
             raise PropertyBindingError(
                 f"proposition {sub.name!r} is not declared by the model"
             )
+    return prop
 
 
 # ---------------------------------------------------------------------------

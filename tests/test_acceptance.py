@@ -258,14 +258,19 @@ def test_criterion_5_bounded_search_soundness():
 
 
 def _timed(call) -> float:
-    """Seconds one call takes with the cyclic collector paused, as timeit
-    does: in a full test run one collection of other tests' garbage takes
-    tens of milliseconds, more than a whole check at n=2 or n=4."""
+    """Seconds the fastest of three calls takes with the cyclic collector
+    paused, as timeit does: in a full test run one collection of other
+    tests' garbage takes tens of milliseconds, more than a whole check at
+    n=2 or n=4, and one scheduler stall can slow a single call several
+    times over."""
     gc.disable()
     try:
-        t0 = time.perf_counter()
-        call()
-        return time.perf_counter() - t0
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - t0)
+        return min(times)
     finally:
         gc.enable()
 

@@ -42,6 +42,18 @@ class TestCheck:
         assert code == 0
         assert [row[-1] for row in rows[1:]] == ["yes"] * 8
 
+    @pytest.mark.parametrize("prop", ["end", "P=?(F !true)", "R=?[F !true]"])
+    def test_every_engine_answers_plain_and_empty_target_queries(
+        self, capsys, wiper_path, prop
+    ):
+        code, out, _ = run_cli(
+            capsys, "check", wiper_path, "--prop", prop, "--engine", "all",
+            "--format", "csv", "--no-timings",
+        )
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0
+        assert [row[-1] for row in rows[1:]] == ["yes"] * 8
+
     def test_float_agreement_is_relative_and_exact_stays_exact(self):
         from featmc.rational import INFINITY, rational
         from featmc.report import FLOAT_RTOL, _agree

@@ -768,10 +768,9 @@ class TestFloatMode:
         for p in minepump.diagram.valid_products():
             assert abs(float(exact.outcomes[p].value) - approx.outcomes[p].value) < 1e-12
 
-    def test_errors_carry_the_product(self, wiper):
-        from featmc.errors import ModelError
-        from featmc.models import FDTMC
-
+    def test_missing_rewards_is_one_model_wide_error(self, wiper):
+        """A model without rewards is no one product's fault: every engine,
+        exact and float, raises the same error with no product prefix."""
         no_rewards = FDTMC(
             wiper.system.states,
             wiper.system.init,
@@ -780,8 +779,16 @@ class TestFloatMode:
             wiper.system.ap,
             wiper.system.labels,
         )
-        with pytest.raises(ModelError, match="product"):
-            check_family_enumerative(no_rewards, "R=?[F end]")
+        checks = (
+            check_family_enumerative,
+            lambda m, p: check_family_enumerative(m, p, float_mode=True),
+            check_family_parametric,
+            check_family_bounded,
+        )
+        for check in checks:
+            with pytest.raises(ModelError) as err:
+                check(no_rewards, "R=?[F end]")
+            assert str(err.value) == "model has no rewards"
 
 
 class TestFloatSlowChains:

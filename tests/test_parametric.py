@@ -520,6 +520,53 @@ class TestFamilyParametric:
         with pytest.raises(UnsupportedPropertyError):
             check_family_parametric(wiper.system, "P[<0.5](F P[<0.5](X end))")
 
+    @pytest.mark.parametrize("prop", ["end", "!end & fastmode", "!(wiping & !end)"])
+    def test_plain_state_formula_is_decided_at_init(self, wiper, prop):
+        enum = check_family_enumerative(wiper.system, prop)
+        param = check_family_parametric(wiper.system, prop)
+        assert [(o.value, o.decision) for o in param.outcomes.values()] == [
+            (o.value, o.decision) for o in enum.outcomes.values()
+        ]
+        assert param.function is None and param.warnings == []
+
+    def test_random_plain_state_formulas(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            m = random_fdtmc(rng, max_states=6, max_features=3)
+            for prop in ("a", "!a & b", "!(a & !c)"):
+                enum = check_family_enumerative(m, prop)
+                param = check_family_parametric(m, prop)
+                for p, o in enum.outcomes.items():
+                    assert param.outcomes[p].decision == o.decision
+
+    @pytest.mark.parametrize("name", ["wiper", "minepump"])
+    @pytest.mark.parametrize("prop", ["P=?(F !true)", "R=?[F !true]", "P[>0](F !true)"])
+    def test_empty_target_same_answer_on_every_engine(self, request, name, prop):
+        """No state satisfies the target: probability 0, a violated lower
+        threshold, an infinite reward, or the same model error."""
+        model = request.getfixturevalue(name).system
+        answers = []
+        for check in (check_family_enumerative, check_family_parametric, check_family_bounded):
+            try:
+                result = check(model, prop)
+            except ModelError as exc:
+                answers.append(str(exc))
+                continue
+            assert all(not o.error_bound for o in result.outcomes.values())
+            answers.append([(o.value, o.decision) for o in result.outcomes.values()])
+        n = len(model.diagram.valid_products())
+        expected = {
+            "P=?(F !true)": [(ZERO, None)] * n,
+            "R=?[F !true]": [(INFINITY, None)] * n if model.rewards else "model has no rewards",
+            "P[>0](F !true)": [(ZERO, "violated")] * n,
+        }[prop]
+        assert answers == [expected] * 3
+
+    def test_empty_target_reward_emits_no_closed_form(self, wiper):
+        result = check_family_parametric(wiper.system, "R=?[F !true]")
+        assert result.function is None
+        assert any("no closed form" in w for w in result.warnings)
+
     @pytest.mark.parametrize(
         "prop", ["P=?(X a)", "P=?(a U<=3 b)", "P=?(b U a)", "P[<0.5](F a)"]
     )
