@@ -64,8 +64,7 @@ from .models import (
     sync_product,
     validate_fdtmc,
 )
-# to_dense stays bound here for perfbench/tracing.py, which wraps featmc.dsl.to_dense
-from .profiles import GuardedProfile, Profile, add, interned, to_dense
+from .profiles import GuardedProfile, Profile, add, interned
 from .properties import parse_property
 from .rational import ONE, ZERO, rat_str, rational
 

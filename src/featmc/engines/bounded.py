@@ -56,6 +56,7 @@ from ..models import FDTMC
 from ..properties import (
     Interval,
     Next,
+    PAnd,
     Prob,
     Property,
     RewardQuery,
@@ -549,14 +550,11 @@ def check_family_bounded(
         if not isinstance(prop, Prob):
             decisions = init_decisions(dense, sat_states(dense, prop, eps, max_depth)[prop])
             return {p: ProductOutcome(p, decision=d) for p, d in zip(products, decisions)}
-        sat_cache = {}
-
-        def sat_of(node):
-            if node not in sat_cache:
-                sat_cache.update(sat_states(dense, node, eps, max_depth))
-            return sat_cache[node]
-
-        lo, hi = _path_interval(dense, prop.path, sat_of, eps, max_depth, bound, dense.init)
+        path = prop.path
+        # one walk over both operands, so a nested operator they share runs once
+        operands = path.operand if isinstance(path, Next) else PAnd(path.left, path.right)
+        sat_of = sat_states(dense, operands, eps, max_depth).__getitem__
+        lo, hi = _path_interval(dense, path, sat_of, eps, max_depth, bound, dense.init)
         out = {}
         for p, a, b in zip(products, aggregate_init(dense, lo), aggregate_init(dense, hi)):
             decision = None if prop.interval is None else _decide(prop.interval, a, b)

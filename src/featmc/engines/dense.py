@@ -12,8 +12,9 @@ threshold operator back to the engine's own solver), the init cone
 (:meth:`DenseModel.init_cone`), the cone and the infinite products of an
 expected reward (:func:`reward_cone`) and the verdicts of a plain state
 formula (:func:`init_decisions`).  Next and step-bounded until have exact
-per-product vectors (:func:`next_vectors`, :func:`bounded_until_vectors`),
-aggregated at the initial distribution by :func:`aggregate_init`.
+per-product vectors (:func:`next_vectors`, :func:`bounded_until_vectors`,
+both behind :func:`exact_vectors`), aggregated at the initial distribution
+by :func:`aggregate_init`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Sequence
 
 from ..errors import ModelError, UnsupportedPropertyError
 from ..models import FDTMC, State
-from ..properties import Atom, PAnd, PNot, Prob, PTrue, StateFormula
+from ..properties import Atom, Next, PAnd, PNot, Prob, PTrue, StateFormula, Until
 from ..rational import ONE, ZERO
 from ..result import SAT, UNKNOWN, VIOLATED
 from .elimination import closure, until_partition
@@ -337,6 +338,19 @@ def bounded_until_vectors(
     for _ in range(bound):
         x = _until_step(dense, sat1, sat2, x)
     return x
+
+
+def exact_vectors(dense: DenseModel, path, sat: Callable) -> dict[State, list] | None:
+    """Per state and product, the exact values of a next or step-bounded
+    until, with ``sat`` giving each operand's product bitsets; None for an
+    unbounded until."""
+    if isinstance(path, Next):
+        return next_vectors(dense, sat(path.operand))
+    if not isinstance(path, Until):
+        raise UnsupportedPropertyError(f"unknown path formula {path!r}")
+    if path.bound is None:
+        return None
+    return bounded_until_vectors(dense, sat(path.left), sat(path.right), path.bound)
 
 
 def aggregate_init(dense: DenseModel, vectors) -> list:

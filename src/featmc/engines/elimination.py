@@ -1,12 +1,13 @@
 """Kernels the engines share.
 
-Sparse state elimination over any value domain, the one exact solver of
-the enumerative and the parametric engine (Daws, ICTAC 2004; Hahn, Hermanns
-& Zhang, STTT 2011).  Edge values need only ``+``, ``*`` and truthiness:
-exact rationals for one projected chain, per-product support tables for the
-family.  The working graph is a pair of adjacency dicts (successor rows
-with edge values, predecessor sets), and nodes go least degree first, picked
-from a lazy min-degree heap.
+Sparse state elimination over any value domain (Daws, ICTAC 2004; Hahn,
+Hermanns & Zhang, STTT 2011) and :func:`solve_linear` on it, the one exact
+solver of ``x = P·x + b``: exact rationals or float64 for one product's
+rows in the enumerative engine, per-product support tables for the whole
+family in the parametric engine.  Edge values need only ``+``, ``*`` and
+truthiness.  The working graph is a pair of adjacency dicts (successor
+rows with edge values, predecessor sets), and nodes go least degree first,
+picked from a lazy min-degree heap.
 
 Per-product reachability closure, the one qualitative precomputation of the
 enumerative and the bounded engine (Baier & Katoen, *Principles of Model
@@ -19,6 +20,9 @@ from __future__ import annotations
 
 import heapq
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+from ..errors import ModelError
+from ..rational import ONE
 
 
 class EliminationGraph:
@@ -96,6 +100,52 @@ class EliminationGraph:
             remaining.discard(v)
             for s in touched:
                 heapq.heappush(heap, (self.degree(s), index[s], s))
+
+
+#: Node valued 1: the edges into it from a state carry that state's b.
+SINK = ("__sink__",)
+
+
+def _closure(loop):
+    """1 / (1 - loop).  A loop of 1 with mass left to reroute makes the
+    system singular, which the precomputation rules out: a guard assertion."""
+    if loop == 1:
+        raise ModelError("singular linear system in until/reward computation")
+    return ONE / (ONE - loop)
+
+
+def solve_linear(
+    unknowns: list, rows: list, closure=_closure, one=ONE, wanted: list | None = None
+) -> dict:
+    """Solution of ``x = P·x + b`` over ``unknowns`` in the value domain of
+    ``closure`` and its unit ``one``: exact rationals by default.
+
+    ``rows[i]`` lists the edges ``(state, value)`` of ``unknowns[i]``; its
+    edges into :data:`SINK` carry b.  Without ``wanted`` every unknown is
+    eliminated and the successor lists are back-substituted in reverse
+    order.  With ``wanted`` (a subset of ``unknowns``) the other unknowns
+    are eliminated first, with the wanted ones protected, and then only the
+    wanted ones are eliminated and back-substituted: the result holds their
+    values alone.  Rows not reachable from ``wanted`` add work, not values,
+    so callers pass the rows of the wanted states' cone only.
+    """
+    graph = EliminationGraph(closure)
+    for s, row in zip(unknowns, rows):
+        for t, p in row:
+            graph.add(s, t, p)
+    if wanted is None:
+        wanted = unknowns
+    else:
+        keep = set(wanted)
+        wanted = [s for s in unknowns if s in keep]
+        for _ in graph.run(unknowns, keep):
+            pass
+    zero = type(one)()  # the domain's 0: Fraction(), mpq(), float(), SupportTable()
+    values = {SINK: one}
+    for v, out in reversed(list(graph.run(wanted))):
+        values[v] = sum((p * values[t] for t, p in out), zero)
+    del values[SINK]
+    return values
 
 
 def closure(seeds: Mapping, edges: Mapping, allowed: Mapping) -> dict:

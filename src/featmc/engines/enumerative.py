@@ -55,15 +55,14 @@ from .dense import (
     DenseModel,
     SatEntry,
     aggregate_init,
-    bounded_until_vectors,
+    exact_vectors,
     flag_bytes,
     init_decisions,
-    next_vectors,
     nonzero_bits,
     reward_cone,
     satisfaction,
 )
-from .elimination import EliminationGraph, closure as reachable, until_partition
+from .elimination import SINK, closure as reachable, solve_linear, until_partition
 
 ENGINE_NAME = "enumerative"
 
@@ -115,17 +114,6 @@ def next_values(dtmc: DTMC, sat: set) -> dict:
 # Sink-shaped systems x = P·x + b
 # ---------------------------------------------------------------------------
 
-#: Node valued 1: the edges into it from a state carry that state's b.
-SINK = ("__sink__",)
-
-
-def _closure(loop):
-    """1 / (1 - loop).  A loop of 1 with mass left to reroute makes the
-    system singular, which the precomputation rules out: a guard assertion."""
-    if loop == 1:
-        raise ModelError("singular linear system in until/reward computation")
-    return ONE / (ONE - loop)
-
 
 def _float_closure(loop: float) -> float:
     """1 / (1 - loop) in float64.  The exact loop is below 1, but rounding
@@ -136,40 +124,6 @@ def _float_closure(loop: float) -> float:
             "rounded to 1); use exact mode"
         )
     return 1.0 / (1.0 - loop)
-
-
-def solve_linear(
-    unknowns: list, rows: list, closure=_closure, one=ONE, wanted: list | None = None
-) -> dict:
-    """Solution of ``x = P·x + b`` over ``unknowns`` in the value domain of
-    ``closure`` and its unit ``one``: exact rationals by default.
-
-    ``rows[i]`` lists the edges ``(state, value)`` of ``unknowns[i]``; its
-    edges into :data:`SINK` carry b.  Without ``wanted`` every unknown is
-    eliminated and the successor lists are back-substituted in reverse
-    order.  With ``wanted`` (a subset of ``unknowns``) the other unknowns
-    are eliminated first, with the wanted ones protected, and then only the
-    wanted ones are eliminated and back-substituted: the result holds their
-    values alone.  Rows not reachable from ``wanted`` add work, not values,
-    so callers pass the rows of the wanted states' cone only.
-    """
-    graph = EliminationGraph(closure)
-    for s, row in zip(unknowns, rows):
-        for t, p in row:
-            graph.add(s, t, p)
-    if wanted is None:
-        wanted = unknowns
-    else:
-        keep = set(wanted)
-        wanted = [s for s in unknowns if s in keep]
-        for _ in graph.run(unknowns, keep):
-            pass
-    zero = one - one
-    values = {SINK: one}
-    for v, out in reversed(list(graph.run(wanted))):
-        values[v] = sum((p * values[t] for t, p in out), zero)
-    del values[SINK]
-    return values
 
 
 def _cone(dtmc: DTMC, candidates: list, wanted) -> list:
@@ -472,7 +426,7 @@ class _FamilyCheck:
         """A threshold operator's satisfaction sets, from its exact values
         at every state (an unbounded until solves every undecided state):
         definite and possible are the same."""
-        values = self.exact_vectors(node.path)
+        values = exact_vectors(self.dense, node.path, self.sat)
         if values is None:
             one, undecided, edges = self.partition(node.path)
             unknown = self.flags(undecided)
@@ -484,19 +438,6 @@ class _FamilyCheck:
         contains = node.interval.contains
         bits = {s: nonzero_bits([*map(contains, values[s])]) for s in self.dense.states}
         return SatEntry(bits, bits)
-
-    def exact_vectors(self, path) -> dict | None:
-        """Per state and product, the exact values of a next or step-bounded
-        until; None for an unbounded until."""
-        if isinstance(path, Next):
-            return next_vectors(self.dense, self.sat(path.operand))
-        if not isinstance(path, Until):
-            raise UnsupportedPropertyError(f"unknown path formula {path!r}")
-        if path.bound is None:
-            return None
-        return bounded_until_vectors(
-            self.dense, self.sat(path.left), self.sat(path.right), path.bound
-        )
 
     def partition(self, path: Until):
         """The prob1 flags of an unbounded until, the bitsets of its
@@ -514,7 +455,7 @@ class _FamilyCheck:
     def initial_values(self, path) -> list:
         """Per product, a top-level path formula's value at the initial
         distribution; an unbounded until solves the init cone only."""
-        vectors = self.exact_vectors(path)
+        vectors = exact_vectors(self.dense, path, self.sat)
         if vectors is not None:
             return aggregate_init(self.dense, vectors)
         one, undecided, edges = self.partition(path)

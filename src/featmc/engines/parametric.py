@@ -12,30 +12,34 @@ departs from it in two ways:
   loop closure act pointwise: variable elimination over factors, the ADD
   encoding of ProFeat (Chrszon, Dubslaff, Klüppelholz & Baier, FAOC 2018)
   and of Bahar et al. (ICCAD 1993).  Every product gets its exact value.
+  The system is the sink-shaped ``x = P·x + b`` the enumerative engine
+  solves per product, built once over product bitsets from the shared
+  state-formula walker, and it goes through the same ``solve_linear``.
 * The closed form is the canonical multilinear interpolant of those values
   (a Möbius transform over the feature cube), emitted as a rational
   function over 1.  It agrees with the symbolic quotient wherever that is
   defined and needs no division.
 
-Step-bounded until and next reuse the exact per-product vectors of
-``engines/dense.py``, which need no division either, and its walker gives
-the propositional operands and decides a plain state formula at the
-initial states.  A nested probability operator is not supported.
+A top-level query adds one virtual initial unknown, whose row is the
+initial distribution, and back-substitutes only it.  A nested probability
+operator solves every state and thresholds each state's table per product
+into a product bitset.  Step-bounded until and next reuse the exact
+per-product vectors of ``engines/dense.py``, which need no division either,
+and a plain state formula is decided at the initial states.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property, lru_cache
+from typing import Mapping, Sequence
 
 from ..errors import ModelError, UnboundFeatureError, UnsupportedPropertyError
 from ..features import FeatureDiagram, Product
-from ..models import FDTMC, State
+from ..models import FDTMC
 from ..profiles import GuardedProfile, Profile
 from ..properties import (
-    Next,
     Prob,
     Property,
     RewardQuery,
@@ -47,13 +51,15 @@ from ..rational import INFINITY, ONE, ZERO, rational
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
 from .dense import (
     DenseModel,
+    SatEntry,
     aggregate_init,
-    bounded_until_vectors,
+    exact_vectors,
     init_decisions,
-    next_vectors,
+    nonzero_bits,
+    reward_cone,
     satisfaction,
 )
-from .elimination import EliminationGraph
+from .elimination import SINK, solve_linear
 
 ENGINE_NAME = "parametric"
 
@@ -311,11 +317,12 @@ class SupportTable:
     the most significant bit.  A product reads the entry of its own
     assignment.  ``+`` and ``*`` act pointwise over the union of the
     supports; tables are never changed in place, so operands may be shared.
+    ``SupportTable()`` is the zero table.
     """
 
     __slots__ = ("support", "values")
 
-    def __init__(self, support: tuple, values: Sequence):
+    def __init__(self, support: tuple = (), values: Sequence = (ZERO,)):
         self.support = support
         self.values = values
 
@@ -364,7 +371,7 @@ def _scalar(value) -> SupportTable:
     return SupportTable((), (value,))
 
 
-TABLE_ZERO = _scalar(ZERO)
+TABLE_ONE = _scalar(ONE)
 
 
 def _closure(loop: SupportTable) -> SupportTable | None:
@@ -378,12 +385,25 @@ def _closure(loop: SupportTable) -> SupportTable | None:
     )
 
 
+def _dense_table(values: Sequence, diagram: FeatureDiagram) -> SupportTable:
+    """Per-product values (canonical product order) as a table: spread over
+    the whole cube, invalid products 0, then every feature whose two halves
+    agree dropped."""
+    support = list(range(len(diagram.signature)))
+    values = _cube(values, diagram)
+    for j in reversed(range(len(support))):
+        step = 1 << (len(support) - 1 - j)
+        if all(values[i] == values[i | step] for i in range(len(values)) if not i & step):
+            del support[j]
+            values = [v for i, v in enumerate(values) if not i & step]
+    return SupportTable(tuple(support), values)
+
+
 def profile_table(profile: Profile, diagram: FeatureDiagram) -> SupportTable:
     """Encode a profile as a table agreeing with it on every valid product.
 
-    A guard list is evaluated on every assignment of its guard variables.
-    A dense profile fills the whole cube, invalid products 0, and then
-    drops every feature whose two halves agree.
+    A guard list is evaluated on every assignment of its guard variables;
+    a dense profile goes through :func:`_dense_table`.
     """
     names = diagram.signature
     if isinstance(profile, GuardedProfile) and not profile.cases:
@@ -403,148 +423,127 @@ def profile_table(profile: Profile, diagram: FeatureDiagram) -> SupportTable:
                 )
             )
         return SupportTable(support, values)
-    support = list(range(len(names)))
-    values = _cube(profile.dense_values(), diagram)
-    for j in reversed(range(len(names))):
-        step = 1 << (len(support) - 1 - j)
-        if all(values[i] == values[i | step] for i in range(len(values)) if not i & step):
-            del support[j]
-            values = [v for i, v in enumerate(values) if not i & step]
-    return SupportTable(tuple(support), values)
-
-
-# ---------------------------------------------------------------------------
-# State elimination
-# ---------------------------------------------------------------------------
-
-_VIRTUAL_INIT = ("__init__",)
-#: Sink valued 1: reward edges carry r_s into it, so x = P·x + r becomes
-#: a reachability-shaped system over the same probability edges.
-_REWARD_SINK = ("__reward__",)
-
-
-def _build_graph(model: FDTMC, targets: set, constrained: set | None) -> EliminationGraph:
-    graph = EliminationGraph(_closure)
-    for (s, t), profile in model.transitions.items():
-        if s in targets:
-            continue  # targets absorb
-        if constrained is not None and s not in constrained:
-            continue  # states violating the constraint absorb with value 0
-        graph.add(s, t, profile_table(profile, model.diagram))
-    for s, weight in model.init.items():
-        graph.add(_VIRTUAL_INIT, s, _scalar(weight))
-    return graph
-
-
-def _target_mass(graph: EliminationGraph, model: FDTMC, targets: set) -> SupportTable:
-    """Eliminate every state outside the targets; the mass then left on the
-    edges from the initial distribution into the targets."""
-    for _ in graph.run(model.states, targets):
-        pass
-    row = graph.succ.get(_VIRTUAL_INIT, {})
-    total = TABLE_ZERO
-    for t in targets:
-        total = total + row.get(t, TABLE_ZERO)
-    return total
-
-
-def eliminate_reachability(
-    model: FDTMC, targets: Iterable[State], constrained: Iterable[State] | None = None
-) -> SupportTable:
-    """Probability of reaching ``targets`` from the initial distribution,
-    optionally through ``constrained`` states only, for every product; 0
-    for an empty target set."""
-    targets = set(targets)
-    if not targets:
-        return TABLE_ZERO
-    graph = _build_graph(
-        model, targets, set(constrained) if constrained is not None else None
-    )
-    return _target_mass(graph, model, targets)
-
-
-def _reward_tables(model: FDTMC, targets: set) -> tuple:
-    """Reachability of the targets and the solution of x = P·x + r with
-    x = 0 on the targets, both at the initial distribution, from one
-    elimination: the targets (valued 1 for reachability) and the reward
-    sink (valued 1 for the reward) are two right-hand sides of the same
-    system.
-
-    The reward is only meaningful on products whose reachability is 1; no
-    product reaches an empty target set.
-    """
-    if model.rewards is None:
-        raise ModelError("model has no rewards")
-    if not targets:
-        return TABLE_ZERO, TABLE_ZERO
-    graph = _build_graph(model, targets, None)
-    for s in model.states:
-        if s not in targets:
-            graph.add(s, _REWARD_SINK, profile_table(model.reward_profile(s), model.diagram))
-    reach = _target_mass(graph, model, targets)
-    return reach, graph.succ.get(_VIRTUAL_INIT, {}).get(_REWARD_SINK, TABLE_ZERO)
-
-
-def eliminate_expected_reward(model: FDTMC, targets: Iterable[State]) -> SupportTable:
-    """Expected accumulated reward until the target set, for every product.
-
-    Requires the target to be reached almost surely in every product;
-    products violating that are listed in the raised error.
-    """
-    reach, reward = _reward_tables(model, set(targets))
-    missing = [p for p in model.diagram.valid_products() if reach.at(p) != 1]
-    if missing:
-        raise ModelError(
-            "expected reward undefined: target missed with positive probability "
-            "for products " + ", ".join(str(p) for p in missing)
-        )
-    return reward
+    return _dense_table(profile.dense_values(), diagram)
 
 
 # ---------------------------------------------------------------------------
 # Family checking
 # ---------------------------------------------------------------------------
 
-
-def _no_nested(node: Prob, sat_of):
-    raise UnsupportedPropertyError(
-        "the parametric engine handles a single probability or reward operator "
-        "over propositional operands; use the enumerative or bounded engine "
-        "for nested probability operators"
-    )
+#: The one wanted unknown of a top-level query: its row is the initial
+#: distribution, so its value is the query's value at every product.
+_VIRTUAL_INIT = ("__init__",)
 
 
-def _query_values(dense: DenseModel, prop: Property) -> list:
-    """Exact per-product values in canonical product order.
+class _TableCheck:
+    """One property on the whole family.
 
-    Expected rewards are ``inf`` on products that miss the target with
-    positive probability.  Operands are propositional, so each state
-    satisfies one for every product or for none.
+    Satisfaction sets come from the shared walker on product bitsets.  An
+    unbounded until or an expected reward is one sink-shaped system over
+    support tables, each edge part weighted by the indicator table of the
+    products it stands for, and goes through the shared
+    :func:`solve_linear`.
     """
-    entries: dict = {}
 
-    def sat(formula: StateFormula) -> dict:
-        return satisfaction(dense, formula, _no_nested, entries).lo
+    def __init__(self, dense: DenseModel):
+        self.dense = dense
+        self.diagram = dense.model.diagram
+        self.entries: dict[StateFormula, SatEntry] = {}
+        self.indicators: dict[int, SupportTable] = {}
 
-    def states(formula: StateFormula) -> set:
-        return {s for s, bits in sat(formula).items() if bits}
+    @cached_property
+    def edges(self) -> dict:
+        """Per state, its out-edges with their tables; the virtual init
+        unknown's out-edges are the initial distribution."""
+        edges: dict = {s: [] for s in self.dense.states}
+        for (s, t), profile in self.dense.model.transitions.items():
+            edges[s].append((t, profile_table(profile, self.diagram)))
+        edges[_VIRTUAL_INIT] = [(s, _scalar(w)) for s, w in self.dense.init.items()]
+        return edges
 
-    model = dense.model
-    if isinstance(prop, RewardQuery):
-        reach, reward = _reward_tables(model, states(prop.target))
-        return [reward.at(p) if reach.at(p) == 1 else INFINITY for p in dense.products]
-    if not isinstance(prop, Prob):
-        raise UnsupportedPropertyError(
-            "the parametric engine needs a probability or reward operator at the top"
-        )
-    path = prop.path
-    if isinstance(path, Next):
-        return aggregate_init(dense, next_vectors(dense, sat(path.operand)))
-    if path.bound is not None:
-        vectors = bounded_until_vectors(dense, sat(path.left), sat(path.right), path.bound)
-        return aggregate_init(dense, vectors)
-    table = eliminate_reachability(model, states(path.right), constrained=states(path.left))
-    return [table.at(p) for p in dense.products]
+    def restrict(self, table: SupportTable, bits: int) -> SupportTable:
+        """``table`` on the products of ``bits`` and 0 elsewhere."""
+        if bits == self.dense.full:
+            return table
+        indicator = self.indicators.get(bits)
+        if indicator is None:
+            flags = [ONE if bits >> i & 1 else ZERO for i in range(self.dense.n)]
+            indicator = self.indicators[bits] = _dense_table(flags, self.diagram)
+        return table * indicator
+
+    def solve(self, sat1: dict, sat2: dict, rewards: bool = False, init: bool = False):
+        """Solve ``sat1 U sat2`` (state -> product bitsets) as ``x = P·x + b``:
+        a state is an unknown on the products where it is in ``maybe`` =
+        ``sat1 & ~sat2``, and each edge goes to the sink where its successor
+        is in ``sat2`` and to the successor where that is in ``maybe``.
+        ``rewards`` solves the expected reward until ``sat2`` instead: edges
+        into it are dropped and each row earns its state's reward.  Returns
+        every unknown's table, or with ``init`` only that of the virtual
+        init unknown, whose row is the initial distribution."""
+        restrict = self.restrict
+        maybe = {s: sat1[s] & ~sat2[s] for s in sat1}
+        maybe[_VIRTUAL_INIT] = self.dense.full if init else 0
+        sink = dict.fromkeys(sat2, 0) if rewards else sat2
+        unknowns = [s for s in self.edges if maybe[s]]
+        rows = []
+        for s in unknowns:
+            row = [
+                (node, restrict(p, bits))
+                for t, p in self.edges[s]
+                for node, bits in ((SINK, maybe[s] & sink[t]), (t, maybe[s] & maybe[t]))
+                if bits
+            ]
+            if rewards:
+                reward = profile_table(self.dense.model.reward_profile(s), self.diagram)
+                row.append((SINK, restrict(reward, maybe[s])))
+            rows.append(row)
+        wanted = [_VIRTUAL_INIT] if init else None
+        return solve_linear(unknowns, rows, _closure, TABLE_ONE, wanted)
+
+    def sat(self, formula: StateFormula) -> dict:
+        return satisfaction(self.dense, formula, self.nested, self.entries).lo
+
+    def nested(self, node: Prob, sat_of) -> SatEntry:
+        """A threshold operator's satisfaction sets, from its exact values
+        at every state and product: definite and possible are the same."""
+        dense, path = self.dense, node.path
+        values = exact_vectors(dense, path, self.sat)
+        if values is None:
+            sat1, sat2 = self.sat(path.left), self.sat(path.right)
+            tables = self.solve(sat1, sat2)
+            values = {
+                s: [
+                    ONE if sat2[s] >> i & 1 else tables[s].at(p) if sat1[s] >> i & 1 else ZERO
+                    for i, p in enumerate(dense.products)
+                ]
+                for s in dense.states
+            }
+        contains = node.interval.contains
+        bits = {s: nonzero_bits([*map(contains, values[s])]) for s in dense.states}
+        return SatEntry(bits, bits)
+
+    def values(self, prop: Property) -> list:
+        """Exact per-product values of a top-level ``P`` or ``R``, in
+        canonical product order; an expected reward is ``inf`` on the
+        products :func:`reward_cone` finds."""
+        dense, infinite = self.dense, 0
+        if isinstance(prop, RewardQuery):
+            if dense.model.rewards is None:
+                raise ModelError("model has no rewards")
+            sat1, sat2 = dict.fromkeys(dense.states, dense.full), self.sat(prop.target)
+            _, infinite = reward_cone(dense, sat2)
+        elif not isinstance(prop, Prob):
+            raise UnsupportedPropertyError(
+                "the parametric engine needs a probability or reward operator at the top"
+            )
+        elif (vectors := exact_vectors(dense, prop.path, self.sat)) is not None:
+            return aggregate_init(dense, vectors)
+        else:
+            sat1, sat2 = self.sat(prop.path.left), self.sat(prop.path.right)
+        table = self.solve(sat1, sat2, isinstance(prop, RewardQuery), init=True)[_VIRTUAL_INIT]
+        return [
+            INFINITY if infinite >> i & 1 else table.at(p) for i, p in enumerate(dense.products)
+        ]
 
 
 def property_function(model: FDTMC, prop: Property) -> RationalFunction:
@@ -554,7 +553,7 @@ def property_function(model: FDTMC, prop: Property) -> RationalFunction:
     A reward function is meaningless when the reward is ``inf`` on some
     product; :func:`check_family_parametric` emits no closed form then.
     """
-    values = _query_values(DenseModel(model), prop)
+    values = _TableCheck(DenseModel(model)).values(prop)
     return RationalFunction(interpolate_family(values, model.diagram))
 
 
@@ -569,15 +568,16 @@ def check_family_parametric(model: FDTMC, prop: Property | str) -> FamilyResult:
     started = time.perf_counter()
     dense = DenseModel(model)
     products = dense.products
+    check = _TableCheck(dense)
     result = FamilyResult(ENGINE_NAME, print_property(prop))
     if not isinstance(prop, (Prob, RewardQuery)):
         # plain state formula: decided at the initial states, no closed form
-        decisions = init_decisions(dense, satisfaction(dense, prop, _no_nested, {}))
-        for product, decision in zip(products, decisions):
+        entry = satisfaction(dense, prop, check.nested, check.entries)
+        for product, decision in zip(products, init_decisions(dense, entry)):
             result.outcomes[product] = ProductOutcome(product, decision=decision)
         result.elapsed = time.perf_counter() - started
         return result
-    values = _query_values(dense, prop)
+    values = check.values(prop)
     interval = prop.interval if isinstance(prop, Prob) else None
     for product, value in zip(products, values):
         decision = None

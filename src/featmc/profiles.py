@@ -68,9 +68,6 @@ class Profile:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.dense_values())
 
-    def any_positive(self) -> bool:
-        return any(v > 0 for v in self.dense_values())
-
 
 class GuardedProfile(Profile):
     """First-match case list over feature expressions, with a default.

@@ -7,6 +7,7 @@ import pytest
 
 from featmc import bundled_model_path
 from featmc.dsl import build_model, parse_model
+from featmc.engines import bounded as bounded_engine
 from featmc.engines.bounded import (
     DEFAULT_MAX_DEPTH,
     DenseModel,
@@ -658,6 +659,24 @@ class TestNestedOperators:
                     assert expected.value <= o.value + o.error_bound
                     if o.decision != UNKNOWN:
                         assert o.decision == expected.decision, (prop, str(p))
+
+    def test_operator_shared_by_both_operands_runs_once(self, wiper, monkeypatch):
+        runs = []
+        original = bounded_engine._family_until_run
+
+        def counted(*args, **kwargs):
+            runs.append(args[1:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bounded_engine, "_family_until_run", counted)
+        prop = "P=?(P[>0.5](F end) U (P[>0.5](F end) & end))"
+        result = check_family_bounded(wiper.system, prop)
+        # the nested operator, then the top-level until
+        assert len(runs) == 2
+        enum = check_family_enumerative(wiper.system, prop)
+        for p, expected in enum.outcomes.items():
+            o = result.outcomes[p]
+            assert o.value - o.error_bound <= expected.value <= o.value + o.error_bound
 
 
 class TestThreeValuedSatMaps:

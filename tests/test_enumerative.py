@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from featmc.engines import enumerative
+from featmc.engines import elimination, enumerative
 from featmc.engines.elimination import EliminationGraph
 from featmc.engines.enumerative import (
     SINK,
@@ -243,7 +243,7 @@ class TestEliminationKernel:
             assert result.values == expected.values
 
     def test_loop_of_one_with_outgoing_mass_is_singular(self):
-        graph = EliminationGraph(enumerative._closure)
+        graph = EliminationGraph(elimination._closure)
         graph.add("s", "s", ONE)
         graph.add("s", "t", rational(1, 2))
         with pytest.raises(ModelError, match="singular"):
@@ -331,7 +331,7 @@ class TestEliminationOrder:
         )
         assert len(unknowns) > 10
         edges = [(s, t, p) for s, row in zip(unknowns, rows) for t, p in row]
-        heap_graph, min_graph = self._graphs(edges, enumerative._closure)
+        heap_graph, min_graph = self._graphs(edges, elimination._closure)
         assert list(heap_graph.run(unknowns)) == list(
             min_degree_reference(min_graph, unknowns)
         )
@@ -488,7 +488,7 @@ class TestInitOnly:
                 graphs[-1].add(s)
                 super().add(s, t, f)
 
-        monkeypatch.setattr(enumerative, "EliminationGraph", Recording)
+        monkeypatch.setattr(elimination, "EliminationGraph", Recording)
         check_family_enumerative(model, "P=?(F failure)")
         cones = []
         smaller = 0

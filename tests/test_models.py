@@ -463,7 +463,7 @@ class TestObserverProduct:
         # must move to "bright" in the same step
         successors = {
             t for (s, _, t), profile in composed.transitions.items()
-            if s == ("e", "dark") and profile.any_positive()
+            if s == ("e", "dark") and any(v > 0 for v in profile.dense_values())
         }
         assert successors == {("o", "bright")}
 

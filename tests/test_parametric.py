@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,9 +8,8 @@ from featmc.engines.parametric import (
     MultilinearPolynomial,
     SupportTable,
     _closure,
+    _TableCheck,
     check_family_parametric,
-    eliminate_expected_reward,
-    eliminate_reachability,
     interpolate_family,
     poly_to_text,
     profile_table,
@@ -18,9 +18,11 @@ from featmc.engines.parametric import (
 from featmc import dsl, generators
 from featmc.cli import bundled_model_path, main
 from featmc.engines.bounded import check_family_bounded
-from featmc.errors import ModelError, UnsupportedPropertyError
+from featmc.engines.dense import DenseModel
+from featmc.errors import ModelError
 from featmc.features import FeatureDiagram, Product, parse_feature_expression
 from featmc.models import FDTMC
+from featmc.properties import Prob, parse_property, parse_tree
 from featmc.profiles import (
     DenseProfile,
     GuardedProfile,
@@ -29,6 +31,7 @@ from featmc.profiles import (
     indicator,
 )
 from featmc.rational import INFINITY, ONE, ZERO, rational
+from featmc.result import UNKNOWN
 
 from conftest import random_fdtmc
 
@@ -351,15 +354,14 @@ class TestElimination:
             ("goal",),
             {"t": ("goal",)},
         )
-        rf = eliminate_reachability(m, {"t"})
-        for p in d.valid_products():
-            assert rf.at(p) == 1
+        result = check_family_parametric(m, "P=?(F goal)")
+        assert [o.value for o in result.outcomes.values()] == [1, 1]
 
     def test_minepump_methane_reached_almost_surely(self, minepump):
         methane = minepump.components["Methane"]
-        rf = eliminate_reachability(methane, {"methane"})
+        result = check_family_parametric(methane, "P=?(F methane)")
         for p in methane.diagram.valid_products():
-            assert rf.at(p) == 1
+            assert result.outcomes[p].value == 1
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_enumerative_on_random_models(self, seed):
@@ -446,6 +448,26 @@ class TestConstrainedCorpus:
         assert dense_profiles >= 30
 
 
+NESTED_WIPER = (
+    "P=?(F P[>0.5](X fastmode))",
+    "P[<0.5](P[>0.3](X fastmode) U end)",
+    "R=?[F end | P[>0.5](X fastmode)]",
+    "!P[<0.5](X P[>0.5](F end))",
+    "P=?(P[>0.5](F end) U (P[>0.5](F end) & end))",
+)
+NESTED_SERVICE = (
+    "P[<0.5](X P[>0.1](F failure))",
+    "P=?(F P[>0.1](F failure))",
+    "P=?(P[>0.05](F failure) U failure)",
+)
+NESTED_RANDOM = (
+    "P=?(F P[>=0.5](X a))",
+    "P=?(b U P[>0.2](F a))",
+    "P[<0.5](F P[>=0.5](a U<=2 b))",
+    "P=?(X !P[<0.5](F a))",
+)
+
+
 def _diverging_reward_model():
     """goal with probability 1 when f is off, 1/2 when f is on."""
     d = FeatureDiagram(("f",))
@@ -471,7 +493,7 @@ def _diverging_reward_model():
 
 class TestExpectedReward:
     def test_wiper_expression_at_every_product(self, wiper):
-        rf = eliminate_expected_reward(wiper.system, {"end"})
+        result = check_family_parametric(wiper.system, "R=?[F end]")
 
         def closed_form(p):
             s, v, e = int(p["spd2"]), int(p["very"]), int(p["eco"])
@@ -480,7 +502,7 @@ class TestExpectedReward:
             )
 
         for p in wiper.diagram.valid_products():
-            assert rf.at(p) == closed_form(p)
+            assert result.outcomes[p].value == closed_form(p)
 
     def test_zero_rewards(self):
         d = FeatureDiagram(("f",))
@@ -493,13 +515,8 @@ class TestExpectedReward:
             {"b": ("goal",)},
             rewards={},
         )
-        rf = eliminate_expected_reward(m, {"b"})
-        for p in d.valid_products():
-            assert rf.at(p) == 0
-
-    def test_error_lists_products_missing_the_target(self):
-        with pytest.raises(ModelError, match=r"\{f\}"):
-            eliminate_expected_reward(_diverging_reward_model(), {"goal"})
+        result = check_family_parametric(m, "R=?[F goal]")
+        assert [o.value for o in result.outcomes.values()] == [0, 0]
 
 
 class TestFamilyParametric:
@@ -516,9 +533,41 @@ class TestFamilyParametric:
         assert len(lines) == 2
         assert lines[1].startswith("/ ")
 
-    def test_nested_probability_unsupported(self, wiper):
-        with pytest.raises(UnsupportedPropertyError):
-            check_family_parametric(wiper.system, "P[<0.5](F P[<0.5](X end))")
+    @pytest.mark.parametrize(
+        "name", ["wiper", "service4"] + [f"random{seed}" for seed in range(4)]
+    )
+    def test_nested_probability_matches_enumerative(self, request, name):
+        """Parametric equals enumerative exactly on nested operators whose
+        operand is satisfied by a different state set per product, and the
+        bounded interval holds the exact value."""
+        if name == "wiper":
+            models = [request.getfixturevalue("wiper").system]
+            props = NESTED_WIPER
+        elif name == "service4":
+            models = [dsl.build_model(generators.gen_service_provider(4)).system]
+            props = NESTED_SERVICE
+        else:
+            rng = random.Random(int(name[len("random"):]))
+            models = [random_fdtmc(rng, max_states=6, max_features=3) for _ in range(10)]
+            props = NESTED_RANDOM
+        mixed = 0
+        for m, prop in itertools.product(models, props):
+            enum = check_family_enumerative(m, prop)
+            param = check_family_parametric(m, prop)
+            bounded = check_family_bounded(m, prop)
+            for p, expected in enum.outcomes.items():
+                got = param.outcomes[p]
+                assert (got.value, got.decision) == (expected.value, expected.decision), (prop, p)
+                o = bounded.outcomes[p]
+                if expected.value is not None:
+                    assert o.value - o.error_bound <= expected.value <= o.value + o.error_bound
+                assert o.decision in (expected.decision, UNKNOWN)
+            # some state satisfies a nested operand on some products only
+            check = _TableCheck(DenseModel(m))
+            for inner in parse_tree(parse_property(prop))[:-1]:
+                if isinstance(inner, Prob):
+                    mixed += any(0 < bits < check.dense.full for bits in check.sat(inner).values())
+        assert mixed
 
     @pytest.mark.parametrize("prop", ["end", "!end & fastmode", "!(wiping & !end)"])
     def test_plain_state_formula_is_decided_at_init(self, wiper, prop):
