@@ -6,13 +6,18 @@ probabilities once, on per-state product bitsets (bit i stands for
 product i): satisfaction sets of state formulas, the init cone of an
 unbounded until (the unknowns reachable from the positive-weight initial
 states, after its prob0/prob1 partition) and the reward cone.  Each
-product then reads entry i of every edge vector into the rows of its own
-unknowns (edges into prob0 dropped, edges into prob1 onto the sink) and
-solves ``x = P·x + b`` exactly by the state elimination the parametric
-engine also runs.  Expected rewards solve ``x = P·x + r`` the same way; a
-product that misses the target with positive probability is infinite and
-solves nothing.  Next and step-bounded until use the exact per-product
-vectors of the dense form.
+product's system ``x = P·x + b`` holds the rows of its own unknowns, read
+from entry i of every edge vector (edges into prob0 dropped, edges into
+prob1 onto the sink), and is solved exactly by the state elimination the
+parametric engine also runs.  Products whose systems have the same
+structure (the same unknowns, kept edges, sink edges and nonzero rewards)
+form a class, and a class shares one elimination over :class:`Lanes`, one
+value per product: the graph bookkeeping runs once per class, while each
+lane sees the operations its own solve would make, in the same order.  A
+class of one solves on plain values.  Expected rewards solve
+``x = P·x + r`` the same way; a product that misses the target with
+positive probability is infinite and solves nothing.  Next and
+step-bounded until use the exact per-product vectors of the dense form.
 
 A top-level unbounded until or reward reads only the value at the initial
 distribution: its system holds only the init cone, only the initial states
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import add, itemgetter, mul
 
 from ..errors import FeatmcError, ModelError, UnsupportedPropertyError
 from ..models import DTMC, FDTMC
@@ -62,7 +68,7 @@ from .dense import (
     reward_cone,
     satisfaction,
 )
-from .elimination import SINK, closure as reachable, solve_linear, until_partition
+from .elimination import SINK, _closure, closure as reachable, solve_linear, until_partition
 
 ENGINE_NAME = "enumerative"
 
@@ -124,6 +130,24 @@ def _float_closure(loop: float) -> float:
             "rounded to 1); use exact mode"
         )
     return 1.0 / (1.0 - loop)
+
+
+class Lanes(tuple):
+    """One value per product of a structure class, as a value domain of
+    :func:`solve_linear`: ``+`` and ``*`` act lane by lane, and the empty
+    tuple is 0 (a state with no outgoing mass)."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if not other:
+            return self
+        if not self:
+            return other
+        return Lanes(map(add, self, other))
+
+    def __mul__(self, other):
+        return Lanes(map(mul, self, other))
 
 
 def _cone(dtmc: DTMC, candidates: list, wanted) -> list:
@@ -329,19 +353,6 @@ def check_product(dtmc: DTMC, prop: Property, float_mode: bool = False) -> Produ
 # ---------------------------------------------------------------------------
 
 
-def _each_product(products, solve) -> list:
-    """``solve(i)`` for every product index i, in order.  An error keeps
-    its type and fields; its message is prefixed with the product."""
-    out = []
-    for i, product in enumerate(products):
-        try:
-            out.append(solve(i))
-        except FeatmcError as exc:
-            exc.args = (f"product {product}: {exc}",)
-            raise
-    return out
-
-
 def _as_floats(vectors) -> list:
     """float64 copies of ``vectors``, each distinct value object converted
     once; the vectors stay alive meanwhile, so no object id is reused."""
@@ -360,10 +371,13 @@ class _FamilyCheck:
 
     Satisfaction sets, the prob0/prob1 partition and the cones are
     per-state product bitsets, computed once for the family by the shared
-    qualitative layer; each product then builds the rows of the states it
-    leaves unknown, reading entry i of every edge vector, and solves them.
+    qualitative layer; they become flag bytes (one byte per product) of
+    the states each product leaves unknown and of the edges its rows keep
+    or send to the sink.  Products with equal entries in all those flags
+    form a structure class (:meth:`solve_all`), whose rows are built once
+    with a :class:`Lanes` value per edge and solved by one elimination.
     Unknowns and rows come in the order the per-chain functions above give
-    them, so every solve is the one :func:`check_product` makes on the
+    them, so every lane is the solve :func:`check_product` makes on the
     projected chain.  Float mode solves on float64 edges, each distinct
     value object converted once per family.  Next and step-bounded until
     stay exact, as on one chain.
@@ -380,13 +394,14 @@ class _FamilyCheck:
         for s in dense.states:
             masks = dict(dense.succ[s])
             self.out[s] = [(t, vec, masks[t]) for t, vec in dense.edges[s] if t in masks]
-        self.one, self.zero, self.domain = ONE, ZERO, ()
+        self.one, self.zero, self.domain, self.closure = ONE, ZERO, (), _closure
         if float_mode:
             floats = iter(_as_floats([vec for out in self.out.values() for _, vec, _ in out]))
             self.out = {
                 s: [(t, next(floats), mask) for t, _, mask in out] for s, out in self.out.items()
             }
             self.one, self.zero, self.domain = 1.0, 0.0, (_float_closure, 1.0)
+            self.closure = _float_closure
 
     def flags(self, bits: dict) -> dict:
         return {s: flag_bytes(b, self.dense.n) for s, b in bits.items()}
@@ -401,21 +416,80 @@ class _FamilyCheck:
             for s, out in self.out.items()
         }
 
-    def solve(self, i: int, unknown: dict, edges: dict, rewards=None, wanted=None) -> dict:
-        """Product i's values at its ``unknown`` states (state -> flag bytes),
-        or at the ``wanted`` ones, over rows taken from ``edges``; with
-        ``rewards`` each row ends in its state's reward on the sink."""
-        unknowns = [s for s, flags in unknown.items() if flags[i]]
-        if not unknowns:
-            return {}
-        rows = [
-            [(SINK if to_sink[i] else t, vec[i]) for t, vec, kept, to_sink in edges[s] if kept[i]]
-            for s in unknowns
-        ]
+    def solve_all(self, unknown: dict, edges: dict, rewards=None, wanted=None) -> list:
+        """Per product, its values at its ``unknown`` states (state -> flag
+        bytes), or at the ``wanted`` ones, over rows taken from ``edges``;
+        with ``rewards`` each row ends in its state's reward on the sink.
+
+        Products whose systems have one structure (the same unknowns, the
+        same edges kept and sent to the sink, the same nonzero rewards) form
+        a class, keyed by their entries in those flag bytes; each class runs
+        one :func:`solve_linear` on :class:`Lanes`, a class of one on plain
+        values.
+        """
+        states = [s for s, flags in unknown.items() if 1 in flags]
+        arrays = [unknown[s] for s in states]
+        for s in states:
+            for _, _, kept, to_sink in edges[s]:
+                arrays += (kept, to_sink)
+        if rewards is not None:
+            arrays += [bytes(map(bool, rewards[s])) for s in states]
+        # product i's entries, read with stride n from the joined flags
+        n = self.dense.n
+        flags = b"".join(arrays)
+        classes: dict[bytes, list] = {}
+        for i in range(n):
+            classes.setdefault(flags[i::n], []).append(i)
+        solved = [{} for _ in range(n)]
+        for key, members in classes.items():
+            unknowns = [s for s, flag in zip(states, key) if flag]
+            if unknowns:
+                values = self.solve_class(members, unknowns, edges, rewards, wanted)
+                for i, solution in zip(members, values):
+                    solved[i] = solution
+        return solved
+
+    def solve_class(self, members: list, unknowns: list, edges: dict, rewards, wanted) -> list:
+        """The values of each of ``members``, products whose systems share
+        one structure.  An error in a lane solve reruns the class product by
+        product, so that it names the first product that fails."""
+        i = members[0]
+        if len(members) == 1:
+            # indexed in place: when every product has a structure of its
+            # own, a call per edge would cost more than the index
+            rows = [
+                [(SINK if to_sink[i] else t, vec[i]) for t, vec, kept, to_sink in edges[s] if kept[i]]
+                for s in unknowns
+            ]
+            pick, domain = itemgetter(i), self.domain
+        else:
+            get = itemgetter(*members)
+
+            def pick(vec):
+                return Lanes(get(vec))
+
+            rows = [
+                [(SINK if to_sink[i] else t, pick(vec)) for t, vec, kept, to_sink in edges[s] if kept[i]]
+                for s in unknowns
+            ]
+            closure = self.closure
+            domain = (lambda loop: Lanes(map(closure, loop)), Lanes((self.one,) * len(members)))
         if rewards is not None:
             for s, row in zip(unknowns, rows):
-                row.append((SINK, rewards[s][i]))
-        return solve_linear(unknowns, rows, *self.domain, wanted=wanted)
+                if rewards[s][i]:
+                    row.append((SINK, pick(rewards[s])))
+        try:
+            values = solve_linear(unknowns, rows, *domain, wanted=wanted)
+        except FeatmcError as exc:
+            if len(members) > 1:
+                for j in members:
+                    self.solve_class([j], unknowns, edges, rewards, wanted)
+            exc.args = (f"product {self.dense.products[i]}: {exc}",)
+            raise
+        if len(members) == 1:
+            return [values]
+        zero = self.zero
+        return [{s: v[k] if v else zero for s, v in values.items()} for k in range(len(members))]
 
     def sat(self, node: StateFormula) -> dict:
         """Per state, the bitset of products whose chain satisfies ``node``
@@ -429,8 +503,7 @@ class _FamilyCheck:
         values = exact_vectors(self.dense, node.path, self.sat)
         if values is None:
             one, undecided, edges = self.partition(node.path)
-            unknown = self.flags(undecided)
-            solved = _each_product(self.dense.products, lambda i: self.solve(i, unknown, edges))
+            solved = self.solve_all(self.flags(undecided), edges)
             values = {s: [self.one if f else self.zero for f in flags] for s, flags in one.items()}
             for i, solution in enumerate(solved):
                 for s, v in solution.items():
@@ -460,13 +533,12 @@ class _FamilyCheck:
             return aggregate_init(self.dense, vectors)
         one, undecided, edges = self.partition(path)
         cone = self.flags(self.dense.init_cone(undecided))
-
-        def value(i):
+        out = []
+        for i, solution in enumerate(self.solve_all(cone, edges, wanted=self.starts)):
             values = {s: self.one if one[s][i] else self.zero for s in self.starts}
-            values.update(self.solve(i, cone, edges, wanted=self.starts))
-            return _initial_value(self.dense, values)
-
-        return _each_product(self.dense.products, value)
+            values.update(solution)
+            out.append(_initial_value(self.dense, values))
+        return out
 
     def initial_rewards(self, target: StateFormula) -> list:
         """Per product, the expected reward until ``target`` at the initial
@@ -477,17 +549,18 @@ class _FamilyCheck:
         if self.float_mode:
             rewards = dict(zip(rewards, _as_floats(rewards.values())))
         cone, infinite = reward_cone(dense, self.sat(target))
+        cone = {s: bits & ~infinite for s, bits in cone.items()}
         edges = self.edges(cone, dict.fromkeys(dense.states, bytes(dense.n)))
-        cone = self.flags(cone)
-
-        def value(i):
+        solved = self.solve_all(self.flags(cone), edges, rewards, self.starts)
+        out = []
+        for i, solution in enumerate(solved):
             if infinite >> i & 1:
-                return INFINITY
+                out.append(INFINITY)
+                continue
             values = dict.fromkeys(self.starts, self.zero)
-            values.update(self.solve(i, cone, edges, rewards, self.starts))
-            return _initial_value(dense, values)
-
-        return _each_product(dense.products, value)
+            values.update(solution)
+            out.append(_initial_value(dense, values))
+        return out
 
     def outcomes(self, prop: Property) -> list[ProductOutcome]:
         """Every product's outcome, in canonical product order."""
@@ -516,8 +589,9 @@ def check_family_enumerative(
     """Check every valid product's chain, each with its own exact solve.
 
     The work that does not depend on a product's probabilities runs once
-    on the dense form (:class:`_FamilyCheck`); every outcome equals that of
-    :func:`check_product` on the projected chain.  ``float_mode`` runs
+    on the dense form (:class:`_FamilyCheck`), and products whose systems
+    share a structure share one elimination, one lane each; every outcome
+    equals that of :func:`check_product` on the projected chain.  ``float_mode`` runs
     unbounded until and reward computations as the same state elimination
     in float64: no stopping criterion, only rounding error, and a
     :class:`ModelError` where rounding makes a self-loop 1.  An error

@@ -60,14 +60,6 @@ class Profile:
         """Reinterpret over a wider diagram containing this one's signature."""
         raise NotImplementedError
 
-    def equals_pointwise(self, other) -> bool:
-        other = _coerce(other, self.diagram)
-        _check_same_diagram(self, other)
-        return self.dense_values() == other.dense_values()
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.dense_values())
-
 
 class GuardedProfile(Profile):
     """First-match case list over feature expressions, with a default.

@@ -14,6 +14,17 @@ from featmc.profiles import GuardedProfile
 from featmc.rational import ONE, ZERO, rational
 
 
+def equals_pointwise(a, b) -> bool:
+    """Whether two profiles over one diagram give every product the same
+    value."""
+    return a.diagram == b.diagram and a.dense_values() == b.dense_values()
+
+
+def is_zero(profile) -> bool:
+    """Whether a profile is 0 on every product."""
+    return all(v == 0 for v in profile.dense_values())
+
+
 @pytest.fixture(scope="session")
 def wiper():
     return load_model(bundled_model_path("wiper"))
@@ -82,7 +93,7 @@ def random_fdtmc(
                 profile = GuardedProfile(diagram, (), cases[0][1])
             else:
                 profile = GuardedProfile(diagram, cases, ZERO)
-            if not profile.is_zero():
+            if not is_zero(profile):
                 transitions[(s, t)] = profile
     labels = {}
     ap = set()
@@ -143,7 +154,7 @@ def random_complete_fmdp(
                         profile = GuardedProfile(diagram, (), cases[0][1])
                     else:
                         profile = GuardedProfile(diagram, cases, ZERO)
-                    if profile.is_zero():
+                    if is_zero(profile):
                         continue
                     key = (s, ActionLabel(a, obs), t)
                     transitions[key] = profile

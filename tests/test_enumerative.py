@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -23,10 +24,10 @@ from featmc.dsl import build_model, parse_model
 from featmc.engines.bounded import check_family_bounded
 from featmc.engines.parametric import check_family_parametric
 from featmc.errors import ModelError, UnboundFeatureError
-from featmc.features import FeatureDiagram, Product
-from featmc.generators import gen_service_provider
+from featmc.features import FeatureDiagram, Product, parse_feature_expression
+from featmc.generators import gen_failure_recovery, gen_service_provider
 from featmc.models import DTMC, FDTMC, project
-from featmc.profiles import constant
+from featmc.profiles import GuardedProfile, constant
 from featmc.properties import RewardQuery, parse_property
 from featmc.rational import INFINITY, ONE, ZERO, rational
 from featmc.result import SAT, VIOLATED
@@ -338,8 +339,10 @@ class TestEliminationOrder:
 
 
 class TestSingleSolve:
-    """A threshold solves one system per product: at the top level, per
-    product whose initial state is undecided."""
+    """A threshold solves one system per structure class.  Every product of
+    service4 has a structure of its own, so there that is one plain solve
+    per product: at the top level, per product whose initial state is
+    undecided."""
 
     @pytest.fixture(scope="class")
     def service4(self):
@@ -389,6 +392,89 @@ class TestSingleSolve:
         result = check_family_enumerative(service4, "P[<0.5](X P[>0.1](F failure))")
         assert len(domains) == len(products)
         assert {p: o.decision for p, o in result.outcomes.items()} == expected
+
+
+class TestStructureClasses:
+    """Products whose systems share one structure share one elimination on
+    :class:`enumerative.Lanes`, and each lane is still its product's own
+    solve: the values equal :func:`check_product`'s, in float64 too."""
+
+    @pytest.fixture(scope="class")
+    def failure5(self):
+        return build_model(gen_failure_recovery(5)).system
+
+    @staticmethod
+    def per_product(model, text, float_mode):
+        prop = parse_property(text)
+        return {
+            p: check_product(project(model, p), prop, float_mode).value
+            for p in model.diagram.valid_products()
+        }
+
+    @pytest.mark.parametrize("float_mode", [False, True])
+    def test_one_class(self, failure5, monkeypatch, float_mode):
+        domains = TestSingleSolve._count_solves(monkeypatch)
+        result = check_family_enumerative(failure5, "P=?(F failure)", float_mode)
+        assert len(domains) == 1
+        assert isinstance(domains[0][1], enumerative.Lanes)
+        assert len(domains[0][1]) == len(result.outcomes) == 32
+        values = {p: o.value for p, o in result.outcomes.items()}
+        assert values == self.per_product(failure5, "P=?(F failure)", float_mode)
+
+    @pytest.mark.parametrize("float_mode", [False, True])
+    def test_rewards_split_the_class(self, failure5, monkeypatch, float_mode):
+        """deg2 earns nothing on the products with f1, so its row has a
+        sink edge on half the products only."""
+        d = failure5.diagram
+        rewards = {s: constant(ONE, d) for s in failure5.states}
+        rewards["deg2"] = GuardedProfile(d, [(parse_feature_expression("f1"), ZERO)], ONE)
+        model = FDTMC(
+            failure5.states,
+            failure5.init,
+            d,
+            failure5.transitions,
+            failure5.ap,
+            failure5.labels,
+            rewards,
+        )
+        text = "R=?[F (failure | worn)]"
+        domains = TestSingleSolve._count_solves(monkeypatch)
+        result = check_family_enumerative(model, text, float_mode)
+        assert [len(domain[1]) for domain in domains] == [16, 16]
+        values = {p: o.value for p, o in result.outcomes.items()}
+        assert len(set(values.values())) == 32
+        assert values == self.per_product(model, text, float_mode)
+
+    def test_empty_lane_is_zero(self):
+        a, b = enumerative.Lanes((ONE, 2)), enumerative.Lanes()
+        assert a + b == a and b + a == a
+        assert a * b == b == b * a
+        assert a * a == (ONE, 4) and a + a == (2, 4)
+
+    @pytest.mark.parametrize("float_mode", [False, True])
+    def test_no_outgoing_mass_is_zero(self, float_mode):
+        """a earns nothing and its only kept edge is its loop, so it has
+        no mass left to reroute and its lane comes back empty."""
+        d = FeatureDiagram(("f",))
+        guard = parse_feature_expression("f")
+        quarter = rational(1, 4)
+        model = FDTMC(
+            ("a", "goal"),
+            "a",
+            d,
+            {
+                ("a", "a"): GuardedProfile(d, [(guard, 2 * quarter)], quarter),
+                ("a", "goal"): GuardedProfile(d, [(guard, 2 * quarter)], 3 * quarter),
+                ("goal", "goal"): constant(ONE, d),
+            },
+            ("goal",),
+            {"goal": ("goal",)},
+            {"a": constant(ZERO, d), "goal": constant(ONE, d)},
+        )
+        result = check_family_enumerative(model, "R=?[F goal]", float_mode)
+        values = [o.value for o in result.outcomes.values()]
+        assert values == [0, 0]
+        assert values == list(self.per_product(model, "R=?[F goal]", float_mode).values())
 
 
 def with_split_init(chains, seed):
@@ -847,3 +933,36 @@ class TestFloatSlowChains:
             check_family_enumerative(
                 self.slow_family(**self.ROUNDED), "P=?(F goal)", float_mode=True
             )
+
+    def test_lane_error_names_its_product(self, monkeypatch):
+        """Two products with one structure: only the second one's loop
+        rounds to 1, and the error names it, not the first of its class."""
+        d = FeatureDiagram(("f",))
+        second = d.valid_products()[1]
+        guard = parse_feature_expression("f" if second["f"] else "!f")
+        step, leak, tenth = self.ROUNDED["step"], self.ROUNDED["leak"], rational(1, 10)
+
+        def profile(first, rounded):
+            return GuardedProfile(d, [(guard, rounded)], first)
+
+        model = FDTMC(
+            ("s", "goal", "trap"),
+            "s",
+            d,
+            {
+                ("s", "s"): profile(ONE - 2 * tenth, ONE - step - leak),
+                ("s", "goal"): profile(tenth, step),
+                ("s", "trap"): profile(tenth, leak),
+                ("goal", "goal"): constant(ONE, d),
+                ("trap", "trap"): constant(ONE, d),
+            },
+            ("goal",),
+            {"goal": ("goal",)},
+        )
+        prefix = re.escape(f"product {second}: float64 rounding")
+        with pytest.raises(ModelError, match=f"^{prefix}"):
+            check_family_enumerative(model, "P=?(F goal)", float_mode=True)
+        domains = TestSingleSolve._count_solves(monkeypatch)
+        exact = check_family_enumerative(model, "P=?(F goal)")
+        assert [len(domain[1]) for domain in domains] == [2]
+        assert {o.value for o in exact.outcomes.values()} == {rational(1, 2)}
