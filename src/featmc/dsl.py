@@ -60,11 +60,11 @@ from .models import (
     fdtmc_as_fmdp,
     fts_to_fmdp,
     observer_product,
-    row_sums,
+    row_total,
     sync_product,
     validate_fdtmc,
 )
-from .profiles import GuardedProfile, Profile, add, interned
+from .profiles import GuardedProfile, Profile, add, complement, products_where
 from .properties import parse_property
 from .rational import ONE, ZERO, rat_str, rational
 
@@ -447,18 +447,17 @@ def _complete_rows(diagram, rows, describe):
     the self-loop profiles to add, keyed by row key.  Raises when a row
     already exceeds probability one for some product.
     """
-    products = diagram.valid_products()
     loops = {}
     for row, profiles in rows.items():
-        residual = [ONE - v for v in row_sums(diagram, profiles)]
-        negative = [products[i] for i, v in enumerate(residual) if v < 0]
+        residual = complement(row_total(diagram, profiles))
+        negative = products_where(residual, lambda v: v < 0)
         if negative:
             raise ModelError(
                 f"{describe(row)}: outgoing probability exceeds 1 for products "
-                + ", ".join(str(p) for p in negative)
+                + ", ".join(str(p) for p, _ in negative)
             )
-        if any(v != 0 for v in residual):
-            loops[row] = interned(diagram, residual)
+        if residual.where(bool):
+            loops[row] = residual
     return loops
 
 

@@ -32,9 +32,9 @@ ch. 2), which extends the 1-bit product bitsets of Classen et al. (ICSE
 2010) to fixed-point lanes.  An edge carries a few distinct values, not
 one per product, so a state's update is one multiply-add per (successor,
 distinct rounded value) on the lanes of the products that share it.  The
-rounded edges are built once per run, and each edge's dense vector is read
-once per model.  Only the bounds a caller reads are turned back into
-rationals.
+rounded edges are built once per run from the profiles' ``(value, product
+bitset)`` groups, with no per-product vector.  Only the bounds a caller
+reads are turned back into rationals.
 
 An expected reward ``R=?[F target]`` runs on the same kernel, iterating
 ``x = r + P·x`` on the non-target states of the products whose value is
@@ -49,9 +49,9 @@ from __future__ import annotations
 
 import math
 import time
-from operator import and_
 
 from ..errors import ConvergenceError, UnsupportedPropertyError
+from ..features import flag_bytes
 from ..models import FDTMC
 from ..properties import (
     Interval,
@@ -73,13 +73,11 @@ from .dense import (
     SatEntry,
     aggregate_init,
     bounded_until_vectors,
-    flag_bytes,
     init_decisions,
     next_vectors,
     nonzero_bits,
     reward_cone,
     satisfaction,
-    value_groups,
 )
 from .elimination import until_partition
 
@@ -111,18 +109,14 @@ class _Lanes:
         self.n = n
         self.width = width
         self.stride = width // 8
-        self.ones = self.spread_flags(b"\x01" * n)  # 1 in every lane
+        self.ones = self.spread((1 << n) - 1)  # 1 in every lane
         self.high = self.ones << (width - 1)  # the top bit of every lane
-
-    def spread_flags(self, flags: bytes) -> int:
-        """1 in lane i wherever ``flags[i]`` is 1, 0 elsewhere."""
-        buf = bytearray(self.n * self.stride)
-        buf[:: self.stride] = flags
-        return int.from_bytes(buf, "little")
 
     def spread(self, bits: int) -> int:
         """1 in lane i wherever bit i of the product bitset is set."""
-        return self.spread_flags(flag_bytes(bits, self.n))
+        buf = bytearray(self.n * self.stride)
+        buf[:: self.stride] = flag_bytes(bits, self.n)
+        return int.from_bytes(buf, "little")
 
     def widen(self, x: int) -> int:
         """Every lane that holds 1 in ``x`` all ones, the rest 0."""
@@ -162,11 +156,10 @@ def _edge_table(dense: DenseModel, cone, bits: int, lanes: _Lanes, rewards=None)
     times 2**bits rounded down, rounded up, lanes of the products whose
     edge has that value)``, one per successor and distinct rounded pair;
     a lane mask is all ones in its lanes.  With ``rewards`` (state ->
-    per-product vector) a state's reward, on the lanes of cone, is one
-    more edge, into the reward sink at position ``len(dense.states)``."""
+    reward profile) a state's reward, on the lanes of cone, is one more
+    edge, into the reward sink at position ``len(dense.states)``."""
     index = dense.index
     sink = len(dense.states)
-    rounded = {}  # id of a value -> (down, up); dense.groups and rewards keep it alive
     table = []
     for s in dense.sweep_order:
         if not cone[s]:
@@ -174,19 +167,16 @@ def _edge_table(dense: DenseModel, cone, bits: int, lanes: _Lanes, rewards=None)
         out = [(index[t], groups) for t, groups in dense.groups[s]]
         if rewards is not None:
             # a lane outside the cone may hold a reward too large for it
-            inside = flag_bytes(cone[s], dense.n)
-            groups = value_groups(rewards[s])
-            out.append((sink, [(v, bytes(map(and_, f, inside))) for v, f in groups]))
-        merged: dict[tuple, int] = {}
+            out.append((sink, [(v, mask & cone[s]) for v, mask in rewards[s].groups() if v]))
+        merged: dict[tuple, int] = {}  # (successor, down, up) -> product bitset
         for k, groups in out:
-            for v, flags in groups:
-                pair = rounded.get(id(v))
-                if pair is None:
-                    q, r = divmod(int(v.numerator) << bits, int(v.denominator))
-                    pair = rounded[id(v)] = (q, q + (r > 0))
-                key = (k, *pair)
-                merged[key] = merged.get(key, 0) | lanes.spread_flags(flags)
-        entries = [(k, down, up, lanes.widen(m)) for (k, down, up), m in merged.items()]
+            for v, mask in groups:
+                q, r = divmod(int(v.numerator) << bits, int(v.denominator))
+                key = (k, q, q + (r > 0))
+                merged[key] = merged.get(key, 0) | mask
+        entries = [
+            (k, down, up, lanes.widen(lanes.spread(m))) for (k, down, up), m in merged.items()
+        ]
         table.append((index[s], lanes.widen(lanes.spread(cone[s])), entries))
     return table
 
@@ -215,7 +205,7 @@ def _family_until_run(
     are updated, in :attr:`DenseModel.sweep_order`, so mass propagates
     across whole chains per sweep.
 
-    With ``rewards`` (state -> per-product vector) the operator is instead
+    With ``rewards`` (state -> reward profile) the operator is instead
     the expected reward's ``x = r + P·x`` on the pairs where sat1 holds
     and sat2 does not; every other pair is 0.  lo starts at 0 and hi at
     ``top[i]``, which must bound product i's value at every pair that is
@@ -487,7 +477,7 @@ def bounded_expected_reward(
         epsilon,
         max_depth=max_depth,
         weights=dense.init,
-        rewards=rewards,
+        rewards={s: dense.model.reward_profile(s) for s in dense.states},
         top=top,
     )
     flags = [bool(infinite >> i & 1) for i in range(n)]

@@ -1,10 +1,11 @@
 """The dense family form every engine reads, and what the engines share on it.
 
-An FDTMC's profiles are flattened on first use into one value per product,
-in the diagram's canonical product order (:class:`DenseModel`).  Sets of
+:class:`DenseModel` reads an FDTMC's profiles on first use.  Sets of
 products are bitsets: bit i of an int stands for product i, as in the
-reachability closure of ``engines/elimination.py``; 0/1 flag bytes are the
-same sets with one byte per product, for reads by index.
+reachability closure of ``engines/elimination.py``.  The masks and value
+groups come from each profile's ``(value, product bitset)`` groups; only
+the edge vectors, which the enumerative lanes and the exact vectors below
+read, take a profile's value per product.
 
 The qualitative layer runs once for the family (Classen et al., ICSE 2010):
 satisfaction sets of state formulas (:func:`satisfaction`, which hands a
@@ -21,87 +22,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import attrgetter, is_
 from typing import Callable, Sequence
 
 from ..errors import ModelError, UnsupportedPropertyError
+from ..features import bitset
 from ..models import FDTMC, State
 from ..properties import Atom, Next, PAnd, PNot, Prob, PTrue, StateFormula, Until
 from ..rational import ONE, ZERO
 from ..result import SAT, UNKNOWN, VIOLATED
 from .elimination import closure, until_partition
 
-#: bytes.translate tables between 0/1 flag bytes and ASCII binary digits
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-#: a rational's (numerator, denominator), the key equal values share
-_RATIO = attrgetter("numerator", "denominator")
-
-
-def bitset(flags: bytes) -> int:
-    """Bitset of the positions whose byte in ``flags`` (0 or 1 each) is 1."""
-    return int(flags[::-1].translate(_TO_DIGITS) or b"0", 2)
-
-
-def flag_bytes(bits: int, n: int) -> bytes:
-    """The first ``n`` bits of ``bits`` as 0/1 bytes, bit 0 first."""
-    return bin(bits)[:1:-1].ljust(n, "0")[:n].encode().translate(_FROM_DIGITS)
-
-
-def _one_object(row: Sequence) -> bool:
-    """Whether ``row`` holds one object for every product, as a constant
-    guarded profile gives; told by identity alone."""
-    return bool(row) and all(map(is_, row, repeat(row[0])))
-
 
 def nonzero_bits(row: Sequence) -> int:
     """Bitset of the products whose entry in ``row`` is nonzero."""
-    if _one_object(row):
-        return (1 << len(row)) - 1 if row[0] else 0
     return bitset(bytes(map(bool, row)))
 
 
-def value_groups(vec: Sequence) -> list[tuple[object, bytes]]:
-    """The distinct nonzero values of ``vec``, each with the 0/1 flag
-    bytes of the products that carry it.
-
-    Values are told apart by object first: a guarded profile hands the
-    same few objects to every product, so their numerator and denominator
-    are read once per object (a Fraction's own hash costs a modular
-    inverse), and a vector of one object is recognised by identity alone.
-    A computed profile holds one object per distinct value, so its
-    products are told apart by object id; a vector with several objects
-    of one value is grouped by value.
-    """
-    if _one_object(vec):
-        return [(vec[0], b"\x01" * len(vec))] if vec[0] else []
-    ids = [*map(id, vec)]
-    objects = dict(zip(ids, vec))
-    keys = [*map(_RATIO, objects.values())]
-    values = dict(zip(keys, objects.values()))
-    if len(values) == len(objects):
-        return [(v, bytes(map(k.__eq__, ids))) for k, v in objects.items() if v]
-    if len(values) == 1:
-        return [(vec[0], b"\x01" * len(vec))] if vec[0] else []
-    keys = [*map(dict(zip(objects, keys)).__getitem__, ids)]
-    return [(v, bytes(map(key.__eq__, keys))) for key, v in values.items() if v]
-
-
 class DenseModel:
-    """FDTMC with every profile flattened to a per-product vector.
+    """FDTMC read as the engines need it, every part built on first use.
 
-    ``edges`` lists each state's out-edges with their vectors and
-    ``rewards`` each state's reward vector.  ``succ`` and ``pred`` list each
-    state's successors and predecessors with the bitset of products whose
-    edge is nonzero, for the reachability closure.  The bounded engine's
-    interval kernel also reads ``groups``: per state, its nonzero out-edges
-    with their distinct values and the products carrying each
-    (:func:`value_groups`), and its update order ``sweep_order``.  Each is
-    built on first use, so walking propositional formulas reads no profile.
-    The masks take one cheap pass of their own (a ``bool`` per entry, or
-    one identity test per entry for a constant vector): grouping values
-    would cost the enumerative engine, which needs no groups, more.
+    ``groups`` lists each state's nonzero out-edges with their nonzero
+    ``(value, product bitset)`` groups, read from the profiles, for the
+    bounded engine's interval kernel (with the update order
+    ``sweep_order``).  ``succ`` and ``pred`` list each state's successors
+    and predecessors with the bitset of products whose edge is nonzero, the
+    union of its groups, for the reachability closure.  ``edges`` lists
+    each state's out-edges with their per-product vectors and ``rewards``
+    each state's reward vector: the only per-product reads.  Walking
+    propositional formulas reads no profile, and an unbounded parametric
+    query builds no vector.
     """
 
     def __init__(self, model: FDTMC):
@@ -115,10 +64,8 @@ class DenseModel:
 
     @cached_property
     def edges(self) -> dict[State, list[tuple[State, tuple]]]:
-        edges: dict = {s: [] for s in self.states}
-        for (s, t), profile in self.model.transitions.items():
-            edges[s].append((t, profile.dense_values()))
-        return edges
+        out_edges = self.model.out_edges
+        return {s: [(t, p.dense_values()) for t, p in out_edges(s)] for s in self.states}
 
     @cached_property
     def rewards(self) -> dict[State, tuple]:
@@ -127,17 +74,18 @@ class DenseModel:
         return {s: self.model.reward_profile(s).dense_values() for s in self.states}
 
     @cached_property
-    def groups(self) -> dict[State, list[tuple[State, list[tuple[object, bytes]]]]]:
+    def groups(self) -> dict[State, list[tuple[State, list[tuple[object, int]]]]]:
+        out_edges = self.model.out_edges
         return {
-            s: [(t, groups) for t, vec in out if (groups := value_groups(vec))]
-            for s, out in self.edges.items()
+            s: [(t, g) for t, p in out_edges(s) if (g := [(v, b) for v, b in p.groups() if v])]
+            for s in self.states
         }
 
     @cached_property
     def succ(self) -> dict[State, list[tuple[State, int]]]:
         return {
-            s: [(t, bits) for t, vec in out if (bits := nonzero_bits(vec))]
-            for s, out in self.edges.items()
+            s: [(t, sum(bits for _, bits in groups)) for t, groups in out]
+            for s, out in self.groups.items()
         }
 
     @cached_property

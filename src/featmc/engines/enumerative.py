@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from operator import add, itemgetter, mul
 
 from ..errors import FeatmcError, ModelError, UnsupportedPropertyError
+from ..features import flag_bytes
 from ..models import DTMC, FDTMC
 from ..properties import (
     Atom,
@@ -62,7 +63,6 @@ from .dense import (
     SatEntry,
     aggregate_init,
     exact_vectors,
-    flag_bytes,
     init_decisions,
     nonzero_bits,
     reward_cone,

@@ -4,11 +4,15 @@ A feature diagram is kept abstract: an ordered signature of Boolean feature
 names plus one constraint expression.  Its semantics is the set of valid
 products, enumerated exhaustively in a fixed canonical order so that every
 engine reports results in the same product order.
+Sets of valid products are bitsets: bit i of an int stands for the i-th
+canonical product (Classen et al., ICSE 2010), and a guard is evaluated on
+every product at once (:meth:`FeatureDiagram.bits`).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -130,6 +134,9 @@ class FXor(_Binary):
 
 TRUE = FTrue()
 FALSE = FFalse()
+
+#: the int operation of each symmetric binary operator on product bitsets
+_BIT_OPS = {FAnd: operator.and_, FOr: operator.or_, FXor: operator.xor}
 
 
 def conj(*exprs: FeatureExpression) -> FeatureExpression:
@@ -344,6 +351,20 @@ def parse_feature_expression(text: str) -> FeatureExpression:
 # Products and diagrams
 # ---------------------------------------------------------------------------
 
+#: bytes.translate tables between 0/1 flag bytes and ASCII binary digits
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bitset(flags: bytes) -> int:
+    """Bitset of the positions whose byte in ``flags`` (0 or 1 each) is 1."""
+    return int(flags[::-1].translate(_TO_DIGITS) or b"0", 2)
+
+
+def flag_bytes(bits: int, n: int) -> bytes:
+    """The first ``n`` bits of ``bits`` as 0/1 bytes, bit 0 first."""
+    return bin(bits)[:1:-1].ljust(n, "0")[:n].encode().translate(_FROM_DIGITS)
+
 
 class Product:
     """A total Boolean assignment over a signature.
@@ -424,7 +445,7 @@ DEFAULT_ENUMERATION_LIMIT = 24
 class FeatureDiagram:
     """Signature plus constraint; the product line is derived, then cached."""
 
-    __slots__ = ("signature", "constraint", "_products", "_index")
+    __slots__ = ("signature", "constraint", "_products", "_index", "_features")
 
     def __init__(self, signature: Sequence[str], constraint: FeatureExpression = TRUE):
         signature = tuple(signature)
@@ -437,6 +458,7 @@ class FeatureDiagram:
         self.constraint = constraint
         self._products: tuple[Product, ...] | None = None
         self._index: dict[Product, int] | None = None
+        self._features: dict[str, int] | None = None
 
     def valid_products(self, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tuple[Product, ...]:
         """All satisfying assignments in canonical order.
@@ -459,6 +481,36 @@ class FeatureDiagram:
             self._products = tuple(products)
             self._index = {p: i for i, p in enumerate(products)}
         return self._products
+
+    @property
+    def full(self) -> int:
+        """The bitset of every valid product."""
+        return (1 << len(self.valid_products())) - 1
+
+    def bits(self, expr: FeatureExpression) -> int:
+        """The bitset of the valid products satisfying ``expr``: a feature
+        is the bitset of the products enabling it, an operator an int
+        operation on both operands (so every feature must be bound)."""
+        if self._features is None:
+            products = self.valid_products()
+            self._features = {n: bitset(bytes(p[n] for p in products)) for n in self.signature}
+        features, full = self._features, self.full
+
+        def walk(e: FeatureExpression) -> int:
+            if isinstance(e, FVar):
+                if e.name not in features:
+                    raise UnboundFeatureError(e.name)
+                return features[e.name]
+            if isinstance(e, (FTrue, FFalse)):
+                return full if isinstance(e, FTrue) else 0
+            if isinstance(e, FNot):
+                return full & ~walk(e.operand)
+            left, right = walk(e.left), walk(e.right)
+            if isinstance(e, FImplies):
+                return (full & ~left) | right
+            return _BIT_OPS[type(e)](left, right)
+
+        return walk(expr)
 
     def normalize(self, product: Product) -> Product:
         """Reorder (and project, if wider) a product onto this signature."""

@@ -40,12 +40,12 @@ from .features import (
 from .profiles import (
     Profile,
     add,
+    complement,
     constant,
     indicator,
-    interned,
     probability_range_findings,
+    products_where,
     reward_range_findings,
-    to_dense,
 )
 from .rational import ONE, ZERO, rational
 
@@ -108,12 +108,9 @@ def _states_and_init(states, init) -> tuple[tuple, dict]:
     return states, init
 
 
-def row_sums(diagram: FeatureDiagram, profiles: Iterable[Profile]) -> list:
-    """Per-product totals of ``profiles``, in canonical product order."""
-    totals = [ZERO] * len(diagram.valid_products())
-    for profile in profiles:
-        totals = [a + b for a, b in zip(totals, to_dense(profile).values)]
-    return totals
+def row_total(diagram: FeatureDiagram, profiles: Iterable[Profile]) -> Profile:
+    """The pointwise sum of ``profiles``, a fold of ``add``."""
+    return sum(profiles, constant(ZERO, diagram))
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +234,14 @@ def validate_fdtmc(model: FDTMC) -> ValidationReport:
     for s, weight in model.init.items():
         if weight < 0:
             report.findings.append(f"negative initial weight on {render_state(s)}")
-    products = model.diagram.valid_products()
     for s in model.states:
         edges = model.out_edges(s)
         for _, profile in edges:
             for finding in probability_range_findings(profile):
                 report.findings.append(f"state {render_state(s)}: {finding}")
-        row = row_sums(model.diagram, (profile for _, profile in edges))
-        for i, total in enumerate(row):
-            if total != 1:
-                report.violations.append((s, products[i], total))
+        row = row_total(model.diagram, (profile for _, profile in edges))
+        for product, total in products_where(row, lambda v: v != 1):
+            report.violations.append((s, product, total))
     if model.rewards:
         for s, profile in model.rewards.items():
             for finding in reward_range_findings(profile):
@@ -363,19 +358,17 @@ def _row_groups(model: FMDP):
 def validate_fmdp(model: FMDP) -> ValidationReport:
     """Consistency axiom: every row sums to 0 or 1 for every product."""
     report = ValidationReport()
-    products = model.diagram.valid_products()
     for s, name, assignment, edges in _row_groups(model):
-        row = row_sums(model.diagram, (profile for _, _, profile in edges))
-        for i, total in enumerate(row):
-            if total != 0 and total != 1:
-                report.violations.append((s, name, dict(assignment), products[i], total))
+        row = row_total(model.diagram, (profile for _, _, profile in edges))
+        for product, total in products_where(row, lambda v: v != 0 and v != 1):
+            report.violations.append((s, name, dict(assignment), product, total))
     return report
 
 
 def is_complete(model: FMDP) -> bool:
     """True iff every action is enabled in every state for every product."""
-    return all(
-        all(total == 1 for total in row_sums(model.diagram, (p for _, _, p in edges)))
+    return not any(
+        row_total(model.diagram, (p for _, _, p in edges)).where(lambda v: v != 1)
         for _, _, _, edges in _row_groups(model)
     )
 
@@ -464,17 +457,15 @@ def fts_to_fmdp(fts: FTS) -> FMDP:
         key: indicator(guard, fts.diagram) for key, guard in fts.transitions.items()
     }
     model = FMDP(fts.states, fts.init, fts.diagram, transitions, fts.ap, fts.labels)
-    products = model.diagram.valid_products()
     for s, name, assignment, edges in _row_groups(model):
-        if len(edges) < 2:
-            continue
-        for i, product in enumerate(products):
-            enabled = [t for _, t, profile in edges if to_dense(profile).values[i] != 0]
-            if len(enabled) > 1:
-                raise NondeterminismError(
-                    f"state {render_state(s)}, action {name}, observation "
-                    f"{assignment} enables {len(enabled)} targets for product {product}"
-                )
+        # a row of 0/1 indicators sums to the number of targets it enables
+        row = row_total(model.diagram, (profile for _, _, profile in edges))
+        if bad := products_where(row, lambda v: v > 1):
+            product, enabled = bad[0]
+            raise NondeterminismError(
+                f"state {render_state(s)}, action {name}, observation "
+                f"{assignment} enables {enabled} targets for product {product}"
+            )
     return model
 
 
@@ -486,16 +477,16 @@ def complete_deterministic(model: FMDP) -> FMDP:
     """
     transitions = dict(model.transitions)
     for s, name, assignment, edges in _row_groups(model):
-        row = row_sums(model.diagram, (profile for _, _, profile in edges))
-        bad = next((total for total in row if total not in (0, 1)), None)
-        if bad is not None:
+        row = row_total(model.diagram, (profile for _, _, profile in edges))
+        bad = products_where(row, lambda v: v != 0 and v != 1)
+        if bad:
             raise ModelError(
-                f"state {render_state(s)}, action {name}: row sums to {bad}, "
+                f"state {render_state(s)}, action {name}: row sums to {bad[0][1]}, "
                 "cannot complete a non-deterministic-profile row"
             )
-        if all(total == 1 for total in row):
+        residual = complement(row)
+        if not residual.where(bool):
             continue
-        residual = interned(model.diagram, [ONE - total for total in row])
         literals = [
             FVar(n) if v else FNot(FVar(n)) for n, v in sorted(assignment.items())
         ]
@@ -544,8 +535,7 @@ def _compose(
         full = (1 << len(diagram.valid_products())) - 1
         succ: dict[State, list[tuple[State, int]]] = {s: [] for s in states}
         for (s, _, t), profile in transitions.items():
-            mask = sum(1 << i for i, v in enumerate(to_dense(profile).values) if v > 0)
-            succ[s].append((t, mask))
+            succ[s].append((t, profile.where(lambda v: v > 0)))
         seeds = {s: full if init.get(s, 0) != 0 else 0 for s in states}
         reached = closure(seeds, succ, dict.fromkeys(states, full))
         states = tuple(s for s in states if reached[s])

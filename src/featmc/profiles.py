@@ -7,17 +7,24 @@ profiles.  Two representations exist:
   ``(guard, value)`` cases with first-match semantics plus a default value.
   Authored profiles (model files, constants, indicators) are guarded.
 * :class:`DenseProfile` is the evaluation form: one value per valid
-  product, indexed by the diagram's canonical product order.  Every
-  computed profile is dense: arithmetic reads both operands' dense values
-  and combines them product by product, whatever their representation.
+  product in canonical order.  Every computed profile is dense, its
+  values expanded from its groups as it is made.
+
+Both answer :meth:`Profile.groups`: the distinct values, each with the
+bitset of the valid products carrying it (bit i: the i-th canonical
+product).  Guards become bitsets, first match winning by masking, and
+arithmetic runs once per pair of operand groups that share products, so a
+computed profile holds one object per distinct value.  Row totals,
+validation, pruning and the engines' masks read the groups.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
-from .errors import DiagramMismatchError, InvalidProductError
+from .errors import DiagramMismatchError
 from .features import (
     FeatureDiagram,
     FeatureExpression,
@@ -26,24 +33,46 @@ from .features import (
     FVar,
     Product,
     conj,
+    flag_bytes,
 )
 from .rational import ONE, ZERO, rational
 
 
 class Profile:
-    """Common interface of both profile representations."""
+    """Common interface of both profiles; groups and values are built once."""
 
-    __slots__ = ("diagram",)
+    __slots__ = ("diagram", "_groups", "_values")
 
     def __init__(self, diagram: FeatureDiagram):
         self.diagram = diagram
+        self._groups: tuple | None = None
+        self._values: tuple | None = None
 
     def evaluate(self, product: Product):
-        raise NotImplementedError
+        return self.dense_values()[self.diagram.product_index(product)]
+
+    def groups(self) -> tuple[tuple[object, int], ...]:
+        """The distinct values, each with the bitset of the valid products
+        that carry it: disjoint bitsets that cover every valid product."""
+        if self._groups is None:
+            self._groups = self._make_groups()
+        return self._groups
 
     def dense_values(self) -> tuple:
-        """Values in canonical product order."""
-        raise NotImplementedError
+        """Values in canonical product order, expanded from the groups."""
+        if self._values is None:
+            n = len(self.diagram.valid_products())
+            groups = self.groups()
+            values = [groups[-1][0]] * n if groups else []
+            for value, bits in groups[:-1]:
+                for i in compress(range(n), flag_bytes(bits, n)):
+                    values[i] = value
+            self._values = tuple(values)
+        return self._values
+
+    def where(self, test: Callable) -> int:
+        """The bitset of the products whose value passes ``test``."""
+        return sum(bits for value, bits in self.groups() if test(value))  # disjoint sets
 
     # pointwise arithmetic -------------------------------------------------
 
@@ -80,27 +109,15 @@ class GuardedProfile(Profile):
         self.cases = tuple((g, rational(v) if not isinstance(v, float) else v) for g, v in cases)
         self.default = rational(default) if not isinstance(default, float) else default
 
-    def evaluate(self, product: Product):
-        product = self.diagram.normalize(product)
-        if not self.diagram.is_valid(product):
-            raise InvalidProductError(f"{product} is not valid for this profile's diagram")
-        assignment = product.as_dict()
+    def _make_groups(self):
+        """First match by masking: a case takes the products of its guard
+        no earlier case took, the default the rest; every guard is read."""
+        rest, taken = self.diagram.full, []
         for guard, value in self.cases:
-            if guard.evaluate(assignment):
-                return value
-        return self.default
-
-    def dense_values(self):
-        values = []
-        for product in self.diagram.valid_products():
-            assignment = product.as_dict()
-            for guard, value in self.cases:
-                if guard.evaluate(assignment):
-                    values.append(value)
-                    break
-            else:
-                values.append(self.default)
-        return tuple(values)
+            bits = self.diagram.bits(guard) & rest
+            taken.append((value, bits))
+            rest &= ~bits
+        return _merged([*taken, (self.default, rest)])
 
     def lift(self, diagram: FeatureDiagram) -> "GuardedProfile":
         if diagram == self.diagram:
@@ -116,7 +133,7 @@ class GuardedProfile(Profile):
 class DenseProfile(Profile):
     """One value per valid product, in canonical order."""
 
-    __slots__ = ("values",)
+    __slots__ = ()
 
     def __init__(self, diagram: FeatureDiagram, values: Sequence):
         super().__init__(diagram)
@@ -125,13 +142,23 @@ class DenseProfile(Profile):
             raise ValueError(
                 f"expected {len(diagram.valid_products())} values, got {len(values)}"
             )
-        self.values = values
+        self._values = values
 
-    def evaluate(self, product: Product):
-        return self.values[self.diagram.product_index(product)]
+    @classmethod
+    def of_groups(cls, diagram: FeatureDiagram, groups: tuple) -> "DenseProfile":
+        """The profile with these :meth:`groups`, its values expanded now."""
+        profile = cls.__new__(cls)
+        Profile.__init__(profile, diagram)
+        profile._groups = groups
+        profile.dense_values()
+        return profile
 
-    def dense_values(self):
-        return self.values
+    @property
+    def values(self) -> tuple:
+        return self.dense_values()
+
+    def _make_groups(self):
+        return _merged((value, 1 << i) for i, value in enumerate(self._values))
 
     def lift(self, diagram: FeatureDiagram) -> "DenseProfile":
         if diagram == self.diagram:
@@ -184,7 +211,7 @@ def to_dense(profile: Profile, diagram: FeatureDiagram | None = None) -> DensePr
         raise DiagramMismatchError("profile belongs to a different diagram")
     if isinstance(profile, DenseProfile):
         return profile
-    return DenseProfile(profile.diagram, profile.dense_values())
+    return DenseProfile.of_groups(profile.diagram, profile.groups())
 
 
 # ---------------------------------------------------------------------------
@@ -192,40 +219,31 @@ def to_dense(profile: Profile, diagram: FeatureDiagram | None = None) -> DensePr
 # ---------------------------------------------------------------------------
 
 
-def _check_same_diagram(p1: Profile, p2: Profile):
+def _merged(pairs: Iterable[tuple[object, int]]) -> tuple:
+    """``(value, bitset)`` pairs as groups: equal values merged, empty sets dropped."""
+    groups: dict = {}
+    for value, bits in pairs:
+        if bits:
+            groups[value] = groups.get(value, 0) | bits
+    return tuple(groups.items())
+
+
+def _binary(p1: Profile, other, op: Callable) -> DenseProfile:
+    """``op`` applied once per pair of operand values that share products;
+    equal results share one group."""
+    p2 = other if isinstance(other, Profile) else constant(other, p1.diagram)
     if p1.diagram != p2.diagram:
         raise DiagramMismatchError(
             "profiles belong to different feature diagrams; lift them first"
         )
-
-
-def _coerce(value, diagram: FeatureDiagram) -> Profile:
-    if isinstance(value, Profile):
-        return value
-    return constant(value, diagram)
-
-
-def interned(diagram: FeatureDiagram, values: Iterable) -> DenseProfile:
-    """Dense profile of ``values`` holding one object per distinct value.
-
-    Equal rationals are told apart by their (numerator, denominator), which
-    costs less than a Fraction's own hash; passes that group products by
-    value object then see each value once.
-    """
-    pool: dict = {}
-    return DenseProfile(
-        diagram,
-        [
-            pool.setdefault(v if isinstance(v, float) else (v.numerator, v.denominator), v)
-            for v in values
-        ],
+    right = p2.groups()
+    pairs = (
+        (op(a, b), bits & other_bits)
+        for a, bits in p1.groups()
+        for b, other_bits in right
+        if bits & other_bits
     )
-
-
-def _binary(p1: Profile, other, op: Callable) -> DenseProfile:
-    p2 = _coerce(other, p1.diagram)
-    _check_same_diagram(p1, p2)
-    return interned(p1.diagram, map(op, p1.dense_values(), p2.dense_values()))
+    return DenseProfile.of_groups(p1.diagram, _merged(pairs))
 
 
 def eval_profile(profile: Profile, product: Product):
@@ -248,11 +266,16 @@ def pointwise_max(p1: Profile, p2) -> Profile:
 
 def exceeds(p1: Profile, p2, tolerance=ZERO) -> bool:
     """True iff ``p1(p) > p2(p) + tolerance`` for at least one valid product."""
-    p2 = _coerce(p2, p1.diagram)
-    _check_same_diagram(p1, p2)
-    return any(
-        a > b + tolerance for a, b in zip(p1.dense_values(), p2.dense_values())
-    )
+    return bool(sub(p1, p2).where(lambda v: v > tolerance))
+
+
+def products_where(profile: Profile, test: Callable) -> list[tuple[Product, object]]:
+    """The valid products whose value passes ``test``, each with its value,
+    in canonical product order."""
+    if not profile.where(test):
+        return []
+    pairs = zip(profile.diagram.valid_products(), profile.dense_values())
+    return [(product, value) for product, value in pairs if test(value)]
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +293,8 @@ def probability_range_findings(profile: Profile) -> list[str]:
         if not (0 <= profile.default <= 1):
             findings.append(f"default value {profile.default} outside [0, 1]")
     else:
-        for product, value in zip(profile.diagram.valid_products(), profile.dense_values()):
-            if not (0 <= value <= 1):
-                findings.append(f"value {value} at product {product} outside [0, 1]")
+        for product, value in products_where(profile, lambda v: not 0 <= v <= 1):
+            findings.append(f"value {value} at product {product} outside [0, 1]")
     return findings
 
 
@@ -285,7 +307,6 @@ def reward_range_findings(profile: Profile) -> list[str]:
         if profile.default < 0:
             findings.append(f"default reward {profile.default} is negative")
     else:
-        for product, value in zip(profile.diagram.valid_products(), profile.dense_values()):
-            if value < 0:
-                findings.append(f"negative reward {value} at product {product}")
+        for product, value in products_where(profile, lambda v: v < 0):
+            findings.append(f"negative reward {value} at product {product}")
     return findings

@@ -1002,7 +1002,7 @@ class TestScaledEdges:
                 ]
                 for (_, groups), (_, vec) in zip(dense.groups[s], positive):
                     for i, v in enumerate(vec):
-                        carried = [w for w, flags in groups if flags[i]]
+                        carried = [w for w, bits in groups if bits >> i & 1]
                         assert carried == ([v] if v else [])
         assert nonzero_bits([ZERO, ONE, ZERO, rational(1, 3)]) == 0b1010
         assert nonzero_bits([]) == 0

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+from featmc.dsl import build_model
 from featmc.engines.bounded import sat_states
 from featmc.engines.dense import DenseModel, satisfaction
 from featmc.engines.enumerative import _FamilyCheck
 from featmc.engines.parametric import check_family_parametric
+from featmc.generators import gen_service_provider
 from featmc.profiles import DenseProfile, GuardedProfile
 from featmc.properties import parse_property
 from featmc.rational import rational
@@ -81,3 +83,21 @@ def test_edges_are_read_on_first_use(request, monkeypatch, name, formula):
     assert len(profile_reads) == len(model.transitions)
     assert dense.succ.keys() == dense.groups.keys() == set(model.states)
     assert len(profile_reads) == len(model.transitions)
+
+
+@pytest.mark.parametrize("name, prop", [("wiper", "energy"), ("service4", "fail_value")])
+def test_unbounded_parametric_queries_build_no_edge_vectors(request, monkeypatch, name, prop):
+    """An unbounded parametric ``R=?`` or ``P=?`` solves over support
+    tables and takes its cones' masks from the profiles' groups, so it
+    never expands an edge to per-product vectors."""
+    if name == "wiper":
+        built = request.getfixturevalue("wiper")
+    else:
+        built = build_model(gen_service_provider(4))
+
+    def edges(self):
+        raise AssertionError("DenseModel.edges was built")
+
+    monkeypatch.setattr(DenseModel, "edges", property(edges))
+    result = check_family_parametric(built.system, built.properties[prop])
+    assert len(result.outcomes) == len(built.system.diagram.valid_products())

@@ -1,13 +1,18 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from featmc.errors import EnumerationLimitError, ParseError, UnboundFeatureError
 from featmc.features import (
+    FALSE,
     FAnd,
+    FImplies,
     FNot,
+    FOr,
     FVar,
+    FXor,
     FeatureDiagram,
     Product,
     TRUE,
@@ -218,3 +223,44 @@ def test_satisfiable_prunes_contradictions():
     e = parse_feature_expression("(W & !A) & A")
     assert not satisfiable(e)
     assert satisfiable(parse_feature_expression("W & !A"))
+
+
+class TestGuardBits:
+    """A guard as the bitset of the valid products satisfying it."""
+
+    DIAGRAM = FeatureDiagram(
+        ("a", "b", "c", "d"), parse_feature_expression("(a -> b | c) & !(c & d)")
+    )
+
+    @staticmethod
+    def random_expression(rng, depth):
+        if depth == 0 or rng.random() < 0.2:
+            return rng.choice([FVar("a"), FVar("b"), FVar("c"), FVar("d"), TRUE, FALSE])
+        kind = rng.choice(["!", "&", "|", "^", "->"])
+        if kind == "!":
+            return FNot(TestGuardBits.random_expression(rng, depth - 1))
+        node = {"&": FAnd, "|": FOr, "^": FXor, "->": FImplies}[kind]
+        return node(*(TestGuardBits.random_expression(rng, depth - 1) for _ in range(2)))
+
+    def test_equals_per_product_evaluate(self):
+        rng = random.Random(20)
+        products = self.DIAGRAM.valid_products()
+        assert 0 < len(products) < 16
+        operators = set()
+        for _ in range(300):
+            expr = self.random_expression(rng, 4)
+            operators.add(type(expr))
+            expected = sum(
+                1 << i for i, p in enumerate(products) if expr.evaluate(p.as_dict())
+            )
+            assert self.DIAGRAM.bits(expr) == expected, print_expression(expr)
+        assert {FNot, FAnd, FOr, FXor, FImplies} <= operators
+
+    @pytest.mark.parametrize(
+        "text", ["missing", "false & missing", "a | !a | missing", "!(missing -> a) ^ b"]
+    )
+    def test_unbound_feature_is_reported_by_name(self, text):
+        # both operands are evaluated, so short-circuiting hides no name
+        with pytest.raises(UnboundFeatureError) as err:
+            self.DIAGRAM.bits(parse_feature_expression(text))
+        assert err.value.name == "missing"

@@ -23,7 +23,7 @@ from featmc.profiles import (
 )
 from featmc.rational import ONE, ZERO, rational
 
-from conftest import equals_pointwise
+from conftest import equals_pointwise, random_fdtmc
 
 
 WIPER = FeatureDiagram(("spd2", "very", "eco"))
@@ -190,6 +190,87 @@ def test_probability_range_validator():
     findings = probability_range_findings(bad)
     assert len(findings) == 1 and "1.5" in findings[0] or "3/2" in findings[0]
     assert probability_range_findings(alpha_profile()) == []
+
+
+class TestGroups:
+    """Every profile answers groups(): distinct values, each with the
+    bitset of the valid products carrying it."""
+
+    @staticmethod
+    def first_match(profile, product):
+        """A guarded profile's value at ``product``, guard by guard."""
+        assignment = product.as_dict()
+        return next(
+            (v for guard, v in profile.cases if guard.evaluate(assignment)), profile.default
+        )
+
+    def check_contract(self, profile, expected=None):
+        """``expected`` (per product) defaults to first match per product."""
+        products = profile.diagram.valid_products()
+        if expected is None:
+            expected = [self.first_match(profile, p) for p in products]
+        groups = profile.groups()
+        values = [v for v, _ in groups]
+        assert all(a != b for i, a in enumerate(values) for b in values[i + 1 :])
+        covered = 0
+        for _, bits in groups:
+            assert bits and not bits & covered  # nonempty and disjoint
+            covered |= bits
+        assert covered == profile.diagram.full
+        expanded = [
+            next(v for v, bits in groups if bits >> i & 1) for i in range(len(products))
+        ]
+        assert expanded == list(expected)
+        assert list(profile.dense_values()) == expanded
+        assert [profile.evaluate(p) for p in products] == expanded
+
+    def test_random_model_profiles(self):
+        rng = random.Random(8)
+        checked = 0
+        for _ in range(20):
+            m = random_fdtmc(rng, max_states=5, max_features=3, with_rewards=True)
+            for profile in [*m.transitions.values(), *m.rewards.values()]:
+                self.check_contract(profile)
+                checked += 1
+        assert checked > 100
+
+    def test_overlapping_first_match_guards(self):
+        profile = GuardedProfile(
+            WIPER,
+            [
+                (parse_feature_expression("spd2"), rational("0.5")),
+                (parse_feature_expression("spd2 | very"), rational("0.25")),
+                (parse_feature_expression("eco"), rational("0.5")),
+                (parse_feature_expression("spd2 & eco"), rational("0.75")),  # taken by case 1
+            ],
+            rational("0.25"),
+        )
+        self.check_contract(profile)
+        # 1/2 from the first and third case, 1/4 from the second and the default
+        assert len(profile.groups()) == 2
+
+    def test_dense_profile_with_equal_values_as_distinct_objects(self):
+        values = [rational(1, 2 + i % 2) for i in range(len(WIPER.valid_products()))]
+        assert len(set(map(id, values))) == len(values)
+        profile = DenseProfile(WIPER, values)
+        self.check_contract(profile, values)
+        assert len(profile.groups()) == 2
+
+    def test_computed_profiles(self):
+        a = alpha_profile()
+        eco = indicator(parse_feature_expression("eco"), WIPER)
+        tenths = [rational(i, 10) for i in range(8)]
+        av = [self.first_match(a, p) for p in WIPER.valid_products()]
+        ev = [self.first_match(eco, p) for p in WIPER.valid_products()]
+        for profile, expected in (
+            (a * eco, [x * y for x, y in zip(av, ev)]),
+            (a + a, [x + x for x in av]),
+            (complement(a), [1 - x for x in av]),
+            (pointwise_max(a, constant(rational("0.5"), WIPER)), [max(x, ONE / 2) for x in av]),
+            (sub(a, DenseProfile(WIPER, tenths)), [x - y for x, y in zip(av, tenths)]),
+            (to_dense(a), av),
+        ):
+            self.check_contract(profile, expected)
 
 
 # ---------------------------------------------------------------------------
