@@ -15,7 +15,8 @@ prob0 and 1 elsewhere, and only undecided (state, product) pairs are
 iterated.  The exact value always lies in ``[lo, hi]``; ``hi - lo`` is the
 undecided path mass, and a product stops being iterated once it is below
 the requested precision.  Threshold operators are decided three-valuedly
-on that interval.  A top-level query reads only the initial states, so it
+on that interval by the answer layer all engines share (``FamilyCheck`` in
+``engines/dense.py``).  A top-level query reads only the initial states, so it
 iterates only their cone of undecided states (the shared init cone).  The
 initial states' values depend only on the states they reach, so they are
 those of an iteration of every undecided state, sweep by sweep.  Nested
@@ -42,7 +43,7 @@ finite, where lo rises from 0 and hi falls from an upper bound derived
 from the largest reward and the slowest chance of reaching the target
 (:func:`bounded_expected_reward`); a state's reward is one more edge,
 into a sink valued 1.  Step-bounded until and next stay exact, on the
-shared per-product vectors of ``engines/dense.py``.
+shared per-product vectors of that layer.
 """
 
 from __future__ import annotations
@@ -54,12 +55,8 @@ from ..errors import ConvergenceError, UnsupportedPropertyError
 from ..features import flag_bytes
 from ..models import FDTMC
 from ..properties import (
-    Interval,
-    Next,
-    PAnd,
     Prob,
     Property,
-    RewardQuery,
     StateFormula,
     Until,
     bind_check,
@@ -67,17 +64,14 @@ from ..properties import (
     print_property,
 )
 from ..rational import INFINITY, ZERO, rational
-from ..result import SAT, UNKNOWN, VIOLATED, FamilyResult, ProductOutcome
+from ..result import FamilyResult
 from .dense import (
     DenseModel,
+    FamilyCheck,
     SatEntry,
     aggregate_init,
     bounded_until_vectors,
-    init_decisions,
-    next_vectors,
-    nonzero_bits,
     reward_cone,
-    satisfaction,
 )
 from .elimination import until_partition
 
@@ -360,45 +354,50 @@ def _family_until_run(
     return as_rationals(lo, read), as_rationals(hi, read)
 
 
-def _decide(interval: Interval, lo, hi) -> str:
-    """Three-valued threshold of a value known to lie in [lo, hi]."""
-    if interval.contains_range(lo, hi):
-        return SAT
-    if interval.disjoint_from_range(lo, hi):
-        return VIOLATED
-    return UNKNOWN
-
-
 # ---------------------------------------------------------------------------
-# Satisfaction maps (three-valued per product)
+# The answer on value intervals
 # ---------------------------------------------------------------------------
 
 
-def _path_interval(
-    dense: DenseModel, path, sat_of, epsilon, max_depth, bound=None, weights=None
-):
-    """Per-state value intervals [lo, hi] for a path formula.
+class _BoundedCheck(FamilyCheck):
+    """One property on every product, on certified value intervals;
+    ``bound`` fixes the sweeps of a top-level until."""
 
-    ``bound`` and ``weights`` apply to an unbounded until, as in
-    _family_until_run.  Undecided operands bracket the value between a run
-    on their definite and one on their possible satisfaction sets.
-    """
-    if isinstance(path, Next):
-        entry = sat_of(path.operand)
-        return next_vectors(dense, entry.lo), next_vectors(dense, entry.hi)
-    if not isinstance(path, Until):
-        raise UnsupportedPropertyError(f"unknown path formula {path!r}")
-    e1 = sat_of(path.left)
-    e2 = sat_of(path.right)
-    decided = e1.decided() and e2.decided()
-    if path.bound is not None:
-        lo = bounded_until_vectors(dense, e1.lo, e2.lo, path.bound)
-        hi = lo if decided else bounded_until_vectors(dense, e1.hi, e2.hi, path.bound)
+    exact = False
+
+    def __init__(self, dense: DenseModel, epsilon, max_depth: int, bound: int | None = None):
+        super().__init__(dense)
+        self.epsilon = epsilon
+        self.max_depth = max_depth
+        self.bound = bound
+
+    def until_bounds(self, path: Until, bound=None, weights=None):
+        """Per state, an unbounded until's value interval: a kernel run on
+        the operands' definite sets, and one on their possible sets for
+        ``hi`` unless they are decided (``bound``, ``weights``: as in
+        :func:`_family_until_run`)."""
+        left, right = self.sat_of(path.left), self.sat_of(path.right)
+        args = (self.epsilon, bound, self.max_depth, weights)
+        lo, hi = _family_until_run(self.dense, left.lo, right.lo, *args)
+        if not (left.decided() and right.decided()):
+            _, hi = _family_until_run(self.dense, left.hi, right.hi, *args)
         return lo, hi
-    lo, hi = _family_until_run(dense, e1.lo, e2.lo, epsilon, bound, max_depth, weights)
-    if not decided:
-        _, hi = _family_until_run(dense, e1.hi, e2.hi, epsilon, bound, max_depth, weights)
-    return lo, hi
+
+    def until_at_init(self, path: Until):
+        dense = self.dense
+        lo, hi = self.until_bounds(path, self.bound, dense.init)
+        return aggregate_init(dense, lo), aggregate_init(dense, hi)
+
+    def reward_at_init(self, target: StateFormula):
+        entry = self.sat_of(target)
+        if not entry.decided():
+            raise UnsupportedPropertyError(
+                "reward target could not be decided at this precision"
+            )
+        lo, hi, infinite = bounded_expected_reward(
+            self.dense, entry.lo, self.epsilon, self.max_depth
+        )
+        return [INFINITY if f else a for a, f in zip(lo, infinite)], hi
 
 
 def sat_states(
@@ -412,22 +411,12 @@ def sat_states(
 
     Nested probability operators are thresholded three-valuedly; whatever
     stays unresolved at precision ``epsilon`` is retried once at
-    ``epsilon/10`` by the caller (see check_family_bounded).
+    ``epsilon/10`` by check_family_bounded.
     """
     epsilon = rational("1/1000") if epsilon is None else epsilon
-
-    def nested(node: Prob, sat_of) -> SatEntry:
-        lo, hi = _path_interval(dense, node.path, sat_of, epsilon, max_depth)
-        entry = SatEntry({}, {})
-        for s in dense.states:
-            decisions = [_decide(node.interval, a, b) for a, b in zip(lo[s], hi[s])]
-            entry.lo[s] = nonzero_bits([d == SAT for d in decisions])
-            entry.hi[s] = nonzero_bits([d != VIOLATED for d in decisions])
-        return entry
-
-    entries: dict[StateFormula, SatEntry] = {}
-    satisfaction(dense, formula, nested, entries)
-    return entries
+    check = _BoundedCheck(dense, epsilon, max_depth)
+    check.sat_of(formula)
+    return check.entries
 
 
 # ---------------------------------------------------------------------------
@@ -514,53 +503,17 @@ def check_family_bounded(
         raise ValueError(f"depth ceiling must be at least 1, got {max_depth}")
     started = time.perf_counter()
     dense = DenseModel(model)
-    products = dense.products
     result = FamilyResult(ENGINE_NAME, print_property(prop))
-
-    def finish():
-        result.elapsed = time.perf_counter() - started
-        return result
-
-    if isinstance(prop, RewardQuery):
-        target_entry = sat_states(dense, prop.target, epsilon, max_depth)[prop.target]
-        if not target_entry.decided():
-            raise UnsupportedPropertyError(
-                "reward target could not be decided at this precision"
-            )
-        bounds = bounded_expected_reward(dense, target_entry.lo, epsilon, max_depth)
-        for product, a, b, infinite in zip(products, *bounds):
-            if infinite:
-                outcome = ProductOutcome(product, value=INFINITY, error_bound=ZERO)
-            else:
-                outcome = ProductOutcome(product, value=(a + b) / 2, error_bound=(b - a) / 2)
-            result.outcomes[product] = outcome
-        return finish()
-
-    def outcomes(eps) -> dict:
-        if not isinstance(prop, Prob):
-            decisions = init_decisions(dense, sat_states(dense, prop, eps, max_depth)[prop])
-            return {p: ProductOutcome(p, decision=d) for p, d in zip(products, decisions)}
-        path = prop.path
-        # one walk over both operands, so a nested operator they share runs once
-        operands = path.operand if isinstance(path, Next) else PAnd(path.left, path.right)
-        sat_of = sat_states(dense, operands, eps, max_depth).__getitem__
-        lo, hi = _path_interval(dense, path, sat_of, eps, max_depth, bound, dense.init)
-        out = {}
-        for p, a, b in zip(products, aggregate_init(dense, lo), aggregate_init(dense, hi)):
-            decision = None if prop.interval is None else _decide(prop.interval, a, b)
-            out[p] = ProductOutcome(
-                p, value=(a + b) / 2, decision=decision, error_bound=(b - a) / 2
-            )
-        return out
-
     # under a fixed sweep count a finer precision only helps nested
     # operators; without one the retry would repeat the same interval
     retry = bound is None or any(isinstance(f, Prob) for f in parse_tree(prop)[:-1])
     for used in (epsilon, epsilon / 10):
-        result.outcomes = outcomes(used)
+        outcomes = _BoundedCheck(dense, used, max_depth, bound).outcomes(prop)
+        result.outcomes = {o.product: o for o in outcomes}
         unknowns = len(result.unknown_products)
         if not unknowns or not retry:
             break
     if unknowns:
         result.warnings.append(f"{unknowns} products stayed unknown at precision {used}")
-    return finish()
+    result.elapsed = time.perf_counter() - started
+    return result

@@ -8,14 +8,17 @@ the edge vectors, which the enumerative lanes and the exact vectors below
 read, take a profile's value per product.
 
 The qualitative layer runs once for the family (Classen et al., ICSE 2010):
-satisfaction sets of state formulas (:func:`satisfaction`, which hands a
-threshold operator back to the engine's own solver), the init cone
+satisfaction sets of state formulas (:func:`satisfaction`), the init cone
 (:meth:`DenseModel.init_cone`), the cone and the infinite products of an
 expected reward (:func:`reward_cone`) and the verdicts of a plain state
 formula (:func:`init_decisions`).  Next and step-bounded until have exact
-per-product vectors (:func:`next_vectors`, :func:`bounded_until_vectors`,
-both behind :func:`exact_vectors`), aggregated at the initial distribution
-by :func:`aggregate_init`.
+per-product vectors (:func:`next_vectors`, :func:`bounded_until_vectors`),
+aggregated at the initial distribution by :func:`aggregate_init`.
+
+:class:`FamilyCheck`, which every engine subclasses, answers on top of
+it: thresholds, the next and step-bounded until dispatch and per-product
+outcomes, from the values of an unbounded until and of an expected reward
+that the engine supplies.
 """
 
 from __future__ import annotations
@@ -27,9 +30,20 @@ from typing import Callable, Sequence
 from ..errors import ModelError, UnsupportedPropertyError
 from ..features import bitset
 from ..models import FDTMC, State
-from ..properties import Atom, Next, PAnd, PNot, Prob, PTrue, StateFormula, Until
-from ..rational import ONE, ZERO
-from ..result import SAT, UNKNOWN, VIOLATED
+from ..properties import (
+    Atom,
+    Next,
+    PAnd,
+    PNot,
+    Prob,
+    Property,
+    PTrue,
+    RewardQuery,
+    StateFormula,
+    Until,
+)
+from ..rational import INFINITY, ONE, ZERO
+from ..result import SAT, UNKNOWN, VIOLATED, ProductOutcome
 from .elimination import closure, until_partition
 
 
@@ -153,7 +167,7 @@ class SatEntry:
 def satisfaction(
     dense: DenseModel,
     formula: StateFormula,
-    nested: Callable[[Prob, Callable], SatEntry],
+    nested: Callable[[Prob], SatEntry],
     entries: dict[StateFormula, SatEntry],
 ) -> SatEntry:
     """The :class:`SatEntry` of a state formula, built bottom-up over its
@@ -161,8 +175,7 @@ def satisfaction(
 
     ``true``, atoms, ``!`` and ``&`` are bit operations on every product at
     once (``!`` swaps the definite and the possible set).  A threshold
-    operator is the engine's: ``nested(node, sat_of)`` returns its entry,
-    with ``sat_of`` this walk for the operands of its path formula.
+    operator's entry is ``nested(node)`` (:meth:`FamilyCheck.nested`).
     """
     full = dense.full
     states = dense.states
@@ -194,7 +207,7 @@ def satisfaction(
                 raise UnsupportedPropertyError(
                     "quantitative operator is only allowed at the top level"
                 )
-            entry = nested(node, sat_of)
+            entry = nested(node)
         else:
             raise UnsupportedPropertyError(f"unknown state formula {node!r}")
         entries[node] = entry
@@ -288,19 +301,6 @@ def bounded_until_vectors(
     return x
 
 
-def exact_vectors(dense: DenseModel, path, sat: Callable) -> dict[State, list] | None:
-    """Per state and product, the exact values of a next or step-bounded
-    until, with ``sat`` giving each operand's product bitsets; None for an
-    unbounded until."""
-    if isinstance(path, Next):
-        return next_vectors(dense, sat(path.operand))
-    if not isinstance(path, Until):
-        raise UnsupportedPropertyError(f"unknown path formula {path!r}")
-    if path.bound is None:
-        return None
-    return bounded_until_vectors(dense, sat(path.left), sat(path.right), path.bound)
-
-
 def aggregate_init(dense: DenseModel, vectors) -> list:
     """Per product, the value of ``vectors`` (state -> per-product values)
     at the initial distribution."""
@@ -310,3 +310,105 @@ def aggregate_init(dense: DenseModel, vectors) -> list:
         for i in range(dense.n):
             out[i] += weight * row[i]
     return out
+
+
+# ---------------------------------------------------------------------------
+# The answer layer
+# ---------------------------------------------------------------------------
+
+
+class FamilyCheck:
+    """One property on every product of a dense model.
+
+    :meth:`sat_of` is the state-formula walk, memoised in ``entries``; it
+    decides a threshold operator per state and product from the operator's
+    value bounds (:meth:`nested`).  :meth:`outcomes` answers a top-level
+    query.  An engine supplies values through three hooks, each returning
+    ``(lo, hi)``, the same object twice where the values are exact:
+
+    * ``until_bounds(path)``: per state and product;
+    * ``until_at_init(path)``: per product, at the initial distribution;
+    * ``reward_at_init(target)``: the expected reward until ``target`` per
+      product, at the initial distribution (``inf`` where it diverges).
+
+    An ``exact`` engine reports its values as they are.  Otherwise a value
+    is the midpoint of its bounds with half their width as error bound,
+    and ``inf`` has error bound 0.
+    """
+
+    exact = True
+
+    def __init__(self, dense: DenseModel):
+        self.dense = dense
+        self.entries: dict[StateFormula, SatEntry] = {}
+
+    def sat_of(self, node: StateFormula) -> SatEntry:
+        return satisfaction(self.dense, node, self.nested, self.entries)
+
+    def sat(self, node: StateFormula) -> dict[State, int]:
+        """Per state, the products that definitely satisfy ``node``: every
+        one that does where the engine's values are exact."""
+        return self.sat_of(node).lo
+
+    def step_bounds(self, path) -> tuple[dict, dict] | None:
+        """Per state and product, the exact values of a next or step-bounded
+        until on the operands' definite and on their possible sets; where
+        the operands are decided, one set of vectors stands for both.  None
+        for an unbounded until."""
+        dense = self.dense
+        if isinstance(path, Next):
+            operand = self.sat_of(path.operand)
+            lo = next_vectors(dense, operand.lo)
+            return lo, lo if operand.decided() else next_vectors(dense, operand.hi)
+        if not isinstance(path, Until):
+            raise UnsupportedPropertyError(f"unknown path formula {path!r}")
+        if path.bound is None:
+            return None
+        left, right = self.sat_of(path.left), self.sat_of(path.right)
+        lo = bounded_until_vectors(dense, left.lo, right.lo, path.bound)
+        if left.decided() and right.decided():
+            return lo, lo
+        return lo, bounded_until_vectors(dense, left.hi, right.hi, path.bound)
+
+    def nested(self, node: Prob) -> SatEntry:
+        """A threshold operator's entry: per state, the products whose value
+        bounds decide it satisfied (definite) or not violated (possible)."""
+        lo, hi = self.step_bounds(node.path) or self.until_bounds(node.path)
+        decide = node.interval.decide
+        entry = SatEntry({}, {})
+        for s in self.dense.states:
+            decisions = [*map(decide, lo[s], hi[s])]
+            entry.lo[s] = nonzero_bits([d == SAT for d in decisions])
+            entry.hi[s] = nonzero_bits([d != VIOLATED for d in decisions])
+        return entry
+
+    def outcomes(self, prop: Property) -> list[ProductOutcome]:
+        """Every product's outcome, in canonical product order.  A plain
+        state formula is decided at the initial states (:func:`init_decisions`)."""
+        dense = self.dense
+        products = dense.products
+        interval = None
+        if isinstance(prop, RewardQuery):
+            lo, hi = self.reward_at_init(prop.target)
+        elif isinstance(prop, Prob):
+            interval = prop.interval
+            step = self.step_bounds(prop.path)
+            if step is None:
+                lo, hi = self.until_at_init(prop.path)
+            else:
+                lo = aggregate_init(dense, step[0])
+                hi = lo if step[1] is step[0] else aggregate_init(dense, step[1])
+        else:
+            decisions = init_decisions(dense, self.sat_of(prop))
+            return [ProductOutcome(p, decision=d) for p, d in zip(products, decisions)]
+        out = []
+        for p, a, b in zip(products, lo, hi):
+            decision = None if interval is None else interval.decide(a, b)
+            if self.exact:
+                value, error = a, None
+            elif a == INFINITY:
+                value, error = a, ZERO
+            else:
+                value, error = (a + b) / 2, (b - a) / 2
+            out.append(ProductOutcome(p, value=value, decision=decision, error_bound=error))
+        return out

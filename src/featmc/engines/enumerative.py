@@ -16,14 +16,15 @@ value per product: the graph bookkeeping runs once per class, while each
 lane sees the operations its own solve would make, in the same order.  A
 class of one solves on plain values.  Expected rewards solve
 ``x = P·x + r`` the same way; a product that misses the target with
-positive probability is infinite and solves nothing.  Next and
-step-bounded until use the exact per-product vectors of the dense form.
+positive probability is infinite and solves nothing.  Thresholds, next
+and step-bounded until and the outcomes come from the answer layer all
+engines share (``FamilyCheck`` in ``engines/dense.py``).
 
 A top-level unbounded until or reward reads only the value at the initial
 distribution: its system holds only the init cone, only the initial states
 are back-substituted, and a threshold is decided from their value.  A
-nested operator solves every undecided state and thresholds the values
-into a product bitset per state.  Float mode runs the same elimination on
+nested operator solves every undecided state, and the shared layer
+thresholds the values into a product bitset per state.  Float mode runs the same elimination on
 float64 rows: one direct solve with no stopping criterion, whose only
 error is rounding.  It raises where rounding makes a self-loop 1.
 
@@ -58,16 +59,7 @@ from ..properties import (
 )
 from ..rational import INFINITY, ONE, ZERO
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
-from .dense import (
-    DenseModel,
-    SatEntry,
-    aggregate_init,
-    exact_vectors,
-    init_decisions,
-    nonzero_bits,
-    reward_cone,
-    satisfaction,
-)
+from .dense import DenseModel, FamilyCheck, reward_cone
 from .elimination import SINK, _closure, closure as reachable, solve_linear, until_partition
 
 ENGINE_NAME = "enumerative"
@@ -366,7 +358,7 @@ def _as_floats(vectors) -> list:
     return out
 
 
-class _FamilyCheck:
+class _FamilyCheck(FamilyCheck):
     """One property on every product of a dense model.
 
     Satisfaction sets, the prob0/prob1 partition and the cones are
@@ -384,10 +376,9 @@ class _FamilyCheck:
     """
 
     def __init__(self, dense: DenseModel, float_mode: bool):
-        self.dense = dense
+        super().__init__(dense)
         self.float_mode = float_mode
         self.starts = [s for s, weight in dense.init.items() if weight]
-        self.entries: dict[StateFormula, SatEntry] = {}
         # per state, its out-edges with their vectors and the bitset of the
         # products whose edge is nonzero
         self.out = {}
@@ -491,26 +482,16 @@ class _FamilyCheck:
         zero = self.zero
         return [{s: v[k] if v else zero for s, v in values.items()} for k in range(len(members))]
 
-    def sat(self, node: StateFormula) -> dict:
-        """Per state, the bitset of products whose chain satisfies ``node``
-        there."""
-        return satisfaction(self.dense, node, self.nested, self.entries).lo
-
-    def nested(self, node: Prob, sat_of) -> SatEntry:
-        """A threshold operator's satisfaction sets, from its exact values
-        at every state (an unbounded until solves every undecided state):
-        definite and possible are the same."""
-        values = exact_vectors(self.dense, node.path, self.sat)
-        if values is None:
-            one, undecided, edges = self.partition(node.path)
-            solved = self.solve_all(self.flags(undecided), edges)
-            values = {s: [self.one if f else self.zero for f in flags] for s, flags in one.items()}
-            for i, solution in enumerate(solved):
-                for s, v in solution.items():
-                    values[s][i] = v
-        contains = node.interval.contains
-        bits = {s: nonzero_bits([*map(contains, values[s])]) for s in self.dense.states}
-        return SatEntry(bits, bits)
+    def until_bounds(self, path: Until):
+        """Exact values of an unbounded until at every state: every
+        undecided state is solved."""
+        one, undecided, edges = self.partition(path)
+        solved = self.solve_all(self.flags(undecided), edges)
+        values = {s: [self.one if f else self.zero for f in flags] for s, flags in one.items()}
+        for i, solution in enumerate(solved):
+            for s, v in solution.items():
+                values[s][i] = v
+        return values, values
 
     def partition(self, path: Until):
         """The prob1 flags of an unbounded until, the bitsets of its
@@ -525,12 +506,9 @@ class _FamilyCheck:
         one = self.flags(one)
         return one, undecided, self.edges(kept, one)
 
-    def initial_values(self, path) -> list:
-        """Per product, a top-level path formula's value at the initial
-        distribution; an unbounded until solves the init cone only."""
-        vectors = exact_vectors(self.dense, path, self.sat)
-        if vectors is not None:
-            return aggregate_init(self.dense, vectors)
+    def until_at_init(self, path: Until):
+        """Per product, an unbounded until's value at the initial
+        distribution, solved on the init cone only."""
         one, undecided, edges = self.partition(path)
         cone = self.flags(self.dense.init_cone(undecided))
         out = []
@@ -538,9 +516,9 @@ class _FamilyCheck:
             values = {s: self.one if one[s][i] else self.zero for s in self.starts}
             values.update(solution)
             out.append(_initial_value(self.dense, values))
-        return out
+        return out, out
 
-    def initial_rewards(self, target: StateFormula) -> list:
+    def reward_at_init(self, target: StateFormula):
         """Per product, the expected reward until ``target`` at the initial
         distribution: infinite on the products :func:`reward_cone` finds,
         otherwise solved on the states of the cone."""
@@ -560,25 +538,7 @@ class _FamilyCheck:
             values = dict.fromkeys(self.starts, self.zero)
             values.update(solution)
             out.append(_initial_value(dense, values))
-        return out
-
-    def outcomes(self, prop: Property) -> list[ProductOutcome]:
-        """Every product's outcome, in canonical product order."""
-        products = self.dense.products
-        if isinstance(prop, RewardQuery):
-            values = self.initial_rewards(prop.target)
-            return [ProductOutcome(p, value=v) for p, v in zip(products, values)]
-        if isinstance(prop, Prob):
-            values = self.initial_values(prop.path)
-            if prop.interval is None:
-                return [ProductOutcome(p, value=v) for p, v in zip(products, values)]
-            return [
-                ProductOutcome(p, value=v, decision=SAT if prop.interval.contains(v) else VIOLATED)
-                for p, v in zip(products, values)
-            ]
-        entry = satisfaction(self.dense, prop, self.nested, self.entries)
-        decisions = init_decisions(self.dense, entry)
-        return [ProductOutcome(p, decision=d) for p, d in zip(products, decisions)]
+        return out, out
 
 
 def check_family_enumerative(

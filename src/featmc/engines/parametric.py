@@ -22,10 +22,11 @@ departs from it in two ways:
 
 A top-level query adds one virtual initial unknown, whose row is the
 initial distribution, and back-substitutes only it.  A nested probability
-operator solves every state and thresholds each state's table per product
-into a product bitset.  Step-bounded until and next reuse the exact
-per-product vectors of ``engines/dense.py``, which need no division either,
-and a plain state formula is decided at the initial states.
+operator solves every state and reads each state's table per product.
+Thresholds, step-bounded until and next (exact per-product vectors, which
+need no division either), plain state formulas and the outcomes the
+closed form interpolates come from the answer layer all engines share
+(``FamilyCheck`` in ``engines/dense.py``).
 """
 
 from __future__ import annotations
@@ -44,21 +45,13 @@ from ..properties import (
     Property,
     RewardQuery,
     StateFormula,
+    Until,
     bind_check,
     print_property,
 )
 from ..rational import INFINITY, ONE, ZERO, rational
-from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
-from .dense import (
-    DenseModel,
-    SatEntry,
-    aggregate_init,
-    exact_vectors,
-    init_decisions,
-    nonzero_bits,
-    reward_cone,
-    satisfaction,
-)
+from ..result import FamilyResult
+from .dense import DenseModel, FamilyCheck, reward_cone
 from .elimination import SINK, solve_linear
 
 ENGINE_NAME = "parametric"
@@ -435,7 +428,7 @@ def profile_table(profile: Profile, diagram: FeatureDiagram) -> SupportTable:
 _VIRTUAL_INIT = ("__init__",)
 
 
-class _TableCheck:
+class _TableCheck(FamilyCheck):
     """One property on the whole family.
 
     Satisfaction sets come from the shared walker on product bitsets.  An
@@ -446,9 +439,8 @@ class _TableCheck:
     """
 
     def __init__(self, dense: DenseModel):
-        self.dense = dense
+        super().__init__(dense)
         self.diagram = dense.model.diagram
-        self.entries: dict[StateFormula, SatEntry] = {}
         self.indicators: dict[int, SupportTable] = {}
 
     @cached_property
@@ -500,50 +492,40 @@ class _TableCheck:
         wanted = [_VIRTUAL_INIT] if init else None
         return solve_linear(unknowns, rows, _closure, TABLE_ONE, wanted)
 
-    def sat(self, formula: StateFormula) -> dict:
-        return satisfaction(self.dense, formula, self.nested, self.entries).lo
+    def until_bounds(self, path: Until):
+        """Exact values of an unbounded until at every state and product."""
+        dense = self.dense
+        sat1, sat2 = self.sat(path.left), self.sat(path.right)
+        tables = self.solve(sat1, sat2)
+        values = {
+            s: [
+                ONE if sat2[s] >> i & 1 else tables[s].at(p) if sat1[s] >> i & 1 else ZERO
+                for i, p in enumerate(dense.products)
+            ]
+            for s in dense.states
+        }
+        return values, values
 
-    def nested(self, node: Prob, sat_of) -> SatEntry:
-        """A threshold operator's satisfaction sets, from its exact values
-        at every state and product: definite and possible are the same."""
-        dense, path = self.dense, node.path
-        values = exact_vectors(dense, path, self.sat)
-        if values is None:
-            sat1, sat2 = self.sat(path.left), self.sat(path.right)
-            tables = self.solve(sat1, sat2)
-            values = {
-                s: [
-                    ONE if sat2[s] >> i & 1 else tables[s].at(p) if sat1[s] >> i & 1 else ZERO
-                    for i, p in enumerate(dense.products)
-                ]
-                for s in dense.states
-            }
-        contains = node.interval.contains
-        bits = {s: nonzero_bits([*map(contains, values[s])]) for s in dense.states}
-        return SatEntry(bits, bits)
+    def until_at_init(self, path: Until):
+        sat1, sat2 = self.sat(path.left), self.sat(path.right)
+        table = self.solve(sat1, sat2, init=True)[_VIRTUAL_INIT]
+        values = [*map(table.at, self.dense.products)]
+        return values, values
 
-    def values(self, prop: Property) -> list:
-        """Exact per-product values of a top-level ``P`` or ``R``, in
-        canonical product order; an expected reward is ``inf`` on the
-        products :func:`reward_cone` finds."""
-        dense, infinite = self.dense, 0
-        if isinstance(prop, RewardQuery):
-            if dense.model.rewards is None:
-                raise ModelError("model has no rewards")
-            sat1, sat2 = dict.fromkeys(dense.states, dense.full), self.sat(prop.target)
-            _, infinite = reward_cone(dense, sat2)
-        elif not isinstance(prop, Prob):
-            raise UnsupportedPropertyError(
-                "the parametric engine needs a probability or reward operator at the top"
-            )
-        elif (vectors := exact_vectors(dense, prop.path, self.sat)) is not None:
-            return aggregate_init(dense, vectors)
-        else:
-            sat1, sat2 = self.sat(prop.path.left), self.sat(prop.path.right)
-        table = self.solve(sat1, sat2, isinstance(prop, RewardQuery), init=True)[_VIRTUAL_INIT]
-        return [
+    def reward_at_init(self, target: StateFormula):
+        """Expected rewards, ``inf`` on the products :func:`reward_cone`
+        finds."""
+        dense = self.dense
+        if dense.model.rewards is None:
+            raise ModelError("model has no rewards")
+        sat2 = self.sat(target)
+        _, infinite = reward_cone(dense, sat2)
+        everywhere = dict.fromkeys(dense.states, dense.full)
+        table = self.solve(everywhere, sat2, rewards=True, init=True)[_VIRTUAL_INIT]
+        values = [
             INFINITY if infinite >> i & 1 else table.at(p) for i, p in enumerate(dense.products)
         ]
+        return values, values
 
 
 def property_function(model: FDTMC, prop: Property) -> RationalFunction:
@@ -553,8 +535,12 @@ def property_function(model: FDTMC, prop: Property) -> RationalFunction:
     A reward function is meaningless when the reward is ``inf`` on some
     product; :func:`check_family_parametric` emits no closed form then.
     """
-    values = _TableCheck(DenseModel(model)).values(prop)
-    return RationalFunction(interpolate_family(values, model.diagram))
+    if not isinstance(prop, (Prob, RewardQuery)):
+        raise UnsupportedPropertyError(
+            "the parametric engine needs a probability or reward operator at the top"
+        )
+    outcomes = _TableCheck(DenseModel(model)).outcomes(prop)
+    return RationalFunction(interpolate_family([o.value for o in outcomes], model.diagram))
 
 
 def check_family_parametric(model: FDTMC, prop: Property | str) -> FamilyResult:
@@ -566,31 +552,19 @@ def check_family_parametric(model: FDTMC, prop: Property | str) -> FamilyResult:
     """
     prop = bind_check(prop, model.ap)
     started = time.perf_counter()
-    dense = DenseModel(model)
-    products = dense.products
-    check = _TableCheck(dense)
     result = FamilyResult(ENGINE_NAME, print_property(prop))
-    if not isinstance(prop, (Prob, RewardQuery)):
-        # plain state formula: decided at the initial states, no closed form
-        entry = satisfaction(dense, prop, check.nested, check.entries)
-        for product, decision in zip(products, init_decisions(dense, entry)):
-            result.outcomes[product] = ProductOutcome(product, decision=decision)
-        result.elapsed = time.perf_counter() - started
-        return result
-    values = check.values(prop)
-    interval = prop.interval if isinstance(prop, Prob) else None
-    for product, value in zip(products, values):
-        decision = None
-        if interval is not None:
-            decision = SAT if interval.contains(value) else VIOLATED
-        result.outcomes[product] = ProductOutcome(product, value=value, decision=decision)
-    diverging = [str(p) for p, v in zip(products, values) if v == INFINITY]
-    if diverging:
-        result.warnings.append(
-            "expected reward is infinite for products " + ", ".join(diverging)
-            + "; no closed form is emitted"
-        )
-    else:
-        result.function = RationalFunction(interpolate_family(values, model.diagram))
+    outcomes = _TableCheck(DenseModel(model)).outcomes(prop)
+    result.outcomes = {o.product: o for o in outcomes}
+    if isinstance(prop, (Prob, RewardQuery)):
+        # a plain state formula has no closed form
+        diverging = [str(o.product) for o in outcomes if o.value == INFINITY]
+        if diverging:
+            result.warnings.append(
+                "expected reward is infinite for products " + ", ".join(diverging)
+                + "; no closed form is emitted"
+            )
+        else:
+            values = [o.value for o in outcomes]
+            result.function = RationalFunction(interpolate_family(values, model.diagram))
     result.elapsed = time.perf_counter() - started
     return result

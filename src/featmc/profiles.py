@@ -13,8 +13,9 @@ profiles.  Two representations exist:
 Both answer :meth:`Profile.groups`: the distinct values, each with the
 bitset of the valid products carrying it (bit i: the i-th canonical
 product).  Guards become bitsets, first match winning by masking, and
-arithmetic runs once per pair of operand groups that share products, so a
-computed profile holds one object per distinct value.  Row totals,
+arithmetic runs once per pair of operand groups that share products (once
+per product where there are more pairs than products), so a computed
+profile holds one object per distinct value.  Row totals,
 validation, pruning and the engines' masks read the groups.
 """
 
@@ -229,17 +230,22 @@ def _merged(pairs: Iterable[tuple[object, int]]) -> tuple:
 
 
 def _binary(p1: Profile, other, op: Callable) -> DenseProfile:
-    """``op`` applied once per pair of operand values that share products;
-    equal results share one group."""
+    """``op`` applied once per pair of operand values that share products,
+    or once per product when there are more pairs than products; equal
+    results share one group."""
     p2 = other if isinstance(other, Profile) else constant(other, p1.diagram)
     if p1.diagram != p2.diagram:
         raise DiagramMismatchError(
             "profiles belong to different feature diagrams; lift them first"
         )
-    right = p2.groups()
+    left, right = p1.groups(), p2.groups()
+    if len(left) * len(right) > len(p1.diagram.valid_products()):
+        shared: dict = {}  # one object per distinct result
+        results = map(op, p1.dense_values(), p2.dense_values())
+        return DenseProfile(p1.diagram, [shared.setdefault(v, v) for v in results])
     pairs = (
         (op(a, b), bits & other_bits)
-        for a, bits in p1.groups()
+        for a, bits in left
         for b, other_bits in right
         if bits & other_bits
     )

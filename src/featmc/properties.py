@@ -21,6 +21,7 @@ from typing import Union
 
 from .errors import ParseError
 from .rational import ONE, ZERO, rat_str, rational
+from .result import SAT, UNKNOWN, VIOLATED
 
 
 # ---------------------------------------------------------------------------
@@ -96,20 +97,17 @@ class Interval:
             return value < self.upper
         return value <= self.upper
 
-    def contains_range(self, lo, hi) -> bool:
-        """Whole [lo, hi] inside J."""
-        return self.contains(lo) and self.contains(hi)
-
-    def disjoint_from_range(self, lo, hi) -> bool:
-        """Whole [lo, hi] outside J."""
-        if self.upper_strict:
-            if lo >= self.upper:
-                return True
-        elif lo > self.upper:
-            return True
-        if self.lower_strict:
-            return hi <= self.lower
-        return hi < self.lower
+    def decide(self, lo, hi) -> str:
+        """Three-valued threshold of a value known to lie in [lo, hi]: SAT
+        when all of [lo, hi] lies in J, VIOLATED when none of it does,
+        UNKNOWN otherwise.  An exact value (``lo == hi``) is tested once."""
+        if lo is hi or lo == hi:
+            return SAT if self.contains(lo) else VIOLATED
+        if self.contains(lo) and self.contains(hi):
+            return SAT
+        above = lo >= self.upper if self.upper_strict else lo > self.upper
+        below = hi <= self.lower if self.lower_strict else hi < self.lower
+        return VIOLATED if above or below else UNKNOWN
 
     def __str__(self):
         if self.lower == 0 and not self.lower_strict:

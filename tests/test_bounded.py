@@ -7,12 +7,11 @@ import pytest
 
 from featmc import bundled_model_path
 from featmc.dsl import build_model, parse_model
-from featmc.engines import bounded as bounded_engine
+from featmc.engines import bounded as bounded_engine, dense as dense_engine
 from featmc.engines.bounded import (
     DEFAULT_MAX_DEPTH,
     DenseModel,
     _bits,
-    _decide,
     _edge_table,
     _family_until_run,
     _Lanes,
@@ -386,23 +385,35 @@ class TestThreshold:
         lo, _ = _until(wiper.system, TRUE_F, Atom("end"), epsilon=rational("1e-4"))
         interval = Interval(ZERO, rational("0.5"))
         for s in wiper.system.states:
-            assert all(_decide(interval, v, v) != UNKNOWN for v in lo[s])
+            assert all(interval.decide(v, v) != UNKNOWN for v in lo[s])
 
     def test_full_interval_always_satisfied(self, wiper):
         lo, hi = _until(wiper.system, TRUE_F, Atom("end"), epsilon=rational("1e-4"))
         for s in wiper.system.states:
             assert all(
-                _decide(Interval(ZERO, ONE), a, b) == SAT for a, b in zip(lo[s], hi[s])
+                Interval(ZERO, ONE).decide(a, b) == SAT for a, b in zip(lo[s], hi[s])
             )
 
     def test_interval_containment_decides(self):
         interval = Interval(ZERO, rational("0.1"), upper_strict=True)
-        assert _decide(interval, rational("0.095"), rational("0.097")) == SAT
-        assert _decide(interval, rational("0.1"), rational("0.2")) == VIOLATED
+        assert interval.decide(rational("0.095"), rational("0.097")) == SAT
+        assert interval.decide(rational("0.1"), rational("0.2")) == VIOLATED
+        # an exact value (lo == hi) is decided by containment alone, also on
+        # a strict or a closed endpoint
+        tenth = rational("0.1")
+        assert interval.decide(tenth, tenth) == VIOLATED
+        assert Interval(ZERO, tenth).decide(tenth, tenth) == SAT
+        assert Interval(tenth, ONE, lower_strict=True).decide(tenth, tenth) == VIOLATED
+        assert Interval(tenth, ONE).decide(tenth, tenth) == SAT
+        for strict in (False, True):
+            for bounds in ((ZERO, tenth), (tenth, ONE), (tenth, rational("0.2"))):
+                for j in (Interval(*bounds, strict, False), Interval(*bounds, False, strict)):
+                    for v in (ZERO, rational("0.05"), tenth, rational("0.2"), ONE):
+                        assert j.decide(v, v) == (SAT if j.contains(v) else VIOLATED), (j, v)
 
     def test_straddling_interval_is_unknown(self):
         interval = Interval(ZERO, rational("0.1"), upper_strict=True)
-        assert _decide(interval, rational("0.099"), rational("0.101")) == UNKNOWN
+        assert interval.decide(rational("0.099"), rational("0.101")) == UNKNOWN
 
 
 class TestFamilyBounded:
@@ -677,6 +688,29 @@ class TestNestedOperators:
         for p, expected in enum.outcomes.items():
             o = result.outcomes[p]
             assert o.value - o.error_bound <= expected.value <= o.value + o.error_bound
+
+
+class TestStepVectors:
+    @pytest.mark.parametrize(
+        "prop, name",
+        [("P=?(X fastmode)", "next_vectors"), ("P=?(true U<=3 end)", "bounded_until_vectors")],
+    )
+    def test_built_once_when_the_operands_are_decided(self, wiper, monkeypatch, prop, name):
+        """Decided operands make the lower and the upper vectors equal, so
+        one set of vectors stands for both."""
+        calls = []
+        original = getattr(dense_engine, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dense_engine, name, counted)
+        result = check_family_bounded(wiper.system, prop)
+        assert len(calls) == 1
+        enum = check_family_enumerative(wiper.system, prop)
+        for p, o in result.outcomes.items():
+            assert (o.value, o.error_bound) == (enum.outcomes[p].value, 0)
 
 
 class TestThreeValuedSatMaps:

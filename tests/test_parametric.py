@@ -13,13 +13,14 @@ from featmc.engines.parametric import (
     interpolate_family,
     poly_to_text,
     profile_table,
+    property_function,
     rf_to_text,
 )
 from featmc import dsl, generators
 from featmc.cli import bundled_model_path, main
 from featmc.engines.bounded import check_family_bounded
 from featmc.engines.dense import DenseModel
-from featmc.errors import ModelError
+from featmc.errors import ModelError, UnsupportedPropertyError
 from featmc.features import FeatureDiagram, Product, parse_feature_expression
 from featmc.models import FDTMC
 from featmc.properties import Prob, parse_property, parse_tree
@@ -525,6 +526,18 @@ class TestFamilyParametric:
         values = {str(p): o.value for p, o in result.outcomes.items()}
         assert values["{spd2,very}"] == rational("26.25")
         assert values["{spd2,very,eco}"] == rational("17.5")
+
+    @pytest.mark.parametrize("prop", ["R=?[F end]", "P=?(X fastmode)", "P[>0.5](F end)"])
+    def test_property_function_interpolates_the_outcomes(self, wiper, prop):
+        result = check_family_parametric(wiper.system, prop)
+        function = property_function(wiper.system, parse_property(prop))
+        assert rf_to_text(function) == rf_to_text(result.function)
+        for p, o in result.outcomes.items():
+            assert function.evaluate(p) == o.value
+
+    def test_property_function_needs_an_operator_at_the_top(self, wiper):
+        with pytest.raises(UnsupportedPropertyError, match="probability or reward operator"):
+            property_function(wiper.system, parse_property("!end & fastmode"))
 
     def test_emission_format_parses_visually(self, wiper):
         result = check_family_parametric(wiper.system, "R=?[F end]")

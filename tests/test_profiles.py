@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -271,6 +272,24 @@ class TestGroups:
             (to_dense(a), av),
         ):
             self.check_contract(profile, expected)
+
+
+    def test_more_group_pairs_than_products(self):
+        """Operands whose group pairs outnumber the products are combined
+        product by product: the values of a per-product loop, one object
+        per distinct result."""
+        diagram = FeatureDiagram(tuple(f"f{i}" for i in range(10)))
+        n = len(diagram.valid_products())
+        distinct = DenseProfile(diagram, [rational(i + 1, 2048) for i in range(n)])
+        other = DenseProfile(diagram, [rational(i + 3, 4096) for i in range(n)])
+        few = DenseProfile(diagram, [rational(i % 3, 7) for i in range(n)])
+        for a, b in ((distinct, other), (distinct, few), (few, distinct), (few, few)):
+            for op in (operator.mul, operator.add, operator.sub):
+                expected = [*map(op, a.dense_values(), b.dense_values())]
+                profile = op(a, b)
+                assert list(profile.dense_values()) == expected
+                assert len(profile.groups()) == len(set(expected))
+                assert len(set(map(id, profile.dense_values()))) == len(profile.groups())
 
 
 # ---------------------------------------------------------------------------
