@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import ModelError, ParseError
+from .errors import NUMBER, ModelError, TokenStream
 from .features import (
     FNot,
     FOr,
@@ -45,7 +45,7 @@ from .features import (
     FTrue,
     TRUE,
     conj,
-    parse_feature_expression,
+    feature_expression,
     print_expression,
 )
 from .models import (
@@ -66,7 +66,7 @@ from .models import (
 )
 from .profiles import GuardedProfile, Profile, add, complement, products_where
 from .properties import parse_property
-from .rational import ONE, ZERO, rat_str, rational
+from .rational import ONE, ZERO, rat_str
 
 # ---------------------------------------------------------------------------
 # Syntax tree of a model file
@@ -144,14 +144,14 @@ class ModelFile:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Parsing
 # ---------------------------------------------------------------------------
 
 _DSL_TOKEN = re.compile(
-    r"""
+    rf"""
       (?P<ws>\s+|//[^\n]*)
-    | (?P<punct>\|\||\|>|-\(|\)->|->|[{}()\[\];:,=|!&^])
-    | (?P<num>\d+(?:\.\d+)?(?:[eE]-?\d+)?(?:/\d+)?)
+    | (?P<punct>\|\||\|>|-\(|\)->|->|[{{}}()\[\];:,=|!&^])
+    | (?P<num>{NUMBER})
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<string>"[^"]*")
     """,
@@ -159,119 +159,30 @@ _DSL_TOKEN = re.compile(
 )
 
 
-@dataclass
-class Token:
-    text: str
-    kind: str
-    line: int
-    column: int
+def _name(stream: TokenStream) -> str:
+    if stream.kind() != "name":
+        stream.error("expected a name")
+    return stream.take()
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        match = _DSL_TOKEN.match(text, pos)
-        if match is None:
-            column = pos - line_start + 1
-            raise ParseError(f"unexpected character {text[pos]!r}", line, column)
-        kind = match.lastgroup
-        chunk = match.group(0)
-        if kind != "ws":
-            tokens.append(Token(chunk, kind, line, match.start() - line_start + 1))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            line_start = match.start() + chunk.rindex("\n") + 1
-        pos = match.end()
-    return tokens
+def _names(stream: TokenStream) -> tuple[str, ...]:
+    """The names up to the closing ``;``."""
+    names = []
+    while stream.kind() == "name":
+        names.append(stream.take())
+    stream.expect(";")
+    return tuple(names)
 
 
-class _Stream:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def take(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of file")
-        self.index += 1
-        return tok
-
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.text != text:
-            self.error(f"expected {text!r}")
-        return self.take()
-
-    def accept(self, text: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok.text == text:
-            self.take()
-            return True
-        return False
-
-    def name(self) -> str:
-        tok = self.peek()
-        if tok is None or tok.kind != "name":
-            self.error("expected a name")
-        return self.take().text
-
-    def error(self, message: str):
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            raise ParseError(message, last.line if last else 1, last.column if last else 1)
-        raise ParseError(message, tok.line, tok.column)
-
-
-# Feature expressions reuse their own parser; inside the DSL they appear in
-# brackets or after "obs:" and are captured as token slices first.
-
-_EXPR_STOP = {"]", ")", ";", ","}
-
-
-def _capture_expression(stream: _Stream, stop: set[str]) -> FeatureExpression:
-    depth = 0
-    parts = []
-    start = stream.peek()
-    while True:
-        tok = stream.peek()
-        if tok is None:
-            stream.error("unterminated expression")
-        if depth == 0 and tok.text in stop:
-            break
-        if tok.text == "(":
-            depth += 1
-        elif tok.text == ")":
-            if depth == 0:
-                break
-            depth -= 1
-        parts.append(stream.take().text)
-    if not parts:
-        stream.error("empty expression")
-    try:
-        return parse_feature_expression(" ".join(parts))
-    except ParseError as exc:
-        raise ParseError(str(exc), start.line, start.column) from None
-
-
-def _parse_cases(stream: _Stream, implicit_one: bool) -> tuple[CaseDef, ...]:
+def _parse_cases(stream: TokenStream, implicit_one: bool) -> tuple[CaseDef, ...]:
     cases = []
     while True:
         guard = None
         if stream.accept("["):
-            guard = _capture_expression(stream, {"]"})
+            guard = feature_expression(stream)
             stream.expect("]")
-        tok = stream.peek()
-        if tok is not None and tok.kind == "num":
-            value = rational(stream.take().text)
+        if stream.kind() == "num":
+            value = stream.number()
         elif guard is not None and implicit_one:
             value = ONE
         else:
@@ -282,8 +193,8 @@ def _parse_cases(stream: _Stream, implicit_one: bool) -> tuple[CaseDef, ...]:
     return tuple(cases)
 
 
-def _parse_component(stream: _Stream, kind: str) -> ComponentDef:
-    name = stream.name()
+def _parse_component(stream: TokenStream, kind: str) -> ComponentDef:
+    name = _name(stream)
     stream.expect("{")
     states: tuple[str, ...] = ()
     init: list[tuple[str, object | None]] = []
@@ -291,59 +202,46 @@ def _parse_component(stream: _Stream, kind: str) -> ComponentDef:
     transitions: list[TransitionDef] = []
     rewards: list[tuple[str, tuple[CaseDef, ...]]] = []
     while not stream.accept("}"):
-        tok = stream.peek()
-        if tok is None:
+        if stream.done:
             stream.error("unterminated component block")
-        if tok.text == "states":
-            stream.take()
-            names = []
-            while stream.peek() is not None and stream.peek().kind == "name":
-                names.append(stream.take().text)
-            stream.expect(";")
-            states = tuple(names)
-        elif tok.text == "init":
-            stream.take()
+        if stream.accept("states"):
+            states = _names(stream)
+        elif stream.accept("init"):
             while True:
-                state = stream.name()
+                state = _name(stream)
                 weight = None
                 if stream.accept("["):
-                    weight = rational(stream.take().text)
+                    weight = stream.number()
                     stream.expect("]")
                 init.append((state, weight))
                 if not stream.accept(","):
                     break
             stream.expect(";")
-        elif tok.text == "label":
-            stream.take()
-            state = stream.name()
+        elif stream.accept("label"):
+            state = _name(stream)
             stream.expect(":")
-            props = []
-            while stream.peek() is not None and stream.peek().kind == "name":
-                props.append(stream.take().text)
-            stream.expect(";")
-            labels.append((state, tuple(props)))
-        elif tok.text == "reward":
-            stream.take()
-            state = stream.name()
+            labels.append((state, _names(stream)))
+        elif stream.accept("reward"):
+            state = _name(stream)
             stream.expect(":")
             cases = _parse_cases(stream, implicit_one=False)
             stream.expect(";")
             rewards.append((state, cases))
         else:
-            source = stream.name()
+            source = _name(stream)
             action = None
             obs: FeatureExpression = TRUE
             if stream.accept("-("):
-                action = stream.name()
+                action = _name(stream)
                 if stream.accept("|"):
-                    if stream.name() != "obs":
+                    if _name(stream) != "obs":
                         stream.error("expected 'obs'")
                     stream.expect(":")
-                    obs = _capture_expression(stream, {")->"})
+                    obs = feature_expression(stream)
                 stream.expect(")->")
             else:
                 stream.expect("->")
-            target = stream.name()
+            target = _name(stream)
             stream.expect(":")
             cases = _parse_cases(stream, implicit_one=(kind == "fts"))
             stream.expect(";")
@@ -353,13 +251,13 @@ def _parse_component(stream: _Stream, kind: str) -> ComponentDef:
     )
 
 
-def _parse_system_expr(stream: _Stream) -> SystemExpr:
+def _parse_system_expr(stream: TokenStream) -> SystemExpr:
     def parse_term() -> SystemExpr:
         if stream.accept("("):
             inner = _parse_system_expr(stream)
             stream.expect(")")
             return inner
-        name = stream.name()
+        name = _name(stream)
         if name == "complete":
             stream.expect("(")
             inner = _parse_system_expr(stream)
@@ -379,45 +277,34 @@ def _parse_system_expr(stream: _Stream) -> SystemExpr:
 
 def parse_model_file(text: str) -> ModelFile:
     """Parse a model file into its syntax tree (no semantic checks yet)."""
-    stream = _Stream(text)
+    stream = TokenStream(text, _DSL_TOKEN)
     features: tuple[str, ...] = ()
     constraints: list[FeatureExpression] = []
     components: list[ComponentDef] = []
     system: SystemExpr | None = None
     properties: list[tuple[str, str]] = []
-    while stream.peek() is not None:
+    while not stream.done:
         tok = stream.peek()
-        if tok.text == "features":
-            stream.take()
-            names = []
-            while stream.peek() is not None and stream.peek().kind == "name":
-                names.append(stream.take().text)
+        if stream.accept("features"):
+            features = features + _names(stream)
+        elif stream.accept("constraint"):
+            constraints.append(feature_expression(stream))
             stream.expect(";")
-            features = features + tuple(names)
-        elif tok.text == "constraint":
-            stream.take()
-            constraints.append(_capture_expression(stream, {";"}))
-            stream.expect(";")
-        elif tok.text in ("fdtmc", "fmdp", "fts"):
-            kind = stream.take().text
-            components.append(_parse_component(stream, kind))
-        elif tok.text == "system":
-            stream.take()
+        elif tok in ("fdtmc", "fmdp", "fts"):
+            components.append(_parse_component(stream, stream.take()))
+        elif stream.accept("system"):
             stream.expect("=")
             system = _parse_system_expr(stream)
             stream.expect(";")
-        elif tok.text == "property":
-            stream.take()
-            name = stream.name()
+        elif stream.accept("property"):
+            name = _name(stream)
             stream.expect("=")
-            string = stream.peek()
-            if string is None or string.kind != "string":
+            if stream.kind() != "string":
                 stream.error("expected a quoted property string")
-            stream.take()
+            properties.append((name, stream.take()[1:-1]))
             stream.expect(";")
-            properties.append((name, string.text[1:-1]))
         else:
-            stream.error(f"unexpected {tok.text!r} at top level")
+            stream.error(f"unexpected {tok!r} at top level")
     return ModelFile(features, tuple(constraints), tuple(components), system, tuple(properties))
 
 

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import EnumerationLimitError, ParseError, UnboundFeatureError
+from .errors import EnumerationLimitError, TokenStream, UnboundFeatureError
 
 # ---------------------------------------------------------------------------
 # Feature expressions
@@ -243,108 +243,57 @@ def print_expression(expr: FeatureExpression) -> str:
     return render(expr, 0)
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<op>[!&|^()])|(?P<name>[A-Za-z_][A-Za-z0-9_]*))"
+_GUARD_TOKEN = re.compile(
+    r"(?P<ws>\s+)|(?P<punct>->|[!&|^()])|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
 )
 
-
-def _tokenize_expr(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = len(text) - len(stripped) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", column=col)
-        pos = match.end()
-        kind = match.lastgroup
-        tokens.append((match.group(kind), match.start(kind) + 1))
-    return tokens
+#: the binary operators from loosest to tightest; all associate to the right
+_LEVELS = (("->", FImplies), ("|", FOr), ("^", FXor), ("&", FAnd))
 
 
-def parse_feature_expression(text: str) -> FeatureExpression:
-    """Parse the guard syntax: ``!``, ``&``, ``^``, ``|``, ``->``, parens.
+def feature_expression(stream: TokenStream) -> FeatureExpression:
+    """Read one guard from ``stream`` and leave the stream at the first
+    token that cannot continue it (a model file's ``]``, ``)->`` or ``;``).
 
     Precedence from tightest to loosest: ``!``, ``&``, ``^``, ``|``, ``->``;
     binary operators associate to the right.  ``true`` and ``false`` are
-    keywords, anything else alphanumeric is a feature name.
+    keywords, any other name is a feature.
     """
-    tokens = _tokenize_expr(text)
-    index = 0
+    return _guard(stream, 0)
 
-    def peek():
-        return tokens[index][0] if index < len(tokens) else None
 
-    def take():
-        nonlocal index
-        tok = tokens[index]
-        index += 1
-        return tok
-
-    def error(message):
-        col = tokens[index][1] if index < len(tokens) else len(text) + 1
-        raise ParseError(message, column=col)
-
-    def parse_atom():
-        tok = peek()
-        if tok is None:
-            error("unexpected end of expression")
-        if tok == "(":
-            take()
-            inner = parse_implies()
-            if peek() != ")":
-                error("expected ')'")
-            take()
-            return inner
-        if tok == "!":
-            take()
-            return FNot(parse_atom())
-        if tok == "true":
-            take()
-            return TRUE
-        if tok == "false":
-            take()
-            return FALSE
-        if tok.isidentifier():
-            take()
-            return FVar(tok)
-        error(f"unexpected token {tok!r}")
-
-    def parse_and():
-        left = parse_atom()
-        if peek() == "&":
-            take()
-            return FAnd(left, parse_and())
+def _guard(stream: TokenStream, level: int) -> FeatureExpression:
+    """The operator of ``_LEVELS[level]`` and tighter; past them, an operand."""
+    if level < len(_LEVELS):
+        op, node = _LEVELS[level]
+        left = _guard(stream, level + 1)
+        if stream.accept(op):
+            return node(left, _guard(stream, level))
         return left
+    tok = stream.peek()
+    if tok == "(":
+        stream.take()
+        inner = _guard(stream, 0)
+        stream.expect(")")
+        return inner
+    if tok == "!":
+        stream.take()
+        return FNot(_guard(stream, level))
+    if stream.kind() == "name":
+        stream.take()
+        return TRUE if tok == "true" else FALSE if tok == "false" else FVar(tok)
+    if tok is None:
+        stream.error("unexpected end of expression")
+    stream.error(f"unexpected token {tok!r}")
 
-    def parse_xor():
-        left = parse_and()
-        if peek() == "^":
-            take()
-            return FXor(left, parse_xor())
-        return left
 
-    def parse_or():
-        left = parse_xor()
-        if peek() == "|":
-            take()
-            return FOr(left, parse_or())
-        return left
-
-    def parse_implies():
-        left = parse_or()
-        if peek() == "->":
-            take()
-            return FImplies(left, parse_implies())
-        return left
-
-    result = parse_implies()
-    if index != len(tokens):
-        error(f"trailing input {tokens[index][0]!r}")
-    return result
+def parse_feature_expression(text: str) -> FeatureExpression:
+    """Parse a guard string: ``!``, ``&``, ``^``, ``|``, ``->``, parens."""
+    stream = TokenStream(text, _GUARD_TOKEN, lines=False)
+    expr = feature_expression(stream)
+    if not stream.done:
+        stream.error(f"trailing input {stream.peek()!r}")
+    return expr
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ParseError
-from .rational import ONE, ZERO, rat_str, rational
+from .errors import NUMBER, ParseError, TokenStream
+from .rational import ONE, ZERO, rat_str
 from .result import SAT, UNKNOWN, VIOLATED
 
 
@@ -278,89 +278,31 @@ def print_property(prop: Property) -> str:
 # ---------------------------------------------------------------------------
 
 _PROP_TOKEN = re.compile(
-    r"""\s*(?:
-        (?P<punct><=|>=|=\?|[!&|()\[\],<>])
-      | (?P<num>\d+(?:\.\d+)?(?:[eE]-?\d+)?(?:/\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    )""",
-    re.VERBOSE,
+    rf"(?P<ws>\s+)|(?P<punct><=|>=|=\?|[!&|()\[\],<>])|(?P<num>{NUMBER})"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
 )
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            match = _PROP_TOKEN.match(text, pos)
-            if match is None or match.end() == pos:
-                rest = text[pos:].lstrip()
-                if not rest:
-                    break
-                raise ParseError(
-                    f"unexpected character {rest[0]!r}",
-                    column=len(text) - len(rest) + 1,
-                )
-            pos = match.end()
-            kind = match.lastgroup
-            self.items.append((match.group(kind), match.start(kind) + 1))
-        self.index = 0
-
-    def peek(self) -> str | None:
-        return self.items[self.index][0] if self.index < len(self.items) else None
-
-    def take(self) -> str:
-        tok = self.items[self.index][0]
-        self.index += 1
-        return tok
-
-    def expect(self, token: str):
-        if self.peek() != token:
-            self.error(f"expected {token!r}")
-        return self.take()
-
-    def error(self, message: str):
-        col = (
-            self.items[self.index][1]
-            if self.index < len(self.items)
-            else len(self.text) + 1
-        )
-        raise ParseError(message, column=col)
-
-    @property
-    def done(self) -> bool:
-        return self.index >= len(self.items)
-
-
-def _parse_number(tokens: _Tokens):
-    tok = tokens.peek()
-    if tok is None or not (tok[0].isdigit()):
-        tokens.error("expected a number")
-    return rational(tokens.take())
-
-
-def _parse_bound(tokens: _Tokens) -> Interval:
+def _parse_bound(tokens: TokenStream) -> Interval:
     tok = tokens.peek()
     if tok in ("<", "<=", ">", ">="):
-        op = tokens.take()
-        value = _parse_number(tokens)
-        if op == "<":
+        tokens.take()
+        value = tokens.number()
+        if tok == "<":
             return Interval(ZERO, value, upper_strict=True)
-        if op == "<=":
+        if tok == "<=":
             return Interval(ZERO, value)
-        if op == ">":
+        if tok == ">":
             return Interval(value, ONE, lower_strict=True)
         return Interval(value, ONE)
-    lower = _parse_number(tokens)
+    lower = tokens.number()
     tokens.expect(",")
-    upper = _parse_number(tokens)
+    upper = tokens.number()
     return Interval(lower, upper)
 
 
-def _parse_step_bound(tokens: _Tokens) -> int | None:
-    if tokens.peek() == "<=":
-        tokens.take()
+def _parse_step_bound(tokens: TokenStream) -> int | None:
+    if tokens.accept("<="):
         tok = tokens.peek()
         if tok is None or not tok.isdigit():
             tokens.error("expected an integer step bound")
@@ -368,28 +310,22 @@ def _parse_step_bound(tokens: _Tokens) -> int | None:
     return None
 
 
-def _parse_path(tokens: _Tokens) -> PathFormula:
-    tok = tokens.peek()
-    if tok == "X":
-        tokens.take()
-        return Next(_parse_state(tokens, nested=True))
-    if tok == "F":
-        tokens.take()
+def _parse_path(tokens: TokenStream) -> PathFormula:
+    if tokens.accept("X"):
+        return Next(_parse_state_or(tokens, nested=True))
+    if tokens.accept("F"):
         bound = _parse_step_bound(tokens)
-        return Until(TRUE_F, _parse_state(tokens, nested=True), bound)
-    left = _parse_state(tokens, nested=True)
-    if tokens.peek() != "U":
+        return Until(TRUE_F, _parse_state_or(tokens, nested=True), bound)
+    left = _parse_state_or(tokens, nested=True)
+    if not tokens.accept("U"):
         tokens.error("expected 'U' in path formula")
-    tokens.take()
     bound = _parse_step_bound(tokens)
-    right = _parse_state(tokens, nested=True)
+    right = _parse_state_or(tokens, nested=True)
     return Until(left, right, bound)
 
 
-def _parse_state_atom(tokens: _Tokens, nested: bool) -> StateFormula:
+def _parse_state_atom(tokens: TokenStream, nested: bool) -> StateFormula:
     tok = tokens.peek()
-    if tok is None:
-        tokens.error("unexpected end of property")
     if tok == "(":
         tokens.take()
         inner = _parse_state_or(tokens, nested)
@@ -419,48 +355,42 @@ def _parse_state_atom(tokens: _Tokens, nested: bool) -> StateFormula:
         path = _parse_path(tokens)
         tokens.expect(")")
         return Prob(interval, path)
-    if tok.isidentifier():
+    if tokens.kind() == "name":
         tokens.take()
         return Atom(tok)
+    if tok is None:
+        tokens.error("unexpected end of property")
     tokens.error(f"unexpected token {tok!r}")
 
 
-def _parse_state_and(tokens: _Tokens, nested: bool) -> StateFormula:
+def _parse_state_and(tokens: TokenStream, nested: bool) -> StateFormula:
     left = _parse_state_atom(tokens, nested)
-    if tokens.peek() == "&":
-        tokens.take()
+    if tokens.accept("&"):
         return PAnd(left, _parse_state_and(tokens, nested))
     return left
 
 
-def _parse_state_or(tokens: _Tokens, nested: bool) -> StateFormula:
+def _parse_state_or(tokens: TokenStream, nested: bool) -> StateFormula:
     left = _parse_state_and(tokens, nested)
-    if tokens.peek() == "|":
-        tokens.take()
+    if tokens.accept("|"):
         return disjunction(left, _parse_state_or(tokens, nested))
     return left
 
 
-def _parse_state(tokens: _Tokens, nested: bool) -> StateFormula:
-    return _parse_state_or(tokens, nested)
-
-
 def parse_property(text: str) -> Property:
     """Parse a property string into a state formula or reward query."""
-    tokens = _Tokens(text)
-    if tokens.peek() == "R":
-        tokens.take()
+    tokens = TokenStream(text, _PROP_TOKEN, lines=False)
+    if tokens.accept("R"):
         tokens.expect("=?")
         tokens.expect("[")
-        if tokens.peek() != "F":
+        if not tokens.accept("F"):
             tokens.error("reward queries have the form R=?[F target]")
-        tokens.take()
-        target = _parse_state(tokens, nested=True)
+        target = _parse_state_or(tokens, nested=True)
         tokens.expect("]")
         if not tokens.done:
             tokens.error("trailing input after reward query")
         return RewardQuery(target)
-    formula = _parse_state(tokens, nested=False)
+    formula = _parse_state_or(tokens, nested=False)
     if not tokens.done:
         tokens.error("trailing input after property")
     return formula

@@ -121,6 +121,33 @@ class TestCheck:
         assert f"argument {option[0]}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "bad, position",
+        [
+            ("init a [1/0];", "line 4, column 11"),
+            ("init a [0.5/2];", "line 4, column 11"),
+            ("init a [x];", "line 4, column 11"),
+            ("init a; a -> b : [(f] 0.5;", "line 4, column 23"),
+        ],
+    )
+    def test_malformed_model_exits_2_with_a_position(self, capsys, tmp_path, bad, position):
+        target = tmp_path / "bad.fdl"
+        target.write_text(
+            "features f;\nfdtmc M {\n  states a b;\n  " + bad + "\n}\n"
+        )
+        code, out, err = run_cli(capsys, "check", str(target), "--prop", "P=?(F a)")
+        assert code == 2
+        assert out == ""
+        assert f"at {position}" in err
+        assert "Traceback" not in err
+
+    def test_malformed_number_in_a_property_exits_2(self, capsys, wiper_path):
+        code, _, err = run_cli(
+            capsys, "check", wiper_path, "--prop", "P[<1/0](F end)", "--engine", "enum"
+        )
+        assert code == 2
+        assert "malformed number '1/0' at column 4" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "check", "/nonexistent.fdl", "--prop", "x")
         assert code == 2

@@ -103,6 +103,74 @@ system = M;
         assert validate_fdtmc(built.system).ok
 
 
+MALFORMED = """features f g;
+constraint {constraint};
+
+fmdp M {{
+  states a b;
+  init {init};
+  a -(t | obs: {obs})-> b : [{guard}] {value};
+}}
+"""
+
+
+def malformed(**slots) -> str:
+    fields = dict(constraint="f | g", init="a", obs="f", guard="g", value="0.5")
+    fields.update(slots)
+    return MALFORMED.format(**fields)
+
+
+class TestSyntaxErrors:
+    def test_template_parses(self):
+        assert len(parse_model_file(malformed()).components) == 1
+
+    @pytest.mark.parametrize(
+        "slot, text, message, line, column",
+        [
+            ("init", "a [x]", "expected a number", 6, 11),
+            ("init", "a [1/0]", "malformed number '1/0'", 6, 11),
+            ("init", "a [0.5/2]", "malformed number '0.5/2'", 6, 11),
+            ("init", "a [1/2], b [1/0]", "malformed number '1/0'", 6, 20),
+            ("value", "1/0", "malformed number '1/0'", 7, 29),
+            ("value", "0.5/2", "malformed number '0.5/2'", 7, 29),
+        ],
+    )
+    def test_malformed_number_is_a_parse_error_at_its_token(
+        self, slot, text, message, line, column
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_model_file(malformed(**{slot: text}))
+        assert str(err.value) == f"{message} at line {line}, column {column}"
+        assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize(
+        "slot, text, message, line, column",
+        [
+            # [guard]: the guard starts at line 7, column 26
+            ("guard", "f & & g", "unexpected token '&'", 7, 30),
+            ("guard", "f g", "expected ']'", 7, 28),
+            ("guard", "f | 1", "unexpected token '1'", 7, 30),
+            ("guard", "(f", "expected ')'", 7, 28),
+            ("guard", "", "unexpected token ']'", 7, 26),
+            # obs: guard, read up to ")->"; it starts at line 7, column 16
+            ("obs", "f &", "unexpected token ')->'", 7, 19),
+            ("obs", "(f", "expected ')'", 7, 18),
+            ("obs", "f || g", "expected ')->'", 7, 18),
+            # constraint guard;, which starts at line 2, column 12
+            ("constraint", "f -> -> g", "unexpected token '->'", 2, 17),
+            ("constraint", "f g", "expected ';'", 2, 14),
+            ("constraint", "(f", "expected ')'", 2, 14),
+        ],
+    )
+    def test_guard_error_names_the_offending_token_once(
+        self, slot, text, message, line, column
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_model_file(malformed(**{slot: text}))
+        assert str(err.value) == f"{message} at line {line}, column {column}"
+        assert (err.value.line, err.value.column) == (line, column)
+
+
 class TestBundledFixtures:
     def test_wiper_structure(self, wiper):
         assert wiper.system.states == ("off", "on", "fast", "end")

@@ -179,10 +179,33 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_feature_expression("W &")
         assert err.value.column == 4
+        assert str(err.value) == "unexpected end of expression at column 4"
 
     def test_unexpected_character(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_feature_expression("a @ b")
+        assert str(err.value) == "unexpected character '@' at column 3"
+
+
+# a guard string reports the column of the offending token, and no line
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(a | b", "expected ')' at column 7"),
+        ("a b", "trailing input 'b' at column 3"),
+        ("", "unexpected end of expression at column 1"),
+        ("a -> ", "unexpected end of expression at column 6"),
+        ("!", "unexpected end of expression at column 2"),
+        ("a | 1", "unexpected character '1' at column 5"),
+        ("a )", "trailing input ')' at column 3"),
+        ("a ^ ^ b", "unexpected token '^' at column 5"),
+        ("  (a))", "trailing input ')' at column 6"),
+    ],
+)
+def test_guard_syntax_error_messages_are_pinned(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_feature_expression(text)
+    assert str(err.value) == message
 
 
 _names = st.sampled_from(["a", "b", "c", "d"])

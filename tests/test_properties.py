@@ -75,6 +75,49 @@ class TestParsing:
             parse_property("P[0.7,0.2](X a)")
 
 
+#: a property string reports the column of the offending token, and no line
+PINNED_MESSAGES = [
+    ("P[<0.1](F a", "expected ')' at column 12"),
+    ("P[0.5](F a)", "expected ',' at column 6"),
+    ("R=?[F a", "expected ']' at column 8"),
+    ("P=?(F a) b", "trailing input after property at column 10"),
+    ("P[<0.1](a b)", "expected 'U' in path formula at column 11"),
+    ("P[<0.1](X P=?(F a))", "only the outermost operator may be quantitative at column 12"),
+    ("P[<](F a)", "expected a number at column 4"),
+    ("P=?(F<=1.5 a)", "expected an integer step bound at column 8"),
+    ("R=?[a]", "reward queries have the form R=?[F target] at column 5"),
+    ("P[<0.1](F $)", "unexpected character '$' at column 11"),
+    ("P[<2](F a)", "probability bound outside [0, 1]"),
+    ("P[0.5,0.2](F a)", "empty probability interval"),
+    ("", "unexpected end of property at column 1"),
+    ("a &", "unexpected end of property at column 4"),
+    ("P=?(X 5)", "unexpected token '5' at column 7"),
+    ("  P=?(F a))", "trailing input after property at column 11"),
+    ("R=?[F a] b", "trailing input after reward query at column 10"),
+]
+
+
+@pytest.mark.parametrize("text, message", PINNED_MESSAGES)
+def test_syntax_error_messages_are_pinned(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_property(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("P[<1/0](F a)", "malformed number '1/0' at column 4"),
+        ("P[<0.5/2](F a)", "malformed number '0.5/2' at column 4"),
+        ("P[0.1,2/0](F a)", "malformed number '2/0' at column 7"),
+    ],
+)
+def test_malformed_number_is_a_parse_error(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_property(text)
+    assert str(err.value) == message
+
+
 class TestParseTree:
     def test_atomic(self):
         assert parse_tree(Atom("a")) == [Atom("a")]
