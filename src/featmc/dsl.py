@@ -150,7 +150,7 @@ class ModelFile:
 _DSL_TOKEN = re.compile(
     rf"""
       (?P<ws>\s+|//[^\n]*)
-    | (?P<punct>\|\||\|>|-\(|\)->|->|[{{}}()\[\];:,=|!&^])
+    | (?P<punct>\|\||\|>|-\(|->|[{{}}()\[\];:,=|!&^])
     | (?P<num>{NUMBER})
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<string>"[^"]*")
@@ -238,9 +238,8 @@ def _parse_component(stream: TokenStream, kind: str) -> ComponentDef:
                         stream.error("expected 'obs'")
                     stream.expect(":")
                     obs = feature_expression(stream)
-                stream.expect(")->")
-            else:
-                stream.expect("->")
+                stream.expect(")")
+            stream.expect("->")
             target = _name(stream)
             stream.expect(":")
             cases = _parse_cases(stream, implicit_one=(kind == "fts"))
@@ -482,6 +481,32 @@ class BuiltModel:
         return parse_property(name_or_text)
 
 
+def _as_composable(value) -> FMDP:
+    if isinstance(value, FDTMC):
+        return fdtmc_as_fmdp(value)
+    if isinstance(value, FTS):
+        return fts_to_fmdp(value)
+    return value
+
+
+def _evaluate(expr: SystemExpr, components: dict):
+    """The model a system expression over the built ``components`` stands for."""
+    if isinstance(expr, Ref):
+        try:
+            return components[expr.name]
+        except KeyError:
+            raise ModelError(f"unknown component {expr.name!r}") from None
+    if isinstance(expr, Complete):
+        return complete_deterministic(_as_composable(_evaluate(expr.operand, components)))
+    if isinstance(expr, Compose):
+        left = _as_composable(_evaluate(expr.left, components))
+        right = _as_composable(_evaluate(expr.right, components))
+        if expr.op == "||":
+            return sync_product(left, right)
+        return observer_product(left, right)
+    raise TypeError(f"unknown system expression {expr!r}")
+
+
 def build_model(source: ModelFile, validate: bool = True) -> BuiltModel:
     """Elaborate a parsed file: build components, compose, validate."""
     diagram = FeatureDiagram(source.features, conj(*source.constraints))
@@ -492,35 +517,12 @@ def build_model(source: ModelFile, validate: bool = True) -> BuiltModel:
         builder = {"fdtmc": _build_fdtmc, "fmdp": _build_fmdp, "fts": _build_fts}[comp.kind]
         components[comp.name] = builder(comp, diagram)
 
-    def as_composable(value) -> FMDP:
-        if isinstance(value, FDTMC):
-            return fdtmc_as_fmdp(value)
-        if isinstance(value, FTS):
-            return fts_to_fmdp(value)
-        return value
-
-    def evaluate(expr: SystemExpr):
-        if isinstance(expr, Ref):
-            try:
-                return components[expr.name]
-            except KeyError:
-                raise ModelError(f"unknown component {expr.name!r}") from None
-        if isinstance(expr, Complete):
-            return complete_deterministic(as_composable(evaluate(expr.operand)))
-        if isinstance(expr, Compose):
-            left = as_composable(evaluate(expr.left))
-            right = as_composable(evaluate(expr.right))
-            if expr.op == "||":
-                return sync_product(left, right)
-            return observer_product(left, right)
-        raise TypeError(f"unknown system expression {expr!r}")
-
     if source.system is None:
         if len(components) != 1:
             raise ModelError("a system expression is required with several components")
         system_value = next(iter(components.values()))
     else:
-        system_value = evaluate(source.system)
+        system_value = _evaluate(source.system, components)
     if isinstance(system_value, FTS):
         system_value = fts_to_fmdp(system_value)
     if isinstance(system_value, FMDP):

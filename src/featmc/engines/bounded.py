@@ -43,7 +43,10 @@ finite, where lo rises from 0 and hi falls from an upper bound derived
 from the largest reward and the slowest chance of reaching the target
 (:func:`bounded_expected_reward`); a state's reward is one more edge,
 into a sink valued 1.  Step-bounded until and next stay exact, on the
-shared per-product vectors of that layer.
+exact step kernel of the shared layer (``step_vectors`` in
+``engines/dense.py``), which packs lanes the same way with no rounding;
+it also gives the slowest chance of reaching the target behind the
+reward's upper start.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ import math
 import time
 
 from ..errors import ConvergenceError, UnsupportedPropertyError
-from ..features import flag_bytes
 from ..models import FDTMC
 from ..properties import (
     Prob,
@@ -68,6 +70,7 @@ from ..result import FamilyResult
 from .dense import (
     DenseModel,
     FamilyCheck,
+    PackedLanes,
     SatEntry,
     aggregate_init,
     bounded_until_vectors,
@@ -92,58 +95,9 @@ def _bits(epsilon) -> int:
     return 2 * ((int(epsilon.denominator) // int(epsilon.numerator)).bit_length() + 1) + 32
 
 
-class _Lanes:
-    """``n`` unsigned lanes of ``width`` bits (a multiple of 8) packed into
-    one int, lane i at bits ``[i*width, (i+1)*width)``: SWAR, "SIMD within a
-    register" (Warren, *Hacker's Delight*, ch. 2).  A packed sum or
-    difference is lane-wise as long as no lane leaves ``[0, 2**width)``;
-    the comparisons keep their operands below the top bit of a lane."""
-
-    def __init__(self, n: int, width: int):
-        self.n = n
-        self.width = width
-        self.stride = width // 8
-        self.ones = self.spread((1 << n) - 1)  # 1 in every lane
-        self.high = self.ones << (width - 1)  # the top bit of every lane
-
-    def spread(self, bits: int) -> int:
-        """1 in lane i wherever bit i of the product bitset is set."""
-        buf = bytearray(self.n * self.stride)
-        buf[:: self.stride] = flag_bytes(bits, self.n)
-        return int.from_bytes(buf, "little")
-
-    def widen(self, x: int) -> int:
-        """Every lane that holds 1 in ``x`` all ones, the rest 0."""
-        return x * ((1 << self.width) - 1)
-
-    def fill(self, tops: int) -> int:
-        """Every lane whose top bit is set in ``tops`` all ones, the rest 0."""
-        return (tops - (tops >> (self.width - 1))) | tops
-
-    def at_least(self, x: int, threshold: int) -> int:
-        """Top bits of the lanes of ``x`` that are at least those of
-        ``threshold``; both must be below ``2**(width-1)`` lane-wise."""
-        return ((x | self.high) - threshold) & self.high
-
-    def nonzero(self, x: int) -> int:
-        """Top bits of the lanes of ``x`` that are not 0."""
-        low = self.high - self.ones
-        return (((x & low) + low) | x) & self.high
-
-    def pack(self, values) -> int:
-        """Lane i holds ``values[i]``; each must fit its lane."""
-        return int.from_bytes(
-            b"".join(v.to_bytes(self.stride, "little") for v in values), "little"
-        )
-
-    def unpack(self, x: int) -> list[int]:
-        """The lanes of ``x`` as ints, lane 0 first."""
-        raw = x.to_bytes(self.n * self.stride, "little")
-        step = self.stride
-        return [int.from_bytes(raw[j : j + step], "little") for j in range(0, len(raw), step)]
-
-
-def _edge_table(dense: DenseModel, cone, bits: int, lanes: _Lanes, rewards=None) -> list[tuple]:
+def _edge_table(
+    dense: DenseModel, cone, bits: int, lanes: PackedLanes, rewards=None
+) -> list[tuple]:
     """The interval kernel's packed edges: per state with a lane in
     ``cone`` (state -> product bitset), in sweep order, ``(position, lanes
     of cone, entries)``.  Each entry is ``(successor position, probability
@@ -210,7 +164,7 @@ def _family_until_run(
     bits when only ``bound`` is given) rounded outward, down for lo and up
     for hi, so each stays on its side of the exact operator applied to the
     old value.  Each state's lo and hi are one int each, with one lane per
-    product (:class:`_Lanes`).  An edge is one ``(successor, down, up,
+    product (:class:`PackedLanes`).  An edge is one ``(successor, down, up,
     lanes)`` entry per distinct rounded value, ``lanes`` masking the
     products whose edge has that value, so a state's update is one
     multiply-add per entry for every product at once; the floor and the
@@ -274,7 +228,7 @@ def _family_until_run(
         # the weighted gap is at most the top times the weight sum per lane
         width = max(width, top_bits + sum(w for _, w in weight_items).bit_length() + 3)
         denom <<= bits
-    lanes = _Lanes(dense.n, -(-width // 8) * 8)
+    lanes = PackedLanes(dense.n, -(-width // 8) * 8)
     width = lanes.width
     ones = lanes.ones
     cap = lanes.pack(tops)
@@ -451,14 +405,16 @@ def bounded_expected_reward(
     cone, infinite = reward_cone(dense, targets)
     window = len(dense.states)
     everywhere = dict.fromkeys(dense.states, dense.full)
-    # a finite product reaches the target from each state within window steps
+    # a finite product reaches the target from each state within window steps;
+    # a product's values share one denominator, so q is its least numerator
     reach = bounded_until_vectors(dense, everywhere, targets, window)
+    numerators = {s: reach.numerators(s) for s in dense.states if cone[s] & ~infinite}
     top = [ZERO] * n
-    for i in range(n):
-        seen = [s for s in dense.states if cone[s] >> i & 1]
+    for i, denominator in enumerate(reach.denominators):
+        seen = [s for s in numerators if cone[s] >> i & 1]
         if seen and not infinite >> i & 1:
             rmax = max(rewards[s][i] for s in seen)
-            top[i] = rmax * window / min(reach[s][i] for s in seen)
+            top[i] = rmax * window * denominator / min(numerators[s][i] for s in seen)
     lo, hi = _family_until_run(
         dense,
         dict.fromkeys(dense.states, dense.full & ~infinite),

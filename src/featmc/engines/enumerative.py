@@ -17,8 +17,9 @@ lane sees the operations its own solve would make, in the same order.  A
 class of one solves on plain values.  Expected rewards solve
 ``x = P·x + r`` the same way; a product that misses the target with
 positive probability is infinite and solves nothing.  Thresholds, next
-and step-bounded until and the outcomes come from the answer layer all
-engines share (``FamilyCheck`` in ``engines/dense.py``).
+and step-bounded until (on the shared exact step kernel, which builds no
+edge vector) and the outcomes come from the answer layer all engines
+share (``FamilyCheck`` in ``engines/dense.py``).
 
 A top-level unbounded until or reward reads only the value at the initial
 distribution: its system holds only the init cone, only the initial states
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, itemgetter, mul
 
 from ..errors import FeatmcError, ModelError, UnsupportedPropertyError
@@ -371,28 +373,35 @@ class _FamilyCheck(FamilyCheck):
     Unknowns and rows come in the order the per-chain functions above give
     them, so every lane is the solve :func:`check_product` makes on the
     projected chain.  Float mode solves on float64 edges, each distinct
-    value object converted once per family.  Next and step-bounded until
-    stay exact, as on one chain.
+    value object converted once per family.  The edge vectors and their
+    float64 copies are built on first use by an unbounded solve: next and
+    step-bounded until run on the exact step kernel of the shared layer,
+    which reads the value groups, and stay exact in float mode too.
     """
 
     def __init__(self, dense: DenseModel, float_mode: bool):
         super().__init__(dense)
         self.float_mode = float_mode
         self.starts = [s for s, weight in dense.init.items() if weight]
-        # per state, its out-edges with their vectors and the bitset of the
-        # products whose edge is nonzero
-        self.out = {}
-        for s in dense.states:
-            masks = dict(dense.succ[s])
-            self.out[s] = [(t, vec, masks[t]) for t, vec in dense.edges[s] if t in masks]
         self.one, self.zero, self.domain, self.closure = ONE, ZERO, (), _closure
         if float_mode:
-            floats = iter(_as_floats([vec for out in self.out.values() for _, vec, _ in out]))
-            self.out = {
-                s: [(t, next(floats), mask) for t, _, mask in out] for s, out in self.out.items()
-            }
             self.one, self.zero, self.domain = 1.0, 0.0, (_float_closure, 1.0)
             self.closure = _float_closure
+
+    @cached_property
+    def out(self) -> dict:
+        """Per state, its out-edges with their vectors (float64 in float
+        mode) and the bitset of the products whose edge is nonzero; built
+        on first use, by an unbounded solve."""
+        dense = self.dense
+        out = {}
+        for s in dense.states:
+            masks = dict(dense.succ[s])
+            out[s] = [(t, vec, masks[t]) for t, vec in dense.edges[s] if t in masks]
+        if self.float_mode:
+            floats = iter(_as_floats([vec for edges in out.values() for _, vec, _ in edges]))
+            out = {s: [(t, next(floats), mask) for t, _, mask in edges] for s, edges in out.items()}
+        return out
 
     def flags(self, bits: dict) -> dict:
         return {s: flag_bytes(b, self.dense.n) for s, b in bits.items()}

@@ -23,10 +23,10 @@ departs from it in two ways:
 A top-level query adds one virtual initial unknown, whose row is the
 initial distribution, and back-substitutes only it.  A nested probability
 operator solves every state and reads each state's table per product.
-Thresholds, step-bounded until and next (exact per-product vectors, which
-need no division either), plain state formulas and the outcomes the
-closed form interpolates come from the answer layer all engines share
-(``FamilyCheck`` in ``engines/dense.py``).
+Thresholds, step-bounded until and next (the exact step kernel on
+packed integer lanes, which needs no division either), plain state
+formulas and the outcomes the closed form interpolates come from the
+answer layer all engines share (``FamilyCheck`` in ``engines/dense.py``).
 """
 
 from __future__ import annotations

@@ -315,6 +315,24 @@ def flag_bytes(bits: int, n: int) -> bytes:
     return bin(bits)[:1:-1].ljust(n, "0")[:n].encode().translate(_FROM_DIGITS)
 
 
+def _expression_bits(e: FeatureExpression, features: dict[str, int], full: int) -> int:
+    """:meth:`FeatureDiagram.bits` of ``e``, given the bitset of every
+    feature and of every product."""
+    if isinstance(e, FVar):
+        if e.name not in features:
+            raise UnboundFeatureError(e.name)
+        return features[e.name]
+    if isinstance(e, (FTrue, FFalse)):
+        return full if isinstance(e, FTrue) else 0
+    if isinstance(e, FNot):
+        return full & ~_expression_bits(e.operand, features, full)
+    left = _expression_bits(e.left, features, full)
+    right = _expression_bits(e.right, features, full)
+    if isinstance(e, FImplies):
+        return (full & ~left) | right
+    return _BIT_OPS[type(e)](left, right)
+
+
 class Product:
     """A total Boolean assignment over a signature.
 
@@ -443,23 +461,7 @@ class FeatureDiagram:
         if self._features is None:
             products = self.valid_products()
             self._features = {n: bitset(bytes(p[n] for p in products)) for n in self.signature}
-        features, full = self._features, self.full
-
-        def walk(e: FeatureExpression) -> int:
-            if isinstance(e, FVar):
-                if e.name not in features:
-                    raise UnboundFeatureError(e.name)
-                return features[e.name]
-            if isinstance(e, (FTrue, FFalse)):
-                return full if isinstance(e, FTrue) else 0
-            if isinstance(e, FNot):
-                return full & ~walk(e.operand)
-            left, right = walk(e.left), walk(e.right)
-            if isinstance(e, FImplies):
-                return (full & ~left) | right
-            return _BIT_OPS[type(e)](left, right)
-
-        return walk(expr)
+        return _expression_bits(expr, self._features, self.full)
 
     def normalize(self, product: Product) -> Product:
         """Reorder (and project, if wider) a product onto this signature."""

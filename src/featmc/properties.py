@@ -180,28 +180,28 @@ def parse_tree(formula: StateFormula) -> list[StateFormula]:
     probability operator.  Structurally equal subformulae appear once.
     """
     order: list[StateFormula] = []
-    seen: set[StateFormula] = set()
-
-    def visit(node: StateFormula):
-        if node in seen:
-            return
-        if isinstance(node, PNot):
-            visit(node.operand)
-        elif isinstance(node, PAnd):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, Prob):
-            path = node.path
-            if isinstance(path, Next):
-                visit(path.operand)
-            else:
-                visit(path.left)
-                visit(path.right)
-        seen.add(node)
-        order.append(node)
-
-    visit(formula)
+    _visit(formula, order, set())
     return order
+
+
+def _visit(node: StateFormula, order: list, seen: set):
+    """Append ``node``'s unseen subformulae to ``order``, children first."""
+    if node in seen:
+        return
+    if isinstance(node, PNot):
+        _visit(node.operand, order, seen)
+    elif isinstance(node, PAnd):
+        _visit(node.left, order, seen)
+        _visit(node.right, order, seen)
+    elif isinstance(node, Prob):
+        path = node.path
+        if isinstance(path, Next):
+            _visit(path.operand, order, seen)
+        else:
+            _visit(path.left, order, seen)
+            _visit(path.right, order, seen)
+    seen.add(node)
+    order.append(node)
 
 
 def quantitative_mode(prop: Property) -> bool:

@@ -206,3 +206,42 @@ def value_iteration_until(dtmc, sat1, sat2, steps=10_000, float_mode=True):
         if delta < 1e-15:
             break
     return values
+
+
+def fraction_next_vectors(dense, sat):
+    """Per state and product, the probability of stepping into ``sat``
+    (state -> product bitset): one Fraction sum per (state, edge, product)
+    over the per-product edge vectors, the reference of the packed step
+    kernel."""
+    out = {}
+    for s in dense.states:
+        acc = [ZERO] * dense.n
+        for t, vec in dense.edges[s]:
+            bits = sat[t]
+            for i in range(dense.n):
+                if bits >> i & 1 and vec[i]:
+                    acc[i] += vec[i]
+        out[s] = acc
+    return out
+
+
+def fraction_until_vectors(dense, sat1, sat2, bound):
+    """Exact step-bounded until values, ``bound`` Jacobi steps from the
+    target indicator in Fractions, per (state, edge, product): the reference
+    of the packed step kernel."""
+    x = {s: [ONE if sat2[s] >> i & 1 else ZERO for i in range(dense.n)] for s in dense.states}
+    for _ in range(bound):
+        out = {}
+        for s in dense.states:
+            acc = [ZERO] * dense.n
+            for t, vec in dense.edges[s]:
+                xt = x[t]
+                for i in range(dense.n):
+                    if vec[i] and xt[i]:
+                        acc[i] += vec[i] * xt[i]
+            out[s] = [
+                ONE if sat2[s] >> i & 1 else acc[i] if sat1[s] >> i & 1 else ZERO
+                for i in range(dense.n)
+            ]
+        x = out
+    return x

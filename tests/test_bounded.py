@@ -14,13 +14,12 @@ from featmc.engines.bounded import (
     _bits,
     _edge_table,
     _family_until_run,
-    _Lanes,
     bounded_expected_reward,
     bounded_until_vectors,
     check_family_bounded,
     sat_states,
 )
-from featmc.engines.dense import next_vectors, nonzero_bits
+from featmc.engines.dense import PackedLanes, next_vectors, nonzero_bits
 from featmc.engines.elimination import closure, until_partition
 from featmc.engines.enumerative import (
     bounded_until_values,
@@ -988,7 +987,7 @@ class TestScaledEdges:
             cone = dict.fromkeys(dense.states, dense.full)
             for epsilon in (rational("1/1000"), rational("1e-9"), None):
                 bits = _bits(epsilon)
-                lanes = _Lanes(dense.n, -(-(2 * bits + 16) // 8) * 8)
+                lanes = PackedLanes(dense.n, -(-(2 * bits + 16) // 8) * 8)
                 table = _edge_table(dense, cone, bits, lanes)
                 assert [k for k, _, _ in table] == [dense.index[s] for s in dense.sweep_order]
                 for k, cone_lanes, entries in table:
@@ -1015,7 +1014,7 @@ class TestScaledEdges:
         # carries at most two distinct values
         dense = DenseModel(build_model(gen_failure_recovery(6)).system)
         bits = _bits(rational("1/1000"))
-        lanes = _Lanes(dense.n, 128)
+        lanes = PackedLanes(dense.n, 128)
         table = _edge_table(dense, dict.fromkeys(dense.states, dense.full), bits, lanes)
         for _, _, entries in table:
             keys = [entry[:3] for entry in entries]

@@ -1,21 +1,38 @@
 """The qualitative layer all three engines share (``engines/dense.py``)."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
-from featmc.dsl import build_model
-from featmc.engines.bounded import sat_states
-from featmc.engines.dense import DenseModel, satisfaction
-from featmc.engines.enumerative import _FamilyCheck
+from featmc.dsl import build_model, parse_model, print_model_file
+from featmc.engines import dense as dense_engine
+from featmc.engines.bounded import (
+    DEFAULT_MAX_DEPTH,
+    _BoundedCheck,
+    check_family_bounded,
+    sat_states,
+)
+from featmc.engines.dense import (
+    DenseModel,
+    aggregate_init,
+    bounded_until_vectors,
+    next_vectors,
+    satisfaction,
+    step_chunks,
+)
+from featmc.engines.enumerative import _FamilyCheck, check_family_enumerative
 from featmc.engines.parametric import check_family_parametric
+from featmc.features import FeatureDiagram
 from featmc.generators import gen_service_provider
-from featmc.profiles import DenseProfile, GuardedProfile
-from featmc.properties import parse_property
-from featmc.rational import rational
+from featmc.models import FDTMC
+from featmc.profiles import DenseProfile, GuardedProfile, constant
+from featmc.properties import Next, parse_property
+from featmc.rational import ONE, rational
 
-from conftest import random_fdtmc
+from conftest import fraction_next_vectors, fraction_until_vectors, random_fdtmc
 
 
 class TestSharedWalker:
@@ -85,6 +102,13 @@ def test_edges_are_read_on_first_use(request, monkeypatch, name, formula):
     assert len(profile_reads) == len(model.transitions)
 
 
+def _forbid_edge_vectors(monkeypatch):
+    def edges(self):
+        raise AssertionError("DenseModel.edges was built")
+
+    monkeypatch.setattr(DenseModel, "edges", property(edges))
+
+
 @pytest.mark.parametrize("name, prop", [("wiper", "energy"), ("service4", "fail_value")])
 def test_unbounded_parametric_queries_build_no_edge_vectors(request, monkeypatch, name, prop):
     """An unbounded parametric ``R=?`` or ``P=?`` solves over support
@@ -94,10 +118,226 @@ def test_unbounded_parametric_queries_build_no_edge_vectors(request, monkeypatch
         built = request.getfixturevalue("wiper")
     else:
         built = build_model(gen_service_provider(4))
-
-    def edges(self):
-        raise AssertionError("DenseModel.edges was built")
-
-    monkeypatch.setattr(DenseModel, "edges", property(edges))
+    _forbid_edge_vectors(monkeypatch)
     result = check_family_parametric(built.system, built.properties[prop])
     assert len(result.outcomes) == len(built.system.diagram.valid_products())
+
+
+STEP_ENGINES = {
+    "enum": check_family_enumerative,
+    "enum_float": lambda model, prop: check_family_enumerative(model, prop, float_mode=True),
+    "param": check_family_parametric,
+    "bounded": check_family_bounded,
+}
+
+
+@pytest.mark.parametrize("engine", STEP_ENGINES)
+@pytest.mark.parametrize(
+    "prop", ["P=?(X fastmode)", "P=?(true U<=3 end)", "P=?(X P[>0.3](X fastmode))"]
+)
+def test_step_queries_build_no_edge_vectors(wiper, monkeypatch, engine, prop):
+    """Next and step-bounded until run on the packed step kernel, which
+    reads the profiles' value groups, in every engine: no per-product edge
+    vector is built, and the values are the Fraction loop's."""
+    expected = check_family_enumerative(wiper.system, prop)
+    _forbid_edge_vectors(monkeypatch)
+    result = STEP_ENGINES[engine](wiper.system, prop)
+    for product, outcome in result.outcomes.items():
+        assert outcome.value == expected.outcomes[product].value
+        assert outcome.error_bound in (None, 0)
+
+
+def _random_bits(rng, dense):
+    return {s: rng.getrandbits(dense.n) for s in dense.states}
+
+
+def _with_init(model, init):
+    return FDTMC(
+        model.states, init, model.diagram, model.transitions, model.ap, model.labels
+    )
+
+
+def _primes(count):
+    found, k = [], 2
+    while len(found) < count:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+def distinct_primes_family():
+    """Three states over six free features: from ``s`` every product steps
+    to ``goal`` and to ``sink`` with 1/p and stays with (p-2)/p, each of
+    the 64 products with its own prime p.  No product's denominator divides
+    another's, so the step kernel runs one chunk per product."""
+    d = FeatureDiagram([f"f{i}" for i in range(6)])
+    primes = _primes(66)[2:]
+    leave = DenseProfile(d, [rational(1, p) for p in primes])
+    transitions = {
+        ("s", "goal"): leave,
+        ("s", "sink"): leave,
+        ("s", "s"): DenseProfile(d, [rational(p - 2, p) for p in primes]),
+        ("goal", "goal"): constant(ONE, d),
+        ("sink", "sink"): constant(ONE, d),
+    }
+    return FDTMC(("s", "goal", "sink"), "s", d, transitions, ("goal",), {"goal": ("goal",)})
+
+
+class TestStepKernel:
+    """The packed step kernel against the Fraction loop over per-product
+    edge vectors (``conftest.fraction_*``): ``==`` at every state and
+    product."""
+
+    @staticmethod
+    def assert_equal(values, expected, dense):
+        for s in dense.states:
+            assert values[s] == expected[s], s
+
+    @pytest.mark.parametrize("grain", [8, 3, 10, 7])
+    def test_criterion3_corpus(self, grain):
+        """Product-dependent operands, so ``sat1`` is not every state and
+        differs per product; non-dyadic grains make D odd; k = 0 is the
+        target indicator."""
+        rng = random.Random(2300 + grain)
+        for _ in range(25):
+            m = random_fdtmc(rng, max_states=6, max_features=3, grain=grain)
+            dense = DenseModel(m)
+            sat1, sat2 = _random_bits(rng, dense), _random_bits(rng, dense)
+            for k in (0, 1, 4, 9):
+                self.assert_equal(
+                    bounded_until_vectors(dense, sat1, sat2, k),
+                    fraction_until_vectors(dense, sat1, sat2, k),
+                    dense,
+                )
+            self.assert_equal(
+                next_vectors(dense, sat2), fraction_next_vectors(dense, sat2), dense
+            )
+
+    def test_decided_and_undecided_nested_operands(self):
+        """A nested operator the bounded engine leaves undecided gives
+        different definite and possible sets; each runs the kernel."""
+        rng = random.Random(2301)
+        decided = undecided = 0
+        texts = ("P=?(P[>0.4](F a) U<=3 b)", "P=?(X P[<0.5](F b))", "P=?(b U<=3 P[>=0.5](F a))")
+        for _ in range(60):
+            m = random_fdtmc(rng, max_states=6, max_features=3, grain=6)
+            dense = DenseModel(m)
+            for epsilon, text in itertools.product(("1/2", "9/10"), texts):
+                check = _BoundedCheck(dense, rational(epsilon), DEFAULT_MAX_DEPTH)
+                path = parse_property(text).path
+                lo, hi = check.step_bounds(path)
+                if isinstance(path, Next):
+                    operand = check.sat_of(path.operand)
+                    expected = [fraction_next_vectors(dense, operand.lo)]
+                    expected.append(fraction_next_vectors(dense, operand.hi))
+                    is_decided = operand.decided()
+                else:
+                    left, right = check.sat_of(path.left), check.sat_of(path.right)
+                    expected = [
+                        fraction_until_vectors(dense, left.lo, right.lo, 3),
+                        fraction_until_vectors(dense, left.hi, right.hi, 3),
+                    ]
+                    is_decided = left.decided() and right.decided()
+                assert (lo is hi) == is_decided
+                decided += is_decided
+                undecided += not is_decided
+                self.assert_equal(lo, expected[0], dense)
+                self.assert_equal(hi, expected[1], dense)
+        assert decided and undecided
+
+    def test_weight_zero_initial_states(self):
+        """Only the initial states of positive weight count at the initial
+        distribution."""
+        rng = random.Random(2302)
+        checked = 0
+        for _ in range(20):
+            m = random_fdtmc(rng, max_states=5, max_features=3, grain=5)
+            if len(m.states) < 3:
+                continue
+            checked += 1
+            first, second, third = m.states[:3]
+            m = _with_init(m, {first: rational(1, 3), second: rational(2, 3), third: 0})
+            dense = DenseModel(m)
+            sat1, sat2 = _random_bits(rng, dense), _random_bits(rng, dense)
+            expected = fraction_until_vectors(dense, sat1, sat2, 5)
+            got = aggregate_init(dense, bounded_until_vectors(dense, sat1, sat2, 5))
+            assert got == [
+                rational(1, 3) * a + rational(2, 3) * b
+                for a, b in zip(expected[first], expected[second])
+            ]
+        assert checked
+
+    def test_one_chunk_per_distinct_prime(self):
+        """64 products whose denominators divide no other's: 64 chunks, and
+        200 steps still equal the Fraction loop."""
+        dense = DenseModel(distinct_primes_family())
+        chunks = step_chunks(dense, 200)
+        assert len(chunks) == 64 and all(len(members) == 1 for members, _ in chunks)
+        sat1 = dict.fromkeys(dense.states, dense.full)
+        sat2 = {s: dense.full if s == "goal" else 0 for s in dense.states}
+        self.assert_equal(
+            bounded_until_vectors(dense, sat1, sat2, 200),
+            fraction_until_vectors(dense, sat1, sat2, 200),
+            dense,
+        )
+
+    def test_divisors_fold_into_one_chunk(self, wiper, minepump):
+        """A product whose denominator divides another's shares its chunk:
+        every bundled model runs one chunk."""
+        for built in (wiper, minepump):
+            dense = DenseModel(built.system)
+            ((members, _),) = step_chunks(dense, 50)
+            assert members == list(range(dense.n))
+
+    @pytest.mark.parametrize("budget", [1, 40])
+    def test_chunks_split_at_the_byte_budget(self, monkeypatch, budget):
+        """A budget below the lanes of a whole chunk splits it, into single
+        products at the extreme; the values do not change."""
+        monkeypatch.setattr(dense_engine, "STEP_CHUNK_BYTES", budget)
+        rng = random.Random(2303)
+        split = 0
+        for _ in range(15):
+            m = random_fdtmc(rng, max_states=5, max_features=3, grain=10)
+            dense = DenseModel(m)
+            sat1, sat2 = _random_bits(rng, dense), _random_bits(rng, dense)
+            split += len(step_chunks(dense, 6)) > 1
+            self.assert_equal(
+                bounded_until_vectors(dense, sat1, sat2, 6),
+                fraction_until_vectors(dense, sat1, sat2, 6),
+                dense,
+            )
+        assert split
+
+
+@pytest.mark.parametrize("engine", ["enum", "param", "bounded"])
+def test_a_checked_model_dies_without_the_collector(engine):
+    """Parsing, building and checking leave no reference cycle: with the
+    cyclic collector off, the dense model, a built component and the
+    checked property are freed as soon as the last reference goes."""
+    text = print_model_file(gen_service_provider(4))
+    prop = parse_property("P[<0.5](X P[>0.1](F failure))")
+    dense_models = []
+    original = DenseModel.__init__
+
+    def init(self, model):
+        dense_models.append(weakref.ref(self))
+        original(self, model)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        DenseModel.__init__ = init
+        built = parse_model(text)
+        component = weakref.ref(next(iter(built.components.values())))
+        checked = weakref.ref(prop)
+        STEP_ENGINES[engine](built.system, prop)
+        del built, prop
+        assert len(dense_models) == 1
+        assert dense_models[0]() is None
+        assert component() is None
+        assert checked() is None
+    finally:
+        DenseModel.__init__ = original
+        if enabled:
+            gc.enable()

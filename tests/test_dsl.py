@@ -124,6 +124,18 @@ class TestSyntaxErrors:
     def test_template_parses(self):
         assert len(parse_model_file(malformed()).components) == 1
 
+    def test_guard_ending_in_a_parenthesis_before_an_arrow(self):
+        """``)`` and ``->`` are separate tokens, so an implication whose
+        premise ends in ``)`` needs no space before its arrow, and a
+        labelled arrow still reads ``)`` and ``->`` in turn."""
+        tight = parse_model_file(malformed(guard="(f)->g"))
+        spaced = parse_model_file(malformed(guard="(f) -> g"))
+        assert tight == spaced
+        assert str(tight.components[0].transitions[0].cases[0].guard) == "f -> g"
+        for obs in ("g", "(g)"):
+            labelled = parse_model_file(malformed(obs=obs)).components[0].transitions[0]
+            assert (labelled.action, str(labelled.obs), labelled.target) == ("t", "g", "b")
+
     @pytest.mark.parametrize(
         "slot, text, message, line, column",
         [
@@ -152,10 +164,11 @@ class TestSyntaxErrors:
             ("guard", "f | 1", "unexpected token '1'", 7, 30),
             ("guard", "(f", "expected ')'", 7, 28),
             ("guard", "", "unexpected token ']'", 7, 26),
-            # obs: guard, read up to ")->"; it starts at line 7, column 16
-            ("obs", "f &", "unexpected token ')->'", 7, 19),
-            ("obs", "(f", "expected ')'", 7, 18),
-            ("obs", "f || g", "expected ')->'", 7, 18),
+            # obs: guard, read up to ")" and "->"; it starts at line 7, column 16
+            ("obs", "f &", "unexpected token ')'", 7, 19),
+            # "(f)-> b" reads as an implication, so the ")" is missing at ":"
+            ("obs", "(f", "expected ')'", 7, 24),
+            ("obs", "f || g", "expected ')'", 7, 18),
             # constraint guard;, which starts at line 2, column 12
             ("constraint", "f -> -> g", "unexpected token '->'", 2, 17),
             ("constraint", "f g", "expected ';'", 2, 14),
