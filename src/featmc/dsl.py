@@ -37,9 +37,7 @@ from typing import Sequence
 
 from .errors import NUMBER, ModelError, TokenStream
 from .features import (
-    FNot,
     FOr,
-    FVar,
     FeatureDiagram,
     FeatureExpression,
     FTrue,
@@ -54,17 +52,19 @@ from .models import (
     FTS,
     ActionLabel,
     State,
-    _row_groups,
     as_fdtmc,
     complete_deterministic,
     fdtmc_as_fmdp,
     fts_to_fmdp,
+    merge,
+    missing_mass,
     observer_product,
     row_total,
     sync_product,
+    top_up,
     validate_fdtmc,
 )
-from .profiles import GuardedProfile, Profile, add, complement, products_where
+from .profiles import GuardedProfile, Profile
 from .properties import parse_property
 from .rational import ONE, ZERO, rat_str
 
@@ -325,45 +325,21 @@ def _cases_to_profile(diagram: FeatureDiagram, cases: Sequence[CaseDef]) -> Guar
     return GuardedProfile(diagram, guarded, default)
 
 
-def _complete_rows(diagram, rows, describe):
-    """Top up each row with an implicit self-loop carrying the missing mass.
-
-    ``rows`` maps a row key, which identifies one probability distribution
-    (state, or state/action/class), to the profiles of its edges.  Returns
-    the self-loop profiles to add, keyed by row key.  Raises when a row
-    already exceeds probability one for some product.
-    """
-    loops = {}
-    for row, profiles in rows.items():
-        residual = complement(row_total(diagram, profiles))
-        negative = products_where(residual, lambda v: v < 0)
-        if negative:
-            raise ModelError(
-                f"{describe(row)}: outgoing probability exceeds 1 for products "
-                + ", ".join(str(p) for p, _ in negative)
-            )
-        if residual.where(bool):
-            loops[row] = residual
-    return loops
-
-
 def _build_fdtmc(comp: ComponentDef, diagram: FeatureDiagram) -> FDTMC:
     transitions: dict[tuple[State, State], Profile] = {}
+    rows: dict[State, list] = {}
     for tr in comp.transitions:
         if tr.action is not None or not isinstance(tr.obs, FTrue):
             raise ModelError(f"component {comp.name}: fdtmc transitions take no action")
         profile = _cases_to_profile(diagram, tr.cases)
-        key = (tr.source, tr.target)
-        transitions[key] = add(transitions[key], profile) if key in transitions else profile
-    rows: dict = {}
-    for (s, _), profile in transitions.items():
-        rows.setdefault(s, []).append(profile)
+        merge(transitions, (tr.source, tr.target), profile)
+        rows.setdefault(tr.source, []).append(profile)
     for s in comp.states:
         rows.setdefault(s, [])  # a bare state keeps all its mass on a self-loop
-    loops = _complete_rows(diagram, rows, lambda s: f"component {comp.name}, state {s}")
-    for s, residual in loops.items():
-        key = (s, s)
-        transitions[key] = add(transitions[key], residual) if key in transitions else residual
+    for s, profiles in rows.items():
+        residual = missing_mass(row_total(diagram, profiles), f"component {comp.name}, state {s}")
+        if residual is not None:
+            merge(transitions, (s, s), residual)
     init = _build_init(comp)
     labels = dict(comp.labels)
     ap = sorted({p for _, props in comp.labels for p in props})
@@ -396,36 +372,23 @@ def _build_fmdp(comp: ComponentDef, diagram: FeatureDiagram) -> FMDP:
         if tr.action is None:
             raise ModelError(f"component {comp.name}: fmdp transitions need an action")
         profile = _cases_to_profile(diagram, tr.cases)
-        key = (tr.source, ActionLabel(tr.action, tr.obs), tr.target)
-        transitions[key] = add(transitions[key], profile) if key in transitions else profile
-    # complete every observation class of each authored (state, action) row
-    # with a self-loop; actions entirely absent from a state stay disabled
-    probe = FMDP(comp.states, _build_init(comp), diagram, transitions,
-                 sorted({p for _, props in comp.labels for p in props}), dict(comp.labels))
-    authored = {(s, label.name) for (s, label, _) in transitions}
-    rows = {
-        (s, name, tuple(sorted(assignment.items()))): [profile for _, _, profile in edges]
-        for s, name, assignment, edges in _row_groups(probe)
-        if (s, name) in authored
-    }
-    loops = _complete_rows(
-        diagram,
-        rows,
-        lambda row: f"component {comp.name}, state {row[0]}, action {row[1]}"
-        + (f", observation {dict(row[2])}" if row[2] else ""),
-    )
-    for (s, name, assignment), residual in loops.items():
-        literals = [FVar(n) if v else FNot(FVar(n)) for n, v in assignment]
-        label = ActionLabel(name, conj(*literals))
-        key = (s, label, s)
-        transitions[key] = add(transitions[key], residual) if key in transitions else residual
-    return FMDP(
+        merge(transitions, (tr.source, ActionLabel(tr.action, tr.obs), tr.target), profile)
+    model = FMDP(
         comp.states,
         _build_init(comp),
         diagram,
         transitions,
         sorted({p for _, props in comp.labels for p in props}),
         dict(comp.labels),
+    )
+    # complete every observation class of each authored (state, action) row
+    # with a self-loop; actions entirely absent from a state stay disabled
+    authored = {(s, label.name) for (s, label, _) in transitions}
+    return top_up(
+        model,
+        [row for row in model.rows if row[:2] in authored],
+        lambda row: f"component {comp.name}, state {row[0]}, action {row[1]}"
+        + (f", observation {row[2]}" if row[2] else ""),
     )
 
 
@@ -507,7 +470,7 @@ def _evaluate(expr: SystemExpr, components: dict):
     raise TypeError(f"unknown system expression {expr!r}")
 
 
-def build_model(source: ModelFile, validate: bool = True) -> BuiltModel:
+def build_model(source: ModelFile) -> BuiltModel:
     """Elaborate a parsed file: build components, compose, validate."""
     diagram = FeatureDiagram(source.features, conj(*source.constraints))
     components: dict[str, object] = {}
@@ -527,21 +490,20 @@ def build_model(source: ModelFile, validate: bool = True) -> BuiltModel:
         system_value = fts_to_fmdp(system_value)
     if isinstance(system_value, FMDP):
         system_value = as_fdtmc(system_value)
-    if validate:
-        report = validate_fdtmc(system_value)
-        if not report.ok:
-            raise ModelError(f"composed system violates the probability axiom:\n{report}")
+    report = validate_fdtmc(system_value)
+    if not report.ok:
+        raise ModelError(f"composed system violates the probability axiom:\n{report}")
     return BuiltModel(source, diagram, components, system_value, dict(source.properties))
 
 
-def parse_model(text: str, validate: bool = True) -> BuiltModel:
+def parse_model(text: str) -> BuiltModel:
     """Parse and elaborate a model file in one step."""
-    return build_model(parse_model_file(text), validate=validate)
+    return build_model(parse_model_file(text))
 
 
-def load_model(path, validate: bool = True) -> BuiltModel:
+def load_model(path) -> BuiltModel:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_model(handle.read(), validate=validate)
+        return parse_model(handle.read())
 
 
 # ---------------------------------------------------------------------------

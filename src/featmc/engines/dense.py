@@ -586,7 +586,7 @@ class FamilyCheck:
             decision = None if interval is None else interval.decide(a, b)
             if self.exact:
                 value, error = a, None
-            elif a == INFINITY:
+            elif a is b or a == INFINITY:  # exact step values and divergence
                 value, error = a, ZERO
             else:
                 value, error = (a + b) / 2, (b - a) / 2

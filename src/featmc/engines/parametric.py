@@ -49,7 +49,7 @@ from ..properties import (
     bind_check,
     print_property,
 )
-from ..rational import INFINITY, ONE, ZERO, rational
+from ..rational import INFINITY, ONE, ZERO, rat_str, rational
 from ..result import FamilyResult
 from .dense import DenseModel, FamilyCheck, reward_cone
 from .elimination import SINK, solve_linear
@@ -176,9 +176,9 @@ def poly_to_text(poly: MultilinearPolynomial) -> str:
         if body and magnitude == 1:
             text = body
         elif body:
-            text = f"{magnitude}*{body}"
+            text = f"{rat_str(magnitude)}*{body}"
         else:
-            text = str(magnitude)
+            text = rat_str(magnitude)
         parts.append(("- " if coeff < 0 else "+ ") + text)
     head = parts[0][2:] if parts[0].startswith("+ ") else "-" + parts[0][2:]
     return head + ("" if len(parts) == 1 else " " + " ".join(parts[1:]))
@@ -272,7 +272,7 @@ def rf_to_text(rf: RationalFunction) -> str:
     num = rf.num.scale(rational(scale))
     den = rf.den.scale(rational(scale))
     den_text = (
-        str(den.constant_value()) if den.is_constant() else f"({poly_to_text(den)})"
+        rat_str(den.constant_value()) if den.is_constant() else f"({poly_to_text(den)})"
     )
     return f"({poly_to_text(num)})\n/ {den_text}\n"
 

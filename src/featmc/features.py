@@ -12,10 +12,9 @@ every product at once (:meth:`FeatureDiagram.bits`).
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import EnumerationLimitError, TokenStream, UnboundFeatureError
 
@@ -135,8 +134,16 @@ class FXor(_Binary):
 TRUE = FTrue()
 FALSE = FFalse()
 
-#: the int operation of each symmetric binary operator on product bitsets
-_BIT_OPS = {FAnd: operator.and_, FOr: operator.or_, FXor: operator.xor}
+#: the binary operators from loosest to tightest (all associate to the
+#: right), each with its symbol and its operation on bitsets below ``full``
+_OPERATORS = (
+    (FImplies, "->", lambda a, b, full: (full & ~a) | b),
+    (FOr, "|", lambda a, b, full: a | b),
+    (FXor, "^", lambda a, b, full: a ^ b),
+    (FAnd, "&", lambda a, b, full: a & b),
+)
+#: per operator node, its printing precedence, symbol and bitset operation
+_BINARY = {node: (level + 1, symbol, bits) for level, (node, symbol, bits) in enumerate(_OPERATORS)}
 
 
 def conj(*exprs: FeatureExpression) -> FeatureExpression:
@@ -179,63 +186,39 @@ def substitute(expr: FeatureExpression, binding: Mapping[str, bool]) -> FeatureE
         return negate(inner)
     left = substitute(expr.left, binding)
     right = substitute(expr.right, binding)
-    if isinstance(expr, FAnd):
-        if isinstance(left, FFalse) or isinstance(right, FFalse):
-            return FALSE
-        if isinstance(left, FTrue):
-            return right
-        if isinstance(right, FTrue):
-            return left
-        return FAnd(left, right)
-    if isinstance(expr, FOr):
-        if isinstance(left, FTrue) or isinstance(right, FTrue):
-            return TRUE
-        if isinstance(left, FFalse):
-            return right
-        if isinstance(right, FFalse):
-            return left
-        return FOr(left, right)
-    if isinstance(expr, FImplies):
-        if isinstance(left, FFalse) or isinstance(right, FTrue):
-            return TRUE
-        if isinstance(left, FTrue):
-            return right
-        if isinstance(right, FFalse):
-            return negate(left)
-        return FImplies(left, right)
-    if isinstance(expr, FXor):
-        if isinstance(left, FFalse):
-            return right
-        if isinstance(right, FFalse):
-            return left
-        if isinstance(left, FTrue):
-            return negate(right)
-        if isinstance(right, FTrue):
-            return negate(left)
-        return FXor(left, right)
-    raise TypeError(f"unknown expression node {expr!r}")
+    bits = _BINARY[type(expr)][2]
+    # a constant operand folds: the operation at both truth values of the
+    # other side gives FALSE, TRUE, the other side or its negation
+    if isinstance(left, (FTrue, FFalse)):
+        c = int(isinstance(left, FTrue))
+        return _folded(bits(c, 0, 1), bits(c, 1, 1), right)
+    if isinstance(right, (FTrue, FFalse)):
+        c = int(isinstance(right, FTrue))
+        return _folded(bits(0, c, 1), bits(1, c, 1), left)
+    return type(expr)(left, right)
 
 
-# Precedence levels for printing with minimal parentheses.
-_PREC = {FImplies: 1, FOr: 2, FXor: 3, FAnd: 4, FNot: 5, FVar: 6, FTrue: 6, FFalse: 6}
-_OPS = {FImplies: "->", FOr: "|", FXor: "^", FAnd: "&"}
+def _folded(if_false: int, if_true: int, other: FeatureExpression) -> FeatureExpression:
+    """The guard that is ``if_false`` where ``other`` is false and
+    ``if_true`` where it is true."""
+    if if_false == if_true:
+        return TRUE if if_true else FALSE
+    return other if if_true else negate(other)
 
 
 def print_expression(expr: FeatureExpression) -> str:
+    """The guard with minimal parentheses."""
+
     def render(e, parent_prec):
-        prec = _PREC[type(e)]
-        if isinstance(e, FTrue):
-            text = "true"
-        elif isinstance(e, FFalse):
-            text = "false"
-        elif isinstance(e, FVar):
-            text = e.name
-        elif isinstance(e, FNot):
+        if isinstance(e, (FTrue, FFalse, FVar)):
+            return "true" if isinstance(e, FTrue) else "false" if isinstance(e, FFalse) else e.name
+        if isinstance(e, FNot):
+            prec = len(_OPERATORS) + 1  # tighter than every binary operator
             text = "!" + render(e.operand, prec)
         else:
-            op = _OPS[type(e)]
+            prec, symbol, _ = _BINARY[type(e)]
             # binary operators associate to the right
-            text = f"{render(e.left, prec + 1)} {op} {render(e.right, prec)}"
+            text = f"{render(e.left, prec + 1)} {symbol} {render(e.right, prec)}"
         if prec < parent_prec:
             return f"({text})"
         return text
@@ -246,9 +229,6 @@ def print_expression(expr: FeatureExpression) -> str:
 _GUARD_TOKEN = re.compile(
     r"(?P<ws>\s+)|(?P<punct>->|[!&|^()])|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
 )
-
-#: the binary operators from loosest to tightest; all associate to the right
-_LEVELS = (("->", FImplies), ("|", FOr), ("^", FXor), ("&", FAnd))
 
 
 def feature_expression(stream: TokenStream) -> FeatureExpression:
@@ -263,11 +243,11 @@ def feature_expression(stream: TokenStream) -> FeatureExpression:
 
 
 def _guard(stream: TokenStream, level: int) -> FeatureExpression:
-    """The operator of ``_LEVELS[level]`` and tighter; past them, an operand."""
-    if level < len(_LEVELS):
-        op, node = _LEVELS[level]
+    """The operator of ``_OPERATORS[level]`` and tighter; past them, an operand."""
+    if level < len(_OPERATORS):
+        node, symbol, _ = _OPERATORS[level]
         left = _guard(stream, level + 1)
-        if stream.accept(op):
+        if stream.accept(symbol):
             return node(left, _guard(stream, level))
         return left
     tok = stream.peek()
@@ -328,9 +308,7 @@ def _expression_bits(e: FeatureExpression, features: dict[str, int], full: int) 
         return full & ~_expression_bits(e.operand, features, full)
     left = _expression_bits(e.left, features, full)
     right = _expression_bits(e.right, features, full)
-    if isinstance(e, FImplies):
-        return (full & ~left) | right
-    return _BIT_OPS[type(e)](left, right)
+    return _BINARY[type(e)][2](left, right, full)
 
 
 class Product:
@@ -507,23 +485,3 @@ def conjoin(d1: FeatureDiagram, d2: FeatureDiagram) -> FeatureDiagram:
     """
     signature = d1.signature + tuple(n for n in d2.signature if n not in d1.signature)
     return FeatureDiagram(signature, conj(d1.constraint, d2.constraint))
-
-
-def iter_assignments(names: Sequence[str]) -> Iterator[dict[str, bool]]:
-    """All total assignments over ``names`` in canonical order."""
-    for values in itertools.product((False, True), repeat=len(names)):
-        yield dict(zip(names, values))
-
-
-def satisfiable(expr: FeatureExpression, limit: int = 12) -> bool:
-    """Cheap satisfiability probe by enumeration over the expression's own
-    variables.  Expressions over more than ``limit`` variables are assumed
-    satisfiable; callers use this to prune dead guards, which is sound."""
-    if isinstance(expr, FFalse):
-        return False
-    if isinstance(expr, (FTrue, FVar)):
-        return True
-    names = sorted(expr.variables())
-    if len(names) > limit:
-        return True
-    return any(expr.evaluate(assignment) for assignment in iter_assignments(names))

@@ -113,6 +113,25 @@ def row_total(diagram: FeatureDiagram, profiles: Iterable[Profile]) -> Profile:
     return sum(profiles, constant(ZERO, diagram))
 
 
+def merge(transitions: dict, key, profile: Profile) -> None:
+    """Add ``profile`` to the transition at ``key``, or make it one."""
+    transitions[key] = add(transitions[key], profile) if key in transitions else profile
+
+
+def missing_mass(total: Profile, where: str) -> Profile | None:
+    """The ``1 - total`` residual a row's implicit self-loop carries, or
+    None where the row already sums to 1 for every product.  A row over 1
+    for some product is an error naming ``where`` and those products."""
+    residual = complement(total)
+    negative = products_where(residual, lambda v: v < 0)
+    if negative:
+        raise ModelError(
+            f"{where}: outgoing probability exceeds 1 for products "
+            + ", ".join(str(p) for p, _ in negative)
+        )
+    return residual if residual.where(bool) else None
+
+
 # ---------------------------------------------------------------------------
 # FDTMC
 # ---------------------------------------------------------------------------
@@ -160,6 +179,11 @@ class FDTMC:
                 out[s].append((t, profile))
             self._out = out
         return self._out[state]
+
+    @cached_property
+    def row_totals(self) -> dict[State, Profile]:
+        """Per state, the sum of its outgoing profiles."""
+        return {s: row_total(self.diagram, (p for _, p in self.out_edges(s))) for s in self.states}
 
     def reward_profile(self, state: State) -> Profile:
         if self.rewards is None or state not in self.rewards:
@@ -235,12 +259,10 @@ def validate_fdtmc(model: FDTMC) -> ValidationReport:
         if weight < 0:
             report.findings.append(f"negative initial weight on {render_state(s)}")
     for s in model.states:
-        edges = model.out_edges(s)
-        for _, profile in edges:
+        for _, profile in model.out_edges(s):
             for finding in probability_range_findings(profile):
                 report.findings.append(f"state {render_state(s)}: {finding}")
-        row = row_total(model.diagram, (profile for _, profile in edges))
-        for product, total in products_where(row, lambda v: v != 1):
+        for product, total in products_where(model.row_totals[s], lambda v: v != 1):
             report.violations.append((s, product, total))
     if model.rewards:
         for s, profile in model.rewards.items():
@@ -310,6 +332,28 @@ class FMDP:
         self.labels = {s: frozenset(labels.get(s, ())) if labels else frozenset() for s in self.states}
         self.action_names = frozenset(label.name for (_, label, _) in self.transitions)
 
+    @cached_property
+    def rows(self) -> tuple:
+        """One ``(state, action name, observation class, edges, total)``
+        entry per cell of the consistency axiom: the ``(label, target,
+        profile)`` edges of one action in one state whose guards hold in one
+        assignment of those guards' variables, and their summed profile."""
+        by_sa: dict[tuple[State, str], list] = {}
+        for (s, label, t), profile in self.transitions.items():
+            by_sa.setdefault((s, label.name), []).append((label, t, profile))
+        names = sorted({name for (_, name) in by_sa})
+        rows = []
+        for s in self.states:
+            for name in names:
+                edges = by_sa.get((s, name), [])
+                variables = sorted(set().union(*(label.obs.variables() for label, _, _ in edges)))
+                for values in itertools.product((False, True), repeat=len(variables)):
+                    obs = dict(zip(variables, values))
+                    matching = tuple(edge for edge in edges if edge[0].obs.evaluate(obs))
+                    total = row_total(self.diagram, (p for _, _, p in matching))
+                    rows.append((s, name, obs, matching, total))
+        return tuple(rows)
+
     def obs_variables(self) -> frozenset[str]:
         out: set[str] = set()
         for (_, label, _) in self.transitions:
@@ -323,54 +367,32 @@ class FMDP:
         )
 
 
-def _obs_classes(variables):
-    """Split the observation space into assignments over the relevant guards."""
-    variables = sorted(variables)
-    for values in itertools.product((False, True), repeat=len(variables)):
-        yield dict(zip(variables, values))
-
-
-def _row_groups(model: FMDP):
-    """Yield (state, action name, obs assignment, matching edges) rows.
-
-    Each row is one cell of the consistency axiom: a concrete observation
-    class of one action in one state.
-    """
-    by_sa: dict[tuple[State, str], list] = {}
-    for (s, label, t), profile in model.transitions.items():
-        by_sa.setdefault((s, label.name), []).append((label, t, profile))
-    names = sorted({name for (_, name) in by_sa}) or []
-    for s in model.states:
-        for name in names:
-            edges = by_sa.get((s, name), [])
-            variables = set()
-            for label, _, _ in edges:
-                variables |= label.obs.variables()
-            for assignment in _obs_classes(variables):
-                matching = [
-                    (label, t, profile)
-                    for label, t, profile in edges
-                    if label.obs.evaluate(assignment)
-                ]
-                yield s, name, assignment, matching
-
-
 def validate_fmdp(model: FMDP) -> ValidationReport:
     """Consistency axiom: every row sums to 0 or 1 for every product."""
     report = ValidationReport()
-    for s, name, assignment, edges in _row_groups(model):
-        row = row_total(model.diagram, (profile for _, _, profile in edges))
+    for s, name, obs, _, row in model.rows:
         for product, total in products_where(row, lambda v: v != 0 and v != 1):
-            report.violations.append((s, name, dict(assignment), product, total))
+            report.violations.append((s, name, dict(obs), product, total))
     return report
 
 
 def is_complete(model: FMDP) -> bool:
     """True iff every action is enabled in every state for every product."""
-    return not any(
-        row_total(model.diagram, (p for _, _, p in edges)).where(lambda v: v != 1)
-        for _, _, _, edges in _row_groups(model)
-    )
+    return not any(total.where(lambda v: v != 1) for *_, total in model.rows)
+
+
+def top_up(model: FMDP, rows: Iterable[tuple], where) -> FMDP:
+    """``model`` with each of its ``rows``' missing mass on a self-loop
+    guarded by the row's observation class; ``where(row)`` names a row
+    over 1 in the error."""
+    transitions = dict(model.transitions)
+    for row in rows:
+        s, name, obs, _, total = row
+        residual = missing_mass(total, where(row))
+        if residual is not None:
+            literals = [FVar(n) if v else FNot(FVar(n)) for n, v in sorted(obs.items())]
+            merge(transitions, (s, ActionLabel(name, conj(*literals)), s), residual)
+    return FMDP(model.states, model.init, model.diagram, transitions, model.ap, model.labels)
 
 
 def project_fmdp(model: FMDP, product: Product) -> FMDP:
@@ -410,16 +432,14 @@ def as_fdtmc(model: FMDP) -> FDTMC:
             raise ModelError(
                 f"unresolved observation guard {label.obs} left after composition"
             )
-    if not is_complete(model):
-        raise ModelError("FMDP is not complete; cannot view it as an FDTMC")
     transitions: dict[tuple[State, State], Profile] = {}
-    for (s, label, t), profile in model.transitions.items():
-        key = (s, t)
-        if key in transitions:
-            transitions[key] = add(transitions[key], profile)
-        else:
-            transitions[key] = profile
-    return FDTMC(model.states, model.init, model.diagram, transitions, model.ap, model.labels)
+    for (s, _, t), profile in model.transitions.items():
+        merge(transitions, (s, t), profile)
+    # one action and no guards: the FMDP's rows are the chain's rows
+    chain = FDTMC(model.states, model.init, model.diagram, transitions, model.ap, model.labels)
+    if any(total.where(lambda v: v != 1) for total in chain.row_totals.values()):
+        raise ModelError("FMDP is not complete; cannot view it as an FDTMC")
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +477,13 @@ def fts_to_fmdp(fts: FTS) -> FMDP:
         key: indicator(guard, fts.diagram) for key, guard in fts.transitions.items()
     }
     model = FMDP(fts.states, fts.init, fts.diagram, transitions, fts.ap, fts.labels)
-    for s, name, assignment, edges in _row_groups(model):
+    for s, name, obs, _, row in model.rows:
         # a row of 0/1 indicators sums to the number of targets it enables
-        row = row_total(model.diagram, (profile for _, _, profile in edges))
         if bad := products_where(row, lambda v: v > 1):
             product, enabled = bad[0]
             raise NondeterminismError(
                 f"state {render_state(s)}, action {name}, observation "
-                f"{assignment} enables {enabled} targets for product {product}"
+                f"{obs} enables {enabled} targets for product {product}"
             )
     return model
 
@@ -475,28 +494,13 @@ def complete_deterministic(model: FMDP) -> FMDP:
     Rows that sum to anything other than 0 or 1 are structural errors.
     The added self-loop is guarded by the exact observation class it covers.
     """
-    transitions = dict(model.transitions)
-    for s, name, assignment, edges in _row_groups(model):
-        row = row_total(model.diagram, (profile for _, _, profile in edges))
-        bad = products_where(row, lambda v: v != 0 and v != 1)
-        if bad:
+    for s, name, _, _, row in model.rows:
+        if bad := products_where(row, lambda v: v != 0 and v != 1):
             raise ModelError(
                 f"state {render_state(s)}, action {name}: row sums to {bad[0][1]}, "
                 "cannot complete a non-deterministic-profile row"
             )
-        residual = complement(row)
-        if not residual.where(bool):
-            continue
-        literals = [
-            FVar(n) if v else FNot(FVar(n)) for n, v in sorted(assignment.items())
-        ]
-        label = ActionLabel(name, conj(*literals))
-        key = (s, label, s)
-        if key in transitions:
-            transitions[key] = add(transitions[key], residual)
-        else:
-            transitions[key] = residual
-    return FMDP(model.states, model.init, model.diagram, transitions, model.ap, model.labels)
+    return top_up(model, model.rows, lambda row: f"state {render_state(row[0])}")
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +531,7 @@ def _compose(
 
     transitions: dict[tuple[State, ActionLabel, State], Profile] = {}
     for key, profile in edges:
-        transitions[key] = add(transitions[key], profile) if key in transitions else profile
+        merge(transitions, key, profile)
     states = tuple((a, b) for a in m1.states for b in m2.states)
     init = {(a, b): wa * wb for a, wa in m1.init.items() for b, wb in m2.init.items()}
     labels = {(a, b): m1.labels[a] | m2.labels[b] for (a, b) in states}

@@ -163,16 +163,6 @@ def disjunction(left: StateFormula, right: StateFormula) -> StateFormula:
     return PNot(PAnd(PNot(left), PNot(right)))
 
 
-def atoms_of(formula: Property) -> frozenset[str]:
-    if isinstance(formula, RewardQuery):
-        return atoms_of(formula.target)
-    out: set[str] = set()
-    for sub in parse_tree(formula) if isinstance(formula, StateFormula) else ():
-        if isinstance(sub, Atom):
-            out.add(sub.name)
-    return frozenset(out)
-
-
 def parse_tree(formula: StateFormula) -> list[StateFormula]:
     """State subformulae in bottom-up order: children before parents.
 

@@ -8,7 +8,7 @@ drop-in fallback.  Engines that opt into float mode convert at the boundary.
 
 from __future__ import annotations
 
-from typing import Union
+from decimal import Decimal
 
 try:
     from gmpy2 import mpq as _mpq
@@ -46,8 +46,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
         return _Fraction(value)
 
 
-Rat = Union[int, object]  # concrete type depends on the backend
-
 ZERO = rational(0)
 ONE = rational(1)
 
@@ -56,11 +54,19 @@ ONE = rational(1)
 INFINITY = float("inf")
 
 
+def int_str(n) -> str:
+    """The decimal digits of an int or mpz of any size: ``str`` of an int
+    refuses more than 4300 digits, ``Decimal`` has no such limit."""
+    return str(Decimal(int(n)))
+
+
 def rat_str(value) -> str:
-    """Canonical text form: integers bare, otherwise ``num/den``."""
-    if value == INFINITY:
-        return "inf"
-    return str(value)
+    """Canonical text form: integers bare, otherwise ``num/den``, in full
+    at any size; floats (and the INFINITY sentinel, ``inf``) as ``str``."""
+    if isinstance(value, float):
+        return "inf" if value == INFINITY else str(value)
+    num = int_str(value.numerator)
+    return num if value.denominator == 1 else f"{num}/{int_str(value.denominator)}"
 
 
 def as_float(value) -> float:

@@ -146,8 +146,6 @@ def render_json(products, results, timings: bool = True) -> str:
             }
             if outcome.error_bound not in (None, 0):
                 record["error_bound"] = rat_str(outcome.error_bound)
-            if outcome.fallback:
-                record["fallback"] = True
             entry["products"].append(record)
         payload["results"].append(entry)
     return json.dumps(payload, indent=2) + "\n"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .features import Product
 from .rational import INFINITY, rat_str
@@ -21,6 +20,8 @@ class ProductOutcome:
     value: object = None
     decision: str | None = None
     error_bound: object = None
+    #: no engine sets it (the parametric engine never falls back); the
+    #: benchmark's tracer still reads it
     fallback: bool = False
 
     def value_str(self) -> str:
@@ -42,9 +43,6 @@ class FamilyResult:
     warnings: list[str] = field(default_factory=list)
     #: closed-form rational function, set by the parametric engine only
     function: object = None
-
-    def ordered(self, products: Iterable[Product]) -> list[ProductOutcome]:
-        return [self.outcomes[p] for p in products]
 
     @property
     def unknown_products(self) -> list[Product]:

@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from featmc import bundled_model_path
+from featmc import bundled_model_path, cli
 from featmc.cli import main
 from featmc.dsl import print_model_file
 from featmc.generators import gen_service_provider
+from featmc.report import product_label
 
 
 @pytest.fixture()
@@ -268,3 +271,82 @@ class TestUnknownExitCode:
         )
         assert code == 1
         assert "unknown" in out
+
+
+def _exact(text: str) -> Fraction:
+    """A printed ``n`` or ``n/d`` read back exactly (``int`` of a string
+    refuses more than 4300 digits, ``Decimal`` does not)."""
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def _recorded_results(monkeypatch) -> list:
+    """The results of every engine run the CLI makes from now on."""
+    results = []
+    run = cli._run_engine
+
+    def recording(*args):
+        results.append(run(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "_run_engine", recording)
+    return results
+
+
+def _polynomial_terms(text: str) -> list[tuple[int, list[str]]]:
+    """The ``(coefficient, features)`` terms of a printed polynomial with
+    integer coefficients, such as ``3*a*b - c + 5``."""
+    terms, sign = [], 1
+    for token in text.split():
+        if token in ("+", "-"):
+            sign = 1 if token == "+" else -1
+            continue
+        if token.startswith("-"):
+            sign, token = -1, token[1:]
+        factors = token.split("*")
+        coeff = int(Decimal(factors.pop(0))) if factors[0].isdigit() else 1
+        terms.append((sign * coeff, factors))
+    return terms
+
+
+class TestExactNumbersInFull:
+    """Values, error bounds and the emitted expression print every digit,
+    past the 4300 digits ``str`` of an int stops at."""
+
+    def test_step_bounded_value_with_thousands_of_digits(self, capsys, monkeypatch, wiper_path):
+        results = _recorded_results(monkeypatch)
+        code, out, err = run_cli(
+            capsys, "check", wiper_path, "--prop", "P=?(true U<=8000 end)", "--engine", "enum"
+        )
+        assert code == 0, err
+        rows = [line.split() for line in out.splitlines()[2:-1]]
+        (result,) = results
+        assert len(rows) == len(result.outcomes)
+        for (label, value, _), (product, outcome) in zip(rows, result.outcomes.items()):
+            assert label == product_label(product)
+            assert _exact(value) == outcome.value
+        assert max(len(row[1]) for row in rows) > 8000
+
+    def test_emitted_expression_with_thousands_of_digits(self, capsys, monkeypatch, tmp_path):
+        model, expression = tmp_path / "f9.fdl", tmp_path / "out.txt"
+        code, out, _ = run_cli(capsys, "gen", "--family", "failure", "--n", "9")
+        model.write_text(out)
+        results = _recorded_results(monkeypatch)
+        code, out, err = run_cli(
+            capsys, "check", str(model), "--prop", "fail_value", "--engine", "param",
+            "--emit-expression", str(expression),
+        )
+        assert code == 0, err
+        numerator, denominator = expression.read_text().splitlines()
+        assert numerator.startswith("(") and numerator.endswith(")")
+        assert denominator.startswith("/ ")
+        den = int(Decimal(denominator[2:]))
+        assert len(denominator) - 2 > 4300
+        terms = _polynomial_terms(numerator[1:-1])
+        (result,) = results
+        rows = [line.split() for line in out.splitlines()[2:-1]]
+        assert len(rows) == len(result.outcomes)
+        for (_, value, _), (product, outcome) in zip(rows, result.outcomes.items()):
+            assert _exact(value) == outcome.value
+            at_product = sum(c for c, names in terms if all(product[n] for n in names))
+            assert Fraction(at_product, den) == outcome.value

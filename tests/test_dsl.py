@@ -60,6 +60,30 @@ system = M;
         assert to_dense(transitions[("a", "a")]).values == (rational("0.5"),)
         assert to_dense(transitions[("b", "b")]).values == (ONE,)
 
+    def test_block_without_transitions_loops_every_state(self):
+        text = "fdtmc M {\n  states a b;\n  init a;\n}\n"
+        transitions = parse_model(text).system.transitions
+        assert list(transitions) == [("a", "a"), ("b", "b")]
+        assert all(to_dense(p).values == (ONE,) for p in transitions.values())
+
+    def test_fmdp_row_over_one_names_its_observation_class(self):
+        text = """
+features f;
+
+fmdp M {
+  states a b;
+  init a;
+  a -(t | obs: p)-> b : [f] 0.75, 0.5;
+  a -(t)-> a : 0.5;
+}
+"""
+        with pytest.raises(
+            ModelError,
+            match=r"^component M, state a, action t, observation \{'p': True\}: "
+            r"outgoing probability exceeds 1 for products \{f\}$",
+        ):
+            parse_model(text)
+
     def test_completion_leaves_exact_rows_alone(self):
         text = MINIMAL.replace("a -> b : [f] 0.5, 0.25;", "a -> b : 1;")
         built = parse_model(text)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from featmc import models
 from featmc.errors import ModelError, NondeterminismError
 from featmc.dsl import build_model
 from featmc.features import FeatureDiagram, Product, TRUE, parse_feature_expression
@@ -174,6 +175,31 @@ class TestFmdpBasics:
         )
         with pytest.raises(ModelError, match="not complete"):
             as_fdtmc(m)
+
+    def test_completion_rejects_a_half_row(self):
+        d = FeatureDiagram(())
+        m = FMDP(("a",), "a", d, {("a", ActionLabel("t"), "a"): constant(rational(1, 2), d)})
+        with pytest.raises(
+            ModelError,
+            match=r"^state a, action t: row sums to 1/2, "
+            "cannot complete a non-deterministic-profile row$",
+        ):
+            complete_deterministic(m)
+
+    def test_rows_are_totalled_once(self, monkeypatch):
+        """Completion reads the totals the FTS check summed, and chain
+        validation the totals ``as_fdtmc`` summed for its completeness check."""
+        controller = fts_to_fmdp(TestFts()._controller())
+        chain = as_fdtmc(fdtmc_as_fmdp(simple_chain()))
+
+        def forbidden(*args):
+            raise AssertionError("a row was totalled twice")
+
+        monkeypatch.setattr(models, "row_total", forbidden)
+        completed = complete_deterministic(controller)
+        assert validate_fdtmc(chain).ok
+        monkeypatch.undo()
+        assert is_complete(completed)
 
     def test_as_fdtmc_rejects_two_actions(self):
         d = FeatureDiagram(())
