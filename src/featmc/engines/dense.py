@@ -68,10 +68,12 @@ class DenseModel:
 
     ``groups`` lists each state's nonzero out-edges with their nonzero
     ``(value, product bitset)`` groups, read from the profiles, for the
-    exact step kernel and the bounded engine's interval kernel (with the
-    update order ``sweep_order``).  ``succ`` and ``pred`` list each state's successors
-    and predecessors with the bitset of products whose edge is nonzero, the
-    union of its groups, for the reachability closure.  ``edges`` lists
+    exact step kernel (which chunks products by ``denominator_classes``,
+    read from the groups once per model) and the bounded engine's interval
+    kernel (with the update order ``sweep_order``).  ``succ`` and ``pred``
+    list each state's successors and predecessors with the bitset of
+    products whose edge is nonzero, the union of its groups, for the
+    reachability closure.  ``edges`` lists
     each state's out-edges with their per-product vectors and ``rewards``
     each state's reward vector: the only per-product reads.  Walking
     propositional formulas reads no profile; next, step-bounded until and
@@ -120,6 +122,40 @@ class DenseModel:
             for t, mask in out:
                 pred[t].append((s, mask))
         return pred
+
+    @cached_property
+    def denominator_classes(self) -> dict[int, list[int]]:
+        """The products grouped by a common denominator D of their edge
+        values, as D -> the products' indices, for the step kernel
+        (:func:`step_chunks`); it depends on the model alone.
+
+        Each product's own D is the lcm of the denominators of its edge
+        values.  Products of equal D form a group, and a group whose D
+        divides that of another is folded into the one of largest D among
+        those that divide no other, so products with unrelated denominators
+        never share one D (whose powers would grow with every prime of
+        both)."""
+        by_denominator: dict[int, int] = {}  # denominator -> product bitset
+        for out in self.groups.values():
+            for _, groups in out:
+                for v, bits in groups:
+                    d = int(v.denominator)
+                    by_denominator[d] = by_denominator.get(d, 0) | bits
+        # products of equal D so far share a class, split by each denominator
+        classes = {1: self.full} if self.n else {}
+        for d, bits in by_denominator.items():
+            split: dict[int, int] = {}
+            for own, members in classes.items():
+                for key, part in ((math.lcm(own, d), members & bits), (own, members & ~bits)):
+                    if part:
+                        split[key] = split.get(key, 0) | part
+            classes = split
+        hosts: dict[int, int] = {}
+        for d in sorted(classes, reverse=True):
+            host = next((h for h in hosts if h % d == 0), d)
+            hosts[host] = hosts.get(host, 0) | classes[d]
+        n = self.n
+        return {d: [*compress(range(n), flag_bytes(bits, n))] for d, bits in hosts.items()}
 
     def init_cone(self, allowed: dict[State, int]) -> dict[State, int]:
         """Per state, the products for which it is reached from an initial
@@ -325,38 +361,11 @@ STEP_CHUNK_BYTES = 1 << 16
 
 def step_chunks(dense: DenseModel, steps: int) -> list[tuple[list[int], int]]:
     """The products of the step kernel grouped into chunks, as ``(members,
-    D)`` pairs: ``D`` is a common denominator of every edge value of the
-    members.
-
-    Each product's own D is the lcm of the denominators of its edge values.
-    Products of equal D form a group, and a group whose D divides that of
-    another is folded into the one of largest D among those that divide
-    no other, so products with unrelated denominators never share one D
-    (whose powers would grow with every prime of both).  A chunk holds at
-    most as many products as lanes of ``bitlen(D**steps) + 1`` bits fit
-    into :data:`STEP_CHUNK_BYTES`."""
-    by_denominator: dict[int, int] = {}  # denominator -> product bitset
-    for out in dense.groups.values():
-        for _, groups in out:
-            for v, bits in groups:
-                d = int(v.denominator)
-                by_denominator[d] = by_denominator.get(d, 0) | bits
-    # products of equal D so far share a class, split by each denominator
-    classes = {1: dense.full} if dense.n else {}
-    for d, bits in by_denominator.items():
-        split: dict[int, int] = {}
-        for own, members in classes.items():
-            for key, part in ((math.lcm(own, d), members & bits), (own, members & ~bits)):
-                if part:
-                    split[key] = split.get(key, 0) | part
-        classes = split
-    hosts: dict[int, int] = {}
-    for d in sorted(classes, reverse=True):
-        host = next((h for h in hosts if h % d == 0), d)
-        hosts[host] = hosts.get(host, 0) | classes[d]
+    D)`` pairs: each class of :attr:`DenseModel.denominator_classes`, split
+    so that a chunk holds at most as many products as lanes of
+    ``bitlen(D**steps) + 1`` bits fit into :data:`STEP_CHUNK_BYTES`."""
     chunks = []
-    for d, bits in hosts.items():
-        members = [*compress(range(dense.n), flag_bytes(bits, dense.n))]
+    for d, members in dense.denominator_classes.items():
         size = max(1, STEP_CHUNK_BYTES * 8 // _lane_width(d, steps))
         chunks += [(members[j : j + size], d) for j in range(0, len(members), size)]
     return chunks

@@ -11,10 +11,13 @@ from entry i of every edge vector (edges into prob0 dropped, edges into
 prob1 onto the sink), and is solved exactly by the state elimination the
 parametric engine also runs.  Products whose systems have the same
 structure (the same unknowns, kept edges, sink edges and nonzero rewards)
-form a class, and a class shares one elimination over :class:`Lanes`, one
-value per product: the graph bookkeeping runs once per class, while each
-lane sees the operations its own solve would make, in the same order.  A
-class of one solves on plain values.  Expected rewards solve
+form a class, and a class shares one elimination over lanes, one value per
+product: the graph bookkeeping runs once per class, while each lane sees
+the operations its own solve would make, in the same order.  Exact lanes
+(:class:`RationalLanes`) are a tuple of integer numerators and one of
+denominators, kept in lowest terms by maps over whole lanes, so no rational
+object is made inside the solve; float lanes (:class:`Lanes`) are a tuple
+of float64 values.  A class of one solves on plain values.  Expected rewards solve
 ``x = P·x + r`` the same way; a product that misses the target with
 positive probability is infinite and solves nothing.  Thresholds, next
 and step-bounded until (on the shared exact step kernel, which builds no
@@ -40,7 +43,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, itemgetter, mul
+from math import gcd
+from operator import add, attrgetter, floordiv, itemgetter, mul, sub
 
 from ..errors import FeatmcError, ModelError, UnsupportedPropertyError
 from ..features import flag_bytes
@@ -59,10 +63,10 @@ from ..properties import (
     bind_check,
     print_property,
 )
-from ..rational import INFINITY, ONE, ZERO
+from ..rational import INFINITY, ONE, ZERO, rational
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
 from .dense import DenseModel, FamilyCheck, reward_cone
-from .elimination import SINK, _closure, closure as reachable, solve_linear, until_partition
+from .elimination import SINK, closure as reachable, solve_linear, until_partition
 
 ENGINE_NAME = "enumerative"
 
@@ -127,9 +131,9 @@ def _float_closure(loop: float) -> float:
 
 
 class Lanes(tuple):
-    """One value per product of a structure class, as a value domain of
-    :func:`solve_linear`: ``+`` and ``*`` act lane by lane, and the empty
-    tuple is 0 (a state with no outgoing mass)."""
+    """One float64 value per product of a structure class, as a value
+    domain of :func:`solve_linear`: ``+`` and ``*`` act lane by lane, and
+    the empty tuple is 0 (a state with no outgoing mass)."""
 
     __slots__ = ()
 
@@ -142,6 +146,62 @@ class Lanes(tuple):
 
     def __mul__(self, other):
         return Lanes(map(mul, self, other))
+
+
+_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
+
+
+class RationalLanes:
+    """One exact value per product of a structure class, as a value domain
+    of :func:`solve_linear`: lane k is ``num[k] / den[k]``, two tuples of
+    integers (``mpz`` under gmpy2) kept in lowest terms with ``den[k] > 0``,
+    so every lane holds the very rational its product's own solve makes.
+    ``+`` and ``*`` are maps over whole lanes, with one ``gcd`` map and two
+    ``floordiv`` maps to reduce; no rational object is made.  With no lanes
+    it is 0 (a state with no outgoing mass)."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple = (), den: tuple = ()):
+        self.num = num
+        self.den = den
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __add__(self, other: RationalLanes) -> RationalLanes:
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        a, b, c, d = self.num, self.den, other.num, other.den
+        return _lowest_terms(map(add, map(mul, a, d), map(mul, c, b)), map(mul, b, d))
+
+    def __mul__(self, other: RationalLanes) -> RationalLanes:
+        if not (self.num and other.num):
+            return RationalLanes()
+        return _lowest_terms(map(mul, self.num, other.num), map(mul, self.den, other.den))
+
+    def rationals(self) -> list:
+        """Every lane as a rational of the backend."""
+        return [*map(rational, self.num, self.den)]
+
+
+def _lowest_terms(num, den) -> RationalLanes:
+    num, den = tuple(num), tuple(den)
+    g = tuple(map(gcd, num, den))
+    return RationalLanes(tuple(map(floordiv, num, g)), tuple(map(floordiv, den, g)))
+
+
+def _rational_closure(loop: RationalLanes) -> RationalLanes:
+    """1 / (1 - loop) lane by lane for a loop of probabilities, at most 1:
+    ``den / (den - num)``, in lowest terms because ``num`` and ``den`` are
+    coprime.  A lane whose loop is 1 makes the system singular, as in
+    ``elimination._closure``."""
+    rest = tuple(map(sub, loop.den, loop.num))
+    if 0 in rest:
+        raise ModelError("singular linear system in until/reward computation")
+    return RationalLanes(loop.den, rest)
 
 
 def _cone(dtmc: DTMC, candidates: list, wanted) -> list:
@@ -369,11 +429,14 @@ class _FamilyCheck(FamilyCheck):
     the states each product leaves unknown and of the edges its rows keep
     or send to the sink.  Products with equal entries in all those flags
     form a structure class (:meth:`solve_all`), whose rows are built once
-    with a :class:`Lanes` value per edge and solved by one elimination.
-    Unknowns and rows come in the order the per-chain functions above give
-    them, so every lane is the solve :func:`check_product` makes on the
-    projected chain.  Float mode solves on float64 edges, each distinct
-    value object converted once per family.  The edge vectors and their
+    with a lane value per edge and solved by one elimination: a
+    :class:`RationalLanes` from each vector's numerators and denominators,
+    split once per vector (:meth:`split`), or a :class:`Lanes` of float64
+    in float mode.  Unknowns and rows come in the order the per-chain
+    functions above give them, so every lane is the solve
+    :func:`check_product` makes on the projected chain.  Float mode solves
+    on float64 edges, each distinct value object converted once per
+    family.  The edge vectors and their
     float64 copies are built on first use by an unbounded solve: next and
     step-bounded until run on the exact step kernel of the shared layer,
     which reads the value groups, and stay exact in float mode too.
@@ -383,10 +446,10 @@ class _FamilyCheck(FamilyCheck):
         super().__init__(dense)
         self.float_mode = float_mode
         self.starts = [s for s, weight in dense.init.items() if weight]
-        self.one, self.zero, self.domain, self.closure = ONE, ZERO, (), _closure
+        self.one, self.zero, self.domain = ONE, ZERO, ()
         if float_mode:
             self.one, self.zero, self.domain = 1.0, 0.0, (_float_closure, 1.0)
-            self.closure = _float_closure
+        self.parts: dict[int, tuple[tuple, tuple]] = {}  # id(vector) -> split
 
     @cached_property
     def out(self) -> dict:
@@ -424,8 +487,9 @@ class _FamilyCheck(FamilyCheck):
         Products whose systems have one structure (the same unknowns, the
         same edges kept and sent to the sink, the same nonzero rewards) form
         a class, keyed by their entries in those flag bytes; each class runs
-        one :func:`solve_linear` on :class:`Lanes`, a class of one on plain
-        values.
+        one :func:`solve_linear` (:meth:`solve_class`), on
+        :class:`RationalLanes` (:class:`Lanes` in float mode), a class of
+        one on plain values.
         """
         states = [s for s, flags in unknown.items() if 1 in flags]
         arrays = [unknown[s] for s in states]
@@ -449,10 +513,28 @@ class _FamilyCheck(FamilyCheck):
                     solved[i] = solution
         return solved
 
+    def split(self, vec: tuple) -> tuple[tuple, tuple]:
+        """The numerators and denominators of an edge or reward vector, as
+        two tuples, split once per vector; the vectors stay alive in the
+        dense model, so no id is reused."""
+        parts = self.parts.get(id(vec))
+        if parts is None:
+            parts = (tuple(map(_NUMERATOR, vec)), tuple(map(_DENOMINATOR, vec)))
+            self.parts[id(vec)] = parts
+        return parts
+
     def solve_class(self, members: list, unknowns: list, edges: dict, rewards, wanted) -> list:
         """The values of each of ``members``, products whose systems share
-        one structure.  An error in a lane solve reruns the class product by
-        product, so that it names the first product that fails."""
+        one structure, as rationals of the backend (float64 in float mode).
+        Exact lanes become rationals only here, for the values returned.  An
+        error in a lane solve (a singular lane raises :class:`ModelError`)
+        reruns the class product by product, so that it names the first
+        product that fails.
+
+        A class of one solves on plain values, not on lanes of width one:
+        on service, where every product is a class of its own, one-lane
+        :class:`RationalLanes` made a check slower (about 20 against 26 ms
+        per check at n=7), so the two paths stay apart."""
         i = members[0]
         if len(members) == 1:
             # indexed in place: when every product has a structure of its
@@ -464,16 +546,28 @@ class _FamilyCheck(FamilyCheck):
             pick, domain = itemgetter(i), self.domain
         else:
             get = itemgetter(*members)
+            if self.float_mode:
 
-            def pick(vec):
-                return Lanes(get(vec))
+                def pick(vec):
+                    return Lanes(get(vec))
 
+                ones = (1.0,) * len(members)
+                domain = (lambda loop: Lanes(map(_float_closure, loop)), Lanes(ones))
+            else:
+                split = self.split
+                if len(members) == self.dense.n:
+                    get = tuple  # every product: the split tuples themselves
+
+                def pick(vec):
+                    num, den = split(vec)
+                    return RationalLanes(get(num), get(den))
+
+                ones = (1,) * len(members)
+                domain = (_rational_closure, RationalLanes(ones, ones))
             rows = [
                 [(SINK if to_sink[i] else t, pick(vec)) for t, vec, kept, to_sink in edges[s] if kept[i]]
                 for s in unknowns
             ]
-            closure = self.closure
-            domain = (lambda loop: Lanes(map(closure, loop)), Lanes((self.one,) * len(members)))
         if rewards is not None:
             for s, row in zip(unknowns, rows):
                 if rewards[s][i]:
@@ -488,6 +582,8 @@ class _FamilyCheck(FamilyCheck):
             raise
         if len(members) == 1:
             return [values]
+        if not self.float_mode:
+            values = {s: v.rationals() for s, v in values.items()}
         zero = self.zero
         return [{s: v[k] if v else zero for s, v in values.items()} for k in range(len(members))]
 

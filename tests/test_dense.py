@@ -23,11 +23,11 @@ from featmc.engines.dense import (
     satisfaction,
     step_chunks,
 )
-from featmc.engines.enumerative import _FamilyCheck, check_family_enumerative
+from featmc.engines.enumerative import _FamilyCheck, check_family_enumerative, check_product
 from featmc.engines.parametric import check_family_parametric
 from featmc.features import FeatureDiagram
 from featmc.generators import gen_service_provider
-from featmc.models import FDTMC
+from featmc.models import FDTMC, project
 from featmc.profiles import DenseProfile, GuardedProfile, constant
 from featmc.properties import Next, parse_property
 from featmc.rational import ONE, rational
@@ -289,6 +289,28 @@ class TestStepKernel:
             dense = DenseModel(built.system)
             ((members, _),) = step_chunks(dense, 50)
             assert members == list(range(dense.n))
+
+    def test_denominator_classes_are_walked_once(self, wiper):
+        """A nested X under a top-level X runs the kernel twice, but the
+        groups are walked for denominators once per model; the values are
+        the per-chain reference's."""
+
+        class Walks(dict):
+            count = 0
+
+            def values(self):
+                self.count += 1
+                return super().values()
+
+        dense = DenseModel(wiper.system)
+        dense.groups = Walks(dense.groups)
+        prop = parse_property("P=?(X P[>0.3](X fastmode))")
+        outcomes = _FamilyCheck(dense, False).outcomes(prop)
+        assert dense.groups.count == 1
+        for outcome in outcomes:
+            expected = check_product(project(wiper.system, outcome.product), prop)
+            assert outcome.value == expected.value
+        assert len({o.value for o in outcomes}) > 1
 
     @pytest.mark.parametrize("budget", [1, 40])
     def test_chunks_split_at_the_byte_budget(self, monkeypatch, budget):
