@@ -19,9 +19,10 @@ from importlib import resources
 from .dsl import load_model, parse_model, print_model_file
 from .engines.bounded import check_family_bounded
 from .engines.enumerative import check_family_enumerative
-from .engines.parametric import check_family_parametric, rf_to_text
+from .engines.parametric import ENGINE_NAME, check_family_parametric, rf_to_text
 from .errors import FeatmcError
 from .generators import gen_failure_recovery, gen_service_provider
+from .properties import Prob, RewardQuery
 from .rational import rational
 from .report import render_csv, render_json, render_table
 
@@ -54,6 +55,24 @@ def _run_engine(engine: str, model, prop, args):
     raise ValueError(engine)
 
 
+def _emit_expression(path: str, results: list, prop) -> None:
+    """Write the parametric closed form to ``path``, or warn why there is
+    none: no parametric engine ran, the query is a plain state formula, or
+    some product's value is infinite (the engine has warned which)."""
+    param = next((r for r in results if r.engine == ENGINE_NAME), None)
+    if param is not None and param.function is not None:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(rf_to_text(param.function))
+        return
+    if param is None:
+        reason = "needs the parametric engine (--engine param or all)"
+    elif not isinstance(prop, (Prob, RewardQuery)):
+        reason = "has no closed form for a plain state formula"
+    else:
+        reason = "has no closed form: the value is infinite on some product"
+    print(f"warning: --emit-expression {reason}; no file written", file=sys.stderr)
+
+
 def cmd_check(args) -> int:
     built = load_model(args.model)
     prop = built.property_of(args.prop)
@@ -68,18 +87,7 @@ def cmd_check(args) -> int:
         for warning in result.warnings:
             print(f"warning [{result.engine}]: {warning}", file=sys.stderr)
     if args.emit_expression:
-        emitted = False
-        for result in results:
-            if result.function is not None:
-                with open(args.emit_expression, "w", encoding="utf-8") as handle:
-                    handle.write(rf_to_text(result.function))
-                emitted = True
-        if not emitted:
-            print(
-                "warning: --emit-expression needs the parametric engine "
-                "and a finite value on every product",
-                file=sys.stderr,
-            )
+        _emit_expression(args.emit_expression, results, prop)
     unknowns = any(result.unknown_products for result in results)
     return 1 if unknowns else 0
 

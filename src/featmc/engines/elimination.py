@@ -2,27 +2,36 @@
 
 Sparse state elimination over any value domain (Daws, ICTAC 2004; Hahn,
 Hermanns & Zhang, STTT 2011) and :func:`solve_linear` on it, the one exact
-solver of ``x = P·x + b``: exact rationals or float64 for one product's
-rows in the enumerative engine, per-product support tables for the whole
-family in the parametric engine.  Edge values need only ``+``, ``*`` and
-truthiness.  The working graph is a pair of adjacency dicts (successor
-rows with edge values, predecessor sets), and nodes go least degree first,
-picked from a lazy min-degree heap.
+solver of ``x = P·x + b``: exact rationals, exact lanes or float64 for the
+products of one structure class in the enumerative engine, per-product
+support tables for the whole family in the parametric engine.  Edge values
+need only ``+``, ``*`` and truthiness.  The working graph is a pair of
+adjacency dicts (successor rows with edge values, predecessor sets), and
+nodes go least degree first, picked from a lazy min-degree heap.
 
 Per-product reachability closure, the one qualitative precomputation of the
 enumerative and the bounded engine (Baier & Katoen, *Principles of Model
 Checking*, Alg. 45/46, run over feature-set-labelled edges as in Classen et
 al., ICSE 2010).  Sets of products are bitsets: bit i of an int stands for
 product i, so a single chain is the one-product case with masks 0 and 1.
+
+The one exact lane domain of both exact engines: a tuple of integer
+numerators and one of positive denominators, every lane in lowest terms,
+with ``+`` and ``*`` as maps over whole lanes (:func:`lane_sum`,
+:func:`lane_product`).  The enumerative engine's :class:`RationalLanes`
+holds one lane per product of a structure class, the parametric engine's
+support tables one lane per assignment of their support.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import gcd
+from operator import add, floordiv, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import ModelError
-from ..rational import ONE
+from ..rational import ONE, rational
 
 
 class EliminationGraph:
@@ -140,12 +149,81 @@ def solve_linear(
         wanted = [s for s in unknowns if s in keep]
         for _ in graph.run(unknowns, keep):
             pass
-    zero = type(one)()  # the domain's 0: Fraction(), mpq(), float(), SupportTable()
+    zero = type(one)()  # the domain's 0: Fraction(), mpq(), float(), lanes, SupportTable()
     values = {SINK: one}
     for v, out in reversed(list(graph.run(wanted))):
         values[v] = sum((p * values[t] for t, p in out), zero)
     del values[SINK]
     return values
+
+
+# ---------------------------------------------------------------------------
+# Exact lanes
+# ---------------------------------------------------------------------------
+
+
+def _lowest_terms(num, den) -> tuple[tuple, tuple]:
+    """Numerators and denominators, each lane divided by its gcd; the
+    denominators stay positive."""
+    num, den = tuple(num), tuple(den)
+    g = tuple(map(gcd, num, den))
+    return tuple(map(floordiv, num, g)), tuple(map(floordiv, den, g))
+
+
+def lane_sum(a: tuple, b: tuple, c: tuple, d: tuple) -> tuple[tuple, tuple]:
+    """``a/b + c/d`` lane by lane, in lowest terms."""
+    return _lowest_terms(map(add, map(mul, a, d), map(mul, c, b)), map(mul, b, d))
+
+
+def lane_product(a: tuple, b: tuple, c: tuple, d: tuple) -> tuple[tuple, tuple]:
+    """``a/b * c/d`` lane by lane, in lowest terms."""
+    return _lowest_terms(map(mul, a, c), map(mul, b, d))
+
+
+class RationalLanes:
+    """One exact value per product of a structure class, as a value domain
+    of :func:`solve_linear`: lane k is ``num[k] / den[k]``, two tuples of
+    integers (``mpz`` under gmpy2) kept in lowest terms with ``den[k] > 0``,
+    so every lane holds the very rational its product's own solve makes.
+    ``+`` and ``*`` are maps over whole lanes, with one ``gcd`` map and two
+    ``floordiv`` maps to reduce; no rational object is made.  With no lanes
+    it is 0 (a state with no outgoing mass)."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple = (), den: tuple = ()):
+        self.num = num
+        self.den = den
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __add__(self, other: RationalLanes) -> RationalLanes:
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        return RationalLanes(*lane_sum(self.num, self.den, other.num, other.den))
+
+    def __mul__(self, other: RationalLanes) -> RationalLanes:
+        if not (self.num and other.num):
+            return RationalLanes()
+        return RationalLanes(*lane_product(self.num, self.den, other.num, other.den))
+
+    def rationals(self) -> list:
+        """Every lane as a rational of the backend."""
+        return [*map(rational, self.num, self.den)]
+
+
+def _rational_closure(loop: RationalLanes) -> RationalLanes:
+    """1 / (1 - loop) lane by lane for a loop of probabilities, at most 1:
+    ``den / (den - num)``, in lowest terms because ``num`` and ``den`` are
+    coprime.  A lane whose loop is 1 makes the system singular, as in
+    :func:`_closure`."""
+    rest = tuple(map(sub, loop.den, loop.num))
+    if 0 in rest:
+        raise ModelError("singular linear system in until/reward computation")
+    return RationalLanes(loop.den, rest)
 
 
 def closure(seeds: Mapping, edges: Mapping, allowed: Mapping) -> dict:

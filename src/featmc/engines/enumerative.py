@@ -14,12 +14,14 @@ structure (the same unknowns, kept edges, sink edges and nonzero rewards)
 form a class, and a class shares one elimination over lanes, one value per
 product: the graph bookkeeping runs once per class, while each lane sees
 the operations its own solve would make, in the same order.  Exact lanes
-(:class:`RationalLanes`) are a tuple of integer numerators and one of
-denominators, kept in lowest terms by maps over whole lanes, so no rational
-object is made inside the solve; float lanes (:class:`Lanes`) are a tuple
-of float64 values.  A class of one solves on plain values.  Expected rewards solve
-``x = P·x + r`` the same way; a product that misses the target with
-positive probability is infinite and solves nothing.  Thresholds, next
+(:class:`RationalLanes`, the exact lane domain in ``engines/elimination.py``
+that the parametric engine's support tables share) are a tuple of integer
+numerators and one of denominators, kept in lowest terms by maps over whole
+lanes, so no rational object is made inside the solve; float lanes
+(:class:`Lanes`) are a tuple of float64 values.  A class of one solves on
+plain values.  Expected rewards solve ``x = P·x + r`` the same way; a
+product that misses the target with positive probability is infinite and
+solves nothing.  Thresholds, next
 and step-bounded until (on the shared exact step kernel, which builds no
 edge vector) and the outcomes come from the answer layer all engines
 share (``FamilyCheck`` in ``engines/dense.py``).
@@ -43,8 +45,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
-from operator import add, attrgetter, floordiv, itemgetter, mul, sub
+from operator import add, attrgetter, itemgetter, mul
 
 from ..errors import FeatmcError, ModelError, UnsupportedPropertyError
 from ..features import flag_bytes
@@ -63,10 +64,17 @@ from ..properties import (
     bind_check,
     print_property,
 )
-from ..rational import INFINITY, ONE, ZERO, rational
+from ..rational import INFINITY, ONE, ZERO
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
 from .dense import DenseModel, FamilyCheck, reward_cone
-from .elimination import SINK, closure as reachable, solve_linear, until_partition
+from .elimination import (
+    SINK,
+    RationalLanes,
+    _rational_closure,
+    closure as reachable,
+    solve_linear,
+    until_partition,
+)
 
 ENGINE_NAME = "enumerative"
 
@@ -149,59 +157,6 @@ class Lanes(tuple):
 
 
 _NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
-
-
-class RationalLanes:
-    """One exact value per product of a structure class, as a value domain
-    of :func:`solve_linear`: lane k is ``num[k] / den[k]``, two tuples of
-    integers (``mpz`` under gmpy2) kept in lowest terms with ``den[k] > 0``,
-    so every lane holds the very rational its product's own solve makes.
-    ``+`` and ``*`` are maps over whole lanes, with one ``gcd`` map and two
-    ``floordiv`` maps to reduce; no rational object is made.  With no lanes
-    it is 0 (a state with no outgoing mass)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: tuple = (), den: tuple = ()):
-        self.num = num
-        self.den = den
-
-    def __len__(self) -> int:
-        return len(self.num)
-
-    def __add__(self, other: RationalLanes) -> RationalLanes:
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        a, b, c, d = self.num, self.den, other.num, other.den
-        return _lowest_terms(map(add, map(mul, a, d), map(mul, c, b)), map(mul, b, d))
-
-    def __mul__(self, other: RationalLanes) -> RationalLanes:
-        if not (self.num and other.num):
-            return RationalLanes()
-        return _lowest_terms(map(mul, self.num, other.num), map(mul, self.den, other.den))
-
-    def rationals(self) -> list:
-        """Every lane as a rational of the backend."""
-        return [*map(rational, self.num, self.den)]
-
-
-def _lowest_terms(num, den) -> RationalLanes:
-    num, den = tuple(num), tuple(den)
-    g = tuple(map(gcd, num, den))
-    return RationalLanes(tuple(map(floordiv, num, g)), tuple(map(floordiv, den, g)))
-
-
-def _rational_closure(loop: RationalLanes) -> RationalLanes:
-    """1 / (1 - loop) lane by lane for a loop of probabilities, at most 1:
-    ``den / (den - num)``, in lowest terms because ``num`` and ``den`` are
-    coprime.  A lane whose loop is 1 makes the system singular, as in
-    ``elimination._closure``."""
-    rest = tuple(map(sub, loop.den, loop.num))
-    if 0 in rest:
-        raise ModelError("singular linear system in until/reward computation")
-    return RationalLanes(loop.den, rest)
 
 
 def _cone(dtmc: DTMC, candidates: list, wanted) -> list:

@@ -1,4 +1,4 @@
-"""Parametric engine: one family-wide elimination, one closed form.
+"""Parametric engine: one family-wide elimination, a closed form on demand.
 
 The paper's parametric route eliminates states over rational functions of
 the feature variables and evaluates the resulting function once per
@@ -8,17 +8,23 @@ departs from it in two ways:
 
 * The one state elimination for the whole family runs over *support
   tables* instead of rational functions.  A table holds one exact value per
-  assignment of only the features it depends on, and ``+``, ``*`` and the
-  loop closure act pointwise: variable elimination over factors, the ADD
-  encoding of ProFeat (Chrszon, Dubslaff, Klüppelholz & Baier, FAOC 2018)
-  and of Bahar et al. (ICCAD 1993).  Every product gets its exact value.
-  The system is the sink-shaped ``x = P·x + b`` the enumerative engine
-  solves per product, built once over product bitsets from the shared
-  state-formula walker, and it goes through the same ``solve_linear``.
+  assignment of only the features it depends on, as integer numerator and
+  denominator lanes in lowest terms (the exact lane domain of
+  ``engines/elimination.py``, which the enumerative engine's lanes share),
+  and ``+``, ``*`` and the loop closure act pointwise: variable
+  elimination over factors, the ADD encoding of ProFeat (Chrszon, Dubslaff,
+  Klüppelholz & Baier, FAOC 2018) and of Bahar et al. (ICCAD 1993).  Every
+  product gets its exact value, and a rational object is made only where a
+  product reads its entry.  The system is the sink-shaped ``x = P·x + b``
+  the enumerative engine solves per product, built once over product
+  bitsets from the shared state-formula walker, and it goes through the
+  same ``solve_linear``.
 * The closed form is the canonical multilinear interpolant of those values
   (a Möbius transform over the feature cube), emitted as a rational
   function over 1.  It agrees with the symbolic quotient wherever that is
-  defined and needs no division.
+  defined and needs no division.  A check does not build it: the result's
+  ``function`` interpolates the outcomes on its first read, which only
+  ``--emit-expression`` and :func:`property_function` make.
 
 A top-level query adds one virtual initial unknown, whose row is the
 initial distribution, and back-substitutes only it.  A nested probability
@@ -32,12 +38,14 @@ answer layer all engines share (``FamilyCheck`` in ``engines/dense.py``).
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from functools import cached_property, lru_cache
+from operator import attrgetter, itemgetter, sub
 from typing import Mapping, Sequence
 
 from ..errors import ModelError, UnboundFeatureError, UnsupportedPropertyError
-from ..features import FeatureDiagram, Product
+from ..features import FeatureDiagram, Product, flag_bytes
 from ..models import FDTMC
 from ..profiles import GuardedProfile, Profile
 from ..properties import (
@@ -52,7 +60,7 @@ from ..properties import (
 from ..rational import INFINITY, ONE, ZERO, rat_str, rational
 from ..result import FamilyResult
 from .dense import DenseModel, FamilyCheck, reward_cone
-from .elimination import SINK, solve_linear
+from .elimination import SINK, lane_product, lane_sum, solve_linear
 
 ENGINE_NAME = "parametric"
 
@@ -184,13 +192,13 @@ def poly_to_text(poly: MultilinearPolynomial) -> str:
     return head + ("" if len(parts) == 1 else " " + " ".join(parts[1:]))
 
 
-def _cube(values: Sequence, diagram: FeatureDiagram) -> list:
+def _cube(values: Sequence, diagram: FeatureDiagram, zero=ZERO) -> list:
     """Per-product values spread over the whole feature cube, the first
-    feature the most significant bit; invalid products are 0."""
+    feature the most significant bit; invalid products are ``zero``."""
     products = diagram.valid_products()
     if len(products) == 1 << len(diagram.signature):
         return list(values)  # unconstrained: canonical order is cube order
-    cube = [ZERO] * (1 << len(diagram.signature))
+    cube = [zero] * (1 << len(diagram.signature))
     for product, value in zip(products, values):
         index = 0
         for bit in product.values:
@@ -260,15 +268,10 @@ def rf_to_text(rf: RationalFunction) -> str:
     coefficient denominators so every printed coefficient is an integer.
     """
 
-    def _lcm(a: int, b: int) -> int:
-        from math import gcd
-
-        return a * b // gcd(a, b)
-
     scale = 1
     for poly in (rf.num, rf.den):
         for coeff in poly.terms.values():
-            scale = _lcm(scale, int(coeff.denominator))
+            scale = math.lcm(scale, int(coeff.denominator))
     num = rf.num.scale(rational(scale))
     den = rf.den.scale(rational(scale))
     den_text = (
@@ -284,12 +287,12 @@ def rf_to_text(rf: RationalFunction) -> str:
 
 @lru_cache(maxsize=4096)
 def _union_maps(sa: tuple, sb: tuple) -> tuple:
-    """Union of two supports, and for each of its assignments the index of
-    the matching assignment in either operand."""
+    """Union of two supports, and for either operand a getter that spreads
+    its lanes over the union's assignments."""
     support = tuple(sorted(set(sa) | set(sb)))
     width = len(support)
 
-    def index_map(sub):
+    def spread(sub):
         shifts = [width - 1 - support.index(p) for p in sub]
         out = []
         for u in range(1 << width):
@@ -297,59 +300,74 @@ def _union_maps(sa: tuple, sb: tuple) -> tuple:
             for shift in shifts:
                 index = (index << 1) | (u >> shift & 1)
             out.append(index)
-        return tuple(out)
+        return itemgetter(*out)  # the union has two or more assignments
 
-    return support, index_map(sa), index_map(sb)
+    return support, spread(sa), spread(sb)
+
+
+#: A rational's (numerator, denominator) pair.
+_PAIR = attrgetter("numerator", "denominator")
 
 
 class SupportTable:
     """Exact values over the assignments of a few features.
 
-    ``support`` is a sorted tuple of feature positions in the signature and
-    ``values`` holds one value per assignment of them, the first position
-    the most significant bit.  A product reads the entry of its own
-    assignment.  ``+`` and ``*`` act pointwise over the union of the
-    supports; tables are never changed in place, so operands may be shared.
-    ``SupportTable()`` is the zero table.
+    ``support`` is a sorted tuple of feature positions in the signature,
+    and the table holds one exact lane per assignment of them, the first
+    position the most significant bit: ``num`` and ``den`` are integer
+    tuples in lowest terms with ``den > 0``, as in the lane domain of
+    ``engines/elimination.py``.  A product reads the entry of its own
+    assignment.  ``+`` and ``*`` are that domain's lane maps over the union
+    of the supports; tables are never changed in place, so operands may be
+    shared.  ``SupportTable()`` is the zero table.
     """
 
-    __slots__ = ("support", "values")
+    __slots__ = ("support", "num", "den")
 
-    def __init__(self, support: tuple = (), values: Sequence = (ZERO,)):
+    def __init__(self, support: tuple = (), num: tuple = (0,), den: tuple = (1,)):
         self.support = support
-        self.values = values
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def of(cls, support: Sequence, values: Sequence) -> "SupportTable":
+        """The table whose entries are the rationals ``values``."""
+        num, den = zip(*map(_PAIR, values))
+        return cls(tuple(support), num, den)
+
+    @property
+    def values(self) -> list:
+        """Every entry as a rational of the backend."""
+        return [*map(rational, self.num, self.den)]
 
     def __bool__(self) -> bool:
-        return any(self.values)
+        return any(self.num)
 
     def _is_one(self) -> bool:
-        return not self.support and self.values[0] == 1
+        return self.num == (1,) == self.den
 
     def _aligned(self, other: "SupportTable") -> tuple:
-        """The union support and both operands' values spread over it."""
+        """The union support and both operands' lanes spread over it."""
         if self.support == other.support:
-            return self.support, self.values, other.values
+            return self.support, self.num, self.den, other.num, other.den
         support, ia, ib = _union_maps(self.support, other.support)
-        a, b = self.values, other.values
-        return support, [a[i] for i in ia], [b[j] for j in ib]
-
-    # both operators skip zero entries: the rational arithmetic dominates
+        return support, ia(self.num), ia(self.den), ib(other.num), ib(other.den)
 
     def __add__(self, other: "SupportTable") -> "SupportTable":
         if not other:
             return self
         if not self:
             return other
-        support, a, b = self._aligned(other)
-        return SupportTable(support, [x + y if x and y else x or y for x, y in zip(a, b)])
+        support, *lanes = self._aligned(other)
+        return SupportTable(support, *lane_sum(*lanes))
 
     def __mul__(self, other: "SupportTable") -> "SupportTable":
         if not self or other._is_one():
             return self
         if not other or self._is_one():
             return other
-        support, a, b = self._aligned(other)
-        return SupportTable(support, [x and y and x * y for x, y in zip(a, b)])
+        support, *lanes = self._aligned(other)
+        return SupportTable(support, *lane_product(*lanes))
 
     def at(self, product: Product):
         """The value at a product of the table's diagram."""
@@ -357,50 +375,59 @@ class SupportTable:
         index = 0
         for position in self.support:
             index = (index << 1) | values[position]
-        return self.values[index]
+        return rational(self.num[index], self.den[index])
 
 
-def _scalar(value) -> SupportTable:
-    return SupportTable((), (value,))
-
-
-TABLE_ONE = _scalar(ONE)
+TABLE_ONE = SupportTable((), (1,), (1,))
 
 
 def _closure(loop: SupportTable) -> SupportTable | None:
-    """Pointwise 1 / (1 - loop), and 0 where the loop is 1: that state is
-    absorbing there and reroutes no mass.  None for a scalar loop of 1,
-    which leaves no mass for the other outgoing edges on any product."""
+    """Pointwise 1 / (1 - loop), ``den / (den - num)`` in lowest terms as
+    ``num`` and ``den`` are coprime, and 0 where the loop is 1: that state
+    is absorbing there and reroutes no mass.  A loop above 1 flips both
+    signs.  None for a scalar loop of 1, which leaves no mass for the other
+    outgoing edges on any product."""
     if loop._is_one():
         return None
-    return SupportTable(
-        loop.support, [ZERO if x == 1 else ONE / (ONE - x) for x in loop.values]
-    )
+    num, den = loop.den, tuple(map(sub, loop.den, loop.num))
+    if min(den) <= 0:
+        num, den = zip(
+            *((n, d) if d > 0 else (-n, -d) if d else (0, 1) for n, d in zip(num, den))
+        )
+    return SupportTable(loop.support, num, den)
 
 
-def _dense_table(values: Sequence, diagram: FeatureDiagram) -> SupportTable:
-    """Per-product values (canonical product order) as a table: spread over
-    the whole cube, invalid products 0, then every feature whose two halves
-    agree dropped."""
+def _dense_table(groups: Sequence, diagram: FeatureDiagram) -> SupportTable:
+    """A table from ``(numerator, denominator)`` pairs, each with the bitset
+    of the valid products that carry it (the bitsets cover every valid
+    product): spread over the whole cube, invalid products 0, then every
+    feature whose two halves agree dropped."""
+    n = len(diagram.valid_products())
+    pairs = [None] * n
+    for pair, bits in groups:
+        for i in itertools.compress(range(n), flag_bytes(bits, n)):
+            pairs[i] = pair
+    cells = _cube(pairs, diagram, (0, 1))
     support = list(range(len(diagram.signature)))
-    values = _cube(values, diagram)
     for j in reversed(range(len(support))):
         step = 1 << (len(support) - 1 - j)
-        if all(values[i] == values[i | step] for i in range(len(values)) if not i & step):
+        if all(cells[i] == cells[i | step] for i in range(len(cells)) if not i & step):
             del support[j]
-            values = [v for i, v in enumerate(values) if not i & step]
-    return SupportTable(tuple(support), values)
+            cells = [c for i, c in enumerate(cells) if not i & step]
+    num, den = zip(*cells)
+    return SupportTable(tuple(support), num, den)
 
 
 def profile_table(profile: Profile, diagram: FeatureDiagram) -> SupportTable:
     """Encode a profile as a table agreeing with it on every valid product.
 
     A guard list is evaluated on every assignment of its guard variables;
-    a dense profile goes through :func:`_dense_table`.
+    a dense profile goes through :func:`_dense_table`, the numerator and
+    denominator of each of its distinct values read once.
     """
     names = diagram.signature
     if isinstance(profile, GuardedProfile) and not profile.cases:
-        return _scalar(profile.default)
+        return SupportTable.of((), (profile.default,))
     if isinstance(profile, GuardedProfile):
         variables = set().union(*(guard.variables() for guard, _ in profile.cases))
         if not variables <= set(names):
@@ -415,8 +442,8 @@ def profile_table(profile: Profile, diagram: FeatureDiagram) -> SupportTable:
                     profile.default,
                 )
             )
-        return SupportTable(support, values)
-    return _dense_table(profile.dense_values(), diagram)
+        return SupportTable.of(support, values)
+    return _dense_table([(_PAIR(v), bits) for v, bits in profile.groups()], diagram)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +477,8 @@ class _TableCheck(FamilyCheck):
         edges: dict = {s: [] for s in self.dense.states}
         for (s, t), profile in self.dense.model.transitions.items():
             edges[s].append((t, profile_table(profile, self.diagram)))
-        edges[_VIRTUAL_INIT] = [(s, _scalar(w)) for s, w in self.dense.init.items()]
+        init = self.dense.init.items()
+        edges[_VIRTUAL_INIT] = [(s, SupportTable.of((), (w,))) for s, w in init]
         return edges
 
     def restrict(self, table: SupportTable, bits: int) -> SupportTable:
@@ -459,8 +487,8 @@ class _TableCheck(FamilyCheck):
             return table
         indicator = self.indicators.get(bits)
         if indicator is None:
-            flags = [ONE if bits >> i & 1 else ZERO for i in range(self.dense.n)]
-            indicator = self.indicators[bits] = _dense_table(flags, self.diagram)
+            groups = (((1, 1), bits), ((0, 1), self.dense.full & ~bits))
+            indicator = self.indicators[bits] = _dense_table(groups, self.diagram)
         return table * indicator
 
     def solve(self, sat1: dict, sat2: dict, rewards: bool = False, init: bool = False):
@@ -528,27 +556,27 @@ class _TableCheck(FamilyCheck):
         return values, values
 
 
-def property_function(model: FDTMC, prop: Property) -> RationalFunction:
+def property_function(model: FDTMC, prop: Property) -> RationalFunction | None:
     """The closed form whose per-product values answer the query: the
     multilinear interpolant of the exact values, over 1.
 
-    A reward function is meaningless when the reward is ``inf`` on some
-    product; :func:`check_family_parametric` emits no closed form then.
+    None where :func:`check_family_parametric` emits none, as for an
+    expected reward that is ``inf`` on some product.
     """
     if not isinstance(prop, (Prob, RewardQuery)):
         raise UnsupportedPropertyError(
             "the parametric engine needs a probability or reward operator at the top"
         )
-    outcomes = _TableCheck(DenseModel(model)).outcomes(prop)
-    return RationalFunction(interpolate_family([o.value for o in outcomes], model.diagram))
+    return check_family_parametric(model, prop).function
 
 
 def check_family_parametric(model: FDTMC, prop: Property | str) -> FamilyResult:
-    """One family-wide elimination, an exact value for every product, and
-    the closed form interpolating them.
+    """One family-wide elimination and an exact value for every product.
 
-    Expected rewards are ``inf`` on products that miss the target with
-    positive probability; no closed form is emitted then.
+    The closed form interpolating them is built on the first read of the
+    result's ``function``.  Expected rewards are ``inf`` on products that
+    miss the target with positive probability; no closed form is emitted
+    then, nor for a plain state formula.
     """
     prop = bind_check(prop, model.ap)
     started = time.perf_counter()
@@ -556,8 +584,10 @@ def check_family_parametric(model: FDTMC, prop: Property | str) -> FamilyResult:
     outcomes = _TableCheck(DenseModel(model)).outcomes(prop)
     result.outcomes = {o.product: o for o in outcomes}
     if isinstance(prop, (Prob, RewardQuery)):
-        # a plain state formula has no closed form
-        diverging = [str(o.product) for o in outcomes if o.value == INFINITY]
+        # a plain state formula has no closed form, a probability never diverges
+        diverging = isinstance(prop, RewardQuery) and [
+            str(o.product) for o in outcomes if o.value == INFINITY
+        ]
         if diverging:
             result.warnings.append(
                 "expected reward is infinite for products " + ", ".join(diverging)
@@ -565,6 +595,6 @@ def check_family_parametric(model: FDTMC, prop: Property | str) -> FamilyResult:
             )
         else:
             values = [o.value for o in outcomes]
-            result.function = RationalFunction(interpolate_family(values, model.diagram))
+            result.closed_form = lambda: RationalFunction(interpolate_family(values, model.diagram))
     result.elapsed = time.perf_counter() - started
     return result

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from .features import Product
 from .rational import INFINITY, rat_str
@@ -41,8 +43,15 @@ class FamilyResult:
     outcomes: dict[Product, ProductOutcome] = field(default_factory=dict)
     elapsed: float = 0.0
     warnings: list[str] = field(default_factory=list)
-    #: closed-form rational function, set by the parametric engine only
-    function: object = None
+    #: builds the closed form from the outcomes; set by the parametric
+    #: engine only, and not for a plain state formula or an infinite value
+    closed_form: Callable[[], object] | None = field(default=None, repr=False)
+
+    @cached_property
+    def function(self):
+        """The closed-form rational function, built on the first read and
+        kept; None where the engine gives none."""
+        return None if self.closed_form is None else self.closed_form()
 
     @property
     def unknown_products(self) -> list[Product]:

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from featmc import bundled_model_path, load_model
+from featmc.engines.elimination import RationalLanes
 from featmc.features import FNot, FVar, FeatureDiagram, TRUE, conj
 from featmc.models import FDTMC, FMDP, ActionLabel
 from featmc.profiles import GuardedProfile
@@ -23,6 +24,14 @@ def equals_pointwise(a, b) -> bool:
 def is_zero(profile) -> bool:
     """Whether a profile is 0 on every product."""
     return all(v == 0 for v in profile.dense_values())
+
+
+def rational_lanes(*values) -> RationalLanes:
+    """The exact lane value whose lanes are ``values``."""
+    values = [rational(v) for v in values]
+    return RationalLanes(
+        tuple(v.numerator for v in values), tuple(v.denominator for v in values)
+    )
 
 
 @pytest.fixture(scope="session")

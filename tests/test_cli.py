@@ -165,6 +165,28 @@ class TestCheck:
         text = target.read_text()
         assert "/" in text and "spd2" in text
 
+    @pytest.mark.parametrize(
+        "prop, engine, reason",
+        [
+            ("energy", "enum", "needs the parametric engine"),
+            ("end", "param", "no closed form for a plain state formula"),
+            ("end", "all", "no closed form for a plain state formula"),
+            ("R=?[F !true]", "param", "the value is infinite on some product"),
+        ],
+    )
+    def test_emit_expression_warning_names_its_reason(
+        self, capsys, wiper_path, tmp_path, prop, engine, reason
+    ):
+        target = tmp_path / "expr.txt"
+        code, _, err = run_cli(
+            capsys, "check", wiper_path, "--prop", prop, "--engine", engine,
+            "--no-timings", "--emit-expression", str(target),
+        )
+        assert code == 0
+        (warning,) = [line for line in err.splitlines() if "--emit-expression" in line]
+        assert reason in warning and warning.endswith("no file written")
+        assert not target.exists()
+
     def test_diverging_reward_exits_0_with_all_engines(self, capsys, tmp_path):
         model = tmp_path / "diverge.fdl"
         model.write_text(

@@ -1,11 +1,7 @@
 import random
 import re
-from fractions import Fraction
-from math import gcd
-from operator import add, mul
 
 import pytest
-from hypothesis import given, strategies as st
 
 from featmc.engines import elimination, enumerative
 from featmc.engines.elimination import EliminationGraph
@@ -25,7 +21,6 @@ from featmc.engines.enumerative import (
     until_values_float,
 )
 from featmc.dsl import build_model, parse_model
-from featmc.engines.dense import DenseModel
 from featmc.engines.bounded import check_family_bounded
 from featmc.engines.parametric import check_family_parametric
 from featmc.errors import ModelError, UnboundFeatureError
@@ -37,7 +32,7 @@ from featmc.properties import RewardQuery, parse_property
 from featmc.rational import INFINITY, ONE, ZERO, rational
 from featmc.result import SAT, VIOLATED
 
-from conftest import path_enumeration_until, random_fdtmc, value_iteration_until
+from conftest import path_enumeration_until, random_fdtmc, rational_lanes, value_iteration_until
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +112,6 @@ def random_products(seed, count, **kwargs):
 def operand_sets(chains):
     """Every chain with the states of each proposition as a target set."""
     return [(dtmc, dtmc.states_with(a)) for dtmc in chains for a in "abc"]
-
-
-def rational_lanes(*values) -> enumerative.RationalLanes:
-    """The exact lane value whose lanes are ``values``."""
-    values = [rational(v) for v in values]
-    return enumerative.RationalLanes(
-        tuple(v.numerator for v in values), tuple(v.denominator for v in values)
-    )
 
 
 @pytest.fixture(scope="module")
@@ -496,93 +483,6 @@ class TestStructureClasses:
         values = [o.value for o in result.outcomes.values()]
         assert values == [0, 0]
         assert values == list(self.per_product(model, "R=?[F goal]", float_mode).values())
-
-
-def _backend_rational(f: Fraction):
-    return rational(f.numerator, f.denominator)
-
-
-#: A random rational in the backend's type, 0 and 1 among them.
-LANE_VALUE = st.one_of(
-    st.just(Fraction(0)), st.just(Fraction(1)), st.fractions(max_denominator=10**9)
-).map(_backend_rational)
-#: A random probability, as a self-loop is.
-LOOP_VALUE = st.one_of(
-    st.just(Fraction(0)), st.just(Fraction(1)), st.fractions(0, 1, max_denominator=10**9)
-).map(_backend_rational)
-
-
-class TestRationalLanes:
-    """:class:`enumerative.RationalLanes` is the backend's rational
-    arithmetic lane by lane, each lane in lowest terms with a positive
-    denominator; a lane whose loop is 1 makes the closure singular."""
-
-    @staticmethod
-    def assert_lanes(got, want):
-        assert got.rationals() == list(want)
-        assert all(type(v) is type(ONE) for v in got.rationals())
-        assert all(gcd(n, d) == 1 and d > 0 for n, d in zip(got.num, got.den))
-
-    @given(st.data())
-    def test_matches_rationals(self, data):
-        width = data.draw(st.integers(1, 6))
-        x, y, loop = (
-            data.draw(st.lists(values, min_size=width, max_size=width))
-            for values in (LANE_VALUE, LANE_VALUE, LOOP_VALUE)
-        )
-        a, b = rational_lanes(*x), rational_lanes(*y)
-        self.assert_lanes(a + b, map(add, x, y))
-        self.assert_lanes(a * b, map(mul, x, y))
-        closure = enumerative._rational_closure
-        if ONE in loop:
-            with pytest.raises(ModelError, match="singular"):
-                closure(rational_lanes(*loop))
-        else:
-            self.assert_lanes(closure(rational_lanes(*loop)), [ONE / (ONE - v) for v in loop])
-
-    def test_family_values_equal_per_product(self, monkeypatch):
-        """Random FDTMCs: an unbounded until, a nested one (solved at every
-        undecided state) and a reward give each product :func:`check_product`'s
-        value, of the backend's type, and every state of a nested until
-        :func:`until_values`' value, while classes of several products
-        solve on exact lanes."""
-        widths = {}  # query -> widths of its exact lane solves
-        query = None
-        original = enumerative.solve_linear
-
-        def counted(unknowns, rows, *domain, **kwargs):
-            if domain and isinstance(domain[1], enumerative.RationalLanes):
-                widths.setdefault(query, []).append(len(domain[1]))
-            return original(unknowns, rows, *domain, **kwargs)
-
-        monkeypatch.setattr(enumerative, "solve_linear", counted)
-        rng = random.Random(25)
-        texts = ["P=?(!c U a)", "P=?(X P[>0.3](!c U a))", "R=?[F a]"]
-        for _ in range(120):
-            model = random_fdtmc(rng, max_states=6, max_features=4, with_rewards=True)
-            products = model.diagram.valid_products()
-            for query in texts:
-                prop = parse_property(query)
-                result = check_family_enumerative(model, prop)
-                for product, outcome in result.outcomes.items():
-                    expected = check_product(project(model, product), prop).value
-                    assert outcome.value == expected
-                    assert type(outcome.value) is type(expected)
-                    if expected != INFINITY:
-                        assert type(outcome.value) is type(ONE)
-            query = "until_bounds"
-            path = parse_property("P=?(!c U a)").path
-            values, _ = enumerative._FamilyCheck(DenseModel(model), False).until_bounds(path)
-            for i, product in enumerate(products):
-                dtmc = project(model, product)
-                expected = until_values(
-                    dtmc, set(dtmc.states) - dtmc.states_with("c"), dtmc.states_with("a")
-                )
-                for s in dtmc.states:
-                    assert values[s][i] == expected[s]
-                    assert type(values[s][i]) is type(ONE)
-        assert set(widths) == {*texts, "until_bounds"}
-        assert all(len(w) >= 5 and max(w) >= 8 for w in widths.values())
 
 
 def with_split_init(chains, seed):

@@ -1,10 +1,16 @@
+import hashlib
 import itertools
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
+from featmc.engines import parametric
 from featmc.engines.enumerative import check_family_enumerative
 from featmc.engines.parametric import (
+    TABLE_ONE,
     MultilinearPolynomial,
     SupportTable,
     _closure,
@@ -32,6 +38,7 @@ from featmc.profiles import (
     indicator,
 )
 from featmc.rational import INFINITY, ONE, ZERO, rational
+from featmc.report import render_json
 from featmc.result import UNKNOWN
 
 from conftest import random_fdtmc
@@ -152,7 +159,7 @@ class TestEpsilon:
 
 
 def table(support, values):
-    return SupportTable(tuple(support), [rational(v) for v in values])
+    return SupportTable.of(support, [rational(v) for v in values])
 
 
 def same_table(a, b):
@@ -261,6 +268,31 @@ def constrained_fdtmc(rng):
     )
 
 
+TABLE_SIGNATURE = ("a", "b", "c", "d")
+#: A table entry: 0, 1, negative and above 1 among them.
+TABLE_ENTRY = st.one_of(
+    st.sampled_from([0, 1, -1, 2, 7]).map(Fraction),
+    st.fractions(-3, 9, max_denominator=10**6),
+)
+TABLES = st.one_of(
+    st.just(SupportTable()),
+    st.just(TABLE_ONE),
+    st.sets(st.integers(0, len(TABLE_SIGNATURE) - 1), max_size=3).flatmap(
+        lambda support: st.lists(
+            TABLE_ENTRY, min_size=1 << len(support), max_size=1 << len(support)
+        ).map(
+            lambda entries: SupportTable.of(
+                sorted(support), [rational(f.numerator, f.denominator) for f in entries]
+            )
+        )
+    ),
+)
+
+
+def as_fraction(value) -> Fraction:
+    return Fraction(int(value.numerator), int(value.denominator))
+
+
 class TestSupportTable:
     """Pointwise algebra on operands with disjoint, nested and equal supports."""
 
@@ -294,6 +326,29 @@ class TestSupportTable:
             for p in FeatureDiagram(self.SIGNATURE).valid_products():
                 x = loop.at(p)
                 assert closed.at(p) == (ZERO if x == 1 else ONE / (ONE - x))
+
+    @given(st.data())
+    def test_lanes_match_fractions(self, data):
+        """``+``, ``*`` and the closure equal the pointwise Fraction results
+        on random supports, with negative entries, loops of 1 and above 1,
+        the zero and the unit table; every lane stays in lowest terms with
+        a positive denominator."""
+        a, b, loop = (data.draw(TABLES) for _ in range(3))
+        results = [a + b, a * b]
+        closed = _closure(loop)
+        for p in FeatureDiagram(TABLE_SIGNATURE).valid_products():
+            x, y, z = (as_fraction(t.at(p)) for t in (a, b, loop))
+            assert as_fraction(results[0].at(p)) == x + y
+            assert as_fraction(results[1].at(p)) == x * y
+            if closed is not None:
+                assert as_fraction(closed.at(p)) == (0 if z == 1 else 1 / (1 - z))
+        if closed is None:
+            assert loop.support == () and loop.values == [1]
+        else:
+            results.append(closed)
+        for t in results:
+            assert len(t.num) == len(t.den) == 1 << len(t.support)
+            assert all(gcd(n, d) == 1 and d > 0 for n, d in zip(t.num, t.den))
 
     def test_zero_operands_and_unit_factor(self):
         zero = table((0, 1), ("0", "0", "0", "0"))
@@ -535,6 +590,13 @@ class TestFamilyParametric:
         for p, o in result.outcomes.items():
             assert function.evaluate(p) == o.value
 
+    def test_property_function_of_a_diverging_reward_is_none(self):
+        """The reward is infinite at {f}: no closed form, as the check
+        gives none, instead of a function with an ``inf`` coefficient."""
+        m = _diverging_reward_model()
+        assert property_function(m, parse_property("R=?[F goal]")) is None
+        assert check_family_parametric(m, "R=?[F goal]").function is None
+
     def test_property_function_needs_an_operator_at_the_top(self, wiper):
         with pytest.raises(UnsupportedPropertyError, match="probability or reward operator"):
             property_function(wiper.system, parse_property("!end & fastmode"))
@@ -665,3 +727,53 @@ def test_wiper_emission_is_the_canonical_interpolant(wiper):
     for term in ("-15*eco*spd2*very", "45*spd2*very", "- 40*eco", "+ 120"):
         assert term in text
     assert text.strip().endswith("/ 8")
+
+
+class TestClosedFormOnDemand:
+    """A check does not interpolate; the first read of ``function`` does,
+    once, and the emitted text keeps its recorded bytes."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+        original = parametric.interpolate_family
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(parametric, "interpolate_family", counted)
+        return calls
+
+    @pytest.mark.parametrize("prop", ["R=?[F end]", "P=?(X fastmode)", "P[>0.5](F end)"])
+    def test_built_once_on_first_read(self, wiper, calls, prop):
+        result = check_family_parametric(wiper.system, prop)
+        render_json(wiper.diagram.valid_products(), [result])
+        assert calls == []
+        first, second = result.function, result.function
+        assert first is second and len(calls) == 1
+        for p, o in result.outcomes.items():
+            assert first.evaluate(p) == o.value
+
+    @pytest.mark.parametrize("prop", ["end", "R=?[F !true]"])
+    def test_none_without_a_build(self, wiper, calls, prop):
+        assert check_family_parametric(wiper.system, prop).function is None
+        assert calls == []
+
+    #: sha256 of the emitted text, recorded while every check still built
+    #: the closed form
+    EMITTED = {
+        ("failure", 8, "fail_value"): "ec5163f788c76cdf8b09ee491576b7b015caa2ca534335e3e681819489a204fb",
+        ("service", 7, "fail_risk"): "a430d9f3b4cb3a28781f0b8ee7b348dbc0ec10b0e59300342f0f185109b6ba51",
+    }
+
+    @pytest.mark.parametrize("family, n, prop", sorted(EMITTED))
+    def test_emitted_text_is_unchanged(self, family, n, prop):
+        generate = {
+            "failure": generators.gen_failure_recovery,
+            "service": generators.gen_service_provider,
+        }[family]
+        built = dsl.parse_model(dsl.print_model_file(generate(n)))
+        result = check_family_parametric(built.system, built.property_of(prop))
+        text = rf_to_text(result.function).encode()
+        assert hashlib.sha256(text).hexdigest() == self.EMITTED[family, n, prop]
