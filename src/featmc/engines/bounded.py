@@ -39,11 +39,14 @@ reads are turned back into rationals.
 
 An expected reward ``R=?[F target]`` runs on the same kernel, iterating
 ``x = r + P·x`` on the non-target states of the products whose value is
-finite, where lo rises from 0 and hi falls from an upper bound derived
-from the largest reward and the slowest chance of reaching the target
-(:func:`bounded_expected_reward`); a state's reward is one more edge,
-into a sink valued 1.  Step-bounded until and next stay exact, on the
-exact step kernel of the shared layer (``step_vectors`` in
+finite (the shared reward cone's), where lo rises from 0 and hi falls
+from an upper bound derived from the largest reward and the slowest
+chance of reaching the target (:func:`bounded_expected_reward`); a
+state's reward is one more edge, into a sink valued 1.  Both a top-level
+until and a reward hand back the bounds of the initial states, which the
+shared layer aggregates at the initial distribution, and a fixed
+``bound`` sets the sweeps of both.  Step-bounded until and next stay
+exact, on the exact step kernel of the shared layer (``step_vectors`` in
 ``engines/dense.py``), which packs lanes the same way with no rounding;
 it also gives the slowest chance of reaching the target behind the
 reward's upper start.
@@ -54,7 +57,7 @@ from __future__ import annotations
 import math
 import time
 
-from ..errors import ConvergenceError, UnsupportedPropertyError
+from ..errors import ConvergenceError
 from ..models import FDTMC
 from ..properties import (
     Prob,
@@ -65,16 +68,14 @@ from ..properties import (
     parse_tree,
     print_property,
 )
-from ..rational import INFINITY, ZERO, rational
+from ..rational import ZERO, rational
 from ..result import FamilyResult
 from .dense import (
     DenseModel,
     FamilyCheck,
     PackedLanes,
     SatEntry,
-    aggregate_init,
     bounded_until_vectors,
-    reward_cone,
 )
 from .elimination import until_partition
 
@@ -200,8 +201,8 @@ def _family_until_run(
     rationals after every sweep.
 
     Returns per-state (lo, hi): of every state, or of the states of
-    ``weights`` when it is given.  One of ``epsilon`` and ``bound`` is
-    required.
+    positive weight when ``weights`` is given.  One of ``epsilon`` and
+    ``bound`` is required.
     """
     if epsilon is None and bound is None:
         raise ValueError("_family_until_run needs epsilon or bound, got neither")
@@ -304,7 +305,7 @@ def _family_until_run(
                     f"{sweep} sweeps at {bits} bits; worst undecided mass is {worst}",
                     worst_undecided=worst,
                 )
-    read = states if weights is None else list(weights)
+    read = states if weights is None else [s for s, w in weights.items() if w]
     return as_rationals(lo, read), as_rationals(hi, read)
 
 
@@ -315,7 +316,7 @@ def _family_until_run(
 
 class _BoundedCheck(FamilyCheck):
     """One property on every product, on certified value intervals;
-    ``bound`` fixes the sweeps of a top-level until."""
+    ``bound`` fixes the sweeps of a top-level until or reward."""
 
     exact = False
 
@@ -325,33 +326,25 @@ class _BoundedCheck(FamilyCheck):
         self.max_depth = max_depth
         self.bound = bound
 
-    def until_bounds(self, path: Until, bound=None, weights=None):
+    def until_bounds(self, path: Until, at_init: bool = False):
         """Per state, an unbounded until's value interval: a kernel run on
         the operands' definite sets, and one on their possible sets for
-        ``hi`` unless they are decided (``bound``, ``weights``: as in
-        :func:`_family_until_run`)."""
+        ``hi`` unless they are decided.  With ``at_init`` the runs read the
+        initial states (``weights`` of :func:`_family_until_run`) and make
+        ``bound`` sweeps where it is given."""
         left, right = self.sat_of(path.left), self.sat_of(path.right)
-        args = (self.epsilon, bound, self.max_depth, weights)
+        args = (self.epsilon, None, self.max_depth)
+        if at_init:
+            args = (self.epsilon, self.bound, self.max_depth, self.dense.init)
         lo, hi = _family_until_run(self.dense, left.lo, right.lo, *args)
         if not (left.decided() and right.decided()):
             _, hi = _family_until_run(self.dense, left.hi, right.hi, *args)
         return lo, hi
 
-    def until_at_init(self, path: Until):
-        dense = self.dense
-        lo, hi = self.until_bounds(path, self.bound, dense.init)
-        return aggregate_init(dense, lo), aggregate_init(dense, hi)
-
-    def reward_at_init(self, target: StateFormula):
-        entry = self.sat_of(target)
-        if not entry.decided():
-            raise UnsupportedPropertyError(
-                "reward target could not be decided at this precision"
-            )
-        lo, hi, infinite = bounded_expected_reward(
-            self.dense, entry.lo, self.epsilon, self.max_depth
+    def reward_bounds(self, target: dict, cone: dict, infinite: int):
+        return bounded_expected_reward(
+            self.dense, target, cone, infinite, self.epsilon, self.max_depth, self.bound
         )
-        return [INFINITY if f else a for a, f in zip(lo, infinite)], hi
 
 
 def sat_states(
@@ -381,52 +374,52 @@ def sat_states(
 def bounded_expected_reward(
     dense: DenseModel,
     targets,
+    cone,
+    infinite: int,
     epsilon,
     max_depth: int = DEFAULT_MAX_DEPTH,
+    bound: int | None = None,
 ):
-    """Certified bounds on every product's expected reward-to-target, by
-    the interval kernel on ``x = r + P·x``.  ``targets`` maps every state to
-    the bitset of products for which it is a target.  Returns per product
-    ``(lower, upper, infinite)``, with ``upper - lower < epsilon``.
+    """Certified bounds on every product's expected reward-to-target at the
+    initial states of positive weight, by the interval kernel on ``x = r +
+    P·x``.  ``targets`` maps every state to the bitset of products for
+    which it is a target, and ``cone`` and ``infinite`` are its
+    :func:`reward_cone`.  Returns per-state ``(lower, upper)``, whose
+    aggregate at the initial distribution is narrower than ``epsilon``, or
+    after ``bound`` sweeps when it is given; the ``infinite`` products get
+    bounds 0.
 
-    Products where some state reachable from init before the target lies
-    outside prob1 of ``true U target`` get an infinite value (and bounds 0;
-    :func:`reward_cone`).
-    For the rest, with ``window`` the number of states, every window of
-    steps before the target earns at most ``rmax * window`` and is survived
-    with probability at most ``1 - q``: ``rmax`` is the largest reward and
-    ``q`` the smallest probability of reaching the target within
-    ``window`` steps, over the states reachable before the target.  So
-    ``rmax * window / q`` bounds the value at each of them, and the upper
-    iterate starts there.
+    With ``window`` the number of states, every window of steps before the
+    target earns at most ``rmax * window`` and is survived with probability
+    at most ``1 - q``: ``rmax`` is the largest reward and ``q`` the
+    smallest probability of reaching the target within ``window`` steps,
+    over the states reachable before the target.  So ``rmax * window / q``
+    bounds the value at each of them, and the upper iterate starts there.
     """
     rewards = dense.rewards
-    n = dense.n
-    cone, infinite = reward_cone(dense, targets)
     window = len(dense.states)
     everywhere = dict.fromkeys(dense.states, dense.full)
     # a finite product reaches the target from each state within window steps;
     # a product's values share one denominator, so q is its least numerator
     reach = bounded_until_vectors(dense, everywhere, targets, window)
     numerators = {s: reach.numerators(s) for s in dense.states if cone[s] & ~infinite}
-    top = [ZERO] * n
+    top = [ZERO] * dense.n
     for i, denominator in enumerate(reach.denominators):
         seen = [s for s in numerators if cone[s] >> i & 1]
         if seen and not infinite >> i & 1:
             rmax = max(rewards[s][i] for s in seen)
             top[i] = rmax * window * denominator / min(numerators[s][i] for s in seen)
-    lo, hi = _family_until_run(
+    return _family_until_run(
         dense,
         dict.fromkeys(dense.states, dense.full & ~infinite),
         targets,
         epsilon,
-        max_depth=max_depth,
+        bound,
+        max_depth,
         weights=dense.init,
         rewards={s: dense.model.reward_profile(s) for s in dense.states},
         top=top,
     )
-    flags = [bool(infinite >> i & 1) for i in range(n)]
-    return aggregate_init(dense, lo), aggregate_init(dense, hi), flags
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,11 @@ threshold.
 
 :class:`FamilyCheck`, which every engine subclasses, answers on top of
 it: thresholds, the next and step-bounded until dispatch and per-product
-outcomes, from the values of an unbounded until and of an expected reward
-that the engine supplies.
+outcomes.  It alone turns per-state values into per-product answers: an
+engine supplies the values of an unbounded until and of an expected reward
+per state, and it aggregates them at the initial distribution
+(:func:`aggregate_init`) and marks the divergent rewards from the reward
+cone.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ class DenseModel:
         self.n = len(self.products)
         self.full = (1 << self.n) - 1  # bitset of every product
         self.init = model.init
+        self.starts = [s for s, weight in model.init.items() if weight]  # positive weight
         self.labels = model.labels
 
     @cached_property
@@ -96,8 +100,6 @@ class DenseModel:
 
     @cached_property
     def rewards(self) -> dict[State, tuple]:
-        if self.model.rewards is None:
-            raise ModelError("model has no rewards")
         return {s: self.model.reward_profile(s).dense_values() for s in self.states}
 
     @cached_property
@@ -265,10 +267,9 @@ def init_decisions(dense: DenseModel, entry: SatEntry) -> list[str]:
     every initial state of positive weight: SAT where it definitely does,
     VIOLATED where it definitely fails at one, UNKNOWN otherwise."""
     sat = possible = dense.full
-    for s, weight in dense.init.items():
-        if weight > 0:
-            sat &= entry.lo[s]
-            possible &= entry.hi[s]
+    for s in dense.starts:
+        sat &= entry.lo[s]
+        possible &= entry.hi[s]
     return [
         SAT if sat >> i & 1 else UNKNOWN if possible >> i & 1 else VIOLATED
         for i in range(dense.n)
@@ -490,7 +491,7 @@ def aggregate_init(dense: DenseModel, vectors) -> list:
     """Per product, the value of ``vectors`` (state -> per-product values)
     at the initial distribution; only the initial states of positive weight
     are read."""
-    terms = [(weight, vectors[s]) for s, weight in dense.init.items() if weight]
+    terms = [(dense.init[s], vectors[s]) for s in dense.starts]
     if len(terms) == 1 and terms[0][0] == 1:
         return [*terms[0][1]]
     out = [ZERO] * dense.n
@@ -511,13 +512,17 @@ class FamilyCheck:
     :meth:`sat_of` is the state-formula walk, memoised in ``entries``; it
     decides a threshold operator per state and product from the operator's
     value bounds (:meth:`nested`).  :meth:`outcomes` answers a top-level
-    query.  An engine supplies values through three hooks, each returning
-    ``(lo, hi)``, the same object twice where the values are exact:
+    query, and it alone turns per-state values into per-product answers.
+    An engine supplies values through two hooks, each returning ``(lo,
+    hi)`` per state and product, the same object twice where the values
+    are exact:
 
-    * ``until_bounds(path)``: per state and product;
-    * ``until_at_init(path)``: per product, at the initial distribution;
-    * ``reward_at_init(target)``: the expected reward until ``target`` per
-      product, at the initial distribution (``inf`` where it diverges).
+    * ``until_bounds(path, at_init=False)``: an unbounded until at every
+      state, or with ``at_init`` at the initial states of positive weight;
+    * ``reward_bounds(target, cone, infinite)``: the expected reward until
+      ``target`` (state -> product bitset) at the initial states of
+      positive weight, given its :func:`reward_cone`; a product of
+      ``infinite`` may hold any value.
 
     An ``exact`` engine reports its values as they are.  Otherwise a value
     is the midpoint of its bounds with half their width as error bound,
@@ -572,30 +577,41 @@ class FamilyCheck:
         return entry
 
     def outcomes(self, prop: Property) -> list[ProductOutcome]:
-        """Every product's outcome, in canonical product order.  A plain
-        state formula is decided at the initial states (:func:`init_decisions`)."""
+        """Every product's outcome, in canonical product order: the values
+        at the initial distribution (:func:`aggregate_init`), and ``inf``
+        for a reward on the infinite products of its :func:`reward_cone`.
+        A plain state formula is decided at the initial states
+        (:func:`init_decisions`)."""
         dense = self.dense
         products = dense.products
         interval = None
+        infinite = 0
         if isinstance(prop, RewardQuery):
-            lo, hi = self.reward_at_init(prop.target)
+            if dense.model.rewards is None:
+                raise ModelError("model has no rewards")
+            target = self.sat_of(prop.target)
+            if not target.decided():
+                raise UnsupportedPropertyError(
+                    "reward target could not be decided at this precision"
+                )
+            cone, infinite = reward_cone(dense, target.lo)
+            lo, hi = self.reward_bounds(target.lo, cone, infinite)
         elif isinstance(prop, Prob):
             interval = prop.interval
-            step = self.step_bounds(prop.path)
-            if step is None:
-                lo, hi = self.until_at_init(prop.path)
-            else:
-                lo = aggregate_init(dense, step[0])
-                hi = lo if step[1] is step[0] else aggregate_init(dense, step[1])
+            lo, hi = self.step_bounds(prop.path) or self.until_bounds(prop.path, at_init=True)
         else:
             decisions = init_decisions(dense, self.sat_of(prop))
             return [ProductOutcome(p, decision=d) for p, d in zip(products, decisions)]
+        low = aggregate_init(dense, lo)
+        high = low if hi is lo else aggregate_init(dense, hi)
         out = []
-        for p, a, b in zip(products, lo, hi):
+        for p, a, b, diverges in zip(products, low, high, flag_bytes(infinite, dense.n)):
             decision = None if interval is None else interval.decide(a, b)
-            if self.exact:
+            if diverges:
+                value, error = INFINITY, None if self.exact else ZERO
+            elif self.exact:
                 value, error = a, None
-            elif a is b or a == INFINITY:  # exact step values and divergence
+            elif a is b:  # exact step values
                 value, error = a, ZERO
             else:
                 value, error = (a + b) / 2, (b - a) / 2

@@ -20,24 +20,26 @@ numerators and one of denominators, kept in lowest terms by maps over whole
 lanes, so no rational object is made inside the solve; float lanes
 (:class:`Lanes`) are a tuple of float64 values.  A class of one solves on
 plain values.  Expected rewards solve ``x = P·x + r`` the same way; a
-product that misses the target with positive probability is infinite and
-solves nothing.  Thresholds, next
+product that misses the target with positive probability solves nothing,
+and the shared layer reports it infinite.  Thresholds, next
 and step-bounded until (on the shared exact step kernel, which builds no
 edge vector) and the outcomes come from the answer layer all engines
 share (``FamilyCheck`` in ``engines/dense.py``).
 
-A top-level unbounded until or reward reads only the value at the initial
-distribution: its system holds only the init cone, only the initial states
-are back-substituted, and a threshold is decided from their value.  A
-nested operator solves every undecided state, and the shared layer
-thresholds the values into a product bitset per state.  Float mode runs the same elimination on
+A top-level unbounded until or reward reads only the initial states of
+positive weight: its system holds only the init cone, only they are
+back-substituted, and the shared layer aggregates their values at the
+initial distribution and decides a threshold there.  A nested operator
+solves every undecided state, and the shared layer thresholds the values
+into a product bitset per state.  Float mode runs the same elimination on
 float64 rows: one direct solve with no stopping criterion, whose only
 error is rounding.  It raises where rounding makes a self-loop 1.
 
 The per-chain functions (:func:`check_dtmc`, :func:`check_product`,
 :func:`until_values` and the rest) check one projected DTMC the same way
 and are the reference the family check is tested against: for every
-product both make the same solve on the same rows.
+product both make the same solve on the same rows.  Only they read a value
+at the initial distribution per product (:func:`_initial_value`).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from ..properties import (
 )
 from ..rational import INFINITY, ONE, ZERO
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
-from .dense import DenseModel, FamilyCheck, reward_cone
+from .dense import DenseModel, FamilyCheck
 from .elimination import (
     SINK,
     RationalLanes,
@@ -400,7 +402,6 @@ class _FamilyCheck(FamilyCheck):
     def __init__(self, dense: DenseModel, float_mode: bool):
         super().__init__(dense)
         self.float_mode = float_mode
-        self.starts = [s for s, weight in dense.init.items() if weight]
         self.one, self.zero, self.domain = ONE, ZERO, ()
         if float_mode:
             self.one, self.zero, self.domain = 1.0, 0.0, (_float_closure, 1.0)
@@ -542,16 +543,28 @@ class _FamilyCheck(FamilyCheck):
         zero = self.zero
         return [{s: v[k] if v else zero for s, v in values.items()} for k in range(len(members))]
 
-    def until_bounds(self, path: Until):
-        """Exact values of an unbounded until at every state: every
-        undecided state is solved."""
+    def until_bounds(self, path: Until, at_init: bool = False):
+        """Exact values of an unbounded until at every state, every
+        undecided state solved; with ``at_init`` at the positive-weight
+        initial states only, solved on the init cone."""
         one, undecided, edges = self.partition(path)
-        solved = self.solve_all(self.flags(undecided), edges)
-        values = {s: [self.one if f else self.zero for f in flags] for s, flags in one.items()}
+        unknown, wanted = undecided, None
+        if at_init:
+            unknown, wanted = self.dense.init_cone(undecided), self.dense.starts
+            one = {s: one[s] for s in wanted}
+        values = self.per_state(self.solve_all(self.flags(unknown), edges, wanted=wanted), one)
+        return values, values
+
+    def per_state(self, solved: list, decided: dict) -> dict:
+        """Per state of ``decided`` (state -> flag bytes of the products
+        whose value is 1), every product's value: ``solved[i]``'s where it
+        holds one, otherwise 1 or 0 from the flags."""
+        one, zero = self.one, self.zero
+        values = {s: [one if f else zero for f in flags] for s, flags in decided.items()}
         for i, solution in enumerate(solved):
             for s, v in solution.items():
                 values[s][i] = v
-        return values, values
+        return values
 
     def partition(self, path: Until):
         """The prob1 flags of an unbounded until, the bitsets of its
@@ -566,39 +579,19 @@ class _FamilyCheck(FamilyCheck):
         one = self.flags(one)
         return one, undecided, self.edges(kept, one)
 
-    def until_at_init(self, path: Until):
-        """Per product, an unbounded until's value at the initial
-        distribution, solved on the init cone only."""
-        one, undecided, edges = self.partition(path)
-        cone = self.flags(self.dense.init_cone(undecided))
-        out = []
-        for i, solution in enumerate(self.solve_all(cone, edges, wanted=self.starts)):
-            values = {s: self.one if one[s][i] else self.zero for s in self.starts}
-            values.update(solution)
-            out.append(_initial_value(self.dense, values))
-        return out, out
-
-    def reward_at_init(self, target: StateFormula):
-        """Per product, the expected reward until ``target`` at the initial
-        distribution: infinite on the products :func:`reward_cone` finds,
-        otherwise solved on the states of the cone."""
+    def reward_bounds(self, target: dict, cone: dict, infinite: int):
+        """The expected reward until ``target`` at the positive-weight
+        initial states, solved on the states of ``cone`` for the finite
+        products; 0 on the ``infinite`` ones."""
         dense = self.dense
         rewards = dense.rewards
         if self.float_mode:
             rewards = dict(zip(rewards, _as_floats(rewards.values())))
-        cone, infinite = reward_cone(dense, self.sat(target))
         cone = {s: bits & ~infinite for s, bits in cone.items()}
         edges = self.edges(cone, dict.fromkeys(dense.states, bytes(dense.n)))
-        solved = self.solve_all(self.flags(cone), edges, rewards, self.starts)
-        out = []
-        for i, solution in enumerate(solved):
-            if infinite >> i & 1:
-                out.append(INFINITY)
-                continue
-            values = dict.fromkeys(self.starts, self.zero)
-            values.update(solution)
-            out.append(_initial_value(dense, values))
-        return out, out
+        solved = self.solve_all(self.flags(cone), edges, rewards, dense.starts)
+        values = self.per_state(solved, dict.fromkeys(dense.starts, bytes(dense.n)))
+        return values, values
 
 
 def check_family_enumerative(

@@ -26,13 +26,16 @@ departs from it in two ways:
   ``function`` interpolates the outcomes on its first read, which only
   ``--emit-expression`` and :func:`property_function` make.
 
-A top-level query adds one virtual initial unknown, whose row is the
-initial distribution, and back-substitutes only it.  A nested probability
-operator solves every state and reads each state's table per product.
+A top-level query adds one entry unknown per initial state of positive
+weight, whose one edge, of value 1, leads to that state, and
+back-substitutes only them: an entry's table is its state's value on every
+product.  A nested probability operator solves every state and reads each
+state's table per product.
 Thresholds, step-bounded until and next (the exact step kernel on
 packed integer lanes, which needs no division either), plain state
-formulas and the outcomes the closed form interpolates come from the
-answer layer all engines share (``FamilyCheck`` in ``engines/dense.py``).
+formulas, the aggregation at the initial distribution, the infinite
+rewards and the outcomes the closed form interpolates come from the answer
+layer all engines share (``FamilyCheck`` in ``engines/dense.py``).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter, sub
 from typing import Mapping, Sequence
 
-from ..errors import ModelError, UnboundFeatureError, UnsupportedPropertyError
+from ..errors import UnboundFeatureError, UnsupportedPropertyError
 from ..features import FeatureDiagram, Product, flag_bytes
 from ..models import FDTMC
 from ..profiles import GuardedProfile, Profile
@@ -52,14 +55,13 @@ from ..properties import (
     Prob,
     Property,
     RewardQuery,
-    StateFormula,
     Until,
     bind_check,
     print_property,
 )
 from ..rational import INFINITY, ONE, ZERO, rat_str, rational
 from ..result import FamilyResult
-from .dense import DenseModel, FamilyCheck, reward_cone
+from .dense import DenseModel, FamilyCheck
 from .elimination import SINK, lane_product, lane_sum, solve_linear
 
 ENGINE_NAME = "parametric"
@@ -450,9 +452,10 @@ def profile_table(profile: Profile, diagram: FeatureDiagram) -> SupportTable:
 # Family checking
 # ---------------------------------------------------------------------------
 
-#: The one wanted unknown of a top-level query: its row is the initial
-#: distribution, so its value is the query's value at every product.
-_VIRTUAL_INIT = ("__init__",)
+#: Tag of a top-level query's entry unknowns: ``(_ENTRY, s)`` for each
+#: initial state s of positive weight, whose one edge, of value 1, leads to
+#: s, so that its table is the value at s on every product.
+_ENTRY = "__entry__"
 
 
 class _TableCheck(FamilyCheck):
@@ -472,13 +475,12 @@ class _TableCheck(FamilyCheck):
 
     @cached_property
     def edges(self) -> dict:
-        """Per state, its out-edges with their tables; the virtual init
-        unknown's out-edges are the initial distribution."""
+        """Per state, its out-edges with their tables; each entry unknown's
+        one out-edge leads to its initial state."""
         edges: dict = {s: [] for s in self.dense.states}
         for (s, t), profile in self.dense.model.transitions.items():
             edges[s].append((t, profile_table(profile, self.diagram)))
-        init = self.dense.init.items()
-        edges[_VIRTUAL_INIT] = [(s, SupportTable.of((), (w,))) for s, w in init]
+        edges.update({(_ENTRY, s): [(s, TABLE_ONE)] for s in self.dense.starts})
         return edges
 
     def restrict(self, table: SupportTable, bits: int) -> SupportTable:
@@ -491,18 +493,21 @@ class _TableCheck(FamilyCheck):
             indicator = self.indicators[bits] = _dense_table(groups, self.diagram)
         return table * indicator
 
-    def solve(self, sat1: dict, sat2: dict, rewards: bool = False, init: bool = False):
+    def solve(self, sat1: dict, sat2: dict, rewards: bool = False, at_init: bool = False):
         """Solve ``sat1 U sat2`` (state -> product bitsets) as ``x = P·x + b``:
         a state is an unknown on the products where it is in ``maybe`` =
         ``sat1 & ~sat2``, and each edge goes to the sink where its successor
         is in ``sat2`` and to the successor where that is in ``maybe``.
         ``rewards`` solves the expected reward until ``sat2`` instead: edges
         into it are dropped and each row earns its state's reward.  Returns
-        every unknown's table, or with ``init`` only that of the virtual
-        init unknown, whose row is the initial distribution."""
+        per state its values on every product: of every state, or with
+        ``at_init`` of the positive-weight initial states, read from their
+        entry unknowns, the only ones back-substituted."""
+        dense = self.dense
         restrict = self.restrict
         maybe = {s: sat1[s] & ~sat2[s] for s in sat1}
-        maybe[_VIRTUAL_INIT] = self.dense.full if init else 0
+        entries = [(_ENTRY, s) for s in dense.starts]
+        maybe.update(dict.fromkeys(entries, dense.full if at_init else 0))
         sink = dict.fromkeys(sat2, 0) if rewards else sat2
         unknowns = [s for s in self.edges if maybe[s]]
         rows = []
@@ -513,46 +518,33 @@ class _TableCheck(FamilyCheck):
                 for node, bits in ((SINK, maybe[s] & sink[t]), (t, maybe[s] & maybe[t]))
                 if bits
             ]
-            if rewards:
-                reward = profile_table(self.dense.model.reward_profile(s), self.diagram)
+            if rewards:  # an entry unknown has no reward profile: it earns 0
+                reward = profile_table(dense.model.reward_profile(s), self.diagram)
                 row.append((SINK, restrict(reward, maybe[s])))
             rows.append(row)
-        wanted = [_VIRTUAL_INIT] if init else None
-        return solve_linear(unknowns, rows, _closure, TABLE_ONE, wanted)
-
-    def until_bounds(self, path: Until):
-        """Exact values of an unbounded until at every state and product."""
-        dense = self.dense
-        sat1, sat2 = self.sat(path.left), self.sat(path.right)
-        tables = self.solve(sat1, sat2)
-        values = {
+        if at_init:
+            tables = solve_linear(unknowns, rows, _closure, TABLE_ONE, entries)
+            return {s: [*map(tables[_ENTRY, s].at, dense.products)] for _, s in entries}
+        tables = solve_linear(unknowns, rows, _closure, TABLE_ONE)
+        return {
             s: [
                 ONE if sat2[s] >> i & 1 else tables[s].at(p) if sat1[s] >> i & 1 else ZERO
                 for i, p in enumerate(dense.products)
             ]
             for s in dense.states
         }
+
+    def until_bounds(self, path: Until, at_init: bool = False):
+        """Exact values of an unbounded until at every state and product,
+        or with ``at_init`` at the positive-weight initial states."""
+        values = self.solve(self.sat(path.left), self.sat(path.right), at_init=at_init)
         return values, values
 
-    def until_at_init(self, path: Until):
-        sat1, sat2 = self.sat(path.left), self.sat(path.right)
-        table = self.solve(sat1, sat2, init=True)[_VIRTUAL_INIT]
-        values = [*map(table.at, self.dense.products)]
-        return values, values
-
-    def reward_at_init(self, target: StateFormula):
-        """Expected rewards, ``inf`` on the products :func:`reward_cone`
-        finds."""
-        dense = self.dense
-        if dense.model.rewards is None:
-            raise ModelError("model has no rewards")
-        sat2 = self.sat(target)
-        _, infinite = reward_cone(dense, sat2)
-        everywhere = dict.fromkeys(dense.states, dense.full)
-        table = self.solve(everywhere, sat2, rewards=True, init=True)[_VIRTUAL_INIT]
-        values = [
-            INFINITY if infinite >> i & 1 else table.at(p) for i, p in enumerate(dense.products)
-        ]
+    def reward_bounds(self, target: dict, cone: dict, infinite: int):
+        """Expected rewards at the positive-weight initial states, solved
+        on every non-target state."""
+        everywhere = dict.fromkeys(self.dense.states, self.dense.full)
+        values = self.solve(everywhere, target, rewards=True, at_init=True)
         return values, values
 
 

@@ -125,6 +125,19 @@ def random_fdtmc(
     return FDTMC(states, states[0], diagram, transitions, sorted(ap), labels, rewards)
 
 
+def split_init(model: FDTMC, seed) -> FDTMC:
+    """``model`` started from up to three random states: the first with
+    weight 0, the others sharing weight 1."""
+    rng = random.Random(seed)
+    starts = rng.sample(model.states, min(3, len(model.states)))
+    weight = ONE / (len(starts) - 1)
+    init = {starts[0]: ZERO, **{s: weight for s in starts[1:]}}
+    return FDTMC(
+        model.states, init, model.diagram, model.transitions, model.ap, model.labels,
+        model.rewards,
+    )
+
+
 def random_complete_fmdp(
     rng: random.Random,
     feature_prefix: str,

@@ -19,7 +19,13 @@ from featmc.engines.bounded import (
     check_family_bounded,
     sat_states,
 )
-from featmc.engines.dense import PackedLanes, next_vectors, nonzero_bits
+from featmc.engines.dense import (
+    PackedLanes,
+    aggregate_init,
+    next_vectors,
+    nonzero_bits,
+    reward_cone,
+)
 from featmc.engines.elimination import closure, until_partition
 from featmc.engines.enumerative import (
     bounded_until_values,
@@ -637,15 +643,28 @@ class TestRewardSoundness:
             m = random_fdtmc(rng, max_states=6, max_features=3, with_rewards=True)
             enum = check_family_enumerative(m, "R=?[F a]")
             dense = DenseModel(m)
-            lower, upper, infinite = bounded_expected_reward(
-                dense, _indicators(dense, Atom("a")), rational(epsilon)
-            )
+            targets = _indicators(dense, Atom("a"))
+            cone, diverging = reward_cone(dense, targets)
+            infinite = [bool(diverging >> i & 1) for i in range(dense.n)]
+            lo, hi = bounded_expected_reward(dense, targets, cone, diverging, rational(epsilon))
+            lower, upper = aggregate_init(dense, lo), aggregate_init(dense, hi)
             for i, p in enumerate(dense.products):
                 exact = enum.outcomes[p].value
                 assert infinite[i] == (exact == INFINITY)
                 if not infinite[i]:
                     assert lower[i] <= exact <= upper[i]
                     assert upper[i] - lower[i] < rational(epsilon)
+
+
+    def test_bound_fixes_the_reward_sweeps(self, wiper):
+        """``bound`` fixes the sweeps of a top-level reward as it does those
+        of an until: after none the lower bound is still its start, 0."""
+        prop = "R=?[F end]"
+        exact = check_family_enumerative(wiper.system, prop).outcomes
+        for outcome in check_family_bounded(wiper.system, prop, bound=0).outcomes.values():
+            assert outcome.value - outcome.error_bound == 0
+        for p, o in check_family_bounded(wiper.system, prop, bound=3).outcomes.items():
+            assert o.value - o.error_bound <= exact[p].value <= o.value + o.error_bound
 
 
 class TestNestedOperators:

@@ -30,9 +30,10 @@ from featmc.generators import gen_service_provider
 from featmc.models import FDTMC, project
 from featmc.profiles import DenseProfile, GuardedProfile, constant
 from featmc.properties import Next, parse_property
-from featmc.rational import ONE, rational
+from featmc.rational import INFINITY, ONE, rational
+from featmc.result import UNKNOWN
 
-from conftest import fraction_next_vectors, fraction_until_vectors, random_fdtmc
+from conftest import fraction_next_vectors, fraction_until_vectors, random_fdtmc, split_init
 
 
 class TestSharedWalker:
@@ -363,3 +364,43 @@ def test_a_checked_model_dies_without_the_collector(engine):
         DenseModel.__init__ = original
         if enabled:
             gc.enable()
+
+
+class TestSplitInitialDistribution:
+    """Every engine answers at an initial distribution of several states,
+    one of them of weight 0: the shared answer layer aggregates each
+    engine's values at the initial states."""
+
+    PROPERTIES = (
+        "P=?(F a)",
+        "P[>=0.3](!c U a)",
+        "R=?[F a]",
+        "P=?(X a)",
+        "P=?(F P[<0.5](!c U a))",
+    )
+
+    def test_every_engine_agrees(self):
+        rng = random.Random(71)
+        changed = infinite = 0
+        for k in range(30):
+            model = random_fdtmc(rng, max_states=7, max_features=3, with_rewards=True)
+            split = split_init(model, k)
+            for text in self.PROPERTIES:
+                single = check_family_enumerative(model, text).outcomes
+                for m in (model, split):
+                    exact = check_family_enumerative(m, text).outcomes
+                    floats = check_family_enumerative(m, text, float_mode=True).outcomes
+                    param = check_family_parametric(m, text).outcomes
+                    bounded = check_family_bounded(m, text).outcomes
+                    for p, e in exact.items():
+                        assert param[p].value == e.value
+                        assert param[p].decision == e.decision
+                        f = floats[p].value
+                        assert f == e.value or abs(f - e.value) <= 1e-12 * abs(e.value)
+                        b = bounded[p]
+                        assert (b.value == INFINITY) == (e.value == INFINITY)
+                        assert b.value - b.error_bound <= e.value <= b.value + b.error_bound
+                        assert b.decision in (e.decision, UNKNOWN)
+                changed += any(exact[p].value != o.value for p, o in single.items())
+                infinite += [o.value for o in exact.values()].count(INFINITY)
+        assert changed >= 40 and infinite >= 15

@@ -32,7 +32,13 @@ from featmc.properties import RewardQuery, parse_property
 from featmc.rational import INFINITY, ONE, ZERO, rational
 from featmc.result import SAT, VIOLATED
 
-from conftest import path_enumeration_until, random_fdtmc, rational_lanes, value_iteration_until
+from conftest import (
+    path_enumeration_until,
+    random_fdtmc,
+    rational_lanes,
+    split_init,
+    value_iteration_until,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -628,19 +634,6 @@ system = M;
             assert abs(outcome.value - 2) <= outcome.error_bound
 
 
-def split_init(model, seed):
-    """``model`` started from up to three random states: the first with
-    weight 0, the others sharing weight 1."""
-    rng = random.Random(seed)
-    starts = rng.sample(model.states, min(3, len(model.states)))
-    weight = ONE / (len(starts) - 1)
-    init = {starts[0]: ZERO, **{s: weight for s in starts[1:]}}
-    return FDTMC(
-        model.states, init, model.diagram, model.transitions, model.ap, model.labels,
-        model.rewards,
-    )
-
-
 class TestFamilyAgreement:
     """The family path gives every product the outcome that check_product
     gives its projected chain: the same value, exact or float64 bit for
@@ -708,6 +701,35 @@ class TestFamilyAgreement:
                     finite += len(values) - values.count(INFINITY)
                 fractional += sum(v is not None and 0 < v < 1 for v in values)
         assert infinite >= 20 and finite >= 20 and fractional >= 100
+
+    def test_family_path_reads_no_initial_value(self, monkeypatch):
+        """At a split initial distribution the family path aggregates in
+        the shared answer layer, never per product through the per-chain
+        reference's ``_initial_value``, and still agrees with it."""
+        rng = random.Random(61)
+        models = [
+            split_init(random_fdtmc(rng, max_states=7, max_features=3, with_rewards=True), k)
+            for k in range(30)
+        ]
+
+        def refuse(*args):
+            raise AssertionError("the family path called _initial_value")
+
+        family = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(enumerative, "_initial_value", refuse)
+            for text in self.RANDOM:
+                for k, model in enumerate(models):
+                    for float_mode in (False, True):
+                        result = check_family_enumerative(model, text, float_mode)
+                        family[text, k, float_mode] = result
+        for (text, k, float_mode), result in family.items():
+            prop = parse_property(text)
+            for product, outcome in result.outcomes.items():
+                expected = check_product(project(models[k], product), prop, float_mode)
+                assert type(outcome.value) is type(expected.value)
+                assert repr(outcome.value) == repr(expected.value)
+                assert outcome.decision == expected.decision
 
     def test_weight_zero_init_with_infinite_reward(self):
         model = parse_model(TestWeightZeroInit.MODEL).system
