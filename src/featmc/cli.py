@@ -164,7 +164,10 @@ def _add_engine_options(parser):
         "--bound",
         type=_int_at_least(0),
         default=None,
-        help="fixed exploration depth instead of epsilon",
+        help=(
+            "fixed number of bounded-engine sweeps for a top-level unbounded until "
+            "or reward, instead of --epsilon; nested operators still run to --epsilon"
+        ),
     )
     parser.add_argument(
         "--max-depth",

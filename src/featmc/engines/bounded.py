@@ -9,13 +9,22 @@ interval iteration of the one-step recurrence
 
 from both sides at once, after the qualitative precomputation of the
 shared reachability closure (``engines/elimination.py``) has split every
-(state, product) into prob0, prob1 and undecided: a lower bound ``lo``
-starts at 1 on prob1 and 0 elsewhere, an upper bound ``hi`` starts at 0 on
-prob0 and 1 elsewhere, and only undecided (state, product) pairs are
-iterated.  The exact value always lies in ``[lo, hi]``; ``hi - lo`` is the
-undecided path mass, and a product stops being iterated once it is below
-the requested precision.  Threshold operators are decided three-valuedly
-on that interval by the answer layer all engines share (``FamilyCheck`` in
+(state, product) into prob0, prob1 and undecided.  On an undecided pair
+the recurrence is iterated with the state's self-loop divided out,
+
+    x'(s) = sum_{t != s} P(s,t) * x(t) / (1 - P(s,s)),
+
+the Gauss-Seidel splitting of ``(I - P) x = b`` (Stewart, *Introduction
+to the Numerical Solution of Markov Chains*, 1994, ch. 3), which has the
+same fixpoint: a state that loops with probability l would otherwise move
+only 1 - l of its gap per sweep.  So a sweep is one Gauss-Seidel pass of
+the loop-free recurrence, successors first.  A lower bound ``lo`` starts
+at 1 on prob1 and 0 elsewhere, an upper bound ``hi`` starts at 0 on prob0
+and 1 elsewhere, and only undecided (state, product) pairs are iterated.
+The exact value always lies in ``[lo, hi]``; ``hi - lo`` is the undecided
+path mass, and a product stops being iterated once it is below the
+requested precision.  Threshold operators are decided three-valuedly on
+that interval by the answer layer all engines share (``FamilyCheck`` in
 ``engines/dense.py``).  A top-level query reads only the initial states, so it
 iterates only their cone of undecided states (the shared init cone).  The
 initial states' values depend only on the states they reach, so they are
@@ -33,23 +42,24 @@ ch. 2), which extends the 1-bit product bitsets of Classen et al. (ICSE
 2010) to fixed-point lanes.  An edge carries a few distinct values, not
 one per product, so a state's update is one multiply-add per (successor,
 distinct rounded value) on the lanes of the products that share it.  The
-rounded edges are built once per run from the profiles' ``(value, product
-bitset)`` groups, with no per-product vector.  Only the bounds a caller
-reads are turned back into rationals.
+rounded edges, self-loops folded out, are built once per run from the
+profiles' ``(value, product bitset)`` groups, with no per-product vector.
+Only the bounds a caller reads are turned back into rationals.
 
 An expected reward ``R=?[F target]`` runs on the same kernel, iterating
 ``x = r + P·x`` on the non-target states of the products whose value is
 finite (the shared reward cone's), where lo rises from 0 and hi falls
 from an upper bound derived from the largest reward and the slowest
 chance of reaching the target (:func:`bounded_expected_reward`); a
-state's reward is one more edge, into a sink valued 1.  Both a top-level
-until and a reward hand back the bounds of the initial states, which the
-shared layer aggregates at the initial distribution, and a fixed
-``bound`` sets the sweeps of both.  Step-bounded until and next stay
-exact, on the exact step kernel of the shared layer (``step_vectors`` in
-``engines/dense.py``), which packs lanes the same way with no rounding;
-it also gives the slowest chance of reaching the target behind the
-reward's upper start.
+state's reward is one more edge, into a sink valued 1, and is divided by
+1 - P(s,s) like the state's other edges.  Both a top-level until and a
+reward hand back the bounds of the initial states, which the shared layer
+aggregates at the initial distribution, and a fixed ``bound`` sets the
+sweeps of both.  Step-bounded until and next stay exact, on the exact
+step kernel of the shared layer (``step_vectors`` in
+``engines/dense.py``), which packs lanes the same way with no rounding
+and counts real steps; it also gives the slowest chance of reaching the
+target behind the reward's upper start.
 """
 
 from __future__ import annotations
@@ -103,30 +113,51 @@ def _edge_table(
     ``cone`` (state -> product bitset), in sweep order, ``(position, lanes
     of cone, entries)``.  Each entry is ``(successor position, probability
     times 2**bits rounded down, rounded up, lanes of the products whose
-    edge has that value)``, one per successor and distinct rounded pair;
-    a lane mask is all ones in its lanes.  With ``rewards`` (state ->
-    reward profile) a state's reward, on the lanes of cone, is one more
-    edge, into the reward sink at position ``len(dense.states)``."""
+    edge has that value)``, one per successor and distinct rounded pair,
+    on the lanes of cone only; a lane mask is all ones in its lanes.  With
+    ``rewards`` (state -> reward profile) a state's reward is one more
+    edge, into the reward sink at position ``len(dense.states)``.
+
+    A state's self-loop is folded out: on a lane where its value l is below
+    1 the loop has no entry and every other edge, the reward's too, is
+    scaled by ``1/(1 - l)``, rounded once from the exact quotient; a lane
+    where l is 1 keeps its loop.  Lanes are split by loop value, so a value
+    is rounded once per distinct (edge value, loop value) pair."""
     index = dense.index
     sink = len(dense.states)
     table = []
     for s in dense.sweep_order:
-        if not cone[s]:
+        here = cone[s]
+        if not here:
             continue
+        own = index[s]
         out = [(index[t], groups) for t, groups in dense.groups[s]]
         if rewards is not None:
-            # a lane outside the cone may hold a reward too large for it
-            out.append((sink, [(v, mask & cone[s]) for v, mask in rewards[s].groups() if v]))
+            out.append((sink, [(v, mask) for v, mask in rewards[s].groups() if v]))
+        # (multiplier, divisor, lanes): v / (1 - l) = v * d / (d - n) for a
+        # loop value l = n/d below 1; the last part keeps its edges as they are
+        parts = []
+        kept = here
+        for l, mask in next((groups for k, groups in out if k == own), ()):
+            if l < 1 and mask & here:
+                d = int(l.denominator)
+                parts.append((d, d - int(l.numerator), mask & here))
+                kept &= ~mask
+        parts.append((1, 1, kept))
         merged: dict[tuple, int] = {}  # (successor, down, up) -> product bitset
         for k, groups in out:
             for v, mask in groups:
-                q, r = divmod(int(v.numerator) << bits, int(v.denominator))
-                key = (k, q, q + (r > 0))
-                merged[key] = merged.get(key, 0) | mask
+                num, den = int(v.numerator) << bits, int(v.denominator)
+                for multiplier, divisor, part in parts[-1:] if k == own else parts:
+                    m = mask & part
+                    if m:
+                        q, r = divmod(num * multiplier, den * divisor)
+                        key = (k, q, q + (r > 0))
+                        merged[key] = merged.get(key, 0) | m
         entries = [
             (k, down, up, lanes.widen(lanes.spread(m))) for (k, down, up), m in merged.items()
         ]
-        table.append((index[s], lanes.widen(lanes.spread(cone[s])), entries))
+        table.append((own, lanes.widen(lanes.spread(here)), entries))
     return table
 
 
@@ -160,6 +191,20 @@ def _family_until_run(
     ``top[i]``, which must bound product i's value at every pair that is
     iterated.  A state's reward is an edge into a sink whose bounds are 1,
     as in the parametric engine.
+
+    Each state's self-loop is folded out of the operator
+    (:func:`_edge_table`).  On an undecided pair whose loop value l is below
+    1, the fixpoint equation ``x*(s) = r + l·x*(s) + Σ_{t≠s} P(s,t) x*(t)``
+    (r = 0 for an until) gives ``x*(s) = r/(1 - l) + Σ_{t≠s} P'(s,t)
+    x*(t)`` with ``P' = P/(1 - l)``.  So the folded operator has the same
+    fixpoint, the only one on the undecided pairs, and its weights are not
+    negative, so it is monotone and lo and hi bracket the fixpoint as below
+    (Baier, Klein, Leuschner, Parker & Wunderlich, CAV 2017).  Each P' is
+    at most 1, and a row's P' sum to at most 1, since the row's loop-free
+    mass is at most 1 - l; a folded reward ``r/(1 - l)`` is at most
+    ``x*(s)``, so at most the top.  So the bounds on a rounded sum below,
+    and the lane width that follows from them, hold as for the unfolded
+    operator.  A lane where l is 1 keeps its loop.
 
     Values are integers over ``2**bits`` (:func:`_bits` of ``epsilon``, 64
     bits when only ``bound`` is given) rounded outward, down for lo and up

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from featmc import bundled_model_path, load_model
-from featmc.dsl import build_model, parse_model_file, print_model_file
+from featmc.dsl import build_model, parse_model, parse_model_file, print_model_file
 from featmc.engines.bounded import (
     DenseModel,
     _family_until_run,
@@ -20,9 +20,10 @@ from featmc.engines.enumerative import (
     until_values,
 )
 from featmc.engines.parametric import check_family_parametric
-from featmc.features import Product
+from featmc.features import Product, parse_feature_expression
 from featmc.generators import gen_service_provider
 from featmc.models import (
+    FDTMC,
     is_complete,
     observer_product,
     project,
@@ -144,6 +145,96 @@ def test_criterion_3_cross_engine_equivalence():
             checked += 1
     elapsed = time.perf_counter() - started
     _report(3, elapsed < 60.0, f"{checked} product checks in {elapsed:.1f}s")
+
+
+def _composed_text(rng, system):
+    """A model file of three components, an fdtmc, an fmdp and an fts,
+    composed by ``system``; the probabilities are random twentieths whose
+    rows leave mass to the implicit self-loops."""
+
+    def q():
+        return f"{rng.randint(1, 8)}/20"
+
+    return f"""
+features f g h;
+
+fdtmc Env {{
+  states calm storm;
+  init calm;
+  label storm: storm;
+  calm  -> storm : [f] {q()}, {q()};
+  storm -> calm  : [g] {q()}, {q()};
+}}
+
+fmdp Plant {{
+  states ok worn dead retired;
+  init ok;
+  label worn: worn;
+  label dead: dead;
+  label retired: retired;
+  ok   -(tick | obs: !on)-> worn    : [h] {q()}, {q()};
+  ok   -(tick | obs: on)->  worn    : {q()};
+  ok   -(tick | obs: on)->  retired : [g] {q()}, 0;
+  worn -(tick | obs: !on)-> dead    : {q()};
+  worn -(tick | obs: !on)-> retired : [f] {q()}, {q()};
+  worn -(tick | obs: on)->  ok      : [f & g] {q()}, {q()};
+  worn -(tick | obs: on)->  dead    : {q()};
+  dead -(tick)-> dead : 1;
+  retired -(tick)-> retired : 1;
+}}
+
+fts Ctl {{
+  states idle run;
+  init idle;
+  label run: on;
+  idle -(ctl | obs: worn)-> run : [f | h];
+  run  -(ctl | obs: !worn)-> idle : [g];
+}}
+
+system = {system};
+"""
+
+
+def test_criterion_3_composed_models():
+    """Every engine agrees on models built with ``||``, ``|>`` and
+    ``complete()``, whose implicit self-loops the interval kernel folds:
+    enumerative equals parametric exactly, and the bounded interval holds
+    the exact value."""
+    started = time.perf_counter()
+    rng = random.Random(3)
+    props = ("P=?(F dead)", "P[<0.5](F dead)", "R=?[F (dead | retired)]")
+    checked = looping = 0
+    for k in range(16):
+        system = ("complete(Ctl) |> (Env || Plant)", "complete(Ctl) |> Plant")[k % 2]
+        m = parse_model(_composed_text(rng, system)).system
+        d = m.diagram
+        # composition carries no rewards: 1 per step, 3 in worn states with f
+        extra = [(parse_feature_expression("f"), rational(3))]
+        rewards = {
+            s: GuardedProfile(d, extra if "worn" in m.labels[s] else [], ONE) for s in m.states
+        }
+        m = FDTMC(m.states, m.init, d, m.transitions, m.ap, m.labels, rewards)
+        dense = DenseModel(m)
+        looping += any(
+            0 < v < 1 for s in m.states for t, groups in dense.groups[s] if t == s for v, _ in groups
+        )
+        for text in props:
+            enum = check_family_enumerative(m, text)
+            param = check_family_parametric(m, text)
+            bounded = check_family_bounded(m, text, epsilon=EPS)
+            for p in d.valid_products():
+                exact = enum.outcomes[p].value
+                assert param.outcomes[p].value == exact, (k, text, p)
+                assert param.outcomes[p].decision == enum.outcomes[p].decision
+                o = bounded.outcomes[p]
+                err = o.error_bound or ZERO
+                assert o.value - err <= exact <= o.value + err, (k, text, p)
+                if o.decision not in (None, UNKNOWN):
+                    assert o.decision == enum.outcomes[p].decision, (k, text, p)
+                checked += 1
+    assert looping == 16
+    elapsed = time.perf_counter() - started
+    _report(3, elapsed < 60.0, f"{checked} composed product checks in {elapsed:.1f}s")
 
 
 def test_criterion_4_composition_theorems():

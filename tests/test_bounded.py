@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from featmc import bundled_model_path
 from featmc.dsl import build_model, parse_model
 from featmc.engines import bounded as bounded_engine, dense as dense_engine
 from featmc.engines.bounded import (
@@ -31,6 +30,7 @@ from featmc.engines.enumerative import (
     bounded_until_values,
     check_dtmc,
     check_family_enumerative,
+    expected_reward,
     until_state_partition,
     until_values,
 )
@@ -74,15 +74,32 @@ def _bounded_until(model, left, right, bound):
 
 
 @pytest.fixture(scope="module")
-def leaky_wiper():
-    """Wiper whose wiping states fall into an absorbing sink as often as
-    they end, so ``F end`` has value 1/2 instead of 1 on every product."""
-    text = bundled_model_path("wiper").read_text()
-    text = text.replace("on   -> end  : 0.2;", "on -> end : 0.1; on -> sink : 0.1;")
-    text = text.replace("fast -> end  : 0.2;", "fast -> end : 0.1; fast -> sink : 0.1;")
-    text = text.replace("states off on fast end;", "states off on fast end sink;")
-    text = text.replace("end  -> end  : 1;", "end -> end : 1; sink -> sink : 1;")
-    return parse_model(text)
+def leaky_cycle():
+    """Eight products on a cycle ``on -> wait -> on``: each visit to ``on``
+    ends or falls into an absorbing sink alike, so ``F end`` has value 1/2
+    on every product.  No state loops, so no sweep reaches 1/2 and the
+    value is approached only in the limit."""
+    return parse_model(
+        """
+        features f g h;
+
+        fdtmc Leaky {
+          states off on wait end sink;
+          init off;
+          label end: end;
+
+          off  -> on   : 1;
+          on   -> wait : [f] 0.8, [g] 0.9, 0.7;
+          on   -> end  : [f] 0.1, [g] 0.05, 0.15;
+          on   -> sink : [f] 0.1, [g] 0.05, 0.15;
+          wait -> on   : 1;
+          end  -> end  : 1;
+          sink -> sink : 1;
+        }
+
+        system = Leaky;
+        """
+    )
 
 
 def _until(model, left, right, **kwargs):
@@ -90,6 +107,25 @@ def _until(model, left, right, **kwargs):
     return _family_until_run(
         dense, _indicators(dense, left), _indicators(dense, right), **kwargs
     )
+
+
+def _folded_row(dense, s, i, bits):
+    """Test oracle for the fold of :func:`_edge_table`: state s's edges on
+    product i as ``(successor position, down, up)``, in edge order, each a
+    probability times 2**bits rounded down and up.  Where the self-loop's
+    value l is below 1 the loop is dropped and every other probability is
+    first scaled by 1/(1 - l) in exact rationals; a loop of 1 stays."""
+    loop = next((vec[i] for t, vec in dense.edges[s] if t == s), ZERO)
+    scale = ONE / (ONE - loop) if loop < 1 else ONE
+    row = []
+    for t, vec in dense.edges[s]:
+        if t == s and loop < 1:
+            continue
+        v = vec[i] * scale
+        q, r = divmod(int(v.numerator) << bits, int(v.denominator))
+        if q + (r > 0):
+            row.append((dense.index[t], q, q + (r > 0)))
+    return row
 
 
 def _reference_until_run(
@@ -103,9 +139,9 @@ def _reference_until_run(
     observer=None,
 ):
     """Test oracle for :func:`_family_until_run`: the same iteration with
-    one Python loop per product over per-product rows of fixed-point edges,
-    and the ``acc_lo > lo`` / ``acc_hi < hi`` guards in place of the packed
-    kernel's clamp and masked select."""
+    one Python loop per product over per-product rows of fixed-point edges
+    (:func:`_folded_row`), and the ``acc_lo > lo`` / ``acc_hi < hi`` guards
+    in place of the packed kernel's clamp and masked select."""
     n = dense.n
     states = dense.states
     index = dense.index
@@ -122,12 +158,7 @@ def _reference_until_run(
     for s in dense.sweep_order:
         for i in range(n):
             if undecided[s] >> i & 1:
-                succ = []
-                for t, vec in dense.edges[s]:
-                    q, r = divmod(int(vec[i].numerator) << bits, int(vec[i].denominator))
-                    if q + (r > 0):
-                        succ.append((index[t], q, q + (r > 0)))
-                rows[i].append((index[s], succ))
+                rows[i].append((index[s], _folded_row(dense, s, i, bits)))
     if weights is None:
         denom = full
 
@@ -467,21 +498,21 @@ class TestFamilyBounded:
         decisions = {str(p): o.decision for p, o in result.outcomes.items()}
         assert decisions == {"{f}": SAT, "{}": VIOLATED}
 
-    def test_deepening_warning_names_the_precision_used(self, leaky_wiper):
+    def test_deepening_warning_names_the_precision_used(self, leaky_cycle):
         # one sweep cannot separate F end (value 1/2) from the bound; with the
         # sweep count fixed and no nested operator a finer precision changes
         # nothing, so there is no retry
         result = check_family_bounded(
-            leaky_wiper.system, "P[>=0.8](F end)", epsilon=rational("1/1000"), bound=1
+            leaky_cycle.system, "P[>=0.8](F end)", epsilon=rational("1/1000"), bound=1
         )
         assert len(result.unknown_products) == 8
         assert result.warnings == ["8 products stayed unknown at precision 1/1000"]
 
-    def test_fixed_sweeps_still_retry_nested_operators(self, leaky_wiper):
+    def test_fixed_sweeps_still_retry_nested_operators(self, leaky_cycle):
         # the nested operator runs to its precision whatever the bound, so a
         # tenth of it can still decide more and the retry goes ahead
         result = check_family_bounded(
-            leaky_wiper.system,
+            leaky_cycle.system,
             "P[>=0.8](F P[>=0.9](X end))",
             epsilon=rational("1/1000"),
             bound=1,
@@ -807,9 +838,9 @@ class TestPlainStateFormulae:
         decisions = {str(p): o.decision for p, o in result.outcomes.items()}
         assert decisions == {"{f}": SAT, "{}": VIOLATED}
 
-    def test_undecided_formula_warns_with_the_precision_used(self, leaky_wiper):
+    def test_undecided_formula_warns_with_the_precision_used(self, leaky_cycle):
         # F end is exactly 1/2, so no precision separates it from the bound
-        result = check_family_bounded(leaky_wiper.system, "!P[>=0.5](F end)")
+        result = check_family_bounded(leaky_cycle.system, "!P[>=0.5](F end)")
         assert [o.decision for o in result.outcomes.values()] == [UNKNOWN] * 8
         assert result.warnings == ["8 products stayed unknown at precision 1/10000"]
 
@@ -820,7 +851,7 @@ class TestRounding:
     def test_sound_after_every_sweep_with_non_dyadic_probabilities(self):
         rng = random.Random(71)
         checked = 0
-        for grain in (3, 7, 9, 21) * 5:
+        for grain in (3, 7, 9, 21) * 12:
             m = random_fdtmc(rng, max_states=6, max_features=3, grain=grain)
             exact = {}
             for idx, p in enumerate(m.diagram.valid_products()):
@@ -881,14 +912,16 @@ class TestRounding:
     def test_stalled_rounding_raises_at_once(self):
         d = FeatureDiagram(("f",))
         # at epsilon 1/2 the escape probabilities round to 0 for lo and the
-        # loop to 1 for hi, so neither bound can move; the value is 1/2
+        # cycle's edges to 1 for hi, so neither bound can move; the value is
+        # 1/2 (a self-loop would be folded out; the cycle s <-> u is not)
         escape = rational(1, 2**60)
         m = FDTMC(
-            ("s", "goal", "sink"),
+            ("s", "u", "goal", "sink"),
             "s",
             d,
             {
-                ("s", "s"): constant(1 - 2 * escape, d),
+                ("s", "u"): constant(1 - 2 * escape, d),
+                ("u", "s"): constant(ONE, d),
                 ("s", "goal"): constant(escape, d),
                 ("s", "sink"): constant(escape, d),
                 ("goal", "goal"): constant(ONE, d),
@@ -983,8 +1016,8 @@ class TestCone:
                 FDTMC(model.states, init, model.diagram, model.transitions, model.ap, model.labels)
             )
 
-    def test_only_the_read_states_are_returned(self, leaky_wiper):
-        dense = DenseModel(leaky_wiper.system)
+    def test_only_the_read_states_are_returned(self, leaky_cycle):
+        dense = DenseModel(leaky_cycle.system)
         sat1 = _indicators(dense, TRUE_F)
         sat2 = _indicators(dense, Atom("end"))
         lo, hi = _family_until_run(dense, sat1, sat2, self.EPSILON, weights=dense.init)
@@ -1014,14 +1047,8 @@ class TestScaledEdges:
                     s = dense.states[k]
                     per_lane = [lanes.unpack(mask) for _, _, _, mask in entries]
                     for i in range(dense.n):
-                        expected = []
-                        for t, vec in dense.edges[s]:
-                            q, r = divmod(
-                                int(vec[i].numerator) << bits, int(vec[i].denominator)
-                            )
-                            if q + (r > 0):
-                                expected.append((dense.index[t], q, q + (r > 0)))
-                            inexact += r > 0
+                        expected = _folded_row(dense, s, i, bits)
+                        inexact += any(down < up for _, down, up in expected)
                         got = [entry[:3] for entry, m in zip(entries, per_lane) if m[i]]
                         assert got == expected
                         # a lane is all ones or all zeros
@@ -1108,9 +1135,9 @@ class TestPackedKernel:
         for model in itertools.islice(_criterion3_corpus(), 40):
             self._assert_matches_reference(model)
 
-    def test_convergence_errors(self, wiper):
+    def test_convergence_errors(self, leaky_cycle):
         # too few sweeps for 1e-9: "no convergence" with the worst mass
-        for model in (wiper.system, build_model(gen_failure_recovery(3)).system):
+        for model in (leaky_cycle.system, build_model(gen_failure_recovery(3)).system):
             assert self._assert_matches_reference(model, max_depth=2)
         dense = DenseModel(build_model(gen_failure_recovery(3)).system)
         sat1 = _indicators(dense, TRUE_F)
@@ -1122,7 +1149,12 @@ class TestPackedKernel:
         # rounding that cannot move a bound: "rounding stalled" at once
         escape = rational(1, 2**60)
         model = _chain(
-            {("s", "s"): 1 - 2 * escape, ("s", "goal"): escape, ("s", "sink"): escape}
+            {
+                ("s", "u"): 1 - 2 * escape,
+                ("u", "s"): ONE,
+                ("s", "goal"): escape,
+                ("s", "sink"): escape,
+            }
         )
         dense = DenseModel(model)
         args = (dense, _indicators(dense, TRUE_F), _indicators(dense, Atom("goal")))
@@ -1161,8 +1193,10 @@ class TestLaneEdges:
         # 54 bits, and past the 128 bits that would otherwise be used at 90
         tiny = rational(1, 2**exponent)
         half = rational(1, 2)
+        # s returns through w, a cycle that folding leaves alone, so the
+        # iteration takes more than one sweep
         model = _chain(
-            {("s", "s"): half, ("u", "goal"): half, ("u", "sink"): half},
+            {("s", "w"): half, ("w", "s"): ONE, ("u", "goal"): half, ("u", "sink"): half},
             init={"s": 1 - tiny, "u": tiny},
             guarded={
                 ("s", "goal"): (rational(1, 4), rational(3, 8)),
@@ -1233,6 +1267,149 @@ class TestLaneEdges:
             assert len(history) > 2
 
 
+class TestSelfLoopFold:
+    """Each state's self-loop is folded out of the interval kernel's edges
+    where its value l is below 1: the loop goes and every other edge is
+    scaled by 1/(1 - l).  Every sweep still brackets the exact value."""
+
+    @staticmethod
+    def _exact(model, target, reward=False):
+        """Per product, every state's exact value of ``F target`` or of
+        ``R=?[F target]``."""
+        values = []
+        for p in model.diagram.valid_products():
+            dtmc = project(model, p)
+            goal = dtmc.states_with(target)
+            values.append(
+                expected_reward(dtmc, goal) if reward else until_values(dtmc, set(dtmc.states), goal)
+            )
+        return values
+
+    @staticmethod
+    def _sweeps(dense, sat1, sat2, exact, epsilon=rational("1/1000"), **kwargs):
+        """Runs with and without the initial weights, to ``epsilon`` and for
+        a fixed three sweeps, asserting after every sweep that each state's
+        interval holds its exact value; the sweep counts of the runs to
+        ``epsilon``."""
+        counts = []
+        for weights in (None, dense.init):
+            for limits in ({"epsilon": epsilon}, {"bound": 3}):
+                history = []
+                _family_until_run(
+                    dense,
+                    sat1,
+                    sat2,
+                    weights=weights,
+                    observer=lambda sweep, lo, hi: history.append((lo, hi)),
+                    **limits,
+                    **kwargs,
+                )
+                assert history
+                if "bound" in limits:
+                    assert len(history) == limits["bound"]
+                for lo, hi in history:
+                    for s in dense.states:
+                        for i, values in enumerate(exact):
+                            assert lo[s][i] <= values[s] <= hi[s][i], (s, i, limits, weights)
+                if "epsilon" in limits:
+                    counts.append(len(history))
+        return counts
+
+    @staticmethod
+    def _entries(dense, state, bits, rewards=None):
+        """Per product, the edge-table entries of ``state`` over a cone of
+        every state, as ``(successor, down, up)``."""
+        lanes = PackedLanes(dense.n, -(-(2 * bits + 16) // 8) * 8)
+        table = _edge_table(dense, dict.fromkeys(dense.states, dense.full), bits, lanes, rewards)
+        entries = next(e for k, _, e in table if k == dense.index[state])
+        per_lane = [lanes.unpack(mask) for _, _, _, mask in entries]
+        return [
+            [entry[:3] for entry, m in zip(entries, per_lane) if m[i]] for i in range(dense.n)
+        ]
+
+    def test_slow_self_loop_converges_in_one_sweep(self):
+        # the loop keeps all but 2**-59 of the mass, which stalled the
+        # rounding before; folded, goal and sink get 1/2 each
+        escape = rational(1, 2**60)
+        model = _chain({("s", "s"): 1 - 2 * escape, ("s", "goal"): escape, ("s", "sink"): escape})
+        dense = DenseModel(model)
+        args = (dense, _indicators(dense, TRUE_F), _indicators(dense, Atom("goal")))
+        exact = self._exact(model, "goal")
+        assert {values["s"] for values in exact} == {rational(1, 2)}
+        for epsilon in (rational(1, 2), rational("1/1000"), rational("1e-9")):
+            assert self._sweeps(*args, exact, epsilon=epsilon) == [1, 1]
+
+    def test_mixed_lanes_keep_an_absorbing_loop(self):
+        # s is absorbing with f and loops at 0.9 without it
+        tenth = rational(1, 10)
+        model = _chain(
+            {("a", "s"): rational(1, 2), ("a", "goal"): rational(1, 2)},
+            init="a",
+            guarded={
+                ("s", "s"): (ONE, 1 - tenth),
+                ("s", "goal"): (ZERO, tenth / 2),
+                ("s", "sink"): (ZERO, tenth / 2),
+            },
+        )
+        dense = DenseModel(model)
+        bits = _bits(rational("1/1000"))
+        full = 1 << bits
+        index = dense.index
+        with_f = [bool(p["f"]) for p in dense.products]
+        expected = {
+            True: [(index["s"], full, full)],
+            False: [(index["goal"], full // 2, full // 2), (index["sink"], full // 2, full // 2)],
+        }
+        assert self._entries(dense, "s", bits) == [expected[f] for f in with_f]
+        exact = self._exact(model, "goal")
+        assert [values["a"] for values in exact] == [
+            rational(1, 2) if f else rational(3, 4) for f in with_f
+        ]
+        args = (dense, _indicators(dense, TRUE_F), _indicators(dense, Atom("goal")))
+        self._sweeps(*args, exact)
+
+    def test_reward_edge_is_scaled_by_the_loop(self):
+        # a earns 2 per step and stays with 3/4 (f) or 1/2: r/(1 - l) is 8 or 4
+        d = FeatureDiagram(("f",))
+        f = parse_feature_expression("f")
+        model = FDTMC(
+            ("b", "a", "goal"),
+            "b",
+            d,
+            {
+                ("b", "a"): constant(ONE, d),
+                ("a", "a"): GuardedProfile(d, [(f, rational(3, 4))], rational(1, 2)),
+                ("a", "goal"): GuardedProfile(d, [(f, rational(1, 4))], rational(1, 2)),
+                ("goal", "goal"): constant(ONE, d),
+            },
+            ("goal",),
+            {"goal": ("goal",)},
+            rewards={"a": constant(rational(2), d), "b": constant(ONE, d)},
+        )
+        dense = DenseModel(model)
+        bits = _bits(rational("1/1000"))
+        full = 1 << bits
+        index = dense.index
+        with_f = [bool(p["f"]) for p in dense.products]
+        rewards = {s: model.reward_profile(s) for s in dense.states}
+        sink = len(dense.states)
+        assert self._entries(dense, "a", bits, rewards) == [
+            [(index["goal"], full, full), (sink, (8 if f else 4) * full, (8 if f else 4) * full)]
+            for f in with_f
+        ]
+        exact = self._exact(model, "goal", reward=True)
+        assert [values["b"] for values in exact] == [9 if f else 5 for f in with_f]
+        targets = _indicators(dense, Atom("goal"))
+        self._sweeps(
+            dense,
+            dict.fromkeys(dense.states, dense.full),
+            targets,
+            exact,
+            rewards=rewards,
+            top=[rational(20)] * dense.n,
+        )
+
+
 class TestCorpus:
     """Every property of the bundled and of small generated models."""
 
@@ -1266,13 +1443,14 @@ class TestConvergenceCeiling:
     def test_depth_ceiling_reports_worst_mass(self):
         d = FeatureDiagram(("f",))
         # slow mixing: tiny escape probabilities out of the constrained
-        # cycle, to the goal and to a sink alike (value 1/2)
+        # cycle s <-> u, to the goal and to a sink alike (value 1/2)
         m = FDTMC(
-            ("s", "goal", "sink"),
+            ("s", "u", "goal", "sink"),
             "s",
             d,
             {
-                ("s", "s"): constant(rational("0.998"), d),
+                ("s", "u"): constant(rational("0.998"), d),
+                ("u", "s"): constant(ONE, d),
                 ("s", "goal"): constant(rational("0.001"), d),
                 ("s", "sink"): constant(rational("0.001"), d),
                 ("goal", "goal"): constant(ONE, d),
