@@ -399,6 +399,23 @@ def _closure(loop: SupportTable) -> SupportTable | None:
     return SupportTable(loop.support, num, den)
 
 
+def _halves(size: int, step: int) -> list[tuple[slice, slice, slice]]:
+    """The two halves of a cube of ``size`` cells along the feature of bit
+    ``step``, as ``(bit clear, bit set, place among the bit-clear cells)``
+    slices: ``step`` strided slices or ``size / (2 * step)`` blocks,
+    whichever are fewer."""
+    width = 2 * step
+    if step < size // width:
+        return [
+            (slice(r, None, width), slice(r + step, None, width), slice(r, None, step))
+            for r in range(step)
+        ]
+    return [
+        (slice(b, b + step), slice(b + step, b + width), slice(b // 2, b // 2 + step))
+        for b in range(0, size, width)
+    ]
+
+
 def _dense_table(groups: Sequence, diagram: FeatureDiagram) -> SupportTable:
     """A table from ``(numerator, denominator)`` pairs, each with the bitset
     of the valid products that carry it (the bitsets cover every valid
@@ -413,9 +430,15 @@ def _dense_table(groups: Sequence, diagram: FeatureDiagram) -> SupportTable:
     support = list(range(len(diagram.signature)))
     for j in reversed(range(len(support))):
         step = 1 << (len(support) - 1 - j)
-        if all(cells[i] == cells[i | step] for i in range(len(cells)) if not i & step):
+        if cells[0] != cells[step]:  # most features a table reads differ here
+            continue
+        halves = _halves(len(cells), step)
+        if all(cells[low] == cells[high] for low, high, _ in halves):
             del support[j]
-            cells = [c for i, c in enumerate(cells) if not i & step]
+            kept = [None] * (len(cells) // 2)
+            for low, _, into in halves:
+                kept[into] = cells[low]
+            cells = kept
     num, den = zip(*cells)
     return SupportTable(tuple(support), num, den)
 

@@ -63,13 +63,8 @@ def int_str(n) -> str:
 def rat_str(value) -> str:
     """Canonical text form: integers bare, otherwise ``num/den``, in full
     at any size; floats (and the INFINITY sentinel, ``inf``) as ``str``."""
-    if isinstance(value, float):
-        return "inf" if value == INFINITY else str(value)
-    num = int_str(value.numerator)
-    return num if value.denominator == 1 else f"{num}/{int_str(value.denominator)}"
-
-
-def as_float(value) -> float:
-    if value == INFINITY:
-        return INFINITY
-    return float(value)
+    try:
+        return str(value)
+    except ValueError:  # an int of more than 4300 digits (mpz has no limit)
+        num = int_str(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{int_str(value.denominator)}"

@@ -2,6 +2,19 @@
 
 Output is deterministic for identical inputs apart from the timing columns,
 which callers may suppress.
+
+The JSON report is, byte for byte, ``json.dumps(payload, indent=2,
+allow_nan=False) + "\n"`` of a payload ``{"schema", "results"}`` with one
+entry per result (engine, property, warnings, one record per product and,
+with timings, the elapsed seconds): the standard two-space layout, and
+strict JSON, so ``value_float`` is null where ``value`` is ``inf``.  It is
+not written by ``json.dumps``, whose ``indent`` makes CPython encode every
+token in Python.  Each result's records, flat dicts of scalars, go through
+the C encoder in one call whose item separator carries the newline and the
+indent of a record field; :func:`_json_records` then breaks the lines at the
+record boundaries, and the few outer levels are laid out here.  That is
+sound because the encoder escapes every newline inside a string, so every
+newline in its output is structural.
 """
 
 from __future__ import annotations
@@ -9,10 +22,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import compress
 from typing import Sequence
 
 from .features import Product
-from .rational import INFINITY, as_float, rat_str
+from .rational import INFINITY, rat_str
 from .result import FamilyResult, UNKNOWN
 
 JSON_SCHEMA_VERSION = 1
@@ -22,8 +36,7 @@ FLOAT_RTOL = 1e-9
 
 
 def product_label(product: Product) -> str:
-    on = [name for name in product.names if product[name]]
-    return "{" + ",".join(on) + "}"
+    return "{" + ",".join(compress(product.names, product.values)) + "}"
 
 
 def _decision_text(decision: str | None) -> str:
@@ -43,9 +56,9 @@ def _rows(products: Sequence[Product], results: Sequence[FamilyResult], timings:
         values = []
         for result in results:
             outcome = result.outcomes[product]
-            if outcome.error_bound not in (None, 0):
+            if outcome.error_bound:
                 # approximations print as decimals; exact values stay exact
-                text = f"{as_float(outcome.value):.9g} ±{as_float(outcome.error_bound):.2g}"
+                text = f"{float(outcome.value):.9g} ±{float(outcome.error_bound):.2g}"
             else:
                 text = outcome.value_str()
             row.append(text)
@@ -77,7 +90,7 @@ def _agree(outcomes) -> bool:
     decisions = {o.decision for o in outcomes if o.decision not in (None, UNKNOWN)}
     if len(decisions) > 1:
         return False
-    exact = [o for o in outcomes if o.value is not None and o.error_bound in (None, 0)]
+    exact = [o for o in outcomes if o.value is not None and not o.error_bound]
     if exact:
         reference = next(
             (o.value for o in exact if not _is_float_mode(o.value)), exact[0].value
@@ -90,7 +103,7 @@ def _agree(outcomes) -> bool:
             if abs(o.value - reference) > FLOAT_RTOL * abs(reference):
                 return False
         for o in outcomes:
-            if o.value is None or o.error_bound in (None, 0):
+            if o.value is None or not o.error_bound:
                 continue
             if reference == INFINITY or o.value == INFINITY:
                 if reference != o.value:
@@ -120,32 +133,64 @@ def render_csv(products, results, timings: bool = True) -> str:
     return buffer.getvalue()
 
 
+#: Indents of the JSON layout: a result entry's fields, a product record
+#: and a record's fields.
+_ENTRY_PAD, _RECORD_PAD, _FIELD_PAD = " " * 6, " " * 8, " " * 10
+
+_encode = json.JSONEncoder(allow_nan=False).encode
+_encode_records = json.JSONEncoder(separators=(",\n" + _FIELD_PAD, ": "), allow_nan=False).encode
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """The array of the encoded ``items`` as ``indent=2`` lays it out when
+    it opens on a line indented by ``pad``."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+
+
+def _json_records(products, labels: list[str], result: FamilyResult) -> str:
+    """A result's ``products`` array: one record per product, encoded in one
+    C encoder call and then broken into lines at the record boundaries, the
+    only ``},`` followed by a newline the encoder writes."""
+    records = []
+    for product, label in zip(products, labels):
+        outcome = result.outcomes[product]
+        value = outcome.value
+        number = INFINITY if value is None else float(value)
+        record = {
+            "product": label,
+            "value": None if value is None else rat_str(value),
+            # strict JSON has no Infinity: an infinite value has no float
+            "value_float": None if number == INFINITY else number,
+            "verdict": outcome.decision,
+        }
+        if outcome.error_bound:
+            record["error_bound"] = rat_str(outcome.error_bound)
+        records.append(record)
+    if not records:
+        return "[]"
+    body = _encode_records(records)[2:-2].replace(
+        "},\n" + _FIELD_PAD + "{",
+        f"\n{_RECORD_PAD}}},\n{_RECORD_PAD}{{\n{_FIELD_PAD}",
+    )
+    return f"[\n{_RECORD_PAD}{{\n{_FIELD_PAD}{body}\n{_RECORD_PAD}}}\n{_ENTRY_PAD}]"
+
+
 def render_json(products, results, timings: bool = True) -> str:
-    payload = {
-        "schema": JSON_SCHEMA_VERSION,
-        "results": [],
-    }
+    labels = [product_label(product) for product in products]
+    entries = []
     for result in results:
-        entry = {
-            "engine": result.engine,
-            "property": result.property_text,
-            "warnings": list(result.warnings),
-            "products": [],
+        fields = {
+            "engine": _encode(result.engine),
+            "property": _encode(result.property_text),
+            "warnings": _json_list([_encode(w) for w in result.warnings], _ENTRY_PAD),
+            "products": _json_records(products, labels, result),
         }
         if timings:
-            entry["elapsed_seconds"] = round(result.elapsed, 6)
-        for product in products:
-            outcome = result.outcomes[product]
-            record = {
-                "product": product_label(product),
-                "value": None if outcome.value is None else outcome.value_str(),
-                "value_float": (
-                    None if outcome.value is None else as_float(outcome.value)
-                ),
-                "verdict": outcome.decision,
-            }
-            if outcome.error_bound not in (None, 0):
-                record["error_bound"] = rat_str(outcome.error_bound)
-            entry["products"].append(record)
-        payload["results"].append(entry)
-    return json.dumps(payload, indent=2) + "\n"
+            fields["elapsed_seconds"] = _encode(round(result.elapsed, 6))
+        lines = ",\n".join(f'{_ENTRY_PAD}"{key}": {text}' for key, text in fields.items())
+        entries.append(f"{{\n{lines}\n    }}")
+    results_text = _json_list(entries, "  ")
+    return f'{{\n  "schema": {JSON_SCHEMA_VERSION},\n  "results": {results_text}\n}}\n'

@@ -7,7 +7,7 @@ from functools import cached_property
 from typing import Callable
 
 from .features import Product
-from .rational import INFINITY, rat_str
+from .rational import rat_str
 
 #: Three-valued decision per product; None marks quantitative queries where
 #: no threshold was asked.
@@ -27,11 +27,7 @@ class ProductOutcome:
     fallback: bool = False
 
     def value_str(self) -> str:
-        if self.value is None:
-            return "-"
-        if self.value == INFINITY:
-            return "inf"
-        return rat_str(self.value)
+        return "-" if self.value is None else rat_str(self.value)
 
 
 @dataclass

@@ -82,6 +82,23 @@ class TestCheck:
         assert payload["schema"] == 1
         assert len(payload["results"][0]["products"]) == 8
 
+    @pytest.mark.parametrize("flag", [[], ["--float"]], ids=["exact", "float"])
+    def test_json_is_strict_for_divergent_rewards(self, capsys, wiper_path, flag):
+        # no state satisfies !true, so every expected reward is infinite;
+        # strict JSON has no Infinity, so value_float is null
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        code, out, _ = run_cli(
+            capsys, "check", wiper_path, "--prop", "R=?[F !true]", "--engine", "all",
+            "--format", "json", "--no-timings", *flag,
+        )
+        payload = json.loads(out, parse_constant=reject)
+        records = [r for result in payload["results"] for r in result["products"]]
+        assert code == 0
+        assert len(records) == 24
+        assert all(r["value"] == "inf" and r["value_float"] is None for r in records)
+
     def test_csv_parses_with_header(self, capsys, wiper_path):
         code, out, _ = run_cli(
             capsys, "check", wiper_path, "--prop", "energy", "--engine", "param",
