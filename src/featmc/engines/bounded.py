@@ -32,10 +32,10 @@ those of an iteration of every undecided state, sweep by sweep.  Nested
 operators need every state's bounds and iterate every undecided pair.
 
 The iteration runs on Python integers over a common denominator ``2**bits``
-whose size follows from the precision, with outward rounding: probabilities
-and sums are rounded down for ``lo`` and up for ``hi``, so the certificate
-is as sound as an exact-rational iteration and the bounds handed back are
-exact rationals.  Every product is iterated at once, bit-parallel: a
+whose size follows from the precision (:func:`_bits`, 30 bits at 1e-3),
+with outward rounding: probabilities and sums are rounded down for ``lo``
+and up for ``hi``, so the certificate is as sound as an exact-rational
+iteration.  Every product is iterated at once, bit-parallel: a
 state's ``lo`` and ``hi`` are one integer each, with one fixed-width lane
 per product (SWAR, "SIMD within a register"; Warren, *Hacker's Delight*,
 ch. 2), which extends the 1-bit product bitsets of Classen et al. (ICSE
@@ -44,7 +44,9 @@ one per product, so a state's update is one multiply-add per (successor,
 distinct rounded value) on the lanes of the products that share it.  The
 rounded edges, self-loops folded out, are built once per run from the
 profiles' ``(value, product bitset)`` groups, with no per-product vector.
-Only the bounds a caller reads are turned back into rationals.
+The bounds are handed back as those integer lanes (:class:`LaneValues`),
+of the initial states only for a top-level query; the shared answer layer
+makes one rational of each value and one of each error bound.
 
 An expected reward ``R=?[F target]`` runs on the same kernel, iterating
 ``x = r + P·x`` on the non-target states of the products whose value is
@@ -83,6 +85,7 @@ from ..result import FamilyResult
 from .dense import (
     DenseModel,
     FamilyCheck,
+    LaneValues,
     PackedLanes,
     SatEntry,
     bounded_until_vectors,
@@ -98,12 +101,32 @@ DEFAULT_MAX_DEPTH = 100_000
 # ---------------------------------------------------------------------------
 
 
-def _bits(epsilon) -> int:
+def _bits(epsilon, top=1) -> int:
     """Fixed-point precision of the interval kernel: 64 bits without a
-    precision, otherwise twice the bits of ``1/epsilon`` plus 34."""
+    precision, otherwise the bits of ``top/epsilon`` plus 20, ``top`` (at
+    least 1) bounding every value iterated.  An until has top 1: 30 bits
+    at 1e-3, so every rounded edge value below 1 is one 30-bit digit of a
+    CPython int, and 50 bits at 1e-9.
+
+    The certificate rests on outward rounding, not on these bits: lo is
+    rounded down and hi up, so [lo, hi] holds the exact value at any
+    precision.  The bits only decide whether rounding keeps an interval
+    from shrinking below epsilon, and 20 spare bits make that happen only
+    on chains too slow for the sweep cap anyway.  A state's new bound is
+    off the exact operator's by less than ``(m + 1) * top * 2**-bits``, m
+    its number of edge entries: one unit per rounded value times a value
+    of at most top, one for the final shift.  So a sweep that shrinks the
+    gap by a share c of it leaves the gap at about ``2 (m + 1) * top *
+    2**-bits / c`` at least, and since ``2**bits > 2**20 * top /
+    epsilon``, that exceeds epsilon only where ``c < 2 (m + 1) * 2**-20``.
+    Such a chain needs about ``ln(top/epsilon) / c`` sweeps with exact
+    arithmetic, over ``2**19 * ln(1000) / (m + 1)`` at 1e-3: more than the
+    default cap of 100,000 sweeps for m below 35, so it reports "no
+    convergence" at 30 bits as it did at 54 (``TestPrecision`` in
+    ``tests/test_bounded.py``)."""
     if epsilon is None:
         return 64
-    return 2 * ((int(epsilon.denominator) // int(epsilon.numerator)).bit_length() + 1) + 32
+    return int(max(top, 1) / epsilon).bit_length() + 20
 
 
 def _edge_table(
@@ -206,18 +229,19 @@ def _family_until_run(
     and the lane width that follows from them, hold as for the unfolded
     operator.  A lane where l is 1 keeps its loop.
 
-    Values are integers over ``2**bits`` (:func:`_bits` of ``epsilon``, 64
-    bits when only ``bound`` is given) rounded outward, down for lo and up
-    for hi, so each stays on its side of the exact operator applied to the
-    old value.  Each state's lo and hi are one int each, with one lane per
-    product (:class:`PackedLanes`).  An edge is one ``(successor, down, up,
-    lanes)`` entry per distinct rounded value, ``lanes`` masking the
-    products whose edge has that value, so a state's update is one
-    multiply-add per entry for every product at once; the floor and the
-    ceiling are one shift each.  Lane i holds at most its top T
+    Values are integers over ``2**bits`` (:func:`_bits` of ``epsilon`` and
+    the largest top, 64 bits when only ``bound`` is given) rounded
+    outward, down for lo and up for hi, so each stays on its side of the
+    exact operator applied to the old value.  Each state's lo and hi are
+    one int each, with one lane per product (:class:`PackedLanes`).  An
+    edge is one ``(successor, down, up, lanes)`` entry per distinct
+    rounded value, ``lanes`` masking the products whose edge has that
+    value, so a state's update is one multiply-add per entry for every
+    product at once; the floor and the ceiling are one shift each.  Lane i holds at most its top T
     (``2**bits`` for an until) per state, and a rounded reward is at most
     T, so a rounded sum stays below ``2**(bits+2) * T`` and a lane width
-    of at least ``bits + bitlen(T) + 15`` bits never carries.
+    of at least ``bits + bitlen(T) + 15`` bits never carries: 80 bits for
+    an until at 1e-3.
 
     A new bound overwrites the old one, except that hi is clamped
     lane-wise to its top: the rounded-up sum can exceed it.  This gives
@@ -242,18 +266,18 @@ def _family_until_run(
     states outside the cone keep their starting bounds.  A product still
     wider after ``max_depth`` sweeps, or after a sweep that moved none of
     its bounds (rounding has stalled), raises ConvergenceError.
-    ``observer(sweep, lo, hi)`` sees the vectors of every state as
-    rationals after every sweep.
+    ``observer(sweep, lo, hi)`` sees the bounds of every state after every
+    sweep.
 
-    Returns per-state (lo, hi): of every state, or of the states of
-    positive weight when ``weights`` is given.  One of ``epsilon`` and
-    ``bound`` is required.
+    Returns (lo, hi) as :class:`LaneValues`, every product's integers over
+    ``2**bits``: of every state, or of the states of positive weight when
+    ``weights`` is given.  One of ``epsilon`` and ``bound`` is required.
     """
     if epsilon is None and bound is None:
         raise ValueError("_family_until_run needs epsilon or bound, got neither")
     states = dense.states
     index = dense.index
-    bits = _bits(epsilon)
+    bits = _bits(epsilon, 1 if rewards is None else max(top, default=1))
     full = 1 << bits
     if rewards is None:
         zero, one = until_partition(dense.pred, sat1, sat2, dense.full)
@@ -294,8 +318,9 @@ def _family_until_run(
         def gap():
             return [sum(w * (hi[k] - lo[k]) for k, w in weight_items)]
 
-    def as_rationals(values, keys=states):
-        return {s: [rational(v, full) for v in lanes.unpack(values[index[s]])] for s in keys}
+    def as_values(values, keys=states):
+        chunk = (range(dense.n), full, lanes, values)
+        return LaneValues(dense.n, {s: index[s] for s in keys}, [chunk])
 
     if epsilon is not None:
         eps_num, eps_den = int(epsilon.numerator), int(epsilon.denominator)
@@ -331,7 +356,7 @@ def _family_until_run(
             hi[k] = old ^ diff_hi
             moved |= diff_lo | diff_hi
         if observer is not None:
-            observer(sweep, as_rationals(lo), as_rationals(hi))
+            observer(sweep, as_values(lo[:]), as_values(hi[:]))
         if bound is None:
             wide = 0
             for g in gap():
@@ -351,7 +376,7 @@ def _family_until_run(
                     worst_undecided=worst,
                 )
     read = states if weights is None else [s for s, w in weights.items() if w]
-    return as_rationals(lo, read), as_rationals(hi, read)
+    return as_values(lo, read), as_values(hi, read)
 
 
 # ---------------------------------------------------------------------------

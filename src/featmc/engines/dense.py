@@ -19,23 +19,24 @@ denominator D, so that after j steps every value is an integer over
 ``D**j``, and a state's integers for every product of a chunk are one
 Python int with one fixed-width lane per product (:class:`PackedLanes`,
 the layout of the bounded engine's interval kernel).  A step is one
-multiply-add per (successor, value) group, with no rounding; values
-become rationals only where they are read (:class:`StepValues`), at the
-initial distribution (:func:`aggregate_init`) or per state for a nested
+multiply-add per (successor, value) group, with no rounding.  Both
+kernels hand back their values as integer lanes over a denominator
+(:class:`LaneValues`); they become rationals only where they are read,
+once per product at the initial distribution or per state for a nested
 threshold.
 
 :class:`FamilyCheck`, which every engine subclasses, answers on top of
 it: thresholds, the next and step-bounded until dispatch and per-product
 outcomes.  It alone turns per-state values into per-product answers: an
 engine supplies the values of an unbounded until and of an expected reward
-per state, and it aggregates them at the initial distribution
-(:func:`aggregate_init`) and marks the divergent rewards from the reward
-cone.
+per state, and it aggregates them at the initial distribution and marks
+the divergent rewards from the reward cone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -372,17 +373,19 @@ def step_chunks(dense: DenseModel, steps: int) -> list[tuple[list[int], int]]:
     return chunks
 
 
-class StepValues:
-    """The exact values of a :func:`step_vectors` run.  Per chunk, a tuple
-    ``(members, denominator, lanes, x)``: every value of product
-    ``members[j]`` at state s is lane j of ``x[index[s]]`` over
-    ``denominator``.  Reading a state (``values[s]``) makes its rationals."""
+class LaneValues(Mapping):
+    """Per-product values held as integer lanes, the output of both
+    kernels.  Per chunk, a tuple ``(members, denominator, lanes, x)``:
+    product ``members[j]``'s value at state s is lane j of ``x[index[s]]``
+    over ``denominator``.  A mapping from each state of ``index`` to its
+    values: reading a state (``values[s]``) makes its rationals, while
+    :meth:`numerators` and :meth:`aggregate` stay integers."""
 
-    def __init__(self, dense: DenseModel, chunks: list[tuple]):
-        self.n = dense.n
-        self.index = dense.index
+    def __init__(self, n: int, index: dict[State, int], chunks: list[tuple]):
+        self.n = n
+        self.index = index
         self.chunks = chunks
-        self.denominators = [0] * self.n
+        self.denominators = [0] * n
         for members, denominator, _, _ in chunks:
             for i in members:
                 self.denominators[i] = denominator
@@ -399,8 +402,29 @@ class StepValues:
                 out[i] = v
         return out
 
+    def aggregate(self, weights: dict[State, object]) -> tuple[list[int], list[int]]:
+        """Per product, its value at the distribution ``weights`` (state ->
+        weight) as a numerator and a denominator; states of weight 0 are
+        not read."""
+        terms = [(s, w) for s, w in weights.items() if w]
+        if len(terms) == 1 and terms[0][1] == 1:
+            return self.numerators(terms[0][0]), self.denominators
+        scale = math.lcm(*(int(w.denominator) for _, w in terms))
+        out = [0] * self.n
+        for s, w in terms:
+            factor = int(w * scale)
+            for i, v in enumerate(self.numerators(s)):
+                out[i] += factor * v
+        return out, [scale * d for d in self.denominators]
+
     def __getitem__(self, s: State) -> list:
         return [*map(rational, self.numerators(s), self.denominators)]
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
 def _lane_width(d: int, steps: int) -> int:
@@ -409,7 +433,7 @@ def _lane_width(d: int, steps: int) -> int:
     return -(-((d**steps).bit_length() + 1) // 8) * 8
 
 
-def step_vectors(dense: DenseModel, start, live, target, steps: int) -> StepValues:
+def step_vectors(dense: DenseModel, start, live, target, steps: int) -> LaneValues:
     """Exact values after ``steps`` Jacobi steps of ``x'(s) = 1`` on
     ``target`` and ``x'(s) = sum_t P(s,t) x(t)`` on ``live``, 0 elsewhere,
     from the indicator of ``start``; all three map states to product
@@ -472,16 +496,16 @@ def step_vectors(dense: DenseModel, start, live, target, steps: int) -> StepValu
                 new.append(acc)
             x = new
         chunks.append((members, scale, lanes, x))
-    return StepValues(dense, chunks)
+    return LaneValues(n, index, chunks)
 
 
-def next_vectors(dense: DenseModel, sat) -> StepValues:
+def next_vectors(dense: DenseModel, sat) -> LaneValues:
     """Exact values of ``X sat`` (state -> product bitset)."""
     everywhere = dict.fromkeys(dense.states, dense.full)
     return step_vectors(dense, sat, everywhere, dict.fromkeys(dense.states, 0), 1)
 
 
-def bounded_until_vectors(dense: DenseModel, sat1, sat2, bound: int) -> StepValues:
+def bounded_until_vectors(dense: DenseModel, sat1, sat2, bound: int) -> LaneValues:
     """Exact values of ``sat1 U<=bound sat2`` (state -> product bitset)."""
     live = {s: sat1[s] & ~sat2[s] for s in dense.states}
     return step_vectors(dense, sat2, live, sat2, bound)
@@ -524,9 +548,11 @@ class FamilyCheck:
       positive weight, given its :func:`reward_cone`; a product of
       ``infinite`` may hold any value.
 
-    An ``exact`` engine reports its values as they are.  Otherwise a value
-    is the midpoint of its bounds with half their width as error bound,
-    and ``inf`` has error bound 0.
+    Values are per-state rationals (or floats), which are exact, or
+    integer lanes (:class:`LaneValues`), the only form of bounds that
+    differ.  An ``exact`` engine reports its values as they are.
+    Otherwise a value is the midpoint of its bounds with half their width
+    as error bound (:meth:`lane_answers`), and ``inf`` has error bound 0.
     """
 
     exact = True
@@ -543,7 +569,7 @@ class FamilyCheck:
         one that does where the engine's values are exact."""
         return self.sat_of(node).lo
 
-    def step_bounds(self, path) -> tuple[StepValues, StepValues] | None:
+    def step_bounds(self, path) -> tuple[LaneValues, LaneValues] | None:
         """Per state and product, the exact values of a next or step-bounded
         until on the operands' definite and on their possible sets; where
         the operands are decided, one set of values stands for both.  None
@@ -578,10 +604,10 @@ class FamilyCheck:
 
     def outcomes(self, prop: Property) -> list[ProductOutcome]:
         """Every product's outcome, in canonical product order: the values
-        at the initial distribution (:func:`aggregate_init`), and ``inf``
-        for a reward on the infinite products of its :func:`reward_cone`.
-        A plain state formula is decided at the initial states
-        (:func:`init_decisions`)."""
+        at the initial distribution (:func:`aggregate_init` or
+        :meth:`lane_answers`), and ``inf`` for a reward on the infinite
+        products of its :func:`reward_cone`.  A plain state formula is
+        decided at the initial states (:func:`init_decisions`)."""
         dense = self.dense
         products = dense.products
         interval = None
@@ -602,18 +628,40 @@ class FamilyCheck:
         else:
             decisions = init_decisions(dense, self.sat_of(prop))
             return [ProductOutcome(p, decision=d) for p, d in zip(products, decisions)]
-        low = aggregate_init(dense, lo)
-        high = low if hi is lo else aggregate_init(dense, hi)
+        if isinstance(lo, LaneValues):
+            answers = self.lane_answers(lo, hi, interval)
+        else:
+            answers = [
+                (v, None if interval is None else interval.decide(v, v), None)
+                for v in aggregate_init(dense, lo)
+            ]
         out = []
-        for p, a, b, diverges in zip(products, low, high, flag_bytes(infinite, dense.n)):
-            decision = None if interval is None else interval.decide(a, b)
+        for p, (value, decision, error), diverges in zip(
+            products, answers, flag_bytes(infinite, dense.n)
+        ):
             if diverges:
                 value, error = INFINITY, None if self.exact else ZERO
-            elif self.exact:
-                value, error = a, None
-            elif a is b:  # exact step values
-                value, error = a, ZERO
-            else:
-                value, error = (a + b) / 2, (b - a) / 2
             out.append(ProductOutcome(p, value=value, decision=decision, error_bound=error))
+        return out
+
+    def lane_answers(self, lo: LaneValues, hi: LaneValues, interval) -> list[tuple]:
+        """Per product, ``(value, decision, error bound)`` at the initial
+        distribution from integer bounds ``l <= h`` over a denominator D:
+        the value ``(l + h) / 2D`` with error bound ``(h - l) / 2D``, or
+        ``l / D`` where ``l == h``, with error bound 0 or, for an exact
+        engine, None.  The decision is taken on ``l`` and ``h`` by the
+        interval scaled to D (:meth:`Interval.scaled`)."""
+        low, denominators = lo.aggregate(self.dense.init)
+        high = low if hi is lo else hi.aggregate(self.dense.init)[0]
+        scaled = {}  # D -> the interval scaled to D
+        out = []
+        for a, b, d in zip(low, high, denominators):
+            decision = None
+            if interval is not None:
+                at = scaled.get(d) or scaled.setdefault(d, interval.scaled(d))
+                decision = at.decide(a, b)
+            if a == b:
+                out.append((rational(a, d), decision, None if self.exact else ZERO))
+            else:
+                out.append((rational(a + b, 2 * d), decision, rational(b - a, 2 * d)))
         return out

@@ -318,7 +318,7 @@ class Product:
     over the same diagram compare canonically.
     """
 
-    __slots__ = ("_names", "_values", "_map")
+    __slots__ = ("_names", "_values", "_map", "_hash")
 
     def __init__(self, names: Sequence[str], values: Sequence[bool]):
         if len(names) != len(values):
@@ -326,6 +326,7 @@ class Product:
         self._names = tuple(names)
         self._values = tuple(bool(v) for v in values)
         self._map = dict(zip(self._names, self._values))
+        self._hash = hash((self._names, self._values))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -366,7 +367,11 @@ class Product:
         )
 
     def __hash__(self):
-        return hash((self._names, self._values))
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not restored: the cached hash of str names is per process
+        return Product, (self._names, self._values)
 
     def __str__(self):
         on = [n for n in self._names if self._map[n]]

@@ -15,6 +15,7 @@ conjunction.  ``F x`` is sugar for ``true U x``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -108,6 +109,21 @@ class Interval:
         above = lo >= self.upper if self.upper_strict else lo > self.upper
         below = hi <= self.lower if self.lower_strict else hi < self.lower
         return VIOLATED if above or below else UNKNOWN
+
+    def scaled(self, d: int) -> "Interval":
+        """The integers n with n/d in this interval, as a closed interval of
+        integer bounds: deciding integer numerators over ``d`` on it
+        decides their values on this one.  It is built unchecked, since its
+        bounds lie outside [0, 1] and may cross."""
+        lower, upper = self.lower * d, self.upper * d
+        out = object.__new__(Interval)
+        out.__dict__.update(
+            lower=math.floor(lower) + 1 if self.lower_strict else math.ceil(lower),
+            upper=math.ceil(upper) - 1 if self.upper_strict else math.floor(upper),
+            lower_strict=False,
+            upper_strict=False,
+        )
+        return out
 
     def __str__(self):
         if self.lower == 0 and not self.lower_strict:

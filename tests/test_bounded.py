@@ -451,6 +451,27 @@ class TestThreshold:
         interval = Interval(ZERO, rational("0.1"), upper_strict=True)
         assert interval.decide(rational("0.099"), rational("0.101")) == UNKNOWN
 
+    def test_scaled_interval_decides_numerators(self):
+        """``scaled(d)`` decides integer numerators over d as the interval
+        decides their values: on open and closed ends, and where no
+        numerator lies inside (1/10 to 1/5 over 3), at every pair of
+        numerators next to a bound."""
+        tenth, fifth, third = rational(1, 10), rational(1, 5), rational(1, 3)
+        for d in (1, 3, 10, 1 << 30):
+            for bounds in ((ZERO, tenth), (tenth, ONE), (tenth, fifth), (third, third)):
+                near = {0, d}
+                for bound in bounds:
+                    near |= {math.floor(bound * d) + k for k in (-1, 0, 1, 2)}
+                near = sorted(v for v in near if 0 <= v <= d)
+                for strict in itertools.product((False, True), repeat=2):
+                    if bounds[0] == bounds[1] and any(strict):
+                        continue
+                    interval = Interval(*bounds, *strict)
+                    scaled = interval.scaled(d)
+                    for a, b in itertools.combinations_with_replacement(near, 2):
+                        expected = interval.decide(rational(a, d), rational(b, d))
+                        assert scaled.decide(a, b) == expected, (interval, d, a, b)
+
 
 class TestFamilyBounded:
     def test_wiper_reaches_end_almost_surely(self, wiper):
@@ -1183,6 +1204,90 @@ def _chain(edges, init="s", guarded=None):
     return FDTMC(states, init, d, transitions, ("goal",), {"goal": ("goal",)})
 
 
+class TestPrecision:
+    """The kernel's fixed point (:func:`_bits`): the bits of top/epsilon
+    plus 20, so 30 at 1e-3 for an until, where every rounded edge value
+    below 1 is one 30-bit CPython digit and the lanes are 80 bits."""
+
+    EPSILON = rational("1/1000")
+
+    @pytest.mark.parametrize(
+        "family, n, sweeps", [(gen_service_provider, 7, 16), (gen_failure_recovery, 8, 13)]
+    )
+    def test_generated_families(self, family, n, sweeps):
+        dense = DenseModel(build_model(family(n)).system)
+        bits = _bits(self.EPSILON)
+        assert bits <= 30
+        lanes = PackedLanes(dense.n, 80)
+        table = _edge_table(dense, dict.fromkeys(dense.states, dense.full), bits, lanes)
+        rounded = [(down, up) for _, _, entries in table for _, down, up, _ in entries]
+        below_one = [(down, up) for down, up in rounded if down < 1 << bits]
+        assert below_one and all(up < 2**30 for _, up in below_one)
+        assert all(down == up == 1 << bits for down, up in rounded if down >= 1 << bits)
+        history = []
+        lo, hi = _family_until_run(
+            dense,
+            _indicators(dense, TRUE_F),
+            _indicators(dense, Atom("failure")),
+            self.EPSILON,
+            weights=dense.init,
+            observer=lambda sweep, lo, hi: history.append(sweep),
+        )
+        assert {lanes.width for _, _, lanes, _ in lo.chunks + hi.chunks} == {80}
+        assert lo.denominators == [1 << bits] * dense.n
+        assert len(history) == sweeps
+
+    @staticmethod
+    def _two_cycle(escape, rewards=None):
+        """s -> u -> s, leaving s for goal and for sink with ``escape``
+        each: ``F goal`` is 1/2, and a sweep shrinks the gap by about
+        2 * escape, so 1e-3 takes about 3.45 / escape sweeps."""
+        m = _chain(
+            {
+                ("s", "u"): 1 - 2 * escape,
+                ("u", "s"): ONE,
+                ("s", "goal"): escape,
+                ("s", "sink"): escape,
+            }
+        )
+        if rewards is not None:
+            earned = {s: constant(ONE, m.diagram) for s in rewards}
+            m = FDTMC(m.states, m.init, m.diagram, m.transitions, m.ap, m.labels, rewards=earned)
+        return DenseModel(m)
+
+    def _until_goal(self, escape):
+        dense = self._two_cycle(escape)
+        return _family_until_run(
+            dense,
+            _indicators(dense, TRUE_F),
+            _indicators(dense, Atom("goal")),
+            self.EPSILON,
+            weights=dense.init,
+        )
+
+    def test_slow_cycle_stops_at_the_sweep_cap_not_on_rounding(self):
+        # about 34,500 sweeps converge at 1/10**4; 1/30000 would need about
+        # 103,600, so the cap of 100,000 comes before rounding could stall
+        lo, hi = self._until_goal(rational(1, 10**4))
+        for a, b in zip(lo["s"], hi["s"]):
+            assert a <= rational(1, 2) <= b and b - a < self.EPSILON
+        with pytest.raises(ConvergenceError, match="^no convergence after 100000 sweeps"):
+            self._until_goal(rational(1, 30000))
+
+    def test_a_reward_takes_the_bits_of_its_top(self):
+        # one per step in s and u until goal or sink: (1 - e) / e = 9999.
+        # The values reach the top, so its bits join the precision: at the
+        # 30 bits of an until this run stops at the sweep cap
+        escape = rational(1, 10**4)
+        dense = self._two_cycle(escape, rewards=("s", "u"))
+        targets = {s: dense.full if s in ("goal", "sink") else 0 for s in dense.states}
+        cone, infinite = reward_cone(dense, targets)
+        lo, hi = bounded_expected_reward(dense, targets, cone, infinite, self.EPSILON)
+        assert lo.denominators[0] >= 1 << _bits(self.EPSILON, 9999)
+        for a, b in zip(lo["s"], hi["s"]):
+            assert a <= (1 - escape) / escape <= b and b - a < self.EPSILON
+
+
 class TestLaneEdges:
     """Cases at the edge of a lane's range."""
 
@@ -1190,7 +1295,7 @@ class TestLaneEdges:
     def test_tiny_init_weight_widens_the_lanes(self, exponent):
         # weights 1 - 2**-e and 2**-e are 2**e - 1 and 1 over 2**e, so the
         # weighted gap needs bits + e + 1 bits: past 2*bits + 16 for both at
-        # 54 bits, and past the 128 bits that would otherwise be used at 90
+        # 30 bits, so past the 80-bit lanes an until would otherwise use
         tiny = rational(1, 2**exponent)
         half = rational(1, 2)
         # s returns through w, a cycle that folding leaves alone, so the

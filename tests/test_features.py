@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -117,6 +118,20 @@ class TestRestrict:
     def test_unknown_name(self):
         with pytest.raises(UnboundFeatureError):
             product(W=1).restrict(("Z",))
+
+
+class TestProductHash:
+    def test_equal_products_hash_alike(self):
+        p = product(W=1, A=0, V=1)
+        assert hash(p) == hash(product(W=True, A=False, V=True))
+        assert {p: 1}[p.restrict(("W", "A", "V"))] == 1
+
+    def test_pickle_rebuilds_the_product(self):
+        # the hash is kept from __init__; a pickled product is rebuilt, so
+        # it is hashed again in the process that loads it
+        p = product(W=1, A=0)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p) and q.as_dict() == p.as_dict()
 
 
 class TestConjoin:
