@@ -472,7 +472,7 @@ def bounded_expected_reward(
     # a finite product reaches the target from each state within window steps;
     # a product's values share one denominator, so q is its least numerator
     reach = bounded_until_vectors(dense, everywhere, targets, window)
-    numerators = {s: reach.numerators(s) for s in dense.states if cone[s] & ~infinite}
+    numerators = {s: reach.at(s)[0] for s in dense.states if cone[s] & ~infinite}
     top = [ZERO] * dense.n
     for i, denominator in enumerate(reach.denominators):
         seen = [s for s in numerators if cone[s] >> i & 1]

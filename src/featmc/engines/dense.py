@@ -3,9 +3,9 @@
 :class:`DenseModel` reads an FDTMC's profiles on first use.  Sets of
 products are bitsets: bit i of an int stands for product i, as in the
 reachability closure of ``engines/elimination.py``.  The masks and value
-groups come from each profile's ``(value, product bitset)`` groups; only
-the edge vectors, which the enumerative engine's unbounded solves read,
-take a profile's value per product.
+groups come from each profile's ``(value, product bitset)`` groups, and so
+do the per-product tuples the enumerative engine's lane solves read
+(:meth:`DenseModel.edge_lanes`), each distinct value read once.
 
 The qualitative layer runs once for the family (Classen et al., ICSE 2010):
 satisfaction sets of state formulas (:func:`satisfaction`), the init cone
@@ -21,16 +21,18 @@ Python int with one fixed-width lane per product (:class:`PackedLanes`,
 the layout of the bounded engine's interval kernel).  A step is one
 multiply-add per (successor, value) group, with no rounding.  Both
 kernels hand back their values as integer lanes over a denominator
-(:class:`LaneValues`); they become rationals only where they are read,
-once per product at the initial distribution or per state for a nested
-threshold.
+(:class:`LaneValues`).
 
 :class:`FamilyCheck`, which every engine subclasses, answers on top of
 it: thresholds, the next and step-bounded until dispatch and per-product
 outcomes.  It alone turns per-state values into per-product answers: an
 engine supplies the values of an unbounded until and of an expected reward
 per state, and it aggregates them at the initial distribution and marks
-the divergent rewards from the reward cone.
+the divergent rewards from the reward cone.  Every engine's values are
+integer lanes (:class:`Values`: the kernels' packed lanes, exact
+numerator and denominator tuples, or float64 read as exact ratios), and
+every threshold is decided on those integers (:meth:`Interval.admits`):
+a rational is made only for a value that is reported.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
+from operator import add, mul, truediv
 from typing import Callable, Sequence
 
 from ..errors import ModelError, UnsupportedPropertyError
@@ -59,12 +62,7 @@ from ..properties import (
 )
 from ..rational import INFINITY, ZERO, rational
 from ..result import SAT, UNKNOWN, VIOLATED, ProductOutcome
-from .elimination import closure, until_partition
-
-
-def nonzero_bits(row: Sequence) -> int:
-    """Bitset of the products whose entry in ``row`` is nonzero."""
-    return bitset(bytes(map(bool, row)))
+from .elimination import closure, lane_product, lane_sum, until_partition
 
 
 class DenseModel:
@@ -77,11 +75,13 @@ class DenseModel:
     kernel (with the update order ``sweep_order``).  ``succ`` and ``pred``
     list each state's successors and predecessors with the bitset of
     products whose edge is nonzero, the union of its groups, for the
-    reachability closure.  ``edges`` lists
-    each state's out-edges with their per-product vectors and ``rewards``
-    each state's reward vector: the only per-product reads.  Walking
-    propositional formulas reads no profile; next, step-bounded until and
-    an unbounded parametric query build no edge vector.
+    reachability closure.  :meth:`edge_lanes` and :meth:`reward_lanes`
+    spread the groups over every product, a tuple per read of a value.
+    ``edges`` lists each state's out-edges with their per-product vectors
+    and ``rewards`` each state's reward vector, the profiles' own
+    (``Profile.dense_values``).  Walking propositional formulas reads no
+    profile; next, step-bounded until and an unbounded parametric query
+    build no edge vector.
     """
 
     def __init__(self, model: FDTMC):
@@ -93,6 +93,7 @@ class DenseModel:
         self.init = model.init
         self.starts = [s for s, weight in model.init.items() if weight]  # positive weight
         self.labels = model.labels
+        self.lane_cache: dict[tuple, dict] = {}  # reads -> edge_lanes(reads)
 
     @cached_property
     def edges(self) -> dict[State, list[tuple[State, tuple]]]:
@@ -159,6 +160,50 @@ class DenseModel:
             hosts[host] = hosts.get(host, 0) | classes[d]
         n = self.n
         return {d: [*compress(range(n), flag_bytes(bits, n))] for d, bits in hosts.items()}
+
+    def indices(self, pairs: Sequence[tuple[int, int]], top: int) -> Sequence[int]:
+        """Per product, the sum of the weights of the ``(weight, product
+        bitset)`` pairs whose bitset holds it, each sum at most ``top``: one
+        multiply-add per pair on packed lanes (:class:`PackedLanes`), bytes
+        where ``top`` fits one."""
+        n = self.n
+        if top < 256:
+            return sum(
+                w * int.from_bytes(flag_bytes(bits, n), "little") for w, bits in pairs
+            ).to_bytes(n, "little")
+        lanes = PackedLanes(n, -(-top.bit_length() // 8) * 8)
+        return lanes.unpack(sum(w * lanes.spread(bits) for w, bits in pairs))
+
+    def lanes(self, groups: Sequence[tuple[object, int]], reads: tuple) -> list[tuple]:
+        """Per function of ``reads``, the tuple of that function of every
+        product's value in ``groups``, ``(value, product bitset)`` pairs with
+        disjoint bitsets, and of 0 for a product outside them: each function
+        reads each group's value once."""
+        if len(groups) == 1 and groups[0][1] == self.full:  # one value for all
+            return [(read(groups[0][0]),) * self.n for read in reads]
+        index = self.indices([(k, bits) for k, (_, bits) in enumerate(groups, 1)], len(groups))
+        out = []
+        for read in reads:
+            table = [read(ZERO), *(read(v) for v, _ in groups)]
+            out.append(tuple(map(table.__getitem__, index)))
+        return out
+
+    def edge_lanes(self, reads: tuple) -> dict[State, list[list[tuple]]]:
+        """Per state, the :meth:`lanes` of reads of each out-edge of
+        :attr:`groups`: the lane solves' per-product edge values, built once
+        per model and tuple of reads."""
+        out = self.lane_cache.get(reads)
+        if out is None:
+            lanes = self.lanes
+            out = self.lane_cache[reads] = {
+                s: [lanes(g, reads) for _, g in edges] for s, edges in self.groups.items()
+            }
+        return out
+
+    def reward_lanes(self, reads: tuple) -> dict[State, list[tuple]]:
+        """Per state, the :meth:`lanes` of reads of its reward."""
+        reward = self.model.reward_profile
+        return {s: self.lanes(reward(s).groups(), reads) for s in self.states}
 
     def init_cone(self, allowed: dict[State, int]) -> dict[State, int]:
         """Per state, the products for which it is reached from an initial
@@ -271,10 +316,13 @@ def init_decisions(dense: DenseModel, entry: SatEntry) -> list[str]:
     for s in dense.starts:
         sat &= entry.lo[s]
         possible &= entry.hi[s]
-    return [
-        SAT if sat >> i & 1 else UNKNOWN if possible >> i & 1 else VIOLATED
-        for i in range(dense.n)
-    ]
+    return verdicts(flag_bytes(sat, dense.n), flag_bytes(possible, dense.n))
+
+
+def verdicts(sat: bytes, possible: bytes) -> list[str]:
+    """Per product, SAT where ``sat`` flags it, UNKNOWN where only
+    ``possible`` does and VIOLATED elsewhere (flag bytes, 1 or 0 each)."""
+    return [SAT if s else UNKNOWN if p else VIOLATED for s, p in zip(sat, possible)]
 
 
 def reward_cone(dense: DenseModel, targets: dict[State, int]) -> tuple[dict, int]:
@@ -353,6 +401,8 @@ class PackedLanes:
         """The lanes of ``x`` as ints, lane 0 first."""
         raw = x.to_bytes(self.n * self.stride, "little")
         step = self.stride
+        if step == 1:
+            return list(raw)
         return [int.from_bytes(raw[j : j + step], "little") for j in range(0, len(raw), step)]
 
 
@@ -373,58 +423,115 @@ def step_chunks(dense: DenseModel, steps: int) -> list[tuple[list[int], int]]:
     return chunks
 
 
-class LaneValues(Mapping):
-    """Per-product values held as integer lanes, the output of both
+class Values(Mapping):
+    """Per state, every product's value as integer lanes: :meth:`at` gives a
+    state's numerators and denominators, :meth:`aggregate` those at a
+    distribution, and :attr:`value` makes the value one reports from a
+    numerator and a denominator.  Reading a state (``values[s]``) makes
+    its values; the answer layer reads only the integers.  As such, the
+    exact values of the enumerative and the parametric engine: per state a
+    numerator and a denominator tuple, the exact lane domain of
+    ``engines/elimination.py``."""
+
+    value = staticmethod(rational)
+
+    def __init__(self, n: int, lanes: dict):
+        self.n = n
+        self.lanes = lanes  # state -> its values, in the form of the class
+
+    def at(self, s: State) -> tuple[Sequence[int], Sequence[int]]:
+        return self.lanes[s]
+
+    def aggregate(self, weights: dict[State, object]) -> tuple[Sequence[int], Sequence[int]]:
+        """Per product, its value at the distribution ``weights`` (state ->
+        weight) as a numerator and a denominator; states of weight 0 are
+        not read."""
+        terms = [(s, w) for s, w in weights.items() if w]
+        if len(terms) == 1 and terms[0][1] == 1:
+            return self.at(terms[0][0])
+        n = self.n
+        num, den = (0,) * n, (1,) * n
+        for s, w in terms:
+            weight = (int(w.numerator),) * n, (int(w.denominator),) * n
+            num, den = lane_sum(num, den, *lane_product(*self.at(s), *weight))
+        return num, den
+
+    def __getitem__(self, s: State) -> list:
+        return [*map(self.value, *self.at(s))]
+
+    def __iter__(self):
+        return iter(self.lanes)
+
+    def __len__(self) -> int:
+        return len(self.lanes)
+
+
+class FloatValues(Values):
+    """float64 values per state, one tuple each: the enumerative engine's
+    float mode.  A float is the exact rational of ``float.as_integer_ratio``,
+    and the value one reports is the float again (an int true division is
+    correctly rounded, so it gives the float back).  A distribution weighs
+    them in float64, as the per-chain reference does."""
+
+    value = staticmethod(truediv)
+
+    def at(self, s: State) -> tuple[Sequence[int], Sequence[int]]:
+        return _ratios(self.lanes[s])
+
+    def aggregate(self, weights: dict[State, object]) -> tuple[Sequence[int], Sequence[int]]:
+        terms = [(s, float(w)) for s, w in weights.items() if w]
+        if len(terms) == 1 and terms[0][1] == 1:
+            return self.at(terms[0][0])
+        out = [0.0] * self.n
+        for s, w in terms:
+            out = [*map(add, out, map(mul, repeat(w), self.lanes[s]))]
+        return _ratios(out)
+
+
+def _ratios(floats: Sequence[float]) -> tuple[Sequence[int], Sequence[int]]:
+    """The numerators and denominators of ``floats``, exactly."""
+    return tuple(zip(*map(float.as_integer_ratio, floats))) or ((), ())
+
+
+class LaneValues(Values):
+    """Per-product values held as packed integer lanes, the output of both
     kernels.  Per chunk, a tuple ``(members, denominator, lanes, x)``:
     product ``members[j]``'s value at state s is lane j of ``x[index[s]]``
-    over ``denominator``.  A mapping from each state of ``index`` to its
-    values: reading a state (``values[s]``) makes its rationals, while
-    :meth:`numerators` and :meth:`aggregate` stay integers."""
+    over ``denominator``, so a chunk's values share one denominator."""
 
     def __init__(self, n: int, index: dict[State, int], chunks: list[tuple]):
-        self.n = n
-        self.index = index
+        super().__init__(n, index)  # state -> its position in each x
         self.chunks = chunks
         self.denominators = [0] * n
         for members, denominator, _, _ in chunks:
             for i in members:
                 self.denominators[i] = denominator
 
-    def numerators(self, s: State) -> list[int]:
-        """Per product, the numerator of its value at ``s``."""
-        k = self.index[s]
+    def at(self, s: State) -> tuple[list[int], list[int]]:
+        k = self.lanes[s]
         if len(self.chunks) == 1:
             _, _, lanes, x = self.chunks[0]
-            return lanes.unpack(x[k])
+            return lanes.unpack(x[k]), self.denominators
         out = [0] * self.n
         for members, _, lanes, x in self.chunks:
             for i, v in zip(members, lanes.unpack(x[k])):
                 out[i] = v
-        return out
+        return out, self.denominators
 
     def aggregate(self, weights: dict[State, object]) -> tuple[list[int], list[int]]:
-        """Per product, its value at the distribution ``weights`` (state ->
-        weight) as a numerator and a denominator; states of weight 0 are
-        not read."""
+        """As :meth:`Values.aggregate`, over the denominators scaled by the
+        lcm of the weights' denominators: a product's values at two states,
+        and its bounds from two runs, keep one denominator."""
         terms = [(s, w) for s, w in weights.items() if w]
         if len(terms) == 1 and terms[0][1] == 1:
-            return self.numerators(terms[0][0]), self.denominators
+            return self.at(terms[0][0])
         scale = math.lcm(*(int(w.denominator) for _, w in terms))
         out = [0] * self.n
         for s, w in terms:
             factor = int(w * scale)
-            for i, v in enumerate(self.numerators(s)):
+            for i, v in enumerate(self.at(s)[0]):
                 out[i] += factor * v
         return out, [scale * d for d in self.denominators]
-
-    def __getitem__(self, s: State) -> list:
-        return [*map(rational, self.numerators(s), self.denominators)]
-
-    def __iter__(self):
-        return iter(self.index)
-
-    def __len__(self) -> int:
-        return len(self.index)
 
 
 def _lane_width(d: int, steps: int) -> int:
@@ -511,20 +618,6 @@ def bounded_until_vectors(dense: DenseModel, sat1, sat2, bound: int) -> LaneValu
     return step_vectors(dense, sat2, live, sat2, bound)
 
 
-def aggregate_init(dense: DenseModel, vectors) -> list:
-    """Per product, the value of ``vectors`` (state -> per-product values)
-    at the initial distribution; only the initial states of positive weight
-    are read."""
-    terms = [(dense.init[s], vectors[s]) for s in dense.starts]
-    if len(terms) == 1 and terms[0][0] == 1:
-        return [*terms[0][1]]
-    out = [ZERO] * dense.n
-    for weight, row in terms:
-        for i in range(dense.n):
-            out[i] += weight * row[i]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The answer layer
 # ---------------------------------------------------------------------------
@@ -548,11 +641,13 @@ class FamilyCheck:
       positive weight, given its :func:`reward_cone`; a product of
       ``infinite`` may hold any value.
 
-    Values are per-state rationals (or floats), which are exact, or
-    integer lanes (:class:`LaneValues`), the only form of bounds that
-    differ.  An ``exact`` engine reports its values as they are.
-    Otherwise a value is the midpoint of its bounds with half their width
-    as error bound (:meth:`lane_answers`), and ``inf`` has error bound 0.
+    Values are integer lanes (:class:`Values`): exact numerator and
+    denominator tuples, float64 read as their exact ratios, or the
+    kernels' packed lanes (:class:`LaneValues`), the only form of bounds
+    that differ.  Every threshold is decided on those integers.  An
+    ``exact`` engine reports its values as they are.  Otherwise a value is
+    the midpoint of its bounds with half their width as error bound
+    (:meth:`answers`), and ``inf`` has error bound 0.
     """
 
     exact = True
@@ -591,23 +686,24 @@ class FamilyCheck:
 
     def nested(self, node: Prob) -> SatEntry:
         """A threshold operator's entry: per state, the products whose value
-        bounds decide it satisfied (definite) or not violated (possible)."""
+        bounds decide it satisfied (definite) or not violated (possible),
+        decided on their integers (:meth:`Interval.admits`)."""
         lo, hi = self.step_bounds(node.path) or self.until_bounds(node.path)
-        decide = node.interval.decide
+        admits = node.interval.admits
         entry = SatEntry({}, {})
         for s in self.dense.states:
-            low = lo[s]
-            decisions = [*map(decide, low, low if hi is lo else hi[s])]
-            entry.lo[s] = nonzero_bits([d == SAT for d in decisions])
-            entry.hi[s] = nonzero_bits([d != VIOLATED for d in decisions])
+            low, den = lo.at(s)
+            sat, possible = admits(low, low if hi is lo else hi.at(s)[0], den)
+            entry.lo[s] = bitset(sat)
+            entry.hi[s] = bitset(possible)
         return entry
 
     def outcomes(self, prop: Property) -> list[ProductOutcome]:
         """Every product's outcome, in canonical product order: the values
-        at the initial distribution (:func:`aggregate_init` or
-        :meth:`lane_answers`), and ``inf`` for a reward on the infinite
-        products of its :func:`reward_cone`.  A plain state formula is
-        decided at the initial states (:func:`init_decisions`)."""
+        at the initial distribution (:meth:`answers`), and ``inf`` for a
+        reward on the infinite products of its :func:`reward_cone`.  A plain
+        state formula is decided at the initial states
+        (:func:`init_decisions`)."""
         dense = self.dense
         products = dense.products
         interval = None
@@ -628,40 +724,36 @@ class FamilyCheck:
         else:
             decisions = init_decisions(dense, self.sat_of(prop))
             return [ProductOutcome(p, decision=d) for p, d in zip(products, decisions)]
-        if isinstance(lo, LaneValues):
-            answers = self.lane_answers(lo, hi, interval)
-        else:
-            answers = [
-                (v, None if interval is None else interval.decide(v, v), None)
-                for v in aggregate_init(dense, lo)
-            ]
         out = []
         for p, (value, decision, error), diverges in zip(
-            products, answers, flag_bytes(infinite, dense.n)
+            products, self.answers(lo, hi, interval), flag_bytes(infinite, dense.n)
         ):
             if diverges:
                 value, error = INFINITY, None if self.exact else ZERO
             out.append(ProductOutcome(p, value=value, decision=decision, error_bound=error))
         return out
 
-    def lane_answers(self, lo: LaneValues, hi: LaneValues, interval) -> list[tuple]:
+    def answers(self, lo: Values, hi: Values, interval) -> list[tuple]:
         """Per product, ``(value, decision, error bound)`` at the initial
-        distribution from integer bounds ``l <= h`` over a denominator D:
-        the value ``(l + h) / 2D`` with error bound ``(h - l) / 2D``, or
-        ``l / D`` where ``l == h``, with error bound 0 or, for an exact
-        engine, None.  The decision is taken on ``l`` and ``h`` by the
-        interval scaled to D (:meth:`Interval.scaled`)."""
-        low, denominators = lo.aggregate(self.dense.init)
+        distribution from integer bounds ``l <= h`` over a denominator D
+        (:meth:`Values.aggregate`): the value ``l / D`` where ``l == h``,
+        with error bound 0 or, for an exact engine, None, and otherwise
+        ``(l + h) / 2D`` with error bound ``(h - l) / 2D``.  The decision is
+        taken on the integers (:meth:`Interval.admits`); only the values
+        reported become rationals (floats in float mode)."""
+        low, den = lo.aggregate(self.dense.init)
         high = low if hi is lo else hi.aggregate(self.dense.init)[0]
-        scaled = {}  # D -> the interval scaled to D
-        out = []
-        for a, b, d in zip(low, high, denominators):
-            decision = None
-            if interval is not None:
-                at = scaled.get(d) or scaled.setdefault(d, interval.scaled(d))
-                decision = at.decide(a, b)
-            if a == b:
-                out.append((rational(a, d), decision, None if self.exact else ZERO))
-            else:
-                out.append((rational(a + b, 2 * d), decision, rational(b - a, 2 * d)))
-        return out
+        if interval is None:
+            decisions = [None] * len(low)
+        else:
+            decisions = verdicts(*interval.admits(low, high, den))
+        value = lo.value
+        exact = None if self.exact else ZERO
+        if high is low:
+            return [*zip(map(value, low, den), decisions, repeat(exact))]
+        return [
+            (value(a, d), decision, exact)
+            if a == b
+            else (rational(a + b, 2 * d), decision, rational(b - a, 2 * d))
+            for a, b, d, decision in zip(low, high, den, decisions)
+        ]

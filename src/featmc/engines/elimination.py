@@ -31,7 +31,7 @@ from operator import add, floordiv, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import ModelError
-from ..rational import ONE, rational
+from ..rational import ONE
 
 
 class EliminationGraph:
@@ -209,10 +209,6 @@ class RationalLanes:
         if not (self.num and other.num):
             return RationalLanes()
         return RationalLanes(*lane_product(self.num, self.den, other.num, other.den))
-
-    def rationals(self) -> list:
-        """Every lane as a rational of the backend."""
-        return [*map(rational, self.num, self.den)]
 
 
 def _rational_closure(loop: RationalLanes) -> RationalLanes:

@@ -19,12 +19,17 @@ that the parametric engine's support tables share) are a tuple of integer
 numerators and one of denominators, kept in lowest terms by maps over whole
 lanes, so no rational object is made inside the solve; float lanes
 (:class:`Lanes`) are a tuple of float64 values.  A class of one solves on
-plain values.  Expected rewards solve ``x = P·x + r`` the same way; a
-product that misses the target with positive probability solves nothing,
-and the shared layer reports it infinite.  Thresholds, next
-and step-bounded until (on the shared exact step kernel, which builds no
-edge vector) and the outcomes come from the answer layer all engines
-share (``FamilyCheck`` in ``engines/dense.py``).
+plain values.  Every lane is built from the profiles' value groups, each
+distinct value read once per model.  Expected rewards solve ``x = P·x + r``
+the same way; a product that misses the target with positive probability
+solves nothing, and the shared layer reports it infinite.  Thresholds,
+next and step-bounded until (on the shared exact step kernel, which builds
+no edge vector) and the outcomes come from the answer layer all engines
+share (``FamilyCheck`` in ``engines/dense.py``).  The solved values go to
+it as integers: each state's numerator and denominator tuples over every
+product, or in float mode its float64 values, which it reads as the exact
+integer ratios they are, so a threshold on a float is decided exactly on
+that float.
 
 A top-level unbounded until or reward reads only the initial states of
 positive weight: its system holds only the init cone, only they are
@@ -68,7 +73,7 @@ from ..properties import (
 )
 from ..rational import INFINITY, ONE, ZERO
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
-from .dense import DenseModel, FamilyCheck
+from .dense import DenseModel, FamilyCheck, FloatValues, Values
 from .elimination import (
     SINK,
     RationalLanes,
@@ -156,9 +161,6 @@ class Lanes(tuple):
 
     def __mul__(self, other):
         return Lanes(map(mul, self, other))
-
-
-_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
 
 
 def _cone(dtmc: DTMC, candidates: list, wanted) -> list:
@@ -364,17 +366,11 @@ def check_product(dtmc: DTMC, prop: Property, float_mode: bool = False) -> Produ
 # ---------------------------------------------------------------------------
 
 
-def _as_floats(vectors) -> list:
-    """float64 copies of ``vectors``, each distinct value object converted
-    once; the vectors stay alive meanwhile, so no object id is reused."""
-    floats: dict[int, float] = {}
-    out = []
-    for vec in vectors:
-        ids = [*map(id, vec)]
-        objects = dict(zip(ids, vec))
-        floats.update({k: float(v) for k, v in objects.items() if k not in floats})
-        out.append([*map(floats.__getitem__, ids)])
-    return out
+#: What a lane solve reads of each distinct edge and reward value
+#: (:meth:`DenseModel.lanes`): its numerator and denominator, or in float
+#: mode its float64.
+_EXACT_READS = (attrgetter("numerator"), attrgetter("denominator"))
+_FLOAT_READS = (float,)
 
 
 class _FamilyCheck(FamilyCheck):
@@ -387,58 +383,77 @@ class _FamilyCheck(FamilyCheck):
     or send to the sink.  Products with equal entries in all those flags
     form a structure class (:meth:`solve_all`), whose rows are built once
     with a lane value per edge and solved by one elimination: a
-    :class:`RationalLanes` from each vector's numerators and denominators,
-    split once per vector (:meth:`split`), or a :class:`Lanes` of float64
-    in float mode.  Unknowns and rows come in the order the per-chain
-    functions above give them, so every lane is the solve
-    :func:`check_product` makes on the projected chain.  Float mode solves
-    on float64 edges, each distinct value object converted once per
-    family.  The edge vectors and their
-    float64 copies are built on first use by an unbounded solve: next and
-    step-bounded until run on the exact step kernel of the shared layer,
-    which reads the value groups, and stay exact in float mode too.
+    :class:`RationalLanes` of the edge's numerator and denominator tuples,
+    or a :class:`Lanes` of its float64 tuple in float mode.  Those tuples
+    come from the value groups, each distinct value read once per model
+    (:meth:`DenseModel.edge_lanes`); a class of one reads the profiles'
+    own per-product values (the float64 tuples in float mode).  Unknowns
+    and rows come in the order the per-chain functions above give them, so
+    every lane is the solve :func:`check_product` makes on the projected
+    chain.  Next and step-bounded until run on the exact step kernel of the
+    shared layer, which reads the value groups, and stay exact in float
+    mode too.
     """
 
     def __init__(self, dense: DenseModel, float_mode: bool):
         super().__init__(dense)
         self.float_mode = float_mode
-        self.one, self.zero, self.domain = ONE, ZERO, ()
+        self.reads, self.domain = _EXACT_READS, ()
         if float_mode:
-            self.one, self.zero, self.domain = 1.0, 0.0, (_float_closure, 1.0)
-        self.parts: dict[int, tuple[tuple, tuple]] = {}  # id(vector) -> split
+            self.reads, self.domain = _FLOAT_READS, (_float_closure, 1.0)
 
     @cached_property
-    def out(self) -> dict:
-        """Per state, its out-edges with their vectors (float64 in float
-        mode) and the bitset of the products whose edge is nonzero; built
-        on first use, by an unbounded solve."""
-        dense = self.dense
-        out = {}
-        for s in dense.states:
-            masks = dict(dense.succ[s])
-            out[s] = [(t, vec, masks[t]) for t, vec in dense.edges[s] if t in masks]
+    def edge_values(self) -> dict:
+        """Per state, the per-product values of each out-edge of
+        :attr:`DenseModel.groups`, on which a class of one solves."""
         if self.float_mode:
-            floats = iter(_as_floats([vec for edges in out.values() for _, vec, _ in edges]))
-            out = {s: [(t, next(floats), mask) for t, _, mask in edges] for s, edges in out.items()}
+            lanes = self.dense.edge_lanes(self.reads)
+            return {s: [floats for floats, in out] for s, out in lanes.items()}
+        out = {}
+        for s, edges in self.dense.edges.items():
+            nonzero = {t for t, _ in self.dense.succ[s]}
+            out[s] = [vec for t, vec in edges if t in nonzero]
         return out
+
+    @cached_property
+    def reward_lanes(self) -> dict:
+        """Per state, the lanes of its reward (:meth:`DenseModel.reward_lanes`)."""
+        return self.dense.reward_lanes(self.reads)
+
+    @cached_property
+    def reward_values(self) -> dict:
+        """Per state, the per-product values of its reward."""
+        if self.float_mode:
+            return {s: lanes[0] for s, lanes in self.reward_lanes.items()}
+        return self.dense.rewards
 
     def flags(self, bits: dict) -> dict:
         return {s: flag_bytes(b, self.dense.n) for s, b in bits.items()}
 
     def edges(self, kept: dict, to_sink: dict) -> dict:
-        """Per state, its out-edges with the flags of the products for which
-        the edge stays (its successor's bit in ``kept``) and of those for
-        which it goes to the sink instead (``to_sink``, flag bytes)."""
+        """Per state, each out-edge of :attr:`DenseModel.groups` with its
+        :attr:`edge_values` and the flags of the products for which it
+        stays (its successor's bit in ``kept``) and of those for which it
+        goes to the sink instead (``to_sink``, flag bytes)."""
         n = self.dense.n
+        values = self.edge_values
         return {
-            s: [(t, vec, flag_bytes(mask & kept[t], n), to_sink[t]) for t, vec, mask in out]
-            for s, out in self.out.items()
+            s: [
+                (t, vec, flag_bytes(mask & kept[t], n), to_sink[t])
+                for (t, mask), vec in zip(out, values[s])
+            ]
+            for s, out in self.dense.succ.items()
         }
 
-    def solve_all(self, unknown: dict, edges: dict, rewards=None, wanted=None) -> list:
-        """Per product, its values at its ``unknown`` states (state -> flag
-        bytes), or at the ``wanted`` ones, over rows taken from ``edges``;
-        with ``rewards`` each row ends in its state's reward on the sink.
+    def solve_all(
+        self, unknown: dict, edges: dict, decided: dict, rewards: bool = False, wanted=None
+    ) -> Values:
+        """Every product's values at the states of ``decided`` (state -> flag
+        bytes of the products whose value there is 1): solved where the
+        state is ``unknown`` for the product (state -> flag bytes), over
+        rows taken from ``edges``, and 1 or 0 from the flags elsewhere.
+        With ``rewards`` each row ends in its state's reward on the sink;
+        with ``wanted`` only those states are solved.
 
         Products whose systems have one structure (the same unknowns, the
         same edges kept and sent to the sink, the same nonzero rewards) form
@@ -452,40 +467,41 @@ class _FamilyCheck(FamilyCheck):
         for s in states:
             for _, _, kept, to_sink in edges[s]:
                 arrays += (kept, to_sink)
-        if rewards is not None:
-            arrays += [bytes(map(bool, rewards[s])) for s in states]
+        if rewards:
+            arrays += [bytes(map(bool, self.reward_values[s])) for s in states]
         # product i's entries, read with stride n from the joined flags
         n = self.dense.n
         flags = b"".join(arrays)
         classes: dict[bytes, list] = {}
         for i in range(n):
             classes.setdefault(flags[i::n], []).append(i)
-        solved = [{} for _ in range(n)]
+        if self.float_mode:
+            columns = {s: ([*map(float, ones)],) for s, ones in decided.items()}
+        else:
+            columns = {s: (list(ones), [1] * n) for s, ones in decided.items()}
         for key, members in classes.items():
             unknowns = [s for s, flag in zip(states, key) if flag]
-            if unknowns:
-                values = self.solve_class(members, unknowns, edges, rewards, wanted)
-                for i, solution in zip(members, values):
-                    solved[i] = solution
-        return solved
+            if not unknowns:
+                continue
+            solution = self.solve_class(members, unknowns, edges, rewards, wanted)
+            for s, lanes in solution.items():
+                if len(members) == n:
+                    columns[s] = lanes
+                    continue
+                for column, lane in zip(columns[s], lanes):
+                    for i, v in zip(members, lane):
+                        column[i] = v
+        if self.float_mode:
+            return FloatValues(n, {s: floats for s, (floats,) in columns.items()})
+        return Values(n, columns)
 
-    def split(self, vec: tuple) -> tuple[tuple, tuple]:
-        """The numerators and denominators of an edge or reward vector, as
-        two tuples, split once per vector; the vectors stay alive in the
-        dense model, so no id is reused."""
-        parts = self.parts.get(id(vec))
-        if parts is None:
-            parts = (tuple(map(_NUMERATOR, vec)), tuple(map(_DENOMINATOR, vec)))
-            self.parts[id(vec)] = parts
-        return parts
-
-    def solve_class(self, members: list, unknowns: list, edges: dict, rewards, wanted) -> list:
-        """The values of each of ``members``, products whose systems share
-        one structure, as rationals of the backend (float64 in float mode).
-        Exact lanes become rationals only here, for the values returned.  An
-        error in a lane solve (a singular lane raises :class:`ModelError`)
-        reruns the class product by product, so that it names the first
-        product that fails.
+    def solve_class(self, members: list, unknowns: list, edges: dict, rewards, wanted) -> dict:
+        """Per state solved, the values of ``members``, products whose
+        systems share one structure, as lanes in the product order of
+        ``members``: its numerators and denominators (its float64 values in
+        float mode).  An error in a lane solve (a singular lane raises
+        :class:`ModelError`) reruns the class product by product, so that it
+        names the first product that fails.
 
         A class of one solves on plain values, not on lanes of width one:
         on service, where every product is a class of its own, one-lane
@@ -499,35 +515,45 @@ class _FamilyCheck(FamilyCheck):
                 [(SINK if to_sink[i] else t, vec[i]) for t, vec, kept, to_sink in edges[s] if kept[i]]
                 for s in unknowns
             ]
-            pick, domain = itemgetter(i), self.domain
+            reward = self.reward_values if rewards else None
+            domain = self.domain
+
+            def pick(vec):
+                return vec[i]
+
         else:
             get = itemgetter(*members)
             if self.float_mode:
 
-                def pick(vec):
-                    return Lanes(get(vec))
+                def pick(lanes):
+                    return Lanes(get(lanes[0]))
 
                 ones = (1.0,) * len(members)
                 domain = (lambda loop: Lanes(map(_float_closure, loop)), Lanes(ones))
             else:
-                split = self.split
                 if len(members) == self.dense.n:
-                    get = tuple  # every product: the split tuples themselves
+                    get = tuple  # every product: the tuples themselves
 
-                def pick(vec):
-                    num, den = split(vec)
-                    return RationalLanes(get(num), get(den))
+                def pick(lanes):
+                    return RationalLanes(get(lanes[0]), get(lanes[1]))
 
                 ones = (1,) * len(members)
                 domain = (_rational_closure, RationalLanes(ones, ones))
+            lanes = self.dense.edge_lanes(self.reads)
             rows = [
-                [(SINK if to_sink[i] else t, pick(vec)) for t, vec, kept, to_sink in edges[s] if kept[i]]
+                [
+                    (SINK if to_sink[i] else t, pick(v))
+                    for (t, _, kept, to_sink), v in zip(edges[s], lanes[s])
+                    if kept[i]
+                ]
                 for s in unknowns
             ]
-        if rewards is not None:
+            reward = self.reward_lanes if rewards else None
+        if rewards:
+            plain = self.reward_values
             for s, row in zip(unknowns, rows):
-                if rewards[s][i]:
-                    row.append((SINK, pick(rewards[s])))
+                if plain[s][i]:
+                    row.append((SINK, pick(reward[s])))
         try:
             values = solve_linear(unknowns, rows, *domain, wanted=wanted)
         except FeatmcError as exc:
@@ -537,11 +563,15 @@ class _FamilyCheck(FamilyCheck):
             exc.args = (f"product {self.dense.products[i]}: {exc}",)
             raise
         if len(members) == 1:
-            return [values]
-        if not self.float_mode:
-            values = {s: v.rationals() for s, v in values.items()}
-        zero = self.zero
-        return [{s: v[k] if v else zero for s, v in values.items()} for k in range(len(members))]
+            if self.float_mode:
+                return {s: ((v,),) for s, v in values.items()}
+            return {s: ((v.numerator,), (v.denominator,)) for s, v in values.items()}
+        m = len(members)
+        if self.float_mode:
+            zero = ((0.0,) * m,)
+            return {s: (v,) if v else zero for s, v in values.items()}
+        zero = ((0,) * m, (1,) * m)
+        return {s: (v.num, v.den) if v.num else zero for s, v in values.items()}
 
     def until_bounds(self, path: Until, at_init: bool = False):
         """Exact values of an unbounded until at every state, every
@@ -552,19 +582,8 @@ class _FamilyCheck(FamilyCheck):
         if at_init:
             unknown, wanted = self.dense.init_cone(undecided), self.dense.starts
             one = {s: one[s] for s in wanted}
-        values = self.per_state(self.solve_all(self.flags(unknown), edges, wanted=wanted), one)
+        values = self.solve_all(self.flags(unknown), edges, one, wanted=wanted)
         return values, values
-
-    def per_state(self, solved: list, decided: dict) -> dict:
-        """Per state of ``decided`` (state -> flag bytes of the products
-        whose value is 1), every product's value: ``solved[i]``'s where it
-        holds one, otherwise 1 or 0 from the flags."""
-        one, zero = self.one, self.zero
-        values = {s: [one if f else zero for f in flags] for s, flags in decided.items()}
-        for i, solution in enumerate(solved):
-            for s, v in solution.items():
-                values[s][i] = v
-        return values
 
     def partition(self, path: Until):
         """The prob1 flags of an unbounded until, the bitsets of its
@@ -584,13 +603,11 @@ class _FamilyCheck(FamilyCheck):
         initial states, solved on the states of ``cone`` for the finite
         products; 0 on the ``infinite`` ones."""
         dense = self.dense
-        rewards = dense.rewards
-        if self.float_mode:
-            rewards = dict(zip(rewards, _as_floats(rewards.values())))
+        none = bytes(dense.n)
         cone = {s: bits & ~infinite for s, bits in cone.items()}
-        edges = self.edges(cone, dict.fromkeys(dense.states, bytes(dense.n)))
-        solved = self.solve_all(self.flags(cone), edges, rewards, dense.starts)
-        values = self.per_state(solved, dict.fromkeys(dense.starts, bytes(dense.n)))
+        edges = self.edges(cone, dict.fromkeys(dense.states, none))
+        starts = dict.fromkeys(dense.starts, none)
+        values = self.solve_all(self.flags(cone), edges, starts, True, dense.starts)
         return values, values
 
 

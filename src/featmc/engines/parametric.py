@@ -14,8 +14,9 @@ departs from it in two ways:
   and ``+``, ``*`` and the loop closure act pointwise: variable
   elimination over factors, the ADD encoding of ProFeat (Chrszon, Dubslaff,
   Klüppelholz & Baier, FAOC 2018) and of Bahar et al. (ICCAD 1993).  Every
-  product gets its exact value, and a rational object is made only where a
-  product reads its entry.  The system is the sink-shaped ``x = P·x + b``
+  product gets its exact value, its entry's integers spread over the
+  products (:meth:`_TableCheck.lanes`), and a rational object is made only
+  for a value that is reported.  The system is the sink-shaped ``x = P·x + b``
   the enumerative engine solves per product, built once over product
   bitsets from the shared state-formula walker, and it goes through the
   same ``solve_linear``.
@@ -48,7 +49,7 @@ from operator import attrgetter, itemgetter, sub
 from typing import Mapping, Sequence
 
 from ..errors import UnboundFeatureError, UnsupportedPropertyError
-from ..features import FeatureDiagram, Product, flag_bytes
+from ..features import FeatureDiagram, FVar, Product, flag_bytes
 from ..models import FDTMC
 from ..profiles import GuardedProfile, Profile
 from ..properties import (
@@ -61,7 +62,7 @@ from ..properties import (
 )
 from ..rational import INFINITY, ONE, ZERO, rat_str, rational
 from ..result import FamilyResult
-from .dense import DenseModel, FamilyCheck
+from .dense import DenseModel, FamilyCheck, Values
 from .elimination import SINK, lane_product, lane_sum, solve_linear
 
 ENGINE_NAME = "parametric"
@@ -337,11 +338,6 @@ class SupportTable:
         num, den = zip(*map(_PAIR, values))
         return cls(tuple(support), num, den)
 
-    @property
-    def values(self) -> list:
-        """Every entry as a rational of the backend."""
-        return [*map(rational, self.num, self.den)]
-
     def __bool__(self) -> bool:
         return any(self.num)
 
@@ -370,14 +366,6 @@ class SupportTable:
             return other
         support, *lanes = self._aligned(other)
         return SupportTable(support, *lane_product(*lanes))
-
-    def at(self, product: Product):
-        """The value at a product of the table's diagram."""
-        values = product.values
-        index = 0
-        for position in self.support:
-            index = (index << 1) | values[position]
-        return rational(self.num[index], self.den[index])
 
 
 TABLE_ONE = SupportTable((), (1,), (1,))
@@ -495,6 +483,8 @@ class _TableCheck(FamilyCheck):
         super().__init__(dense)
         self.diagram = dense.model.diagram
         self.indicators: dict[int, SupportTable] = {}
+        # per feature position, the bitset of the products that enable it
+        self.features = [self.diagram.bits(FVar(name)) for name in self.diagram.signature]
 
     @cached_property
     def edges(self) -> dict:
@@ -547,15 +537,33 @@ class _TableCheck(FamilyCheck):
             rows.append(row)
         if at_init:
             tables = solve_linear(unknowns, rows, _closure, TABLE_ONE, entries)
-            return {s: [*map(tables[_ENTRY, s].at, dense.products)] for _, s in entries}
-        tables = solve_linear(unknowns, rows, _closure, TABLE_ONE)
-        return {
-            s: [
-                ONE if sat2[s] >> i & 1 else tables[s].at(p) if sat1[s] >> i & 1 else ZERO
-                for i, p in enumerate(dense.products)
-            ]
-            for s in dense.states
-        }
+            lanes = {s: self.lanes(tables[_ENTRY, s], dense.full, 0) for _, s in entries}
+        else:
+            tables = solve_linear(unknowns, rows, _closure, TABLE_ONE)
+            zero = SupportTable()
+            lanes = {s: self.lanes(tables.get(s, zero), maybe[s], sat2[s]) for s in dense.states}
+        return Values(dense.n, lanes)
+
+    def lanes(self, table: SupportTable, inside: int, ones: int) -> tuple[tuple, tuple]:
+        """Per product, the numerator and denominator of its entry of
+        ``table`` where it is in ``inside`` (a product bitset), of 1 where it
+        is in ``ones`` and of 0 elsewhere; ``ones`` and ``inside`` are
+        disjoint.  A product's entry is found by the bits of its features
+        on the table's support (:meth:`DenseModel.indices`); 0 and 1 are
+        two more entries."""
+        dense = self.dense
+        size = len(table.num)
+        width = len(table.support)
+        bits = [
+            (1 << (width - 1 - j), self.features[p] & inside) for j, p in enumerate(table.support)
+        ]
+        top = size - 1
+        if inside != dense.full:
+            bits += [(size, dense.full & ~inside), (1, ones)]
+            top = size + 1
+        index = dense.indices(bits, top)
+        num, den = table.num + (0, 1), table.den + (1, 1)
+        return tuple(map(num.__getitem__, index)), tuple(map(den.__getitem__, index))
 
     def until_bounds(self, path: Until, at_init: bool = False):
         """Exact values of an unbounded until at every state and product,

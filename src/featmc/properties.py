@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import and_, ge, gt, le, lt, mul
 from typing import Union
 
 from .errors import NUMBER, ParseError, TokenStream
@@ -109,6 +111,45 @@ class Interval:
         above = lo >= self.upper if self.upper_strict else lo > self.upper
         below = hi <= self.lower if self.lower_strict else hi < self.lower
         return VIOLATED if above or below else UNKNOWN
+
+    def admits(self, low, high, den) -> tuple[bytes, bytes]:
+        """:meth:`decide` lane by lane on integers: per lane k, a value known
+        to lie in ``[low[k]/den[k], high[k]/den[k]]`` (``den[k] > 0``, and
+        ``low`` is ``high`` for exact values).  Returns flag bytes (1 or 0
+        each) of the lanes it calls SAT and of those it does not call
+        VIOLATED.  Lanes that share one denominator are compared with the
+        integer bounds of :meth:`scaled`; otherwise a numerator times a
+        bound's denominator is compared with the bound's numerator times the
+        lane's denominator."""
+        d = den[0] if len(den) else 1
+        if den.count(d) == len(den):
+            at = self.scaled(d)
+
+            def above(nums):  # at or above the lower bound, strict or not
+                return map(ge, nums, repeat(at.lower))
+
+            def below(nums):
+                return map(le, nums, repeat(at.upper))
+
+        else:
+            ln, ld = self.lower.numerator, self.lower.denominator
+            un, ud = self.upper.numerator, self.upper.denominator
+            over = gt if self.lower_strict else ge
+            under = lt if self.upper_strict else le
+
+            def above(nums):
+                return map(over, map(mul, nums, repeat(ld)), map(mul, den, repeat(ln)))
+
+            def below(nums):
+                return map(under, map(mul, nums, repeat(ud)), map(mul, den, repeat(un)))
+
+        if low is high:
+            sat = bytes(map(and_, above(low), below(low)))
+            return sat, sat
+        return (
+            bytes(map(and_, above(low), below(high))),
+            bytes(map(and_, below(low), above(high))),
+        )
 
     def scaled(self, d: int) -> "Interval":
         """The integers n with n/d in this interval, as a closed interval of

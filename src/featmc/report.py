@@ -158,7 +158,10 @@ def _json_records(products, labels: list[str], result: FamilyResult) -> str:
     for product, label in zip(products, labels):
         outcome = result.outcomes[product]
         value = outcome.value
-        number = INFINITY if value is None else float(value)
+        number = INFINITY if value is None else value
+        if not isinstance(number, float):
+            # float(value): int true division is correctly rounded
+            number = int(value.numerator) / int(value.denominator)
         record = {
             "product": label,
             "value": None if value is None else rat_str(value),

@@ -26,6 +26,22 @@ def is_zero(profile) -> bool:
     return all(v == 0 for v in profile.dense_values())
 
 
+def lane_rationals(lanes) -> list:
+    """Every lane of an exact lane value (:class:`RationalLanes` or a
+    support table) as a rational of the backend."""
+    return [*map(rational, lanes.num, lanes.den)]
+
+
+def table_at(table, product):
+    """A support table's value at a product: the entry of the product's
+    assignment of the table's support, its first position the most
+    significant bit."""
+    index = 0
+    for position in table.support:
+        index = (index << 1) | product.values[position]
+    return rational(table.num[index], table.den[index])
+
+
 def rational_lanes(*values) -> RationalLanes:
     """The exact lane value whose lanes are ``values``."""
     values = [rational(v) for v in values]

@@ -197,12 +197,19 @@ system = {system};
 
 def test_criterion_3_composed_models():
     """Every engine agrees on models built with ``||``, ``|>`` and
-    ``complete()``, whose implicit self-loops the interval kernel folds:
-    enumerative equals parametric exactly, and the bounded interval holds
-    the exact value."""
+    ``complete()``, whose implicit self-loops the interval kernel folds, on
+    unbounded, nested, next and step-bounded queries: enumerative equals
+    parametric exactly, and the bounded interval holds the exact value."""
     started = time.perf_counter()
     rng = random.Random(3)
-    props = ("P=?(F dead)", "P[<0.5](F dead)", "R=?[F (dead | retired)]")
+    props = (
+        "P=?(F dead)",
+        "P[<0.5](F dead)",
+        "R=?[F (dead | retired)]",
+        "P=?(F P[>0.3](F dead))",
+        "P=?(X worn)",
+        "P[>=0.1](!dead U<=4 retired)",
+    )
     checked = looping = 0
     for k in range(16):
         system = ("complete(Ctl) |> (Env || Plant)", "complete(Ctl) |> Plant")[k % 2]

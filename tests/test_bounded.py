@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from operator import attrgetter
 
 import pytest
 
@@ -20,9 +21,7 @@ from featmc.engines.bounded import (
 )
 from featmc.engines.dense import (
     PackedLanes,
-    aggregate_init,
     next_vectors,
-    nonzero_bits,
     reward_cone,
 )
 from featmc.engines.elimination import closure, until_partition
@@ -699,7 +698,7 @@ class TestRewardSoundness:
             cone, diverging = reward_cone(dense, targets)
             infinite = [bool(diverging >> i & 1) for i in range(dense.n)]
             lo, hi = bounded_expected_reward(dense, targets, cone, diverging, rational(epsilon))
-            lower, upper = aggregate_init(dense, lo), aggregate_init(dense, hi)
+            lower, upper = ([*map(rational, *v.aggregate(dense.init))] for v in (lo, hi))
             for i, p in enumerate(dense.products):
                 exact = enum.outcomes[p].value
                 assert infinite[i] == (exact == INFINITY)
@@ -1104,8 +1103,11 @@ class TestScaledEdges:
                     for i, v in enumerate(vec):
                         carried = [w for w, bits in groups if bits >> i & 1]
                         assert carried == ([v] if v else [])
-        assert nonzero_bits([ZERO, ONE, ZERO, rational(1, 3)]) == 0b1010
-        assert nonzero_bits([]) == 0
+                # the per-product lanes built from the groups are the vectors
+                reads = (attrgetter("numerator"), attrgetter("denominator"), float)
+                for (num, den, floats), (_, vec) in zip(dense.edge_lanes(reads)[s], positive):
+                    assert [*map(rational, num, den)] == list(vec)
+                    assert floats == tuple(map(float, vec))
 
 
 def _run_or_error(run, *args, observe=True, **kwargs):

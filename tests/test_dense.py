@@ -17,7 +17,6 @@ from featmc.engines.bounded import (
 )
 from featmc.engines.dense import (
     DenseModel,
-    aggregate_init,
     bounded_until_vectors,
     next_vectors,
     satisfaction,
@@ -262,7 +261,8 @@ class TestStepKernel:
             dense = DenseModel(m)
             sat1, sat2 = _random_bits(rng, dense), _random_bits(rng, dense)
             expected = fraction_until_vectors(dense, sat1, sat2, 5)
-            got = aggregate_init(dense, bounded_until_vectors(dense, sat1, sat2, 5))
+            values = bounded_until_vectors(dense, sat1, sat2, 5)
+            got = [*map(rational, *values.aggregate(dense.init))]
             assert got == [
                 rational(1, 3) * a + rational(2, 3) * b
                 for a, b in zip(expected[first], expected[second])
@@ -404,3 +404,96 @@ class TestSplitInitialDistribution:
                 changed += any(exact[p].value != o.value for p, o in single.items())
                 infinite += [o.value for o in exact.values()].count(INFINITY)
         assert changed >= 40 and infinite >= 15
+
+
+#: A chain whose values are its thresholds: ``P(F goal)`` is 1/2 on the
+#: products with f and 1/4 on the others, reached through a self-loop of a
+#: (1/2 with g, 3/4 without) and so solved, not read off an edge.  Every
+#: value is dyadic, so float64 and the interval kernel's fixed point hold
+#: it exactly.
+ON_THE_BOUND = """
+features f g;
+
+fdtmc Edge {
+  states a goal sink;
+  init a;
+  label goal: goal;
+  label sink: sink;
+
+  a -> a    : [g] 1/2, 3/4;
+  a -> goal : [f & g] 1/4, [f] 1/8, [g] 1/8, 1/16;
+  a -> sink : [f & g] 1/4, [f] 1/8, [g] 3/8, 3/16;
+  goal -> goal : 1;
+  sink -> sink : 1;
+}
+
+system = Edge;
+"""
+
+
+class TestThresholdOnTheValue:
+    """A threshold that equals the exact value is decided exactly in every
+    engine, exact and float: the answer layer compares integers, so no
+    rounding moves a value across its bound."""
+
+    QUERIES = (
+        "P[>=0.5](F goal)",
+        "P[>0.5](F goal)",
+        "P[<=0.5](F goal)",
+        "P[<0.5](F goal)",
+        "P[0.25,0.5](F goal)",
+        "P[>=0.25](F goal)",
+        "P[<0.25](F goal)",
+        "P[>=1/2](X P[>=0.5](F goal))",
+        "P[<=0.25](P[>=0.5](F goal) U<=3 goal)",
+    )
+
+    @staticmethod
+    def reference(model, prop, float_mode=False):
+        """Per product, the per-chain check's verdict: ``Interval.contains``
+        on the exact value (on the float64 value in float mode)."""
+        return {
+            p: check_product(project(model, p), prop, float_mode).decision
+            for p in model.diagram.valid_products()
+        }
+
+    @pytest.mark.parametrize("engine", STEP_ENGINES)
+    @pytest.mark.parametrize("text", QUERIES)
+    def test_dyadic_values_on_the_bound(self, engine, text):
+        model = parse_model(ON_THE_BOUND).system
+        prop = parse_property(text)
+        expected = self.reference(model, prop)
+        result = STEP_ENGINES[engine](model, prop)
+        assert {p: o.decision for p, o in result.outcomes.items()} == expected
+
+    def test_values_sit_on_the_bounds(self):
+        model = parse_model(ON_THE_BOUND).system
+        for engine in STEP_ENGINES.values():
+            outcomes = engine(model, "P=?(F goal)").outcomes.values()
+            assert sorted(o.value for o in outcomes) == [0.25, 0.25, 0.5, 0.5]
+
+    @pytest.mark.parametrize("float_mode", [False, True])
+    def test_non_dyadic_values_on_the_bound(self, float_mode):
+        """At 1/10 and 3/10 the exact engines decide on the exact value, and
+        float mode on its float64 value (the float nearest 1/10 lies above
+        it); the bounded engine's interval straddles them, so it may stay
+        unknown but never decides wrongly."""
+        text = ON_THE_BOUND.replace("[f & g] 1/4, [f] 1/8, [g] 1/8, 1/16", "[f & g] 1/20, [f] 1/40, [g] 3/20, 3/40")
+        text = text.replace("[f & g] 1/4, [f] 1/8, [g] 3/8, 3/16", "[f & g] 9/20, [f] 9/40, [g] 7/20, 7/40")
+        model = parse_model(text).system
+        exact = {o.value for o in check_family_enumerative(model, "P=?(F goal)").outcomes.values()}
+        assert exact == {rational(1, 10), rational(3, 10)}
+        floats = 0
+        for bound, op in itertools.product(("0.1", "0.3"), ("<", "<=", ">", ">=")):
+            prop = parse_property(f"P[{op}{bound}](F goal)")
+            expected = self.reference(model, prop, float_mode)
+            got = check_family_enumerative(model, prop, float_mode).outcomes
+            assert {p: o.decision for p, o in got.items()} == expected
+            if not float_mode:
+                got = check_family_parametric(model, prop).outcomes
+                assert {p: o.decision for p, o in got.items()} == expected
+                for p, o in check_family_bounded(model, prop).outcomes.items():
+                    assert o.decision in (expected[p], UNKNOWN)
+            floats += expected != self.reference(model, prop)
+        # float64 decides some thresholds on the other side of 1/10 or 3/10
+        assert bool(floats) == float_mode

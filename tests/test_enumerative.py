@@ -33,6 +33,7 @@ from featmc.rational import INFINITY, ONE, ZERO, rational
 from featmc.result import SAT, VIOLATED
 
 from conftest import (
+    lane_rationals,
     path_enumeration_until,
     random_fdtmc,
     rational_lanes,
@@ -457,7 +458,7 @@ class TestStructureClasses:
         """In both lane domains: the float64 one and the exact one."""
         domains = [
             (lambda *v: enumerative.Lanes(v), list),
-            (rational_lanes, enumerative.RationalLanes.rationals),
+            (rational_lanes, lane_rationals),
         ]
         for lanes, read in domains:
             a, b = lanes(ONE, 2), lanes()

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +22,7 @@ from featmc.properties import (
     quantitative_mode,
 )
 from featmc.rational import ONE, ZERO, rational
+from featmc.result import SAT, VIOLATED
 
 
 class TestParsing:
@@ -197,3 +201,98 @@ def test_reward_query_round_trip(formula):
     if quantitative_mode(formula):
         return  # P=? cannot nest inside R=?
     assert parse_property(print_property(query)) == query
+
+
+HALF, TENTH = rational(1, 2), rational(1, 10)
+
+
+def _shapes():
+    """Every interval shape, at a dyadic bound (1/2) and a non-dyadic one
+    (1/10): ``<``, ``<=``, ``>`` and ``>=`` of either, and ``[1/10, 1/2]``
+    closed, open and half-open."""
+    out = []
+    for b in (HALF, TENTH):
+        out += [
+            Interval(ZERO, b, upper_strict=True),
+            Interval(ZERO, b),
+            Interval(b, ONE, lower_strict=True),
+            Interval(b, ONE),
+        ]
+    return out + [Interval(TENTH, HALF, *strict) for strict in itertools.product((False, True), repeat=2)]
+
+
+def _near_bounds():
+    """Each bound exactly, and the floats one ulp below and above it; the
+    float nearest 1/10 is not 1/10 but lies above it."""
+    values = [ZERO, ONE]
+    for b in (HALF, TENTH):
+        values += [b, float(b), math.nextafter(float(b), 0), math.nextafter(float(b), 1)]
+    return values
+
+
+def _exact(value):
+    """A value as the backend's rational, exactly; a float's too."""
+    return rational(*value.as_integer_ratio()) if isinstance(value, float) else value
+
+
+def _ratio(value) -> tuple[int, int]:
+    return value.as_integer_ratio() if isinstance(value, float) else (value.numerator, value.denominator)
+
+
+class TestIntegerDecision:
+    """:meth:`Interval.admits` decides integer lanes as :meth:`Interval.decide`
+    decides their exact rationals, on every interval shape and at values on
+    and one ulp beside each bound: one lane at a time (one shared
+    denominator, the scaled bounds) and all lanes at once (mixed
+    denominators, cross-multiplication)."""
+
+    @staticmethod
+    def expected(interval, pairs):
+        decisions = [interval.decide(_exact(a), _exact(b)) for a, b in pairs]
+        return bytes(d == SAT for d in decisions), bytes(d != VIOLATED for d in decisions)
+
+    @staticmethod
+    def lanes(pairs):
+        """Per pair, its low and high numerators over one denominator."""
+        low, high, den = [], [], []
+        for a, b in pairs:
+            (an, ad), (bn, bd) = _ratio(a), _ratio(b)
+            d = math.lcm(ad, bd)
+            low.append(an * (d // ad))
+            high.append(bn * (d // bd))
+            den.append(d)
+        return low, high, den
+
+    @pytest.mark.parametrize("interval", _shapes(), ids=str)
+    def test_exact_values(self, interval):
+        values = _near_bounds()
+        pairs = [(v, v) for v in values]
+        want = self.expected(interval, pairs)
+        assert set(want[0]) == {0, 1}
+        low, _, den = self.lanes(pairs)
+        assert interval.admits(low, low, den) == want
+        assert interval.admits(low, list(low), den) == want  # equal, not one object
+        for k, v in enumerate(values):
+            assert interval.admits(low[k : k + 1], low[k : k + 1], den[k : k + 1]) == (
+                want[0][k : k + 1],
+                want[1][k : k + 1],
+            ), (interval, v)
+
+    @pytest.mark.parametrize("interval", _shapes(), ids=str)
+    def test_value_intervals(self, interval):
+        values = sorted(_near_bounds(), key=_exact)
+        pairs = list(itertools.combinations_with_replacement(values, 2))
+        want = self.expected(interval, pairs)
+        assert set(want[0]) == {0, 1}
+        assert any(p and not s for s, p in zip(*want))  # some straddle a bound: unknown
+        low, high, den = self.lanes(pairs)
+        assert interval.admits(low, high, den) == want
+        # every lane over one denominator: the scaled bounds decide them
+        shared = math.lcm(*den)
+        scale = [shared // d for d in den]
+        low = [*map(int.__mul__, low, scale)]
+        high = [*map(int.__mul__, high, scale)]
+        assert interval.admits(low, high, [shared] * len(den)) == want
+
+    def test_no_lanes(self):
+        assert Interval(ZERO, HALF).admits([], [], []) == (b"", b"")
