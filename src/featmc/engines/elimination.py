@@ -215,10 +215,10 @@ def _rational_closure(loop: RationalLanes) -> RationalLanes:
     """1 / (1 - loop) lane by lane for a loop of probabilities, at most 1:
     ``den / (den - num)``, in lowest terms because ``num`` and ``den`` are
     coprime.  A lane whose loop is 1 makes the system singular, as in
-    :func:`_closure`."""
+    :func:`_closure`; the error records the first such lane."""
     rest = tuple(map(sub, loop.den, loop.num))
     if 0 in rest:
-        raise ModelError("singular linear system in until/reward computation")
+        raise ModelError("singular linear system in until/reward computation", rest.index(0))
     return RationalLanes(loop.den, rest)
 
 

@@ -5,11 +5,13 @@ whose shared qualitative layer does what does not depend on a product's
 probabilities once, on per-state product bitsets (bit i stands for
 product i): satisfaction sets of state formulas, the init cone of an
 unbounded until (the unknowns reachable from the positive-weight initial
-states, after its prob0/prob1 partition) and the reward cone.  Each
-product's system ``x = P·x + b`` holds the rows of its own unknowns, read
-from entry i of every edge vector (edges into prob0 dropped, edges into
-prob1 onto the sink), and is solved exactly by the state elimination the
-parametric engine also runs.  Products whose systems have the same
+states, after its prob0/prob1 partition) and the reward cone.  The solve
+takes those bitsets as the other engines do.  Each product's system
+``x = P·x + b`` holds the rows of its own unknowns (edges into prob0
+dropped, edges into prob1 onto the sink) and is solved exactly by the
+state elimination the parametric engine also runs; edge values are read
+only for the classes that solve, so a query its partition decides for
+every state and product reads none.  Products whose systems have the same
 structure (the same unknowns, kept edges, sink edges and nonzero rewards)
 form a class, and a class shares one elimination over lanes, one value per
 product: the graph bookkeeping runs once per class, while each lane sees
@@ -38,7 +40,8 @@ initial distribution and decides a threshold there.  A nested operator
 solves every undecided state, and the shared layer thresholds the values
 into a product bitset per state.  Float mode runs the same elimination on
 float64 rows: one direct solve with no stopping criterion, whose only
-error is rounding.  It raises where rounding makes a self-loop 1.
+error is rounding.  It raises where rounding makes a self-loop 1, and a
+singular lane names its product from the lane's position.
 
 The per-chain functions (:func:`check_dtmc`, :func:`check_product`,
 :func:`until_values` and the rest) check one projected DTMC the same way
@@ -52,7 +55,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, attrgetter, itemgetter, mul
+from itertools import repeat
+from operator import add, attrgetter, itemgetter, mul, sub, truediv
 
 from ..errors import FeatmcError, ModelError, UnsupportedPropertyError
 from ..features import flag_bytes
@@ -134,14 +138,16 @@ def next_values(dtmc: DTMC, sat: set) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_FLOAT_SINGULAR = (
+    "float64 rounding made the linear system singular (a self-loop rounded to 1); use exact mode"
+)
+
+
 def _float_closure(loop: float) -> float:
     """1 / (1 - loop) in float64.  The exact loop is below 1, but rounding
     can push it to 1, where no float answer is meaningful."""
     if loop >= 1.0:
-        raise ModelError(
-            "float64 rounding made the linear system singular (a self-loop "
-            "rounded to 1); use exact mode"
-        )
+        raise ModelError(_FLOAT_SINGULAR)
     return 1.0 / (1.0 - loop)
 
 
@@ -161,6 +167,14 @@ class Lanes(tuple):
 
     def __mul__(self, other):
         return Lanes(map(mul, self, other))
+
+
+def _lanes_closure(loop: Lanes) -> Lanes:
+    """:func:`_float_closure` lane by lane; the error of a loop that rounded
+    to 1 records the first such lane."""
+    if max(loop) >= 1.0:
+        raise ModelError(_FLOAT_SINGULAR, next(k for k, v in enumerate(loop) if v >= 1.0))
+    return Lanes(map(truediv, repeat(1.0), map(sub, repeat(1.0), loop)))
 
 
 def _cone(dtmc: DTMC, candidates: list, wanted) -> list:
@@ -377,22 +391,18 @@ class _FamilyCheck(FamilyCheck):
     """One property on every product of a dense model.
 
     Satisfaction sets, the prob0/prob1 partition and the cones are
-    per-state product bitsets, computed once for the family by the shared
-    qualitative layer; they become flag bytes (one byte per product) of
-    the states each product leaves unknown and of the edges its rows keep
-    or send to the sink.  Products with equal entries in all those flags
-    form a structure class (:meth:`solve_all`), whose rows are built once
-    with a lane value per edge and solved by one elimination: a
-    :class:`RationalLanes` of the edge's numerator and denominator tuples,
-    or a :class:`Lanes` of its float64 tuple in float mode.  Those tuples
-    come from the value groups, each distinct value read once per model
-    (:meth:`DenseModel.edge_lanes`); a class of one reads the profiles'
-    own per-product values (the float64 tuples in float mode).  Unknowns
-    and rows come in the order the per-chain functions above give them, so
-    every lane is the solve :func:`check_product` makes on the projected
-    chain.  Next and step-bounded until run on the exact step kernel of the
-    shared layer, which reads the value groups, and stay exact in float
-    mode too.
+    per-state product bitsets from the shared qualitative layer, which
+    :meth:`solve_all` takes as they are and splits into structure classes.
+    A class's rows are built once with a lane value per edge and solved by
+    one elimination (:meth:`solve_class`): a :class:`RationalLanes` of the
+    edge's numerator and denominator tuples, or a :class:`Lanes` of its
+    float64 tuple in float mode, from the value groups, each distinct value
+    read once per model (:meth:`DenseModel.edge_lanes`); a class of one
+    reads the profiles' own per-product values (the float64 tuples in float
+    mode).  Unknowns and rows come in the order the per-chain functions
+    above give them, so every lane is the solve :func:`check_product` makes
+    on the projected chain.  Next and step-bounded until run on the exact
+    step kernel of the shared layer, and stay exact in float mode too.
     """
 
     def __init__(self, dense: DenseModel, float_mode: bool):
@@ -409,11 +419,7 @@ class _FamilyCheck(FamilyCheck):
         if self.float_mode:
             lanes = self.dense.edge_lanes(self.reads)
             return {s: [floats for floats, in out] for s, out in lanes.items()}
-        out = {}
-        for s, edges in self.dense.edges.items():
-            nonzero = {t for t, _ in self.dense.succ[s]}
-            out[s] = [vec for t, vec in edges if t in nonzero]
-        return out
+        return {s: [vec for _, vec in edges if any(vec)] for s, edges in self.dense.edges.items()}
 
     @cached_property
     def reward_lanes(self) -> dict:
@@ -427,62 +433,57 @@ class _FamilyCheck(FamilyCheck):
             return {s: lanes[0] for s, lanes in self.reward_lanes.items()}
         return self.dense.rewards
 
-    def flags(self, bits: dict) -> dict:
-        return {s: flag_bytes(b, self.dense.n) for s, b in bits.items()}
-
-    def edges(self, kept: dict, to_sink: dict) -> dict:
-        """Per state, each out-edge of :attr:`DenseModel.groups` with its
-        :attr:`edge_values` and the flags of the products for which it
-        stays (its successor's bit in ``kept``) and of those for which it
-        goes to the sink instead (``to_sink``, flag bytes)."""
-        n = self.dense.n
-        values = self.edge_values
-        return {
-            s: [
-                (t, vec, flag_bytes(mask & kept[t], n), to_sink[t])
-                for (t, mask), vec in zip(out, values[s])
-            ]
-            for s, out in self.dense.succ.items()
-        }
-
     def solve_all(
-        self, unknown: dict, edges: dict, decided: dict, rewards: bool = False, wanted=None
+        self, unknown: dict, kept: dict, to_sink: dict, decided: dict, rewards=False, wanted=None
     ) -> Values:
-        """Every product's values at the states of ``decided`` (state -> flag
-        bytes of the products whose value there is 1): solved where the
-        state is ``unknown`` for the product (state -> flag bytes), over
-        rows taken from ``edges``, and 1 or 0 from the flags elsewhere.
-        With ``rewards`` each row ends in its state's reward on the sink;
-        with ``wanted`` only those states are solved.
+        """Every product's values at the states of ``decided``: solved where
+        the state is ``unknown`` for the product, and elsewhere 1 where it is
+        in ``decided`` and 0 where it is not.  All four map states to product
+        bitsets.  A product's row keeps each edge into a state that has it in
+        ``kept`` and sends the edge to the sink where that state has it in
+        ``to_sink`` too.  With ``rewards`` each row ends in its state's
+        reward on the sink; with ``wanted`` only those states are solved.
 
         Products whose systems have one structure (the same unknowns, the
         same edges kept and sent to the sink, the same nonzero rewards) form
-        a class, keyed by their entries in those flag bytes; each class runs
-        one :func:`solve_linear` (:meth:`solve_class`), on
-        :class:`RationalLanes` (:class:`Lanes` in float mode), a class of
-        one on plain values.
+        a class, keyed by their entries in the flag bytes of those sets;
+        each class runs one :func:`solve_linear` (:meth:`solve_class`).  The
+        flags are made only for states that some product leaves unknown, and
+        edge values are read only for the classes that solve.
         """
-        states = [s for s, flags in unknown.items() if 1 in flags]
-        arrays = [unknown[s] for s in states]
+        n = self.dense.n
+        if self.float_mode:
+            columns = {s: ([*map(float, flag_bytes(bits, n))],) for s, bits in decided.items()}
+        else:
+            columns = {s: (list(flag_bytes(bits, n)), [1] * n) for s, bits in decided.items()}
+        states = [s for s, bits in unknown.items() if bits]
+        succ = self.dense.succ
+        sinks = {t: flag_bytes(bits, n) for t, bits in to_sink.items()}
+        edges = {
+            s: [(t, None, flag_bytes(mask & kept[t], n), sinks[t]) for t, mask in succ[s]]
+            for s in states
+        }
+        arrays = [flag_bytes(unknown[s], n) for s in states]
         for s in states:
-            for _, _, kept, to_sink in edges[s]:
-                arrays += (kept, to_sink)
+            for _, _, kept_flags, sink_flags in edges[s]:
+                arrays += (kept_flags, sink_flags)
         if rewards:
             arrays += [bytes(map(bool, self.reward_values[s])) for s in states]
         # product i's entries, read with stride n from the joined flags
-        n = self.dense.n
         flags = b"".join(arrays)
         classes: dict[bytes, list] = {}
         for i in range(n):
             classes.setdefault(flags[i::n], []).append(i)
-        if self.float_mode:
-            columns = {s: ([*map(float, ones)],) for s, ones in decided.items()}
-        else:
-            columns = {s: (list(ones), [1] * n) for s, ones in decided.items()}
-        for key, members in classes.items():
-            unknowns = [s for s, flag in zip(states, key) if flag]
-            if not unknowns:
-                continue
+        solving = [
+            (members, unknowns)
+            for key, members in classes.items()
+            if (unknowns := [s for s, flag in zip(states, key) if flag])
+        ]
+        if any(len(members) == 1 for members, _ in solving):
+            values = self.edge_values  # a class of one indexes them in its rows
+            for s, out in edges.items():
+                out[:] = [(t, vec, keep, sink) for (t, _, keep, sink), vec in zip(out, values[s])]
+        for members, unknowns in solving:
             solution = self.solve_class(members, unknowns, edges, rewards, wanted)
             for s, lanes in solution.items():
                 if len(members) == n:
@@ -499,68 +500,64 @@ class _FamilyCheck(FamilyCheck):
         """Per state solved, the values of ``members``, products whose
         systems share one structure, as lanes in the product order of
         ``members``: its numerators and denominators (its float64 values in
-        float mode).  An error in a lane solve (a singular lane raises
-        :class:`ModelError`) reruns the class product by product, so that it
-        names the first product that fails.
+        float mode).  ``edges`` holds each unknown's out-edges with the
+        per-product values a class of one reads and the flag bytes of the
+        products that keep them and of those that send them to the sink.  An
+        error names its product: a singular lane records its position on the
+        :class:`ModelError`, and any other error names the first member.
 
         A class of one solves on plain values, not on lanes of width one:
-        on service, where every product is a class of its own, one-lane
-        :class:`RationalLanes` made a check slower (about 20 against 26 ms
-        per check at n=7), so the two paths stay apart."""
+        on service n=7, where every product is a class of its own, one-lane
+        lanes made a check slower (about 14 against 18 ms exact on
+        :class:`RationalLanes`, 7 against 10 ms on float :class:`Lanes`;
+        fractions backend, 2-core machine), so the two paths stay apart."""
         i = members[0]
         if len(members) == 1:
             # indexed in place: when every product has a structure of its
             # own, a call per edge would cost more than the index
             rows = [
-                [(SINK if to_sink[i] else t, vec[i]) for t, vec, kept, to_sink in edges[s] if kept[i]]
+                [(SINK if sink[i] else t, vec[i]) for t, vec, kept, sink in edges[s] if kept[i]]
                 for s in unknowns
             ]
-            reward = self.reward_values if rewards else None
-            domain = self.domain
-
-            def pick(vec):
-                return vec[i]
-
+            pick, domain = itemgetter(i), self.domain
         else:
+            m = len(members)
             get = itemgetter(*members)
             if self.float_mode:
 
                 def pick(lanes):
                     return Lanes(get(lanes[0]))
 
-                ones = (1.0,) * len(members)
-                domain = (lambda loop: Lanes(map(_float_closure, loop)), Lanes(ones))
+                domain = (_lanes_closure, Lanes((1.0,) * m))
             else:
-                if len(members) == self.dense.n:
+                if m == self.dense.n:
                     get = tuple  # every product: the tuples themselves
 
                 def pick(lanes):
                     return RationalLanes(get(lanes[0]), get(lanes[1]))
 
-                ones = (1,) * len(members)
+                ones = (1,) * m
                 domain = (_rational_closure, RationalLanes(ones, ones))
             lanes = self.dense.edge_lanes(self.reads)
             rows = [
                 [
-                    (SINK if to_sink[i] else t, pick(v))
-                    for (t, _, kept, to_sink), v in zip(edges[s], lanes[s])
+                    (SINK if sink[i] else t, pick(v))
+                    for (t, _, kept, sink), v in zip(edges[s], lanes[s])
                     if kept[i]
                 ]
                 for s in unknowns
             ]
-            reward = self.reward_lanes if rewards else None
         if rewards:
             plain = self.reward_values
+            reward = plain if len(members) == 1 else self.reward_lanes
             for s, row in zip(unknowns, rows):
                 if plain[s][i]:
                     row.append((SINK, pick(reward[s])))
         try:
             values = solve_linear(unknowns, rows, *domain, wanted=wanted)
         except FeatmcError as exc:
-            if len(members) > 1:
-                for j in members:
-                    self.solve_class([j], unknowns, edges, rewards, wanted)
-            exc.args = (f"product {self.dense.products[i]}: {exc}",)
+            product = self.dense.products[members[getattr(exc, "lane", None) or 0]]
+            exc.args = (f"product {product}: {exc}",)
             raise
         if len(members) == 1:
             if self.float_mode:
@@ -576,38 +573,29 @@ class _FamilyCheck(FamilyCheck):
     def until_bounds(self, path: Until, at_init: bool = False):
         """Exact values of an unbounded until at every state, every
         undecided state solved; with ``at_init`` at the positive-weight
-        initial states only, solved on the init cone."""
-        one, undecided, edges = self.partition(path)
-        unknown, wanted = undecided, None
-        if at_init:
-            unknown, wanted = self.dense.init_cone(undecided), self.dense.starts
-            one = {s: one[s] for s in wanted}
-        values = self.solve_all(self.flags(unknown), edges, one, wanted=wanted)
-        return values, values
-
-    def partition(self, path: Until):
-        """The prob1 flags of an unbounded until, the bitsets of its
-        undecided products per state, and the edges its rows read: into
-        prob0 dropped, into prob1 to the sink."""
+        initial states only, solved on the init cone.  Edges into prob0 are
+        dropped and edges into prob1 go to the sink."""
         dense = self.dense
         zero, one = until_partition(
             dense.pred, self.sat(path.left), self.sat(path.right), dense.full
         )
-        undecided = {s: dense.full & ~(zero[s] | one[s]) for s in dense.states}
+        unknown = {s: dense.full & ~(zero[s] | one[s]) for s in dense.states}
         kept = {s: dense.full & ~bits for s, bits in zero.items()}
-        one = self.flags(one)
-        return one, undecided, self.edges(kept, one)
+        decided, wanted = one, None
+        if at_init:
+            unknown, wanted = dense.init_cone(unknown), dense.starts
+            decided = {s: one[s] for s in wanted}
+        values = self.solve_all(unknown, kept, one, decided, wanted=wanted)
+        return values, values
 
     def reward_bounds(self, target: dict, cone: dict, infinite: int):
         """The expected reward until ``target`` at the positive-weight
         initial states, solved on the states of ``cone`` for the finite
         products; 0 on the ``infinite`` ones."""
         dense = self.dense
-        none = bytes(dense.n)
         cone = {s: bits & ~infinite for s, bits in cone.items()}
-        edges = self.edges(cone, dict.fromkeys(dense.states, none))
-        starts = dict.fromkeys(dense.starts, none)
-        values = self.solve_all(self.flags(cone), edges, starts, True, dense.starts)
+        none = dict.fromkeys(dense.states, 0)
+        values = self.solve_all(cone, cone, none, {s: 0 for s in dense.starts}, True, dense.starts)
         return values, values
 
 

@@ -138,7 +138,13 @@ class InvalidProductError(FeatmcError):
 
 
 class ModelError(FeatmcError):
-    """Structural problem in a model (axiom violation, bad composition...)."""
+    """Structural problem in a model (axiom violation, bad composition...).
+    A solve over lanes, one per product, that fails in a lane sets ``lane``
+    to its position."""
+
+    def __init__(self, message: str, lane: int | None = None):
+        self.lane = lane
+        super().__init__(message)
 
 
 class NondeterminismError(ModelError):

@@ -58,8 +58,9 @@ class TestRationalLanes:
         self.assert_lanes(a * b, map(mul, x, y))
         closure = _rational_closure
         if ONE in loop:
-            with pytest.raises(ModelError, match="singular"):
+            with pytest.raises(ModelError, match="singular") as info:
                 closure(rational_lanes(*loop))
+            assert info.value.lane == loop.index(ONE)
         else:
             self.assert_lanes(closure(rational_lanes(*loop)), [ONE / (ONE - v) for v in loop])
 

@@ -22,6 +22,7 @@ from featmc.engines.enumerative import (
 )
 from featmc.dsl import build_model, parse_model
 from featmc.engines.bounded import check_family_bounded
+from featmc.engines.dense import DenseModel
 from featmc.engines.parametric import check_family_parametric
 from featmc.errors import ModelError, UnboundFeatureError
 from featmc.features import FeatureDiagram, Product, parse_feature_expression
@@ -399,6 +400,37 @@ class TestSingleSolve:
         result = check_family_enumerative(service4, "P[<0.5](X P[>0.1](F failure))")
         assert len(domains) == len(products)
         assert {p: o.decision for p, o in result.outcomes.items()} == expected
+
+    @pytest.mark.parametrize("float_mode", [False, True])
+    @pytest.mark.parametrize(
+        "name, query", [("wiper", "finishes"), ("minepump", "risk_value"), ("wiper", "energy")]
+    )
+    def test_decided_query_reads_no_edge_value(
+        self, request, monkeypatch, name, query, float_mode
+    ):
+        """The prob0/prob1 partition decides every state and product of
+        wiper ``finishes`` and minepump ``risk_value``, so no class solves
+        and no edge value is read: neither ``DenseModel.edges`` nor
+        ``DenseModel.edge_lanes``.  Wiper ``energy`` solves, and reads."""
+        model = request.getfixturevalue(name)
+        reads = []
+
+        def counted(label, read):
+            def wrapper(self, *args):
+                reads.append(label)
+                return read(self, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(DenseModel, "edges", property(counted("edges", DenseModel.edges.func)))
+        monkeypatch.setattr(DenseModel, "edge_lanes", counted("edge_lanes", DenseModel.edge_lanes))
+        domains = self._count_solves(monkeypatch)
+        result = check_family_enumerative(model.system, model.property_of(query), float_mode)
+        assert len(result.outcomes) == len(model.diagram.valid_products())
+        if query == "energy":
+            assert domains and reads
+        else:
+            assert domains == [] and reads == []
 
 
 class TestStructureClasses:
@@ -991,10 +1023,45 @@ class TestFloatSlowChains:
             {"goal": ("goal",)},
         )
         prefix = re.escape(f"product {second}: float64 rounding")
-        with pytest.raises(ModelError, match=f"^{prefix}"):
-            check_family_enumerative(model, "P=?(F goal)", float_mode=True)
         domains = TestSingleSolve._count_solves(monkeypatch)
+        with pytest.raises(ModelError, match=f"^{prefix}") as info:
+            check_family_enumerative(model, "P=?(F goal)", float_mode=True)
+        # one solve on two lanes; the error records the lane, so no rerun
+        assert [len(domain[1]) for domain in domains] == [2]
+        assert info.value.lane == 1
+        domains.clear()
         exact = check_family_enumerative(model, "P=?(F goal)")
         assert [len(domain[1]) for domain in domains] == [2]
         assert isinstance(domains[0][1], enumerative.RationalLanes)
         assert {o.value for o in exact.outcomes.values()} == {rational(1, 2)}
+
+    def test_lane_error_names_a_failing_product(self):
+        """Both products of one class have a loop that rounds to 1, {f} at
+        s and {} at u.  Every state's solve stops at the first singular
+        lane the shared elimination meets, and the product it names fails
+        on its own chain too."""
+        tiny, loop = "1/1152921504606846976", "1152921504606846974/1152921504606846976"
+        model = parse_model(
+            f"""features f;
+fdtmc S {{
+  states s u goal trap;
+  init s;
+  label goal: goal;
+  s -> s : [f] {loop}, 1/2;
+  s -> u : [f] 2/1152921504606846976, 1/2;
+  u -> u : [f] 1/2, {loop};
+  u -> goal : [f] 1/4, {tiny};
+  u -> trap : [f] 1/4, {tiny};
+  goal -> goal : 1;
+  trap -> trap : 1;
+}}
+system = S;
+"""
+        ).system
+        prop = "P=?(X P[>0.1](F goal))"
+        with pytest.raises(ModelError, match=r"^product \{f?\}: float64") as info:
+            check_family_enumerative(model, prop, float_mode=True)
+        named = str(info.value).split(":")[0].removeprefix("product ")
+        product = next(p for p in model.diagram.valid_products() if str(p) == named)
+        with pytest.raises(ModelError, match="^float64 rounding"):
+            check_product(project(model, product), parse_property(prop), float_mode=True)
