@@ -200,10 +200,15 @@ class DenseModel:
             }
         return out
 
-    def reward_lanes(self, reads: tuple) -> dict[State, list[tuple]]:
-        """Per state, the :meth:`lanes` of reads of its reward."""
+    def reward_lanes(self, reads: tuple) -> dict[State, tuple[list[tuple], int]]:
+        """Per state, the :meth:`lanes` of reads of its reward and the
+        bitset of the products where it is nonzero."""
         reward = self.model.reward_profile
-        return {s: self.lanes(reward(s).groups(), reads) for s in self.states}
+        return {
+            s: (self.lanes(groups, reads), sum(bits for v, bits in groups if v))
+            for s in self.states
+            for groups in [reward(s).groups()]
+        }
 
     def init_cone(self, allowed: dict[State, int]) -> dict[State, int]:
         """Per state, the products for which it is reached from an initial

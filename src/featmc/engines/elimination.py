@@ -2,9 +2,10 @@
 
 Sparse state elimination over any value domain (Daws, ICTAC 2004; Hahn,
 Hermanns & Zhang, STTT 2011) and :func:`solve_linear` on it, the one exact
-solver of ``x = P·x + b``: exact rationals, exact lanes or float64 for the
-products of one structure class in the enumerative engine, per-product
-support tables for the whole family in the parametric engine.  Edge values
+solver of ``x = P·x + b``: exact rationals in the per-chain reference,
+exact or float64 lanes, one per product, over the union structure of the
+family in the enumerative engine, per-product support tables for the
+whole family in the parametric engine.  Edge values
 need only ``+``, ``*`` and truthiness.  The working graph is a pair of
 adjacency dicts (successor rows with edge values, predecessor sets), and
 nodes go least degree first, picked from a lazy min-degree heap.
@@ -19,8 +20,8 @@ The one exact lane domain of both exact engines: a tuple of integer
 numerators and one of positive denominators, every lane in lowest terms,
 with ``+`` and ``*`` as maps over whole lanes (:func:`lane_sum`,
 :func:`lane_product`).  The enumerative engine's :class:`RationalLanes`
-holds one lane per product of a structure class, the parametric engine's
-support tables one lane per assignment of their support.
+holds one lane per product of the family, the parametric engine's support
+tables one lane per assignment of their support.
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ def lane_product(a: tuple, b: tuple, c: tuple, d: tuple) -> tuple[tuple, tuple]:
 
 
 class RationalLanes:
-    """One exact value per product of a structure class, as a value domain
-    of :func:`solve_linear`: lane k is ``num[k] / den[k]``, two tuples of
+    """One exact value per product of the family, as a value domain of
+    :func:`solve_linear`: lane k is ``num[k] / den[k]``, two tuples of
     integers (``mpz`` under gmpy2) kept in lowest terms with ``den[k] > 0``,
     so every lane holds the very rational its product's own solve makes.
     ``+`` and ``*`` are maps over whole lanes, with one ``gcd`` map and two

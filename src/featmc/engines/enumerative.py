@@ -1,62 +1,64 @@
-"""Enumerative engine: one exact Markov-chain solve per product.
+"""Enumerative engine: every product's exact Markov-chain solve, made as
+one solve over the union structure of the family.
+
+The paper's enumerative route checks each product's projected chain on
+its own, one exploration per product.  This engine computes the same
+per-product values family-based instead, in the "all-in-one" way of Thüm
+et al. (ACM CSUR 2014): one system for the whole family, one lane per
+product.  The per-chain functions below (:func:`check_product` and the
+rest) are the paper's route, and the tests' reference.
 
 The family check works on the dense model form (``engines/dense.py``),
 whose shared qualitative layer does what does not depend on a product's
 probabilities once, on per-state product bitsets (bit i stands for
 product i): satisfaction sets of state formulas, the init cone of an
 unbounded until (the unknowns reachable from the positive-weight initial
-states, after its prob0/prob1 partition) and the reward cone.  The solve
-takes those bitsets as the other engines do.  Each product's system
-``x = P·x + b`` holds the rows of its own unknowns (edges into prob0
-dropped, edges into prob1 onto the sink) and is solved exactly by the
-state elimination the parametric engine also runs; edge values are read
-only for the classes that solve, so a query its partition decides for
-every state and product reads none.  Products whose systems have the same
-structure (the same unknowns, kept edges, sink edges and nonzero rewards)
-form a class, and a class shares one elimination over lanes, one value per
-product: the graph bookkeeping runs once per class, while each lane sees
-the operations its own solve would make, in the same order.  Exact lanes
+states, after its prob0/prob1 partition) and the reward cone.  Product
+i's system ``x = P·x + b`` holds the rows of its own unknowns (edges into
+prob0 dropped, edges into prob1 onto the sink).  The family's system holds
+every state that some product leaves unknown, and each entry of it is a
+lane per product, masked to the products whose rows hold it, so lane i is
+product i's system and zeros elsewhere.  One state elimination, the one
+the parametric engine also runs, solves it exactly.  Exact lanes
 (:class:`RationalLanes`, the exact lane domain in ``engines/elimination.py``
 that the parametric engine's support tables share) are a tuple of integer
 numerators and one of denominators, kept in lowest terms by maps over whole
 lanes, so no rational object is made inside the solve; float lanes
-(:class:`Lanes`) are a tuple of float64 values.  A class of one solves on
-plain values.  Every lane is built from the profiles' value groups, each
-distinct value read once per model.  Expected rewards solve ``x = P·x + r``
-the same way; a product that misses the target with positive probability
-solves nothing, and the shared layer reports it infinite.  Thresholds,
-next and step-bounded until (on the shared exact step kernel, which builds
-no edge vector) and the outcomes come from the answer layer all engines
-share (``FamilyCheck`` in ``engines/dense.py``).  The solved values go to
-it as integers: each state's numerator and denominator tuples over every
-product, or in float mode its float64 values, which it reads as the exact
-integer ratios they are, so a threshold on a float is decided exactly on
-that float.
+(:class:`Lanes`) are a tuple of float64 values.  Every lane is built from
+the profiles' value groups, each distinct value read once per model, and
+only when some state is unknown, so a query its partition decides for
+every state and product reads no edge value.  Expected rewards solve
+``x = P·x + r`` the same way; a product that misses the target with
+positive probability solves nothing, and the shared layer reports it
+infinite.  Thresholds, next and step-bounded until (on the shared exact
+step kernel, which builds no edge vector) and the outcomes come from the
+answer layer all engines share (``FamilyCheck`` in ``engines/dense.py``).
+The solved values go to it as integers: each state's numerator and
+denominator tuples over every product, or in float mode its float64
+values, which it reads as the exact integer ratios they are, so a
+threshold on a float is decided exactly on that float.
 
 A top-level unbounded until or reward reads only the initial states of
-positive weight: its system holds only the init cone, only they are
-back-substituted, and the shared layer aggregates their values at the
-initial distribution and decides a threshold there.  A nested operator
-solves every undecided state, and the shared layer thresholds the values
-into a product bitset per state.  Float mode runs the same elimination on
-float64 rows: one direct solve with no stopping criterion, whose only
-error is rounding.  It raises where rounding makes a self-loop 1, and a
-singular lane names its product from the lane's position.
+positive weight: its system holds only the union of the products' init
+cones, only they are back-substituted, and the shared layer aggregates
+their values at the initial distribution and decides a threshold there.
+A nested operator solves every undecided state, and the shared layer
+thresholds the values into a product bitset per state.  Float mode runs
+the same elimination on float64 rows: one direct solve with no stopping
+criterion, whose only error is rounding.  It raises where rounding makes
+a self-loop 1, and a singular lane names its product from the lane's
+position.
 
-The per-chain functions (:func:`check_dtmc`, :func:`check_product`,
-:func:`until_values` and the rest) check one projected DTMC the same way
-and are the reference the family check is tested against: for every
-product both make the same solve on the same rows.  Only they read a value
-at the initial distribution per product (:func:`_initial_value`).
+Only the per-chain functions read a value at the initial distribution per
+product (:func:`_initial_value`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
-from operator import add, attrgetter, itemgetter, mul, sub, truediv
+from operator import add, attrgetter, mul, sub, truediv
 
 from ..errors import FeatmcError, ModelError, UnsupportedPropertyError
 from ..features import flag_bytes
@@ -152,9 +154,9 @@ def _float_closure(loop: float) -> float:
 
 
 class Lanes(tuple):
-    """One float64 value per product of a structure class, as a value
-    domain of :func:`solve_linear`: ``+`` and ``*`` act lane by lane, and
-    the empty tuple is 0 (a state with no outgoing mass)."""
+    """One float64 value per product, as a value domain of
+    :func:`solve_linear`: ``+`` and ``*`` act lane by lane, and the empty
+    tuple is 0 (a state with no outgoing mass)."""
 
     __slots__ = ()
 
@@ -380,58 +382,53 @@ def check_product(dtmc: DTMC, prop: Property, float_mode: bool = False) -> Produ
 # ---------------------------------------------------------------------------
 
 
-#: What a lane solve reads of each distinct edge and reward value
-#: (:meth:`DenseModel.lanes`): its numerator and denominator, or in float
-#: mode its float64.
-_EXACT_READS = (attrgetter("numerator"), attrgetter("denominator"))
-_FLOAT_READS = (float,)
+#: Per lane domain of the union solve: what it reads of each distinct edge
+#: and reward value (:meth:`DenseModel.lanes`), how a product's 0/1 flag
+#: keeps or masks each read (``num * flag`` over ``den ** flag``, so a
+#: masked lane reads 0/1, in lowest terms), the lanes and their closure.
+_EXACT = (
+    (attrgetter("numerator"), attrgetter("denominator")),
+    (mul, pow),
+    RationalLanes,
+    _rational_closure,
+)
+_FLOAT = ((float,), (mul,), Lanes, _lanes_closure)
 
 
 class _FamilyCheck(FamilyCheck):
-    """One property on every product of a dense model.
+    """One property on every product of a dense model, solved once for the
+    whole family over its union structure, one lane per product.
 
     Satisfaction sets, the prob0/prob1 partition and the cones are
     per-state product bitsets from the shared qualitative layer, which
-    :meth:`solve_all` takes as they are and splits into structure classes.
-    A class's rows are built once with a lane value per edge and solved by
-    one elimination (:meth:`solve_class`): a :class:`RationalLanes` of the
-    edge's numerator and denominator tuples, or a :class:`Lanes` of its
-    float64 tuple in float mode, from the value groups, each distinct value
-    read once per model (:meth:`DenseModel.edge_lanes`); a class of one
-    reads the profiles' own per-product values (the float64 tuples in float
-    mode).  Unknowns and rows come in the order the per-chain functions
-    above give them, so every lane is the solve :func:`check_product` makes
-    on the projected chain.  Next and step-bounded until run on the exact
-    step kernel of the shared layer, and stay exact in float mode too.
+    :meth:`solve_all` takes as they are.  Its one elimination runs on
+    :class:`RationalLanes` (numerator and denominator tuples) or, in float
+    mode, on :class:`Lanes` (float64 tuples), built from the value groups,
+    each distinct value read once per model (:meth:`DenseModel.edge_lanes`)
+    and masked to the products whose row holds it (:meth:`masked`).  So
+    lane i holds the very rows :func:`check_product` solves on product i's
+    projected chain, and zeros elsewhere.  Next and step-bounded until run
+    on the exact step kernel of the shared layer, and stay exact in float
+    mode too.
     """
 
     def __init__(self, dense: DenseModel, float_mode: bool):
         super().__init__(dense)
         self.float_mode = float_mode
-        self.reads, self.domain = _EXACT_READS, ()
-        if float_mode:
-            self.reads, self.domain = _FLOAT_READS, (_float_closure, 1.0)
+        self.reads, self.masks, self.kind, closure = _FLOAT if float_mode else _EXACT
+        self.flags: dict[int, bytes] = {}  # product bitset -> its flag bytes
+        self.one = [(read(ONE),) * dense.n for read in self.reads]
+        self.domain = (closure, self.masked(self.one, dense.full))
 
-    @cached_property
-    def edge_values(self) -> dict:
-        """Per state, the per-product values of each out-edge of
-        :attr:`DenseModel.groups`, on which a class of one solves."""
-        if self.float_mode:
-            lanes = self.dense.edge_lanes(self.reads)
-            return {s: [floats for floats, in out] for s, out in lanes.items()}
-        return {s: [vec for _, vec in edges if any(vec)] for s, edges in self.dense.edges.items()}
-
-    @cached_property
-    def reward_lanes(self) -> dict:
-        """Per state, the lanes of its reward (:meth:`DenseModel.reward_lanes`)."""
-        return self.dense.reward_lanes(self.reads)
-
-    @cached_property
-    def reward_values(self) -> dict:
-        """Per state, the per-product values of its reward."""
-        if self.float_mode:
-            return {s: lanes[0] for s, lanes in self.reward_lanes.items()}
-        return self.dense.rewards
+    def masked(self, lanes: list, bits: int):
+        """``lanes``, a tuple per read, as a value of the solve's domain
+        whose lanes outside the product bitset ``bits`` are 0."""
+        if bits != self.dense.full:
+            flags = self.flags.get(bits)
+            if flags is None:
+                flags = self.flags[bits] = flag_bytes(bits, self.dense.n)
+            lanes = [tuple(map(mask, lane, flags)) for mask, lane in zip(self.masks, lanes)]
+        return self.kind(*lanes)
 
     def solve_all(
         self, unknown: dict, kept: dict, to_sink: dict, decided: dict, rewards=False, wanted=None
@@ -444,131 +441,52 @@ class _FamilyCheck(FamilyCheck):
         ``to_sink`` too.  With ``rewards`` each row ends in its state's
         reward on the sink; with ``wanted`` only those states are solved.
 
-        Products whose systems have one structure (the same unknowns, the
-        same edges kept and sent to the sink, the same nonzero rewards) form
-        a class, keyed by their entries in the flag bytes of those sets;
-        each class runs one :func:`solve_linear` (:meth:`solve_class`).  The
-        flags are made only for states that some product leaves unknown, and
-        edge values are read only for the classes that solve.
+        One :func:`solve_linear` solves every product.  Its unknowns are the
+        states that some product leaves unknown.  Each edge is cut to the
+        products whose row holds it and becomes an entry to its successor
+        for some of them and one to the sink for the others, each masked to
+        its products.  Where a state is not unknown for a product, its lane
+        of the state's row is all zero: the lane's closure is 1, its value
+        0, and no mass of that product reaches it.  So lane i is product
+        i's own solve, a singular lane names product i (any other error the
+        first product), and adding the ``decided`` flags to the solved
+        lanes reads them only where the state is unknown.  Edge values are
+        read only when some state is.
         """
-        n = self.dense.n
-        if self.float_mode:
-            columns = {s: ([*map(float, flag_bytes(bits, n))],) for s, bits in decided.items()}
-        else:
-            columns = {s: (list(flag_bytes(bits, n)), [1] * n) for s, bits in decided.items()}
+        dense = self.dense
         states = [s for s, bits in unknown.items() if bits]
-        succ = self.dense.succ
-        sinks = {t: flag_bytes(bits, n) for t, bits in to_sink.items()}
-        edges = {
-            s: [(t, None, flag_bytes(mask & kept[t], n), sinks[t]) for t, mask in succ[s]]
-            for s in states
+        solution: dict = {}
+        if states:
+            masked, edge_lanes = self.masked, dense.edge_lanes(self.reads)
+            reward_lanes = dense.reward_lanes(self.reads) if rewards else {}
+            rows = []
+            for s in states:
+                row, own = [], unknown[s]
+                for (t, mask), lanes in zip(dense.succ[s], edge_lanes[s]):
+                    bits = own & mask & kept[t]
+                    sink = bits & to_sink[t]
+                    if bits != sink:
+                        row.append((t, masked(lanes, bits & ~sink)))
+                    if sink:
+                        row.append((SINK, masked(lanes, sink)))
+                if s in reward_lanes:
+                    lanes, earning = reward_lanes[s]
+                    if bits := own & earning:
+                        row.append((SINK, masked(lanes, bits)))
+                rows.append(row)
+            try:
+                solution = solve_linear(states, rows, *self.domain, wanted=wanted)
+            except FeatmcError as exc:
+                product = dense.products[getattr(exc, "lane", None) or 0]
+                exc.args = (f"product {product}: {exc}",)
+                raise
+        zero = self.kind()
+        columns = {
+            s: solution.get(s, zero) + self.masked(self.one, bits) for s, bits in decided.items()
         }
-        arrays = [flag_bytes(unknown[s], n) for s in states]
-        for s in states:
-            for _, _, kept_flags, sink_flags in edges[s]:
-                arrays += (kept_flags, sink_flags)
-        if rewards:
-            arrays += [bytes(map(bool, self.reward_values[s])) for s in states]
-        # product i's entries, read with stride n from the joined flags
-        flags = b"".join(arrays)
-        classes: dict[bytes, list] = {}
-        for i in range(n):
-            classes.setdefault(flags[i::n], []).append(i)
-        solving = [
-            (members, unknowns)
-            for key, members in classes.items()
-            if (unknowns := [s for s, flag in zip(states, key) if flag])
-        ]
-        if any(len(members) == 1 for members, _ in solving):
-            values = self.edge_values  # a class of one indexes them in its rows
-            for s, out in edges.items():
-                out[:] = [(t, vec, keep, sink) for (t, _, keep, sink), vec in zip(out, values[s])]
-        for members, unknowns in solving:
-            solution = self.solve_class(members, unknowns, edges, rewards, wanted)
-            for s, lanes in solution.items():
-                if len(members) == n:
-                    columns[s] = lanes
-                    continue
-                for column, lane in zip(columns[s], lanes):
-                    for i, v in zip(members, lane):
-                        column[i] = v
         if self.float_mode:
-            return FloatValues(n, {s: floats for s, (floats,) in columns.items()})
-        return Values(n, columns)
-
-    def solve_class(self, members: list, unknowns: list, edges: dict, rewards, wanted) -> dict:
-        """Per state solved, the values of ``members``, products whose
-        systems share one structure, as lanes in the product order of
-        ``members``: its numerators and denominators (its float64 values in
-        float mode).  ``edges`` holds each unknown's out-edges with the
-        per-product values a class of one reads and the flag bytes of the
-        products that keep them and of those that send them to the sink.  An
-        error names its product: a singular lane records its position on the
-        :class:`ModelError`, and any other error names the first member.
-
-        A class of one solves on plain values, not on lanes of width one:
-        on service n=7, where every product is a class of its own, one-lane
-        lanes made a check slower (about 14 against 18 ms exact on
-        :class:`RationalLanes`, 7 against 10 ms on float :class:`Lanes`;
-        fractions backend, 2-core machine), so the two paths stay apart."""
-        i = members[0]
-        if len(members) == 1:
-            # indexed in place: when every product has a structure of its
-            # own, a call per edge would cost more than the index
-            rows = [
-                [(SINK if sink[i] else t, vec[i]) for t, vec, kept, sink in edges[s] if kept[i]]
-                for s in unknowns
-            ]
-            pick, domain = itemgetter(i), self.domain
-        else:
-            m = len(members)
-            get = itemgetter(*members)
-            if self.float_mode:
-
-                def pick(lanes):
-                    return Lanes(get(lanes[0]))
-
-                domain = (_lanes_closure, Lanes((1.0,) * m))
-            else:
-                if m == self.dense.n:
-                    get = tuple  # every product: the tuples themselves
-
-                def pick(lanes):
-                    return RationalLanes(get(lanes[0]), get(lanes[1]))
-
-                ones = (1,) * m
-                domain = (_rational_closure, RationalLanes(ones, ones))
-            lanes = self.dense.edge_lanes(self.reads)
-            rows = [
-                [
-                    (SINK if sink[i] else t, pick(v))
-                    for (t, _, kept, sink), v in zip(edges[s], lanes[s])
-                    if kept[i]
-                ]
-                for s in unknowns
-            ]
-        if rewards:
-            plain = self.reward_values
-            reward = plain if len(members) == 1 else self.reward_lanes
-            for s, row in zip(unknowns, rows):
-                if plain[s][i]:
-                    row.append((SINK, pick(reward[s])))
-        try:
-            values = solve_linear(unknowns, rows, *domain, wanted=wanted)
-        except FeatmcError as exc:
-            product = self.dense.products[members[getattr(exc, "lane", None) or 0]]
-            exc.args = (f"product {product}: {exc}",)
-            raise
-        if len(members) == 1:
-            if self.float_mode:
-                return {s: ((v,),) for s, v in values.items()}
-            return {s: ((v.numerator,), (v.denominator,)) for s, v in values.items()}
-        m = len(members)
-        if self.float_mode:
-            zero = ((0.0,) * m,)
-            return {s: (v,) if v else zero for s, v in values.items()}
-        zero = ((0,) * m, (1,) * m)
-        return {s: (v.num, v.den) if v.num else zero for s, v in values.items()}
+            return FloatValues(dense.n, columns)
+        return Values(dense.n, {s: (v.num, v.den) for s, v in columns.items()})
 
     def until_bounds(self, path: Until, at_init: bool = False):
         """Exact values of an unbounded until at every state, every
@@ -604,17 +522,17 @@ def check_family_enumerative(
     prop: Property | str,
     float_mode: bool = False,
 ) -> FamilyResult:
-    """Check every valid product's chain, each with its own exact solve.
+    """Check every valid product's chain: one exact solve over the union
+    structure of the family, one lane per product (:class:`_FamilyCheck`).
 
     The work that does not depend on a product's probabilities runs once
-    on the dense form (:class:`_FamilyCheck`), and products whose systems
-    share a structure share one elimination, one lane each; every outcome
-    equals that of :func:`check_product` on the projected chain.  ``float_mode`` runs
-    unbounded until and reward computations as the same state elimination
-    in float64: no stopping criterion, only rounding error, and a
-    :class:`ModelError` where rounding makes a self-loop 1.  An error
-    raised for one product keeps its type and fields; its message is
-    prefixed with the product.
+    on the dense form, and every outcome equals that of
+    :func:`check_product` on the projected chain, the paper's per-product
+    route.  ``float_mode`` runs unbounded until and reward computations as
+    the same state elimination in float64: no stopping criterion, only
+    rounding error, and a :class:`ModelError` where rounding makes a
+    self-loop 1.  An error raised for one product keeps its type and
+    fields; its message is prefixed with the product.
     """
     prop = bind_check(prop, model.ap)
     started = time.perf_counter()

@@ -347,10 +347,9 @@ class TestEliminationOrder:
 
 
 class TestSingleSolve:
-    """A threshold solves one system per structure class.  Every product of
-    service4 has a structure of its own, so there that is one plain solve
-    per product: at the top level, per product whose initial state is
-    undecided."""
+    """A solved operator makes one solve over every product of the family,
+    one lane per product, however many structures its products' systems
+    have.  Every product of service4 has a structure of its own."""
 
     @pytest.fixture(scope="class")
     def service4(self):
@@ -380,8 +379,10 @@ class TestSingleSolve:
             unknown = until_state_partition(dtmc, set(dtmc.states), dtmc.states_with("failure"))[2]
             undecided += any(s in unknown for s in dtmc.init)
         assert undecided >= len(products) - 1
-        domain = (enumerative._float_closure, 1.0) if float_mode else ()
-        assert domains == [domain] * undecided
+        assert len(domains) == 1
+        closure, lanes = domains[0]
+        kind = enumerative.Lanes if float_mode else enumerative.RationalLanes
+        assert isinstance(lanes, kind) and len(lanes) == len(products)
         decisions = {o.decision for o in result.outcomes.values()}
         assert decisions == {SAT, VIOLATED}
 
@@ -398,7 +399,7 @@ class TestSingleSolve:
         assert set(expected.values()) == {SAT, VIOLATED}
         domains = self._count_solves(monkeypatch)
         result = check_family_enumerative(service4, "P[<0.5](X P[>0.1](F failure))")
-        assert len(domains) == len(products)
+        assert [len(domain[1]) for domain in domains] == [len(products)]
         assert {p: o.decision for p, o in result.outcomes.items()} == expected
 
     @pytest.mark.parametrize("float_mode", [False, True])
@@ -434,10 +435,11 @@ class TestSingleSolve:
 
 
 class TestStructureClasses:
-    """Products whose systems share one structure share one elimination on
-    lanes (:class:`enumerative.RationalLanes`, :class:`enumerative.Lanes`
-    in float64), and each lane is still its product's own solve: the
-    values equal :func:`check_product`'s."""
+    """Products share one elimination on lanes
+    (:class:`enumerative.RationalLanes`, :class:`enumerative.Lanes` in
+    float64) whether or not their systems share a structure, and each lane
+    is still its product's own solve: the values equal
+    :func:`check_product`'s."""
 
     @pytest.fixture(scope="class")
     def failure5(self):
@@ -464,8 +466,8 @@ class TestStructureClasses:
 
     @pytest.mark.parametrize("float_mode", [False, True])
     def test_rewards_split_the_class(self, failure5, monkeypatch, float_mode):
-        """deg2 earns nothing on the products with f1, so its row has a
-        sink edge on half the products only."""
+        """deg2 earns nothing on the products with f1, so its reward entry
+        is masked to half the lanes of the one solve."""
         d = failure5.diagram
         rewards = {s: constant(ONE, d) for s in failure5.states}
         rewards["deg2"] = GuardedProfile(d, [(parse_feature_expression("f1"), ZERO)], ONE)
@@ -481,7 +483,7 @@ class TestStructureClasses:
         text = "R=?[F (failure | worn)]"
         domains = TestSingleSolve._count_solves(monkeypatch)
         result = check_family_enumerative(model, text, float_mode)
-        assert [len(domain[1]) for domain in domains] == [16, 16]
+        assert [len(domain[1]) for domain in domains] == [32]
         values = {p: o.value for p, o in result.outcomes.items()}
         assert len(set(values.values())) == 32
         assert values == self.per_product(model, text, float_mode)
@@ -522,6 +524,96 @@ class TestStructureClasses:
         values = [o.value for o in result.outcomes.values()]
         assert values == [0, 0]
         assert values == list(self.per_product(model, "R=?[F goal]", float_mode).values())
+
+
+class TestUnionMasking:
+    """The one solve over the union structure masks each entry to the
+    products whose row holds it.  At m, {} leaves m unknown, {f} and {f,g}
+    make it prob1, so a's edge into m is a successor entry for one product
+    and a sink entry for two, and {g} makes it prob0 with a self-loop of 1,
+    a lane that must not read as singular."""
+
+    MODEL = """features f g;
+
+fdtmc Three {
+  states a m goal trap;
+  init a;
+  label goal: goal;
+  label trap: trap;
+
+  a -> m    : 1/2;
+  a -> a    : [g] 1/4, 1/8;
+  a -> goal : [g] 1/8, 1/4;
+  a -> trap : 1/8;
+  m -> m    : [f] 0, [g] 1, 1/3;
+  m -> goal : [f] 1, [g] 0, 1/3;
+  m -> a    : [f] 0, [g] 0, 1/3;
+  goal -> goal : 1;
+  trap -> trap : 1;
+
+  reward a : [f] 2, 1;
+  reward m : [g] 3, 5;
+}
+
+system = Three;
+"""
+
+    #: each unbounded operator solves once, on four lanes; a reward is
+    #: infinite on {g}, and the last one's target holds a, the initial
+    #: state, on {f} alone
+    QUERIES = [
+        "P=?(F goal)",
+        "P[>=0.6](F goal)",
+        "P=?(F P[>0.5](F goal))",
+        "R=?[F (goal | trap)]",
+        "R=?[F (trap | P[>0.85](F goal))]",
+    ]
+
+    @pytest.mark.parametrize("float_mode", [False, True])
+    @pytest.mark.parametrize("text", QUERIES)
+    def test_values_equal_each_product(self, monkeypatch, text, float_mode):
+        model = parse_model(self.MODEL).system
+        products = model.diagram.valid_products()
+        prop = parse_property(text)
+        domains = TestSingleSolve._count_solves(monkeypatch)
+        result = check_family_enumerative(model, prop, float_mode)
+        assert [len(domain[1]) for domain in domains] == [4] * text.count("F ")
+        for product in products:
+            own = check_product(project(model, product), prop, float_mode)
+            outcome = result.outcomes[product]
+            assert (outcome.value, outcome.decision) == (own.value, own.decision)
+        if text.startswith("R"):
+            assert [str(p) for p, o in result.outcomes.items() if o.value == INFINITY] == ["{g}"]
+
+    def test_rounded_loop_names_its_product(self, monkeypatch):
+        """Only {f,g}'s loop rounds to 1 in float64; {} decides s, and {g}
+        and {f} have systems of their own structures.  The one solve runs
+        a lane per product, so the singular lane's index is the index of
+        {f,g} among all products."""
+        model = parse_model(
+            """features f g;
+fdtmc S {
+  states s goal trap;
+  init s;
+  label goal: goal;
+  s -> s    : [f & g] 1152921504606846974/1152921504606846976, [f] 1/2, [g] 1/2, 0;
+  s -> goal : [f & g] 1/1152921504606846976, [f] 1/4, [g] 1/2, 1;
+  s -> trap : [f & g] 1/1152921504606846976, [f] 1/4, 0;
+  goal -> goal : 1;
+  trap -> trap : 1;
+}
+system = S;
+"""
+        ).system
+        products = model.diagram.valid_products()
+        rounded = next(p for p in products if p["f"] and p["g"])
+        domains = TestSingleSolve._count_solves(monkeypatch)
+        with pytest.raises(ModelError, match=rf"^product {re.escape(str(rounded))}: float64") as info:
+            check_family_enumerative(model, "P=?(F goal)", float_mode=True)
+        assert [len(domain[1]) for domain in domains] == [4]
+        assert info.value.lane == products.index(rounded) == 3
+        exact = check_family_enumerative(model, "P=?(F goal)")
+        assert exact.outcomes[rounded].value == rational(1, 2)
 
 
 def with_split_init(chains, seed):
@@ -609,6 +701,9 @@ class TestInitOnly:
         assert infinite >= 10 and zero_weight_infinite >= 3
 
     def test_service_graph_holds_only_the_init_cone(self, monkeypatch):
+        """One graph for the family, the union of the products' init cones:
+        product i's lane is nonzero at a state exactly where the state is in
+        product i's cone."""
         model = build_model(gen_service_provider(4)).system
         graphs = []
 
@@ -618,21 +713,22 @@ class TestInitOnly:
                 graphs.append(set())
 
             def add(self, s, t, f):
-                graphs[-1].add(s)
+                graphs[-1].update((s, i) for i, num in enumerate(f.num) if num)
                 super().add(s, t, f)
 
         monkeypatch.setattr(elimination, "EliminationGraph", Recording)
         check_family_enumerative(model, "P=?(F failure)")
-        cones = []
+        cones, unknowns = set(), set()
         smaller = 0
-        for product in model.diagram.valid_products():
+        for i, product in enumerate(model.diagram.valid_products()):
             dtmc = project(model, product)
             unknown = until_state_partition(dtmc, set(dtmc.states), dtmc.states_with("failure"))[2]
             cone = forward_cone(dtmc, unknown, list(dtmc.init))
-            if cone:
-                cones.append(cone)
+            cones.update((s, i) for s in cone)
+            unknowns.update((s, i) for s in unknown)
             smaller += len(cone) < len(unknown)
-        assert graphs == cones
+        assert graphs == [cones]
+        assert len(cones) < len(unknowns)
         assert smaller >= 10
 
 
