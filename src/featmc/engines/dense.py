@@ -4,7 +4,7 @@
 products are bitsets: bit i of an int stands for product i, as in the
 reachability closure of ``engines/elimination.py``.  The masks and value
 groups come from each profile's ``(value, product bitset)`` groups, and so
-do the per-product tuples the enumerative engine's lane solves read
+do the per-product tuples of the enumerative engine's lanes
 (:meth:`DenseModel.edge_lanes`), each distinct value read once.
 
 The qualitative layer runs once for the family (Classen et al., ICSE 2010):
@@ -33,6 +33,13 @@ integer lanes (:class:`Values`: the kernels' packed lanes, exact
 numerator and denominator tuples, or float64 read as exact ratios), and
 every threshold is decided on those integers (:meth:`Interval.admits`):
 a rational is made only for a value that is reported.
+
+Both exact engines get those values from one system, :class:`SystemCheck`:
+an unbounded until or an expected reward as one sink-shaped ``x = P·x + b``
+for the whole family, cut by the prob0/prob1 partition and the cones of
+the qualitative layer and solved by one state elimination.  The engines
+differ only in the value domain of its entries: one lane per product in
+the enumerative engine, per-feature support tables in the parametric one.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from itertools import compress, repeat
 from operator import add, mul, truediv
 from typing import Callable, Sequence
 
-from ..errors import ModelError, UnsupportedPropertyError
+from ..errors import FeatmcError, ModelError, UnsupportedPropertyError
 from ..features import bitset, flag_bytes
 from ..models import FDTMC, State
 from ..properties import (
@@ -62,7 +69,14 @@ from ..properties import (
 )
 from ..rational import INFINITY, ZERO, rational
 from ..result import SAT, UNKNOWN, VIOLATED, ProductOutcome
-from .elimination import closure, lane_product, lane_sum, until_partition
+from .elimination import (
+    SINK,
+    closure,
+    lane_product,
+    lane_sum,
+    solve_linear,
+    until_partition,
+)
 
 
 class DenseModel:
@@ -77,11 +91,10 @@ class DenseModel:
     products whose edge is nonzero, the union of its groups, for the
     reachability closure.  :meth:`edge_lanes` and :meth:`reward_lanes`
     spread the groups over every product, a tuple per read of a value.
-    ``edges`` lists each state's out-edges with their per-product vectors
-    and ``rewards`` each state's reward vector, the profiles' own
-    (``Profile.dense_values``).  Walking propositional formulas reads no
-    profile; next, step-bounded until and an unbounded parametric query
-    build no edge vector.
+    ``rewards`` lists each state's reward vector, the profile's own
+    (``Profile.dense_values``), for the bounded engine.  Walking
+    propositional formulas reads no profile, and no engine expands an edge
+    to per-product vectors.
     """
 
     def __init__(self, model: FDTMC):
@@ -94,11 +107,6 @@ class DenseModel:
         self.starts = [s for s, weight in model.init.items() if weight]  # positive weight
         self.labels = model.labels
         self.lane_cache: dict[tuple, dict] = {}  # reads -> edge_lanes(reads)
-
-    @cached_property
-    def edges(self) -> dict[State, list[tuple[State, tuple]]]:
-        out_edges = self.model.out_edges
-        return {s: [(t, p.dense_values()) for t, p in out_edges(s)] for s in self.states}
 
     @cached_property
     def rewards(self) -> dict[State, tuple]:
@@ -762,3 +770,118 @@ class FamilyCheck:
             else (rational(a + b, 2 * d), decision, rational(b - a, 2 * d))
             for a, b, d, decision in zip(low, high, den, decisions)
         ]
+
+
+#: Tag of a top-level query's entry unknowns: ``(ENTRY, s)`` for each
+#: initial state s of positive weight, whose one edge, of value 1, leads to
+#: s, so that its value is the value at s on every product.
+ENTRY = "__entry__"
+
+
+class SystemCheck(FamilyCheck):
+    """The system of both exact engines: an unbounded until or an expected
+    reward as one sink-shaped ``x = P·x + b`` for the whole family, made
+    from the qualitative layer's product bitsets and solved by one
+    :func:`solve_linear` call (:meth:`solve`).
+
+    An engine supplies only the value domain: ``edge_values`` (per state,
+    a value per edge of :attr:`DenseModel.succ`) and ``reward_values`` (per
+    state, its reward's value and the products where it is nonzero);
+    ``masked(value, bits)``, a value as an entry that is 0 outside the
+    products of ``bits``; the solve's ``unit`` and loop ``closure``; and
+    ``read(value, inside, ones)``, per product the solved ``value`` on
+    ``inside``, 1 on ``ones`` and 0 elsewhere, as a state's entry of
+    ``values_type``.
+    """
+
+    values_type = Values
+
+    def until_bounds(self, path: Until, at_init: bool = False):
+        """Exact values of an unbounded until at every state, every
+        undecided state solved; with ``at_init`` at the positive-weight
+        initial states only, solved on the init cone."""
+        dense = self.dense
+        zero, one = until_partition(
+            dense.pred, self.sat(path.left), self.sat(path.right), dense.full
+        )
+        unknown = {s: dense.full & ~(zero[s] | one[s]) for s in dense.states}
+        if at_init:
+            unknown = dense.init_cone(unknown)
+        kept = {s: dense.full & ~bits for s, bits in zero.items()}
+        values = self.solve(unknown, kept, one, at_init=at_init)
+        return values, values
+
+    def reward_bounds(self, target: dict, cone: dict, infinite: int):
+        """The expected reward until ``target`` at the positive-weight
+        initial states, solved on the states of ``cone`` for the finite
+        products; 0 on the ``infinite`` ones."""
+        cone = {s: bits & ~infinite for s, bits in cone.items()}
+        none = dict.fromkeys(self.dense.states, 0)
+        values = self.solve(cone, cone, none, rewards=True, at_init=True)
+        return values, values
+
+    def solve(
+        self, unknown: dict, kept: dict, to_sink: dict, rewards: bool = False, at_init: bool = False
+    ) -> Values:
+        """Every product's values at every state, or with ``at_init`` at
+        the positive-weight initial states: solved where the state is
+        ``unknown`` for the product, else 1 where it is in ``to_sink`` and
+        0 (all three map states to product bitsets).  Each edge of a row is
+        cut to the products that have the row's state in ``unknown``, the
+        edge and its successor in ``kept``, and goes to the sink for those
+        that have the successor in ``to_sink`` and to the successor for the
+        others, each part masked to its products; with ``rewards`` each row
+        earns its state's reward on the sink.  With ``at_init`` the
+        unknowns end in one entry unknown per initial state (:data:`ENTRY`),
+        whose edge of value 1 into it is cut the same way, and only the
+        entries are back-substituted.  Edge values are read only when some
+        state is unknown.
+        """
+        dense = self.dense
+        masked = self.masked
+        one = masked(self.unit, dense.full)
+        states = [s for s, bits in unknown.items() if bits]
+        solution: dict = {}
+        entries = None
+
+        def split(row: list, t, value, bits: int) -> list:
+            sink = bits & to_sink[t]
+            if bits != sink:
+                row.append((t, masked(value, bits & ~sink)))
+            if sink:
+                row.append((SINK, masked(value, sink)))
+            return row
+
+        if states:
+            rows = []
+            edge_values = self.edge_values
+            reward_values = self.reward_values if rewards else {}
+            for s in states:
+                row, own = [], unknown[s]
+                for (t, mask), value in zip(dense.succ[s], edge_values[s]):
+                    split(row, t, value, own & mask & kept[t])
+                if s in reward_values:
+                    value, earning = reward_values[s]
+                    if bits := own & earning:
+                        row.append((SINK, masked(value, bits)))
+                rows.append(row)
+            if at_init:
+                entries = [(ENTRY, s) for s in dense.starts]
+                states += entries
+                rows += [split([], s, self.unit, kept[s]) for s in dense.starts]
+            try:
+                solution = solve_linear(states, rows, self.closure, one, wanted=entries)
+            except FeatmcError as exc:
+                product = dense.products[getattr(exc, "lane", None) or 0]
+                exc.args = (f"product {product}: {exc}",)
+                raise
+        read = self.read
+        if entries:
+            lanes = {s: read(solution[ENTRY, s], dense.full, 0) for _, s in entries}
+        else:
+            zero = type(one)()
+            lanes = {
+                s: read(solution.get(s, zero), unknown[s], to_sink[s])
+                for s in (dense.starts if at_init else dense.states)
+            }
+        return self.values_type(dense.n, lanes)

@@ -2,65 +2,42 @@
 one solve over the union structure of the family.
 
 The paper's enumerative route checks each product's projected chain on
-its own, one exploration per product.  This engine computes the same
-per-product values family-based instead, in the "all-in-one" way of Thüm
-et al. (ACM CSUR 2014): one system for the whole family, one lane per
-product.  The per-chain functions below (:func:`check_product` and the
-rest) are the paper's route, and the tests' reference.
+its own, one exploration per product.  The per-chain functions below
+(:func:`check_product` and the rest) are that route, and the tests'
+reference.  The family check computes the same per-product values in the
+"all-in-one" way of Thüm et al. (ACM CSUR 2014): the system both exact
+engines share (``SystemCheck`` in ``engines/dense.py``), each entry a lane
+per product masked to the products whose rows hold it, so lane i is
+product i's own system and zeros elsewhere.  Exact lanes
+(:class:`RationalLanes`, the exact lane domain of
+``engines/elimination.py``) are a tuple of integer numerators and one of
+denominators in lowest terms, so no rational object is made inside the
+solve.  Float lanes (:class:`Lanes`) are a tuple of float64 values: the
+same elimination, one direct solve with no stopping criterion, whose only
+error is rounding; it raises where rounding makes a self-loop 1, and a
+singular lane names its product from the lane's position.  Every lane is
+built from the profiles' value groups, each distinct value read once per
+model, and only when some state is unknown.  The solved values go to the
+shared answer layer as integers: numerator and denominator tuples, or
+float64 values read as the exact integer ratios they are, so a threshold
+on a float is decided exactly on that float.
 
-The family check works on the dense model form (``engines/dense.py``),
-whose shared qualitative layer does what does not depend on a product's
-probabilities once, on per-state product bitsets (bit i stands for
-product i): satisfaction sets of state formulas, the init cone of an
-unbounded until (the unknowns reachable from the positive-weight initial
-states, after its prob0/prob1 partition) and the reward cone.  Product
-i's system ``x = P·x + b`` holds the rows of its own unknowns (edges into
-prob0 dropped, edges into prob1 onto the sink).  The family's system holds
-every state that some product leaves unknown, and each entry of it is a
-lane per product, masked to the products whose rows hold it, so lane i is
-product i's system and zeros elsewhere.  One state elimination, the one
-the parametric engine also runs, solves it exactly.  Exact lanes
-(:class:`RationalLanes`, the exact lane domain in ``engines/elimination.py``
-that the parametric engine's support tables share) are a tuple of integer
-numerators and one of denominators, kept in lowest terms by maps over whole
-lanes, so no rational object is made inside the solve; float lanes
-(:class:`Lanes`) are a tuple of float64 values.  Every lane is built from
-the profiles' value groups, each distinct value read once per model, and
-only when some state is unknown, so a query its partition decides for
-every state and product reads no edge value.  Expected rewards solve
-``x = P·x + r`` the same way; a product that misses the target with
-positive probability solves nothing, and the shared layer reports it
-infinite.  Thresholds, next and step-bounded until (on the shared exact
-step kernel, which builds no edge vector) and the outcomes come from the
-answer layer all engines share (``FamilyCheck`` in ``engines/dense.py``).
-The solved values go to it as integers: each state's numerator and
-denominator tuples over every product, or in float mode its float64
-values, which it reads as the exact integer ratios they are, so a
-threshold on a float is decided exactly on that float.
-
-A top-level unbounded until or reward reads only the initial states of
-positive weight: its system holds only the union of the products' init
-cones, only they are back-substituted, and the shared layer aggregates
-their values at the initial distribution and decides a threshold there.
-A nested operator solves every undecided state, and the shared layer
-thresholds the values into a product bitset per state.  Float mode runs
-the same elimination on float64 rows: one direct solve with no stopping
-criterion, whose only error is rounding.  It raises where rounding makes
-a self-loop 1, and a singular lane names its product from the lane's
-position.
-
-Only the per-chain functions read a value at the initial distribution per
-product (:func:`_initial_value`).
+The per-chain route reads the wanted states through entry unknowns, as
+the family solve does, so where a product's structure is the family's,
+its lane and its own float solve round alike.  Only the per-chain
+functions read a value at the initial distribution per product
+(:func:`_initial_value`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import add, attrgetter, mul, sub, truediv
 
-from ..errors import FeatmcError, ModelError, UnsupportedPropertyError
+from ..errors import ModelError, UnsupportedPropertyError
 from ..features import flag_bytes
 from ..models import DTMC, FDTMC
 from ..properties import (
@@ -79,7 +56,7 @@ from ..properties import (
 )
 from ..rational import INFINITY, ONE, ZERO
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
-from .dense import DenseModel, FamilyCheck, FloatValues, Values
+from .dense import ENTRY, DenseModel, FloatValues, SystemCheck
 from .elimination import (
     SINK,
     RationalLanes,
@@ -194,8 +171,10 @@ def _cone(dtmc: DTMC, candidates: list, wanted) -> list:
 def _until_system(dtmc: DTMC, sat1: set, sat2: set, wanted=None):
     """Values fixed by the partition (unknowns at 0), the unknown states,
     and their rows: edges into certain-one states go to the sink.  With
-    ``wanted`` states, the fixed values are theirs and the unknowns are
-    those reachable from them."""
+    ``wanted`` states, the fixed values are theirs, the unknowns are those
+    reachable from them, and where there are any, each wanted state has an
+    entry unknown, whose one edge, of value 1, leads to it, as in the
+    family solve (:class:`SystemCheck`)."""
     zero, one, unknown = until_state_partition(dtmc, sat1, sat2)
     if wanted is not None:
         unknown = _cone(dtmc, unknown, wanted)
@@ -203,6 +182,9 @@ def _until_system(dtmc: DTMC, sat1: set, sat2: set, wanted=None):
         [(SINK if t in one else t, p) for t, p in dtmc.out_edges(s) if t not in zero]
         for s in unknown
     ]
+    if wanted is not None and unknown:
+        unknown += [(ENTRY, s) for s in wanted]
+        rows += [[] if s in zero else [(SINK if s in one else s, ONE)] for s in wanted]
     states = dtmc.states if wanted is None else wanted
     return {s: ONE if s in one else ZERO for s in states}, unknown, rows
 
@@ -223,6 +205,9 @@ def _reward_system(dtmc: DTMC, targets: set, wanted=None):
         + [(SINK, dtmc.rewards.get(s, ZERO))]
         for s in finite
     ]
+    if wanted is not None and finite:
+        finite += [(ENTRY, s) for s in wanted]
+        rows += [[(s, ONE)] if s in inside else [] for s in wanted]
     states = dtmc.states if wanted is None else wanted
     return {s: ZERO if s in one else INFINITY for s in states}, finite, rows
 
@@ -230,13 +215,21 @@ def _reward_system(dtmc: DTMC, targets: set, wanted=None):
 def _solve(
     values: dict, unknowns: list, rows: list, wanted=None, float_mode: bool = False
 ) -> dict:
+    """``values`` with the solved values of ``unknowns``; with ``wanted``,
+    of the wanted unknown states only, read from their entry unknowns, the
+    only ones back-substituted."""
     domain = ()
     if float_mode:
         values = {s: float(v) for s, v in values.items()}
         rows = [[(t, float(p)) for t, p in row] for row in rows]
         domain = (_float_closure, 1.0)
     if unknowns:
-        values.update(solve_linear(unknowns, rows, *domain, wanted=wanted))
+        entries = None if wanted is None else [(ENTRY, s) for s in wanted]
+        solution = solve_linear(unknowns, rows, *domain, wanted=entries)
+        if entries:
+            inside = set(unknowns)
+            solution = {s: solution[ENTRY, s] for s in wanted if s in inside}
+        values.update(solution)
     return values
 
 
@@ -395,30 +388,38 @@ _EXACT = (
 _FLOAT = ((float,), (mul,), Lanes, _lanes_closure)
 
 
-class _FamilyCheck(FamilyCheck):
-    """One property on every product of a dense model, solved once for the
-    whole family over its union structure, one lane per product.
+class _FamilyCheck(SystemCheck):
+    """One property on every product of a dense model: the shared system
+    (:class:`SystemCheck`) over the union structure of the family, one lane
+    per product.
 
-    Satisfaction sets, the prob0/prob1 partition and the cones are
-    per-state product bitsets from the shared qualitative layer, which
-    :meth:`solve_all` takes as they are.  Its one elimination runs on
-    :class:`RationalLanes` (numerator and denominator tuples) or, in float
-    mode, on :class:`Lanes` (float64 tuples), built from the value groups,
-    each distinct value read once per model (:meth:`DenseModel.edge_lanes`)
-    and masked to the products whose row holds it (:meth:`masked`).  So
-    lane i holds the very rows :func:`check_product` solves on product i's
-    projected chain, and zeros elsewhere.  Next and step-bounded until run
-    on the exact step kernel of the shared layer, and stay exact in float
-    mode too.
+    Lanes are :class:`RationalLanes` (numerator and denominator tuples) or,
+    in float mode, :class:`Lanes` (float64 tuples), built from the value
+    groups, each distinct value read once per model
+    (:meth:`DenseModel.edge_lanes`), and masked to the products whose row
+    holds them (:meth:`masked`).  So lane i holds the very rows
+    :func:`check_product` solves on product i's projected chain and zeros
+    elsewhere, where its closure is 1 and its value 0, and a singular lane
+    names its product.  Next and step-bounded until run on the exact step
+    kernel of the shared layer, and stay exact in float mode too.
     """
 
     def __init__(self, dense: DenseModel, float_mode: bool):
         super().__init__(dense)
         self.float_mode = float_mode
-        self.reads, self.masks, self.kind, closure = _FLOAT if float_mode else _EXACT
+        self.reads, self.masks, self.kind, self.closure = _FLOAT if float_mode else _EXACT
+        if float_mode:
+            self.values_type = FloatValues
         self.flags: dict[int, bytes] = {}  # product bitset -> its flag bytes
-        self.one = [(read(ONE),) * dense.n for read in self.reads]
-        self.domain = (closure, self.masked(self.one, dense.full))
+        self.unit = [(read(ONE),) * dense.n for read in self.reads]
+
+    @cached_property
+    def edge_values(self) -> dict:
+        return self.dense.edge_lanes(self.reads)
+
+    @cached_property
+    def reward_values(self) -> dict:
+        return self.dense.reward_lanes(self.reads)
 
     def masked(self, lanes: list, bits: int):
         """``lanes``, a tuple per read, as a value of the solve's domain
@@ -430,91 +431,11 @@ class _FamilyCheck(FamilyCheck):
             lanes = [tuple(map(mask, lane, flags)) for mask, lane in zip(self.masks, lanes)]
         return self.kind(*lanes)
 
-    def solve_all(
-        self, unknown: dict, kept: dict, to_sink: dict, decided: dict, rewards=False, wanted=None
-    ) -> Values:
-        """Every product's values at the states of ``decided``: solved where
-        the state is ``unknown`` for the product, and elsewhere 1 where it is
-        in ``decided`` and 0 where it is not.  All four map states to product
-        bitsets.  A product's row keeps each edge into a state that has it in
-        ``kept`` and sends the edge to the sink where that state has it in
-        ``to_sink`` too.  With ``rewards`` each row ends in its state's
-        reward on the sink; with ``wanted`` only those states are solved.
-
-        One :func:`solve_linear` solves every product.  Its unknowns are the
-        states that some product leaves unknown.  Each edge is cut to the
-        products whose row holds it and becomes an entry to its successor
-        for some of them and one to the sink for the others, each masked to
-        its products.  Where a state is not unknown for a product, its lane
-        of the state's row is all zero: the lane's closure is 1, its value
-        0, and no mass of that product reaches it.  So lane i is product
-        i's own solve, a singular lane names product i (any other error the
-        first product), and adding the ``decided`` flags to the solved
-        lanes reads them only where the state is unknown.  Edge values are
-        read only when some state is.
-        """
-        dense = self.dense
-        states = [s for s, bits in unknown.items() if bits]
-        solution: dict = {}
-        if states:
-            masked, edge_lanes = self.masked, dense.edge_lanes(self.reads)
-            reward_lanes = dense.reward_lanes(self.reads) if rewards else {}
-            rows = []
-            for s in states:
-                row, own = [], unknown[s]
-                for (t, mask), lanes in zip(dense.succ[s], edge_lanes[s]):
-                    bits = own & mask & kept[t]
-                    sink = bits & to_sink[t]
-                    if bits != sink:
-                        row.append((t, masked(lanes, bits & ~sink)))
-                    if sink:
-                        row.append((SINK, masked(lanes, sink)))
-                if s in reward_lanes:
-                    lanes, earning = reward_lanes[s]
-                    if bits := own & earning:
-                        row.append((SINK, masked(lanes, bits)))
-                rows.append(row)
-            try:
-                solution = solve_linear(states, rows, *self.domain, wanted=wanted)
-            except FeatmcError as exc:
-                product = dense.products[getattr(exc, "lane", None) or 0]
-                exc.args = (f"product {product}: {exc}",)
-                raise
-        zero = self.kind()
-        columns = {
-            s: solution.get(s, zero) + self.masked(self.one, bits) for s, bits in decided.items()
-        }
-        if self.float_mode:
-            return FloatValues(dense.n, columns)
-        return Values(dense.n, {s: (v.num, v.den) for s, v in columns.items()})
-
-    def until_bounds(self, path: Until, at_init: bool = False):
-        """Exact values of an unbounded until at every state, every
-        undecided state solved; with ``at_init`` at the positive-weight
-        initial states only, solved on the init cone.  Edges into prob0 are
-        dropped and edges into prob1 go to the sink."""
-        dense = self.dense
-        zero, one = until_partition(
-            dense.pred, self.sat(path.left), self.sat(path.right), dense.full
-        )
-        unknown = {s: dense.full & ~(zero[s] | one[s]) for s in dense.states}
-        kept = {s: dense.full & ~bits for s, bits in zero.items()}
-        decided, wanted = one, None
-        if at_init:
-            unknown, wanted = dense.init_cone(unknown), dense.starts
-            decided = {s: one[s] for s in wanted}
-        values = self.solve_all(unknown, kept, one, decided, wanted=wanted)
-        return values, values
-
-    def reward_bounds(self, target: dict, cone: dict, infinite: int):
-        """The expected reward until ``target`` at the positive-weight
-        initial states, solved on the states of ``cone`` for the finite
-        products; 0 on the ``infinite`` ones."""
-        dense = self.dense
-        cone = {s: bits & ~infinite for s, bits in cone.items()}
-        none = dict.fromkeys(dense.states, 0)
-        values = self.solve_all(cone, cone, none, {s: 0 for s in dense.starts}, True, dense.starts)
-        return values, values
+    def read(self, value, inside: int, ones: int):
+        """The solved lanes, which are 0 outside ``inside``, plus 1 on the
+        products of ``ones``."""
+        value += self.masked(self.unit, ones)
+        return value if self.float_mode else (value.num, value.den)
 
 
 def check_family_enumerative(

@@ -15,11 +15,12 @@ departs from it in two ways:
   elimination over factors, the ADD encoding of ProFeat (Chrszon, Dubslaff,
   Klüppelholz & Baier, FAOC 2018) and of Bahar et al. (ICCAD 1993).  Every
   product gets its exact value, its entry's integers spread over the
-  products (:meth:`_TableCheck.lanes`), and a rational object is made only
-  for a value that is reported.  The system is the sink-shaped ``x = P·x + b``
-  the enumerative engine solves per product, built once over product
-  bitsets from the shared state-formula walker, and it goes through the
-  same ``solve_linear``.
+  products (:meth:`_TableCheck.read`), and a rational object is made only
+  for a value that is reported.  The system is the one the enumerative
+  engine solves with a lane per product (``SystemCheck`` in
+  ``engines/dense.py``): its prob0/prob1 partition, cones and entry
+  unknowns, and each edge's table weighted by the indicator table of the
+  products its entry stands for.
 * The closed form is the canonical multilinear interpolant of those values
   (a Möbius transform over the feature cube), emitted as a rational
   function over 1.  It agrees with the symbolic quotient wherever that is
@@ -27,11 +28,6 @@ departs from it in two ways:
   ``function`` interpolates the outcomes on its first read, which only
   ``--emit-expression`` and :func:`property_function` make.
 
-A top-level query adds one entry unknown per initial state of positive
-weight, whose one edge, of value 1, leads to that state, and
-back-substitutes only them: an entry's table is its state's value on every
-product.  A nested probability operator solves every state and reads each
-state's table per product.
 Thresholds, step-bounded until and next (the exact step kernel on
 packed integer lanes, which needs no division either), plain state
 formulas, the aggregation at the initial distribution, the infinite
@@ -52,18 +48,11 @@ from ..errors import UnboundFeatureError, UnsupportedPropertyError
 from ..features import FeatureDiagram, FVar, Product, flag_bytes
 from ..models import FDTMC
 from ..profiles import GuardedProfile, Profile
-from ..properties import (
-    Prob,
-    Property,
-    RewardQuery,
-    Until,
-    bind_check,
-    print_property,
-)
+from ..properties import Prob, Property, RewardQuery, bind_check, print_property
 from ..rational import INFINITY, ONE, ZERO, rat_str, rational
 from ..result import FamilyResult
-from .dense import DenseModel, FamilyCheck, Values
-from .elimination import SINK, lane_product, lane_sum, solve_linear
+from .dense import DenseModel, SystemCheck
+from .elimination import lane_product, lane_sum
 
 ENGINE_NAME = "parametric"
 
@@ -463,40 +452,52 @@ def profile_table(profile: Profile, diagram: FeatureDiagram) -> SupportTable:
 # Family checking
 # ---------------------------------------------------------------------------
 
-#: Tag of a top-level query's entry unknowns: ``(_ENTRY, s)`` for each
-#: initial state s of positive weight, whose one edge, of value 1, leads to
-#: s, so that its table is the value at s on every product.
-_ENTRY = "__entry__"
-
-
-class _TableCheck(FamilyCheck):
+class _TableCheck(SystemCheck):
     """One property on the whole family.
 
-    Satisfaction sets come from the shared walker on product bitsets.  An
-    unbounded until or an expected reward is one sink-shaped system over
-    support tables, each edge part weighted by the indicator table of the
-    products it stands for, and goes through the shared
-    :func:`solve_linear`.
+    Satisfaction sets come from the shared walker on product bitsets, and
+    an unbounded until or an expected reward is the shared sink-shaped
+    system (:class:`SystemCheck`) over support tables: each edge's table
+    is weighted by the indicator table of the products its entry stands
+    for (:meth:`masked`).
     """
+
+    unit = TABLE_ONE
+    closure = staticmethod(_closure)
 
     def __init__(self, dense: DenseModel):
         super().__init__(dense)
         self.diagram = dense.model.diagram
-        self.indicators: dict[int, SupportTable] = {}
         # per feature position, the bitset of the products that enable it
         self.features = [self.diagram.bits(FVar(name)) for name in self.diagram.signature]
+        # product bitset -> its indicator table; a feature's products have
+        # that feature's own, and they mask a state that only they reach
+        self.indicators: dict[int, SupportTable] = {
+            bits: SupportTable((p,), (0, 1), (1, 1)) for p, bits in enumerate(self.features)
+        }
 
     @cached_property
-    def edges(self) -> dict:
-        """Per state, its out-edges with their tables; each entry unknown's
-        one out-edge leads to its initial state."""
-        edges: dict = {s: [] for s in self.dense.states}
-        for (s, t), profile in self.dense.model.transitions.items():
-            edges[s].append((t, profile_table(profile, self.diagram)))
-        edges.update({(_ENTRY, s): [(s, TABLE_ONE)] for s in self.dense.starts})
-        return edges
+    def edge_values(self) -> dict:
+        """Per state, the tables of its out-edges of :attr:`DenseModel.succ`."""
+        out_edges = self.dense.model.out_edges
+        return {
+            s: [profile_table(profiles[t], self.diagram) for t, _ in succ]
+            for s, succ in self.dense.succ.items()
+            for profiles in [dict(out_edges(s))]
+        }
 
-    def restrict(self, table: SupportTable, bits: int) -> SupportTable:
+    @cached_property
+    def reward_values(self) -> dict:
+        """Per state, its reward's table and the products where it is
+        nonzero."""
+        reward = self.dense.model.reward_profile
+        return {
+            s: (profile_table(profile, self.diagram), profile.where(bool))
+            for s in self.dense.states
+            for profile in [reward(s)]
+        }
+
+    def masked(self, table: SupportTable, bits: int) -> SupportTable:
         """``table`` on the products of ``bits`` and 0 elsewhere."""
         if bits == self.dense.full:
             return table
@@ -506,45 +507,7 @@ class _TableCheck(FamilyCheck):
             indicator = self.indicators[bits] = _dense_table(groups, self.diagram)
         return table * indicator
 
-    def solve(self, sat1: dict, sat2: dict, rewards: bool = False, at_init: bool = False):
-        """Solve ``sat1 U sat2`` (state -> product bitsets) as ``x = P·x + b``:
-        a state is an unknown on the products where it is in ``maybe`` =
-        ``sat1 & ~sat2``, and each edge goes to the sink where its successor
-        is in ``sat2`` and to the successor where that is in ``maybe``.
-        ``rewards`` solves the expected reward until ``sat2`` instead: edges
-        into it are dropped and each row earns its state's reward.  Returns
-        per state its values on every product: of every state, or with
-        ``at_init`` of the positive-weight initial states, read from their
-        entry unknowns, the only ones back-substituted."""
-        dense = self.dense
-        restrict = self.restrict
-        maybe = {s: sat1[s] & ~sat2[s] for s in sat1}
-        entries = [(_ENTRY, s) for s in dense.starts]
-        maybe.update(dict.fromkeys(entries, dense.full if at_init else 0))
-        sink = dict.fromkeys(sat2, 0) if rewards else sat2
-        unknowns = [s for s in self.edges if maybe[s]]
-        rows = []
-        for s in unknowns:
-            row = [
-                (node, restrict(p, bits))
-                for t, p in self.edges[s]
-                for node, bits in ((SINK, maybe[s] & sink[t]), (t, maybe[s] & maybe[t]))
-                if bits
-            ]
-            if rewards:  # an entry unknown has no reward profile: it earns 0
-                reward = profile_table(dense.model.reward_profile(s), self.diagram)
-                row.append((SINK, restrict(reward, maybe[s])))
-            rows.append(row)
-        if at_init:
-            tables = solve_linear(unknowns, rows, _closure, TABLE_ONE, entries)
-            lanes = {s: self.lanes(tables[_ENTRY, s], dense.full, 0) for _, s in entries}
-        else:
-            tables = solve_linear(unknowns, rows, _closure, TABLE_ONE)
-            zero = SupportTable()
-            lanes = {s: self.lanes(tables.get(s, zero), maybe[s], sat2[s]) for s in dense.states}
-        return Values(dense.n, lanes)
-
-    def lanes(self, table: SupportTable, inside: int, ones: int) -> tuple[tuple, tuple]:
+    def read(self, table: SupportTable, inside: int, ones: int) -> tuple[tuple, tuple]:
         """Per product, the numerator and denominator of its entry of
         ``table`` where it is in ``inside`` (a product bitset), of 1 where it
         is in ``ones`` and of 0 elsewhere; ``ones`` and ``inside`` are
@@ -564,19 +527,6 @@ class _TableCheck(FamilyCheck):
         index = dense.indices(bits, top)
         num, den = table.num + (0, 1), table.den + (1, 1)
         return tuple(map(num.__getitem__, index)), tuple(map(den.__getitem__, index))
-
-    def until_bounds(self, path: Until, at_init: bool = False):
-        """Exact values of an unbounded until at every state and product,
-        or with ``at_init`` at the positive-weight initial states."""
-        values = self.solve(self.sat(path.left), self.sat(path.right), at_init=at_init)
-        return values, values
-
-    def reward_bounds(self, target: dict, cone: dict, infinite: int):
-        """Expected rewards at the positive-weight initial states, solved
-        on every non-target state."""
-        everywhere = dict.fromkeys(self.dense.states, self.dense.full)
-        values = self.solve(everywhere, target, rewards=True, at_init=True)
-        return values, values
 
 
 def property_function(model: FDTMC, prop: Property) -> RationalFunction | None:

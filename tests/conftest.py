@@ -246,6 +246,13 @@ def value_iteration_until(dtmc, sat1, sat2, steps=10_000, float_mode=True):
     return values
 
 
+def edge_vectors(model, s) -> list:
+    """State s's out-edges, each with its per-product vector
+    (``Profile.dense_values``): the reference the engines' value groups and
+    lanes are checked against."""
+    return [(t, p.dense_values()) for t, p in model.out_edges(s)]
+
+
 def fraction_next_vectors(dense, sat):
     """Per state and product, the probability of stepping into ``sat``
     (state -> product bitset): one Fraction sum per (state, edge, product)
@@ -254,7 +261,7 @@ def fraction_next_vectors(dense, sat):
     out = {}
     for s in dense.states:
         acc = [ZERO] * dense.n
-        for t, vec in dense.edges[s]:
+        for t, vec in edge_vectors(dense.model, s):
             bits = sat[t]
             for i in range(dense.n):
                 if bits >> i & 1 and vec[i]:
@@ -272,7 +279,7 @@ def fraction_until_vectors(dense, sat1, sat2, bound):
         out = {}
         for s in dense.states:
             acc = [ZERO] * dense.n
-            for t, vec in dense.edges[s]:
+            for t, vec in edge_vectors(dense.model, s):
                 xt = x[t]
                 for i in range(dense.n):
                     if vec[i] and xt[i]:

@@ -53,7 +53,7 @@ from featmc.rational import INFINITY, ONE, ZERO, rational
 from featmc.report import render_json
 from featmc.result import SAT, UNKNOWN, VIOLATED
 
-from conftest import random_fdtmc
+from conftest import edge_vectors, random_fdtmc
 
 
 def _indicators(dense, formula):
@@ -114,10 +114,11 @@ def _folded_row(dense, s, i, bits):
     probability times 2**bits rounded down and up.  Where the self-loop's
     value l is below 1 the loop is dropped and every other probability is
     first scaled by 1/(1 - l) in exact rationals; a loop of 1 stays."""
-    loop = next((vec[i] for t, vec in dense.edges[s] if t == s), ZERO)
+    edges = edge_vectors(dense.model, s)
+    loop = next((vec[i] for t, vec in edges if t == s), ZERO)
     scale = ONE / (ONE - loop) if loop < 1 else ONE
     row = []
-    for t, vec in dense.edges[s]:
+    for t, vec in edges:
         if t == s and loop < 1:
             continue
         v = vec[i] * scale
@@ -1094,7 +1095,7 @@ class TestScaledEdges:
         for model in models:
             dense = DenseModel(model)
             for s in dense.states:
-                positive = [(t, vec) for t, vec in dense.edges[s] if any(vec)]
+                positive = [(t, vec) for t, vec in edge_vectors(model, s) if any(vec)]
                 assert [t for t, _ in dense.groups[s]] == [t for t, _ in positive]
                 assert dense.succ[s] == [
                     (t, sum(1 << i for i, v in enumerate(vec) if v)) for t, vec in positive

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from featmc.dsl import build_model, parse_model, print_model_file
-from featmc.engines import dense as dense_engine
+from featmc.engines import dense as dense_engine, parametric
 from featmc.engines.bounded import (
     DEFAULT_MAX_DEPTH,
     _BoundedCheck,
@@ -25,14 +25,20 @@ from featmc.engines.dense import (
 from featmc.engines.enumerative import _FamilyCheck, check_family_enumerative, check_product
 from featmc.engines.parametric import check_family_parametric
 from featmc.features import FeatureDiagram
-from featmc.generators import gen_service_provider
+from featmc.generators import gen_failure_recovery, gen_service_provider
 from featmc.models import FDTMC, project
-from featmc.profiles import DenseProfile, GuardedProfile, constant
+from featmc.profiles import DenseProfile, GuardedProfile, Profile, constant
 from featmc.properties import Next, parse_property
 from featmc.rational import INFINITY, ONE, rational
 from featmc.result import UNKNOWN
 
-from conftest import fraction_next_vectors, fraction_until_vectors, random_fdtmc, split_init
+from conftest import (
+    edge_vectors,
+    fraction_next_vectors,
+    fraction_until_vectors,
+    random_fdtmc,
+    split_init,
+)
 
 
 class TestSharedWalker:
@@ -79,8 +85,8 @@ class TestSharedWalker:
 )
 def test_edges_are_read_on_first_use(request, monkeypatch, name, formula):
     """Building a DenseModel and walking propositional formulas evaluates
-    no profile; the first read of ``edges`` evaluates each transition's
-    profile once."""
+    no profile; reading every state's per-product edge vectors evaluates
+    each transition's profile once."""
     model = request.getfixturevalue(name).system
     profile_reads = []
     for cls in (GuardedProfile, DenseProfile):
@@ -96,17 +102,24 @@ def test_edges_are_read_on_first_use(request, monkeypatch, name, formula):
     assert profile_reads == []
     check_family_parametric(model, formula)  # a plain formula reads no vector
     assert profile_reads == []
-    assert sum(map(len, dense.edges.values())) == len(model.transitions)
+    assert sum(len(edge_vectors(model, s)) for s in dense.states) == len(model.transitions)
     assert len(profile_reads) == len(model.transitions)
     assert dense.succ.keys() == dense.groups.keys() == set(model.states)
     assert len(profile_reads) == len(model.transitions)
 
 
-def _forbid_edge_vectors(monkeypatch):
-    def edges(self):
-        raise AssertionError("DenseModel.edges was built")
+def _count_edge_vectors(monkeypatch) -> list:
+    """The profiles whose per-product vector (``Profile.dense_values``) is
+    read from now on."""
+    reads = []
+    original = Profile.dense_values
 
-    monkeypatch.setattr(DenseModel, "edges", property(edges))
+    def counted(self):
+        reads.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Profile, "dense_values", counted)
+    return reads
 
 
 @pytest.mark.parametrize("name, prop", [("wiper", "energy"), ("service4", "fail_value")])
@@ -118,8 +131,9 @@ def test_unbounded_parametric_queries_build_no_edge_vectors(request, monkeypatch
         built = request.getfixturevalue("wiper")
     else:
         built = build_model(gen_service_provider(4))
-    _forbid_edge_vectors(monkeypatch)
+    reads = _count_edge_vectors(monkeypatch)
     result = check_family_parametric(built.system, built.properties[prop])
+    assert reads == []
     assert len(result.outcomes) == len(built.system.diagram.valid_products())
 
 
@@ -140,8 +154,9 @@ def test_step_queries_build_no_edge_vectors(wiper, monkeypatch, engine, prop):
     reads the profiles' value groups, in every engine: no per-product edge
     vector is built, and the values are the Fraction loop's."""
     expected = check_family_enumerative(wiper.system, prop)
-    _forbid_edge_vectors(monkeypatch)
+    reads = _count_edge_vectors(monkeypatch)
     result = STEP_ENGINES[engine](wiper.system, prop)
+    assert reads == []
     for product, outcome in result.outcomes.items():
         assert outcome.value == expected.outcomes[product].value
         assert outcome.error_bound in (None, 0)
@@ -497,3 +512,82 @@ class TestThresholdOnTheValue:
             floats += expected != self.reference(model, prop)
         # float64 decides some thresholds on the other side of 1/10 or 3/10
         assert bool(floats) == float_mode
+
+
+class TestOneSystem:
+    """Both exact engines solve one system (``SystemCheck``): a solved
+    operator makes one ``solve_linear`` call on the same unknowns, lanes
+    per product in the enumerative engine and support tables in the
+    parametric one."""
+
+    @staticmethod
+    def _unknowns(monkeypatch, run, model, prop) -> list[set]:
+        """The unknowns of every family solve of one check, in call order."""
+        calls = []
+        original = dense_engine.solve_linear
+
+        def recorded(unknowns, rows, *args, **kwargs):
+            calls.append(set(unknowns))
+            return original(unknowns, rows, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dense_engine, "solve_linear", recorded)
+            run(model, prop)
+        return calls
+
+    def _same_unknowns(self, monkeypatch, model, prop) -> list[set]:
+        enum = self._unknowns(monkeypatch, check_family_enumerative, model, prop)
+        param = self._unknowns(monkeypatch, check_family_parametric, model, prop)
+        assert enum == param, prop
+        return enum
+
+    def test_random_corpus(self, monkeypatch):
+        """An unbounded until, its threshold, a nested until (solved at every
+        undecided state) under an outer one, and an expected reward."""
+        rng = random.Random(34)
+        queries = ("P=?(!c U a)", "P[<0.5](!c U a)", "P=?(b U P[>0.3](!c U a))", "R=?[F a]")
+        solves = dict.fromkeys(queries, 0)
+        for _ in range(120):
+            model = random_fdtmc(rng, max_states=6, max_features=4, with_rewards=True)
+            for prop in queries:
+                solves[prop] += len(self._same_unknowns(monkeypatch, model, prop))
+        assert min(solves.values()) >= 5
+
+    @pytest.mark.parametrize("family", [gen_service_provider, gen_failure_recovery])
+    def test_generated_families(self, monkeypatch, family):
+        """service and failure at n=4; they carry no reward, so the reward
+        query runs on wiper."""
+        model = build_model(family(4)).system
+        for prop, calls in (
+            ("P=?(F failure)", 1),
+            ("P[<0.5](F failure)", 1),
+            ("P=?(F P[>0.5](F failure))", 2),
+        ):
+            assert len(self._same_unknowns(monkeypatch, model, prop)) == calls
+
+    def test_reward(self, wiper, monkeypatch):
+        assert len(self._same_unknowns(monkeypatch, wiper.system, "R=?[F end]")) == 1
+
+    @pytest.mark.parametrize("name, query", [("minepump", "risk_value"), ("wiper", "finishes")])
+    def test_decided_parametric_query_solves_nothing(self, request, monkeypatch, name, query):
+        """The partition decides every state and product, so the parametric
+        engine, like the enumerative one, solves nothing and builds no
+        table; its values are the enumerative engine's."""
+        built = request.getfixturevalue(name)
+        prop = built.property_of(query)
+        calls = []
+
+        def forbidden(label):
+            def record(*args, **kwargs):
+                calls.append(label)
+
+            return record
+
+        expected = check_family_enumerative(built.system, prop).outcomes
+        monkeypatch.setattr(dense_engine, "solve_linear", forbidden("solve_linear"))
+        monkeypatch.setattr(parametric, "profile_table", forbidden("profile_table"))
+        result = check_family_parametric(built.system, prop)
+        assert calls == []
+        assert {p: (o.value, o.decision) for p, o in result.outcomes.items()} == {
+            p: (o.value, o.decision) for p, o in expected.items()
+        }

@@ -9,7 +9,7 @@ from operator import add, mul
 import pytest
 from hypothesis import given, strategies as st
 
-from featmc.engines import enumerative
+from featmc.engines import dense as dense_engine, enumerative
 from featmc.engines.dense import DenseModel
 from featmc.engines.elimination import RationalLanes, _rational_closure
 from featmc.engines.enumerative import check_family_enumerative, check_product, until_values
@@ -72,14 +72,14 @@ class TestRationalLanes:
         solve on exact lanes."""
         widths = {}  # query -> widths of its exact lane solves
         query = None
-        original = enumerative.solve_linear
+        original = dense_engine.solve_linear
 
         def counted(unknowns, rows, *domain, **kwargs):
             if domain and isinstance(domain[1], RationalLanes):
                 widths.setdefault(query, []).append(len(domain[1]))
             return original(unknowns, rows, *domain, **kwargs)
 
-        monkeypatch.setattr(enumerative, "solve_linear", counted)
+        monkeypatch.setattr(dense_engine, "solve_linear", counted)
         rng = random.Random(25)
         texts = ["P=?(!c U a)", "P=?(X P[>0.3](!c U a))", "R=?[F a]"]
         for _ in range(120):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from featmc.engines import elimination, enumerative
+from featmc.engines import dense as dense_engine, elimination, enumerative
 from featmc.engines.elimination import EliminationGraph
 from featmc.engines.enumerative import (
     SINK,
@@ -28,7 +28,7 @@ from featmc.errors import ModelError, UnboundFeatureError
 from featmc.features import FeatureDiagram, Product, parse_feature_expression
 from featmc.generators import gen_failure_recovery, gen_service_provider
 from featmc.models import DTMC, FDTMC, project
-from featmc.profiles import GuardedProfile, constant
+from featmc.profiles import GuardedProfile, Profile, constant
 from featmc.properties import RewardQuery, parse_property
 from featmc.rational import INFINITY, ONE, ZERO, rational
 from featmc.result import SAT, VIOLATED
@@ -357,15 +357,16 @@ class TestSingleSolve:
 
     @staticmethod
     def _count_solves(monkeypatch):
-        """The value domain (``closure``, ``one``) of every solve_linear call."""
+        """The value domain (``closure``, ``one``) of every family
+        solve_linear call (the shared system's, in ``engines/dense.py``)."""
         domains = []
-        original = enumerative.solve_linear
+        original = dense_engine.solve_linear
 
         def counted(unknowns, rows, *domain, **kwargs):
             domains.append(domain)
             return original(unknowns, rows, *domain, **kwargs)
 
-        monkeypatch.setattr(enumerative, "solve_linear", counted)
+        monkeypatch.setattr(dense_engine, "solve_linear", counted)
         return domains
 
     @pytest.mark.parametrize("float_mode", [False, True])
@@ -411,8 +412,9 @@ class TestSingleSolve:
     ):
         """The prob0/prob1 partition decides every state and product of
         wiper ``finishes`` and minepump ``risk_value``, so no class solves
-        and no edge value is read: neither ``DenseModel.edges`` nor
-        ``DenseModel.edge_lanes``.  Wiper ``energy`` solves, and reads."""
+        and no edge value is read: neither a profile's per-product vector
+        (``Profile.dense_values``) nor ``DenseModel.edge_lanes``.  Wiper
+        ``energy`` solves, and reads."""
         model = request.getfixturevalue(name)
         reads = []
 
@@ -423,7 +425,7 @@ class TestSingleSolve:
 
             return wrapper
 
-        monkeypatch.setattr(DenseModel, "edges", property(counted("edges", DenseModel.edges.func)))
+        monkeypatch.setattr(Profile, "dense_values", counted("dense_values", Profile.dense_values))
         monkeypatch.setattr(DenseModel, "edge_lanes", counted("edge_lanes", DenseModel.edge_lanes))
         domains = self._count_solves(monkeypatch)
         result = check_family_enumerative(model.system, model.property_of(query), float_mode)
@@ -705,6 +707,7 @@ class TestInitOnly:
         product i's lane is nonzero at a state exactly where the state is in
         product i's cone."""
         model = build_model(gen_service_provider(4)).system
+        states = set(model.states)
         graphs = []
 
         class Recording(EliminationGraph):
@@ -713,7 +716,8 @@ class TestInitOnly:
                 graphs.append(set())
 
             def add(self, s, t, f):
-                graphs[-1].update((s, i) for i, num in enumerate(f.num) if num)
+                if s in states:  # not an entry unknown
+                    graphs[-1].update((s, i) for i, num in enumerate(f.num) if num)
                 super().add(s, t, f)
 
         monkeypatch.setattr(elimination, "EliminationGraph", Recording)
@@ -955,7 +959,7 @@ class TestFamily:
         def raise_unbound(*args, **kwargs):
             raise UnboundFeatureError("x")
 
-        monkeypatch.setattr(enumerative, "solve_linear", raise_unbound)
+        monkeypatch.setattr(dense_engine, "solve_linear", raise_unbound)
         with pytest.raises(UnboundFeatureError) as info:
             check_family_enumerative(wiper.system, "R=?[F end]")
         assert info.value.name == "x"
