@@ -2,15 +2,17 @@
 
 Satisfaction of state formulae comes from the walker all engines share
 (``engines/dense.py``): per state, a lower and an upper product bitset for
-definitely and possibly satisfied.  An unbounded until is bracketed by
-interval iteration of the one-step recurrence
+definitely and possibly satisfied.  The shared answer layer (``FamilyCheck``
+there) also hands the engine the sets it solves on: the undecided
+(state, product) pairs of an unbounded until's prob0/prob1 partition, for a
+top-level query only those in the init cone, and the finite products' cone
+of an expected reward.  An until is bracketed by interval iteration of
+the one-step recurrence
 
     x'(s) = sat2(s) + (1 - sat2(s)) * sat1(s) * sum_t P(s,t) * x(t)
 
-from both sides at once, after the qualitative precomputation of the
-shared reachability closure (``engines/elimination.py``) has split every
-(state, product) into prob0, prob1 and undecided.  On an undecided pair
-the recurrence is iterated with the state's self-loop divided out,
+from both sides at once.  On an undecided pair the recurrence is iterated
+with the state's self-loop divided out,
 
     x'(s) = sum_{t != s} P(s,t) * x(t) / (1 - P(s,s)),
 
@@ -20,16 +22,11 @@ same fixpoint: a state that loops with probability l would otherwise move
 only 1 - l of its gap per sweep.  So a sweep is one Gauss-Seidel pass of
 the loop-free recurrence, successors first.  A lower bound ``lo`` starts
 at 1 on prob1 and 0 elsewhere, an upper bound ``hi`` starts at 0 on prob0
-and 1 elsewhere, and only undecided (state, product) pairs are iterated.
-The exact value always lies in ``[lo, hi]``; ``hi - lo`` is the undecided
-path mass, and a product stops being iterated once it is below the
-requested precision.  Threshold operators are decided three-valuedly on
-that interval by the answer layer all engines share (``FamilyCheck`` in
-``engines/dense.py``).  A top-level query reads only the initial states, so it
-iterates only their cone of undecided states (the shared init cone).  The
-initial states' values depend only on the states they reach, so they are
-those of an iteration of every undecided state, sweep by sweep.  Nested
-operators need every state's bounds and iterate every undecided pair.
+and 1 elsewhere, and only the pairs handed in are iterated.  The exact
+value always lies in ``[lo, hi]``; ``hi - lo`` is the undecided path mass,
+and a product stops being iterated once it is below the requested
+precision.  Threshold operators are decided three-valuedly on that
+interval by the shared answer layer.
 
 The iteration runs on Python integers over a common denominator ``2**bits``
 whose size follows from the precision (:func:`_bits`, 30 bits at 1e-3),
@@ -49,19 +46,17 @@ of the initial states only for a top-level query; the shared answer layer
 makes one rational of each value and one of each error bound.
 
 An expected reward ``R=?[F target]`` runs on the same kernel, iterating
-``x = r + P·x`` on the non-target states of the products whose value is
-finite (the shared reward cone's), where lo rises from 0 and hi falls
-from an upper bound derived from the largest reward and the slowest
-chance of reaching the target (:func:`bounded_expected_reward`); a
-state's reward is one more edge, into a sink valued 1, and is divided by
-1 - P(s,s) like the state's other edges.  Both a top-level until and a
-reward hand back the bounds of the initial states, which the shared layer
-aggregates at the initial distribution, and a fixed ``bound`` sets the
-sweeps of both.  Step-bounded until and next stay exact, on the exact
-step kernel of the shared layer (``step_vectors`` in
-``engines/dense.py``), which packs lanes the same way with no rounding
-and counts real steps; it also gives the slowest chance of reaching the
-target behind the reward's upper start.
+``x = r + P·x`` on its cone, where lo rises from 0 and hi falls from an
+upper bound derived from the largest reward and the slowest chance of
+leaving the cone (:func:`bounded_expected_reward`); a state's reward is
+one more edge, into a sink valued 1, and is divided by 1 - P(s,s) like
+the state's other edges.  Both a top-level until and a reward hand back
+the bounds of the initial states, which the shared layer aggregates at
+the initial distribution, and a fixed ``bound`` sets the sweeps of both.
+Step-bounded until and next stay exact, on the exact step kernel of the
+shared layer (``step_vectors`` in ``engines/dense.py``), which packs
+lanes the same way with no rounding and counts real steps; it also gives
+the slowest chance of leaving the cone behind the reward's upper start.
 """
 
 from __future__ import annotations
@@ -75,7 +70,6 @@ from ..properties import (
     Prob,
     Property,
     StateFormula,
-    Until,
     bind_check,
     parse_tree,
     print_property,
@@ -90,7 +84,6 @@ from .dense import (
     SatEntry,
     bounded_until_vectors,
 )
-from .elimination import until_partition
 
 ENGINE_NAME = "bounded"
 
@@ -186,34 +179,37 @@ def _edge_table(
 
 def _family_until_run(
     dense: DenseModel,
-    sat1,
-    sat2,
+    unknown,
+    kept,
+    to_sink,
     epsilon=None,
     bound: int | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    weights=None,
+    at_init: bool = False,
     observer=None,
     rewards=None,
     top=None,
 ):
     """Two-sided interval iteration of the unbounded until, every product
-    at once.
+    at once, on the sets of the shared answer layer (``solve`` of
+    ``FamilyCheck``, all three mapping states to product bitsets).
 
     Tracks a lower bound lo and an upper bound hi of the until value per
     (state, product); both are iterates of the same monotone one-step
     operator started below respectively above the fixpoint, so the exact
     value stays inside [lo, hi] under any update order, lo never decreases
-    and hi never increases.  lo starts at 1 on prob1 and hi at 0 on prob0
-    (:func:`until_partition`); only the undecided (state, product) pairs
-    are updated, in :attr:`DenseModel.sweep_order`, so mass propagates
-    across whole chains per sweep.
+    and hi never increases.  lo starts at 1 on ``to_sink`` (prob1) and hi
+    at 0 outside ``kept`` (prob0); only the ``unknown`` pairs are updated,
+    in :attr:`DenseModel.sweep_order`, so mass propagates across whole
+    chains per sweep.
 
     With ``rewards`` (state -> reward profile) the operator is instead
-    the expected reward's ``x = r + P·x`` on the pairs where sat1 holds
-    and sat2 does not; every other pair is 0.  lo starts at 0 and hi at
-    ``top[i]``, which must bound product i's value at every pair that is
-    iterated.  A state's reward is an edge into a sink whose bounds are 1,
-    as in the parametric engine.
+    the expected reward's ``x = r + P·x`` on the ``unknown`` pairs, its
+    cone, and ``kept`` is that cone too: every edge that leaves it enters a
+    target, whose value is 0.  lo starts at 0 and hi at ``top[i]``, which
+    must bound product i's value at every pair that is iterated.  A state's
+    reward is an edge into a sink whose bounds are 1, as in the parametric
+    engine.
 
     Each state's self-loop is folded out of the operator
     (:func:`_edge_table`).  On an undecided pair whose loop value l is below
@@ -237,11 +233,11 @@ def _family_until_run(
     edge is one ``(successor, down, up, lanes)`` entry per distinct
     rounded value, ``lanes`` masking the products whose edge has that
     value, so a state's update is one multiply-add per entry for every
-    product at once; the floor and the ceiling are one shift each.  Lane i holds at most its top T
-    (``2**bits`` for an until) per state, and a rounded reward is at most
-    T, so a rounded sum stays below ``2**(bits+2) * T`` and a lane width
-    of at least ``bits + bitlen(T) + 15`` bits never carries: 80 bits for
-    an until at 1e-3.
+    product at once; the floor and the ceiling are one shift each.  Lane i
+    holds at most its top T (``2**bits`` for an until) per state, and a
+    rounded reward is at most T, so a rounded sum stays below
+    ``2**(bits+2) * T`` and a lane width of at least ``bits + bitlen(T) +
+    15`` bits never carries: 80 bits for an until at 1e-3.
 
     A new bound overwrites the old one, except that hi is clamped
     lane-wise to its top: the rounded-up sum can exceed it.  This gives
@@ -249,29 +245,26 @@ def _family_until_run(
     operator is monotone, lo only rises and hi only falls, so a new lower
     sum is at least the one that set the old lo (or the start value 0),
     and a new upper sum at most the one that set the old hi, which was
-    clamped the same way (or the start value, the top).  Decided pairs,
-    pairs outside the cone and products that have stopped keep their lanes
-    through a masked select.
+    clamped the same way (or the start value, the top).  Pairs outside
+    ``unknown`` and products that have stopped keep their lanes through a
+    masked select.
 
     With ``bound`` exactly that many sweeps run.  Otherwise a product stops
-    being updated once its interval is narrower than ``epsilon``: the
-    interval aggregated under ``weights`` (state -> weight, the initial
-    distribution of a top-level query), or at every state when ``weights``
-    is None; either is read with lane-wise comparisons.  With
-    ``weights`` only the cone is swept: per product, the undecided states
-    reachable from an initial state of positive weight through undecided
-    states (:meth:`DenseModel.init_cone`).  The initial states' values
-    depend only on the states they reach, so they, and the sweep at which a
-    product stops, are those of a sweep over every undecided state; the
-    states outside the cone keep their starting bounds.  A product still
-    wider after ``max_depth`` sweeps, or after a sweep that moved none of
-    its bounds (rounding has stalled), raises ConvergenceError.
-    ``observer(sweep, lo, hi)`` sees the bounds of every state after every
-    sweep.
+    being updated once its interval is narrower than ``epsilon``: with
+    ``at_init`` the interval aggregated at the initial distribution, else
+    the widest at any state, either read with lane-wise comparisons.  With
+    ``at_init`` the ``unknown`` pairs are those of the init cone: the
+    initial states' bounds depend only on the states they reach, so they,
+    and the sweep at which a product stops, are those of a run on every
+    undecided pair, and the states outside the cone keep their starting
+    bounds.  A product still wider after ``max_depth`` sweeps, or after a
+    sweep that moved none of its bounds (rounding has stalled), raises
+    ConvergenceError, which names the widest such product.  ``observer(sweep,
+    lo, hi)`` sees the bounds of every state after every sweep.
 
     Returns (lo, hi) as :class:`LaneValues`, every product's integers over
-    ``2**bits``: of every state, or of the states of positive weight when
-    ``weights`` is given.  One of ``epsilon`` and ``bound`` is required.
+    ``2**bits``: of every state, or with ``at_init`` of the initial states
+    of positive weight.  One of ``epsilon`` and ``bound`` is required.
     """
     if epsilon is None and bound is None:
         raise ValueError("_family_until_run needs epsilon or bound, got neither")
@@ -280,19 +273,15 @@ def _family_until_run(
     bits = _bits(epsilon, 1 if rewards is None else max(top, default=1))
     full = 1 << bits
     if rewards is None:
-        zero, one = until_partition(dense.pred, sat1, sat2, dense.full)
         tops = [full] * dense.n
     else:
-        zero = {s: dense.full & ~(sat1[s] & ~sat2[s]) for s in states}
-        one = dict.fromkeys(states, 0)
         tops = [-(-(int(u.numerator) << bits) // int(u.denominator)) for u in top]
-    undecided = {s: dense.full & ~(zero[s] | one[s]) for s in states}
     top_bits = max(tops, default=full).bit_length()
     width = bits + top_bits + 15
-    if weights is None:
+    if not at_init:
         denom = full
     else:
-        undecided = dense.init_cone(undecided)
+        weights = dense.init
         denom = math.lcm(*(int(w.denominator) for w in weights.values()))
         weight_items = [(index[s], int(w * denom)) for s, w in weights.items() if w]
         # the weighted gap is at most the top times the weight sum per lane
@@ -304,11 +293,11 @@ def _family_until_run(
     cap = lanes.pack(tops)
     # lo[k], hi[k]: every product's bound at state states[k], scaled by
     # 2**bits; the last entry is the reward sink, 1 in every lane
-    lo = [lanes.spread(one[s]) << bits for s in states] + [ones << bits]
-    hi = [cap & ~lanes.widen(lanes.spread(zero[s])) for s in states] + [ones << bits]
-    table = _edge_table(dense, undecided, bits, lanes, rewards)
+    lo = [lanes.spread(to_sink[s]) << bits for s in states] + [ones << bits]
+    hi = [cap & lanes.widen(lanes.spread(kept[s])) for s in states] + [ones << bits]
+    table = _edge_table(dense, unknown, bits, lanes, rewards)
     # the width of product i is over denom, and the largest lane i of gap()
-    if weights is None:
+    if not at_init:
 
         def gap():
             return [hi[k] - lo[k] for k, _, _ in table]  # decided lanes are 0
@@ -368,14 +357,16 @@ def _family_until_run(
             stuck = active & ~lanes.fill(lanes.nonzero(moved))
             if stuck or sweep == max_depth:
                 chosen = lanes.unpack(stuck or active)
-                widths = zip(*map(lanes.unpack, gap()))
-                worst = rational(max(max(g) for g, c in zip(widths, chosen) if c), denom)
+                widths = [*map(max, zip(*map(lanes.unpack, gap())))]
+                i = max((i for i, c in enumerate(chosen) if c), key=widths.__getitem__)
+                worst = rational(widths[i], denom)
                 raise ConvergenceError(
                     f"{'rounding stalled' if stuck else 'no convergence'} after "
-                    f"{sweep} sweeps at {bits} bits; worst undecided mass is {worst}",
+                    f"{sweep} sweeps at {bits} bits; worst undecided mass is {worst}, "
+                    f"at product {dense.products[i]}",
                     worst_undecided=worst,
                 )
-    read = states if weights is None else [s for s, w in weights.items() if w]
+    read = dense.starts if at_init else states
     return as_values(lo, read), as_values(hi, read)
 
 
@@ -396,24 +387,15 @@ class _BoundedCheck(FamilyCheck):
         self.max_depth = max_depth
         self.bound = bound
 
-    def until_bounds(self, path: Until, at_init: bool = False):
-        """Per state, an unbounded until's value interval: a kernel run on
-        the operands' definite sets, and one on their possible sets for
-        ``hi`` unless they are decided.  With ``at_init`` the runs read the
-        initial states (``weights`` of :func:`_family_until_run`) and make
-        ``bound`` sweeps where it is given."""
-        left, right = self.sat_of(path.left), self.sat_of(path.right)
-        args = (self.epsilon, None, self.max_depth)
-        if at_init:
-            args = (self.epsilon, self.bound, self.max_depth, self.dense.init)
-        lo, hi = _family_until_run(self.dense, left.lo, right.lo, *args)
-        if not (left.decided() and right.decided()):
-            _, hi = _family_until_run(self.dense, left.hi, right.hi, *args)
-        return lo, hi
-
-    def reward_bounds(self, target: dict, cone: dict, infinite: int):
-        return bounded_expected_reward(
-            self.dense, target, cone, infinite, self.epsilon, self.max_depth, self.bound
+    def solve(self, unknown, kept, to_sink, rewards=False, at_init=False):
+        """The hook of :class:`FamilyCheck`: one run of the interval
+        kernel on its sets, ``bound`` sweeps where it is given for a run
+        that reads the initial states."""
+        bound = self.bound if at_init else None
+        if rewards:
+            return bounded_expected_reward(self.dense, unknown, self.epsilon, self.max_depth, bound)
+        return _family_until_run(
+            self.dense, unknown, kept, to_sink, self.epsilon, bound, self.max_depth, at_init
         )
 
 
@@ -443,50 +425,50 @@ def sat_states(
 
 def bounded_expected_reward(
     dense: DenseModel,
-    targets,
     cone,
-    infinite: int,
     epsilon,
     max_depth: int = DEFAULT_MAX_DEPTH,
     bound: int | None = None,
 ):
     """Certified bounds on every product's expected reward-to-target at the
     initial states of positive weight, by the interval kernel on ``x = r +
-    P·x``.  ``targets`` maps every state to the bitset of products for
-    which it is a target, and ``cone`` and ``infinite`` are its
-    :func:`reward_cone`.  Returns per-state ``(lower, upper)``, whose
-    aggregate at the initial distribution is narrower than ``epsilon``, or
-    after ``bound`` sweeps when it is given; the ``infinite`` products get
-    bounds 0.
+    P·x`` over ``cone``, the :func:`reward_cone` of the target cut to the
+    products whose value is finite.  Returns per-state ``(lower, upper)``,
+    whose aggregate at the initial distribution is narrower than
+    ``epsilon``, or after ``bound`` sweeps when it is given; a product
+    outside the cone gets bounds 0.
 
-    With ``window`` the number of states, every window of steps before the
-    target earns at most ``rmax * window`` and is survived with probability
+    With ``window`` the number of states, every window of steps in the
+    cone earns at most ``rmax * window`` and stays in it with probability
     at most ``1 - q``: ``rmax`` is the largest reward and ``q`` the
-    smallest probability of reaching the target within ``window`` steps,
-    over the states reachable before the target.  So ``rmax * window / q``
-    bounds the value at each of them, and the upper iterate starts there.
+    smallest probability of leaving the cone within ``window`` steps, over
+    its states.  A path leaves the cone only at a target, which a finite
+    product reaches from each state of it within ``window`` steps, so
+    ``q`` is positive and ``rmax * window / q`` bounds the value at each
+    of them: the upper iterate starts there.
     """
     rewards = dense.rewards
     window = len(dense.states)
     everywhere = dict.fromkeys(dense.states, dense.full)
-    # a finite product reaches the target from each state within window steps;
+    outside = {s: dense.full & ~bits for s, bits in cone.items()}
     # a product's values share one denominator, so q is its least numerator
-    reach = bounded_until_vectors(dense, everywhere, targets, window)
-    numerators = {s: reach.at(s)[0] for s in dense.states if cone[s] & ~infinite}
+    reach = bounded_until_vectors(dense, everywhere, outside, window)
+    numerators = {s: reach.at(s)[0] for s in dense.states if cone[s]}
     top = [ZERO] * dense.n
     for i, denominator in enumerate(reach.denominators):
         seen = [s for s in numerators if cone[s] >> i & 1]
-        if seen and not infinite >> i & 1:
+        if seen:
             rmax = max(rewards[s][i] for s in seen)
             top[i] = rmax * window * denominator / min(numerators[s][i] for s in seen)
     return _family_until_run(
         dense,
-        dict.fromkeys(dense.states, dense.full & ~infinite),
-        targets,
+        cone,
+        cone,
+        dict.fromkeys(dense.states, 0),
         epsilon,
         bound,
         max_depth,
-        weights=dense.init,
+        at_init=True,
         rewards={s: dense.model.reward_profile(s) for s in dense.states},
         top=top,
     )

@@ -25,21 +25,28 @@ kernels hand back their values as integer lanes over a denominator
 
 :class:`FamilyCheck`, which every engine subclasses, answers on top of
 it: thresholds, the next and step-bounded until dispatch and per-product
-outcomes.  It alone turns per-state values into per-product answers: an
-engine supplies the values of an unbounded until and of an expected reward
-per state, and it aggregates them at the initial distribution and marks
-the divergent rewards from the reward cone.  Every engine's values are
-integer lanes (:class:`Values`: the kernels' packed lanes, exact
-numerator and denominator tuples, or float64 read as exact ratios), and
-every threshold is decided on those integers (:meth:`Interval.admits`):
+outcomes.  It alone turns per-state values into per-product answers, and
+it alone makes the sets an engine solves on.  An unbounded until is cut by
+the prob0/prob1 partition (:func:`until_sets`): a pair of prob0 or prob1
+has its value without a solve, and the partition makes the solution
+unique on the rest.  A top-level query reads only the initial states, so
+it solves only their cone of undecided states; their values depend only
+on the states they reach, so they are those of a solve of every undecided
+state.  An expected reward is solved on its cone (:func:`reward_cone`),
+cut to the products whose value is finite, and the infinite ones are
+marked.  An engine supplies values on those sets through one hook, and
+the layer aggregates them at the initial distribution.  Every engine's
+values are integer lanes (:class:`Values`: the kernels' packed lanes,
+exact numerator and denominator tuples, or float64 read as exact ratios),
+and every threshold is decided on those integers (:meth:`Interval.admits`):
 a rational is made only for a value that is reported.
 
-Both exact engines get those values from one system, :class:`SystemCheck`:
+Both exact engines solve those sets as one system, :class:`SystemCheck`:
 an unbounded until or an expected reward as one sink-shaped ``x = P·x + b``
-for the whole family, cut by the prob0/prob1 partition and the cones of
-the qualitative layer and solved by one state elimination.  The engines
+for the whole family, solved by one state elimination.  The engines
 differ only in the value domain of its entries: one lane per product in
 the enumerative engine, per-feature support tables in the parametric one.
+The bounded engine sweeps the same sets with its interval kernel.
 """
 
 from __future__ import annotations
@@ -336,6 +343,20 @@ def verdicts(sat: bytes, possible: bytes) -> list[str]:
     """Per product, SAT where ``sat`` flags it, UNKNOWN where only
     ``possible`` does and VIOLATED elsewhere (flag bytes, 1 or 0 each)."""
     return [SAT if s else UNKNOWN if p else VIOLATED for s, p in zip(sat, possible)]
+
+
+def until_sets(dense: DenseModel, sat1, sat2, at_init: bool = False) -> tuple[dict, dict, dict]:
+    """The sets every engine solves ``sat1 U sat2`` on (state -> product
+    bitset each), from its prob0/prob1 partition (:func:`until_partition`):
+    ``unknown``, the undecided pairs, with ``at_init`` only those in the
+    init cone (:meth:`DenseModel.init_cone`); ``kept``, every pair outside
+    prob0; and ``to_sink``, prob1, whose value is 1."""
+    full = dense.full
+    zero, one = until_partition(dense.pred, sat1, sat2, full)
+    unknown = {s: full & ~(zero[s] | one[s]) for s in dense.states}
+    if at_init:
+        unknown = dense.init_cone(unknown)
+    return unknown, {s: full & ~bits for s, bits in zero.items()}, one
 
 
 def reward_cone(dense: DenseModel, targets: dict[State, int]) -> tuple[dict, int]:
@@ -643,16 +664,17 @@ class FamilyCheck:
     decides a threshold operator per state and product from the operator's
     value bounds (:meth:`nested`).  :meth:`outcomes` answers a top-level
     query, and it alone turns per-state values into per-product answers.
-    An engine supplies values through two hooks, each returning ``(lo,
-    hi)`` per state and product, the same object twice where the values
-    are exact:
-
-    * ``until_bounds(path, at_init=False)``: an unbounded until at every
-      state, or with ``at_init`` at the initial states of positive weight;
-    * ``reward_bounds(target, cone, infinite)``: the expected reward until
-      ``target`` (state -> product bitset) at the initial states of
-      positive weight, given its :func:`reward_cone`; a product of
-      ``infinite`` may hold any value.
+    It builds the sets of an unbounded until (:meth:`until_bounds`) and of
+    an expected reward (:meth:`reward_bounds`), and an engine supplies
+    values on them through one hook, ``solve(unknown, kept, to_sink,
+    rewards=False, at_init=False)``, which returns ``(lo, hi)`` per state
+    and product, the same object twice where the values are exact.  All
+    three arguments map states to product bitsets.  A pair's value is
+    solved where it is ``unknown``, 1 where it is in ``to_sink`` and 0
+    elsewhere, and an edge counts only into a successor that is ``kept``
+    for its product; with ``rewards`` each unknown state also earns its
+    reward.  With ``at_init`` only the values at the initial states of
+    positive weight are read.
 
     Values are integer lanes (:class:`Values`): exact numerator and
     denominator tuples, float64 read as their exact ratios, or the
@@ -671,11 +693,6 @@ class FamilyCheck:
 
     def sat_of(self, node: StateFormula) -> SatEntry:
         return satisfaction(self.dense, node, self.nested, self.entries)
-
-    def sat(self, node: StateFormula) -> dict[State, int]:
-        """Per state, the products that definitely satisfy ``node``: every
-        one that does where the engine's values are exact."""
-        return self.sat_of(node).lo
 
     def step_bounds(self, path) -> tuple[LaneValues, LaneValues] | None:
         """Per state and product, the exact values of a next or step-bounded
@@ -696,6 +713,27 @@ class FamilyCheck:
         if left.decided() and right.decided():
             return lo, lo
         return lo, bounded_until_vectors(dense, left.hi, right.hi, path.bound)
+
+    def until_bounds(self, path: Until, at_init: bool = False):
+        """Per state, an unbounded until's value bounds: one solve on the
+        :func:`until_sets` of the operands' definite sets, and one on those
+        of their possible sets for ``hi`` unless the operands are decided.
+        With ``at_init`` at the initial states of positive weight only."""
+        dense = self.dense
+        left, right = self.sat_of(path.left), self.sat_of(path.right)
+        lo, hi = self.solve(*until_sets(dense, left.lo, right.lo, at_init), at_init=at_init)
+        if not (left.decided() and right.decided()):
+            _, hi = self.solve(*until_sets(dense, left.hi, right.hi, at_init), at_init=at_init)
+        return lo, hi
+
+    def reward_bounds(self, cone: dict, infinite: int):
+        """The expected reward at the initial states of positive weight,
+        solved on its :func:`reward_cone` ``cone`` cut to the products
+        outside ``infinite``: every edge that leaves that cone enters a
+        target, whose value is 0."""
+        cone = {s: bits & ~infinite for s, bits in cone.items()}
+        none = dict.fromkeys(self.dense.states, 0)
+        return self.solve(cone, cone, none, rewards=True, at_init=True)
 
     def nested(self, node: Prob) -> SatEntry:
         """A threshold operator's entry: per state, the products whose value
@@ -730,7 +768,7 @@ class FamilyCheck:
                     "reward target could not be decided at this precision"
                 )
             cone, infinite = reward_cone(dense, target.lo)
-            lo, hi = self.reward_bounds(target.lo, cone, infinite)
+            lo, hi = self.reward_bounds(cone, infinite)
         elif isinstance(prop, Prob):
             interval = prop.interval
             lo, hi = self.step_bounds(prop.path) or self.until_bounds(prop.path, at_init=True)
@@ -781,7 +819,7 @@ ENTRY = "__entry__"
 class SystemCheck(FamilyCheck):
     """The system of both exact engines: an unbounded until or an expected
     reward as one sink-shaped ``x = P·x + b`` for the whole family, made
-    from the qualitative layer's product bitsets and solved by one
+    from the sets of :class:`FamilyCheck` and solved by one
     :func:`solve_linear` call (:meth:`solve`).
 
     An engine supplies only the value domain: ``edge_values`` (per state,
@@ -796,42 +834,16 @@ class SystemCheck(FamilyCheck):
 
     values_type = Values
 
-    def until_bounds(self, path: Until, at_init: bool = False):
-        """Exact values of an unbounded until at every state, every
-        undecided state solved; with ``at_init`` at the positive-weight
-        initial states only, solved on the init cone."""
-        dense = self.dense
-        zero, one = until_partition(
-            dense.pred, self.sat(path.left), self.sat(path.right), dense.full
-        )
-        unknown = {s: dense.full & ~(zero[s] | one[s]) for s in dense.states}
-        if at_init:
-            unknown = dense.init_cone(unknown)
-        kept = {s: dense.full & ~bits for s, bits in zero.items()}
-        values = self.solve(unknown, kept, one, at_init=at_init)
-        return values, values
-
-    def reward_bounds(self, target: dict, cone: dict, infinite: int):
-        """The expected reward until ``target`` at the positive-weight
-        initial states, solved on the states of ``cone`` for the finite
-        products; 0 on the ``infinite`` ones."""
-        cone = {s: bits & ~infinite for s, bits in cone.items()}
-        none = dict.fromkeys(self.dense.states, 0)
-        values = self.solve(cone, cone, none, rewards=True, at_init=True)
-        return values, values
-
     def solve(
         self, unknown: dict, kept: dict, to_sink: dict, rewards: bool = False, at_init: bool = False
-    ) -> Values:
-        """Every product's values at every state, or with ``at_init`` at
-        the positive-weight initial states: solved where the state is
-        ``unknown`` for the product, else 1 where it is in ``to_sink`` and
-        0 (all three map states to product bitsets).  Each edge of a row is
-        cut to the products that have the row's state in ``unknown``, the
-        edge and its successor in ``kept``, and goes to the sink for those
-        that have the successor in ``to_sink`` and to the successor for the
-        others, each part masked to its products; with ``rewards`` each row
-        earns its state's reward on the sink.  With ``at_init`` the
+    ) -> tuple[Values, Values]:
+        """The hook of :class:`FamilyCheck`: exact values, the same object
+        twice.  Each edge of a row is cut to the products that have the
+        row's state in ``unknown``, the edge and its successor in ``kept``,
+        and goes to the sink for those that have the successor in
+        ``to_sink`` and to the successor for the others, each part masked
+        to its products; with ``rewards`` each row earns its state's reward
+        on the sink.  With ``at_init`` the
         unknowns end in one entry unknown per initial state (:data:`ENTRY`),
         whose edge of value 1 into it is cut the same way, and only the
         entries are back-substituted.  Edge values are read only when some
@@ -884,4 +896,5 @@ class SystemCheck(FamilyCheck):
                 s: read(solution.get(s, zero), unknown[s], to_sink[s])
                 for s in (dense.starts if at_init else dense.states)
             }
-        return self.values_type(dense.n, lanes)
+        values = self.values_type(dense.n, lanes)
+        return values, values

@@ -15,6 +15,7 @@ from featmc.engines.bounded import (
     check_family_bounded,
     sat_states,
 )
+from featmc.engines.dense import until_sets
 from featmc.engines.enumerative import (
     check_family_enumerative,
     check_product,
@@ -334,7 +335,7 @@ def test_criterion_5_bounded_search_soundness():
                 )
             )
 
-        _family_until_run(dense, sat1, sat2, epsilon=EPS, observer=record)
+        _family_until_run(dense, *until_sets(dense, sat1, sat2), epsilon=EPS, observer=record)
         sweeps += len(snapshots)
         previous = None
         for lo, hi in snapshots:

@@ -23,6 +23,7 @@ from featmc.engines.dense import (
     PackedLanes,
     next_vectors,
     reward_cone,
+    until_sets,
 )
 from featmc.engines.elimination import closure, until_partition
 from featmc.engines.enumerative import (
@@ -103,9 +104,26 @@ def leaky_cycle():
 
 def _until(model, left, right, **kwargs):
     dense = DenseModel(model)
-    return _family_until_run(
-        dense, _indicators(dense, left), _indicators(dense, right), **kwargs
-    )
+    return _until_run(dense, _indicators(dense, left), _indicators(dense, right), **kwargs)
+
+
+def _until_run(
+    dense, sat1, sat2, epsilon=None, bound=None, max_depth=DEFAULT_MAX_DEPTH, weights=None, **kwargs
+):
+    """:func:`_family_until_run` on the sets the answer layer solves ``sat1
+    U sat2`` on (:func:`until_sets`), with the arguments of
+    :func:`_reference_until_run`: ``weights`` is None or ``dense.init``,
+    whose run reads the initial states."""
+    at_init = weights is not None
+    sets = until_sets(dense, sat1, sat2, at_init)
+    return _family_until_run(dense, *sets, epsilon, bound, max_depth, at_init, **kwargs)
+
+
+def _finite_cone(dense, targets):
+    """The :func:`reward_cone` of ``targets`` cut to the finite products, as
+    the answer layer hands it to :func:`bounded_expected_reward`."""
+    cone, infinite = reward_cone(dense, targets)
+    return {s: bits & ~infinite for s, bits in cone.items()}
 
 
 def _folded_row(dense, s, i, bits):
@@ -209,10 +227,12 @@ def _reference_until_run(
                 break
             stuck = [i for i in active if i in stalled]
             if stuck or sweep == max_depth:
-                worst = rational(max(map(gap, stuck or active)), denom)
+                widest = max(stuck or active, key=gap)
+                worst = rational(gap(widest), denom)
                 raise ConvergenceError(
                     f"{'rounding stalled' if stuck else 'no convergence'} after "
-                    f"{sweep} sweeps at {bits} bits; worst undecided mass is {worst}",
+                    f"{sweep} sweeps at {bits} bits; worst undecided mass is {worst}, "
+                    f"at product {dense.products[widest]}",
                     worst_undecided=worst,
                 )
     read = states if weights is None else list(weights)
@@ -696,9 +716,9 @@ class TestRewardSoundness:
             enum = check_family_enumerative(m, "R=?[F a]")
             dense = DenseModel(m)
             targets = _indicators(dense, Atom("a"))
-            cone, diverging = reward_cone(dense, targets)
+            _, diverging = reward_cone(dense, targets)
             infinite = [bool(diverging >> i & 1) for i in range(dense.n)]
-            lo, hi = bounded_expected_reward(dense, targets, cone, diverging, rational(epsilon))
+            lo, hi = bounded_expected_reward(dense, _finite_cone(dense, targets), rational(epsilon))
             lower, upper = ([*map(rational, *v.aggregate(dense.init))] for v in (lo, hi))
             for i, p in enumerate(dense.products):
                 exact = enum.outcomes[p].value
@@ -746,7 +766,7 @@ class TestNestedOperators:
         original = bounded_engine._family_until_run
 
         def counted(*args, **kwargs):
-            runs.append(args[1:3])
+            runs.append(args[1:4])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(bounded_engine, "_family_until_run", counted)
@@ -971,9 +991,9 @@ def _criterion3_corpus():
 
 
 class TestCone:
-    """A top-level run (``weights`` given) sweeps only the undecided states
-    its initial states reach; its initial bounds must be those of a sweep
-    over every undecided state, bit for bit."""
+    """A top-level run (``at_init``) sweeps only the undecided states its
+    initial states reach (:func:`until_sets`); its initial bounds must be
+    those of a sweep over every undecided state, bit for bit."""
 
     EPSILON = rational("1/1000")
 
@@ -992,16 +1012,17 @@ class TestCone:
             sat1 = _indicators(dense, left)
             sat2 = _indicators(dense, right)
             history = []
+            everywhere = until_sets(dense, sat1, sat2)
+            cone = until_sets(dense, sat1, sat2, at_init=True)
             _family_until_run(
                 dense,
-                sat1,
-                sat2,
+                *everywhere,
                 self.EPSILON,
                 observer=lambda sweep, lo, hi: history.append((lo, hi)),
             )
-            lo, hi = _family_until_run(dense, sat1, sat2, self.EPSILON, weights=weights)
-            fixed = _family_until_run(dense, sat1, sat2, self.EPSILON, bound=2, weights=weights)
-            fixed_full = _family_until_run(dense, sat1, sat2, self.EPSILON, bound=2)
+            lo, hi = _family_until_run(dense, *cone, self.EPSILON, at_init=True)
+            fixed = _family_until_run(dense, *cone, self.EPSILON, bound=2, at_init=True)
+            fixed_full = _family_until_run(dense, *everywhere, self.EPSILON, bound=2)
             for i in range(dense.n):
                 # the full sweep at the first sweep where the product's
                 # aggregated interval is narrower than epsilon
@@ -1041,9 +1062,9 @@ class TestCone:
         dense = DenseModel(leaky_cycle.system)
         sat1 = _indicators(dense, TRUE_F)
         sat2 = _indicators(dense, Atom("end"))
-        lo, hi = _family_until_run(dense, sat1, sat2, self.EPSILON, weights=dense.init)
+        lo, hi = _until_run(dense, sat1, sat2, self.EPSILON, weights=dense.init)
         assert set(lo) == set(hi) == set(dense.init)
-        lo, hi = _family_until_run(dense, sat1, sat2, self.EPSILON)
+        lo, hi = _until_run(dense, sat1, sat2, self.EPSILON)
         assert set(lo) == set(hi) == set(dense.states)
 
 
@@ -1140,7 +1161,7 @@ class TestPackedKernel:
                     for bound in (None, 2):
                         args = (dense, sat1, sat2, epsilon, bound, max_depth, weights)
                         observe = epsilon == rational("1/1000")
-                        packed = _run_or_error(_family_until_run, *args, observe=observe)
+                        packed = _run_or_error(_until_run, *args, observe=observe)
                         reference = _run_or_error(_reference_until_run, *args, observe=observe)
                         assert packed == reference, (left, right, epsilon, weights, bound)
                         errors += isinstance(packed[0][0], str)
@@ -1166,9 +1187,7 @@ class TestPackedKernel:
         dense = DenseModel(build_model(gen_failure_recovery(3)).system)
         sat1 = _indicators(dense, TRUE_F)
         sat2 = _indicators(dense, Atom("failure"))
-        out, _ = _run_or_error(
-            _family_until_run, dense, sat1, sat2, rational("1e-9"), max_depth=2
-        )
+        out, _ = _run_or_error(_until_run, dense, sat1, sat2, rational("1e-9"), max_depth=2)
         assert out[0].startswith("no convergence after 2 sweeps") and out[1] > 0
         # rounding that cannot move a bound: "rounding stalled" at once
         escape = rational(1, 2**60)
@@ -1183,7 +1202,7 @@ class TestPackedKernel:
         dense = DenseModel(model)
         args = (dense, _indicators(dense, TRUE_F), _indicators(dense, Atom("goal")))
         for weights in (None, dense.init):
-            packed = _run_or_error(_family_until_run, *args, rational(1, 2), weights=weights)
+            packed = _run_or_error(_until_run, *args, rational(1, 2), weights=weights)
             reference = _run_or_error(
                 _reference_until_run, *args, rational(1, 2), weights=weights
             )
@@ -1228,7 +1247,7 @@ class TestPrecision:
         assert below_one and all(up < 2**30 for _, up in below_one)
         assert all(down == up == 1 << bits for down, up in rounded if down >= 1 << bits)
         history = []
-        lo, hi = _family_until_run(
+        lo, hi = _until_run(
             dense,
             _indicators(dense, TRUE_F),
             _indicators(dense, Atom("failure")),
@@ -1260,7 +1279,7 @@ class TestPrecision:
 
     def _until_goal(self, escape):
         dense = self._two_cycle(escape)
-        return _family_until_run(
+        return _until_run(
             dense,
             _indicators(dense, TRUE_F),
             _indicators(dense, Atom("goal")),
@@ -1284,8 +1303,7 @@ class TestPrecision:
         escape = rational(1, 10**4)
         dense = self._two_cycle(escape, rewards=("s", "u"))
         targets = {s: dense.full if s in ("goal", "sink") else 0 for s in dense.states}
-        cone, infinite = reward_cone(dense, targets)
-        lo, hi = bounded_expected_reward(dense, targets, cone, infinite, self.EPSILON)
+        lo, hi = bounded_expected_reward(dense, _finite_cone(dense, targets), self.EPSILON)
         assert lo.denominators[0] >= 1 << _bits(self.EPSILON, 9999)
         for a, b in zip(lo["s"], hi["s"]):
             assert a <= (1 - escape) / escape <= b and b - a < self.EPSILON
@@ -1315,7 +1333,7 @@ class TestLaneEdges:
         args = (dense, _indicators(dense, TRUE_F), _indicators(dense, Atom("goal")))
         epsilon = rational("1/1000")
         assert 2 * _bits(epsilon) + 16 < _bits(epsilon) + exponent + 1
-        packed = _run_or_error(_family_until_run, *args, epsilon, weights=dense.init)
+        packed = _run_or_error(_until_run, *args, epsilon, weights=dense.init)
         reference = _run_or_error(_reference_until_run, *args, epsilon, weights=dense.init)
         assert packed == reference
         (lo, hi), history = packed
@@ -1336,7 +1354,7 @@ class TestLaneEdges:
         dense = DenseModel(model)
         args = (dense, _indicators(dense, TRUE_F), _indicators(dense, Atom("goal")))
         for weights in (None, dense.init):
-            packed = _run_or_error(_family_until_run, *args, rational("1/1000"), weights=weights)
+            packed = _run_or_error(_until_run, *args, rational("1/1000"), weights=weights)
             reference = _run_or_error(
                 _reference_until_run, *args, rational("1/1000"), weights=weights
             )
@@ -1359,7 +1377,7 @@ class TestLaneEdges:
         assert 3 * -(-(1 << bits) // 3) > 1 << bits
         args = (dense, _indicators(dense, TRUE_F), _indicators(dense, Atom("goal")))
         for weights in (None, dense.init):
-            packed = _run_or_error(_family_until_run, *args, rational("1e-9"), weights=weights)
+            packed = _run_or_error(_until_run, *args, rational("1e-9"), weights=weights)
             reference = _run_or_error(
                 _reference_until_run, *args, rational("1e-9"), weights=weights
             )
@@ -1394,20 +1412,26 @@ class TestSelfLoopFold:
         return values
 
     @staticmethod
-    def _sweeps(dense, sat1, sat2, exact, epsilon=rational("1/1000"), **kwargs):
-        """Runs with and without the initial weights, to ``epsilon`` and for
-        a fixed three sweeps, asserting after every sweep that each state's
-        interval holds its exact value; the sweep counts of the runs to
-        ``epsilon``."""
+    def _goal_sets(dense):
+        """The sets of ``F goal`` for a run at every state and for one at
+        the initial states (:func:`until_sets`)."""
+        sat1, sat2 = _indicators(dense, TRUE_F), _indicators(dense, Atom("goal"))
+        return [until_sets(dense, sat1, sat2, at_init) for at_init in (False, True)]
+
+    @staticmethod
+    def _sweeps(dense, sets, exact, epsilon=rational("1/1000"), **kwargs):
+        """Runs at every state and at the initial states, on the two sets of
+        ``sets`` in turn, to ``epsilon`` and for a fixed three sweeps,
+        asserting after every sweep that each state's interval holds its
+        exact value; the sweep counts of the runs to ``epsilon``."""
         counts = []
-        for weights in (None, dense.init):
+        for at_init, run_sets in zip((False, True), sets):
             for limits in ({"epsilon": epsilon}, {"bound": 3}):
                 history = []
                 _family_until_run(
                     dense,
-                    sat1,
-                    sat2,
-                    weights=weights,
+                    *run_sets,
+                    at_init=at_init,
                     observer=lambda sweep, lo, hi: history.append((lo, hi)),
                     **limits,
                     **kwargs,
@@ -1418,7 +1442,7 @@ class TestSelfLoopFold:
                 for lo, hi in history:
                     for s in dense.states:
                         for i, values in enumerate(exact):
-                            assert lo[s][i] <= values[s] <= hi[s][i], (s, i, limits, weights)
+                            assert lo[s][i] <= values[s] <= hi[s][i], (s, i, limits, at_init)
                 if "epsilon" in limits:
                     counts.append(len(history))
         return counts
@@ -1441,11 +1465,10 @@ class TestSelfLoopFold:
         escape = rational(1, 2**60)
         model = _chain({("s", "s"): 1 - 2 * escape, ("s", "goal"): escape, ("s", "sink"): escape})
         dense = DenseModel(model)
-        args = (dense, _indicators(dense, TRUE_F), _indicators(dense, Atom("goal")))
         exact = self._exact(model, "goal")
         assert {values["s"] for values in exact} == {rational(1, 2)}
         for epsilon in (rational(1, 2), rational("1/1000"), rational("1e-9")):
-            assert self._sweeps(*args, exact, epsilon=epsilon) == [1, 1]
+            assert self._sweeps(dense, self._goal_sets(dense), exact, epsilon=epsilon) == [1, 1]
 
     def test_mixed_lanes_keep_an_absorbing_loop(self):
         # s is absorbing with f and loops at 0.9 without it
@@ -1473,8 +1496,7 @@ class TestSelfLoopFold:
         assert [values["a"] for values in exact] == [
             rational(1, 2) if f else rational(3, 4) for f in with_f
         ]
-        args = (dense, _indicators(dense, TRUE_F), _indicators(dense, Atom("goal")))
-        self._sweeps(*args, exact)
+        self._sweeps(dense, self._goal_sets(dense), exact)
 
     def test_reward_edge_is_scaled_by_the_loop(self):
         # a earns 2 per step and stays with 3/4 (f) or 1/2: r/(1 - l) is 8 or 4
@@ -1507,15 +1529,9 @@ class TestSelfLoopFold:
         ]
         exact = self._exact(model, "goal", reward=True)
         assert [values["b"] for values in exact] == [9 if f else 5 for f in with_f]
-        targets = _indicators(dense, Atom("goal"))
-        self._sweeps(
-            dense,
-            dict.fromkeys(dense.states, dense.full),
-            targets,
-            exact,
-            rewards=rewards,
-            top=[rational(20)] * dense.n,
-        )
+        cone = _finite_cone(dense, _indicators(dense, Atom("goal")))
+        sets = (cone, cone, dict.fromkeys(dense.states, 0))
+        self._sweeps(dense, [sets, sets], exact, rewards=rewards, top=[rational(20)] * dense.n)
 
 
 class TestCorpus:
@@ -1550,26 +1566,48 @@ class TestCorpus:
 class TestConvergenceCeiling:
     def test_depth_ceiling_reports_worst_mass(self):
         d = FeatureDiagram(("f",))
+
+        def escape(with_f, without):
+            return GuardedProfile(d, [(parse_feature_expression("f"), with_f)], without)
+
         # slow mixing: tiny escape probabilities out of the constrained
-        # cycle s <-> u, to the goal and to a sink alike (value 1/2)
-        m = FDTMC(
-            ("s", "u", "goal", "sink"),
-            "s",
-            d,
-            {
-                ("s", "u"): constant(rational("0.998"), d),
-                ("u", "s"): constant(ONE, d),
-                ("s", "goal"): constant(rational("0.001"), d),
-                ("s", "sink"): constant(rational("0.001"), d),
-                ("goal", "goal"): constant(ONE, d),
-                ("sink", "sink"): constant(ONE, d),
-            },
-            ("goal",),
-            {"goal": ("goal",)},
-        )
-        with pytest.raises(ConvergenceError) as err:
-            _until(m, TRUE_F, Atom("goal"), epsilon=rational("1e-9"), max_depth=10)
-        assert err.value.worst_undecided > 0
+        # cycle s <-> u, to the goal and to a sink alike (value 1/2); without
+        # f they are the same or ten times larger
+        for without in (rational("0.001"), rational("0.01")):
+            m = FDTMC(
+                ("s", "u", "goal", "sink"),
+                "s",
+                d,
+                {
+                    ("s", "u"): escape(rational("0.998"), 1 - 2 * without),
+                    ("u", "s"): constant(ONE, d),
+                    ("s", "goal"): escape(rational("0.001"), without),
+                    ("s", "sink"): escape(rational("0.001"), without),
+                    ("goal", "goal"): constant(ONE, d),
+                    ("sink", "sink"): constant(ONE, d),
+                },
+                ("goal",),
+                {"goal": ("goal",)},
+            )
+            history = []
+            with pytest.raises(ConvergenceError) as err:
+                _until(
+                    m,
+                    TRUE_F,
+                    Atom("goal"),
+                    epsilon=rational("1e-9"),
+                    max_depth=10,
+                    observer=lambda sweep, lo, hi: history.append((lo, hi)),
+                )
+            assert err.value.worst_undecided > 0
+            # the message names the product of widest interval after the last sweep
+            lo, hi = history[-1]
+            products = m.diagram.valid_products()
+            widths = [max(hi[s][i] - lo[s][i] for s in m.states) for i in range(len(products))]
+            widest = max(range(len(products)), key=widths.__getitem__)
+            assert err.value.worst_undecided == widths[widest]
+            assert str(err.value).endswith(f", at product {products[widest]}")
+            assert widest == (0 if without == rational("0.001") else 1), products
 
 
 class TestRunArguments:

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from featmc.dsl import build_model, parse_model, print_model_file
-from featmc.engines import dense as dense_engine, parametric
+from featmc.engines import bounded as bounded_engine, dense as dense_engine, parametric
 from featmc.engines.bounded import (
     DEFAULT_MAX_DEPTH,
     _BoundedCheck,
@@ -28,7 +28,7 @@ from featmc.features import FeatureDiagram
 from featmc.generators import gen_failure_recovery, gen_service_provider
 from featmc.models import FDTMC, project
 from featmc.profiles import DenseProfile, GuardedProfile, Profile, constant
-from featmc.properties import Next, parse_property
+from featmc.properties import Next, bind_check, parse_property
 from featmc.rational import INFINITY, ONE, rational
 from featmc.result import UNKNOWN
 
@@ -63,7 +63,7 @@ class TestSharedWalker:
             for text, epsilon in itertools.product(self.FORMULAS, ("1/2", "1/1000")):
                 formula = parse_property(text)
                 check = _FamilyCheck(dense, float_mode=False)
-                check.sat(formula)
+                check.sat_of(formula)
                 bounded = sat_states(dense, formula, rational(epsilon))
                 assert bounded.keys() == check.entries.keys()
                 for f, entry in bounded.items():
@@ -518,7 +518,8 @@ class TestOneSystem:
     """Both exact engines solve one system (``SystemCheck``): a solved
     operator makes one ``solve_linear`` call on the same unknowns, lanes
     per product in the enumerative engine and support tables in the
-    parametric one."""
+    parametric one.  The bounded engine's interval kernel sweeps the same
+    sets: the answer layer builds them once for all three engines."""
 
     @staticmethod
     def _unknowns(monkeypatch, run, model, prop) -> list[set]:
@@ -541,6 +542,44 @@ class TestOneSystem:
         assert enum == param, prop
         return enum
 
+    @staticmethod
+    def _sets(monkeypatch, owner, name, run) -> list[tuple]:
+        """The ``(unknown, kept, to_sink)`` arguments of every call of
+        ``owner.name`` (after ``self`` or the dense model) during ``run()``,
+        in call order."""
+        calls = []
+        original = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(args[1:4])
+            return original(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, recorded)
+            run()
+        return calls
+
+    def _same_sets(self, monkeypatch, model, prop):
+        """Every interval kernel run of a bounded check at 1e-3 gets the
+        sets of the exact engines' solve of the same operator, in the same
+        order.  The check decides every nested operator, so it runs on no
+        possible set."""
+        exact = self._sets(
+            monkeypatch,
+            dense_engine.SystemCheck,
+            "solve",
+            lambda: check_family_enumerative(model, prop),
+        )
+        check = _BoundedCheck(DenseModel(model), rational("1/1000"), DEFAULT_MAX_DEPTH)
+        bounded = self._sets(
+            monkeypatch,
+            bounded_engine,
+            "_family_until_run",
+            lambda: check.outcomes(bind_check(prop, model.ap)),
+        )
+        assert all(entry.decided() for entry in check.entries.values()), prop
+        assert bounded == exact, prop
+
     def test_random_corpus(self, monkeypatch):
         """An unbounded until, its threshold, a nested until (solved at every
         undecided state) under an outer one, and an expected reward."""
@@ -551,6 +590,7 @@ class TestOneSystem:
             model = random_fdtmc(rng, max_states=6, max_features=4, with_rewards=True)
             for prop in queries:
                 solves[prop] += len(self._same_unknowns(monkeypatch, model, prop))
+                self._same_sets(monkeypatch, model, prop)
         assert min(solves.values()) >= 5
 
     @pytest.mark.parametrize("family", [gen_service_provider, gen_failure_recovery])
@@ -564,9 +604,11 @@ class TestOneSystem:
             ("P=?(F P[>0.5](F failure))", 2),
         ):
             assert len(self._same_unknowns(monkeypatch, model, prop)) == calls
+            self._same_sets(monkeypatch, model, prop)
 
     def test_reward(self, wiper, monkeypatch):
         assert len(self._same_unknowns(monkeypatch, wiper.system, "R=?[F end]")) == 1
+        self._same_sets(monkeypatch, wiper.system, "R=?[F end]")
 
     @pytest.mark.parametrize("name, query", [("minepump", "risk_value"), ("wiper", "finishes")])
     def test_decided_parametric_query_solves_nothing(self, request, monkeypatch, name, query):
