@@ -14,7 +14,7 @@ import argparse
 import csv
 import sys
 import time
-from importlib import resources
+from pathlib import Path
 
 from .dsl import load_model, parse_model, print_model_file
 from .engines.bounded import check_family_bounded
@@ -35,8 +35,9 @@ _FAMILIES = {
 
 
 def bundled_model_path(name: str):
-    """Filesystem path of a model shipped with the package (wiper, minepump)."""
-    return resources.files("featmc").joinpath("models", f"{name}.fdl")
+    """Filesystem path of a model shipped with the package (wiper, minepump),
+    in the ``models`` directory beside this module."""
+    return Path(__file__).with_name("models") / f"{name}.fdl"
 
 
 def _run_engine(engine: str, model, prop, args):

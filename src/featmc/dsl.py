@@ -32,7 +32,6 @@ an implicit self-loop, which must be nonnegative for every product.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import NUMBER, ModelError, TokenStream
@@ -67,19 +66,20 @@ from .models import (
 from .profiles import GuardedProfile, Profile
 from .properties import parse_property
 from .rational import ONE, ZERO, rat_str
+from .records import field, record
 
 # ---------------------------------------------------------------------------
 # Syntax tree of a model file
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CaseDef:
     guard: FeatureExpression | None
     value: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TransitionDef:
     source: str
     target: str
@@ -88,7 +88,7 @@ class TransitionDef:
     cases: tuple[CaseDef, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComponentDef:
     kind: str  # fdtmc | fmdp | fts
     name: str
@@ -103,24 +103,24 @@ class SystemExpr:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ref(SystemExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Compose(SystemExpr):
     op: str  # "||" or "|>"
     left: SystemExpr
     right: SystemExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Complete(SystemExpr):
     operand: SystemExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModelFile:
     features: tuple[str, ...]
     constraints: tuple[FeatureExpression, ...]
@@ -274,8 +274,9 @@ def _parse_system_expr(stream: TokenStream) -> SystemExpr:
             return left
 
 
-def parse_model_file(text: str) -> ModelFile:
-    """Parse a model file into its syntax tree (no semantic checks yet)."""
+def parse_model_file(text: str, header: str = "") -> ModelFile:
+    """Parse a model file into its syntax tree (no semantic checks yet);
+    ``header`` becomes the tree's leading comment block."""
     stream = TokenStream(text, _DSL_TOKEN)
     features: tuple[str, ...] = ()
     constraints: list[FeatureExpression] = []
@@ -304,7 +305,9 @@ def parse_model_file(text: str) -> ModelFile:
             stream.expect(";")
         else:
             stream.error(f"unexpected {tok!r} at top level")
-    return ModelFile(features, tuple(constraints), tuple(components), system, tuple(properties))
+    return ModelFile(
+        features, tuple(constraints), tuple(components), system, tuple(properties), header
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +431,7 @@ def _build_fts(comp: ComponentDef, diagram: FeatureDiagram) -> FTS:
     )
 
 
-@dataclass
+@record
 class BuiltModel:
     """A parsed model file together with its composed system."""
 

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from operator import add, mul, truediv
@@ -75,6 +74,7 @@ from ..properties import (
     Until,
 )
 from ..rational import INFINITY, ZERO, rational
+from ..records import record
 from ..result import SAT, UNKNOWN, VIOLATED, ProductOutcome
 from .elimination import (
     SINK,
@@ -266,7 +266,7 @@ class DenseModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class SatEntry:
     """Per state, the bitsets of products that definitely (``lo``) and
     possibly (``hi``) satisfy a state formula; ``lo`` is a subset of ``hi``,

@@ -32,7 +32,6 @@ functions read a value at the initial distribution per product
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import add, attrgetter, mul, sub, truediv
@@ -55,6 +54,7 @@ from ..properties import (
     print_property,
 )
 from ..rational import INFINITY, ONE, ZERO
+from ..records import record
 from ..result import SAT, VIOLATED, FamilyResult, ProductOutcome
 from .dense import ENTRY, DenseModel, FloatValues, SystemCheck
 from .elimination import (
@@ -265,7 +265,7 @@ def expected_reward_float(dtmc: DTMC, targets: set, wanted=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class DtmcCheckResult:
     """Satisfying states of the formula plus, for probability or reward
     operators at the top, the per-state numeric values."""

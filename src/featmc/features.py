@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import EnumerationLimitError, TokenStream, UnboundFeatureError
+from .records import record
 
 # ---------------------------------------------------------------------------
 # Feature expressions
@@ -41,7 +41,7 @@ class FeatureExpression:
         return f"{type(self).__name__}({print_expression(self)!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True, repr=False)
 class FTrue(FeatureExpression):
     __slots__ = ()
 
@@ -52,7 +52,7 @@ class FTrue(FeatureExpression):
         return frozenset()
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True, repr=False)
 class FFalse(FeatureExpression):
     __slots__ = ()
 
@@ -63,7 +63,7 @@ class FFalse(FeatureExpression):
         return frozenset()
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True, repr=False)
 class FVar(FeatureExpression):
     name: str
 
@@ -77,7 +77,7 @@ class FVar(FeatureExpression):
         return frozenset((self.name,))
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True, repr=False)
 class FNot(FeatureExpression):
     operand: FeatureExpression
 
@@ -95,7 +95,7 @@ class _Binary(FeatureExpression):
         return self.left.variables() | self.right.variables()
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True, repr=False)
 class FAnd(_Binary):
     left: FeatureExpression
     right: FeatureExpression
@@ -104,7 +104,7 @@ class FAnd(_Binary):
         return self.left.evaluate(assignment) and self.right.evaluate(assignment)
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True, repr=False)
 class FOr(_Binary):
     left: FeatureExpression
     right: FeatureExpression
@@ -113,7 +113,7 @@ class FOr(_Binary):
         return self.left.evaluate(assignment) or self.right.evaluate(assignment)
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True, repr=False)
 class FImplies(_Binary):
     left: FeatureExpression
     right: FeatureExpression
@@ -122,7 +122,7 @@ class FImplies(_Binary):
         return (not self.left.evaluate(assignment)) or self.right.evaluate(assignment)
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True, repr=False)
 class FXor(_Binary):
     left: FeatureExpression
     right: FeatureExpression

@@ -18,8 +18,6 @@ terminate successfully.  Features act independently of each other.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .dsl import ModelFile, parse_model_file
 
 _FAILURE_HEADER = """\
@@ -75,8 +73,7 @@ def gen_failure_recovery(n_stages: int) -> ModelFile:
     lines.append("system = Chain;")
     lines.append('property fail_risk = "P[<0.1](F failure)";')
     lines.append('property fail_value = "P=?(F failure)";')
-    parsed = parse_model_file("\n".join(lines) + "\n")
-    return dataclasses.replace(parsed, header=lines[0])
+    return parse_model_file("\n".join(lines) + "\n", header=lines[0])
 
 
 def gen_service_provider(n_services: int) -> ModelFile:
@@ -120,5 +117,4 @@ def gen_service_provider(n_services: int) -> ModelFile:
     lines.append("system = Provider;")
     lines.append('property fail_risk = "P[<0.1](F failure)";')
     lines.append('property fail_value = "P=?(F failure)";')
-    parsed = parse_model_file("\n".join(lines) + "\n")
-    return dataclasses.replace(parsed, header=lines[0])
+    return parse_model_file("\n".join(lines) + "\n", header=lines[0])

@@ -19,7 +19,6 @@ a later composition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -48,11 +47,12 @@ from .profiles import (
     reward_range_findings,
 )
 from .rational import ONE, ZERO, rational
+from .records import field, record
 
 State = Hashable
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ActionLabel:
     """Base action name plus an observation guard over foreign propositions."""
 
@@ -65,7 +65,7 @@ class ActionLabel:
         return f"{self.name} | obs: {self.obs}"
 
 
-@dataclass
+@record
 class ValidationReport:
     """Findings from a structural model check; empty means the model is valid."""
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import repeat
 from operator import and_, ge, gt, le, lt, mul
 from typing import Union
 
 from .errors import NUMBER, ParseError, TokenStream
 from .rational import ONE, ZERO, rat_str
+from .records import record
 from .result import SAT, UNKNOWN, VIOLATED
 
 
@@ -52,28 +52,28 @@ class PathFormula:
         return f"<{print_path(self)}>"
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True, repr=False)
 class PTrue(StateFormula):
     __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True, repr=False)
 class Atom(StateFormula):
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True, repr=False)
 class PNot(StateFormula):
     operand: StateFormula
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True, repr=False)
 class PAnd(StateFormula):
     left: StateFormula
     right: StateFormula
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Interval:
     """Probability bound ``J``; a sub-interval of [0, 1]."""
 
@@ -178,7 +178,7 @@ class Interval:
         return f"{lo}{rat_str(self.lower)},{rat_str(self.upper)}{hi}"
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True, repr=False)
 class Prob(StateFormula):
     """Probability operator; ``interval=None`` marks a quantitative query."""
 
@@ -186,12 +186,12 @@ class Prob(StateFormula):
     path: "PathFormula"
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True, repr=False)
 class Next(PathFormula):
     operand: StateFormula
 
 
-@dataclass(frozen=True, repr=False)
+@record(frozen=True, repr=False)
 class Until(PathFormula):
     """``left U right`` with an optional step bound (None = unbounded)."""
 
@@ -200,7 +200,7 @@ class Until(PathFormula):
     bound: int | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RewardQuery:
     """Expected accumulated state reward until first reaching the target."""
 

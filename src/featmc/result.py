@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 from .features import Product
 from .rational import rat_str
+from .records import field, record
 
 #: Three-valued decision per product; None marks quantitative queries where
 #: no threshold was asked.
@@ -16,7 +16,7 @@ VIOLATED = "violated"
 UNKNOWN = "unknown"
 
 
-@dataclass
+@record
 class ProductOutcome:
     product: Product
     value: object = None
@@ -30,7 +30,7 @@ class ProductOutcome:
         return "-" if self.value is None else rat_str(self.value)
 
 
-@dataclass
+@record
 class FamilyResult:
     """Per-product verdicts of one engine for one property."""
 
