@@ -10,7 +10,6 @@ from .features import (
     FeatureDiagram,
     Product,
     conjoin,
-    evaluate_expr,
     parse_feature_expression,
 )
 from .profiles import (
@@ -20,12 +19,8 @@ from .profiles import (
     add,
     complement,
     constant,
-    eval_profile,
-    exceeds,
-    from_dense,
     indicator,
     mul,
-    pointwise_max,
     sub,
     to_dense,
 )
@@ -46,13 +41,19 @@ from .models import (
     validate_fdtmc,
     validate_fmdp,
 )
-from .properties import parse_property, parse_tree, print_property, quantitative_mode
-from .dsl import build_model, load_model, parse_model, parse_model_file, print_model_file
+from .properties import parse_property, parse_tree, print_property
+from .dsl import (
+    build_model,
+    bundled_model_path,
+    load_model,
+    parse_model,
+    parse_model_file,
+    print_model_file,
+)
 from .generators import gen_failure_recovery, gen_service_provider
 from .engines.enumerative import check_family_enumerative
 from .engines.parametric import check_family_parametric
 from .engines.bounded import check_family_bounded
-from .cli import bundled_model_path
 
 __version__ = "0.1.0"
 
@@ -60,7 +61,6 @@ __all__ = [
     "FeatureDiagram",
     "Product",
     "conjoin",
-    "evaluate_expr",
     "parse_feature_expression",
     "Profile",
     "GuardedProfile",
@@ -71,11 +71,7 @@ __all__ = [
     "complement",
     "constant",
     "indicator",
-    "eval_profile",
-    "exceeds",
-    "pointwise_max",
     "to_dense",
-    "from_dense",
     "FDTMC",
     "FMDP",
     "FTS",
@@ -94,7 +90,6 @@ __all__ = [
     "parse_property",
     "parse_tree",
     "print_property",
-    "quantitative_mode",
     "build_model",
     "load_model",
     "parse_model",

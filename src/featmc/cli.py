@@ -14,9 +14,9 @@ import argparse
 import csv
 import sys
 import time
-from pathlib import Path
 
-from .dsl import load_model, parse_model, print_model_file
+# cli does not call bundled_model_path; perfbench/workloads.py imports it from here
+from .dsl import bundled_model_path, load_model, parse_model, print_model_file
 from .engines.bounded import check_family_bounded
 from .engines.enumerative import check_family_enumerative
 from .engines.parametric import ENGINE_NAME, check_family_parametric, rf_to_text
@@ -32,12 +32,6 @@ _FAMILIES = {
     "failure": gen_failure_recovery,
     "service": gen_service_provider,
 }
-
-
-def bundled_model_path(name: str):
-    """Filesystem path of a model shipped with the package (wiper, minepump),
-    in the ``models`` directory beside this module."""
-    return Path(__file__).with_name("models") / f"{name}.fdl"
 
 
 def _run_engine(engine: str, model, prop, args):

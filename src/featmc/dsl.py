@@ -32,6 +32,7 @@ an implicit self-loop, which must be nonnegative for every product.
 from __future__ import annotations
 
 import re
+from pathlib import Path
 from typing import Sequence
 
 from .errors import NUMBER, ModelError, TokenStream
@@ -507,6 +508,12 @@ def parse_model(text: str) -> BuiltModel:
 def load_model(path) -> BuiltModel:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_model(handle.read())
+
+
+def bundled_model_path(name: str) -> Path:
+    """Filesystem path of a model shipped with the package (wiper, minepump),
+    in the ``models`` directory beside this module."""
+    return Path(__file__).with_name("models") / f"{name}.fdl"
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,1 @@
 """Verification engines: enumerative, parametric and feature-aware bounded."""
-
-from .enumerative import check_family_enumerative
-from .parametric import check_family_parametric
-from .bounded import check_family_bounded
-
-__all__ = [
-    "check_family_enumerative",
-    "check_family_parametric",
-    "check_family_bounded",
-]

@@ -15,7 +15,7 @@ import itertools
 import re
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EnumerationLimitError, TokenStream, UnboundFeatureError
+from .errors import EnumerationLimitError, InvalidProductError, TokenStream, UnboundFeatureError
 from .records import record
 
 # ---------------------------------------------------------------------------
@@ -382,12 +382,6 @@ class Product:
         return f"Product({body})"
 
 
-def evaluate_expr(expr: FeatureExpression, product: Product | Mapping[str, bool]) -> bool:
-    if isinstance(product, Product):
-        product = product.as_dict()
-    return expr.evaluate(product)
-
-
 #: Widest signature enumerated exhaustively by default (2^24 candidates).
 DEFAULT_ENUMERATION_LIMIT = 24
 
@@ -457,8 +451,6 @@ class FeatureDiagram:
         try:
             return self._index[self.normalize(product)]
         except KeyError:
-            from .errors import InvalidProductError
-
             raise InvalidProductError(f"{product} is not a valid product") from None
 
     def is_valid(self, product: Product) -> bool:

@@ -22,6 +22,7 @@ import itertools
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
+from .engines.elimination import closure
 from .errors import InvalidProductError, ModelError, NondeterminismError
 from .features import (
     FeatureDiagram,
@@ -527,8 +528,6 @@ def _compose(
     distribution are kept (the per-product reachability closure over
     product bitsets).
     """
-    from .engines.elimination import closure
-
     transitions: dict[tuple[State, ActionLabel, State], Profile] = {}
     for key, profile in edges:
         merge(transitions, key, profile)

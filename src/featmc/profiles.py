@@ -30,10 +30,7 @@ from .features import (
     FeatureDiagram,
     FeatureExpression,
     FFalse,
-    FNot,
-    FVar,
     Product,
-    conj,
     flag_bytes,
 )
 from .rational import ONE, ZERO, rational
@@ -186,27 +183,6 @@ def indicator(expr: FeatureExpression, diagram: FeatureDiagram) -> GuardedProfil
     return GuardedProfile(diagram, ((expr, ONE),), ZERO)
 
 
-def from_dense(values: Sequence, diagram: FeatureDiagram) -> GuardedProfile:
-    """Build a guard-per-product profile from a dense vector.
-
-    Each product contributes one case whose guard is the exact conjunction
-    of its literals, so the result evaluates to ``values[i]`` on the i-th
-    canonical product.
-    """
-    products = diagram.valid_products()
-    values = tuple(values)
-    if len(values) != len(products):
-        raise ValueError(f"expected {len(products)} values, got {len(values)}")
-    cases = []
-    for product, value in zip(products, values):
-        literals = [
-            FVar(n) if v else FNot(FVar(n))
-            for n, v in zip(product.names, product.values)
-        ]
-        cases.append((conj(*literals), value))
-    return GuardedProfile(diagram, cases, ZERO)
-
-
 def to_dense(profile: Profile, diagram: FeatureDiagram | None = None) -> DenseProfile:
     if diagram is not None and diagram != profile.diagram:
         raise DiagramMismatchError("profile belongs to a different diagram")
@@ -252,10 +228,6 @@ def _binary(p1: Profile, other, op: Callable) -> DenseProfile:
     return DenseProfile.of_groups(p1.diagram, _merged(pairs))
 
 
-def eval_profile(profile: Profile, product: Product):
-    return profile.evaluate(product)
-
-
 mul = Profile.__mul__
 add = Profile.__add__
 sub = Profile.__sub__
@@ -264,15 +236,6 @@ sub = Profile.__sub__
 def complement(profile: Profile) -> Profile:
     """Pointwise ``1 - value``; flips 0/1 indicator profiles."""
     return sub(constant(ONE, profile.diagram), profile)
-
-
-def pointwise_max(p1: Profile, p2) -> Profile:
-    return _binary(p1, p2, lambda a, b: a if a >= b else b)
-
-
-def exceeds(p1: Profile, p2, tolerance=ZERO) -> bool:
-    """True iff ``p1(p) > p2(p) + tolerance`` for at least one valid product."""
-    return bool(sub(p1, p2).where(lambda v: v > tolerance))
 
 
 def products_where(profile: Profile, test: Callable) -> list[tuple[Product, object]]:

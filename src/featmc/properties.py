@@ -21,7 +21,7 @@ from itertools import repeat
 from operator import and_, ge, gt, le, lt, mul
 from typing import Union
 
-from .errors import NUMBER, ParseError, TokenStream
+from .errors import NUMBER, ParseError, PropertyBindingError, TokenStream
 from .rational import ONE, ZERO, rat_str
 from .records import record
 from .result import SAT, UNKNOWN, VIOLATED
@@ -251,18 +251,9 @@ def _visit(node: StateFormula, order: list, seen: set):
     order.append(node)
 
 
-def quantitative_mode(prop: Property) -> bool:
-    """True when the outermost operator asks for a value (P=? / R=?)."""
-    if isinstance(prop, RewardQuery):
-        return True
-    return isinstance(prop, Prob) and prop.interval is None
-
-
 def bind_check(prop: Property | str, declared: frozenset[str]) -> Property:
     """``prop``, parsed if it is text, once every atomic proposition in it
     is verified to exist in the checked model."""
-    from .errors import PropertyBindingError
-
     if isinstance(prop, str):
         prop = parse_property(prop)
     target = prop.target if isinstance(prop, RewardQuery) else prop

@@ -39,8 +39,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
                 num, den = value.split("/")
                 return _Fraction(int(num), int(den))
             if "." in value or "e" in value or "E" in value:
-                from decimal import Decimal
-
                 return _Fraction(Decimal(value))
             return _Fraction(int(value))
         return _Fraction(value)

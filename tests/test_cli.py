@@ -1,8 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +241,17 @@ class TestCheck:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+
+@pytest.mark.parametrize("module", ["featmc", "featmc.cli"])
+def test_python_m_runs_the_cli(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", module, "--help"], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0
+    assert run.stdout.startswith("usage: featmc")
+    assert run.stderr == ""
 
 
 class TestGen:

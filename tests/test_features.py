@@ -18,7 +18,6 @@ from featmc.features import (
     Product,
     TRUE,
     conjoin,
-    evaluate_expr,
     parse_feature_expression,
     print_expression,
     substitute,
@@ -32,29 +31,29 @@ def product(**kwargs):
 class TestEvaluate:
     def test_conjunction_with_negation(self):
         e = parse_feature_expression("W & !A")
-        assert evaluate_expr(e, product(W=1, A=0, V=0)) is True
-        assert evaluate_expr(e, product(W=1, A=1, V=0)) is False
+        assert e.evaluate(product(W=1, A=0, V=0)) is True
+        assert e.evaluate(product(W=1, A=1, V=0)) is False
 
     def test_constant_true(self):
-        assert evaluate_expr(TRUE, product(W=0)) is True
+        assert TRUE.evaluate(product(W=0)) is True
 
     def test_wiper_guard(self):
         e = parse_feature_expression("spd2 & very")
-        assert evaluate_expr(e, product(spd2=1, very=1, eco=0)) is True
+        assert e.evaluate(product(spd2=1, very=1, eco=0)) is True
 
     def test_unbound_variable_is_reported_by_name(self):
         e = parse_feature_expression("missing")
         with pytest.raises(UnboundFeatureError) as err:
-            evaluate_expr(e, product(W=1))
+            e.evaluate(product(W=1))
         assert err.value.name == "missing"
 
     def test_implication_and_xor(self):
         e = parse_feature_expression("a -> b")
-        assert evaluate_expr(e, product(a=0, b=0)) is True
-        assert evaluate_expr(e, product(a=1, b=0)) is False
+        assert e.evaluate(product(a=0, b=0)) is True
+        assert e.evaluate(product(a=1, b=0)) is False
         x = parse_feature_expression("a ^ b")
-        assert evaluate_expr(x, product(a=1, b=0)) is True
-        assert evaluate_expr(x, product(a=1, b=1)) is False
+        assert x.evaluate(product(a=1, b=0)) is True
+        assert x.evaluate(product(a=1, b=1)) is False
 
 
 class TestValidProducts:
@@ -83,7 +82,7 @@ class TestValidProducts:
         products = d.valid_products()
         assert len(products) == len(set(products))
         for p in products:
-            assert evaluate_expr(constraint, p)
+            assert constraint.evaluate(p)
         # brute-force the complement
         expected = sum(
             1
@@ -183,12 +182,12 @@ class TestConjoin:
 class TestParsing:
     def test_or_parses(self):
         e = parse_feature_expression("!A | W")
-        assert evaluate_expr(e, product(A=1, W=1)) is True
-        assert evaluate_expr(e, product(A=1, W=0)) is False
+        assert e.evaluate(product(A=1, W=1)) is True
+        assert e.evaluate(product(A=1, W=0)) is False
 
     def test_guard_with_negation(self):
         e = parse_feature_expression("spd2 & !very")
-        assert evaluate_expr(e, product(spd2=1, very=0)) is True
+        assert e.evaluate(product(spd2=1, very=0)) is True
 
     def test_syntax_error_position(self):
         with pytest.raises(ParseError) as err:

@@ -34,7 +34,6 @@ from featmc.profiles import (
     DenseProfile,
     GuardedProfile,
     constant,
-    eval_profile,
     indicator,
 )
 from featmc.rational import INFINITY, ONE, ZERO, rational
@@ -170,7 +169,7 @@ def assert_encodes(profile, diagram):
     """The table encoding agrees with the profile at every valid product."""
     encoded = profile_table(profile, diagram)
     for p in diagram.valid_products():
-        assert table_at(encoded, p) == eval_profile(profile, p), (profile, p)
+        assert table_at(encoded, p) == profile.evaluate(p), (profile, p)
 
 
 class TestProfileEncoding:
@@ -253,7 +252,7 @@ def constrained_fdtmc(rng):
     def move(profile):
         if rng.random() < 0.5:
             return DenseProfile(
-                diagram, [eval_profile(profile, p) for p in diagram.valid_products()]
+                diagram, [profile.evaluate(p) for p in diagram.valid_products()]
             )
         return GuardedProfile(diagram, profile.cases, profile.default)
 

@@ -12,12 +12,8 @@ from featmc.profiles import (
     add,
     complement,
     constant,
-    eval_profile,
-    exceeds,
-    from_dense,
     indicator,
     mul,
-    pointwise_max,
     probability_range_findings,
     sub,
     to_dense,
@@ -49,12 +45,12 @@ def wiper_product(spd2=0, very=0, eco=0):
 
 class TestEval:
     def test_alpha_profile_on_very_sensitive(self):
-        assert eval_profile(alpha_profile(), wiper_product(1, 1, 0)) == rational("0.2")
+        assert alpha_profile().evaluate(wiper_product(1, 1, 0)) == rational("0.2")
 
     def test_constant(self):
         p = constant(rational("0.125"), MINEPUMP)
         for prod in MINEPUMP.valid_products():
-            assert eval_profile(p, prod) == rational("0.125")
+            assert p.evaluate(prod) == rational("0.125")
 
     def test_reward_profile_eco(self):
         r = GuardedProfile(
@@ -64,14 +60,14 @@ class TestEval:
                 (parse_feature_expression("eco"), rational(2)),
             ],
         )
-        assert eval_profile(r, wiper_product(eco=1)) == 2
-        assert eval_profile(r, wiper_product(eco=0)) == 3
+        assert r.evaluate(wiper_product(eco=1)) == 2
+        assert r.evaluate(wiper_product(eco=0)) == 3
 
     def test_invalid_product(self):
         d = FeatureDiagram(("f",), parse_feature_expression("f"))
         p = constant(ONE, d)
         with pytest.raises(InvalidProductError):
-            eval_profile(p, Product(("f",), (False,)))
+            p.evaluate(Product(("f",), (False,)))
 
     def test_first_match_wins(self):
         p = GuardedProfile(
@@ -81,7 +77,7 @@ class TestEval:
                 (parse_feature_expression("spd2 & very"), ZERO),
             ],
         )
-        assert eval_profile(p, wiper_product(1, 1, 0)) == 1
+        assert p.evaluate(wiper_product(1, 1, 0)) == 1
 
 
 class TestArithmetic:
@@ -141,35 +137,7 @@ class TestIndicator:
         assert sum(ind.dense_values()) == 4
 
 
-class TestMaxAndExceeds:
-    def test_exceeds_on_equal_is_false(self):
-        p = alpha_profile()
-        assert not exceeds(p, p, ZERO)
-
-    def test_exceeds_constants(self):
-        assert exceeds(
-            constant(rational("0.2"), WIPER),
-            constant(rational("0.1"), WIPER),
-            rational("1e-12"),
-        )
-
-    def test_pointwise_max_against_half(self):
-        result = pointwise_max(alpha_profile(), constant(rational("0.5"), WIPER))
-        for prod in WIPER.valid_products():
-            expected = max(alpha_profile().evaluate(prod), rational("0.5"))
-            assert result.evaluate(prod) == expected
-            if not prod["spd2"]:
-                assert result.evaluate(prod) == rational("0.8")
-            else:
-                assert result.evaluate(prod) == rational("0.5")
-
-
 class TestDense:
-    def test_round_trip(self):
-        p = alpha_profile()
-        back = from_dense(to_dense(p).values, WIPER)
-        assert equals_pointwise(back, p)
-
     def test_constant_is_flat(self):
         assert set(to_dense(constant(rational(2), WIPER)).values) == {rational(2)}
 
@@ -267,7 +235,6 @@ class TestGroups:
             (a * eco, [x * y for x, y in zip(av, ev)]),
             (a + a, [x + x for x in av]),
             (complement(a), [1 - x for x in av]),
-            (pointwise_max(a, constant(rational("0.5"), WIPER)), [max(x, ONE / 2) for x in av]),
             (sub(a, DenseProfile(WIPER, tenths)), [x - y for x, y in zip(av, tenths)]),
             (to_dense(a), av),
         ):

@@ -19,7 +19,6 @@ from featmc.properties import (
     parse_property,
     parse_tree,
     print_property,
-    quantitative_mode,
 )
 from featmc.rational import ONE, ZERO, rational
 from featmc.result import SAT, VIOLATED
@@ -147,15 +146,6 @@ class TestParseTree:
         assert index[PAnd(Atom("a"), Atom("b"))] < index[formula]
 
 
-class TestQuantitative:
-    def test_value_queries(self):
-        assert quantitative_mode(parse_property("P=?(F failure)"))
-        assert quantitative_mode(parse_property("R=?[F end]"))
-
-    def test_threshold_is_not_quantitative(self):
-        assert not quantitative_mode(parse_property("P[<0.1](F failure)"))
-
-
 # ---------------------------------------------------------------------------
 # Round trips over random formulae
 # ---------------------------------------------------------------------------
@@ -198,7 +188,7 @@ def test_print_parse_identity(formula):
 @given(_state_formulae())
 def test_reward_query_round_trip(formula):
     query = RewardQuery(formula)
-    if quantitative_mode(formula):
+    if isinstance(formula, Prob) and formula.interval is None:
         return  # P=? cannot nest inside R=?
     assert parse_property(print_property(query)) == query
 
